@@ -33,7 +33,17 @@ EXIT_TIMEOUT = 2
 EXIT_ERROR = 3
 
 
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    if not ok:
+        raise MirError(f"{flag} must be {rule}, got {value}")
+
+
 def _budget(args) -> AnalysisBudget:
+    """The budget the flags ask for; out-of-range values are usage errors."""
+    _require(args.depth >= 0, "--depth", "at least 0", args.depth)
+    _require(args.fuel >= 1, "--fuel", "at least 1", args.fuel)
+    _require(args.path_cap >= 1, "--path-cap", "at least 1", args.path_cap)
+    _require(args.timeout > 0, "--timeout", "positive", args.timeout)
     return AnalysisBudget(
         depth_limit=args.depth,
         fuel=args.fuel,
@@ -73,6 +83,7 @@ def _parse_modes(values: list[str]) -> list[Mode]:
 
 
 def cmd_analyze(args) -> int:
+    budget = _budget(args)
     entry_override = args.entry
     sidecar = ProvenanceMap.from_json(Path(args.sidecar).read_text()) if args.sidecar else None
     single = Path(args.sources[0]) if len(args.sources) == 1 else None
@@ -92,7 +103,6 @@ def cmd_analyze(args) -> int:
     if not entries:
         print("no dually modified declaration to analyze", file=sys.stderr)
         return EXIT_ERROR
-    budget = _budget(args)
     modes = _parse_modes(args.mode)
 
     outcomes = []
@@ -119,6 +129,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    budget = _budget(args)
+    _require(args.reps >= 1, "--reps", "at least 1", args.reps)
     root = Path(args.root)
     if (root / "scenario.json").exists():
         corpus = [load_scenario(root)]
@@ -131,7 +143,7 @@ def cmd_corpus(args) -> int:
     run = run_corpus(
         corpus,
         modes,
-        budget=_budget(args),
+        budget=budget,
         reps=args.reps,
         measure_time=not args.deterministic,
     )

@@ -1,9 +1,28 @@
 """Override-assignment conflict detection.
 
-The detector enumerates execution paths from an entry method, collecting
-the ordered write events each path performs, then scans every path for a
+The detector enumerates execution paths from an entry method and reports a
 changed write that overrides the other side's most recent write to the same
 state element with no base write in between.
+
+The scan runs as the enumerator appends each write event, so every write is
+scanned once however many paths share it. LV and SFR writes alias exactly
+by `WriteEvent.element_key()`, and a last-writer dict gives their most recent
+earlier writer. IFR and AR aliasing is pairwise (related base types, or
+overlapping points-to sets) and not transitive, so those writes walk back
+over the earlier writes of their own kind only, comparing each pair and
+logging its miss-references. Every event leaves a record on a trail beside
+the event list; backtracking to a choice point replays the trail backwards
+(undoing dict entries and kind-list appends), as a Prolog machine's trail
+does.
+
+Findings, both conflicts and comparison miss-references, stay on the trail
+until the path completes, so a path cut by fuel or the path cap contributes
+none. Back-to-back same-side writes to one local collapse into the last
+(`_collapse_redundant_locals`): a collapsed write is skipped when its path
+commits, and the write that replaces it inherits the overridden writer it
+looked up, which is the writer before the collapsed one. Because a write's
+successor changes on backtrack, the write just before the cut is committed
+again on the next path.
 
 State elements follow the assignment left-hand-side taxonomy:
 
@@ -490,9 +509,21 @@ class _Enumerator:
             )
         return None
 
+    # -- per-path event log; `_Scanner` extends these three
+
+    def _append(self, ev: WriteEvent) -> None:
+        self.events.append(ev)
+
+    def _truncate(self, n: int) -> None:
+        del self.events[n:]
+
+    def _finish_path(self):
+        return _collapse_redundant_locals(self.events)
+
     # -- machine
 
-    def paths(self) -> Iterator[list[WriteEvent]]:
+    def paths(self) -> Iterator:
+        """Yields `_finish_path()` once per completed path."""
         self.frames = [
             _Frame(self.entry.body, initial_env(self.entry), self.entry, (),
                    frozenset({self.entry.id}), "root")
@@ -500,7 +531,7 @@ class _Enumerator:
         while True:
             if not self.frames:
                 self.ctx.count_path()
-                yield _collapse_redundant_locals(self.events)
+                yield self._finish_path()
                 if not self._backtrack():
                     return
                 continue
@@ -523,7 +554,7 @@ class _Enumerator:
         frame = self.frames[-1]
         result = getattr(st, "result", None)
         if result is not None:
-            self.events.append(self._lv(st, frame, result))
+            self._append(self._lv(st, frame, result))
             env = dict(frame.env)
             env[result] = None
             frame.env = env
@@ -559,7 +590,7 @@ class _Enumerator:
             self._branch_call(frame, st, [target])
             return
         if isinstance(st, AllocAssign):
-            self.events.append(self._lv(st, frame, st.target))
+            self._append(self._lv(st, frame, st.target))
             frame.env = transfer_type(st, frame.env, self.ctx.program)
             frame.i += 1
             ctor = _ctor_of(self.ctx.program, st.cls, len(st.args))
@@ -568,7 +599,7 @@ class _Enumerator:
             return
         ev = self._simple_event(st, frame)
         if ev is not None:
-            self.events.append(ev)
+            self._append(ev)
         frame.env = transfer_type(st, frame.env, self.ctx.program)
         frame.i += 1
 
@@ -630,7 +661,7 @@ class _Enumerator:
                 continue
             alt = rest.pop(0)
             frames, cursors, events_len = snapshot
-            del self.events[events_len:]
+            self._truncate(events_len)
             self.frames = list(frames)
             for f, (i, env) in zip(self.frames, cursors):
                 f.i = i
@@ -650,18 +681,22 @@ def _ctor_of(p: Program, cls_name: str, arity: int):
     return None
 
 
+def _collapses(prev: WriteEvent, ev: WriteEvent) -> bool:
+    """Whether `ev` replaces `prev`: back-to-back same-side writes to one local."""
+    return (
+        ev.kind == LV
+        and prev.kind == LV
+        and prev.method_id == ev.method_id
+        and prev.local == ev.local
+        and prev.provenance is ev.provenance
+    )
+
+
 def _collapse_redundant_locals(events: list[WriteEvent]) -> list[WriteEvent]:
     """Consecutive same-side writes to one local keep only the last."""
     out: list[WriteEvent] = []
     for ev in events:
-        if (
-            out
-            and ev.kind == LV
-            and out[-1].kind == LV
-            and out[-1].method_id == ev.method_id
-            and out[-1].local == ev.local
-            and out[-1].provenance is ev.provenance
-        ):
+        if out and _collapses(out[-1], ev):
             out[-1] = ev
         else:
             out.append(ev)
@@ -702,22 +737,97 @@ def _make_context(p, entry, mode, budget, cha, pts) -> DetectionContext:
     return DetectionContext(p, mode, budget, cha=cha, pts=pts)
 
 
-def _scan_path(events: list[WriteEvent], ctx: DetectionContext, conflicts: dict) -> None:
-    for i, w in enumerate(events):
+class _Scanner(_Enumerator):
+    """The enumerator with the conflict scan run as each write is appended.
+
+    See the module docstring for the last-writer dict, the same-kind
+    walk-back, the trail, and commit on path completion.
+    """
+
+    def __init__(self, ctx: DetectionContext, entry: MethodDef):
+        super().__init__(ctx, entry)
+        self.conflicts: dict = {}
+        self.last_writer: dict[tuple, Optional[WriteEvent]] = {}
+        self.same_kind: dict[str, list[WriteEvent]] = {IFR: [], AR: []}
+        # Per event: (key or None, writer the key held before, overridden
+        # write or None, miss-references).
+        self.trail: list[tuple] = []
+        self.committed = 0  # events before this index are settled on the current path
+
+    def _append(self, ev: WriteEvent) -> None:
+        events = self.events
+        if ev.kind == IFR or ev.kind == AR:
+            same = self.same_kind[ev.kind]
+            overridden, misses = self._walk_back(same, ev)
+            same.append(ev)
+            self.trail.append((None, None, overridden, misses))
+        else:
+            key = ev.element_key()
+            held = self.last_writer.get(key)
+            if events and _collapses(events[-1], ev):
+                overridden = self.trail[-1][2]
+            else:
+                overridden = _overridden(held, ev)
+            self.last_writer[key] = ev
+            self.trail.append((key, held, overridden, _NO_MISS))
+        events.append(ev)
+
+    def _walk_back(self, same: list[WriteEvent], w: WriteEvent):
         if w.provenance is Provenance.BASE:
-            continue
-        for j in range(i - 1, -1, -1):
-            prior = events[j]
-            if not same_element(prior, w, ctx.mode, ctx):
+            return None, _NO_MISS
+        compare = compare_instance_field if w.kind == IFR else compare_array
+        misses: list[MissRef] = []
+        for prior in reversed(same):
+            res = compare(prior, w, self.ctx.mode, self.ctx)
+            misses.extend(res.missrefs)
+            if res.match:
+                return _overridden(prior, w), misses
+        return None, misses
+
+    def _truncate(self, n: int) -> None:
+        events, trail = self.events, self.trail
+        for i in range(len(events) - 1, n - 1, -1):
+            key, held = trail[i][0], trail[i][1]
+            if key is None:
+                self.same_kind[events[i].kind].pop()
+            else:
+                self.last_writer[key] = held
+        del events[n:]
+        del trail[n:]
+        # The event before the cut gets a new successor, which may change
+        # whether it is collapsed, so it is settled again.
+        self.committed = min(self.committed, max(n - 1, 0))
+
+    def _finish_path(self) -> None:
+        events, trail, ctx = self.events, self.trail, self.ctx
+        last = len(events) - 1
+        for i in range(self.committed, last + 1):
+            w = events[i]
+            if i < last and _collapses(w, events[i + 1]):
                 continue
-            # Most recent write to the same element decides: an opposite-side
-            # write is overridden, a base write blocks, same side is benign.
-            if prior.provenance is Provenance.BASE:
-                break
-            if prior.provenance is not w.provenance:
-                c = Conflict(w.element_text(), overridden=prior, overriding=w)
-                conflicts.setdefault(c.key, c)
-            break
+            _, _, overridden, misses = trail[i]
+            for miss in misses:
+                ctx.record_missref(miss)
+            if overridden is not None:
+                c = Conflict(w.element_text(), overridden=overridden, overriding=w)
+                self.conflicts.setdefault(c.key, c)
+        self.committed = len(events)
+
+
+def _overridden(prior: Optional[WriteEvent], w: WriteEvent) -> Optional[WriteEvent]:
+    """`prior` when it is the other side's write that changed write `w` overrides.
+
+    A base write between two changed writes blocks, and a same-side write
+    is benign.
+    """
+    if (
+        prior is None
+        or w.provenance is Provenance.BASE
+        or prior.provenance is Provenance.BASE
+        or prior.provenance is w.provenance
+    ):
+        return None
+    return prior
 
 
 def detect(
@@ -734,12 +844,12 @@ def detect(
         raise MirError(f"entry '{entry.id}' not found in program")
     budget = budget or AnalysisBudget()
     ctx = _make_context(p, entry, mode, budget, cha, pts)
-    conflicts: dict = {}
+    scanner = _Scanner(ctx, entry)
+    conflicts = scanner.conflicts
     started = time.perf_counter()
     stopped_early = False
     try:
-        for path in _Enumerator(ctx, entry).paths():
-            _scan_path(path, ctx, conflicts)
+        for _ in scanner.paths():
             if early_exit and conflicts:
                 stopped_early = True
                 break

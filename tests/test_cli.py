@@ -184,3 +184,39 @@ def test_corpus_deterministic_reruns_identical(tmp_path, capsys):
             }
         )
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        # Before validation, a negative depth gave verdict false and exit 0.
+        ("--depth", "-3", "--depth must be at least 0, got -3"),
+        ("--fuel", "0", "--fuel must be at least 1, got 0"),
+        ("--path-cap", "0", "--path-cap must be at least 1, got 0"),
+        ("--timeout", "0", "--timeout must be positive, got 0.0"),
+        ("--timeout", "-1", "--timeout must be positive, got -1.0"),
+    ],
+)
+def test_analyze_rejects_out_of_range_budget(flag, value, message, capsys):
+    code = main(["analyze", "--deterministic", "--mode", "nopa", flag, value, corpus_path("fig1_simple")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--reps", "0"), ("--path-cap", "0")])
+def test_corpus_rejects_out_of_range_budget(flag, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--root", corpus_path("fig1_simple"), "--out", str(out), flag, value])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_analyze_accepts_zero_depth(capsys):
+    # Depth 0 inlines no call, which hides fig1_simple's conflict in a callee.
+    code = main(["analyze", "--deterministic", "--mode", "nopa", "--depth", "0", corpus_path("fig1_simple")])
+    assert code == 0
+    assert "verdict: false" in capsys.readouterr().out

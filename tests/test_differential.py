@@ -1,0 +1,136 @@
+"""Differential test: `detect` against the per-path scan it replaced.
+
+`engine.detect` scans each write once, as the enumerator appends it, and
+undoes the scan on backtrack. The reference below is the original design:
+it drains `enumerate_write_paths` and, for every completed path, walks back
+from each changed write over all earlier events of the path. It is
+quadratic per path and lives only here, as the oracle.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from conftest import ALL_MODES, budget
+from oadetect import engine
+from oadetect.cha import build_cha_graph
+from oadetect.engine import (
+    Conflict,
+    DetectionContext,
+    Mode,
+    Verdict,
+    detect,
+    enumerate_write_paths,
+    same_element,
+)
+from oadetect.harness import load_bundled, scenario_units
+from oadetect.mir import Provenance
+from oadetect.pointsto import pa_entry_points, solve
+from oadetect.randprog import default_seed, generate_program
+
+PROP_BUDGET = dict(fuel=20_000, path_cap=512)
+BUNDLED = ("fig1_simple", "fig1_advanced", "mkref", "deep_hierarchy")
+
+
+def reference_scan(events, ctx: DetectionContext, conflicts: dict) -> None:
+    """The most recent earlier write to the same element decides each changed
+    write: an opposite-side write is overridden, a base write blocks, and a
+    same-side write is benign."""
+    for i, w in enumerate(events):
+        if w.provenance is Provenance.BASE:
+            continue
+        for j in range(i - 1, -1, -1):
+            prior = events[j]
+            if not same_element(prior, w, ctx.mode, ctx):
+                continue
+            if prior.provenance is Provenance.BASE:
+                break
+            if prior.provenance is not w.provenance:
+                c = Conflict(w.element_text(), overridden=prior, overriding=w)
+                conflicts.setdefault(c.key, c)
+            break
+
+
+def reference_detect(p, entry, mode: Mode, bud, early_exit: bool = False):
+    """Verdict, conflicts, miss-references and counters of the reference."""
+    cha = build_cha_graph(p, entry) if mode in (Mode.NOPA, Mode.HYBRID) else None
+    pts = solve(p, pa_entry_points(p)) if mode in (Mode.PA, Mode.HYBRID) else None
+    ctx = DetectionContext(p, mode, bud, cha=cha, pts=pts)
+    conflicts: dict = {}
+    stopped_early = False
+    for path in enumerate_write_paths(p, entry, bud, mode, ctx=ctx):
+        reference_scan(path, ctx, conflicts)
+        if early_exit and conflicts:
+            stopped_early = True
+            break
+    if ctx.timed_out and not stopped_early:
+        verdict = Verdict.TIMEOUT
+    elif conflicts:
+        verdict = Verdict.TRUE
+    else:
+        verdict = Verdict.FALSE
+    ordered = sorted(
+        conflicts.values(),
+        key=lambda c: (c.overridden.root_pos, c.overriding.root_pos, c.overridden.pos, c.overriding.pos),
+    )
+    return (
+        verdict,
+        [_conflict_fields(c) for c in ordered],
+        sorted(ctx.missrefs),
+        ctx.visited,
+        ctx.paths,
+    )
+
+
+def _conflict_fields(c: Conflict) -> tuple:
+    # The full events, call paths included, so first-found order is checked too.
+    return (c.key, c.element, c.overridden, c.overriding)
+
+
+def outcome_fields(outcome):
+    return (
+        outcome.verdict,
+        [_conflict_fields(c) for c in outcome.conflicts],
+        [(m.pos, m.expression, m.reason) for m in outcome.missrefs],
+        outcome.stats.visited,
+        outcome.stats.paths,
+    )
+
+
+def assert_matches_reference(p, entry, mode: Mode, bud, early_exit: bool = False) -> None:
+    got = outcome_fields(detect(p, entry, mode, budget=bud, early_exit=early_exit))
+    assert got == reference_detect(p, entry, mode, bud, early_exit)
+
+
+def seed_cases(offset: int, count: int):
+    """Marked random programs of the property suite from OA_SEED+offset."""
+    base = default_seed() + offset
+    for i in range(count):
+        gen = generate_program(base + i, mkref=(i % 2 == 0), mark_changes=True)
+        if gen.entry is not None:
+            yield base + i, gen.program, gen.entry
+
+
+def test_reference_scan_is_not_in_the_engine():
+    assert not hasattr(engine, "_scan_path")
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_scenarios_match_reference(name, early_exit):
+    program, units = scenario_units(load_bundled(name))
+    for _, entry in units:
+        for mode in ALL_MODES:
+            assert_matches_reference(program, entry, mode, budget(), early_exit)
+
+
+def test_random_programs_match_reference():
+    checked = 0
+    for _, p, entry in seed_cases(3000, 24):
+        for mode in ALL_MODES:
+            assert_matches_reference(p, entry, mode, budget(**PROP_BUDGET))
+        assert_matches_reference(p, entry, Mode.NOPA, budget(**PROP_BUDGET), early_exit=True)
+        # Small budgets cut paths mid-way and at the cap.
+        assert_matches_reference(p, entry, Mode.PA, budget(fuel=400, path_cap=3))
+        checked += 1
+    assert checked >= 10

@@ -519,3 +519,84 @@ def test_detect_unknown_entry_errors(fig1_simple):
     other_entry = find_method(other_p, "Z.zz")
     with pytest.raises(MirError, match="not found"):
         detect(p, other_entry, Mode.NOPA, budget=budget())
+
+
+# ---------------------------------------------------------------------------
+# Scan-order pins: which writes a path's scan sees, and when findings count
+
+
+def test_collapsed_local_write_neither_conflicts_nor_hides_its_writer():
+    # Line 4 is collapsed into line 5, so only line 5 overrides line 3.
+    src = (
+        "class A {\n  method m() {\n"
+        "    x = 1 @R;\n    x = op() @L;\n    x = op(x) @L;\n    y = 2;\n"
+        "  }\n}\n"
+    )
+    p = parse_source(src)
+    for mode in (Mode.NOPA, Mode.PA, Mode.HYBRID):
+        out = detect(p, find_method(p, "A.m"), mode, budget=budget())
+        assert out.verdict is Verdict.TRUE
+        assert [(c.overridden.pos.line, c.overriding.pos.line) for c in out.conflicts] == [(3, 5)]
+
+
+def test_local_write_collapsed_on_one_path_still_counts_on_the_next():
+    # Line 5 is collapsed into line 7 on the then-path but survives on the
+    # else-path, where it overrides line 4 itself.
+    src = (
+        "class A {\n  method m() {\n"
+        "    c = 1;\n    x = 1 @R;\n    x = op() @L;\n"
+        "    if c {\n      x = op(x) @L;\n    } else {\n      y = 2;\n    }\n"
+        "  }\n}\n"
+    )
+    p = parse_source(src)
+    out = detect(p, find_method(p, "A.m"), Mode.NOPA, budget=budget())
+    assert [(c.overridden.pos.line, c.overriding.pos.line) for c in out.conflicts] == [(4, 5), (4, 7)]
+
+
+BUDGET_CUT = (
+    "class A {\n  method m() {\n"
+    "    c = 1;\n    x = 1 @R;\n"
+    "    if c {\n      y = 2;\n    } else {\n      x = op() @L;\n    }\n"
+    "    z = 3;\n"
+    "  }\n}\n"
+)
+
+
+def test_path_cut_by_cap_contributes_no_conflicts():
+    # The else path, which holds the conflict, is the one the cap cuts.
+    p = parse_source(BUDGET_CUT)
+    entry = find_method(p, "A.m")
+    cut = detect(p, entry, Mode.NOPA, budget=budget(path_cap=1))
+    assert cut.verdict is Verdict.TIMEOUT
+    assert cut.conflicts == []
+    full = detect(p, entry, Mode.NOPA, budget=budget(path_cap=2))
+    assert full.verdict is Verdict.TRUE
+    assert [(c.overridden.pos.line, c.overriding.pos.line) for c in full.conflicts] == [(4, 8)]
+
+
+def _missrefs(outcome):
+    return [(m.pos.line, m.expression, m.reason) for m in outcome.missrefs]
+
+
+def test_pa_logs_misses_for_instance_fields_with_different_names():
+    # No main: `this` has an empty points-to set, so comparing the two field
+    # writes logs both as misses even though the names alone rule out a match.
+    src = (
+        "class Lib {\n  field f: int;\n  field g: int;\n  public method m() {\n"
+        "    this.f = 1;\n    this.g = 2 @R;\n  }\n}\n"
+    )
+    p = parse_source(src)
+    out = detect(p, find_method(p, "Lib.m"), Mode.PA, budget=budget())
+    assert out.verdict is Verdict.FALSE
+    assert _missrefs(out) == [(5, "this.f", "empty-pts"), (6, "this.g", "empty-pts")]
+
+
+def test_pa_logs_misses_for_array_writes_at_different_indexes():
+    src = (
+        "class Lib {\n  public method m(arr) {\n"
+        "    arr[0] = 1;\n    arr[1] = 2 @R;\n  }\n}\n"
+    )
+    p = parse_source(src)
+    out = detect(p, find_method(p, "Lib.m"), Mode.PA, budget=budget())
+    assert out.verdict is Verdict.FALSE
+    assert _missrefs(out) == [(3, "arr[0]", "empty-pts"), (4, "arr[1]", "empty-pts")]
