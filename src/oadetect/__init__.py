@@ -19,7 +19,7 @@ from .frontend import (
     pretty_print,
 )
 from .mir import Program, Provenance, subtype_of, implementers_of, validate_program
-from .pointsto import MISS, build_pa_graph, pa_entry_points, pts_of, solve
+from .pointsto import MISS, pa_entry_points, pts_of, solve
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "Verdict",
     "apply_sidecar",
     "build_cha_graph",
-    "build_pa_graph",
     "cha_resolve",
     "detect",
     "entry_candidates",

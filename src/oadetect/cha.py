@@ -33,6 +33,7 @@ from .mir import (
     Stmt,
     VirtualCall,
     While,
+    constructor_of,
     implementers_of,
     lca_type,
     methods_by_id,
@@ -216,16 +217,6 @@ def resolve_static(p: Program, st: StaticCall) -> MethodDef:
     return m
 
 
-def _ctor_for(p: Program, cls_name: str, arity: int) -> Optional[MethodDef]:
-    c = p.class_named(cls_name)
-    if c is None:
-        return None
-    for ctor in c.constructors:
-        if len(ctor.params) == arity:
-            return ctor
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Graph construction
 
@@ -324,7 +315,7 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
             elif isinstance(st, StaticCall):
                 targets = [resolve_static(p, st)]
             else:
-                ctor = _ctor_for(p, st.cls, len(st.args))
+                ctor = constructor_of(p, st.cls, len(st.args))
                 targets = [ctor] if ctor is not None else []
             for tgt in targets:
                 graph.edges.add(CallEdge(st.pos, mid, tgt.id))

@@ -7,9 +7,10 @@
 
 `analyze` prints one human-readable report per conflict and exits 0 when
 every requested mode is conflict-free, 1 when any mode reports a conflict,
-2 when any mode times out (and none conflicts), 3 on usage or parse errors.
-`corpus` evaluates scenario directories and writes the records stream plus
-the confusion/metrics/transitions/histogram/timing tables.
+2 when any mode times out (and none conflicts), 3 on usage, input or parse
+errors. `corpus` evaluates scenario directories and writes the records
+stream plus the confusion/metrics/transitions/histogram/timing tables. Both
+run `harness.run_scenario` per scenario.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import sys
 from pathlib import Path
 
 from .cha import build_cha_graph
-from .engine import AnalysisBudget, Mode, Verdict, detect
+from .engine import AnalysisBudget, Mode, Verdict
 from .frontend import ProvenanceMap, SourceUnit, apply_sidecar, entry_candidates, parse_program
-from .harness import load_corpus, load_scenario, run_corpus, write_tables
+from .harness import Scenario, load_corpus, load_scenario, run_corpus, run_scenario, write_tables
 from .mir import MirError, find_method
 from .pointsto import dump_pts, pa_entry_points, solve
 from .reporting import build_reports, emit_records, render_text
@@ -82,50 +83,49 @@ def _parse_modes(values: list[str]) -> list[Mode]:
     return [Mode(v) for v in values]
 
 
-def cmd_analyze(args) -> int:
-    budget = _budget(args)
-    entry_override = args.entry
+def _analyze_scenario(args) -> Scenario:
+    """The scenario an `analyze` call names: one scenario directory or loose
+    sources. `--sidecar` and `--entry` take precedence over its manifest."""
     sidecar = ProvenanceMap.from_json(Path(args.sidecar).read_text()) if args.sidecar else None
     single = Path(args.sources[0]) if len(args.sources) == 1 else None
     if single is not None and (single / "scenario.json").exists():
         scenario = load_scenario(single)
-        units = scenario.sources
-        sidecar = sidecar or scenario.sidecar
-        entry_override = entry_override or scenario.entry
     else:
-        units = _load_sources(args.sources)
-    program = parse_program(units)
-    if sidecar is not None:
-        apply_sidecar(program, sidecar)
-    entries = (
-        [find_method(program, entry_override)] if entry_override else entry_candidates(program)
-    )
-    if not entries:
-        print("no dually modified declaration to analyze", file=sys.stderr)
-        return EXIT_ERROR
-    modes = _parse_modes(args.mode)
+        label = " ".join(args.sources)
+        scenario = Scenario(id=label, project=label, sources=_load_sources(args.sources))
+    scenario.sidecar = sidecar or scenario.sidecar
+    scenario.entry = args.entry or scenario.entry
+    return scenario
 
+
+def _exit_code(verdicts) -> int:
+    verdicts = set(verdicts)
+    if Verdict.TRUE in verdicts:
+        return EXIT_TRUE
+    if Verdict.TIMEOUT in verdicts:
+        return EXIT_TIMEOUT
+    return EXIT_FALSE
+
+
+def cmd_analyze(args) -> int:
+    budget = _budget(args)
+    modes = _parse_modes(args.mode)
+    results = run_scenario(
+        _analyze_scenario(args), modes, budget=budget, measure_time=not args.deterministic
+    )
+    several_entries = len(results) > len(modes)
     outcomes = []
-    any_true = any_timeout = False
-    for entry in entries:
-        for mode in modes:
-            outcome = detect(program, entry, mode, budget=budget)
-            unit = entry.id if len(entries) > 1 else entry.display
-            outcomes.append((f"{unit}:{mode.value}", mode, outcome))
-            print(f"== {entry.display} [{mode.value}] verdict: {outcome.verdict.value}")
-            for report in build_reports(outcome, entry):
-                print(render_text(report))
-            any_true = any_true or outcome.verdict is Verdict.TRUE
-            any_timeout = any_timeout or outcome.verdict is Verdict.TIMEOUT
+    for r in results:
+        unit = r.entry.id if several_entries else r.entry.display
+        outcomes.append((f"{unit}:{r.mode.value}", r.mode, r.outcome))
+        print(f"== {r.entry.display} [{r.mode.value}] verdict: {r.verdict.value}")
+        for report in build_reports(r.outcome, r.entry):
+            print(render_text(report))
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "records.jsonl").write_text(emit_records(outcomes))
-    if any_true:
-        return EXIT_TRUE
-    if any_timeout:
-        return EXIT_TIMEOUT
-    return EXIT_FALSE
+    return _exit_code(r.verdict for r in results)
 
 
 def cmd_corpus(args) -> int:
@@ -168,12 +168,7 @@ def cmd_corpus(args) -> int:
         except InsufficientPairsError as e:
             print(f"wilcoxon skipped: {e}")
     print(f"tables written to {outdir}")
-    verdicts = {r.verdict for r in run.results}
-    if Verdict.TRUE in verdicts:
-        return EXIT_TRUE
-    if Verdict.TIMEOUT in verdicts:
-        return EXIT_TIMEOUT
-    return EXIT_FALSE
+    return _exit_code(r.verdict for r in run.results)
 
 
 def cmd_dump_graph(args) -> int:

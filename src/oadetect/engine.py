@@ -76,6 +76,7 @@ from .mir import (
     StaticStore,
     VirtualCall,
     While,
+    constructor_of,
     methods_by_id,
     resolve_field,
     resolve_static_field,
@@ -593,7 +594,7 @@ class _Enumerator:
             self._append(self._lv(st, frame, st.target))
             frame.env = transfer_type(st, frame.env, self.ctx.program)
             frame.i += 1
-            ctor = _ctor_of(self.ctx.program, st.cls, len(st.args))
+            ctor = constructor_of(self.ctx.program, st.cls, len(st.args))
             if ctor is not None and self._inlinable(frame, ctor):
                 self._push_body(frame, st, ctor)
             return
@@ -669,16 +670,6 @@ class _Enumerator:
             self._apply(alt)
             return True
         return False
-
-
-def _ctor_of(p: Program, cls_name: str, arity: int):
-    c = p.class_named(cls_name)
-    if c is None:
-        return None
-    for ctor in c.constructors:
-        if len(ctor.params) == arity:
-            return ctor
-    return None
 
 
 def _collapses(prev: WriteEvent, ev: WriteEvent) -> bool:

@@ -109,11 +109,13 @@ class ProvenanceMap:
 
     @classmethod
     def from_json(cls, text: str) -> "ProvenanceMap":
-        raw = json.loads(text)
-        return cls(
-            left={Position(e["file"], int(e["line"])) for e in raw.get("left", [])},
-            right={Position(e["file"], int(e["line"])) for e in raw.get("right", [])},
-        )
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise SidecarError(f"sidecar is not valid JSON: {e}") from None
+        if not isinstance(raw, dict):
+            raise SidecarError("sidecar must be a JSON object with 'left' and 'right' lists")
+        return cls(left=_sidecar_lines(raw, "left"), right=_sidecar_lines(raw, "right"))
 
     def to_json(self) -> str:
         def enc(points):
@@ -123,6 +125,24 @@ class ProvenanceMap:
             ]
 
         return json.dumps({"left": enc(self.left), "right": enc(self.right)}, indent=2)
+
+
+def _sidecar_lines(raw: dict, side: str) -> set[Position]:
+    entries = raw.get(side, [])
+    if not isinstance(entries, list):
+        raise SidecarError(f"sidecar '{side}' must be a list, got {json.dumps(entries)}")
+    return {_sidecar_line(side, e) for e in entries}
+
+
+def _sidecar_line(side: str, e) -> Position:
+    try:
+        if isinstance(e["file"], str):
+            return Position(e["file"], int(e["line"]))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    raise SidecarError(
+        f"sidecar '{side}' entries must look like {{\"file\": NAME, \"line\": N}}, got {json.dumps(e)}"
+    )
 
 
 # ---------------------------------------------------------------------------

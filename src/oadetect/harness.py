@@ -40,9 +40,33 @@ class Scenario:
     ground_truth: Optional[bool] = None
 
 
+def _read_manifest(path: Path) -> dict:
+    """A `scenario.json` checked field by field; bad input raises MirError."""
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise MirError(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise MirError(f"{path}: manifest must be a JSON object")
+    for key in ("id", "sources"):
+        if key not in manifest:
+            raise MirError(f"{path}: missing '{key}'")
+    if not isinstance(manifest["id"], str):
+        raise MirError(f"{path}: 'id' must be a string")
+    sources = manifest["sources"]
+    if not isinstance(sources, list) or not all(isinstance(n, str) for n in sources):
+        raise MirError(f"{path}: 'sources' must be a list of file names")
+    for key in ("project", "sidecar", "entry"):
+        if not isinstance(manifest.get(key), (str, type(None))):
+            raise MirError(f"{path}: '{key}' must be a string or null")
+    if manifest.get("ground_truth") not in ("true", "false", None):
+        raise MirError(f"{path}: 'ground_truth' must be \"true\", \"false\" or null")
+    return manifest
+
+
 def load_scenario(directory: Path) -> Scenario:
     directory = Path(directory)
-    manifest = json.loads((directory / "scenario.json").read_text())
+    manifest = _read_manifest(directory / "scenario.json")
     sources = [
         SourceUnit(name, (directory / name).read_text())
         for name in manifest["sources"]
@@ -136,21 +160,25 @@ def run_scenario(
     reps: int = 1,
     measure_time: bool = False,
 ) -> list[UnitResult]:
+    """Detect every unit of a scenario under every mode.
+
+    The one pipeline behind `analyze` and `corpus`: parse and expand the
+    scenario, solve points-to once per program if `pa` or `hybrid` is
+    asked for, build the CHA graph once per entry if `nopa` or `hybrid` is,
+    and run `detect` per unit and mode over those shared graphs.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     budget = budget or AnalysisBudget()
     program, units = scenario_units(s)
 
     needs_pts = any(m in (Mode.PA, Mode.HYBRID) for m in modes)
+    needs_cha = any(m in (Mode.NOPA, Mode.HYBRID) for m in modes)
     pts = solve(program, pa_entry_points(program)) if needs_pts else None
 
     out: list[UnitResult] = []
     for unit_id, entry in units:
-        cha = (
-            build_cha_graph(program, entry)
-            if any(m in (Mode.NOPA, Mode.HYBRID) for m in modes)
-            else None
-        )
+        cha = build_cha_graph(program, entry) if needs_cha else None
         for mode in modes:
             verdict = None
             outcome = None

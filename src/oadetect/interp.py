@@ -13,7 +13,6 @@ concrete semantics here and is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .mir import (
     AllocAssign,
@@ -38,6 +37,7 @@ from .mir import (
     StaticStore,
     VirtualCall,
     While,
+    constructor_of,
     resolve_method,
     resolve_static_field,
     resolve_static_method,
@@ -207,7 +207,7 @@ class _Interp:
             obj = Obj(self.next_oid, self.site_ids[st.pos], st.cls)
             self.next_oid += 1
             self._assign(frame, mid, st, st.target, obj, prov)
-            ctor = self._ctor_for(st.cls, len(st.args))
+            ctor = constructor_of(self.p, st.cls, len(st.args))
             if ctor is not None:
                 args = [self._operand(a, frame) for a in st.args]
                 self._call(ctor, args, obj, st, prov, depth)
@@ -291,15 +291,6 @@ class _Interp:
 
     def _call(self, target, args, this, site_st, site_prov, depth):
         return self._invoke(target, args, this, site_prov, depth + 1)
-
-    def _ctor_for(self, cls_name: str, arity: int) -> Optional[MethodDef]:
-        c = self.p.class_named(cls_name)
-        if c is None:
-            return None
-        for ctor in c.constructors:
-            if len(ctor.params) == arity:
-                return ctor
-        return None
 
 
 def _all_stmts(p: Program):

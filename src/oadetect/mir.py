@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class MirError(Exception):
@@ -248,21 +249,34 @@ class InterfaceDef:
 class Program:
     classes: list[ClassDef] = field(default_factory=list)
     interfaces: list[InterfaceDef] = field(default_factory=list)
+    _hierarchy = None  # not a dataclass field: no annotation
+
+    def hierarchy(self) -> "Hierarchy":
+        """The name and hierarchy index, built on first use.
+
+        It is rebuilt when a class or interface has been added (or either
+        list replaced) since it was built, so code that builds a Program
+        step by step may query it in between.
+        """
+        h = self._hierarchy
+        if (
+            h is None
+            or h.class_list is not self.classes
+            or h.n_classes != len(self.classes)
+            or h.iface_list is not self.interfaces
+            or h.n_ifaces != len(self.interfaces)
+        ):
+            h = self._hierarchy = Hierarchy(self)
+        return h
 
     def class_named(self, name: str) -> Optional[ClassDef]:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
+        return self.hierarchy().classes.get(name)
 
     def interface_named(self, name: str) -> Optional[InterfaceDef]:
-        for i in self.interfaces:
-            if i.name == name:
-                return i
-        return None
+        return self.hierarchy().interfaces.get(name)
 
     def declares_type(self, name: str) -> bool:
-        return self.class_named(name) is not None or self.interface_named(name) is not None
+        return self.hierarchy().declares(name)
 
 
 @dataclass(frozen=True)
@@ -291,13 +305,17 @@ def iter_stmts(body: list[Stmt]) -> Iterator[Stmt]:
 
 def all_methods(p: Program) -> Iterator[MethodDef]:
     """Methods and constructors in declaration order."""
-    for c in p.classes:
-        members = sorted(c.constructors + c.methods, key=lambda m: (m.pos.line, m.name))
-        yield from members
+    return _declared_methods(p.classes)
 
 
-def methods_by_id(p: Program) -> dict[str, MethodDef]:
-    return {m.id: m for m in all_methods(p)}
+def _declared_methods(classes: list[ClassDef]) -> Iterator[MethodDef]:
+    for c in classes:
+        yield from sorted(c.constructors + c.methods, key=lambda m: (m.pos.line, m.name))
+
+
+def methods_by_id(p: Program) -> Mapping[str, MethodDef]:
+    """Methods and constructors by `MethodDef.id`, as a read-only view."""
+    return p.hierarchy().methods_by_id()
 
 
 def find_method(p: Program, ref: str) -> MethodDef:
@@ -322,51 +340,169 @@ def find_method(p: Program, ref: str) -> MethodDef:
     return matches[0]
 
 
+def constructor_of(p: Program, cls_name: str, arity: int) -> Optional[MethodDef]:
+    """The first declared constructor of `cls_name` taking `arity` arguments."""
+    c = p.class_named(cls_name)
+    if c is None:
+        return None
+    for ctor in c.constructors:
+        if len(ctor.params) == arity:
+            return ctor
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Hierarchy queries
 
 
-def _declared_supers(p: Program, name: str) -> list[str]:
-    c = p.class_named(name)
-    if c is not None:
-        supers = []
-        if c.superclass:
-            supers.append(c.superclass)
-        supers.extend(c.interfaces)
-        return supers
-    i = p.interface_named(name)
-    if i is not None:
-        return [i.extends] if i.extends else []
-    raise MirError(f"unknown type '{name}'")
+class Hierarchy:
+    """Name lookups and memoised hierarchy answers for one Program.
+
+    `Program.hierarchy()` builds it and keeps it while the class and
+    interface lists are unchanged in identity and length. The first
+    declaration of a name wins, as a linear scan would find it. Supertype
+    closures, implementer sets and least common supertypes are computed
+    once per type (or pair) and shared as frozensets; unknown types raise
+    `MirError` every time and are never cached. Member lookups (fields,
+    inherited methods, `methods_by_id`) are memoised too, so a class's
+    members must be complete before its Program is first queried.
+    """
+
+    def __init__(self, p: Program):
+        # What `Program.hierarchy()` compares to decide whether to rebuild.
+        self.class_list = p.classes
+        self.iface_list = p.interfaces
+        self.n_classes = len(p.classes)
+        self.n_ifaces = len(p.interfaces)
+        self.classes: dict[str, ClassDef] = {}
+        for c in p.classes:
+            self.classes.setdefault(c.name, c)
+        self.interfaces: dict[str, InterfaceDef] = {}
+        for i in p.interfaces:
+            self.interfaces.setdefault(i.name, i)
+        self._supers: dict[str, frozenset[str]] = {}
+        self._implementers: Optional[dict[str, frozenset[str]]] = None
+        self._lca: dict[tuple[str, str], Optional[str]] = {}
+        self._methods: Optional[Mapping[str, MethodDef]] = None
+        self._lookups: dict[tuple, object] = {}
+
+    def declares(self, name: str) -> bool:
+        return name in self.classes or name in self.interfaces
+
+    def declared_supers(self, name: str) -> list[str]:
+        c = self.classes.get(name)
+        if c is not None:
+            supers = []
+            if c.superclass:
+                supers.append(c.superclass)
+            supers.extend(c.interfaces)
+            return supers
+        i = self.interfaces.get(name)
+        if i is not None:
+            return [i.extends] if i.extends else []
+        raise MirError(f"unknown type '{name}'")
+
+    def supertypes(self, name: str) -> frozenset[str]:
+        got = self._supers.get(name)
+        if got is None:
+            seen: set[str] = set()
+            work = [name]
+            while work:
+                t = work.pop()
+                if t in seen:
+                    continue
+                seen.add(t)
+                work.extend(s for s in self.declared_supers(t) if self.declares(s))
+            got = self._supers[name] = frozenset(seen)
+        return got
+
+    def implementers(self, t: str) -> frozenset[str]:
+        if not self.declares(t):
+            raise MirError(f"unknown type '{t}'")
+        if self._implementers is None:
+            found: dict[str, set[str]] = {}
+            for c in self.class_list:
+                for s in self.supertypes(c.name):
+                    found.setdefault(s, set()).add(c.name)
+            self._implementers = {s: frozenset(names) for s, names in found.items()}
+        return self._implementers.get(t, frozenset())
+
+    def lca(self, a: str, b: str) -> Optional[str]:
+        key = (a, b)
+        if key in self._lca:
+            return self._lca[key]
+        got = None
+        if self.declares(a) and self.declares(b):
+            common = self.supertypes(a) & self.supertypes(b)
+            minimal = [
+                t
+                for t in common
+                if not any(s != t and t in self.supertypes(s) for s in common)
+            ]
+            if len(minimal) == 1:
+                got = minimal[0]
+        self._lca[key] = got
+        return got
+
+    def chain(self, cls_name: Optional[str]) -> Iterator[ClassDef]:
+        """The declared class `cls_name`, then its superclasses, nearest first."""
+        c = self.classes.get(cls_name)
+        while c is not None:
+            yield c
+            c = self.classes.get(c.superclass)
+
+    def resolve_field(self, cls_name: Optional[str], fname: str, static: bool):
+        key = ("field", cls_name, fname, static)
+        if key not in self._lookups:
+            self._lookups[key] = next(
+                (
+                    (c.name, f)
+                    for c in self.chain(cls_name)
+                    for f in c.fields
+                    if f.name == fname and f.static == static
+                ),
+                None,
+            )
+        return self._lookups[key]
+
+    def resolve_method(self, cls_name: str, mname: str, arity: int, static: bool) -> Optional[MethodDef]:
+        key = ("method", cls_name, mname, arity, static)
+        if key not in self._lookups:
+            self._lookups[key] = next(
+                (
+                    m
+                    for c in self.chain(cls_name)
+                    for m in c.methods
+                    if m.name == mname and len(m.params) == arity and m.static == static
+                ),
+                None,
+            )
+        return self._lookups[key]
+
+    def methods_by_id(self) -> Mapping[str, MethodDef]:
+        if self._methods is None:
+            self._methods = MappingProxyType({m.id: m for m in _declared_methods(self.class_list)})
+        return self._methods
 
 
-def supertypes_of(name: str, p: Program) -> set[str]:
+def supertypes_of(name: str, p: Program) -> frozenset[str]:
     """Reflexive transitive supertypes (classes and interfaces)."""
-    seen: set[str] = set()
-    work = [name]
-    while work:
-        t = work.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        work.extend(s for s in _declared_supers(p, t) if p.declares_type(s))
-    return seen
+    return p.hierarchy().supertypes(name)
 
 
 def subtype_of(sub: str, sup: str, p: Program) -> bool:
     """True iff sub == sup or sub transitively extends/implements sup."""
-    if not p.declares_type(sub):
+    h = p.hierarchy()
+    if not h.declares(sub):
         raise MirError(f"unknown type '{sub}'")
-    if not p.declares_type(sup):
+    if not h.declares(sup):
         raise MirError(f"unknown type '{sup}'")
-    return sup in supertypes_of(sub, p)
+    return sup in h.supertypes(sub)
 
 
-def implementers_of(t: str, p: Program) -> set[str]:
+def implementers_of(t: str, p: Program) -> frozenset[str]:
     """All concrete classes that are subtypes of t (interfaces excluded)."""
-    if not p.declares_type(t):
-        raise MirError(f"unknown type '{t}'")
-    return {c.name for c in p.classes if t in supertypes_of(c.name, p)}
+    return p.hierarchy().implementers(t)
 
 
 def lca_type(a: Optional[str], b: Optional[str], p: Program) -> Optional[str]:
@@ -375,33 +511,12 @@ def lca_type(a: Optional[str], b: Optional[str], p: Program) -> Optional[str]:
         return None
     if a == b:
         return a
-    if not p.declares_type(a) or not p.declares_type(b):
-        return None
-    common = supertypes_of(a, p) & supertypes_of(b, p)
-    if not common:
-        return None
-    minimal = [
-        t
-        for t in common
-        if not any(s != t and t in supertypes_of(s, p) for s in common)
-    ]
-    if len(minimal) == 1:
-        return minimal[0]
-    return None
+    return p.hierarchy().lca(a, b)
 
 
 def resolve_field(p: Program, cls_name: Optional[str], fname: str):
     """Walk the class chain for an instance field; (declaring class, def) or None."""
-    name = cls_name
-    while name is not None:
-        c = p.class_named(name)
-        if c is None:
-            break
-        for f in c.fields:
-            if f.name == fname and not f.static:
-                return name, f
-        name = c.superclass
-    return None
+    return p.hierarchy().resolve_field(cls_name, fname, static=False)
 
 
 def resolve_unique_field(p: Program, fname: str):
@@ -418,43 +533,16 @@ def resolve_unique_field(p: Program, fname: str):
 
 
 def resolve_static_field(p: Program, cls_name: str, fname: str):
-    name = cls_name
-    while name is not None:
-        c = p.class_named(name)
-        if c is None:
-            break
-        for f in c.fields:
-            if f.name == fname and f.static:
-                return name, f
-        name = c.superclass
-    return None
+    return p.hierarchy().resolve_field(cls_name, fname, static=True)
 
 
 def resolve_method(p: Program, cls_name: str, mname: str, arity: int) -> Optional[MethodDef]:
     """Dynamic-dispatch lookup: the definition cls_name inherits for (mname, arity)."""
-    name = cls_name
-    while name is not None:
-        c = p.class_named(name)
-        if c is None:
-            return None
-        for m in c.methods:
-            if m.name == mname and len(m.params) == arity and not m.static:
-                return m
-        name = c.superclass
-    return None
+    return p.hierarchy().resolve_method(cls_name, mname, arity, static=False)
 
 
 def resolve_static_method(p: Program, cls_name: str, mname: str, arity: int) -> Optional[MethodDef]:
-    name = cls_name
-    while name is not None:
-        c = p.class_named(name)
-        if c is None:
-            return None
-        for m in c.methods:
-            if m.name == mname and len(m.params) == arity and m.static:
-                return m
-        name = c.superclass
-    return None
+    return p.hierarchy().resolve_method(cls_name, mname, arity, static=True)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +583,7 @@ def validate_program(p: Program) -> list[Diagnostic]:
 
     # Cycle detection over the declared-supertype graph, skipping unknown names.
     colors: dict[str, int] = {}
+    h = p.hierarchy()
 
     def visit(name: str) -> bool:
         state = colors.get(name, 0)
@@ -503,8 +592,8 @@ def validate_program(p: Program) -> list[Diagnostic]:
         if state == 2:
             return False
         colors[name] = 1
-        for s in _declared_supers(p, name):
-            if p.declares_type(s) and visit(s):
+        for s in h.declared_supers(name):
+            if h.declares(s) and visit(s):
                 colors[name] = 2
                 return True
         colors[name] = 2

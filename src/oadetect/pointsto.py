@@ -44,6 +44,7 @@ from .mir import (
     StaticStore,
     VirtualCall,
     all_methods,
+    constructor_of,
     iter_stmts,
     methods_by_id,
     resolve_method,
@@ -193,7 +194,7 @@ class _Solver:
         if isinstance(st, AllocAssign):
             site = self.sites_by_pos[st.pos]
             self.add_pts(self.local(mid, st.target), {site.id})
-            ctor = self._ctor_for(st.cls, len(st.args))
+            ctor = constructor_of(self.p, st.cls, len(st.args))
             if ctor is not None:
                 self._bind_call(st.pos, mid, ctor, this_sites={site.id}, args=st.args, result=None)
         elif isinstance(st, ArrayAlloc):
@@ -240,15 +241,6 @@ class _Solver:
         elif isinstance(st, Return):
             if st.value is not None:
                 self.add_copy(self.local(mid, st.value), ("r", mid))
-
-    def _ctor_for(self, cls_name: str, arity: int):
-        c = self.p.class_named(cls_name)
-        if c is None:
-            return None
-        for ctor in c.constructors:
-            if len(ctor.params) == arity:
-                return ctor
-        return None
 
     def _static_var(self, cls: str, fname: str) -> Var:
         hit = resolve_static_field(self.p, cls, fname)
@@ -380,11 +372,6 @@ def pts_of(r: PointsToResult, expr: Union[Var, tuple[str, str]]) -> "frozenset[i
         expr = ("l", mid, name)
     got = r.pts.get(expr, frozenset())
     return got if got else MISS
-
-
-def build_pa_graph(r: PointsToResult) -> CallGraph:
-    """The on-the-fly call graph computed by solve, rooted at its entries."""
-    return r.callgraph
 
 
 def dump_pts(r: PointsToResult) -> str:

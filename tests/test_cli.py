@@ -220,3 +220,74 @@ def test_analyze_accepts_zero_depth(capsys):
     code = main(["analyze", "--deterministic", "--mode", "nopa", "--depth", "0", corpus_path("fig1_simple")])
     assert code == 0
     assert "verdict: false" in capsys.readouterr().out
+
+
+def _scenario_dir(root: Path, manifest_text: str) -> Path:
+    d = root / "scn"
+    d.mkdir()
+    (d / "a.mir").write_text("class A {\n  method m() {\n    x = 1 @L;\n    x = 2 @R;\n  }\n}\n")
+    (d / "scenario.json").write_text(manifest_text)
+    return d
+
+
+def _assert_one_line_usage_error(code, captured, fragment: str) -> None:
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert fragment in captured.err
+
+
+# Before the manifest and sidecar were checked, each of these ended in a
+# traceback and exit 1, the code that means "conflict found".
+
+
+def test_analyze_manifest_without_sources_exits_3(tmp_path, capsys):
+    d = _scenario_dir(tmp_path, '{"id": "s"}')
+    code = main(["analyze", "--mode", "nopa", str(d)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "missing 'sources'")
+
+
+def test_analyze_manifest_not_json_exits_3(tmp_path, capsys):
+    d = _scenario_dir(tmp_path, '{"id": "s", "sources": ["a.mir"]')
+    code = main(["analyze", "--mode", "nopa", str(d)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "invalid JSON")
+
+
+def test_analyze_sidecar_of_wrong_shape_exits_3(tmp_path, capsys):
+    src = tmp_path / "a.mir"
+    src.write_text("class A {\n  method m() {\n    x = 1;\n    x = 2;\n  }\n}\n")
+    sidecar = tmp_path / "map.json"
+    sidecar.write_text('{"left": 5}')
+    code = main(["analyze", "--mode", "nopa", "--sidecar", str(sidecar), str(src)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "sidecar 'left' must be a list")
+
+
+def test_corpus_with_a_bad_manifest_exits_3(tmp_path, capsys):
+    import shutil
+
+    root = tmp_path / "corpus"
+    root.mkdir()
+    shutil.copytree(bundled_corpus_dir() / "fig1_simple", root / "fig1_simple")
+    _scenario_dir(root, '{"id": "s"}')
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--root", str(root), "--out", str(out)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "missing 'sources'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "manifest, fragment",
+    [
+        ('["a.mir"]', "manifest must be a JSON object"),
+        ('{"sources": ["a.mir"]}', "missing 'id'"),
+        ('{"id": "s", "sources": "a.mir"}', "'sources' must be a list of file names"),
+        ('{"id": "s", "sources": [1]}', "'sources' must be a list of file names"),
+        ('{"id": "s", "sources": ["a.mir"], "entry": 5}', "'entry' must be a string or null"),
+        ('{"id": "s", "sources": ["a.mir"], "sidecar": {}}', "'sidecar' must be a string or null"),
+        ('{"id": "s", "sources": ["a.mir"], "ground_truth": true}', "'ground_truth' must be"),
+    ],
+)
+def test_analyze_rejects_malformed_manifest(manifest, fragment, tmp_path, capsys):
+    d = _scenario_dir(tmp_path, manifest)
+    code = main(["analyze", "--mode", "nopa", str(d)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), fragment)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from oadetect.frontend import (
@@ -225,3 +227,22 @@ def test_pretty_print_round_trip_is_fixpoint(scenario):
     p2 = parse_source(text1, path="canon.mir")
     text2 = pretty_print(p2)
     assert text1 == text2
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("{", "sidecar is not valid JSON"),
+        ("[]", "sidecar must be a JSON object"),
+        ('{"left": 5}', "sidecar 'left' must be a list, got 5"),
+        ('{"right": null}', "sidecar 'right' must be a list, got null"),
+        ('{"left": [3]}', "entries must look like"),
+        ('{"left": [{"file": "a.mir"}]}', "entries must look like"),
+        ('{"left": [{"file": 1, "line": 3}]}', "entries must look like"),
+        ('{"left": [{"file": "a.mir", "line": "x"}]}', "entries must look like"),
+        ('{"left": [{"file": "a.mir", "line": 1e999}]}', "entries must look like"),
+    ],
+)
+def test_sidecar_of_wrong_shape_is_a_sidecar_error(text, fragment):
+    with pytest.raises(SidecarError, match=re.escape(fragment)):
+        ProvenanceMap.from_json(text)

@@ -1,0 +1,265 @@
+"""The indexed class hierarchy against the linear scans it replaced.
+
+`Program.hierarchy()` answers name, supertype, implementer, member and
+constructor queries from maps built once per program. The functions below
+are the original linear-scan versions, kept only here as the oracle: every
+query is asked of both, for every type and every pair of types.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from oadetect.frontend import parse_source
+from oadetect.harness import load_bundled, scenario_units
+from oadetect.mir import (
+    ClassDef,
+    FieldDef,
+    InterfaceDef,
+    MethodDef,
+    MirError,
+    Program,
+    all_methods,
+    constructor_of,
+    implementers_of,
+    lca_type,
+    methods_by_id,
+    resolve_field,
+    resolve_method,
+    resolve_static_field,
+    resolve_static_method,
+    subtype_of,
+    supertypes_of,
+)
+from oadetect.randprog import default_seed, generate_program
+
+BUNDLED = ("fig1_simple", "fig1_advanced", "mkref", "deep_hierarchy")
+UNKNOWN = "NoSuchType"
+
+
+# ---------------------------------------------------------------------------
+# Linear-scan oracle
+
+
+def ref_class_named(p, name):
+    for c in p.classes:
+        if c.name == name:
+            return c
+    return None
+
+
+def ref_interface_named(p, name):
+    for i in p.interfaces:
+        if i.name == name:
+            return i
+    return None
+
+
+def ref_declares(p, name):
+    return ref_class_named(p, name) is not None or ref_interface_named(p, name) is not None
+
+
+def ref_declared_supers(p, name):
+    c = ref_class_named(p, name)
+    if c is not None:
+        return ([c.superclass] if c.superclass else []) + list(c.interfaces)
+    i = ref_interface_named(p, name)
+    if i is not None:
+        return [i.extends] if i.extends else []
+    raise MirError(f"unknown type '{name}'")
+
+
+def ref_supertypes(name, p):
+    seen = set()
+    work = [name]
+    while work:
+        t = work.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        work.extend(s for s in ref_declared_supers(p, t) if ref_declares(p, s))
+    return seen
+
+
+def ref_subtype(sub, sup, p):
+    return sup in ref_supertypes(sub, p)
+
+
+def ref_implementers(t, p):
+    return {c.name for c in p.classes if t in ref_supertypes(c.name, p)}
+
+
+def ref_lca(a, b, p):
+    if a == b:
+        return a
+    if not ref_declares(p, a) or not ref_declares(p, b):
+        return None
+    common = ref_supertypes(a, p) & ref_supertypes(b, p)
+    minimal = [t for t in common if not any(s != t and t in ref_supertypes(s, p) for s in common)]
+    return minimal[0] if len(minimal) == 1 else None
+
+
+def ref_methods_by_id(p):
+    return {m.id: m for m in all_methods(p)}
+
+
+def ref_constructor(p, cls_name, arity):
+    c = ref_class_named(p, cls_name)
+    if c is None:
+        return None
+    for ctor in c.constructors:
+        if len(ctor.params) == arity:
+            return ctor
+    return None
+
+
+def ref_chain(p, cls_name):
+    c = ref_class_named(p, cls_name)
+    while c is not None:
+        yield c
+        c = ref_class_named(p, c.superclass)
+
+
+def ref_method(p, cls_name, mname, arity, static):
+    for c in ref_chain(p, cls_name):
+        for m in c.methods:
+            if m.name == mname and len(m.params) == arity and m.static == static:
+                return m
+    return None
+
+
+def ref_field(p, cls_name, fname, static):
+    for c in ref_chain(p, cls_name):
+        for f in c.fields:
+            if f.name == fname and f.static == static:
+                return c.name, f
+    return None
+
+
+# ---------------------------------------------------------------------------
+
+
+def assert_index_matches(p: Program) -> int:
+    """Every query on every type and type pair; returns the number asked."""
+    names = sorted({c.name for c in p.classes} | {i.name for i in p.interfaces})
+    probes = names + [UNKNOWN]
+    asked = 0
+    for n in probes:
+        assert p.class_named(n) is ref_class_named(p, n)
+        assert p.interface_named(n) is ref_interface_named(p, n)
+        assert p.declares_type(n) == ref_declares(p, n)
+        asked += 3
+    for a in names:
+        assert supertypes_of(a, p) == ref_supertypes(a, p)
+        assert implementers_of(a, p) == ref_implementers(a, p)
+        asked += 2
+        for b in probes:
+            if b != UNKNOWN:
+                assert subtype_of(a, b, p) == ref_subtype(a, b, p)
+                asked += 1
+            assert lca_type(a, b, p) == ref_lca(a, b, p)
+            assert lca_type(b, a, p) == ref_lca(b, a, p)
+            asked += 2
+
+    got = methods_by_id(p)
+    want = ref_methods_by_id(p)
+    assert list(got) == list(want)
+    assert all(got[k] is want[k] for k in want)
+    asked += 1
+
+    method_names = sorted({m.name for m in all_methods(p)})
+    field_names = sorted({f.name for c in p.classes for f in c.fields})
+    for cls in probes:
+        for arity in range(4):
+            assert constructor_of(p, cls, arity) is ref_constructor(p, cls, arity)
+            asked += 1
+            for mname in method_names:
+                assert resolve_method(p, cls, mname, arity) is ref_method(p, cls, mname, arity, False)
+                assert resolve_static_method(p, cls, mname, arity) is ref_method(p, cls, mname, arity, True)
+                asked += 2
+        for fname in field_names:
+            assert resolve_field(p, cls, fname) == ref_field(p, cls, fname, False)
+            assert resolve_static_field(p, cls, fname) == ref_field(p, cls, fname, True)
+            asked += 2
+    return asked
+
+
+def assert_unknown_type_errors(p: Program) -> None:
+    for _ in range(2):  # a second ask must raise again, not hit a cache
+        with pytest.raises(MirError, match=f"unknown type '{UNKNOWN}'"):
+            supertypes_of(UNKNOWN, p)
+        with pytest.raises(MirError, match=f"unknown type '{UNKNOWN}'"):
+            implementers_of(UNKNOWN, p)
+        some = (p.classes or p.interfaces)[0].name
+        with pytest.raises(MirError, match=f"unknown type '{UNKNOWN}'"):
+            subtype_of(UNKNOWN, some, p)
+        with pytest.raises(MirError, match=f"unknown type '{UNKNOWN}'"):
+            subtype_of(some, UNKNOWN, p)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_scenarios_match_linear_scans(name):
+    program, _ = scenario_units(load_bundled(name))
+    assert assert_index_matches(program) > 0
+    assert_unknown_type_errors(program)
+
+
+def test_random_programs_match_linear_scans():
+    base = default_seed() + 3000
+    for i in range(30):
+        program = generate_program(base + i, mkref=(i % 2 == 0)).program
+        assert_index_matches(program)
+        assert_unknown_type_errors(program)
+
+
+def test_index_sees_declarations_added_after_a_query():
+    p = parse_source(
+        "interface I {\n  method m();\n}\n"
+        "class A implements I {\n  method m() {\n  }\n}\n"
+    )
+    assert implementers_of("I", p) == {"A"}
+    assert lca_type("A", "I", p) == "I"
+    with pytest.raises(MirError, match="unknown type 'B'"):
+        supertypes_of("B", p)
+
+    ctor = MethodDef(name="<init>", params=("x",), body=[], declaring_class="B", kind="constructor")
+    p.classes.append(
+        ClassDef(
+            name="B",
+            superclass="A",
+            fields=[FieldDef("f", "int")],
+            methods=[MethodDef(name="n", params=(), body=[], declaring_class="B")],
+            constructors=[ctor],
+        )
+    )
+    assert implementers_of("I", p) == {"A", "B"}
+    assert supertypes_of("B", p) == {"B", "A", "I"}
+    assert constructor_of(p, "B", 1) is ctor
+    assert "B.n/0" in methods_by_id(p)
+
+    p.interfaces.append(InterfaceDef(name="J", extends="I"))
+    assert subtype_of("J", "I", p)
+    assert_index_matches(p)
+
+    # A replaced list of the same length is noticed too.
+    p.classes = [ClassDef(name="Z"), ClassDef(name="Y")]
+    assert p.class_named("A") is None and p.class_named("Z") is not None
+    assert_index_matches(p)
+
+
+def test_first_declaration_of_a_name_wins():
+    p = parse_source("class A {\n  field x: int;\n}\nclass A {\n  field y: int;\n}\n", validate=False)
+    assert p.class_named("A") is p.classes[0]
+    assert resolve_field(p, "A", "y") is None
+    assert_index_matches(p)
+
+
+def test_memoised_answers_cannot_be_corrupted(fig1_advanced):
+    p, _ = fig1_advanced
+    with pytest.raises(AttributeError):
+        implementers_of("Report", p).add("Main")
+    with pytest.raises(AttributeError):
+        supertypes_of("ReportSimple", p).add("Main")
+    with pytest.raises(TypeError):
+        methods_by_id(p)["X.y/0"] = None
+    assert implementers_of("Report", p) == {"ReportSimple", "ReportAdvanced"}

@@ -6,7 +6,6 @@ from oadetect.frontend import parse_source
 from oadetect.mir import MirError, find_method
 from oadetect.pointsto import (
     MISS,
-    build_pa_graph,
     dump_pts,
     is_closed,
     pa_entry_points,
@@ -87,7 +86,7 @@ def test_fig1_wiring_narrows_receiver(fig1_simple):
 
 def test_fig1_advanced_graph_excludes_unwired_implementer(fig1_advanced):
     p, _ = fig1_advanced
-    g = build_pa_graph(solve(p))
+    g = solve(p).callgraph
     assert "ReportAdvanced.countDupWords/0" in g.nodes
     assert "ReportSimple.countDupWords/0" not in g.nodes
 
@@ -111,7 +110,7 @@ def test_pts_of_unknown_expression_errors(fig1_simple):
 def test_mkref_receiver_unresolved_site(mkref_scenario):
     p, _ = mkref_scenario
     r = solve(p)
-    g = build_pa_graph(r)
+    g = r.callgraph
     call_lines = {pos.line for pos, reason in r.unresolved}
     assert call_lines == {9, 11}
     assert all(reason == "unresolved-call" for _, reason in r.unresolved)
