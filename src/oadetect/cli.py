@@ -168,6 +168,8 @@ def cmd_corpus(args) -> int:
         except InsufficientPairsError as e:
             print(f"wilcoxon skipped: {e}")
     print(f"tables written to {outdir}")
+    if run.errors:
+        return EXIT_ERROR
     return _exit_code(r.verdict for r in run.results)
 
 

@@ -204,7 +204,6 @@ class AnalysisOutcome:
 
 class ComparisonResult(NamedTuple):
     match: bool
-    fell_back: bool
     missrefs: tuple
 
 
@@ -220,7 +219,7 @@ def compare_local(a: WriteEvent, b: WriteEvent) -> ComparisonResult:
     """Locals conflict only inside one method under the same name."""
     _kinds(a, b, LV)
     match = a.method_id == b.method_id and a.local == b.local
-    return ComparisonResult(match, False, _NO_MISS)
+    return ComparisonResult(match, _NO_MISS)
 
 
 def _same_constructor(a: WriteEvent, b: WriteEvent) -> bool:
@@ -269,15 +268,15 @@ def compare_instance_field(a: WriteEvent, b: WriteEvent, mode: Mode, ctx) -> Com
         and not _same_constructor(a, b)
     )
     if mode is Mode.NOPA:
-        return ComparisonResult(nopa, False, _NO_MISS)
+        return ComparisonResult(nopa, _NO_MISS)
     misses = tuple(
         _miss_for(ev, f"{ev.base}.{ev.field_name}") for ev in (a, b) if not ev.base_pts
     )
     if misses:
-        return ComparisonResult(nopa, True, misses)
+        return ComparisonResult(nopa, misses)
     overlap = bool(a.base_pts & b.base_pts)
     match = overlap and _fields_match(a, b) and not _same_constructor(a, b)
-    return ComparisonResult(match, False, _NO_MISS)
+    return ComparisonResult(match, _NO_MISS)
 
 
 def _indexes_match(a: WriteEvent, b: WriteEvent) -> bool:
@@ -298,15 +297,15 @@ def compare_array(a: WriteEvent, b: WriteEvent, mode: Mode, ctx) -> ComparisonRe
         and not _same_constructor(a, b)
     )
     if mode is Mode.NOPA:
-        return ComparisonResult(nopa, False, _NO_MISS)
+        return ComparisonResult(nopa, _NO_MISS)
     misses = tuple(
         _miss_for(ev, f"{ev.base}[{ev.index}]") for ev in (a, b) if not ev.base_pts
     )
     if misses:
-        return ComparisonResult(nopa, True, misses)
+        return ComparisonResult(nopa, misses)
     overlap = bool(a.base_pts & b.base_pts)
     match = overlap and _indexes_match(a, b) and not _same_constructor(a, b)
-    return ComparisonResult(match, False, _NO_MISS)
+    return ComparisonResult(match, _NO_MISS)
 
 
 def compare_static_field(a: WriteEvent, b: WriteEvent) -> ComparisonResult:
@@ -317,7 +316,7 @@ def compare_static_field(a: WriteEvent, b: WriteEvent) -> ComparisonResult:
         and a.field_name == b.field_name
         and a.static_type == b.static_type
     )
-    return ComparisonResult(match, False, _NO_MISS)
+    return ComparisonResult(match, _NO_MISS)
 
 
 def same_element(a: WriteEvent, b: WriteEvent, mode: Mode, ctx=None) -> bool:

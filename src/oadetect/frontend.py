@@ -9,20 +9,30 @@ their own lines, so line numbers identify statements exactly.
     classDecl:= "class" ID ["extends" ID] ["implements" ID {"," ID}] "{" member* "}"
     ifaceDecl:= "interface" ID ["extends" ID] "{" sig* "}"
     member   := "field" ["static"] ID ":" TYPE ";"
-              | ["public"|"private"] ["static"] "method" ID "(" params ")" "{" stmt* "}"
-              | "ctor" "(" params ")" "{" stmt* "}"
-    sig      := "method" ID "(" params ")" ";"
+              | ["public"|"private"] ["static"] "method" ID params block
+              | "ctor" params block
+    sig      := "method" ID params ";"
+    block    := "{" stmt* "}"
     stmt     := simple [marker] ";"
-              | "if" ID "{" stmt* "}" ["else" "{" stmt* "}"]
-              | "while" ID "{" stmt* "}"
-    simple   := ID "=" "new" ID "(" args ")" | ID "=" "mkref" ID
-              | ID "=" "newarr" TYPE INT | lhs "=" rhs
-              | "call" callexpr | "return" [ID]
-    lhs      := ID | ID "." ID | ID "[" idx "]" | ID "::" ID
-    rhs      := ID | INT | STRING | ID "." ID | ID "[" idx "]" | ID "::" ID
-              | callexpr | "op" "(" args ")"
-    callexpr := ID "." ID "(" args ")" | ID "::" ID "(" args ")"
-    idx      := ID | INT      marker := "@L" | "@R"
+              | "if" ID block ["else" block] | "while" ID block
+    simple   := "return" [ID] | "call" ID ("." | "::") ID args
+              | ID ("." ID | "[" idx "]" | "::" ID) "=" operand
+              | ID "=" rhs
+    rhs      := "new" ID args | "mkref" ID | "newarr" TYPE INT | "op" args
+              | INT | STRING | ID access
+    access   := ("." | "::") ID [args] | "[" idx "]" | (nothing)
+    params   := "(" [ID {"," ID}] ")"      args := "(" [operand {"," operand}] ")"
+    operand  := ID | INT | STRING          idx  := ID | INT      marker := "@L" | "@R"
+
+Tokens are ASCII: ID `[A-Za-z_][A-Za-z0-9_]*` (keywords are IDs with a
+reserved spelling), INT `-?[0-9]+`, STRING a double-quoted run of characters
+other than '"' on one line (no escapes), MARKER `@L` or `@R`, and the
+punctuation `:: { } ( ) [ ] , ; : = .`. Spaces, tabs, carriage returns,
+newlines and `//` comments separate tokens; any other character, a
+non-ASCII letter or digit included, is a ParseError. `if`/`while` blocks
+nest at most MAX_NESTING (300) deep inside one method body; deeper nesting
+is a ParseError too, so the recursive parser and the recursive walkers
+downstream stay within Python's stack.
 
 Assignments are three-address: a store to a field/array/static target takes
 a local or literal source, and call/new/op results land in a plain local.
@@ -33,8 +43,9 @@ line map; when both are present they must agree.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .mir import (
     AllocAssign,
@@ -148,79 +159,56 @@ def _sidecar_line(side: str, e) -> Position:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = ("::", "{", "}", "(", ")", "[", "]", ",", ";", ":", "=", ".")
 _KEYWORDS = {
     "class", "interface", "extends", "implements", "field", "method", "ctor",
     "static", "public", "private", "if", "else", "while", "return", "call",
     "new", "mkref", "newarr", "op",
 }
 
+# One named group per token kind; the unnamed alternatives (blanks and `//`
+# comments) yield no token. No token spans a line break, so the lexer reads
+# one line at a time.
+_TOKEN = re.compile(
+    r"""(?P<MARKER>@[LR])
+      | "(?P<STRING>[^"]*)"
+      | (?P<INT>-?[0-9]+)
+      | (?P<ID>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<PUNCT>::|[{}()\[\],;:=.])
+      | [ \t\r]+
+      | //.*""",
+    re.VERBOSE,
+)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ID INT STRING PUNCT MARKER EOF
-    value: str
+class Token(NamedTuple):
+    kind: str  # MARKER STRING INT ID PUNCT EOF
+    value: str  # the spelling; a string literal's text without its quotes
     line: int
 
 
 def _tokenize(text: str, path: str) -> list[Token]:
     toks: list[Token] = []
-    i = 0
-    line = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("@L", i) or text.startswith("@R", i):
-            toks.append(Token("MARKER", text[i : i + 2], line))
-            i += 2
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0 or "\n" in text[i + 1 : j]:
-                raise ParseError(path, line, "unterminated string literal")
-            toks.append(Token("STRING", text[i + 1 : j], line))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("INT", text[i:j], line))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ID", text[i:j], line))
-            i = j
-            continue
-        matched = False
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                toks.append(Token("PUNCT", punct, line))
-                i += len(punct)
-                matched = True
+    lines = text.split("\n")
+    for line, chars in enumerate(lines, 1):
+        end = 0
+        for m in _TOKEN.finditer(chars):
+            if m.start() != end:
                 break
-        if not matched:
-            raise ParseError(path, line, f"unexpected character {ch!r}")
-    toks.append(Token("EOF", "", line))
+            end = m.end()
+            kind = m.lastgroup
+            if kind:
+                toks.append(Token(kind, m.group(kind), line))
+        if end != len(chars):
+            bad = chars[end]
+            message = "unterminated string literal" if bad == '"' else f"unexpected character {bad!r}"
+            raise ParseError(path, line, message)
+    toks.append(Token("EOF", "", len(lines)))
     return toks
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+MAX_NESTING = 300  # if/while blocks inside one method body
 
 
 class _Parser:
@@ -229,8 +217,8 @@ class _Parser:
         self.toks = _tokenize(unit.text, unit.path)
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -243,31 +231,30 @@ class _Parser:
         found = t.value if t.kind != "EOF" else "end of file"
         return ParseError(self.path, t.line, f"expected {expected}, found '{found}'")
 
-    def expect_punct(self, value: str) -> Token:
-        t = self.peek()
-        if t.kind != "PUNCT" or t.value != value:
-            raise self.fail(f"'{value}'")
-        return self.next()
+    def at(self, word: str) -> bool:
+        """Whether the next token is the keyword or punctuation `word`."""
+        t = self.toks[self.i]
+        return t.value == word and t.kind != "STRING"
 
-    def expect_kw(self, word: str) -> Token:
-        t = self.peek()
-        if t.kind != "ID" or t.value != word:
+    def accept(self, word: str) -> bool:
+        if self.at(word):
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, word: str) -> Token:
+        if not self.at(word):
             raise self.fail(f"'{word}'")
         return self.next()
 
-    def expect_name(self, what: str = "identifier") -> Token:
-        t = self.peek()
-        if t.kind != "ID" or t.value in _KEYWORDS:
+    def at_name(self) -> bool:
+        t = self.toks[self.i]
+        return t.kind == "ID" and t.value not in _KEYWORDS
+
+    def name(self, what: str) -> str:
+        if not self.at_name():
             raise self.fail(what)
-        return self.next()
-
-    def at_kw(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "ID" and t.value == word
-
-    def at_punct(self, value: str) -> bool:
-        t = self.peek()
-        return t.kind == "PUNCT" and t.value == value
+        return self.next().value
 
     def pos(self, tok: Token) -> Position:
         return Position(self.path, tok.line)
@@ -278,69 +265,58 @@ class _Parser:
         classes: list[ClassDef] = []
         interfaces: list[InterfaceDef] = []
         while self.peek().kind != "EOF":
-            if self.at_kw("class"):
+            if self.at("class"):
                 classes.append(self.parse_class())
-            elif self.at_kw("interface"):
+            elif self.at("interface"):
                 interfaces.append(self.parse_interface())
             else:
                 raise self.fail("'class' or 'interface'")
         return classes, interfaces
 
     def parse_class(self) -> ClassDef:
-        head = self.expect_kw("class")
-        name = self.expect_name("class name").value
-        superclass = None
+        head = self.expect("class")
+        name = self.name("class name")
+        superclass = self.name("superclass name") if self.accept("extends") else None
         ifaces: list[str] = []
-        if self.at_kw("extends"):
-            self.next()
-            superclass = self.expect_name("superclass name").value
-        if self.at_kw("implements"):
-            self.next()
-            ifaces.append(self.expect_name("interface name").value)
-            while self.at_punct(","):
-                self.next()
-                ifaces.append(self.expect_name("interface name").value)
-        self.expect_punct("{")
+        if self.accept("implements"):
+            ifaces.append(self.name("interface name"))
+            while self.accept(","):
+                ifaces.append(self.name("interface name"))
+        self.expect("{")
         cls = ClassDef(name=name, superclass=superclass, interfaces=tuple(ifaces), pos=self.pos(head))
-        while not self.at_punct("}"):
+        while not self.at("}"):
             self.parse_member(cls)
-        self.expect_punct("}")
+        self.expect("}")
         return cls
 
     def parse_interface(self) -> InterfaceDef:
-        head = self.expect_kw("interface")
-        name = self.expect_name("interface name").value
-        extends = None
-        if self.at_kw("extends"):
-            self.next()
-            extends = self.expect_name("interface name").value
-        self.expect_punct("{")
+        head = self.expect("interface")
+        name = self.name("interface name")
+        extends = self.name("interface name") if self.accept("extends") else None
+        self.expect("{")
         sigs: list[MethodSig] = []
-        while not self.at_punct("}"):
-            m = self.expect_kw("method")
-            sig_name = self.expect_name("method name").value
-            params = self.parse_params()
-            self.expect_punct(";")
+        while not self.at("}"):
+            m = self.expect("method")
+            sig_name = self.name("method name")
+            params = self.parse_list(self.name, "parameter name")
+            self.expect(";")
             sigs.append(MethodSig(sig_name, params, self.pos(m)))
-        self.expect_punct("}")
+        self.expect("}")
         return InterfaceDef(name=name, extends=extends, signatures=sigs, pos=self.pos(head))
 
     def parse_member(self, cls: ClassDef) -> None:
-        if self.at_kw("field"):
+        if self.at("field"):
             head = self.next()
-            static = False
-            if self.at_kw("static"):
-                self.next()
-                static = True
-            fname = self.expect_name("field name").value
-            self.expect_punct(":")
+            static = self.accept("static")
+            fname = self.name("field name")
+            self.expect(":")
             ftype = self.parse_type()
-            self.expect_punct(";")
+            self.expect(";")
             cls.fields.append(FieldDef(fname, ftype, static=static, pos=self.pos(head)))
             return
-        if self.at_kw("ctor"):
+        if self.at("ctor"):
             head = self.next()
-            params = self.parse_params()
+            params = self.parse_list(self.name, "parameter name")
             body = self.parse_block()
             cls.constructors.append(
                 MethodDef(
@@ -353,16 +329,13 @@ class _Parser:
                 )
             )
             return
-        public = True
-        static = False
-        if self.at_kw("public") or self.at_kw("private"):
-            public = self.next().value == "public"
-        if self.at_kw("static"):
-            self.next()
-            static = True
-        head = self.expect_kw("method")
-        mname = self.expect_name("method name").value
-        params = self.parse_params()
+        public = not self.accept("private")
+        if public:
+            self.accept("public")
+        static = self.accept("static")
+        head = self.expect("method")
+        mname = self.name("method name")
+        params = self.parse_list(self.name, "parameter name")
         body = self.parse_block()
         cls.methods.append(
             MethodDef(
@@ -377,200 +350,135 @@ class _Parser:
         )
 
     def parse_type(self) -> str:
-        base = self.expect_name("type name").value
-        if self.at_punct("["):
-            self.next()
-            self.expect_punct("]")
+        base = self.name("type name")
+        if self.accept("["):
+            self.expect("]")
             return base + "[]"
         return base
 
-    def parse_params(self) -> tuple[str, ...]:
-        self.expect_punct("(")
-        params: list[str] = []
-        if not self.at_punct(")"):
-            params.append(self.expect_name("parameter name").value)
-            while self.at_punct(","):
-                self.next()
-                params.append(self.expect_name("parameter name").value)
-        self.expect_punct(")")
-        return tuple(params)
+    def parse_list(self, item, what: str) -> tuple:
+        """`(` [item {`,` item}] `)`, each item read by `item(what)`."""
+        self.expect("(")
+        items: list = []
+        if not self.at(")"):
+            items.append(item(what))
+            while self.accept(","):
+                items.append(item(what))
+        self.expect(")")
+        return tuple(items)
 
     # -- statements
 
-    def parse_block(self) -> list[Stmt]:
-        self.expect_punct("{")
+    def parse_block(self, depth: int = 0) -> list[Stmt]:
+        """`{` stmt* `}`; `depth` counts the if/while blocks around it."""
+        brace = self.expect("{")
+        if depth > MAX_NESTING:
+            raise ParseError(self.path, brace.line, f"if/while blocks nested deeper than {MAX_NESTING}")
         body: list[Stmt] = []
-        while not self.at_punct("}"):
-            body.append(self.parse_stmt())
-        self.expect_punct("}")
+        while not self.at("}"):
+            body.append(self.parse_stmt(depth))
+        self.expect("}")
         return body
 
-    def parse_stmt(self) -> Stmt:
-        if self.at_kw("if"):
-            head = self.next()
-            cond = self.expect_name("condition local").value
-            then_body = self.parse_block()
-            else_body: list[Stmt] = []
-            if self.at_kw("else"):
-                self.next()
-                else_body = self.parse_block()
+    def parse_stmt(self, depth: int) -> Stmt:
+        head = self.peek()
+        if self.accept("if"):
+            cond = self.name("condition local")
+            then_body = self.parse_block(depth + 1)
+            else_body = self.parse_block(depth + 1) if self.accept("else") else []
             return If(pos=self.pos(head), cond=cond, then_body=then_body, else_body=else_body)
-        if self.at_kw("while"):
-            head = self.next()
-            cond = self.expect_name("condition local").value
-            body = self.parse_block()
-            return While(pos=self.pos(head), cond=cond, body=body)
-        st = self.parse_simple()
+        if self.accept("while"):
+            cond = self.name("condition local")
+            return While(pos=self.pos(head), cond=cond, body=self.parse_block(depth + 1))
+        st = self.parse_simple(self.pos(head))
         if self.peek().kind == "MARKER":
-            marker = self.next().value
-            st.provenance = Provenance.LEFT if marker == "@L" else Provenance.RIGHT
-        self.expect_punct(";")
+            st.provenance = Provenance.LEFT if self.next().value == "@L" else Provenance.RIGHT
+        self.expect(";")
         return st
 
-    def parse_simple(self) -> Stmt:
-        head = self.peek()
-        pos = self.pos(head)
-        if self.at_kw("call"):
-            self.next()
-            return self.parse_callexpr(pos, result=None)
-        if self.at_kw("return"):
-            self.next()
-            value = None
-            if self.peek().kind == "ID" and self.peek().value not in _KEYWORDS:
-                value = self.next().value
-            return Return(pos=pos, value=value)
+    def parse_simple(self, pos: Position) -> Stmt:
+        if self.accept("return"):
+            return Return(pos=pos, value=self.next().value if self.at_name() else None)
+        if self.accept("call"):
+            recv = self.name("call receiver")
+            if not (self.at(".") or self.at("::")):
+                raise self.fail("'.' or '::'")
+            return self.parse_access(pos, recv, None, "method name")
 
-        base = self.expect_name("assignment target").value
-        # lhs shapes: x | x.f | x[i] | C::f
-        if self.at_punct("."):
-            self.next()
-            fname = self.expect_name("field name").value
-            self.expect_punct("=")
-            return FieldStore(pos=pos, base=base, field=fname, source=self.parse_simple_source())
-        if self.at_punct("["):
+        base = self.name("assignment target")
+        # stores: x.f | x[i] | C::f, each from a local or literal
+        if self.accept("."):
+            fname = self.name("field name")
+            self.expect("=")
+            return FieldStore(pos=pos, base=base, field=fname, source=self.parse_store_source())
+        if self.at("["):
             index = self.parse_index()
-            self.expect_punct("=")
-            return ArrayStore(pos=pos, base=base, index=index, source=self.parse_simple_source())
-        if self.at_punct("::"):
-            self.next()
-            fname = self.expect_name("static field name").value
-            self.expect_punct("=")
-            return StaticStore(pos=pos, cls=base, field=fname, source=self.parse_simple_source())
+            self.expect("=")
+            return ArrayStore(pos=pos, base=base, index=index, source=self.parse_store_source())
+        if self.accept("::"):
+            fname = self.name("static field name")
+            self.expect("=")
+            return StaticStore(pos=pos, cls=base, field=fname, source=self.parse_store_source())
 
-        self.expect_punct("=")
-        target = base
-        if self.at_kw("new"):
-            self.next()
-            cls = self.expect_name("class name").value
-            args = self.parse_args()
-            return AllocAssign(pos=pos, target=target, cls=cls, args=args)
-        if self.at_kw("mkref"):
-            self.next()
-            t = self.expect_name("type name").value
-            return ReflectiveAssign(pos=pos, target=target, type=t)
-        if self.at_kw("newarr"):
-            self.next()
+        self.expect("=")
+        if self.accept("new"):
+            cls = self.name("class name")
+            return AllocAssign(pos=pos, target=base, cls=cls, args=self.parse_list(self.parse_operand, "operand"))
+        if self.accept("mkref"):
+            return ReflectiveAssign(pos=pos, target=base, type=self.name("type name"))
+        if self.accept("newarr"):
             elem = self.parse_type()
-            size_tok = self.peek()
-            if size_tok.kind != "INT":
+            if self.peek().kind != "INT":
                 raise self.fail("array size")
-            self.next()
-            return ArrayAlloc(pos=pos, target=target, elem_type=elem, size=int(size_tok.value))
-        if self.at_kw("op"):
-            self.next()
-            return OpaqueOp(pos=pos, target=target, operands=self.parse_args())
+            return ArrayAlloc(pos=pos, target=base, elem_type=elem, size=int(self.next().value))
+        if self.accept("op"):
+            return OpaqueOp(pos=pos, target=base, operands=self.parse_list(self.parse_operand, "operand"))
+        source = self.parse_operand("source")
+        if isinstance(source, Const):
+            return CopyAssign(pos=pos, target=base, source=source)
+        return self.parse_access(pos, source, base, "member name")
 
-        t = self.peek()
-        if t.kind == "INT":
-            self.next()
-            return CopyAssign(pos=pos, target=target, source=Const(int(t.value)))
-        if t.kind == "STRING":
-            self.next()
-            return CopyAssign(pos=pos, target=target, source=Const(t.value))
-        name = self.expect_name("source").value
-        if self.at_punct("."):
-            self.next()
-            member = self.expect_name("member name").value
-            if self.at_punct("("):
-                return self.parse_call_tail(pos, name, member, virtual=True, result=target)
-            return FieldLoad(pos=pos, target=target, base=name, field=member)
-        if self.at_punct("["):
-            index = self.parse_index()
-            return ArrayLoad(pos=pos, target=target, base=name, index=index)
-        if self.at_punct("::"):
-            self.next()
-            member = self.expect_name("member name").value
-            if self.at_punct("("):
-                return self.parse_call_tail(pos, name, member, virtual=False, result=target)
+    def parse_access(self, pos: Position, name: str, target: Optional[str], member_what: str) -> Stmt:
+        """What follows `name` on a right-hand side or after `call`: `.m(args)`,
+        `::m(args)`, `.f`, `::f`, `[i]` or nothing. Without a target (a `call`
+        statement) the access must be a call."""
+        if self.at("["):
+            return ArrayLoad(pos=pos, target=target, base=name, index=self.parse_index())
+        virtual = self.accept(".")
+        if not (virtual or self.accept("::")):
+            return CopyAssign(pos=pos, target=target, source=name)
+        member = self.name(member_what)
+        if target is not None and not self.at("("):
+            if virtual:
+                return FieldLoad(pos=pos, target=target, base=name, field=member)
             return StaticLoad(pos=pos, target=target, cls=name, field=member)
-        return CopyAssign(pos=pos, target=target, source=name)
-
-    def parse_simple_source(self) -> "str | Const":
-        # Store targets take a local or literal only; keeps stores three-address.
-        t = self.peek()
-        if t.kind == "INT":
-            self.next()
-            return Const(int(t.value))
-        if t.kind == "STRING":
-            self.next()
-            return Const(t.value)
-        if t.kind == "ID" and t.value not in _KEYWORDS:
-            name = self.next().value
-            if self.at_punct(".") or self.at_punct("[") or self.at_punct("::") or self.at_punct("("):
-                raise ParseError(
-                    self.path, t.line, "expected a local or literal source (split compound assignments across lines)"
-                )
-            return name
-        raise self.fail("a local or literal source")
-
-    def parse_callexpr(self, pos: Position, result: Optional[str]) -> Stmt:
-        recv = self.expect_name("call receiver").value
-        if self.at_punct("."):
-            self.next()
-            m = self.expect_name("method name").value
-            return self.parse_call_tail(pos, recv, m, virtual=True, result=result)
-        if self.at_punct("::"):
-            self.next()
-            m = self.expect_name("method name").value
-            return self.parse_call_tail(pos, recv, m, virtual=False, result=result)
-        raise self.fail("'.' or '::'")
-
-    def parse_call_tail(self, pos, recv, method, virtual: bool, result) -> Stmt:
-        args = self.parse_args()
+        args = self.parse_list(self.parse_operand, "operand")
         if virtual:
-            return VirtualCall(pos=pos, receiver=recv, method=method, args=args, result=result)
-        return StaticCall(pos=pos, cls=recv, method=method, args=args, result=result)
+            return VirtualCall(pos=pos, receiver=name, method=member, args=args, result=target)
+        return StaticCall(pos=pos, cls=name, method=member, args=args, result=target)
 
-    def parse_args(self) -> tuple:
-        self.expect_punct("(")
-        args: list = []
-        if not self.at_punct(")"):
-            args.append(self.parse_operand())
-            while self.at_punct(","):
-                self.next()
-                args.append(self.parse_operand())
-        self.expect_punct(")")
-        return tuple(args)
-
-    def parse_operand(self):
+    def parse_operand(self, what: str) -> "str | Const":
+        """A literal or a local: call arguments, store sources, literal right-hand sides."""
         t = self.peek()
-        if t.kind == "INT":
+        if t.kind in ("INT", "STRING"):
             self.next()
-            return Const(int(t.value))
-        if t.kind == "STRING":
-            self.next()
-            return Const(t.value)
-        return self.expect_name("operand").value
+            return Const(int(t.value) if t.kind == "INT" else t.value)
+        return self.name(what)
 
-    def parse_index(self):
-        self.expect_punct("[")
+    def parse_store_source(self) -> "str | Const":
+        # Stores take a local or literal only; keeps them three-address.
         t = self.peek()
-        if t.kind == "INT":
-            self.next()
-            index: "int | str" = int(t.value)
-        else:
-            index = self.expect_name("index").value
-        self.expect_punct("]")
+        source = self.parse_operand("a local or literal source")
+        if isinstance(source, str) and any(self.at(p) for p in (".", "[", "::", "(")):
+            raise ParseError(
+                self.path, t.line, "expected a local or literal source (split compound assignments across lines)"
+            )
+        return source
+
+    def parse_index(self) -> "int | str":
+        self.expect("[")
+        index = int(self.next().value) if self.peek().kind == "INT" else self.name("index")
+        self.expect("]")
         return index
 
 

@@ -323,7 +323,10 @@ def find_method(p: Program, ref: str) -> MethodDef:
     arity = None
     if "/" in ref:
         ref, _, a = ref.partition("/")
-        arity = int(a)
+        try:
+            arity = int(a)
+        except ValueError:
+            raise MirError(f"bad arity in method reference '{ref}/{a}', expected Class.method/N") from None
     cls_name, _, name = ref.partition(".")
     cls = p.class_named(cls_name)
     if cls is None:

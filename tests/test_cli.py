@@ -291,3 +291,37 @@ def test_analyze_rejects_malformed_manifest(manifest, fragment, tmp_path, capsys
     d = _scenario_dir(tmp_path, manifest)
     code = main(["analyze", "--mode", "nopa", str(d)])
     _assert_one_line_usage_error(code, capsys.readouterr(), fragment)
+
+
+# A non-numeric arity used to raise ValueError from int() in find_method,
+# a traceback with exit 1.
+
+
+def test_analyze_entry_with_bad_arity_exits_3(capsys):
+    code = main(["analyze", "--deterministic", "--entry", "Text.m/x", corpus_path("fig1_simple")])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "bad arity in method reference 'Text.m/x'")
+
+
+def test_analyze_manifest_entry_with_bad_arity_exits_3(tmp_path, capsys):
+    d = _scenario_dir(tmp_path, '{"id": "s", "sources": ["a.mir"], "entry": "A.m/one"}')
+    code = main(["analyze", "--deterministic", "--mode", "nopa", str(d)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "bad arity in method reference 'A.m/one'")
+
+
+def test_corpus_with_a_failing_scenario_exits_3_and_writes_tables(tmp_path, capsys):
+    # A scenario that fails to parse used to leave the corpus exit code at 0.
+    import shutil
+
+    root = tmp_path / "corpus"
+    root.mkdir()
+    shutil.copytree(bundled_corpus_dir() / "fig1_advanced", root / "fig1_advanced")
+    bad = _scenario_dir(root, '{"id": "bad", "sources": ["a.mir"]}')
+    (bad / "a.mir").write_text("class A {\n  field x: int\n}\n")
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--reps", "1", "--modes", "pa", "--root", str(root), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "scenario error: bad: a.mir:3: expected ';', found '}'" in captured.err
+    assert "fig1_advanced\tpa\tfalse" in captured.out
+    assert (out / "records.jsonl").read_text().count("\n") == 1
+    assert (out / "confusion.csv").exists()

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from oadetect.cli import main
 from oadetect.frontend import (
+    MAX_NESTING,
     ParseError,
     ProvenanceMap,
     SidecarError,
@@ -17,6 +19,7 @@ from oadetect.frontend import (
 )
 from oadetect.harness import bundled_corpus_dir, load_bundled
 from oadetect.mir import (
+    Const,
     Position,
     Provenance,
     StaticCall,
@@ -110,6 +113,13 @@ class A {
     ]
     nested = list(iter_stmts(body))
     assert any(isinstance(st, StaticCall) for st in nested)
+
+
+def test_string_literals_spelled_like_keywords_or_punctuation_stay_literals():
+    src = 'class A {\n  method m() {\n    x = op(")", ",", "class");\n    y = "}";\n  }\n}\n'
+    body = find_method(parse_source(src), "A.m").body
+    assert body[0].operands == (Const(")"), Const(","), Const("class"))
+    assert body[1].source == Const("}")
 
 
 def _unmarked_fig1_units():
@@ -246,3 +256,34 @@ def test_pretty_print_round_trip_is_fixpoint(scenario):
 def test_sidecar_of_wrong_shape_is_a_sidecar_error(text, fragment):
     with pytest.raises(SidecarError, match=re.escape(fragment)):
         ProvenanceMap.from_json(text)
+
+
+def _nested_blocks(depth: int, head: str = "if") -> str:
+    opens = [f"    {head} c {{"] * depth
+    closes = ["    }"] * depth
+    lines = ["class A {", "  method m(c) {", "    x = 1 @L;", *opens, "    x = 2 @R;", *closes, "  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_deepest_accepted_nesting_analyzes_and_round_trips(tmp_path, capsys):
+    assert MAX_NESTING >= 300  # programs this deep parsed before the limit existed
+    text = _nested_blocks(MAX_NESTING)
+    canon = pretty_print(parse_source(text))
+    assert pretty_print(parse_source(canon)) == canon
+    src = tmp_path / "deep.mir"
+    src.write_text(text)
+    code = main(["analyze", "--deterministic", "--mode", "nopa", "--mode", "pa", "--mode", "hybrid", str(src)])
+    assert code == 1
+    assert capsys.readouterr().out.count("verdict: true") == 3
+
+
+@pytest.mark.parametrize("depth, head", [(MAX_NESTING + 1, "if"), (MAX_NESTING + 1, "while"), (500, "if")])
+def test_nesting_beyond_the_limit_exits_3(depth, head, tmp_path, capsys):
+    # 500 nested ifs used to end in RecursionError, a traceback with exit 1.
+    src = tmp_path / "deep.mir"
+    src.write_text(_nested_blocks(depth, head))
+    code = main(["analyze", "--deterministic", "--mode", "nopa", str(src)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    line = 3 + MAX_NESTING + 1  # the opening brace of the first block too deep
+    assert captured.err == f"error: deep.mir:{line}: if/while blocks nested deeper than {MAX_NESTING}\n"
