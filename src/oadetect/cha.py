@@ -34,14 +34,13 @@ from .mir import (
     VirtualCall,
     While,
     constructor_of,
+    field_of,
     implementers_of,
     lca_type,
     methods_by_id,
-    resolve_field,
     resolve_method,
-    resolve_static_field,
     resolve_static_method,
-    resolve_unique_field,
+    static_field_of,
 )
 
 
@@ -120,15 +119,6 @@ def _operand_type(o, env: TypeEnv, p: Program) -> Optional[str]:
     return env.get(o)
 
 
-def _field_type(p: Program, base_type: Optional[str], fname: str) -> Optional[str]:
-    if base_type is not None and p.class_named(base_type) is not None:
-        hit = resolve_field(p, base_type, fname)
-        if hit is not None:
-            return hit[1].type
-    hit = resolve_unique_field(p, fname)
-    return hit[1].type if hit is not None else None
-
-
 def transfer_type(st: Stmt, env: TypeEnv, p: Program) -> TypeEnv:
     """Env after one simple statement (blocks are not entered).
 
@@ -144,10 +134,10 @@ def transfer_type(st: Stmt, env: TypeEnv, p: Program) -> TypeEnv:
     elif isinstance(st, CopyAssign):
         binding = (st.target, _operand_type(st.source, env, p))
     elif isinstance(st, FieldLoad):
-        binding = (st.target, _field_type(p, env.get(st.base), st.field))
+        hit = field_of(p, env.get(st.base), st.field)
+        binding = (st.target, hit[1] if hit is not None else None)
     elif isinstance(st, StaticLoad):
-        hit = resolve_static_field(p, st.cls, st.field)
-        binding = (st.target, hit[1].type if hit is not None else None)
+        binding = (st.target, static_field_of(p, st.cls, st.field)[1])
     elif isinstance(st, ArrayLoad):
         base = env.get(st.base)
         binding = (st.target, base[:-2] if base and base.endswith("[]") else None)

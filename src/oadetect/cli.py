@@ -5,10 +5,11 @@
     oadetect dump-graph --mode nopa|pa --entry Class.method SOURCES...
     oadetect dump-pts SOURCES...
 
-`analyze` prints one human-readable report per conflict and exits 0 when
-every requested mode is conflict-free, 1 when any mode reports a conflict,
-2 when any mode times out (and none conflicts), 3 on usage, input or parse
-errors. `corpus` evaluates scenario directories and writes the records
+`analyze` prints one human-readable report per conflict of each mode whose
+verdict is true (a timeout's partial conflicts go to the `--out` records
+only). It exits 0 when every requested mode is conflict-free, 1 when any
+mode reports a conflict, 2 when any mode times out (and none conflicts), 3
+on usage, input or parse errors. `corpus` evaluates scenario directories and writes the records
 stream plus the confusion/metrics/transitions/histogram/timing tables. Both
 run `harness.run_scenario` per scenario.
 """
@@ -110,17 +111,18 @@ def _exit_code(verdicts) -> int:
 def cmd_analyze(args) -> int:
     budget = _budget(args)
     modes = _parse_modes(args.mode)
-    results = run_scenario(
-        _analyze_scenario(args), modes, budget=budget, measure_time=not args.deterministic
-    )
+    results = run_scenario(_analyze_scenario(args), modes, budget=budget)
     several_entries = len(results) > len(modes)
     outcomes = []
     for r in results:
         unit = r.entry.id if several_entries else r.entry.display
         outcomes.append((f"{unit}:{r.mode.value}", r.mode, r.outcome))
         print(f"== {r.entry.display} [{r.mode.value}] verdict: {r.verdict.value}")
-        for report in build_reports(r.outcome, r.entry):
-            print(render_text(report))
+        if r.verdict is Verdict.TRUE:
+            # A timeout keeps the conflicts of its completed paths in the
+            # records, but only a true verdict reports them.
+            for report in build_reports(r.outcome, r.entry):
+                print(render_text(report))
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -140,13 +142,7 @@ def cmd_corpus(args) -> int:
         print(f"no scenarios under {root}", file=sys.stderr)
         return EXIT_ERROR
     modes = [Mode(v) for v in args.modes.split(",")]
-    run = run_corpus(
-        corpus,
-        modes,
-        budget=budget,
-        reps=args.reps,
-        measure_time=not args.deterministic,
-    )
+    run = run_corpus(corpus, modes, budget=budget, reps=args.reps)
     outdir = Path(args.out)
     write_tables(run, modes, outdir)
     for sid, message in run.errors:
@@ -154,12 +150,9 @@ def cmd_corpus(args) -> int:
     for r in run.results:
         print(f"{r.unit}\t{r.mode.value}\t{r.verdict.value}")
     if len(modes) >= 2:
-        samples: dict = {}
-        for r in run.results:
-            samples.setdefault(r.unit, {})[r.mode] = r.timings_ms
         pairs = [
             (sum(s[modes[0]]) / len(s[modes[0]]), sum(s[modes[1]]) / len(s[modes[1]]))
-            for s in samples.values()
+            for s in run.timing_samples().values()
             if modes[0] in s and modes[1] in s
         ]
         try:

@@ -4,16 +4,35 @@ The detector enumerates execution paths from an entry method and reports a
 changed write that overrides the other side's most recent write to the same
 state element with no base write in between.
 
+State elements follow the assignment left-hand-side taxonomy: LV (local
+variable), IFR (instance field reference), AR (array reference) and SFR
+(static field reference). Whether two writes of one kind touch the same
+element is decided by one rule per kind:
+
+    LV, SFR   equal `WriteEvent.element_key()`s: method and local name for a
+              local; declaring class, name and declared type for a static
+    IFR, AR   `compare_heap`: the same slot (field, or index), not both in
+              one constructor, and bases that may alias: related base
+              types under `nopa`, overlapping points-to sets under `pa` and
+              `hybrid`, which log an `empty-pts` miss-reference and fall
+              back to the base types when a set is empty
+
+Three modes share the traversal. `nopa` resolves calls by class hierarchy.
+`pa` resolves them through the points-to call graph, logging a
+miss-reference when a target cannot be resolved. `hybrid` is `pa` that
+additionally widens unresolvable calls to the hierarchy-based targets
+instead of dropping them. `Mode.uses_cha` and `Mode.uses_pts` say which
+graphs a mode reads.
+
 The scan runs as the enumerator appends each write event, so every write is
-scanned once however many paths share it. LV and SFR writes alias exactly
-by `WriteEvent.element_key()`, and a last-writer dict gives their most recent
-earlier writer. IFR and AR aliasing is pairwise (related base types, or
-overlapping points-to sets) and not transitive, so those writes walk back
-over the earlier writes of their own kind only, comparing each pair and
-logging its miss-references. Every event leaves a record on a trail beside
-the event list; backtracking to a choice point replays the trail backwards
-(undoing dict entries and kind-list appends), as a Prolog machine's trail
-does.
+scanned once however many paths share it. The LV/SFR rule is an equality,
+so a last-writer dict keyed by `element_key()` gives a write's most recent
+earlier writer. The IFR/AR rule is pairwise and not transitive, so those
+writes walk back over the earlier writes of their own kind only, comparing
+each pair and logging its miss-references. Every event leaves a record on
+a trail beside the event list; backtracking to a choice point replays the
+trail backwards (undoing dict entries and kind-list appends), as a Prolog
+machine's trail does.
 
 Findings, both conflicts and comparison miss-references, stay on the trail
 until the path completes, so a path cut by fuel or the path cap contributes
@@ -23,21 +42,6 @@ commits, and the write that replaces it inherits the overridden writer it
 looked up, which is the writer before the collapsed one. Because a write's
 successor changes on backtrack, the write just before the cut is committed
 again on the next path.
-
-State elements follow the assignment left-hand-side taxonomy:
-
-    LV   local variable            same method, same name
-    IFR  instance field reference  same field; bases related by hierarchy
-                                   (nopa) or overlapping points-to (pa)
-    AR   array reference           like IFR with the index as the field
-    SFR  static field reference    same declaring class, name, and type
-
-Three modes share the traversal. `nopa` resolves calls by class hierarchy
-and compares by names and types. `pa` resolves and compares through
-points-to sets, logging a miss-reference and falling back to the name/type
-rule whenever a set is empty or a call target cannot be resolved. `hybrid`
-is `pa` that additionally widens unresolvable calls to the hierarchy-based
-targets instead of dropping them.
 
 Writes reached through a changed call site inherit that side's provenance,
 so a base-code write counts for the developer whose added call executes it.
@@ -77,10 +81,9 @@ from .mir import (
     VirtualCall,
     While,
     constructor_of,
+    field_of,
     methods_by_id,
-    resolve_field,
-    resolve_static_field,
-    resolve_unique_field,
+    static_field_of,
     subtype_of,
 )
 from .pointsto import PointsToResult, pa_entry_points, solve
@@ -90,6 +93,16 @@ class Mode(Enum):
     NOPA = "nopa"
     PA = "pa"
     HYBRID = "hybrid"
+
+    @property
+    def uses_cha(self) -> bool:
+        """Whether the mode reads the CHA call graph (nopa, and hybrid's widening)."""
+        return self is not Mode.PA
+
+    @property
+    def uses_pts(self) -> bool:
+        """Whether the mode reads points-to sets and their call graph."""
+        return self is not Mode.NOPA
 
 
 class Verdict(Enum):
@@ -123,7 +136,6 @@ class WriteEvent:
     provenance: Provenance
     method_id: str
     method_display: str
-    method_class: str
     enclosing_kind: str  # "method" | "constructor"
     call_path: tuple[Hop, ...] = ()
     local: Optional[str] = None
@@ -210,18 +222,6 @@ class ComparisonResult(NamedTuple):
 _NO_MISS: tuple = ()
 
 
-def _kinds(a: WriteEvent, b: WriteEvent, expected: str) -> None:
-    if a.kind != expected or b.kind != expected:
-        raise MirError(f"expected two {expected} events, got {a.kind} and {b.kind}")
-
-
-def compare_local(a: WriteEvent, b: WriteEvent) -> ComparisonResult:
-    """Locals conflict only inside one method under the same name."""
-    _kinds(a, b, LV)
-    match = a.method_id == b.method_id and a.local == b.local
-    return ComparisonResult(match, _NO_MISS)
-
-
 def _same_constructor(a: WriteEvent, b: WriteEvent) -> bool:
     return (
         a.enclosing_kind == "constructor"
@@ -243,43 +243,18 @@ def _types_related(a: Optional[str], b: Optional[str], p: Program) -> bool:
     return subtype_of(a, b, p) or subtype_of(b, a, p)
 
 
-def _fields_match(a: WriteEvent, b: WriteEvent) -> bool:
-    if a.field is not None and b.field is not None:
-        return a.field == b.field
-    return a.field_name == b.field_name
-
-
-def _miss_for(ev: WriteEvent, expression: str) -> MissRef:
-    return MissRef(ev.pos, expression, "empty-pts")
-
-
 def _base_types_related(a: WriteEvent, b: WriteEvent, p: Program) -> bool:
     ea = a.base_type[:-2] if a.base_type and a.base_type.endswith("[]") else a.base_type
     eb = b.base_type[:-2] if b.base_type and b.base_type.endswith("[]") else b.base_type
     return _types_related(ea, eb, p)
 
 
-def compare_instance_field(a: WriteEvent, b: WriteEvent, mode: Mode, ctx) -> ComparisonResult:
-    """Field writes alias by base type relation (nopa) or points-to overlap (pa)."""
-    _kinds(a, b, IFR)
-    nopa = (
-        _fields_match(a, b)
-        and _base_types_related(a, b, ctx.program)
-        and not _same_constructor(a, b)
-    )
-    if mode is Mode.NOPA:
-        return ComparisonResult(nopa, _NO_MISS)
-    misses = tuple(
-        _miss_for(ev, f"{ev.base}.{ev.field_name}") for ev in (a, b) if not ev.base_pts
-    )
-    if misses:
-        return ComparisonResult(nopa, misses)
-    overlap = bool(a.base_pts & b.base_pts)
-    match = overlap and _fields_match(a, b) and not _same_constructor(a, b)
-    return ComparisonResult(match, _NO_MISS)
-
-
-def _indexes_match(a: WriteEvent, b: WriteEvent) -> bool:
+def _same_slot(a: WriteEvent, b: WriteEvent) -> bool:
+    """The field of two IFR writes, or the index of two AR writes, may be one."""
+    if a.kind == IFR:
+        if a.field is not None and b.field is not None:
+            return a.field == b.field
+        return a.field_name == b.field_name
     ia, ib = a.index, b.index
     if isinstance(ia, int) and isinstance(ib, int):
         return ia == ib
@@ -288,52 +263,43 @@ def _indexes_match(a: WriteEvent, b: WriteEvent) -> bool:
     return True  # constant vs local: unknown, stays match-eligible
 
 
-def compare_array(a: WriteEvent, b: WriteEvent, mode: Mode, ctx) -> ComparisonResult:
-    """Array writes: like instance fields with indexes in the field role."""
-    _kinds(a, b, AR)
-    nopa = (
-        _indexes_match(a, b)
-        and _base_types_related(a, b, ctx.program)
-        and not _same_constructor(a, b)
-    )
-    if mode is Mode.NOPA:
-        return ComparisonResult(nopa, _NO_MISS)
-    misses = tuple(
-        _miss_for(ev, f"{ev.base}[{ev.index}]") for ev in (a, b) if not ev.base_pts
-    )
-    if misses:
-        return ComparisonResult(nopa, misses)
-    overlap = bool(a.base_pts & b.base_pts)
-    match = overlap and _indexes_match(a, b) and not _same_constructor(a, b)
-    return ComparisonResult(match, _NO_MISS)
+def compare_heap(a: WriteEvent, b: WriteEvent, mode: Mode, program: Program) -> ComparisonResult:
+    """Whether two IFR writes, or two AR writes, may write one heap element.
+
+    Their slots must match and they must not sit in one constructor. `nopa`
+    then asks for related base types. `pa` and `hybrid` ask for overlapping
+    points-to sets; when either set is empty they log an `empty-pts`
+    miss-reference for each such write, whatever the slots, and fall back
+    to the base-type rule.
+    """
+    eligible = _same_slot(a, b) and not _same_constructor(a, b)
+    misses = _NO_MISS
+    if mode.uses_pts:
+        empty = [ev for ev in (a, b) if not ev.base_pts]
+        if not empty:
+            return ComparisonResult(eligible and bool(a.base_pts & b.base_pts), _NO_MISS)
+        misses = tuple(MissRef(ev.pos, _written(ev), "empty-pts") for ev in empty)
+    return ComparisonResult(eligible and _base_types_related(a, b, program), misses)
 
 
-def compare_static_field(a: WriteEvent, b: WriteEvent) -> ComparisonResult:
-    """Static fields are equal by declaring class, name, and declared type."""
-    _kinds(a, b, SFR)
-    match = (
-        a.static_cls == b.static_cls
-        and a.field_name == b.field_name
-        and a.static_type == b.static_type
-    )
-    return ComparisonResult(match, _NO_MISS)
+def _written(ev: WriteEvent) -> str:
+    """A heap write's target as the source spells it: `base.field` or `base[index]`."""
+    return f"{ev.base}.{ev.field_name}" if ev.kind == IFR else f"{ev.base}[{ev.index}]"
 
 
-def same_element(a: WriteEvent, b: WriteEvent, mode: Mode, ctx=None) -> bool:
-    """Dispatch on the element kind; records miss-references into ctx."""
+def same_element(a: WriteEvent, b: WriteEvent, mode: Mode, ctx: DetectionContext) -> bool:
+    """Whether two writes touch the same element; records miss-references into ctx.
+
+    LV and SFR writes do exactly when their `element_key()`s are equal; IFR
+    and AR writes are compared by `compare_heap`.
+    """
     if a.kind != b.kind:
         return False
-    if a.kind == LV:
-        res = compare_local(a, b)
-    elif a.kind == IFR:
-        res = compare_instance_field(a, b, mode, ctx)
-    elif a.kind == AR:
-        res = compare_array(a, b, mode, ctx)
-    else:
-        res = compare_static_field(a, b)
-    if ctx is not None:
-        for miss in res.missrefs:
-            ctx.record_missref(miss)
+    if a.kind == LV or a.kind == SFR:
+        return a.element_key() == b.element_key()
+    res = compare_heap(a, b, mode, ctx.program)
+    for miss in res.missrefs:
+        ctx.record_missref(miss)
     return res.match
 
 
@@ -388,7 +354,7 @@ class DetectionContext:
             raise _BudgetStop()
 
     def base_pts(self, mid: str, local: str) -> Optional[frozenset]:
-        if self.mode is Mode.NOPA or self.pts is None:
+        if not self.mode.uses_pts or self.pts is None:
             return None
         got = self.pts.pts.get(("l", mid, local), frozenset())
         return got if got else None
@@ -409,14 +375,14 @@ def resolve_call(st: VirtualCall, caller_mid: str, ctx: DetectionContext):
             ids = sorted(m.id for m in defs)
         return [ctx.by_id[i] for i in ids]
 
-    if ctx.mode is Mode.NOPA:
+    if not ctx.mode.uses_pts:
         return cha_targets(), None
 
     pa_ids = ctx.pts.callgraph.targets_at(st.pos) if ctx.pts is not None else []
     if pa_ids:
         return [ctx.by_id[i] for i in pa_ids], None
     miss = MissRef(st.pos, f"{st.receiver}.{st.method}()", "unresolved-call")
-    if ctx.mode is Mode.PA:
+    if not ctx.mode.uses_cha:
         return [], miss
     return cha_targets(), miss
 
@@ -469,7 +435,6 @@ class _Enumerator:
             provenance=self._prov(st, call_path),
             method_id=method.id,
             method_display=method.display,
-            method_class=method.declaring_class,
             enclosing_kind=method.kind,
             call_path=call_path,
             **payload,
@@ -485,8 +450,8 @@ class _Enumerator:
             return self._lv(st, frame, st.target)
         if isinstance(st, FieldStore):
             base_type = frame.env.get(st.base)
-            hit = resolve_field(p, base_type, st.field) or resolve_unique_field(p, st.field)
-            triple = (hit[0], st.field, hit[1].type) if hit is not None else None
+            hit = field_of(p, base_type, st.field)
+            triple = (hit[0], st.field, hit[1]) if hit is not None else None
             return self._event(
                 st, frame.method, frame.call_path,
                 kind=IFR, base=st.base, base_type=base_type,
@@ -501,8 +466,7 @@ class _Enumerator:
                 index=st.index,
             )
         if isinstance(st, StaticStore):
-            hit = resolve_static_field(p, st.cls, st.field)
-            decl, ftype = (hit[0], hit[1].type) if hit is not None else (st.cls, None)
+            decl, ftype = static_field_of(p, st.cls, st.field)
             return self._event(
                 st, frame.method, frame.call_path,
                 kind=SFR, static_cls=decl, field_name=st.field, static_type=ftype,
@@ -720,9 +684,9 @@ def enumerate_write_paths(
 
 def _make_context(p, entry, mode, budget, cha, pts) -> DetectionContext:
     budget = budget or AnalysisBudget()
-    if mode in (Mode.NOPA, Mode.HYBRID) and cha is None:
+    if mode.uses_cha and cha is None:
         cha = build_cha_graph(p, entry)
-    if mode in (Mode.PA, Mode.HYBRID) and pts is None:
+    if mode.uses_pts and pts is None:
         pts = solve(p, pa_entry_points(p))
     return DetectionContext(p, mode, budget, cha=cha, pts=pts)
 
@@ -765,10 +729,10 @@ class _Scanner(_Enumerator):
     def _walk_back(self, same: list[WriteEvent], w: WriteEvent):
         if w.provenance is Provenance.BASE:
             return None, _NO_MISS
-        compare = compare_instance_field if w.kind == IFR else compare_array
+        mode, program = self.ctx.mode, self.ctx.program
         misses: list[MissRef] = []
         for prior in reversed(same):
-            res = compare(prior, w, self.ctx.mode, self.ctx)
+            res = compare_heap(prior, w, mode, program)
             misses.extend(res.missrefs)
             if res.match:
                 return _overridden(prior, w), misses
@@ -827,7 +791,6 @@ def detect(
     budget: Optional[AnalysisBudget] = None,
     cha: Optional[CallGraph] = None,
     pts: Optional[PointsToResult] = None,
-    early_exit: bool = False,
 ) -> AnalysisOutcome:
     """Run override-assignment detection from `entry` under `mode`."""
     if entry.id not in methods_by_id(p):
@@ -837,16 +800,13 @@ def detect(
     scanner = _Scanner(ctx, entry)
     conflicts = scanner.conflicts
     started = time.perf_counter()
-    stopped_early = False
     try:
         for _ in scanner.paths():
-            if early_exit and conflicts:
-                stopped_early = True
-                break
+            pass
     except _BudgetStop:
         pass
 
-    if ctx.timed_out and not stopped_early:
+    if ctx.timed_out:
         verdict = Verdict.TIMEOUT
     elif conflicts:
         verdict = Verdict.TRUE

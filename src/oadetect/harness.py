@@ -129,6 +129,13 @@ class CorpusRun:
     def projects(self) -> dict[str, str]:
         return {r.unit: r.project for r in self.results}
 
+    def timing_samples(self) -> dict[str, dict[Mode, list[float]]]:
+        """The repetition timings of each unit under each mode."""
+        samples: dict[str, dict[Mode, list[float]]] = {}
+        for r in self.results:
+            samples.setdefault(r.unit, {})[r.mode] = r.timings_ms
+        return samples
+
     def units(self) -> list[str]:
         seen: list[str] = []
         for r in self.results:
@@ -158,22 +165,23 @@ def run_scenario(
     modes: list[Mode],
     budget: Optional[AnalysisBudget] = None,
     reps: int = 1,
-    measure_time: bool = False,
 ) -> list[UnitResult]:
     """Detect every unit of a scenario under every mode.
 
     The one pipeline behind `analyze` and `corpus`: parse and expand the
-    scenario, solve points-to once per program if `pa` or `hybrid` is
-    asked for, build the CHA graph once per entry if `nopa` or `hybrid` is,
-    and run `detect` per unit and mode over those shared graphs.
+    scenario, solve points-to once per program if a mode uses it, build
+    the CHA graph once per entry if a mode uses it, and run `detect` per
+    unit and mode over those shared graphs. Repetitions are timed only
+    under a wall-clock budget; without one every timing is 0.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     budget = budget or AnalysisBudget()
     program, units = scenario_units(s)
 
-    needs_pts = any(m in (Mode.PA, Mode.HYBRID) for m in modes)
-    needs_cha = any(m in (Mode.NOPA, Mode.HYBRID) for m in modes)
+    timed = budget.wall_clock is not None
+    needs_pts = any(m.uses_pts for m in modes)
+    needs_cha = any(m.uses_cha for m in modes)
     pts = solve(program, pa_entry_points(program)) if needs_pts else None
 
     out: list[UnitResult] = []
@@ -186,16 +194,13 @@ def run_scenario(
             for _ in range(reps):
                 t0 = time.perf_counter()
                 outcome = detect(program, entry, mode, budget=budget, cha=cha, pts=pts)
-                elapsed = (time.perf_counter() - t0) * 1000.0
-                timings.append(elapsed if measure_time else 0.0)
+                timings.append((time.perf_counter() - t0) * 1000.0 if timed else 0.0)
                 if verdict is None:
                     verdict = outcome.verdict
                 elif verdict is not outcome.verdict:
                     raise MirError(
                         f"nondeterministic verdict for {unit_id} under {mode.value}"
                     )
-            if not measure_time:
-                outcome.stats.elapsed_ms = 0
             out.append(
                 UnitResult(
                     unit=unit_id,
@@ -216,12 +221,11 @@ def run_corpus(
     modes: list[Mode],
     budget: Optional[AnalysisBudget] = None,
     reps: int = 1,
-    measure_time: bool = False,
 ) -> CorpusRun:
     run = CorpusRun()
     for s in corpus:
         try:
-            run.results.extend(run_scenario(s, modes, budget, reps, measure_time))
+            run.results.extend(run_scenario(s, modes, budget, reps))
         except MirError as e:
             run.errors.append((s.id, str(e)))
     return run
@@ -436,40 +440,39 @@ def write_tables(run: CorpusRun, modes: list[Mode], outdir: Path) -> None:
     records = emit_records([(r.unit, r.mode, r.outcome) for r in run.results])
     (outdir / "records.jsonl").write_text(records)
 
-    labeled_units = [u for u, t in run.truths().items() if t is not None]
+    truths = run.truths()
+    labeled_units = [u for u, t in truths.items() if t is not None]
+    verdicts = {mode: run.verdicts(mode) for mode in modes}
     # Units that time out under any evaluated mode are excluded from every
     # mode's scoring so the totals stay comparable.
     timeout_units = {
         r.unit for r in run.results if r.verdict is Verdict.TIMEOUT
     }
+    matrices: dict[Mode, ConfusionMatrix] = {}
+    for mode in modes:
+        scored = {
+            u: verdicts[mode][u]
+            for u in labeled_units
+            if u in verdicts[mode] and u not in timeout_units
+        }
+        cm = matrices[mode] = confusion(scored, truths)
+        cm.excluded = len([u for u in labeled_units if u in timeout_units and u in verdicts[mode]])
+
     with (outdir / "confusion.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mode", "tp", "fp", "tn", "fn", "excluded"])
         for mode in modes:
-            verdicts = run.verdicts(mode)
-            scored = {
-                u: verdicts[u]
-                for u in labeled_units
-                if u in verdicts and u not in timeout_units
-            }
-            cm = confusion(scored, {u: run.truths()[u] for u in scored})
-            cm.excluded = len([u for u in labeled_units if u in timeout_units and u in verdicts])
+            cm = matrices[mode]
             w.writerow([mode.value, cm.tp, cm.fp, cm.tn, cm.fn, cm.excluded])
 
     with (outdir / "metrics.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mode", "precision", "recall", "accuracy", "f1"])
         for mode in modes:
-            verdicts = run.verdicts(mode)
-            scored = {
-                u: verdicts[u]
-                for u in labeled_units
-                if u in verdicts and u not in timeout_units
-            }
-            if not scored:
+            if not matrices[mode].total:
                 w.writerow([mode.value, "", "", "", ""])
                 continue
-            ms = metrics(confusion(scored, {u: run.truths()[u] for u in scored}))
+            ms = metrics(matrices[mode])
             w.writerow([mode.value, _fmt(ms.precision), _fmt(ms.recall), _fmt(ms.accuracy), _fmt(ms.f1)])
 
     with (outdir / "transitions.csv").open("w", newline="") as fh:
@@ -477,7 +480,7 @@ def write_tables(run: CorpusRun, modes: list[Mode], outdir: Path) -> None:
         w.writerow(["mode_a", "mode_b", "a_verdict", "b_verdict", "count"])
         for i, ma in enumerate(modes):
             for mb in modes[i + 1 :]:
-                table = transitions(run.verdicts(ma), run.verdicts(mb))
+                table = transitions(verdicts[ma], verdicts[mb])
                 for va in VERDICTS:
                     for vb in VERDICTS:
                         w.writerow([ma.value, mb.value, va.value, vb.value, table.cell(va, vb)])
@@ -486,9 +489,10 @@ def write_tables(run: CorpusRun, modes: list[Mode], outdir: Path) -> None:
         w = csv.writer(fh)
         w.writerow(["divergences", "projects"])
         if len(modes) >= 2:
-            va, vb = run.verdicts(modes[0]), run.verdicts(modes[1])
+            va, vb = verdicts[modes[0]], verdicts[modes[1]]
+            projects = run.projects()
             units = [
-                (run.projects()[u], va[u], vb[u]) for u in run.units() if u in va and u in vb
+                (projects[u], va[u], vb[u]) for u in run.units() if u in va and u in vb
             ]
             for n, count in divergence_histogram(units).items():
                 w.writerow([n, count])
@@ -496,9 +500,7 @@ def write_tables(run: CorpusRun, modes: list[Mode], outdir: Path) -> None:
     with (outdir / "timing.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["unit", "mode", "mean_ms", "stddev_ms", "flagged"])
-        samples: dict[str, dict[Mode, list[float]]] = {}
-        for r in run.results:
-            samples.setdefault(r.unit, {})[r.mode] = r.timings_ms
+        samples = run.timing_samples()
         if samples:
             summary = timing_summary(samples)
             for row in summary.rows:

@@ -39,8 +39,8 @@ from .mir import (
     While,
     constructor_of,
     resolve_method,
-    resolve_static_field,
     resolve_static_method,
+    static_field_of,
 )
 
 _MAX_CALL_DEPTH = 64
@@ -238,14 +238,12 @@ class _Interp:
             self._assign(frame, mid, st, st.target, obj.fields.get(st.field, 0), prov)
             return None
         if isinstance(st, StaticStore):
-            hit = resolve_static_field(self.p, st.cls, st.field)
-            decl = hit[0] if hit else st.cls
+            decl = static_field_of(self.p, st.cls, st.field)[0]
             self.statics[(decl, st.field)] = self._operand(st.source, frame)
             self.trace.writes.append(TraceWrite("SFR", (decl, st.field), st.pos, prov))
             return None
         if isinstance(st, StaticLoad):
-            hit = resolve_static_field(self.p, st.cls, st.field)
-            decl = hit[0] if hit else st.cls
+            decl = static_field_of(self.p, st.cls, st.field)[0]
             self._assign(frame, mid, st, st.target, self.statics.get((decl, st.field), 0), prov)
             return None
         if isinstance(st, ArrayStore):

@@ -388,6 +388,7 @@ class Hierarchy:
         self._lca: dict[tuple[str, str], Optional[str]] = {}
         self._methods: Optional[Mapping[str, MethodDef]] = None
         self._lookups: dict[tuple, object] = {}
+        self._only_fields: Optional[dict[str, tuple[str, FieldDef]]] = None
 
     def declares(self, name: str) -> bool:
         return name in self.classes or name in self.interfaces
@@ -468,6 +469,24 @@ class Hierarchy:
             )
         return self._lookups[key]
 
+    def field_of(self, cls_name: Optional[str], fname: str) -> Optional[tuple[str, str]]:
+        key = ("field_of", cls_name, fname)
+        if key not in self._lookups:
+            hit = self.resolve_field(cls_name, fname, static=False) or self._only_field(fname)
+            self._lookups[key] = (hit[0], hit[1].type) if hit is not None else None
+        return self._lookups[key]
+
+    def _only_field(self, fname: str) -> Optional[tuple[str, FieldDef]]:
+        """The instance field `fname`, if exactly one class declares one."""
+        if self._only_fields is None:
+            found: dict[str, list[tuple[str, FieldDef]]] = {}
+            for c in self.class_list:
+                for f in c.fields:
+                    if not f.static:
+                        found.setdefault(f.name, []).append((c.name, f))
+            self._only_fields = {n: hits[0] for n, hits in found.items() if len(hits) == 1}
+        return self._only_fields.get(fname)
+
     def resolve_method(self, cls_name: str, mname: str, arity: int, static: bool) -> Optional[MethodDef]:
         key = ("method", cls_name, mname, arity, static)
         if key not in self._lookups:
@@ -522,21 +541,25 @@ def resolve_field(p: Program, cls_name: Optional[str], fname: str):
     return p.hierarchy().resolve_field(cls_name, fname, static=False)
 
 
-def resolve_unique_field(p: Program, fname: str):
-    """Fallback for untyped bases: the field, if exactly one class declares it."""
-    found = [
-        (c.name, f)
-        for c in p.classes
-        for f in c.fields
-        if f.name == fname and not f.static
-    ]
-    if len(found) == 1:
-        return found[0]
-    return None
+def field_of(p: Program, base_type: Optional[str], fname: str) -> Optional[tuple[str, str]]:
+    """(declaring class, type) of field `fname` through a base of `base_type`.
+
+    The class chain of `base_type` is searched first; failing that (an
+    untyped base, or one whose chain lacks the field), the only class that
+    declares an instance field `fname` answers. None when neither does.
+    """
+    return p.hierarchy().field_of(base_type, fname)
 
 
 def resolve_static_field(p: Program, cls_name: str, fname: str):
     return p.hierarchy().resolve_field(cls_name, fname, static=True)
+
+
+def static_field_of(p: Program, cls_name: str, fname: str) -> tuple[str, Optional[str]]:
+    """(declaring class, type) of `cls_name::fname`; a field no class on the
+    chain declares belongs to `cls_name` itself, with an unknown type."""
+    hit = resolve_static_field(p, cls_name, fname)
+    return (hit[0], hit[1].type) if hit is not None else (cls_name, None)
 
 
 def resolve_method(p: Program, cls_name: str, mname: str, arity: int) -> Optional[MethodDef]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .cha import CallEdge, CallGraph
 from .mir import (
@@ -48,8 +48,8 @@ from .mir import (
     iter_stmts,
     methods_by_id,
     resolve_method,
-    resolve_static_field,
     resolve_static_method,
+    static_field_of,
 )
 
 
@@ -81,8 +81,7 @@ class PointsToResult:
     callgraph: CallGraph
     entries: tuple
     unresolved: tuple  # (Position, reason) pairs
-    locals_by_method: dict
-    entry_param_vars: frozenset
+    methods: Mapping[str, MethodDef]  # the program's methods by id
 
     def site(self, sid: int) -> AllocSite:
         return self.sites[sid]
@@ -110,26 +109,23 @@ def _collect_alloc_sites(p: Program) -> dict[Position, AllocSite]:
     return sites
 
 
-def _collect_locals(p: Program) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    for m in all_methods(p):
-        names = set(m.params)
-        if not m.static:
-            names.add("this")
-        for st in iter_stmts(m.body):
-            for attr in ("target", "source", "base", "receiver", "cond", "value", "result"):
-                v = getattr(st, attr, None)
-                if isinstance(v, str):
-                    names.add(v)
-            for group in (getattr(st, "args", ()), getattr(st, "operands", ())):
-                for a in group:
-                    if isinstance(a, str):
-                        names.add(a)
-            idx = getattr(st, "index", None)
-            if isinstance(idx, str):
-                names.add(idx)
-        out[m.id] = names
-    return out
+def _locals_of(m: MethodDef) -> set[str]:
+    names = set(m.params)
+    if not m.static:
+        names.add("this")
+    for st in iter_stmts(m.body):
+        for attr in ("target", "source", "base", "receiver", "cond", "value", "result"):
+            v = getattr(st, attr, None)
+            if isinstance(v, str):
+                names.add(v)
+        for group in (getattr(st, "args", ()), getattr(st, "operands", ())):
+            for a in group:
+                if isinstance(a, str):
+                    names.add(a)
+        idx = getattr(st, "index", None)
+        if isinstance(idx, str):
+            names.add(idx)
+    return names
 
 
 class _Solver:
@@ -243,9 +239,7 @@ class _Solver:
                 self.add_copy(self.local(mid, st.value), ("r", mid))
 
     def _static_var(self, cls: str, fname: str) -> Var:
-        hit = resolve_static_field(self.p, cls, fname)
-        decl = hit[0] if hit is not None else cls
-        return ("s", decl, fname)
+        return ("s", static_field_of(self.p, cls, fname)[0], fname)
 
     def _bind_call(self, pos, caller_mid, target: MethodDef, this_sites, args, result) -> None:
         self.edges.add(CallEdge(pos, caller_mid, target.id))
@@ -338,13 +332,6 @@ def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResu
             if isinstance(st, VirtualCall) and st.pos not in resolved_sites:
                 unresolved.append((st.pos, "unresolved-call"))
 
-    entry_params = set()
-    for m in entries:
-        for pname in m.params:
-            entry_params.add(("l", m.id, pname))
-        if not m.static:
-            entry_params.add(("l", m.id, "this"))
-
     pts = {var: frozenset(sids) for var, sids in solver.pts.items() if sids}
     return PointsToResult(
         pts=pts,
@@ -352,25 +339,29 @@ def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResu
         callgraph=graph,
         entries=entry_ids,
         unresolved=tuple(sorted(unresolved)),
-        locals_by_method=_collect_locals(p),
-        entry_param_vars=frozenset(entry_params),
+        methods=by_id,
     )
 
 
 def pts_of(r: PointsToResult, expr: Union[Var, tuple[str, str]]) -> "frozenset[int] | _Miss":
     """Points-to set of an expression; MISS when empty or never constrained.
 
-    `expr` is either a full variable key or a (method_id, local) pair.
+    `expr` is either a full variable key or a (method_id, local) pair. An
+    empty pair is checked against the method's statements, so a method or
+    local the program does not have raises MirError.
     """
     if len(expr) == 2 and expr[0] not in ("f", "a", "s", "r", "l"):
         mid, name = expr
-        known = r.locals_by_method.get(mid)
-        if known is None:
+        got = r.pts.get(("l", mid, name))
+        if got:
+            return got
+        method = r.methods.get(mid)
+        if method is None:
             raise MirError(f"unknown method '{mid}'")
-        if name not in known:
+        if name not in _locals_of(method):
             raise MirError(f"no local '{name}' in '{mid}'")
-        expr = ("l", mid, name)
-    got = r.pts.get(expr, frozenset())
+        return MISS
+    got = r.pts.get(expr)
     return got if got else MISS
 
 
@@ -401,6 +392,17 @@ def dump_pts(r: PointsToResult) -> str:
 
 
 def is_closed(p: Program, r: PointsToResult) -> bool:
-    """Re-derive every constraint once and check nothing would grow."""
-    fresh = solve(p, [m for m in all_methods(p) if m.id in r.entries])
-    return fresh.pts == r.pts
+    """Whether one more application of every constraint adds nothing to `r`.
+
+    A solver is seeded with the result's sets, call edges and reachable
+    methods, and the constraints of every reachable method are added once;
+    the result is closed when no set, call edge or reachable method grows.
+    """
+    solver = _Solver(p, [])
+    for var, sids in r.pts.items():
+        solver.pts[var] = set(sids)
+    solver.edges = set(r.callgraph.edges)
+    solver.reachable = set(r.callgraph.nodes)
+    for mid in r.callgraph.nodes:
+        solver.process_method(mid)
+    return not solver.var_queue and not solver.method_queue and solver.edges == r.callgraph.edges

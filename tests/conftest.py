@@ -42,3 +42,12 @@ def deep_hierarchy():
 
 
 ALL_MODES = (Mode.NOPA, Mode.PA, Mode.HYBRID)
+
+# A conflict on the first path, then twelve forks that exhaust a fuel of 300:
+# a timeout that holds the conflict of its completed paths.
+CONFLICT_THEN_FORKS = (
+    "class A {\n  field static g: int;\n  method m() {\n"
+    "    A::g = 1 @L;\n    A::g = 2 @R;\n    c = 1;\n"
+    + "".join(f"    if c {{\n      w{i} = 1;\n    }}\n" for i in range(12))
+    + "  }\n}\n"
+)

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CONFLICT_THEN_FORKS
 from oadetect.cli import main
 from oadetect.harness import bundled_corpus_dir
+from oadetect.reporting import parse_records
 
 
 def corpus_path(name: str) -> str:
@@ -30,6 +32,25 @@ def test_analyze_fuel_starved_times_out(capsys):
     code = main(["analyze", "--mode", "nopa", "--fuel", "100", corpus_path("deep_hierarchy")])
     assert code == 2
     assert "verdict: timeout" in capsys.readouterr().out
+
+
+def test_analyze_timeout_prints_no_report_but_records_the_conflict(tmp_path, capsys):
+    # A budget-cut run keeps the conflicts of its completed paths in the
+    # records, but only a true verdict may print a report.
+    src = tmp_path / "a.mir"
+    src.write_text(CONFLICT_THEN_FORKS)
+    out_dir = tmp_path / "rec"
+    code = main([
+        "analyze", "--deterministic", "--mode", "nopa", "--fuel", "300",
+        "--out", str(out_dir), str(src),
+    ])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "verdict: timeout" in out
+    assert "Interference" not in out
+    (record,) = parse_records((out_dir / "records.jsonl").read_text())
+    assert record["verdict"] == "timeout"
+    assert record["conflicts"] == [{"element": "<A: int g>", "over_line": 5, "under_line": 4}]
 
 
 def test_analyze_multiple_modes_conflict_wins(capsys):

@@ -51,19 +51,15 @@ def reference_scan(events, ctx: DetectionContext, conflicts: dict) -> None:
             break
 
 
-def reference_detect(p, entry, mode: Mode, bud, early_exit: bool = False):
+def reference_detect(p, entry, mode: Mode, bud):
     """Verdict, conflicts, miss-references and counters of the reference."""
-    cha = build_cha_graph(p, entry) if mode in (Mode.NOPA, Mode.HYBRID) else None
-    pts = solve(p, pa_entry_points(p)) if mode in (Mode.PA, Mode.HYBRID) else None
+    cha = build_cha_graph(p, entry) if mode.uses_cha else None
+    pts = solve(p, pa_entry_points(p)) if mode.uses_pts else None
     ctx = DetectionContext(p, mode, bud, cha=cha, pts=pts)
     conflicts: dict = {}
-    stopped_early = False
     for path in enumerate_write_paths(p, entry, bud, mode, ctx=ctx):
         reference_scan(path, ctx, conflicts)
-        if early_exit and conflicts:
-            stopped_early = True
-            break
-    if ctx.timed_out and not stopped_early:
+    if ctx.timed_out:
         verdict = Verdict.TIMEOUT
     elif conflicts:
         verdict = Verdict.TRUE
@@ -97,9 +93,9 @@ def outcome_fields(outcome):
     )
 
 
-def assert_matches_reference(p, entry, mode: Mode, bud, early_exit: bool = False) -> None:
-    got = outcome_fields(detect(p, entry, mode, budget=bud, early_exit=early_exit))
-    assert got == reference_detect(p, entry, mode, bud, early_exit)
+def assert_matches_reference(p, entry, mode: Mode, bud) -> None:
+    got = outcome_fields(detect(p, entry, mode, budget=bud))
+    assert got == reference_detect(p, entry, mode, bud)
 
 
 def seed_cases(offset: int, count: int):
@@ -115,13 +111,18 @@ def test_reference_scan_is_not_in_the_engine():
     assert not hasattr(engine, "_scan_path")
 
 
-@pytest.mark.parametrize("early_exit", [False, True])
+@pytest.mark.parametrize("cut", [False, True])
 @pytest.mark.parametrize("name", BUNDLED)
-def test_bundled_scenarios_match_reference(name, early_exit):
+def test_bundled_scenarios_match_reference(name, cut):
     program, units = scenario_units(load_bundled(name))
     for _, entry in units:
         for mode in ALL_MODES:
-            assert_matches_reference(program, entry, mode, budget(), early_exit)
+            bud = budget()
+            if cut:
+                # Half the fuel and paths the full run used: every unit stops part-way.
+                full = detect(program, entry, mode, budget=bud).stats
+                bud = budget(fuel=max(1, full.visited // 2), path_cap=max(1, full.paths // 2))
+            assert_matches_reference(program, entry, mode, bud)
 
 
 def test_random_programs_match_reference():
@@ -129,7 +130,6 @@ def test_random_programs_match_reference():
     for _, p, entry in seed_cases(3000, 24):
         for mode in ALL_MODES:
             assert_matches_reference(p, entry, mode, budget(**PROP_BUDGET))
-        assert_matches_reference(p, entry, Mode.NOPA, budget(**PROP_BUDGET), early_exit=True)
         # Small budgets cut paths mid-way and at the cap.
         assert_matches_reference(p, entry, Mode.PA, budget(fuel=400, path_cap=3))
         checked += 1

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import budget
+from conftest import CONFLICT_THEN_FORKS, budget
 from oadetect.cha import build_cha_graph, resolve_static
 from oadetect.engine import (
     AnalysisBudget,
@@ -10,10 +10,7 @@ from oadetect.engine import (
     Mode,
     Verdict,
     WriteEvent,
-    compare_array,
-    compare_instance_field,
-    compare_local,
-    compare_static_field,
+    compare_heap,
     detect,
     enumerate_write_paths,
     resolve_call,
@@ -57,7 +54,6 @@ def _ev(kind, line=1, prov=Provenance.BASE, method="C.m/0", enclosing="method", 
         provenance=prov,
         method_id=method,
         method_display=f"{cls}.{rest.split('/')[0]}()",
-        method_class=cls,
         enclosing_kind=enclosing,
         **kw,
     )
@@ -70,28 +66,27 @@ def ctx():
 
 
 # ---------------------------------------------------------------------------
-# Comparators
+# Aliasing rules: element keys for LV/SFR, `compare_heap` for IFR/AR
 
 
-def test_compare_local_same_method_same_name():
+def test_compare_local_same_method_same_name(ctx):
     a = _ev("LV", local="x")
     b = _ev("LV", line=2, local="x")
-    assert compare_local(a, b).match
+    assert a.element_key() == b.element_key()
+    assert same_element(a, b, Mode.NOPA, ctx)
 
 
-def test_compare_local_different_method():
+def test_compare_local_different_method(ctx):
     a = _ev("LV", local="x", method="C.m/0")
     b = _ev("LV", local="x", method="C.n/0")
-    assert not compare_local(a, b).match
+    assert a.element_key() != b.element_key()
+    assert not same_element(a, b, Mode.NOPA, ctx)
 
 
-def test_compare_local_different_name():
-    assert not compare_local(_ev("LV", local="x"), _ev("LV", line=2, local="y")).match
-
-
-def test_compare_local_kind_mismatch_errors():
-    with pytest.raises(MirError, match="expected two LV"):
-        compare_local(_ev("LV", local="x"), _ev("SFR", static_cls="C", field_name="g"))
+def test_compare_local_different_name(ctx):
+    a, b = _ev("LV", local="x"), _ev("LV", line=2, local="y")
+    assert a.element_key() != b.element_key()
+    assert not same_element(a, b, Mode.NOPA, ctx)
 
 
 def _ifr(line, base, base_type, field=("D", "f", "int"), pts=None, prov=Provenance.BASE,
@@ -113,7 +108,7 @@ def _ifr(line, base, base_type, field=("D", "f", "int"), pts=None, prov=Provenan
 def test_ifr_pa_overlapping_points_to(ctx):
     a = _ifr(1, "this", "D", pts=frozenset({0}))
     b = _ifr(2, "this", "D", pts=frozenset({0, 1}))
-    res = compare_instance_field(a, b, Mode.PA, ctx)
+    res = compare_heap(a, b, Mode.PA, ctx.program)
     assert res.match and not res.missrefs
 
 
@@ -121,58 +116,71 @@ def test_ifr_nopa_same_class_different_constructors(ctx):
     # Two constructors of one class: the same-constructor exclusion is off.
     a = _ifr(1, "a", "D", method="D.<init>/1", enclosing="constructor")
     b = _ifr(2, "b", "D", method="D.<init>/2", enclosing="constructor")
-    assert compare_instance_field(a, b, Mode.NOPA, ctx).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.program).match
 
 
 def test_ifr_nopa_subtype_bases_are_related(ctx):
     a = _ifr(1, "a", "A")
     b = _ifr(2, "b", "D")
-    assert compare_instance_field(a, b, Mode.NOPA, ctx).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.program).match
 
 
 def test_ifr_same_constructor_excluded(ctx):
     a = _ifr(1, "this", "D", method="D.<init>/1", enclosing="constructor")
     b = _ifr(2, "this", "D", method="D.<init>/1", enclosing="constructor")
-    assert not compare_instance_field(a, b, Mode.NOPA, ctx).match
-    assert not compare_instance_field(
+    assert not compare_heap(a, b, Mode.NOPA, ctx.program).match
+    assert not compare_heap(
         _ifr(1, "this", "D", pts=frozenset({0}), method="D.<init>/1", enclosing="constructor"),
         _ifr(2, "this", "D", pts=frozenset({0}), method="D.<init>/1", enclosing="constructor"),
         Mode.PA,
-        ctx,
+        ctx.program,
     ).match
 
 
 def test_ifr_pa_disjoint_points_to(ctx):
     a = _ifr(1, "a", "D", pts=frozenset({0}))
     b = _ifr(2, "b", "D", pts=frozenset({1}))
-    assert not compare_instance_field(a, b, Mode.PA, ctx).match
+    assert not compare_heap(a, b, Mode.PA, ctx.program).match
+
+
+def test_hybrid_compares_heap_writes_by_points_to(ctx):
+    # Related base types, disjoint sets: only the points-to rule refuses.
+    for make in (lambda line, pts: _ifr(line, "a", "D", pts=pts),
+                 lambda line, pts: _ar(line, "arr", "D[]", 0, pts=pts)):
+        a, b = make(1, frozenset({0})), make(2, frozenset({1}))
+        assert compare_heap(a, b, Mode.NOPA, ctx.program).match
+        for mode in (Mode.PA, Mode.HYBRID):
+            assert compare_heap(a, b, mode, ctx.program) == (False, ())
+            # An empty set logs its write and falls back to the base types.
+            res = compare_heap(a, make(2, None), mode, ctx.program)
+            assert res.match and [m.pos.line for m in res.missrefs] == [2]
 
 
 def test_ifr_pa_miss_falls_back_to_name_rule(ctx):
     # Unrelated base types: the fallback refuses the match but logs the miss.
     a = _ifr(1, "a", "U", field=("U", "f", "int"))
     b = _ifr(2, "b", "D", field=("U", "f", "int"))
-    res = compare_instance_field(a, b, Mode.PA, ctx)
+    res = compare_heap(a, b, Mode.PA, ctx.program)
     assert res.missrefs and not res.match
     assert len(res.missrefs) == 2
     assert all(m.reason == "empty-pts" for m in res.missrefs)
     # Related base types: the fallback accepts.
     c = _ifr(1, "a", "A")
     d = _ifr(2, "b", "D")
-    res2 = compare_instance_field(c, d, Mode.PA, ctx)
+    res2 = compare_heap(c, d, Mode.PA, ctx.program)
     assert res2.missrefs and res2.match
 
 
 def test_ifr_nopa_unrelated_bases(ctx):
     a = _ifr(1, "a", "U", field=("U", "f", "int"))
     b = _ifr(2, "b", "D", field=("U", "f", "int"))
-    assert not compare_instance_field(a, b, Mode.NOPA, ctx).match
+    assert not compare_heap(a, b, Mode.NOPA, ctx.program).match
 
 
 def test_ifr_different_fields_never_match(ctx):
     a = _ifr(1, "this", "D", field=("D", "f", "int"), pts=frozenset({0}))
     b = _ifr(2, "this", "D", field=("D", "g", "int"), pts=frozenset({0}))
-    assert not compare_instance_field(a, b, Mode.PA, ctx).match
+    assert not compare_heap(a, b, Mode.PA, ctx.program).match
 
 
 def _ar(line, base, base_type, index, pts=None, method="C.m/0", enclosing="method"):
@@ -191,33 +199,36 @@ def _ar(line, base, base_type, index, pts=None, method="C.m/0", enclosing="metho
 def test_ar_nopa_same_class_same_index_local(ctx):
     a = _ar(1, "arr1", "D[]", "i")
     b = _ar(2, "arr2", "D[]", "i")
-    assert compare_array(a, b, Mode.NOPA, ctx).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.program).match
 
 
 def test_ar_distinct_constant_indexes(ctx):
-    assert not compare_array(_ar(1, "arr", "D[]", 0), _ar(2, "arr", "D[]", 1), Mode.NOPA, ctx).match
+    assert not compare_heap(_ar(1, "arr", "D[]", 0), _ar(2, "arr", "D[]", 1), Mode.NOPA, ctx.program).match
 
 
 def test_ar_pa_disjoint_sites(ctx):
     a = _ar(1, "arr1", "D[]", "i", pts=frozenset({0}))
     b = _ar(2, "arr2", "D[]", "i", pts=frozenset({1}))
-    assert not compare_array(a, b, Mode.PA, ctx).match
+    assert not compare_heap(a, b, Mode.PA, ctx.program).match
 
 
 def test_ar_constant_vs_local_index_is_eligible(ctx):
     a = _ar(1, "arr1", "D[]", 0)
     b = _ar(2, "arr2", "D[]", "i")
-    assert compare_array(a, b, Mode.NOPA, ctx).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.program).match
 
 
-def test_sfr_matches_on_class_name_type():
+def test_sfr_matches_on_class_name_type(ctx):
     a = _ev("SFR", static_cls="C", field_name="g", static_type="int")
     b = _ev("SFR", line=2, static_cls="C", field_name="g", static_type="int")
-    assert compare_static_field(a, b).match
+    assert a.element_key() == b.element_key()
+    assert same_element(a, b, Mode.NOPA, ctx)
     c = _ev("SFR", line=3, static_cls="D", field_name="g", static_type="int")
-    assert not compare_static_field(a, c).match
     d = _ev("SFR", line=4, static_cls="C", field_name="g", static_type="Report")
-    assert not compare_static_field(a, d).match
+    e = _ev("SFR", line=5, static_cls="C", field_name="h", static_type="int")
+    for other in (c, d, e):
+        assert a.element_key() != other.element_key()
+        assert not same_element(a, other, Mode.NOPA, ctx)
 
 
 def test_same_element_kind_mismatch(ctx):
@@ -355,13 +366,15 @@ def test_enumerate_fig1_advanced_covers_target_product(fig1_advanced):
     paths = list(enumerate_write_paths(p, entry, budget(), Mode.NOPA))
     assert len(paths) == 4
     covered = {
-        tuple(ev.method_class for ev in path if ev.kind == "IFR") for path in paths
+        tuple(ev.method_id for ev in path if ev.kind == "IFR") for path in paths
     }
+    simple, advanced = "ReportSimple.countDupWords/0", "ReportAdvanced.countDupWords/0"
+    simple_ws, advanced_ws = "ReportSimple.countDupWhiteSpace/0", "ReportAdvanced.countDupWhiteSpace/0"
     assert covered == {
-        ("ReportSimple", "ReportSimple"),
-        ("ReportSimple", "ReportAdvanced"),
-        ("ReportAdvanced", "ReportSimple"),
-        ("ReportAdvanced", "ReportAdvanced"),
+        (simple, simple_ws),
+        (simple, advanced_ws),
+        (advanced, simple_ws),
+        (advanced, advanced_ws),
     }
 
 
@@ -468,22 +481,12 @@ def test_depth_limit_hides_writes_beyond_five_calls():
     assert out.verdict is Verdict.FALSE
 
 
-def test_timeout_retains_partial_conflicts_and_early_exit():
-    # A conflict in the first path, then a fork explosion exhausting fuel.
-    forks = "".join(
-        f"    if c {{\n      w{i} = 1;\n    }}\n" for i in range(12)
-    )
-    src = (
-        "class A {\n  field static g: int;\n  method m() {\n"
-        "    A::g = 1 @L;\n    A::g = 2 @R;\n    c = 1;\n" + forks + "  }\n}\n"
-    )
-    p = parse_source(src)
+def test_timeout_retains_partial_conflicts():
+    p = parse_source(CONFLICT_THEN_FORKS)
     entry = find_method(p, "A.m")
     out = detect(p, entry, Mode.NOPA, budget=budget(fuel=300, path_cap=100000))
     assert out.verdict is Verdict.TIMEOUT
     assert out.conflicts  # partial results retained
-    early = detect(p, entry, Mode.NOPA, budget=budget(fuel=300, path_cap=100000), early_exit=True)
-    assert early.verdict is Verdict.TRUE
 
 
 def test_library_entry_parameters_fall_back_with_missrefs():

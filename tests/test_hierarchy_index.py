@@ -21,6 +21,7 @@ from oadetect.mir import (
     Program,
     all_methods,
     constructor_of,
+    field_of,
     implementers_of,
     lca_type,
     methods_by_id,
@@ -28,6 +29,7 @@ from oadetect.mir import (
     resolve_method,
     resolve_static_field,
     resolve_static_method,
+    static_field_of,
     subtype_of,
     supertypes_of,
 )
@@ -136,6 +138,19 @@ def ref_field(p, cls_name, fname, static):
     return None
 
 
+def ref_field_of(p, cls_name, fname):
+    hit = ref_field(p, cls_name, fname, False)
+    if hit is None:
+        found = [(c.name, f) for c in p.classes for f in c.fields if f.name == fname and not f.static]
+        hit = found[0] if len(found) == 1 else None
+    return (hit[0], hit[1].type) if hit is not None else None
+
+
+def ref_static_field_of(p, cls_name, fname):
+    hit = ref_field(p, cls_name, fname, True)
+    return (hit[0], hit[1].type) if hit is not None else (cls_name, None)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -180,7 +195,12 @@ def assert_index_matches(p: Program) -> int:
         for fname in field_names:
             assert resolve_field(p, cls, fname) == ref_field(p, cls, fname, False)
             assert resolve_static_field(p, cls, fname) == ref_field(p, cls, fname, True)
-            asked += 2
+            assert field_of(p, cls, fname) == ref_field_of(p, cls, fname)
+            assert static_field_of(p, cls, fname) == ref_static_field_of(p, cls, fname)
+            asked += 4
+    for fname in field_names + ["noSuchField"]:
+        assert field_of(p, None, fname) == ref_field_of(p, None, fname)
+        asked += 1
     return asked
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from oadetect.frontend import parse_source
@@ -134,12 +136,45 @@ def test_entry_parameters_stay_empty():
     p = parse_source(src)
     r = solve(p)
     assert pts_of(r, ("Lib.m/1", "p")) is MISS
-    assert ("l", "Lib.m/1", "p") in r.entry_param_vars
 
 
 def test_solver_reaches_fixpoint(fig1_simple, mkref_scenario):
     for p, _ in (fig1_simple, mkref_scenario):
         assert is_closed(p, solve(p))
+
+
+COPY_CHAIN = (
+    "class A {\n}\nclass Main {\n  public static method main() {\n"
+    "    x = new A();\n    y = x;\n    z = new A();\n  }\n}\n"
+)
+
+
+def test_is_closed_sees_a_set_missing_what_a_constraint_feeds():
+    p = parse_source(COPY_CHAIN)
+    r = solve(p)
+    y = ("l", "Main.main/0", "y")
+    assert r.pts[y] == {0}
+    pts = {var: sids for var, sids in r.pts.items() if var != y}
+    assert not is_closed(p, replace(r, pts=pts))
+
+
+def test_is_closed_sees_a_missing_call_edge_or_method(fig1_simple):
+    p, _ = fig1_simple
+    r = solve(p)
+    edge = next(e for e in sorted(r.callgraph.edges) if e.target == "ReportSimple.countDupWords/0")
+    fewer_edges = replace(r.callgraph, edges=r.callgraph.edges - {edge})
+    assert not is_closed(p, replace(r, callgraph=fewer_edges))
+    fewer_nodes = replace(r.callgraph, nodes=r.callgraph.nodes - {edge.target})
+    assert not is_closed(p, replace(r, callgraph=fewer_nodes))
+
+
+def test_is_closed_accepts_a_larger_set_that_feeds_nothing():
+    # Closure, not equality with a fresh solve: an extra site in `y`, which
+    # no constraint reads, leaves every constraint satisfied.
+    p = parse_source(COPY_CHAIN)
+    r = solve(p)
+    y = ("l", "Main.main/0", "y")
+    assert is_closed(p, replace(r, pts={**r.pts, y: frozenset({0, 1})}))
 
 
 def test_solver_deterministic(fig1_advanced):
