@@ -113,48 +113,79 @@ def join_envs(a: TypeEnv, b: TypeEnv, p: Program) -> TypeEnv:
     return out
 
 
-def _operand_type(o, env: TypeEnv, p: Program) -> Optional[str]:
+def operand_type(o, env: TypeEnv) -> Optional[str]:
+    """The static type of an operand: a literal's, or a local's in `env`."""
     if isinstance(o, Const):
         return "int" if isinstance(o.value, int) else "String"
     return env.get(o)
 
 
-def transfer_type(st: Stmt, env: TypeEnv, p: Program) -> TypeEnv:
-    """Env after one simple statement (blocks are not entered).
+# How a type rule finds the type it binds.
+CONST = "const"  # `arg` is the type
+OPERAND = "operand"  # the type of operand `arg`, a literal or a local
+FIELD = "field"  # the declared type of field `arg[1]` through local `arg[0]`
+ELEM = "elem"  # the element type of array local `arg`
 
-    Returns the input env unchanged when the statement binds no local; the
-    result must be treated as shared and never mutated in place.
+
+def type_rule(st: Stmt, p: Program) -> Optional[tuple]:
+    """The binding one simple statement makes, as a `(target, how, arg)`
+    rule: local `target` gets the type `how` finds from `arg`. None when the
+    statement binds no local.
+
+    Blocks are not entered. This is the one transfer rule: `transfer_type`
+    applies it here and the engine applies it to its lowered statements.
+    (Rules are plain tuples because CHA builds one per statement visit.)
     """
     if isinstance(st, AllocAssign):
-        binding = (st.target, st.cls)
-    elif isinstance(st, ReflectiveAssign):
-        binding = (st.target, st.type)
-    elif isinstance(st, ArrayAlloc):
-        binding = (st.target, st.elem_type + "[]")
-    elif isinstance(st, CopyAssign):
-        binding = (st.target, _operand_type(st.source, env, p))
-    elif isinstance(st, FieldLoad):
-        hit = field_of(p, env.get(st.base), st.field)
-        binding = (st.target, hit[1] if hit is not None else None)
-    elif isinstance(st, StaticLoad):
-        binding = (st.target, static_field_of(p, st.cls, st.field)[1])
-    elif isinstance(st, ArrayLoad):
-        base = env.get(st.base)
-        binding = (st.target, base[:-2] if base and base.endswith("[]") else None)
-    elif isinstance(st, (VirtualCall, StaticCall)):
-        if st.result is None:
-            return env
-        binding = (st.result, None)  # no declared return types
-    elif isinstance(st, OpaqueOp):
-        binding = (st.target, "int")
+        return (st.target, CONST, st.cls)
+    if isinstance(st, ReflectiveAssign):
+        return (st.target, CONST, st.type)
+    if isinstance(st, ArrayAlloc):
+        return (st.target, CONST, st.elem_type + "[]")
+    if isinstance(st, CopyAssign):
+        return (st.target, OPERAND, st.source)
+    if isinstance(st, FieldLoad):
+        return (st.target, FIELD, (st.base, st.field))
+    if isinstance(st, StaticLoad):
+        return (st.target, CONST, static_field_of(p, st.cls, st.field)[1])
+    if isinstance(st, ArrayLoad):
+        return (st.target, ELEM, st.base)
+    if isinstance(st, (VirtualCall, StaticCall)):
+        # No declared return types.
+        return (st.result, CONST, None) if st.result is not None else None
+    if isinstance(st, OpaqueOp):
+        return (st.target, CONST, "int")
+    return None
+
+
+def apply_rule(rule: tuple, env: TypeEnv, p: Program) -> TypeEnv:
+    """Env after `rule`'s binding.
+
+    Returns the input env unchanged when the binding changes nothing; the
+    result must be treated as shared and never mutated in place.
+    """
+    target, how, arg = rule
+    if how == CONST:
+        value = arg
+    elif how == OPERAND:
+        value = operand_type(arg, env)
+    elif how == FIELD:
+        hit = field_of(p, env.get(arg[0]), arg[1])
+        value = hit[1] if hit is not None else None
     else:
-        return env
-    name, value = binding
-    if env.get(name, "\0absent") == value:
+        base = env.get(arg)
+        value = base[:-2] if base and base.endswith("[]") else None
+    if env.get(target, "\0absent") == value:
         return env
     out = dict(env)
-    out[name] = value
+    out[target] = value
     return out
+
+
+def transfer_type(st: Stmt, env: TypeEnv, p: Program) -> TypeEnv:
+    """Env after one simple statement (blocks are not entered); see `apply_rule`."""
+    rule = type_rule(st, p)
+    return env if rule is None else apply_rule(rule, env, p)
 
 
 def initial_env(method: MethodDef, param_types=None) -> TypeEnv:
@@ -247,7 +278,7 @@ def _scan_sites(body, env: TypeEnv, sites: dict, p: Program) -> TypeEnv:
                 info.recv_type = recv
             else:
                 info.recv_type = _join_type(info.recv_type, recv, p)
-            arg_types = [_operand_type(a, env, p) for a in st.args]
+            arg_types = [operand_type(a, env) for a in st.args]
             if info.arg_types is None:
                 info.arg_types = arg_types
             else:

@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .cha import build_cha_graph
 from .engine import AnalysisBudget, Mode, Verdict
-from .frontend import ProvenanceMap, SourceUnit, apply_sidecar, entry_candidates, parse_program
-from .harness import Scenario, load_corpus, load_scenario, run_corpus, run_scenario, write_tables
+from .frontend import ProvenanceMap, SourceUnit, apply_sidecar, entry_candidates, parse_program, read_text
+from .harness import Scenario, load_scenario, run_corpus, run_scenario, scenario_dirs, write_tables
 from .mir import MirError, find_method
 from .pointsto import dump_pts, pa_entry_points, solve
 from .reporting import build_reports, emit_records, render_text
@@ -72,9 +72,9 @@ def _load_sources(paths: list[str]) -> list[SourceUnit]:
         path = Path(raw)
         if path.is_dir():
             for f in sorted(path.glob("*.mir")):
-                units.append(SourceUnit(f.name, f.read_text()))
+                units.append(SourceUnit(f.name, read_text(f)))
         else:
-            units.append(SourceUnit(path.name, path.read_text()))
+            units.append(SourceUnit(path.name, read_text(path)))
     return units
 
 
@@ -84,10 +84,18 @@ def _parse_modes(values: list[str]) -> list[Mode]:
     return [Mode(v) for v in values]
 
 
+def _mode_list(text: str) -> list[Mode]:
+    """`--modes`: a comma-separated list of mode names."""
+    try:
+        return [Mode(v) for v in text.split(",")]
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{e}; choose from {', '.join(m.value for m in Mode)}") from None
+
+
 def _analyze_scenario(args) -> Scenario:
     """The scenario an `analyze` call names: one scenario directory or loose
     sources. `--sidecar` and `--entry` take precedence over its manifest."""
-    sidecar = ProvenanceMap.from_json(Path(args.sidecar).read_text()) if args.sidecar else None
+    sidecar = ProvenanceMap.from_json(read_text(args.sidecar)) if args.sidecar else None
     single = Path(args.sources[0]) if len(args.sources) == 1 else None
     if single is not None and (single / "scenario.json").exists():
         scenario = load_scenario(single)
@@ -134,14 +142,11 @@ def cmd_corpus(args) -> int:
     budget = _budget(args)
     _require(args.reps >= 1, "--reps", "at least 1", args.reps)
     root = Path(args.root)
-    if (root / "scenario.json").exists():
-        corpus = [load_scenario(root)]
-    else:
-        corpus = load_corpus(root)
+    corpus = [root] if (root / "scenario.json").exists() else scenario_dirs(root)
     if not corpus:
         print(f"no scenarios under {root}", file=sys.stderr)
         return EXIT_ERROR
-    modes = [Mode(v) for v in args.modes.split(",")]
+    modes = args.modes
     run = run_corpus(corpus, modes, budget=budget, reps=args.reps)
     outdir = Path(args.out)
     write_tables(run, modes, outdir)
@@ -169,7 +174,7 @@ def cmd_corpus(args) -> int:
 def cmd_dump_graph(args) -> int:
     program = parse_program(_load_sources(args.sources))
     if args.sidecar:
-        apply_sidecar(program, ProvenanceMap.from_json(Path(args.sidecar).read_text()))
+        apply_sidecar(program, ProvenanceMap.from_json(read_text(args.sidecar)))
     mode = Mode(args.mode)
     if mode is Mode.NOPA:
         entries = (
@@ -207,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus = sub.add_parser("corpus", help="evaluate a corpus of scenario directories")
     corpus.add_argument("--root", required=True, help="directory of scenario directories")
-    corpus.add_argument("--modes", default="nopa,pa", help="comma-separated mode list")
+    corpus.add_argument("--modes", type=_mode_list, default="nopa,pa", help="comma-separated mode list")
     corpus.add_argument("--reps", type=int, default=10, help="timing repetitions per unit")
     corpus.add_argument("--out", default="oa-results", help="output directory for tables")
     _add_budget_flags(corpus)

@@ -24,6 +24,17 @@ additionally widens unresolvable calls to the hierarchy-based targets
 instead of dropping them. `Mode.uses_cha` and `Mode.uses_pts` say which
 graphs a mode reads.
 
+The enumerator steps over a lowered form, not over statements. Each method
+it enters is lowered once per `detect` or `enumerate_write_paths` call, on
+first entry, into a list of ops (nested `if`/`while` blocks with it). An op
+holds an opcode and what every visit shares: the method's id, display and
+kind, the call hop and the resolved call targets or constructor, the
+`static_field_of` answer, the written base's points-to set, the type rule
+(`cha.type_rule`, the one transfer rule that `cha.transfer_type` applies
+too) and a template of the write event. A visit adds only what depends on
+the path: the call path, the provenance inherited from it (kept on the
+frame), and for heap writes the base type and the `field_of` triple on it.
+
 The scan runs as the enumerator appends each write event, so every write is
 scanned once however many paths share it. The LV/SFR rule is an equality,
 so a last-writer dict keyed by `element_key()` gives a write's most recent
@@ -53,30 +64,32 @@ exhausting any of them yields a TIMEOUT verdict.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
-from .cha import CallGraph, build_cha_graph, initial_env, resolve_static, transfer_type, _operand_type, _resolve_virtual
+from .cha import (
+    CallGraph,
+    apply_rule,
+    build_cha_graph,
+    cha_resolve,
+    initial_env,
+    operand_type,
+    resolve_static,
+    type_rule,
+)
 from .mir import (
     AllocAssign,
-    ArrayAlloc,
-    ArrayLoad,
     ArrayStore,
-    CopyAssign,
-    FieldLoad,
     FieldStore,
     If,
     MethodDef,
     MirError,
-    OpaqueOp,
     Position,
     Program,
     Provenance,
-    ReflectiveAssign,
     Return,
     StaticCall,
-    StaticLoad,
     StaticStore,
     VirtualCall,
     While,
@@ -287,22 +300,6 @@ def _written(ev: WriteEvent) -> str:
     return f"{ev.base}.{ev.field_name}" if ev.kind == IFR else f"{ev.base}[{ev.index}]"
 
 
-def same_element(a: WriteEvent, b: WriteEvent, mode: Mode, ctx: DetectionContext) -> bool:
-    """Whether two writes touch the same element; records miss-references into ctx.
-
-    LV and SFR writes do exactly when their `element_key()`s are equal; IFR
-    and AR writes are compared by `compare_heap`.
-    """
-    if a.kind != b.kind:
-        return False
-    if a.kind == LV or a.kind == SFR:
-        return a.element_key() == b.element_key()
-    res = compare_heap(a, b, mode, ctx.program)
-    for miss in res.missrefs:
-        ctx.record_missref(miss)
-    return res.match
-
-
 # ---------------------------------------------------------------------------
 # Detection context and call resolution
 
@@ -360,19 +357,17 @@ class DetectionContext:
         return got if got else None
 
 
-def resolve_call(st: VirtualCall, caller_mid: str, ctx: DetectionContext):
+def resolve_call(st: VirtualCall, ctx: DetectionContext):
     """Targets of a virtual site under the context's mode.
 
     Returns (methods, missref-or-None). In pa mode an unresolvable site
     contributes no targets; hybrid widens it to the hierarchy-based targets.
     """
-    p = ctx.program
 
     def cha_targets() -> list[MethodDef]:
         ids = ctx.cha.targets_at(st.pos) if ctx.cha is not None else []
         if not ids and (ctx.cha is None or not ctx.cha.has_site(st.pos)):
-            defs = _resolve_virtual(p, None, st.method, len(st.args), st.pos)
-            ids = sorted(m.id for m in defs)
+            ids = sorted(cha_resolve(st, ctx.program))
         return [ctx.by_id[i] for i in ids]
 
     if not ctx.mode.uses_pts:
@@ -388,94 +383,194 @@ def resolve_call(st: VirtualCall, caller_mid: str, ctx: DetectionContext):
 
 
 # ---------------------------------------------------------------------------
+# Lowered form (see the module docstring)
+#
+# Event templates are complete `WriteEvent` field dicts. An event is a
+# template copied into a fresh instance's `__dict__` plus its dynamic
+# fields, which skips the frozen dataclass's per-field `__init__`; equality
+# and hash read the same fields either way.
+
+_WRITE, _HEAP, _ALLOC, _CALL, _IF, _WHILE, _RETURN = range(7)
+
+_EVENT_FIELDS = tuple(f.name for f in dc_fields(WriteEvent))
+
+
+class _Method:
+    """A method as the enumerator enters it: id, display and kind computed
+    once, and its ops once it has been entered."""
+
+    __slots__ = ("mdef", "id", "display", "kind", "ops")
+
+    def __init__(self, mdef: MethodDef):
+        self.mdef = mdef
+        self.id = mdef.id
+        self.display = mdef.display
+        self.kind = mdef.kind
+        self.ops: Optional[list[_Op]] = None
+
+
+class _Op:
+    """One lowered statement: an opcode and its static payload.
+
+    _WRITE   an LV or SFR write: `template`, its element `key`, and the
+             type `rule` (None for a static store)
+    _HEAP    an IFR or AR write: `template`, `base` and, for IFR, `field`
+    _ALLOC   the LV write of an allocation, as _WRITE, then `hop` and `ctor`
+    _CALL    `hop` and `targets` (resolved on first visit); `result` is the
+             _WRITE op of the result local, or None
+    _IF, _WHILE  `alts`, the alternatives the choice point tries in order
+    _RETURN  nothing
+    """
+
+    __slots__ = ("code", "st", "prov", "template", "key", "rule", "base", "field",
+                 "ctor", "hop", "targets", "result", "alts")
+
+    def __init__(self, code: int, st):
+        self.code = code
+        self.st = st
+        # The statement's own side, None for BASE: a BASE write, and a body a
+        # BASE call enters, take the provenance their path inherits.
+        self.prov = st.provenance if st.provenance is not Provenance.BASE else None
+        self.template = self.key = self.rule = self.base = self.field = None
+        self.ctor = self.hop = self.targets = self.result = self.alts = None
+
+
+def _instantiate(template: dict, call_path: tuple, provenance: Provenance) -> WriteEvent:
+    ev = object.__new__(WriteEvent)
+    d = ev.__dict__
+    d.update(template)
+    d["call_path"] = call_path
+    d["provenance"] = provenance
+    return ev
+
+
+class _Lowering:
+    """The methods entered under one context, each lowered on first entry."""
+
+    def __init__(self, ctx: DetectionContext):
+        self.ctx = ctx
+        self.methods: dict[str, _Method] = {}
+
+    def method(self, mdef: MethodDef) -> _Method:
+        m = self.methods.get(mdef.id)
+        if m is None:
+            m = self.methods[mdef.id] = _Method(mdef)
+        return m
+
+    def ops(self, m: _Method) -> list[_Op]:
+        if m.ops is None:
+            m.ops = self.block(m.mdef.body, m)
+        return m.ops
+
+    def targets(self, op: _Op) -> list[_Method]:
+        """A call op's targets, resolved on its first visit.
+
+        Its miss-reference is recorded then; recorded misses are never
+        undone, so once is as good as once per visit.
+        """
+        if op.targets is None:
+            st, ctx = op.st, self.ctx
+            if isinstance(st, VirtualCall):
+                defs, miss = resolve_call(st, ctx)
+                if miss is not None:
+                    ctx.record_missref(miss)
+            else:
+                defs = [resolve_static(ctx.program, st)]
+            op.targets = [self.method(d) for d in defs]
+        return op.targets
+
+    def block(self, stmts, m: _Method) -> list[_Op]:
+        return [self.stmt(st, m) for st in stmts]
+
+    def stmt(self, st, m: _Method) -> _Op:
+        p = self.ctx.program
+        if isinstance(st, If):
+            op = _Op(_IF, st)
+            op.alts = [("block", self.block(st.then_body, m)), ("block", self.block(st.else_body, m))]
+        elif isinstance(st, While):
+            op = _Op(_WHILE, st)
+            op.alts = [("skip",), ("block", self.block(st.body, m))]
+        elif isinstance(st, Return):
+            op = _Op(_RETURN, st)
+        elif isinstance(st, (VirtualCall, StaticCall)):
+            op = _Op(_CALL, st)
+            op.hop = Hop(m.id, m.display, st.pos, st.provenance)
+            if st.result is not None:
+                op.result = self._write(_Op(_WRITE, st), m, LV, local=st.result)
+        elif isinstance(st, AllocAssign):
+            op = self._write(_Op(_ALLOC, st), m, LV, local=st.target)
+            op.hop = Hop(m.id, m.display, st.pos, st.provenance)
+            ctor = constructor_of(p, st.cls, len(st.args))
+            op.ctor = self.method(ctor) if ctor is not None else None
+        elif isinstance(st, FieldStore):
+            op = self._heap(st, m, IFR, field_name=st.field)
+            op.field = st.field
+        elif isinstance(st, ArrayStore):
+            op = self._heap(st, m, AR, index=st.index)
+        elif isinstance(st, StaticStore):
+            decl, ftype = static_field_of(p, st.cls, st.field)
+            op = self._write(_Op(_WRITE, st), m, SFR, static_cls=decl, field_name=st.field, static_type=ftype)
+        else:  # a copy, mkref, op, newarr or load: a local write
+            op = self._write(_Op(_WRITE, st), m, LV, local=st.target)
+        return op
+
+    def _template(self, st, m: _Method, kind: str, **payload) -> dict:
+        template = dict.fromkeys(_EVENT_FIELDS)
+        template.update(kind=kind, pos=st.pos, method_id=m.id, method_display=m.display,
+                        enclosing_kind=m.kind, call_path=(), **payload)
+        return template
+
+    def _write(self, op: _Op, m: _Method, kind: str, **payload) -> _Op:
+        op.template = self._template(op.st, m, kind, **payload)
+        op.key = _instantiate(op.template, (), Provenance.BASE).element_key()
+        op.rule = type_rule(op.st, self.ctx.program)
+        return op
+
+    def _heap(self, st, m: _Method, kind: str, **payload) -> _Op:
+        op = _Op(_HEAP, st)
+        op.base = st.base
+        op.template = self._template(st, m, kind, base=st.base,
+                                     base_pts=self.ctx.base_pts(m.id, st.base), **payload)
+        return op
+
+
+# ---------------------------------------------------------------------------
 # Path enumeration
 #
 # The enumerator is an explicit-stack machine rather than recursion: a single
 # path may inline thousands of statements, well past Python's stack. Frames
-# hold a block in progress; choice points (branches, loops, multi-target
-# calls) snapshot frame cursors and the event count, and backtracking
-# restores them. Envs are copy-on-write, so snapshots can share references.
+# hold a block of ops in progress; choice points (branches, loops,
+# multi-target calls) snapshot frame cursors and the event count, and
+# backtracking restores them. Envs are copy-on-write, so snapshots can share
+# references.
 
 
 class _Frame:
-    __slots__ = ("stmts", "i", "env", "method", "call_path", "on_stack", "kind", "site")
+    __slots__ = ("ops", "i", "env", "call_path", "prov", "on_stack", "kind", "site")
 
-    def __init__(self, stmts, env, method, call_path, on_stack, kind, site=None):
-        self.stmts = stmts
+    def __init__(self, ops, env, call_path, prov, on_stack, kind, site=None):
+        self.ops = ops
         self.i = 0
         self.env = env
-        self.method = method
         self.call_path = call_path
+        self.prov = prov  # the provenance of the nearest changed call on the call path
         self.on_stack = on_stack
         self.kind = kind  # "root" | "body" | "block"
-        self.site = site  # call statement for body frames
+        self.site = site  # call op for body frames
 
 
 class _Enumerator:
     def __init__(self, ctx: DetectionContext, entry: MethodDef):
         self.ctx = ctx
-        self.entry = entry
+        self.lowering = _Lowering(ctx)
+        self.entry = self.lowering.method(entry)
         self.events: list[WriteEvent] = []
         self.frames: list[_Frame] = []
         self.choices: list = []  # (frame list, per-frame (i, env), events length, alternatives)
 
-    # -- event construction
-
-    def _prov(self, st, call_path) -> Provenance:
-        if st.provenance is not Provenance.BASE:
-            return st.provenance
-        for hop in reversed(call_path):
-            if hop.provenance is not Provenance.BASE:
-                return hop.provenance
-        return Provenance.BASE
-
-    def _event(self, st, method: MethodDef, call_path, **payload) -> WriteEvent:
-        return WriteEvent(
-            pos=st.pos,
-            provenance=self._prov(st, call_path),
-            method_id=method.id,
-            method_display=method.display,
-            enclosing_kind=method.kind,
-            call_path=call_path,
-            **payload,
-        )
-
-    def _lv(self, st, frame: _Frame, target) -> WriteEvent:
-        return self._event(st, frame.method, frame.call_path, kind=LV, local=target)
-
-    def _simple_event(self, st, frame: _Frame) -> Optional[WriteEvent]:
-        p = self.ctx.program
-        if isinstance(st, (CopyAssign, ReflectiveAssign, OpaqueOp, ArrayAlloc,
-                           FieldLoad, StaticLoad, ArrayLoad, AllocAssign)):
-            return self._lv(st, frame, st.target)
-        if isinstance(st, FieldStore):
-            base_type = frame.env.get(st.base)
-            hit = field_of(p, base_type, st.field)
-            triple = (hit[0], st.field, hit[1]) if hit is not None else None
-            return self._event(
-                st, frame.method, frame.call_path,
-                kind=IFR, base=st.base, base_type=base_type,
-                base_pts=self.ctx.base_pts(frame.method.id, st.base),
-                field=triple, field_name=st.field,
-            )
-        if isinstance(st, ArrayStore):
-            return self._event(
-                st, frame.method, frame.call_path,
-                kind=AR, base=st.base, base_type=frame.env.get(st.base),
-                base_pts=self.ctx.base_pts(frame.method.id, st.base),
-                index=st.index,
-            )
-        if isinstance(st, StaticStore):
-            decl, ftype = static_field_of(p, st.cls, st.field)
-            return self._event(
-                st, frame.method, frame.call_path,
-                kind=SFR, static_cls=decl, field_name=st.field, static_type=ftype,
-            )
-        return None
-
     # -- per-path event log; `_Scanner` extends these three
 
-    def _append(self, ev: WriteEvent) -> None:
+    def _append(self, ev: WriteEvent, key: Optional[tuple]) -> None:
         self.events.append(ev)
 
     def _truncate(self, n: int) -> None:
@@ -488,24 +583,25 @@ class _Enumerator:
 
     def paths(self) -> Iterator:
         """Yields `_finish_path()` once per completed path."""
+        entry = self.entry
         self.frames = [
-            _Frame(self.entry.body, initial_env(self.entry), self.entry, (),
-                   frozenset({self.entry.id}), "root")
+            _Frame(self.lowering.ops(entry), initial_env(entry.mdef), (), Provenance.BASE,
+                   frozenset({entry.id}), "root")
         ]
+        ctx = self.ctx
         while True:
             if not self.frames:
-                self.ctx.count_path()
+                ctx.count_path()
                 yield self._finish_path()
                 if not self._backtrack():
                     return
                 continue
             frame = self.frames[-1]
-            if frame.i >= len(frame.stmts):
+            if frame.i >= len(frame.ops):
                 self._pop_frame()
                 continue
-            st = frame.stmts[frame.i]
-            self.ctx.tick()
-            self._step(frame, st)
+            ctx.tick()
+            self._step(frame, frame.ops[frame.i])
 
     def _pop_frame(self) -> None:
         done = self.frames.pop()
@@ -514,25 +610,38 @@ class _Enumerator:
         elif done.kind == "body":
             self._complete_call(done.site)
 
-    def _complete_call(self, st) -> None:
-        frame = self.frames[-1]
-        result = getattr(st, "result", None)
-        if result is not None:
-            self._append(self._lv(st, frame, result))
-            env = dict(frame.env)
-            env[result] = None
-            frame.env = env
+    def _write(self, frame: _Frame, op: _Op) -> None:
+        self._append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
+        if op.rule is not None:
+            frame.env = apply_rule(op.rule, frame.env, self.ctx.program)
 
-    def _step(self, frame: _Frame, st) -> None:
-        if isinstance(st, If):
+    def _complete_call(self, site: _Op) -> None:
+        if site.result is not None:
+            self._write(self.frames[-1], site.result)
+
+    def _step(self, frame: _Frame, op: _Op) -> None:
+        code = op.code
+        if code == _WRITE:
+            self._write(frame, op)
             frame.i += 1
-            self._choose([("block", st.then_body), ("block", st.else_body)])
-            return
-        if isinstance(st, While):
+        elif code == _HEAP:
+            base_type = frame.env.get(op.base)
+            ev = _instantiate(op.template, frame.call_path, op.prov or frame.prov)
+            ev.__dict__["base_type"] = base_type
+            if op.field is not None:
+                hit = field_of(self.ctx.program, base_type, op.field)
+                ev.__dict__["field"] = (hit[0], op.field, hit[1]) if hit is not None else None
+            self._append(ev, None)
             frame.i += 1
-            self._choose([("skip",), ("block", st.body)])
-            return
-        if isinstance(st, Return):
+        elif code == _CALL:
+            frame.i += 1
+            self._branch_call(frame, op, self.lowering.targets(op))
+        elif code == _ALLOC:
+            self._write(frame, op)
+            frame.i += 1
+            if op.ctor is not None and self._inlinable(frame, op.ctor):
+                self._push_body(frame, op, op.ctor)
+        elif code == _RETURN:
             while self.frames:
                 done = self.frames.pop()
                 if done.kind == "body":
@@ -540,58 +649,35 @@ class _Enumerator:
                     return
                 if done.kind == "root":
                     return  # path ends at the loop head
-            return
-        if isinstance(st, VirtualCall):
+        else:  # _IF, _WHILE
             frame.i += 1
-            targets, miss = resolve_call(st, frame.method.id, self.ctx)
-            if miss is not None:
-                self.ctx.record_missref(miss)
-            self._branch_call(frame, st, targets)
-            return
-        if isinstance(st, StaticCall):
-            frame.i += 1
-            target = resolve_static(self.ctx.program, st)
-            self._branch_call(frame, st, [target])
-            return
-        if isinstance(st, AllocAssign):
-            self._append(self._lv(st, frame, st.target))
-            frame.env = transfer_type(st, frame.env, self.ctx.program)
-            frame.i += 1
-            ctor = constructor_of(self.ctx.program, st.cls, len(st.args))
-            if ctor is not None and self._inlinable(frame, ctor):
-                self._push_body(frame, st, ctor)
-            return
-        ev = self._simple_event(st, frame)
-        if ev is not None:
-            self._append(ev)
-        frame.env = transfer_type(st, frame.env, self.ctx.program)
-        frame.i += 1
+            self._choose(op.alts)
 
-    def _inlinable(self, frame: _Frame, target: MethodDef) -> bool:
+    def _inlinable(self, frame: _Frame, target: _Method) -> bool:
         return (
             len(frame.call_path) < self.ctx.budget.depth_limit
             and target.id not in frame.on_stack
         )
 
-    def _branch_call(self, frame: _Frame, st, targets) -> None:
+    def _branch_call(self, frame: _Frame, op: _Op, targets: list[_Method]) -> None:
         inlinable = [t for t in targets if self._inlinable(frame, t)]
         alts: list = []
         if len(inlinable) < len(targets) or not targets:
             # Depth or recursion cut (or no targets): the call contributes nothing.
-            alts.append(("complete", st))
-        alts.extend(("body", st, t) for t in inlinable)
+            alts.append(("complete", op))
+        alts.extend(("body", op, t) for t in inlinable)
         self._choose(alts)
 
-    def _push_body(self, caller: _Frame, st, target: MethodDef) -> None:
+    def _push_body(self, caller: _Frame, op: _Op, target: _Method) -> None:
+        mdef = target.mdef
         cenv = {}
-        for pname, a in zip(target.params, st.args):
-            cenv[pname] = _operand_type(a, caller.env, self.ctx.program)
-        if not target.static:
-            cenv["this"] = target.declaring_class
-        hop = Hop(caller.method.id, caller.method.display, st.pos, st.provenance)
+        for pname, a in zip(mdef.params, op.st.args):
+            cenv[pname] = operand_type(a, caller.env)
+        if not mdef.static:
+            cenv["this"] = mdef.declaring_class
         self.frames.append(
-            _Frame(target.body, cenv, target, caller.call_path + (hop,),
-                   caller.on_stack | {target.id}, "body", site=st)
+            _Frame(self.lowering.ops(target), cenv, caller.call_path + (op.hop,), op.prov or caller.prov,
+                   caller.on_stack | {target.id}, "body", site=op)
         )
 
     def _apply(self, alt) -> None:
@@ -599,8 +685,7 @@ class _Enumerator:
         if kind == "block":
             parent = self.frames[-1]
             self.frames.append(
-                _Frame(alt[1], parent.env, parent.method, parent.call_path,
-                       parent.on_stack, "block")
+                _Frame(alt[1], parent.env, parent.call_path, parent.prov, parent.on_stack, "block")
             )
         elif kind == "body":
             self._push_body(self.frames[-1], alt[1], alt[2])
@@ -708,15 +793,14 @@ class _Scanner(_Enumerator):
         self.trail: list[tuple] = []
         self.committed = 0  # events before this index are settled on the current path
 
-    def _append(self, ev: WriteEvent) -> None:
+    def _append(self, ev: WriteEvent, key: Optional[tuple]) -> None:
         events = self.events
-        if ev.kind == IFR or ev.kind == AR:
+        if key is None:
             same = self.same_kind[ev.kind]
             overridden, misses = self._walk_back(same, ev)
             same.append(ev)
             self.trail.append((None, None, overridden, misses))
         else:
-            key = ev.element_key()
             held = self.last_writer.get(key)
             if events and _collapses(events[-1], ev):
                 overridden = self.trail[-1][2]

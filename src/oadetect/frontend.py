@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .mir import (
@@ -93,6 +94,16 @@ class ParseError(MirError):
 
 class SidecarError(MirError):
     pass
+
+
+def read_text(path: Path) -> str:
+    """The text of a source, manifest or sidecar file; bytes that are not
+    UTF-8 raise MirError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise MirError(f"{path}: not UTF-8 text: byte {e.start}: {e.reason}") from None
 
 
 @dataclass

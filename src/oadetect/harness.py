@@ -20,11 +20,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import mean, stdev
-from typing import Optional
+from typing import Optional, Union
 
 from .cha import build_cha_graph
 from .engine import AnalysisBudget, AnalysisOutcome, Mode, Verdict, detect
-from .frontend import ProvenanceMap, SourceUnit, apply_sidecar, entry_candidates, parse_program
+from .frontend import ProvenanceMap, SourceUnit, apply_sidecar, entry_candidates, parse_program, read_text
 from .mir import MethodDef, MirError, Program, find_method
 from .pointsto import pa_entry_points, solve
 from .reporting import emit_records
@@ -43,7 +43,7 @@ class Scenario:
 def _read_manifest(path: Path) -> dict:
     """A `scenario.json` checked field by field; bad input raises MirError."""
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise MirError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(manifest, dict):
@@ -68,12 +68,12 @@ def load_scenario(directory: Path) -> Scenario:
     directory = Path(directory)
     manifest = _read_manifest(directory / "scenario.json")
     sources = [
-        SourceUnit(name, (directory / name).read_text())
+        SourceUnit(name, read_text(directory / name))
         for name in manifest["sources"]
     ]
     sidecar = None
     if manifest.get("sidecar"):
-        sidecar = ProvenanceMap.from_json((directory / manifest["sidecar"]).read_text())
+        sidecar = ProvenanceMap.from_json(read_text(directory / manifest["sidecar"]))
     truth = manifest.get("ground_truth")
     return Scenario(
         id=manifest["id"],
@@ -93,10 +93,9 @@ def load_bundled(name: str) -> Scenario:
     return load_scenario(bundled_corpus_dir() / name)
 
 
-def load_corpus(root: Path) -> list[Scenario]:
-    root = Path(root)
-    dirs = sorted(d for d in root.iterdir() if (d / "scenario.json").exists())
-    return [load_scenario(d) for d in dirs]
+def scenario_dirs(root: Path) -> list[Path]:
+    """The scenario directories of a corpus root, in name order."""
+    return sorted(d for d in Path(root).iterdir() if (d / "scenario.json").exists())
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +216,26 @@ def run_scenario(
 
 
 def run_corpus(
-    corpus: list[Scenario],
+    corpus: list[Union[Scenario, Path]],
     modes: list[Mode],
     budget: Optional[AnalysisBudget] = None,
     reps: int = 1,
 ) -> CorpusRun:
+    """Run each scenario, or each scenario directory loaded in its turn.
+
+    A scenario that fails to load or run lands in `run.errors`, under its
+    id (its directory's name if the manifest cannot give one), and costs
+    only its own units.
+    """
     run = CorpusRun()
-    for s in corpus:
+    for item in corpus:
+        sid = item.id if isinstance(item, Scenario) else Path(item).name
         try:
+            s = item if isinstance(item, Scenario) else load_scenario(item)
+            sid = s.id
             run.results.extend(run_scenario(s, modes, budget, reps))
-        except MirError as e:
-            run.errors.append((s.id, str(e)))
+        except (MirError, OSError) as e:
+            run.errors.append((sid, str(e)))
     return run
 
 

@@ -42,6 +42,7 @@ from .mir import (
     resolve_static_method,
     static_field_of,
 )
+from .pointsto import alloc_sites
 
 _MAX_CALL_DEPTH = 64
 
@@ -103,11 +104,8 @@ class _Interp:
         self.site_ids = self._number_sites()
 
     def _number_sites(self) -> dict[Position, int]:
-        # Matches the solver's dense numbering: allocation statements in
-        # declaration order.
-        from .pointsto import _collect_alloc_sites
-
-        return {pos: site.id for pos, site in _collect_alloc_sites(self.p).items()}
+        # Matches the solver's numbering.
+        return {pos: site.id for pos, site in alloc_sites(self.p).items()}
 
     def run(self, main: MethodDef) -> Trace:
         for st_check in _all_stmts(self.p):

@@ -98,7 +98,8 @@ def pa_entry_points(p: Program) -> list[MethodDef]:
     return publics
 
 
-def _collect_alloc_sites(p: Program) -> dict[Position, AllocSite]:
+def alloc_sites(p: Program) -> dict[Position, AllocSite]:
+    """Allocation sites by position, numbered densely in declaration order."""
     sites: dict[Position, AllocSite] = {}
     for m in all_methods(p):
         for st in iter_stmts(m.body):
@@ -133,7 +134,7 @@ class _Solver:
         self.p = p
         self.entries = entries
         self.by_id = methods_by_id(p)
-        self.sites_by_pos = _collect_alloc_sites(p)
+        self.sites_by_pos = alloc_sites(p)
         self.sites = sorted(self.sites_by_pos.values(), key=lambda s: s.id)
         self.pts: dict[Var, set[int]] = defaultdict(set)
         self.succ: dict[Var, set[Var]] = defaultdict(set)

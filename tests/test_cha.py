@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from oadetect.cha import ResolutionError, build_cha_graph, cha_resolve
+from oadetect.cha import ResolutionError, build_cha_graph, cha_resolve, initial_env, transfer_type, type_rule
 from oadetect.frontend import parse_source
 from oadetect.mir import VirtualCall, find_method, iter_stmts
 
@@ -202,3 +202,25 @@ class Root {
     inner = _site(p, "H.h")
     # Two incompatible argument types widen the parameter, so both targets stay.
     assert set(g.targets_at(inner.pos)) == {"A.m/0", "B.m/0"}
+
+
+def test_transfer_rule_per_statement_kind():
+    src = (
+        "class D {\n}\n"
+        "class C {\n  field f: D;\n  field static s: C;\n  method m(p) {\n"
+        "    a = new C();\n    b = a;\n    n = 5;\n    t = \"x\";\n    d = b.f;\n"
+        "    e = C::s;\n    arr = newarr D 3;\n    el = arr[0];\n    r = mkref D;\n"
+        "    o = op(n);\n    q = b.m(n);\n    b.f = d;\n  }\n}\n"
+    )
+    p = parse_source(src)
+    m = find_method(p, "C.m")
+    env = initial_env(m)
+    for st in m.body:
+        after = transfer_type(st, env, p)
+        if type_rule(st, p) is None:
+            assert after is env  # a store binds nothing and shares the env
+        env = after
+    assert env == {
+        "p": None, "this": "C", "a": "C", "b": "C", "n": "int", "t": "String", "d": "D",
+        "e": "C", "arr": "D[]", "el": "D", "r": "D", "o": "int", "q": None,
+    }

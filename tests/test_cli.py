@@ -236,6 +236,20 @@ def test_corpus_rejects_out_of_range_budget(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_corpus_rejects_unknown_mode(tmp_path, capsys):
+    # `Mode("zz")` used to raise ValueError after parsing: a traceback, exit 1.
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--root", corpus_path("fig1_simple"), "--out", str(out),
+                 "--modes", "nopa,zz"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    (line,) = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert "argument --modes: 'zz' is not a valid Mode" in line
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_analyze_accepts_zero_depth(capsys):
     # Depth 0 inlines no call, which hides fig1_simple's conflict in a callee.
     code = main(["analyze", "--deterministic", "--mode", "nopa", "--depth", "0", corpus_path("fig1_simple")])
@@ -283,17 +297,31 @@ def test_analyze_sidecar_of_wrong_shape_exits_3(tmp_path, capsys):
     _assert_one_line_usage_error(code, capsys.readouterr(), "sidecar 'left' must be a list")
 
 
-def test_corpus_with_a_bad_manifest_exits_3(tmp_path, capsys):
+def _corpus_with_bad_scenario(root: Path, manifest_text: str) -> Path:
+    """fig1_simple beside a scenario directory `scn` holding `manifest_text`."""
     import shutil
 
-    root = tmp_path / "corpus"
     root.mkdir()
     shutil.copytree(bundled_corpus_dir() / "fig1_simple", root / "fig1_simple")
-    _scenario_dir(root, '{"id": "s"}')
+    return _scenario_dir(root, manifest_text)
+
+
+def _assert_scenario_error_beside_fig1_simple(code, captured, out: Path, fragment: str) -> None:
+    """The bad scenario costs only its own units: fig1_simple still runs."""
+    assert code == 3
+    (line,) = captured.err.splitlines()
+    assert line.startswith("scenario error: scn: ") and fragment in line
+    assert "fig1_simple\tnopa\ttrue" in captured.out
+    assert (out / "records.jsonl").read_text().count("\n") == 2
+    assert (out / "confusion.csv").exists()
+
+
+def test_corpus_with_a_bad_manifest_exits_3(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    _corpus_with_bad_scenario(root, '{"id": "s"}')
     out = tmp_path / "out"
-    code = main(["corpus", "--deterministic", "--root", str(root), "--out", str(out)])
-    _assert_one_line_usage_error(code, capsys.readouterr(), "missing 'sources'")
-    assert not out.exists()
+    code = main(["corpus", "--deterministic", "--reps", "1", "--root", str(root), "--out", str(out)])
+    _assert_scenario_error_beside_fig1_simple(code, capsys.readouterr(), out, "missing 'sources'")
 
 
 @pytest.mark.parametrize(
@@ -346,3 +374,44 @@ def test_corpus_with_a_failing_scenario_exits_3_and_writes_tables(tmp_path, caps
     assert "fig1_advanced\tpa\tfalse" in captured.out
     assert (out / "records.jsonl").read_text().count("\n") == 1
     assert (out / "confusion.csv").exists()
+
+
+# Bytes that are not UTF-8 used to end in a UnicodeDecodeError traceback
+# and exit 1, the code that means "conflict found".
+
+NOT_UTF8 = b"class A {\n  method m() {\n    x = 1 @L; // \xff\n  }\n}\n"
+
+
+def test_analyze_source_not_utf8_exits_3(tmp_path, capsys):
+    (tmp_path / "a.mir").write_bytes(NOT_UTF8)
+    code = main(["analyze", "--mode", "nopa", str(tmp_path)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "a.mir: not UTF-8 text: byte 42")
+
+
+def test_analyze_manifest_not_utf8_exits_3(tmp_path, capsys):
+    d = _scenario_dir(tmp_path, "")
+    (d / "scenario.json").write_bytes(b'{"id": "s\xff", "sources": ["a.mir"]}')
+    code = main(["analyze", "--mode", "nopa", str(d)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "scenario.json: not UTF-8 text")
+
+
+def test_analyze_sidecar_not_utf8_exits_3(tmp_path, capsys):
+    sidecar = tmp_path / "map.json"
+    sidecar.write_bytes(b'{"left": [\xff]}')
+    code = main(["analyze", "--mode", "nopa", "--sidecar", str(sidecar), corpus_path("fig1_simple")])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "map.json: not UTF-8 text")
+
+
+def test_dump_graph_source_not_utf8_exits_3(tmp_path, capsys):
+    (tmp_path / "a.mir").write_bytes(NOT_UTF8)
+    code = main(["dump-graph", "--entry", "A.m", str(tmp_path / "a.mir")])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "a.mir: not UTF-8 text")
+
+
+def test_corpus_with_a_source_not_utf8_exits_3_and_writes_tables(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    bad = _corpus_with_bad_scenario(root, '{"id": "s", "sources": ["a.mir"]}')
+    (bad / "a.mir").write_bytes(NOT_UTF8)
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--reps", "1", "--root", str(root), "--out", str(out)])
+    _assert_scenario_error_beside_fig1_simple(code, capsys.readouterr(), out, "a.mir: not UTF-8 text")

@@ -15,21 +15,43 @@ from conftest import ALL_MODES, budget
 from oadetect import engine
 from oadetect.cha import build_cha_graph
 from oadetect.engine import (
+    IFR,
+    LV,
+    SFR,
+    AnalysisBudget,
     Conflict,
     DetectionContext,
     Mode,
     Verdict,
+    WriteEvent,
+    compare_heap,
     detect,
     enumerate_write_paths,
-    same_element,
 )
+from oadetect.frontend import parse_source
 from oadetect.harness import load_bundled, scenario_units
-from oadetect.mir import Provenance
+from oadetect.mir import Position, Provenance
 from oadetect.pointsto import pa_entry_points, solve
 from oadetect.randprog import default_seed, generate_program
 
 PROP_BUDGET = dict(fuel=20_000, path_cap=512)
 BUNDLED = ("fig1_simple", "fig1_advanced", "mkref", "deep_hierarchy")
+
+
+def same_element(a: WriteEvent, b: WriteEvent, mode: Mode, ctx: DetectionContext) -> bool:
+    """Whether two writes touch the same element; records miss-references into ctx.
+
+    LV and SFR writes do exactly when their `element_key()`s are equal; IFR
+    and AR writes are compared by `compare_heap`.
+    """
+    if a.kind != b.kind:
+        return False
+    if a.kind == LV or a.kind == SFR:
+        return a.element_key() == b.element_key()
+    res = compare_heap(a, b, mode, ctx.program)
+    for miss in res.missrefs:
+        ctx.record_missref(miss)
+    return res.match
 
 
 def reference_scan(events, ctx: DetectionContext, conflicts: dict) -> None:
@@ -109,6 +131,30 @@ def seed_cases(offset: int, count: int):
 
 def test_reference_scan_is_not_in_the_engine():
     assert not hasattr(engine, "_scan_path")
+    assert not hasattr(engine, "same_element")
+
+
+def _ev(kind, line, **kw):
+    return WriteEvent(kind=kind, pos=Position("t.mir", line), provenance=Provenance.BASE,
+                      method_id="C.m/0", method_display="C.m()", enclosing_kind="method", **kw)
+
+
+def test_same_element_kind_mismatch():
+    ctx = DetectionContext(parse_source("class D {\n}\n"), Mode.NOPA, AnalysisBudget(wall_clock=None))
+    a = _ev(LV, 1, local="x")
+    b = _ev(IFR, 2, base="this", base_type="D", field=("D", "f", "int"), field_name="f")
+    assert not same_element(a, b, Mode.NOPA, ctx)
+
+
+def test_same_element_records_missref(fig1_simple):
+    p, _ = fig1_simple
+    ctx = DetectionContext(p, Mode.PA, AnalysisBudget(wall_clock=None))
+    # Unresolved fields compare by name; distinct names refuse the match, but
+    # the empty points-to sets still leave a miss-reference trail.
+    a = _ev(IFR, 1, base="a", base_type=None, field=None, field_name="f1")
+    b = _ev(IFR, 2, base="b", base_type=None, field=None, field_name="f2")
+    assert not same_element(a, b, Mode.PA, ctx)
+    assert len(ctx.missrefs) == 2
 
 
 @pytest.mark.parametrize("cut", [False, True])

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import CONFLICT_THEN_FORKS, budget
+from conftest import ALL_MODES, CONFLICT_THEN_FORKS, budget
 from oadetect.cha import build_cha_graph, resolve_static
 from oadetect.engine import (
     AnalysisBudget,
@@ -14,7 +14,6 @@ from oadetect.engine import (
     detect,
     enumerate_write_paths,
     resolve_call,
-    same_element,
 )
 from oadetect.frontend import parse_source
 from oadetect.mir import (
@@ -26,7 +25,7 @@ from oadetect.mir import (
     find_method,
     iter_stmts,
 )
-from oadetect.pointsto import solve
+from oadetect.pointsto import pa_entry_points, pts_of, solve
 from oadetect.reporting import outcome_record
 
 HIERARCHY = """
@@ -69,24 +68,21 @@ def ctx():
 # Aliasing rules: element keys for LV/SFR, `compare_heap` for IFR/AR
 
 
-def test_compare_local_same_method_same_name(ctx):
+def test_compare_local_same_method_same_name():
     a = _ev("LV", local="x")
     b = _ev("LV", line=2, local="x")
     assert a.element_key() == b.element_key()
-    assert same_element(a, b, Mode.NOPA, ctx)
 
 
-def test_compare_local_different_method(ctx):
+def test_compare_local_different_method():
     a = _ev("LV", local="x", method="C.m/0")
     b = _ev("LV", local="x", method="C.n/0")
     assert a.element_key() != b.element_key()
-    assert not same_element(a, b, Mode.NOPA, ctx)
 
 
-def test_compare_local_different_name(ctx):
+def test_compare_local_different_name():
     a, b = _ev("LV", local="x"), _ev("LV", line=2, local="y")
     assert a.element_key() != b.element_key()
-    assert not same_element(a, b, Mode.NOPA, ctx)
 
 
 def _ifr(line, base, base_type, field=("D", "f", "int"), pts=None, prov=Provenance.BASE,
@@ -218,34 +214,15 @@ def test_ar_constant_vs_local_index_is_eligible(ctx):
     assert compare_heap(a, b, Mode.NOPA, ctx.program).match
 
 
-def test_sfr_matches_on_class_name_type(ctx):
+def test_sfr_matches_on_class_name_type():
     a = _ev("SFR", static_cls="C", field_name="g", static_type="int")
     b = _ev("SFR", line=2, static_cls="C", field_name="g", static_type="int")
     assert a.element_key() == b.element_key()
-    assert same_element(a, b, Mode.NOPA, ctx)
     c = _ev("SFR", line=3, static_cls="D", field_name="g", static_type="int")
     d = _ev("SFR", line=4, static_cls="C", field_name="g", static_type="Report")
     e = _ev("SFR", line=5, static_cls="C", field_name="h", static_type="int")
     for other in (c, d, e):
         assert a.element_key() != other.element_key()
-        assert not same_element(a, other, Mode.NOPA, ctx)
-
-
-def test_same_element_kind_mismatch(ctx):
-    a = _ev("LV", local="x")
-    b = _ifr(2, "this", "D")
-    assert not same_element(a, b, Mode.NOPA, ctx)
-
-
-def test_same_element_records_missref(fig1_simple):
-    p, _ = fig1_simple
-    ctx = DetectionContext(p, Mode.PA, AnalysisBudget(wall_clock=None))
-    # Unresolved fields compare by name; distinct names refuse the match, but
-    # the empty points-to sets still leave a miss-reference trail.
-    a = _ev("IFR", line=1, base="a", base_type=None, field=None, field_name="f1")
-    b = _ev("IFR", line=2, base="b", base_type=None, field=None, field_name="f2")
-    assert not same_element(a, b, Mode.PA, ctx)
-    assert len(ctx.missrefs) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +237,7 @@ def test_resolve_call_pa_narrows_to_wiring(fig1_simple):
         for st in iter_stmts(entry.body)
         if isinstance(st, VirtualCall) and st.pos.line == 8
     )
-    targets, miss = resolve_call(site, entry.id, ctx)
+    targets, miss = resolve_call(site, ctx)
     assert [t.id for t in targets] == ["ReportSimple.countDupWords/0"]
     assert miss is None
 
@@ -309,14 +286,14 @@ def test_resolve_call_miss_reference_widens_only_in_hybrid():
     pts = solve(p)
 
     pa_ctx = DetectionContext(p, Mode.PA, AnalysisBudget(wall_clock=None), pts=pts)
-    targets, miss = resolve_call(site, entry.id, pa_ctx)
+    targets, miss = resolve_call(site, pa_ctx)
     assert targets == [] and miss is not None and miss.reason == "unresolved-call"
 
     hybrid_ctx = DetectionContext(
         p, Mode.HYBRID, AnalysisBudget(wall_clock=None),
         cha=build_cha_graph(p, entry), pts=pts,
     )
-    targets, miss = resolve_call(site, entry.id, hybrid_ctx)
+    targets, miss = resolve_call(site, hybrid_ctx)
     assert {t.id for t in targets} == {
         "ReportSimple.countDupWords/0",
         "ReportAdvanced.countDupWords/0",
@@ -603,3 +580,126 @@ def test_pa_logs_misses_for_array_writes_at_different_indexes():
     out = detect(p, find_method(p, "Lib.m"), Mode.PA, budget=budget())
     assert out.verdict is Verdict.FALSE
     assert _missrefs(out) == [(3, "arr[0]", "empty-pts"), (4, "arr[1]", "empty-pts")]
+
+
+# ---------------------------------------------------------------------------
+# Event fields of the lowered form. The differential oracle reads the same
+# events, so these pins check field values against the source by hand.
+
+
+def _events(src: str, entry: str, mode: Mode = Mode.NOPA) -> list:
+    p = parse_source(src)
+    (path,) = enumerate_write_paths(p, find_method(p, entry), budget(), mode)
+    return path
+
+
+def test_provenance_inherited_through_a_base_inner_hop():
+    src = (
+        "class A {\n  field static g: int;\n"
+        "  method entry() {\n    call A::m1() @L;\n    A::g = 2 @R;\n  }\n"
+        "  static method m1() {\n    call A::m2();\n  }\n"
+        "  static method m2() {\n    A::g = 1;\n    A::g = 3 @R;\n  }\n}\n"
+    )
+    inner, own, outer = _events(src, "A.entry")
+    assert [hop.provenance for hop in inner.call_path] == [Provenance.LEFT, Provenance.BASE]
+    assert [hop.method_id for hop in inner.call_path] == ["A.entry/0", "A.m1/0"]
+    assert [hop.pos.line for hop in inner.call_path] == [4, 8]
+    assert (inner.pos.line, inner.provenance, inner.method_id) == (11, Provenance.LEFT, "A.m2/0")
+    # A changed statement keeps its own side whatever its call path says.
+    assert (own.pos.line, own.provenance, len(own.call_path)) == (12, Provenance.RIGHT, 2)
+    assert (outer.pos.line, outer.provenance, outer.call_path) == (5, Provenance.RIGHT, ())
+
+
+def test_static_store_fields_fall_back_to_the_site_class():
+    src = (
+        "class A {\n  field static g: int;\n}\n"
+        "class B extends A {\n  method m() {\n    B::g = 1;\n    B::h = 2;\n  }\n}\n"
+    )
+    inherited, undeclared = _events(src, "B.m")
+    assert (inherited.kind, inherited.static_cls, inherited.field_name, inherited.static_type) == (
+        "SFR", "A", "g", "int")
+    assert (undeclared.static_cls, undeclared.field_name, undeclared.static_type) == ("B", "h", None)
+    assert inherited.element_key() == ("SFR", "A", "g", "int")
+
+
+def test_untyped_base_resolves_its_field_by_the_only_declaring_class():
+    src = (
+        "class X {\n  field f: int;\n}\n"
+        "class Y {\n  field g: int;\n  public method m(p) {\n    p.f = 1;\n    p.k = 2;\n  }\n}\n"
+    )
+    only, unknown = _events(src, "Y.m")
+    assert (only.kind, only.base, only.base_type, only.field, only.field_name) == (
+        "IFR", "p", None, ("X", "f", "int"), "f")
+    assert only.element_text() == "p.<X: int f>"
+    assert (unknown.field, unknown.field_name) == (None, "k")
+
+
+def test_heap_write_carries_the_copied_base_type_and_its_points_to_set():
+    src = (
+        "class C {\n  field f: int;\n}\n"
+        "class M {\n  public static method main() {\n    a = new C();\n    b = a;\n    b.f = 1;\n  }\n}\n"
+    )
+    p = parse_source(src)
+    entry = find_method(p, "M.main")
+    pts = solve(p, pa_entry_points(p))
+    for mode in ALL_MODES:
+        (path,) = enumerate_write_paths(p, entry, budget(), mode, pts=pts)
+        store = path[-1]
+        assert (store.kind, store.base, store.base_type, store.field) == ("IFR", "b", "C", ("C", "f", "int"))
+        expected = pts_of(pts, ("M.main/0", "b")) if mode.uses_pts else None
+        assert store.base_pts == expected and (expected is None or len(expected) == 1)
+
+
+def test_call_result_is_a_local_write_of_the_caller_after_the_callee():
+    src = (
+        "class A {\n  field static g: int;\n"
+        "  method m() {\n    r = A::s() @L;\n  }\n"
+        "  static method s() {\n    A::g = 1;\n  }\n}\n"
+    )
+    callee, result = _events(src, "A.m")
+    assert (callee.method_id, callee.provenance, callee.pos.line) == ("A.s/0", Provenance.LEFT, 7)
+    assert (result.kind, result.local, result.pos.line) == ("LV", "r", 4)
+    assert (result.method_id, result.method_display, result.enclosing_kind) == ("A.m/0", "A.m()", "method")
+    assert (result.provenance, result.call_path) == (Provenance.LEFT, ())
+
+
+def test_constructor_is_inlined_after_its_allocation():
+    src = (
+        "class C {\n  field f: int;\n  ctor(v) {\n    this.f = v;\n  }\n}\n"
+        "class M {\n  method m() {\n    o = new C(1) @R;\n    o.f = 2;\n  }\n}\n"
+    )
+    alloc, init, store = _events(src, "M.m")
+    assert (alloc.kind, alloc.local, alloc.pos.line, alloc.provenance) == ("LV", "o", 9, Provenance.RIGHT)
+    assert (init.kind, init.method_id, init.enclosing_kind) == ("IFR", "C.<init>/1", "constructor")
+    assert (init.base, init.base_type, init.field, init.provenance) == ("this", "C", ("C", "f", "int"), Provenance.RIGHT)
+    assert [(hop.method_id, hop.pos.line) for hop in init.call_path] == [("M.m/0", 9)]
+    # The allocation typed `o` for the write after it.
+    assert (store.base_type, store.field, store.enclosing_kind) == ("C", ("C", "f", "int"), "method")
+
+
+def test_each_method_is_lowered_once_per_detect_call(monkeypatch):
+    from oadetect import engine
+
+    src = (
+        "class A {\n  field static g: int;\n"
+        "  method m() {\n    c = 1;\n"
+        "    if c {\n      call A::s() @L;\n    } else {\n      call A::s() @R;\n    }\n"
+        "    while c {\n      call A::s();\n    }\n  }\n"
+        "  static method s() {\n    A::g = 1;\n  }\n}\n"
+    )
+    p = parse_source(src)
+    lowered: list[str] = []
+    real = engine._Lowering.block
+
+    def counting(lowering, stmts, m):
+        if stmts is m.mdef.body:
+            lowered.append(m.id)
+        return real(lowering, stmts, m)
+
+    monkeypatch.setattr(engine._Lowering, "block", counting)
+    out = detect(p, find_method(p, "A.m"), Mode.NOPA, budget=budget())
+    # Four paths enter `s` six times between them.
+    assert out.stats.paths == 4
+    assert sorted(lowered) == ["A.m/0", "A.s/0"]
+    detect(p, find_method(p, "A.m"), Mode.NOPA, budget=budget())
+    assert sorted(lowered) == ["A.m/0", "A.m/0", "A.s/0", "A.s/0"]
