@@ -6,6 +6,10 @@ array loads (via declared field types), copies, and parameter bindings seen
 at call sites. Branches join with the least common supertype and unknown
 types widen to "any class providing the method", which keeps resolution
 conservative: everything a run can dispatch to is in the graph.
+
+`build_cha_graph` is the one fixpoint: a worklist over methods. Each visit
+types the method's body in a single walk from its parameter types, and a
+method is queued again only when the argument types reaching it widen.
 """
 
 from __future__ import annotations
@@ -242,16 +246,14 @@ def resolve_static(p: Program, st: StaticCall) -> MethodDef:
 # Graph construction
 
 
-class _SiteInfo:
-    __slots__ = ("stmt", "recv_type", "arg_types")
-
-    def __init__(self, stmt):
-        self.stmt = stmt
-        self.recv_type: Optional[str] = "\0unset"
-        self.arg_types: Optional[list] = None
-
-
 def _scan_sites(body, env: TypeEnv, sites: dict, p: Program) -> TypeEnv:
+    """Walk `body` from `env`, joining the receiver and argument types of each
+    call or allocation site into `sites[pos] = [stmt, receiver type, arg
+    types]`; returns the env after the body.
+
+    One walk per method visit suffices: envs never read `sites`, and joining
+    a type a site already holds changes nothing.
+    """
     for st in body:
         if isinstance(st, If):
             e1 = _scan_sites(st.then_body, dict(env), sites, p)
@@ -269,38 +271,16 @@ def _scan_sites(body, env: TypeEnv, sites: dict, p: Program) -> TypeEnv:
             env = e
             continue
         if isinstance(st, (VirtualCall, StaticCall, AllocAssign)):
-            info = sites.get(st.pos)
-            if info is None:
-                info = _SiteInfo(st)
-                sites[st.pos] = info
             recv = env.get(st.receiver) if isinstance(st, VirtualCall) else None
-            if info.recv_type == "\0unset":
-                info.recv_type = recv
-            else:
-                info.recv_type = _join_type(info.recv_type, recv, p)
             arg_types = [operand_type(a, env) for a in st.args]
-            if info.arg_types is None:
-                info.arg_types = arg_types
+            seen = sites.get(st.pos)
+            if seen is None:
+                sites[st.pos] = [st, recv, arg_types]
             else:
-                info.arg_types = [
-                    _join_type(x, y, p) for x, y in zip(info.arg_types, arg_types)
-                ]
+                seen[1] = _join_type(seen[1], recv, p)
+                seen[2] = [_join_type(x, y, p) for x, y in zip(seen[2], arg_types)]
         env = transfer_type(st, env, p)
     return env
-
-
-def method_call_sites(method: MethodDef, p: Program, param_types=None) -> list[_SiteInfo]:
-    """Call and allocation sites with joined receiver/argument types."""
-    sites: dict = {}
-    prev = None
-    for _ in range(8):
-        env = initial_env(method, param_types)
-        _scan_sites(method.body, env, sites, p)
-        snapshot = {pos: (s.recv_type, tuple(s.arg_types or ())) for pos, s in sites.items()}
-        if snapshot == prev:
-            break
-        prev = snapshot
-    return [sites[pos] for pos in sorted(sites)]
 
 
 def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
@@ -329,10 +309,12 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
         mid = queue.popleft()
         queued.discard(mid)
         method = by_id[mid]
-        for info in method_call_sites(method, p, param_types.get(mid)):
-            st = info.stmt
+        sites: dict = {}
+        _scan_sites(method.body, initial_env(method, param_types.get(mid)), sites, p)
+        for pos in sorted(sites):
+            st, recv_type, arg_types = sites[pos]
             if isinstance(st, VirtualCall):
-                targets = _resolve_virtual(p, info.recv_type, st.method, len(st.args), st.pos)
+                targets = _resolve_virtual(p, recv_type, st.method, len(st.args), st.pos)
             elif isinstance(st, StaticCall):
                 targets = [resolve_static(p, st)]
             else:
@@ -342,7 +324,7 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
                 graph.edges.add(CallEdge(st.pos, mid, tgt.id))
                 fresh = tgt.id not in graph.nodes
                 graph.nodes.add(tgt.id)
-                if bind(tgt, info.arg_types) or fresh:
+                if bind(tgt, arg_types) or fresh:
                     if tgt.id not in queued:
                         queue.append(tgt.id)
                         queued.add(tgt.id)

@@ -78,18 +78,20 @@ def _load_sources(paths: list[str]) -> list[SourceUnit]:
     return units
 
 
-def _parse_modes(values: list[str]) -> list[Mode]:
-    if not values:
-        return [Mode.NOPA]
-    return [Mode(v) for v in values]
-
-
-def _mode_list(text: str) -> list[Mode]:
-    """`--modes`: a comma-separated list of mode names."""
-    try:
-        return [Mode(v) for v in text.split(",")]
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"{e}; choose from {', '.join(m.value for m in Mode)}") from None
+def _modes(flag: str, names: list[str]) -> list[Mode]:
+    """The modes `flag` names, in order; an unknown or repeated name is a
+    usage error."""
+    modes: list[Mode] = []
+    for name in names:
+        try:
+            mode = Mode(name)
+        except ValueError:
+            choices = ", ".join(m.value for m in Mode)
+            raise MirError(f"{flag}: '{name}' is not a valid mode; choose from {choices}") from None
+        if mode in modes:
+            raise MirError(f"{flag}: mode '{name}' is given twice")
+        modes.append(mode)
+    return modes
 
 
 def _analyze_scenario(args) -> Scenario:
@@ -107,6 +109,12 @@ def _analyze_scenario(args) -> Scenario:
     return scenario
 
 
+def _one_line(message: str) -> str:
+    """An error line: names from the input may hold line breaks, which are
+    shown as `\\n` so that each error stays one line."""
+    return "\\n".join(message.splitlines())
+
+
 def _exit_code(verdicts) -> int:
     verdicts = set(verdicts)
     if Verdict.TRUE in verdicts:
@@ -117,8 +125,8 @@ def _exit_code(verdicts) -> int:
 
 
 def cmd_analyze(args) -> int:
+    modes = _modes("--mode", args.mode or [Mode.NOPA.value])
     budget = _budget(args)
-    modes = _parse_modes(args.mode)
     results = run_scenario(_analyze_scenario(args), modes, budget=budget)
     several_entries = len(results) > len(modes)
     outcomes = []
@@ -139,19 +147,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    modes = _modes("--modes", args.modes.split(","))
     budget = _budget(args)
     _require(args.reps >= 1, "--reps", "at least 1", args.reps)
     root = Path(args.root)
     corpus = [root] if (root / "scenario.json").exists() else scenario_dirs(root)
     if not corpus:
-        print(f"no scenarios under {root}", file=sys.stderr)
-        return EXIT_ERROR
-    modes = args.modes
+        raise MirError(f"no scenarios under {root}")
     run = run_corpus(corpus, modes, budget=budget, reps=args.reps)
     outdir = Path(args.out)
     write_tables(run, modes, outdir)
     for sid, message in run.errors:
-        print(f"scenario error: {sid}: {message}", file=sys.stderr)
+        print(_one_line(f"scenario error: {sid}: {message}"), file=sys.stderr)
     for r in run.results:
         print(f"{r.unit}\t{r.mode.value}\t{r.verdict.value}")
     if len(modes) >= 2:
@@ -181,8 +188,7 @@ def cmd_dump_graph(args) -> int:
             [find_method(program, args.entry)] if args.entry else entry_candidates(program)
         )
         if not entries:
-            print("an entry is required for the hierarchy-based graph", file=sys.stderr)
-            return EXIT_ERROR
+            raise MirError("an entry is required for the hierarchy-based graph")
         print(build_cha_graph(program, entries[0]).dump(), end="")
     else:
         result = solve(program, pa_entry_points(program))
@@ -197,13 +203,23 @@ def cmd_dump_pts(args) -> int:
     return EXIT_FALSE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a `MirError`, which `main` prints as one
+    line, in place of a usage block; subparsers share the class."""
+
+    def error(self, message):
+        raise MirError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="oadetect", description=__doc__)
+    parser = _Parser(prog="oadetect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="analyze sources for override-assignment conflicts")
     analyze.add_argument("sources", nargs="+", help="source files or scenario directories")
-    analyze.add_argument("--mode", action="append", choices=[m.value for m in Mode], default=[])
+    analyze.add_argument(
+        "--mode", action="append", default=[], help="nopa, pa or hybrid (default nopa); repeatable"
+    )
     analyze.add_argument("--entry", help="entry as Class.method (default: dually modified methods)")
     analyze.add_argument("--sidecar", help="provenance line-map JSON file")
     analyze.add_argument("--out", help="directory for machine records")
@@ -212,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus = sub.add_parser("corpus", help="evaluate a corpus of scenario directories")
     corpus.add_argument("--root", required=True, help="directory of scenario directories")
-    corpus.add_argument("--modes", type=_mode_list, default="nopa,pa", help="comma-separated mode list")
+    corpus.add_argument("--modes", default="nopa,pa", help="comma-separated mode list")
     corpus.add_argument("--reps", type=int, default=10, help="timing repetitions per unit")
     corpus.add_argument("--out", default="oa-results", help="output directory for tables")
     _add_budget_flags(corpus)
@@ -232,18 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_ERROR if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except MirError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except SystemExit:  # only -h/--help exits; `_Parser` raises on errors
+        return EXIT_FALSE
+    except (MirError, OSError) as e:
+        print(_one_line(f"error: {e}"), file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -98,12 +98,14 @@ class SidecarError(MirError):
 
 def read_text(path: Path) -> str:
     """The text of a source, manifest or sidecar file; bytes that are not
-    UTF-8 raise MirError."""
+    UTF-8, or a name with a NUL byte, raise MirError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as e:
         raise MirError(f"{path}: not UTF-8 text: byte {e.start}: {e.reason}") from None
+    except ValueError as e:  # `open` refuses a name with a NUL byte
+        raise MirError(f"{str(path)!r}: {e}") from None
 
 
 @dataclass
@@ -133,7 +135,7 @@ class ProvenanceMap:
     def from_json(cls, text: str) -> "ProvenanceMap":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # too deep a nesting recurses
             raise SidecarError(f"sidecar is not valid JSON: {e}") from None
         if not isinstance(raw, dict):
             raise SidecarError("sidecar must be a JSON object with 'left' and 'right' lists")

@@ -44,7 +44,7 @@ def _read_manifest(path: Path) -> dict:
     """A `scenario.json` checked field by field; bad input raises MirError."""
     try:
         manifest = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deep a nesting recurses
         raise MirError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise MirError(f"{path}: manifest must be a JSON object")

@@ -37,7 +37,9 @@ from .mir import (
     StaticStore,
     VirtualCall,
     While,
+    all_methods,
     constructor_of,
+    iter_stmts,
     resolve_method,
     resolve_static_method,
     static_field_of,
@@ -101,15 +103,12 @@ class _Interp:
         self.trace = Trace()
         self.statics: dict = {}
         self.next_oid = 0
-        self.site_ids = self._number_sites()
-
-    def _number_sites(self) -> dict[Position, int]:
         # Matches the solver's numbering.
-        return {pos: site.id for pos, site in alloc_sites(self.p).items()}
+        self.site_ids: dict[Position, int] = {pos: site.id for pos, site in alloc_sites(p).items()}
 
     def run(self, main: MethodDef) -> Trace:
-        for st_check in _all_stmts(self.p):
-            if isinstance(st_check, ReflectiveAssign):
+        for m in all_methods(self.p):
+            if any(isinstance(st, ReflectiveAssign) for st in iter_stmts(m.body)):
                 raise OracleError("oracle cannot execute reflective instantiation")
         try:
             self._invoke(main, [], None, Provenance.BASE, depth=0)
@@ -208,7 +207,7 @@ class _Interp:
             ctor = constructor_of(self.p, st.cls, len(st.args))
             if ctor is not None:
                 args = [self._operand(a, frame) for a in st.args]
-                self._call(ctor, args, obj, st, prov, depth)
+                self._invoke(ctor, args, obj, prov, depth + 1)
             return None
         if isinstance(st, ArrayAlloc):
             arr = Arr(self.next_oid, self.site_ids[st.pos])
@@ -270,7 +269,7 @@ class _Interp:
                 raise _Halt(f"no method '{st.method}/{len(st.args)}' on {recv.cls} at {st.pos}")
             self.trace.dispatches.append((st.pos, target.id))
             args = [self._operand(a, frame) for a in st.args]
-            ret = self._call(target, args, recv, st, prov, depth)
+            ret = self._invoke(target, args, recv, prov, depth + 1)
             if st.result is not None:
                 self._assign(frame, mid, st, st.result, ret, prov)
             return None
@@ -279,21 +278,11 @@ class _Interp:
             if target is None:
                 raise _Halt(f"no static method '{st.cls}::{st.method}' at {st.pos}")
             args = [self._operand(a, frame) for a in st.args]
-            ret = self._call(target, args, None, st, prov, depth)
+            ret = self._invoke(target, args, None, prov, depth + 1)
             if st.result is not None:
                 self._assign(frame, mid, st, st.result, ret, prov)
             return None
         raise OracleError(f"cannot execute {st!r}")
-
-    def _call(self, target, args, this, site_st, site_prov, depth):
-        return self._invoke(target, args, this, site_prov, depth + 1)
-
-
-def _all_stmts(p: Program):
-    from .mir import all_methods, iter_stmts
-
-    for m in all_methods(p):
-        yield from iter_stmts(m.body)
 
 
 def interpret(p: Program, main: MethodDef, step_limit: int = 10_000) -> Trace:

@@ -16,6 +16,11 @@ The solver starts from the program's entry points (all static `main`
 methods, else every public method and constructor), discovers call edges as
 receiver sets grow, and links parameters and returns along each edge.
 Parameters of methods nobody calls stay empty: external callers are unknown.
+
+Heap accesses share one rule: a load or store through a base names a field,
+or no field for an array slot, and reaches that cell on each site the base
+points to of the matching kind: a field on object sites, the slot on array
+sites. A virtual call that never dispatched is reported as unresolved.
 """
 
 from __future__ import annotations
@@ -138,10 +143,9 @@ class _Solver:
         self.sites = sorted(self.sites_by_pos.values(), key=lambda s: s.id)
         self.pts: dict[Var, set[int]] = defaultdict(set)
         self.succ: dict[Var, set[Var]] = defaultdict(set)
-        self.field_loads: dict[Var, set[tuple[str, Var]]] = defaultdict(set)
-        self.field_stores: dict[Var, set[tuple[str, Var]]] = defaultdict(set)
-        self.array_loads: dict[Var, set[Var]] = defaultdict(set)
-        self.array_stores: dict[Var, set[Var]] = defaultdict(set)
+        # base -> {(field name, or None for an array slot; loaded/stored var)}
+        self.loads: dict[Var, set[tuple[Optional[str], Var]]] = defaultdict(set)
+        self.stores: dict[Var, set[tuple[Optional[str], Var]]] = defaultdict(set)
         self.vcalls: dict[Var, list[tuple[str, VirtualCall]]] = defaultdict(list)
         self.dispatched: set[tuple[Position, int]] = set()
         self.edges: set[CallEdge] = set()
@@ -201,32 +205,22 @@ class _Solver:
             src = self.operand_var(mid, st.source)
             if src is not None:
                 self.add_copy(src, self.local(mid, st.target))
-        elif isinstance(st, FieldStore):
+        elif isinstance(st, (FieldStore, ArrayStore)):
             src = self.operand_var(mid, st.source)
             if src is not None:
                 base = self.local(mid, st.base)
-                self.field_stores[base].add((st.field, src))
-                self._apply_field_stores(base)
-        elif isinstance(st, FieldLoad):
+                self.stores[base].add((getattr(st, "field", None), src))
+                self._apply_heap(base)
+        elif isinstance(st, (FieldLoad, ArrayLoad)):
             base = self.local(mid, st.base)
-            self.field_loads[base].add((st.field, self.local(mid, st.target)))
-            self._apply_field_loads(base)
+            self.loads[base].add((getattr(st, "field", None), self.local(mid, st.target)))
+            self._apply_heap(base)
         elif isinstance(st, StaticStore):
             src = self.operand_var(mid, st.source)
             if src is not None:
                 self.add_copy(src, self._static_var(st.cls, st.field))
         elif isinstance(st, StaticLoad):
             self.add_copy(self._static_var(st.cls, st.field), self.local(mid, st.target))
-        elif isinstance(st, ArrayStore):
-            src = self.operand_var(mid, st.source)
-            if src is not None:
-                base = self.local(mid, st.base)
-                self.array_stores[base].add(src)
-                self._apply_array_stores(base)
-        elif isinstance(st, ArrayLoad):
-            base = self.local(mid, st.base)
-            self.array_loads[base].add(self.local(mid, st.target))
-            self._apply_array_loads(base)
         elif isinstance(st, VirtualCall):
             recv = self.local(mid, st.receiver)
             self.vcalls[recv].append((mid, st))
@@ -259,28 +253,20 @@ class _Solver:
     def _object_sites(self, var: Var):
         return [s for s in self.pts[var] if self.sites[s].kind == "object"]
 
-    def _array_sites(self, var: Var):
-        return [s for s in self.pts[var] if self.sites[s].kind == "array"]
+    def _cells(self, base: Var, fname: Optional[str]) -> list[Var]:
+        """The heap cells an access of `fname` through `base` reaches: field
+        `fname` of each object site, or, for None, the slot of each array site."""
+        if fname is None:
+            return [("a", s) for s in self.pts[base] if self.sites[s].kind == "array"]
+        return [("f", s, fname) for s in self.pts[base] if self.sites[s].kind == "object"]
 
-    def _apply_field_loads(self, base: Var) -> None:
-        for fname, dst in self.field_loads[base]:
-            for sid in self._object_sites(base):
-                self.add_copy(("f", sid, fname), dst)
-
-    def _apply_field_stores(self, base: Var) -> None:
-        for fname, src in self.field_stores[base]:
-            for sid in self._object_sites(base):
-                self.add_copy(src, ("f", sid, fname))
-
-    def _apply_array_loads(self, base: Var) -> None:
-        for dst in self.array_loads[base]:
-            for sid in self._array_sites(base):
-                self.add_copy(("a", sid), dst)
-
-    def _apply_array_stores(self, base: Var) -> None:
-        for src in self.array_stores[base]:
-            for sid in self._array_sites(base):
-                self.add_copy(src, ("a", sid))
+    def _apply_heap(self, base: Var) -> None:
+        for fname, dst in self.loads[base]:
+            for cell in self._cells(base, fname):
+                self.add_copy(cell, dst)
+        for fname, src in self.stores[base]:
+            for cell in self._cells(base, fname):
+                self.add_copy(src, cell)
 
     def _apply_calls(self, recv: Var) -> None:
         for caller_mid, st in self.vcalls[recv]:
@@ -306,10 +292,7 @@ class _Solver:
                 self.var_queued.discard(var)
                 for dst in list(self.succ[var]):
                     self.add_pts(dst, self.pts[var])
-                self._apply_field_loads(var)
-                self._apply_field_stores(var)
-                self._apply_array_loads(var)
-                self._apply_array_stores(var)
+                self._apply_heap(var)
                 self._apply_calls(var)
 
 
@@ -325,13 +308,15 @@ def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResu
     graph.nodes = set(solver.reachable) | set(entry_ids)
     graph.edges = set(solver.edges)
 
-    unresolved: list[tuple[Position, str]] = []
-    by_id = methods_by_id(p)
+    # Every virtual call of a reachable method is in `vcalls`; those that
+    # never dispatched have no edge.
     resolved_sites = {e.site for e in solver.edges}
-    for mid in sorted(solver.reachable):
-        for st in iter_stmts(by_id[mid].body):
-            if isinstance(st, VirtualCall) and st.pos not in resolved_sites:
-                unresolved.append((st.pos, "unresolved-call"))
+    unresolved = sorted(
+        (st.pos, "unresolved-call")
+        for calls in solver.vcalls.values()
+        for _, st in calls
+        if st.pos not in resolved_sites
+    )
 
     pts = {var: frozenset(sids) for var, sids in solver.pts.items() if sids}
     return PointsToResult(
@@ -339,8 +324,8 @@ def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResu
         sites=tuple(solver.sites),
         callgraph=graph,
         entries=entry_ids,
-        unresolved=tuple(sorted(unresolved)),
-        methods=by_id,
+        unresolved=tuple(unresolved),
+        methods=solver.by_id,
     )
 
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
+from oadetect import cha
 from oadetect.cha import ResolutionError, build_cha_graph, cha_resolve, initial_env, transfer_type, type_rule
 from oadetect.frontend import parse_source
-from oadetect.mir import VirtualCall, find_method, iter_stmts
+from oadetect.mir import VirtualCall, all_methods, find_method, iter_stmts
 
 
 def _site(p, method_ref, line=None) -> VirtualCall:
@@ -224,3 +227,159 @@ def test_transfer_rule_per_statement_kind():
         "p": None, "this": "C", "a": "C", "b": "C", "n": "int", "t": "String", "d": "D",
         "e": "C", "arr": "D[]", "el": "D", "r": "D", "o": "int", "q": None,
     }
+
+
+LOOP_JOIN = """
+class Root {
+  method m() {
+    x = op();
+  }
+}
+class Mid extends Root {
+  method m() {
+    x = op();
+  }
+}
+class A extends Mid {
+  method m() {
+    x = op();
+  }
+}
+class B extends Mid {
+  method m() {
+    x = op();
+  }
+}
+class C extends Root {
+  method m() {
+    x = op();
+  }
+}
+class Use {
+  method u(c) {
+    x = new A();
+    while c {
+      call x.m();
+      x = new B();
+    }
+  }
+}
+"""
+
+
+def test_loop_call_resolves_on_the_joined_receiver_type():
+    p = parse_source(LOOP_JOIN)
+    g = build_cha_graph(p, find_method(p, "Use.u"))
+    # The second iteration sees x as B, so the receiver joins A and B to Mid:
+    # neither A alone nor the unknown type's five targets.
+    assert g.targets_at(_site(p, "Use.u").pos) == ["A.m/0", "B.m/0", "Mid.m/0"]
+
+
+REQUEUE = """
+class A {
+  method m() {
+    x = op();
+  }
+}
+class B {
+  method m() {
+    y = op();
+  }
+}
+class H {
+  method h(p) {
+    call p.m();
+  }
+}
+class K {
+  method k(h) {
+    b = new B();
+    call h.h(b);
+  }
+}
+class Root {
+  method r(c) {
+    a = new A();
+    h = new H();
+    k = new K();
+    call h.h(a);
+    while c {
+      call k.k(h);
+    }
+  }
+}
+"""
+
+
+def test_each_dequeued_method_body_is_scanned_once(monkeypatch):
+    p = parse_source(REQUEUE)
+    bodies = {id(m.body): m.id for m in all_methods(p)}
+    scans: list[str] = []
+    dequeued: list[str] = []
+    scan = cha._scan_sites
+
+    def counting_scan(body, env, sites, p):
+        if id(body) in bodies:  # a method's body, not a nested block
+            scans.append(bodies[id(body)])
+        return scan(body, env, sites, p)
+
+    class CountingDeque(deque):
+        def popleft(self):
+            dequeued.append(super().popleft())
+            return dequeued[-1]
+
+    monkeypatch.setattr(cha, "_scan_sites", counting_scan)
+    monkeypatch.setattr(cha, "deque", CountingDeque)
+    g = build_cha_graph(p, find_method(p, "Root.r"))
+    # K.k widens H.h's parameter from A to unknown after H.h's first visit,
+    # so H.h is visited twice; each visit walks its body once.
+    assert dequeued.count("H.h/1") == 2
+    assert scans == dequeued
+    assert set(g.targets_at(_site(p, "H.h").pos)) == {"A.m/0", "B.m/0"}
+
+
+SHADOWED_FIELD_IN_LOOP = """
+class T1 {
+  method m() {
+    x = op();
+  }
+}
+class T2 {
+  method m() {
+    x = op();
+  }
+}
+class Mid {
+  field f: T2;
+}
+class A extends Mid {
+  field f: T1;
+}
+class B extends Mid {
+}
+class H {
+  static method take(q) {
+    call q.m();
+  }
+}
+class Use {
+  method u(c) {
+    x = new A();
+    while c {
+      y = x.f;
+      call y.m();
+      call H::take(y);
+      x = new B();
+    }
+  }
+}
+"""
+
+
+def test_site_types_join_over_loop_iterations():
+    p = parse_source(SHADOWED_FIELD_IN_LOOP)
+    g = build_cha_graph(p, find_method(p, "Use.u"))
+    # y is T1 (A's f) on the first iteration and T2 (Mid's f) on the next:
+    # the site keeps both, where the last iteration's env alone has only T2.
+    assert g.targets_at(_site(p, "Use.u").pos) == ["T1.m/0", "T2.m/0"]
+    assert g.targets_at(_site(p, "H.take").pos) == ["T1.m/0", "T2.m/0"]

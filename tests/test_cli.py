@@ -91,10 +91,21 @@ def test_analyze_scenario_dir_uses_manifest_sidecar(tmp_path, capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    assert main(["analyze"]) == 3
-    capsys.readouterr()
-    assert main(["no-such-command"]) == 3
-    capsys.readouterr()
+    # argparse used to print its usage block before the `error:` line.
+    cases = [
+        (["analyze"], "the following arguments are required: sources"),
+        (["no-such-command"], "invalid choice: 'no-such-command'"),
+        (["analyze", "--mode", "zz", corpus_path("fig1_simple")], "--mode: 'zz' is not a valid mode"),
+        (["analyze", "--fuel", "x", corpus_path("fig1_simple")], "argument --fuel: invalid int value: 'x'"),
+        (["corpus", "--modes", "nopa"], "the following arguments are required: --root"),
+    ]
+    for argv, fragment in cases:
+        _assert_one_line_usage_error(main(argv), capsys.readouterr(), fragment)
+
+
+def test_help_exits_0(capsys):
+    assert main(["corpus", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: oadetect corpus")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -241,13 +252,38 @@ def test_corpus_rejects_unknown_mode(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["corpus", "--deterministic", "--root", corpus_path("fig1_simple"), "--out", str(out),
                  "--modes", "nopa,zz"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    (line,) = [ln for ln in captured.err.splitlines() if "error:" in ln]
-    assert "argument --modes: 'zz' is not a valid Mode" in line
-    assert "Traceback" not in captured.err
+    fragment = "--modes: 'zz' is not a valid mode; choose from nopa, pa, hybrid"
+    _assert_one_line_usage_error(code, capsys.readouterr(), fragment)
     assert not out.exists()
+
+
+def test_corpus_without_scenarios_exits_3(tmp_path, capsys):
+    code = main(["corpus", "--root", str(tmp_path), "--out", str(tmp_path / "out")])
+    _assert_one_line_usage_error(code, capsys.readouterr(), f"no scenarios under {tmp_path}")
+
+
+def test_dump_graph_without_an_entry_exits_3(tmp_path, capsys):
+    src = tmp_path / "a.mir"
+    src.write_text("class A {\n  method m() {\n  }\n}\n")
+    code = main(["dump-graph", "--mode", "nopa", str(src)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "an entry is required for the hierarchy-based graph")
+
+
+def test_corpus_rejects_a_repeated_mode(tmp_path, capsys):
+    # A repeated mode used to run every unit once per repeat and write a
+    # `nopa,nopa` transitions table.
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--root", corpus_path("fig1_simple"), "--out", str(out),
+                 "--modes", "nopa,pa,nopa"])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "--modes: mode 'nopa' is given twice")
+    assert not out.exists()
+
+
+def test_analyze_rejects_a_repeated_mode(capsys):
+    # A repeated mode used to print each verdict twice.
+    code = main(["analyze", "--deterministic", "--mode", "pa", "--mode", "nopa", "--mode", "pa",
+                 corpus_path("fig1_simple")])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "--mode: mode 'pa' is given twice")
 
 
 def test_analyze_accepts_zero_depth(capsys):

@@ -204,3 +204,22 @@ def test_array_slots_are_smashed():
     got = pts_of(r, ("Main.main/0", "u"))
     classes = {r.site(s).cls for s in got}
     assert classes == {"A", "B"}
+
+
+def test_one_base_feeds_fields_on_object_sites_and_the_slot_on_array_sites():
+    src = (
+        "class A {\n}\nclass B {\n}\n"
+        "class Main {\n  public static method main() {\n"
+        "    x = new A();\n    x = newarr B 2;\n    b = new B();\n"
+        "    x.f = b;\n    y = x.f;\n    x[0] = b;\n    z = x[0];\n  }\n}\n"
+    )
+    p = parse_source(src)
+    r = solve(p)
+    obj, arr, b = (next(s.id for s in r.sites if (s.kind, s.cls) == key)
+                   for key in (("object", "A"), ("array", "B"), ("object", "B")))
+    assert pts_of(r, ("Main.main/0", "x")) == frozenset({obj, arr})
+    # A field lives only on the object site, the slot only on the array site.
+    heap = {var for var in r.pts if var[0] in ("f", "a")}
+    assert heap == {("f", obj, "f"), ("a", arr)}
+    assert r.pts[("f", obj, "f")] == r.pts[("a", arr)] == frozenset({b})
+    assert pts_of(r, ("Main.main/0", "y")) == pts_of(r, ("Main.main/0", "z")) == frozenset({b})
