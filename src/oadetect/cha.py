@@ -292,16 +292,17 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
     queue = deque([root.id])
     queued = {root.id}
 
-    def bind(target: MethodDef, arg_types) -> bool:
-        """Join argument types into the target's params; True if widened."""
-        known = param_types.get(target.id)
+    def bind(tid: str, target: MethodDef, arg_types) -> bool:
+        """Join argument types into the params of `target` (whose id is
+        `tid`); True if widened."""
+        known = param_types.get(tid)
         incoming = list(arg_types) if arg_types else [None] * len(target.params)
         if known is None:
-            param_types[target.id] = incoming
+            param_types[tid] = incoming
             return True
         widened = [_join_type(a, b, p) for a, b in zip(known, incoming)]
         if widened != known:
-            param_types[target.id] = widened
+            param_types[tid] = widened
             return True
         return False
 
@@ -321,11 +322,12 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
                 ctor = constructor_of(p, st.cls, len(st.args))
                 targets = [ctor] if ctor is not None else []
             for tgt in targets:
-                graph.edges.add(CallEdge(st.pos, mid, tgt.id))
-                fresh = tgt.id not in graph.nodes
-                graph.nodes.add(tgt.id)
-                if bind(tgt, arg_types) or fresh:
-                    if tgt.id not in queued:
-                        queue.append(tgt.id)
-                        queued.add(tgt.id)
+                tid = tgt.id  # `id` formats a new string on each read
+                graph.edges.add(CallEdge(st.pos, mid, tid))
+                fresh = tid not in graph.nodes
+                graph.nodes.add(tid)
+                if bind(tid, tgt, arg_types) or fresh:
+                    if tid not in queued:
+                        queue.append(tid)
+                        queued.add(tid)
     return graph

@@ -34,6 +34,11 @@ nest at most MAX_NESTING (300) deep inside one method body; deeper nesting
 is a ParseError too, so the recursive parser and the recursive walkers
 downstream stay within Python's stack.
 
+The lexer reads each source in one regular-expression pass that yields two
+flat lists, the token spellings and the line of each; a string literal keeps
+its quotes, so no literal is spelled like a keyword. The parser reads those
+two lists.
+
 Assignments are three-address: a store to a field/array/static target takes
 a local or literal source, and call/new/op results land in a plain local.
 Change provenance comes from inline "@L"/"@R" markers or from a sidecar
@@ -44,9 +49,10 @@ from __future__ import annotations
 
 import json
 import re
+import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .mir import (
     AllocAssign,
@@ -178,44 +184,46 @@ _KEYWORDS = {
     "new", "mkref", "newarr", "op",
 }
 
-# One named group per token kind; the unnamed alternatives (blanks and `//`
-# comments) yield no token. No token spans a line break, so the lexer reads
-# one line at a time.
-_TOKEN = re.compile(
-    r"""(?P<MARKER>@[LR])
-      | "(?P<STRING>[^"]*)"
-      | (?P<INT>-?[0-9]+)
-      | (?P<ID>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<PUNCT>::|[{}()\[\],;:=.])
-      | [ \t\r]+
-      | //.*""",
+# Each match skips blanks and a `//` comment, then captures one lexeme: a
+# token, a line break, any other single character (a lexing error) or the
+# empty end of text. The match never fails, so `findall` covers the text.
+_LEXEME = re.compile(
+    r"""[ \t\r]*(?://[^\n]*)?
+    ( @[LR] | "[^"\n]*" | -?[0-9]+ | [A-Za-z_][A-Za-z0-9_]*
+    | :: | [{}()\[\],;:=.]
+    | \n | . | \Z )""",
     re.VERBOSE,
 )
+# A token's kind follows from its first character: a letter or '_' starts an
+# ID, a digit or '-' an INT, '"' a STRING, '@' a MARKER, the empty spelling is
+# the end of file, and any other character starts punctuation.
+_ID_START = frozenset(string.ascii_letters + "_")
+_INT_START = frozenset(string.digits + "-")
+# The one-character lexemes that are tokens; any other one is a lexing error.
+_SHORT_TOKENS = _ID_START | frozenset(string.digits + "{}()[],;:=.")
 
-class Token(NamedTuple):
-    kind: str  # MARKER STRING INT ID PUNCT EOF
-    value: str  # the spelling; a string literal's text without its quotes
-    line: int
 
-
-def _tokenize(text: str, path: str) -> list[Token]:
-    toks: list[Token] = []
-    lines = text.split("\n")
-    for line, chars in enumerate(lines, 1):
-        end = 0
-        for m in _TOKEN.finditer(chars):
-            if m.start() != end:
-                break
-            end = m.end()
-            kind = m.lastgroup
-            if kind:
-                toks.append(Token(kind, m.group(kind), line))
-        if end != len(chars):
-            bad = chars[end]
-            message = "unterminated string literal" if bad == '"' else f"unexpected character {bad!r}"
+def _lex(text: str, path: str) -> tuple[list[str], list[int]]:
+    """The spellings of the tokens of `text` and the line of each, ending in
+    the empty spelling at end of file. A string literal keeps its quotes, so
+    no literal is spelled like a keyword or punctuation. A character that
+    starts no token raises ParseError."""
+    raw = _LEXEME.findall(text)
+    if len(raw) > 1 and raw[-2] == "":
+        raw.pop()  # blanks or a comment before the end of text: the end matched twice
+    vals: list[str] = []
+    lines: list[int] = []
+    line = 1
+    for s in raw:
+        if s == "\n":
+            line += 1
+        elif len(s) == 1 and s not in _SHORT_TOKENS:
+            message = "unterminated string literal" if s == '"' else f"unexpected character {s!r}"
             raise ParseError(path, line, message)
-    toks.append(Token("EOF", "", len(lines)))
-    return toks
+        else:
+            vals.append(s)
+            lines.append(line)
+    return vals, lines
 
 
 # ---------------------------------------------------------------------------
@@ -225,59 +233,64 @@ MAX_NESTING = 300  # if/while blocks inside one method body
 
 
 class _Parser:
+    """Recursive descent over the spellings `vals` and their `lines`; `i`
+    indexes the next token."""
+
     def __init__(self, unit: SourceUnit):
         self.path = unit.path
-        self.toks = _tokenize(unit.text, unit.path)
+        self.vals, self.lines = _lex(unit.text, unit.path)
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "EOF":
+    def next(self) -> str:
+        v = self.vals[self.i]
+        if v:
             self.i += 1
-        return t
+        return v
 
     def fail(self, expected: str) -> ParseError:
-        t = self.peek()
-        found = t.value if t.kind != "EOF" else "end of file"
-        return ParseError(self.path, t.line, f"expected {expected}, found '{found}'")
+        v = self.vals[self.i]
+        found = "end of file" if not v else v[1:-1] if v[0] == '"' else v
+        return ParseError(self.path, self.lines[self.i], f"expected {expected}, found '{found}'")
 
     def at(self, word: str) -> bool:
-        """Whether the next token is the keyword or punctuation `word`."""
-        t = self.toks[self.i]
-        return t.value == word and t.kind != "STRING"
+        """Whether the next token is the keyword, punctuation or marker `word`."""
+        return self.vals[self.i] == word
 
     def accept(self, word: str) -> bool:
-        if self.at(word):
+        if self.vals[self.i] == word:
             self.i += 1
             return True
         return False
 
-    def expect(self, word: str) -> Token:
-        if not self.at(word):
+    def expect(self, word: str) -> int:
+        """Consume `word`; returns its line."""
+        i = self.i
+        if self.vals[i] != word:
             raise self.fail(f"'{word}'")
-        return self.next()
+        self.i = i + 1
+        return self.lines[i]
 
     def at_name(self) -> bool:
-        t = self.toks[self.i]
-        return t.kind == "ID" and t.value not in _KEYWORDS
+        v = self.vals[self.i]
+        return v[:1] in _ID_START and v not in _KEYWORDS
+
+    def at_int(self) -> bool:
+        return self.vals[self.i][:1] in _INT_START
 
     def name(self, what: str) -> str:
         if not self.at_name():
             raise self.fail(what)
-        return self.next().value
+        return self.next()
 
-    def pos(self, tok: Token) -> Position:
-        return Position(self.path, tok.line)
+    def pos(self, line: int) -> Position:
+        return Position(self.path, line)
 
     # -- declarations
 
     def parse_unit(self) -> tuple[list[ClassDef], list[InterfaceDef]]:
         classes: list[ClassDef] = []
         interfaces: list[InterfaceDef] = []
-        while self.peek().kind != "EOF":
+        while self.vals[self.i]:
             if self.at("class"):
                 classes.append(self.parse_class())
             elif self.at("interface"):
@@ -287,7 +300,7 @@ class _Parser:
         return classes, interfaces
 
     def parse_class(self) -> ClassDef:
-        head = self.expect("class")
+        line = self.expect("class")
         name = self.name("class name")
         superclass = self.name("superclass name") if self.accept("extends") else None
         ifaces: list[str] = []
@@ -296,39 +309,38 @@ class _Parser:
             while self.accept(","):
                 ifaces.append(self.name("interface name"))
         self.expect("{")
-        cls = ClassDef(name=name, superclass=superclass, interfaces=tuple(ifaces), pos=self.pos(head))
+        cls = ClassDef(name=name, superclass=superclass, interfaces=tuple(ifaces), pos=self.pos(line))
         while not self.at("}"):
             self.parse_member(cls)
         self.expect("}")
         return cls
 
     def parse_interface(self) -> InterfaceDef:
-        head = self.expect("interface")
+        line = self.expect("interface")
         name = self.name("interface name")
         extends = self.name("interface name") if self.accept("extends") else None
         self.expect("{")
         sigs: list[MethodSig] = []
         while not self.at("}"):
-            m = self.expect("method")
+            sig_line = self.expect("method")
             sig_name = self.name("method name")
             params = self.parse_list(self.name, "parameter name")
             self.expect(";")
-            sigs.append(MethodSig(sig_name, params, self.pos(m)))
+            sigs.append(MethodSig(sig_name, params, self.pos(sig_line)))
         self.expect("}")
-        return InterfaceDef(name=name, extends=extends, signatures=sigs, pos=self.pos(head))
+        return InterfaceDef(name=name, extends=extends, signatures=sigs, pos=self.pos(line))
 
     def parse_member(self, cls: ClassDef) -> None:
-        if self.at("field"):
-            head = self.next()
+        line = self.lines[self.i]
+        if self.accept("field"):
             static = self.accept("static")
             fname = self.name("field name")
             self.expect(":")
             ftype = self.parse_type()
             self.expect(";")
-            cls.fields.append(FieldDef(fname, ftype, static=static, pos=self.pos(head)))
+            cls.fields.append(FieldDef(fname, ftype, static=static, pos=self.pos(line)))
             return
-        if self.at("ctor"):
-            head = self.next()
+        if self.accept("ctor"):
             params = self.parse_list(self.name, "parameter name")
             body = self.parse_block()
             cls.constructors.append(
@@ -338,7 +350,7 @@ class _Parser:
                     body=body,
                     declaring_class=cls.name,
                     kind="constructor",
-                    pos=self.pos(head),
+                    pos=self.pos(line),
                 )
             )
             return
@@ -346,7 +358,7 @@ class _Parser:
         if public:
             self.accept("public")
         static = self.accept("static")
-        head = self.expect("method")
+        line = self.expect("method")
         mname = self.name("method name")
         params = self.parse_list(self.name, "parameter name")
         body = self.parse_block()
@@ -358,7 +370,7 @@ class _Parser:
                 declaring_class=cls.name,
                 static=static,
                 public=public,
-                pos=self.pos(head),
+                pos=self.pos(line),
             )
         )
 
@@ -384,9 +396,9 @@ class _Parser:
 
     def parse_block(self, depth: int = 0) -> list[Stmt]:
         """`{` stmt* `}`; `depth` counts the if/while blocks around it."""
-        brace = self.expect("{")
+        line = self.expect("{")
         if depth > MAX_NESTING:
-            raise ParseError(self.path, brace.line, f"if/while blocks nested deeper than {MAX_NESTING}")
+            raise ParseError(self.path, line, f"if/while blocks nested deeper than {MAX_NESTING}")
         body: list[Stmt] = []
         while not self.at("}"):
             body.append(self.parse_stmt(depth))
@@ -394,24 +406,26 @@ class _Parser:
         return body
 
     def parse_stmt(self, depth: int) -> Stmt:
-        head = self.peek()
+        pos = self.pos(self.lines[self.i])
         if self.accept("if"):
             cond = self.name("condition local")
             then_body = self.parse_block(depth + 1)
             else_body = self.parse_block(depth + 1) if self.accept("else") else []
-            return If(pos=self.pos(head), cond=cond, then_body=then_body, else_body=else_body)
+            return If(pos=pos, cond=cond, then_body=then_body, else_body=else_body)
         if self.accept("while"):
             cond = self.name("condition local")
-            return While(pos=self.pos(head), cond=cond, body=self.parse_block(depth + 1))
-        st = self.parse_simple(self.pos(head))
-        if self.peek().kind == "MARKER":
-            st.provenance = Provenance.LEFT if self.next().value == "@L" else Provenance.RIGHT
+            return While(pos=pos, cond=cond, body=self.parse_block(depth + 1))
+        st = self.parse_simple(pos)
+        if self.accept("@L"):
+            st.provenance = Provenance.LEFT
+        elif self.accept("@R"):
+            st.provenance = Provenance.RIGHT
         self.expect(";")
         return st
 
     def parse_simple(self, pos: Position) -> Stmt:
         if self.accept("return"):
-            return Return(pos=pos, value=self.next().value if self.at_name() else None)
+            return Return(pos=pos, value=self.next() if self.at_name() else None)
         if self.accept("call"):
             recv = self.name("call receiver")
             if not (self.at(".") or self.at("::")):
@@ -441,9 +455,9 @@ class _Parser:
             return ReflectiveAssign(pos=pos, target=base, type=self.name("type name"))
         if self.accept("newarr"):
             elem = self.parse_type()
-            if self.peek().kind != "INT":
+            if not self.at_int():
                 raise self.fail("array size")
-            return ArrayAlloc(pos=pos, target=base, elem_type=elem, size=int(self.next().value))
+            return ArrayAlloc(pos=pos, target=base, elem_type=elem, size=int(self.next()))
         if self.accept("op"):
             return OpaqueOp(pos=pos, target=base, operands=self.parse_list(self.parse_operand, "operand"))
         source = self.parse_operand("source")
@@ -472,25 +486,25 @@ class _Parser:
 
     def parse_operand(self, what: str) -> "str | Const":
         """A literal or a local: call arguments, store sources, literal right-hand sides."""
-        t = self.peek()
-        if t.kind in ("INT", "STRING"):
-            self.next()
-            return Const(int(t.value) if t.kind == "INT" else t.value)
+        if self.at_int():
+            return Const(int(self.next()))
+        if self.vals[self.i][:1] == '"':
+            return Const(self.next()[1:-1])
         return self.name(what)
 
     def parse_store_source(self) -> "str | Const":
         # Stores take a local or literal only; keeps them three-address.
-        t = self.peek()
+        line = self.lines[self.i]
         source = self.parse_operand("a local or literal source")
         if isinstance(source, str) and any(self.at(p) for p in (".", "[", "::", "(")):
             raise ParseError(
-                self.path, t.line, "expected a local or literal source (split compound assignments across lines)"
+                self.path, line, "expected a local or literal source (split compound assignments across lines)"
             )
         return source
 
     def parse_index(self) -> "int | str":
         self.expect("[")
-        index = int(self.next().value) if self.peek().kind == "INT" else self.name("index")
+        index = int(self.next()) if self.at_int() else self.name("index")
         self.expect("]")
         return index
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +41,11 @@ class Scenario:
     ground_truth: Optional[bool] = None
 
 
+# Line breaks, tabs and other control characters. A unit name holding one
+# would split the `unit<TAB>mode<TAB>verdict` lines `corpus` prints.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
 def _read_manifest(path: Path) -> dict:
     """A `scenario.json` checked field by field; bad input raises MirError."""
     try:
@@ -61,6 +67,12 @@ def _read_manifest(path: Path) -> dict:
             raise MirError(f"{path}: '{key}' must be a string or null")
     if manifest.get("ground_truth") not in ("true", "false", None):
         raise MirError(f"{path}: 'ground_truth' must be \"true\", \"false\" or null")
+    for key in ("id", "project"):
+        if _CONTROL.search(manifest.get(key) or ""):
+            raise MirError(
+                f"{path}: '{key}' must hold no line break, tab or other control character, "
+                f"got {json.dumps(manifest[key])}"
+            )
     return manifest
 
 

@@ -360,6 +360,18 @@ def test_corpus_with_a_bad_manifest_exits_3(tmp_path, capsys):
     _assert_scenario_error_beside_fig1_simple(code, capsys.readouterr(), out, "missing 'sources'")
 
 
+def test_corpus_with_a_line_break_in_an_id_exits_3(tmp_path, capsys):
+    # The id is the unit name of the `unit<TAB>mode<TAB>verdict` lines on
+    # stdout; "a\nb" used to split one of them in two.
+    root = tmp_path / "corpus"
+    _corpus_with_bad_scenario(root, '{"id": "a\\nb", "sources": ["a.mir"]}')
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--reps", "1", "--root", str(root), "--out", str(out)])
+    captured = capsys.readouterr()
+    _assert_scenario_error_beside_fig1_simple(code, captured, out, "'id' must hold no line break")
+    assert captured.out.count("\tnopa\t") == 1
+
+
 @pytest.mark.parametrize(
     "manifest, fragment",
     [
@@ -370,6 +382,9 @@ def test_corpus_with_a_bad_manifest_exits_3(tmp_path, capsys):
         ('{"id": "s", "sources": ["a.mir"], "entry": 5}', "'entry' must be a string or null"),
         ('{"id": "s", "sources": ["a.mir"], "sidecar": {}}', "'sidecar' must be a string or null"),
         ('{"id": "s", "sources": ["a.mir"], "ground_truth": true}', "'ground_truth' must be"),
+        ('{"id": "a\\nb", "sources": ["a.mir"]}', "'id' must hold no line break, tab or other control"),
+        ('{"id": "s", "project": "p\\tq", "sources": ["a.mir"]}', "'project' must hold no line break"),
+        ('{"id": "s\\u0000", "sources": ["a.mir"]}', 'got "s\\u0000"'),
     ],
 )
 def test_analyze_rejects_malformed_manifest(manifest, fragment, tmp_path, capsys):

@@ -28,6 +28,7 @@ from oadetect.mir import (
     find_method,
     iter_stmts,
 )
+from test_fuzz_frontend import lexed, reference_lexed
 
 
 def _fig1_units():
@@ -120,6 +121,52 @@ def test_string_literals_spelled_like_keywords_or_punctuation_stay_literals():
     body = find_method(parse_source(src), "A.m").body
     assert body[0].operands == (Const(")"), Const(","), Const("class"))
     assert body[1].source == Const("}")
+
+
+def test_negative_literals_are_ints():
+    src = "class A {\n  method m(a) {\n    x = -5;\n    y = op(-1, x);\n    a[-2] = -3;\n  }\n}\n"
+    body = find_method(parse_source(src), "A.m").body
+    assert body[0].source == Const(-5)
+    assert body[1].operands == (Const(-1), "x")
+    assert (body[2].index, body[2].source) == (-2, Const(-3))
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # A string literal where a name belongs is named by its text.
+        ('class "A" {\n}\n', 1, "expected class name, found 'A'"),
+        ("class A {\n  method m() {\n    x = 1\n", 4, "expected ';', found 'end of file'"),
+        ("class A {\n  field f: int;\n  f\n}\n", 3, "expected 'method', found 'f'"),
+    ],
+)
+def test_parse_error_names_the_token_found(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_source(text, path="A.mir")
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("", ("tokens", [("", 1)])),
+        # Trailing blanks without a newline: the end of text is one token.
+        ("x \t", ("tokens", [("x", 1), ("", 1)])),
+        ("x\n// end", ("tokens", [("x", 1), ("", 2)])),
+        ("x;\r\ny;\r\n", ("tokens", [("x", 1), (";", 1), ("y", 2), (";", 2), ("", 3)])),
+        ('x = "a // b";', ("tokens", [("x", 1), ("=", 1), ('"a // b"', 1), (";", 1), ("", 1)])),
+        ('"@L" @R', ("tokens", [('"@L"', 1), ("@R", 1), ("", 1)])),
+        ('x "class"', ("tokens", [("x", 1), ('"class"', 1), ("", 1)])),
+        ("-", ("error", 1, "unexpected character '-'")),
+        ("x\n@", ("error", 2, "unexpected character '@'")),
+        ("x / y", ("error", 1, "unexpected character '/'")),
+        ('x\ny = "ab', ("error", 2, "unterminated string literal")),
+        ('x = "a\nb";', ("error", 1, "unterminated string literal")),
+        ("x-5", ("tokens", [("x", 1), ("-5", 1), ("", 1)])),
+    ],
+)
+def test_lexer_edge_cases_agree_with_reference(text, want):
+    assert lexed(text) == reference_lexed(text) == want
 
 
 def _unmarked_fig1_units():

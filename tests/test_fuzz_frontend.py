@@ -1,7 +1,7 @@
 """Fuzzing the frontend and the exit-code contract behind it.
 
-The regex lexer is checked against the character loop it replaced, kept here
-as the reference. Mutated bundled sources must fail, if at all, with a
+The one-pass lexer is checked against a character loop kept here as the
+reference. Mutated bundled sources must fail, if at all, with a
 `MirError`, and `analyze` over them must exit with a contract code.
 """
 
@@ -13,21 +13,28 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oadetect.cli import main
-from oadetect.frontend import ParseError, Token, _tokenize, parse_source
+from oadetect.frontend import ParseError, _lex, parse_source
 from oadetect.harness import bundled_corpus_dir
 from oadetect.mir import MirError
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=400)
 
 # ---------------------------------------------------------------------------
-# Reference lexer: the character loop the regex lexer replaced.
+# Reference lexer: a character loop.
 
 _PUNCT = ("::", "{", "}", "(", ")", "[", "]", ",", ";", ":", "=", ".")
+
+
+class Token(NamedTuple):
+    kind: str  # MARKER STRING INT ID PUNCT EOF
+    value: str  # the spelling; a string literal's text without its quotes
+    line: int
 
 
 def _reference_tokenize(text: str, path: str) -> list[Token]:
@@ -149,11 +156,22 @@ def _programs(draw):
     return f"class A {{\n  field f: int;\n  method m(y, i) {{\n{body}\n  }}\n}}\n"
 
 
-def _lex(tokenize, text: str):
+def lexed(text: str):
+    """The lexer's (spelling, line) pairs for `text`, or its error line and message."""
     try:
-        return "tokens", [tuple(t) for t in tokenize(text, "fuzz.mir")]
+        vals, lines = _lex(text, "fuzz.mir")
     except ParseError as e:
         return "error", e.line, e.message
+    return "tokens", list(zip(vals, lines))
+
+
+def reference_lexed(text: str):
+    """`lexed` by the reference lexer, string literals spelled with their quotes."""
+    try:
+        toks = _reference_tokenize(text, "fuzz.mir")
+    except ParseError as e:
+        return "error", e.line, e.message
+    return "tokens", [(f'"{t.value}"' if t.kind == "STRING" else t.value, t.line) for t in toks]
 
 
 def _analyze(path: Path):
@@ -174,7 +192,7 @@ def _analyze(path: Path):
 @FUZZ
 @given(_TEXT)
 def test_regex_lexer_agrees_with_reference_on_ascii(text):
-    got, want = _lex(_tokenize, text), _lex(_reference_tokenize, text)
+    got, want = lexed(text), reference_lexed(text)
     if got != want:
         # Intended difference: outside strings and comments the token
         # classes are ASCII, so a non-ASCII letter or digit (also after '-')

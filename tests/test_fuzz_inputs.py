@@ -192,9 +192,14 @@ def test_json_nested_too_deep_exits_3(tmp_path):
 def test_a_line_break_in_a_name_stays_within_one_error_line(tmp_path):
     manifest = {"id": "a\nb", "sources": ["a.mir"]}
     d = _scenario(tmp_path, json.dumps(manifest).encode(), json.dumps(SIDECAR).encode())
-    # Without the manifest's sidecar the source has no entry.
-    _one_error_line(_analyze(d), "error: scenario 'a\\nb' has no dually modified declaration")
+    # The id names the unit on the `unit<TAB>mode<TAB>verdict` lines `corpus`
+    # prints, so the manifest is refused.
+    refused = "scenario.json: 'id' must hold no line break, tab or other control character, got \"a\\nb\""
+    _one_error_line(_analyze(d), refused)
     corpus = ["corpus", "--root", str(d), "--out", str(tmp_path / "out"), "--reps", "1"]
-    _one_error_line(_cli(corpus), "scenario error: a\\nb: scenario 'a\\nb' has no dually")
+    result = _cli(corpus)
+    _one_error_line(result, "scenario error: scn: ")
+    _one_error_line(result, refused)
+    (d / "scenario.json").write_text(json.dumps({"id": "s", "sources": ["a.mir"]}))
     (d / "map.json").write_text(json.dumps({"left": [{"file": "a\nb", "line": 4}]}))
     _one_error_line(_analyze(d, "--sidecar", str(d / "map.json")), "no statement at line a\\nb:4")
