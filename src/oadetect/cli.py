@@ -115,6 +115,14 @@ def _one_line(message: str) -> str:
     return "\\n".join(message.splitlines())
 
 
+def _out_dir(raw: str) -> Path:
+    """The `--out` directory, made before any analysis runs: a bad one then
+    costs no run and prints no report."""
+    outdir = Path(raw)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def _exit_code(verdicts) -> int:
     verdicts = set(verdicts)
     if Verdict.TRUE in verdicts:
@@ -127,7 +135,9 @@ def _exit_code(verdicts) -> int:
 def cmd_analyze(args) -> int:
     modes = _modes("--mode", args.mode or [Mode.NOPA.value])
     budget = _budget(args)
-    results = run_scenario(_analyze_scenario(args), modes, budget=budget)
+    scenario = _analyze_scenario(args)
+    outdir = _out_dir(args.out) if args.out else None
+    results = run_scenario(scenario, modes, budget=budget)
     several_entries = len(results) > len(modes)
     outcomes = []
     for r in results:
@@ -139,9 +149,7 @@ def cmd_analyze(args) -> int:
             # records, but only a true verdict reports them.
             for report in build_reports(r.outcome, r.entry):
                 print(render_text(report))
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir is not None:
         (outdir / "records.jsonl").write_text(emit_records(outcomes))
     return _exit_code(r.verdict for r in results)
 
@@ -154,8 +162,8 @@ def cmd_corpus(args) -> int:
     corpus = [root] if (root / "scenario.json").exists() else scenario_dirs(root)
     if not corpus:
         raise MirError(f"no scenarios under {root}")
+    outdir = _out_dir(args.out)
     run = run_corpus(corpus, modes, budget=budget, reps=args.reps)
-    outdir = Path(args.out)
     write_tables(run, modes, outdir)
     for sid, message in run.errors:
         print(_one_line(f"scenario error: {sid}: {message}"), file=sys.stderr)

@@ -35,6 +35,17 @@ too) and a template of the write event. A visit adds only what depends on
 the path: the call path, the provenance inherited from it (kept on the
 frame), and for heap writes the base type and the `field_of` triple on it.
 
+Branches, loops and calls with several targets are choice points. A call is
+cut for all its targets at the depth limit, which a visit checks once, and
+then completes without a choice point. Below the limit, one `isdisjoint`
+test of the call's target ids (a frozenset its op holds) against the ids on
+the call stack tells whether recursion cuts a target; only then are the
+targets filtered, and completing the call without a body becomes the first
+alternative. A choice point keeps its alternatives and a cursor into them.
+So, unless recursion cuts a target, a call visit costs the same however
+many targets the call has, and taking the next alternative on backtrack
+copies nothing.
+
 The scan runs as the enumerator appends each write event, so every write is
 scanned once however many paths share it. The LV/SFR rule is an equality,
 so a last-writer dict keyed by `element_key()` gives a write's most recent
@@ -58,7 +69,8 @@ Writes reached through a changed call site inherit that side's provenance,
 so a base-code write counts for the developer whose added call executes it.
 Budgets make runs reproducible: a statement-visit fuel and a path cap bound
 the enumeration deterministically, with an optional wall-clock limit on top;
-exhausting any of them yields a TIMEOUT verdict.
+exhausting any of them yields a TIMEOUT verdict, and the context's
+`stop_reason` names the budget that ran out.
 """
 
 from __future__ import annotations
@@ -325,30 +337,23 @@ class DetectionContext:
         self.by_id = methods_by_id(program)
         self.visited = 0
         self.paths = 0
-        self.timed_out = False
+        # The budget that ran out: "fuel", "path_cap" or "wall_clock".
+        self.stop_reason: Optional[str] = None
         self.missrefs: dict[tuple, MissRef] = {}
-        self._deadline = (
+        self.deadline = (
             time.monotonic() + budget.wall_clock if budget.wall_clock is not None else None
         )
 
+    @property
+    def timed_out(self) -> bool:
+        return self.stop_reason is not None
+
+    def stop(self, reason: str) -> None:
+        self.stop_reason = reason
+        raise _BudgetStop()
+
     def record_missref(self, miss: MissRef) -> None:
         self.missrefs.setdefault((miss.pos, miss.expression, miss.reason), miss)
-
-    def tick(self) -> None:
-        self.visited += 1
-        if self.visited > self.budget.fuel:
-            self.timed_out = True
-            raise _BudgetStop()
-        if self._deadline is not None and self.visited % 512 == 0:
-            if time.monotonic() > self._deadline:
-                self.timed_out = True
-                raise _BudgetStop()
-
-    def count_path(self) -> None:
-        self.paths += 1
-        if self.paths > self.budget.path_cap:
-            self.timed_out = True
-            raise _BudgetStop()
 
     def base_pts(self, mid: str, local: str) -> Optional[frozenset]:
         if not self.mode.uses_pts or self.pts is None:
@@ -416,14 +421,16 @@ class _Op:
              type `rule` (None for a static store)
     _HEAP    an IFR or AR write: `template`, `base` and, for IFR, `field`
     _ALLOC   the LV write of an allocation, as _WRITE, then `hop` and `ctor`
-    _CALL    `hop` and `targets` (resolved on first visit); `result` is the
+    _CALL    `hop`, and `targets` with the frozenset of their ids,
+             `target_ids` (both resolved on first visit); `result` is the
              _WRITE op of the result local, or None
-    _IF, _WHILE  `alts`, the alternatives the choice point tries in order
+    _IF, _WHILE  `alts`, the blocks the choice point tries in order: the
+             then and else blocks, or None (skip the loop) and the body
     _RETURN  nothing
     """
 
     __slots__ = ("code", "st", "prov", "template", "key", "rule", "base", "field",
-                 "ctor", "hop", "targets", "result", "alts")
+                 "ctor", "hop", "targets", "target_ids", "result", "alts")
 
     def __init__(self, code: int, st):
         self.code = code
@@ -432,7 +439,7 @@ class _Op:
         # BASE call enters, take the provenance their path inherits.
         self.prov = st.provenance if st.provenance is not Provenance.BASE else None
         self.template = self.key = self.rule = self.base = self.field = None
-        self.ctor = self.hop = self.targets = self.result = self.alts = None
+        self.ctor = self.hop = self.targets = self.target_ids = self.result = self.alts = None
 
 
 def _instantiate(template: dict, call_path: tuple, provenance: Provenance) -> WriteEvent:
@@ -477,6 +484,7 @@ class _Lowering:
             else:
                 defs = [resolve_static(ctx.program, st)]
             op.targets = [self.method(d) for d in defs]
+            op.target_ids = frozenset(t.id for t in op.targets)
         return op.targets
 
     def block(self, stmts, m: _Method) -> list[_Op]:
@@ -486,10 +494,10 @@ class _Lowering:
         p = self.ctx.program
         if isinstance(st, If):
             op = _Op(_IF, st)
-            op.alts = [("block", self.block(st.then_body, m)), ("block", self.block(st.else_body, m))]
+            op.alts = [self.block(st.then_body, m), self.block(st.else_body, m)]
         elif isinstance(st, While):
             op = _Op(_WHILE, st)
-            op.alts = [("skip",), ("block", self.block(st.body, m))]
+            op.alts = [None, self.block(st.body, m)]
         elif isinstance(st, Return):
             op = _Op(_RETURN, st)
         elif isinstance(st, (VirtualCall, StaticCall)):
@@ -539,10 +547,19 @@ class _Lowering:
 #
 # The enumerator is an explicit-stack machine rather than recursion: a single
 # path may inline thousands of statements, well past Python's stack. Frames
-# hold a block of ops in progress; choice points (branches, loops,
-# multi-target calls) snapshot frame cursors and the event count, and
-# backtracking restores them. Envs are copy-on-write, so snapshots can share
-# references.
+# hold a block of ops in progress. `paths()` steps the top frame: it counts
+# fuel, runs writes and heap writes and ends frames inline, and hands calls,
+# allocations, returns and branches to their helpers.
+#
+# A choice point snapshots the frame cursors and the event count, and keeps
+# the op, its alternatives and a cursor into them. Backtracking restores the
+# snapshot and applies the alternative under the cursor; taking the last one
+# drops the choice point. Envs are copy-on-write, so snapshots can share
+# references. A branch's alternatives are its lowered blocks, None skipping
+# a loop. A call's are its targets, each inlined in a body frame: the op's
+# own target list when nothing is cut, else None (complete the call without
+# a body) followed by the targets that recursion leaves. The depth cut is
+# decided once per visit, before any choice point (see the module docstring).
 
 
 class _Frame:
@@ -566,7 +583,9 @@ class _Enumerator:
         self.entry = self.lowering.method(entry)
         self.events: list[WriteEvent] = []
         self.frames: list[_Frame] = []
-        self.choices: list = []  # (frame list, per-frame (i, env), events length, alternatives)
+        # Choice points: [frames, per-frame (i, env), events length, op,
+        # alternatives, cursor of the next alternative].
+        self.choices: list[list] = []
 
     # -- per-path event log; `_Scanner` extends these three
 
@@ -583,32 +602,64 @@ class _Enumerator:
 
     def paths(self) -> Iterator:
         """Yields `_finish_path()` once per completed path."""
-        entry = self.entry
-        self.frames = [
-            _Frame(self.lowering.ops(entry), initial_env(entry.mdef), (), Provenance.BASE,
-                   frozenset({entry.id}), "root")
-        ]
-        ctx = self.ctx
-        while True:
-            if not self.frames:
-                ctx.count_path()
-                yield self._finish_path()
-                if not self._backtrack():
-                    return
-                continue
-            frame = self.frames[-1]
-            if frame.i >= len(frame.ops):
-                self._pop_frame()
-                continue
-            ctx.tick()
-            self._step(frame, frame.ops[frame.i])
-
-    def _pop_frame(self) -> None:
-        done = self.frames.pop()
-        if done.kind == "block" and self.frames:
-            self.frames[-1].env = done.env  # branch bindings flow onward
-        elif done.kind == "body":
-            self._complete_call(done.site)
+        ctx, entry = self.ctx, self.entry
+        program, budget, deadline = ctx.program, ctx.budget, ctx.deadline
+        fuel, path_cap = budget.fuel, budget.path_cap
+        append = self._append
+        frames = self.frames
+        frames.append(_Frame(self.lowering.ops(entry), initial_env(entry.mdef), (), Provenance.BASE,
+                             frozenset({entry.id}), "root"))
+        visited = ctx.visited
+        try:
+            while True:
+                if not frames:
+                    ctx.paths += 1
+                    if ctx.paths > path_cap:
+                        ctx.stop("path_cap")
+                    ctx.visited = visited
+                    yield self._finish_path()
+                    if not self._backtrack():
+                        return
+                    continue
+                frame = frames[-1]
+                ops, i = frame.ops, frame.i
+                if i == len(ops):
+                    frames.pop()
+                    if frame.kind == "block":
+                        frames[-1].env = frame.env  # branch bindings flow onward
+                    elif frame.kind == "body" and frame.site.result is not None:
+                        self._write(frames[-1], frame.site.result)  # the call completes
+                    continue
+                visited += 1
+                if visited > fuel:
+                    ctx.stop("fuel")
+                if deadline is not None and visited % 512 == 0 and time.monotonic() > deadline:
+                    ctx.stop("wall_clock")
+                op = ops[i]
+                frame.i = i + 1
+                code = op.code
+                if code == _WRITE:
+                    append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
+                    if op.rule is not None:
+                        frame.env = apply_rule(op.rule, frame.env, program)
+                elif code == _HEAP:
+                    base_type = frame.env.get(op.base)
+                    ev = _instantiate(op.template, frame.call_path, op.prov or frame.prov)
+                    ev.__dict__["base_type"] = base_type
+                    if op.field is not None:
+                        hit = field_of(program, base_type, op.field)
+                        ev.__dict__["field"] = (hit[0], op.field, hit[1]) if hit is not None else None
+                    append(ev, None)
+                elif code == _CALL:
+                    self._branch_call(frame, op)
+                elif code == _ALLOC:
+                    self._alloc(frame, op)
+                elif code == _RETURN:
+                    self._return()
+                else:  # _IF, _WHILE
+                    self._choose(op, op.alts)
+        finally:
+            ctx.visited = visited
 
     def _write(self, frame: _Frame, op: _Op) -> None:
         self._append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
@@ -619,54 +670,43 @@ class _Enumerator:
         if site.result is not None:
             self._write(self.frames[-1], site.result)
 
-    def _step(self, frame: _Frame, op: _Op) -> None:
-        code = op.code
-        if code == _WRITE:
-            self._write(frame, op)
-            frame.i += 1
-        elif code == _HEAP:
-            base_type = frame.env.get(op.base)
-            ev = _instantiate(op.template, frame.call_path, op.prov or frame.prov)
-            ev.__dict__["base_type"] = base_type
-            if op.field is not None:
-                hit = field_of(self.ctx.program, base_type, op.field)
-                ev.__dict__["field"] = (hit[0], op.field, hit[1]) if hit is not None else None
-            self._append(ev, None)
-            frame.i += 1
-        elif code == _CALL:
-            frame.i += 1
-            self._branch_call(frame, op, self.lowering.targets(op))
-        elif code == _ALLOC:
-            self._write(frame, op)
-            frame.i += 1
-            if op.ctor is not None and self._inlinable(frame, op.ctor):
-                self._push_body(frame, op, op.ctor)
-        elif code == _RETURN:
-            while self.frames:
-                done = self.frames.pop()
-                if done.kind == "body":
-                    self._complete_call(done.site)
-                    return
-                if done.kind == "root":
-                    return  # path ends at the loop head
-        else:  # _IF, _WHILE
-            frame.i += 1
-            self._choose(op.alts)
+    def _alloc(self, frame: _Frame, op: _Op) -> None:
+        self._write(frame, op)
+        ctor = op.ctor
+        if (
+            ctor is not None
+            and len(frame.call_path) < self.ctx.budget.depth_limit
+            and ctor.id not in frame.on_stack
+        ):
+            self._push_body(frame, op, ctor)
 
-    def _inlinable(self, frame: _Frame, target: _Method) -> bool:
-        return (
-            len(frame.call_path) < self.ctx.budget.depth_limit
-            and target.id not in frame.on_stack
-        )
+    def _return(self) -> None:
+        frames = self.frames
+        while frames:
+            done = frames.pop()
+            if done.kind == "body":
+                self._complete_call(done.site)
+                return
+            if done.kind == "root":
+                return  # path ends at the loop head
 
-    def _branch_call(self, frame: _Frame, op: _Op, targets: list[_Method]) -> None:
-        inlinable = [t for t in targets if self._inlinable(frame, t)]
-        alts: list = []
-        if len(inlinable) < len(targets) or not targets:
-            # Depth or recursion cut (or no targets): the call contributes nothing.
-            alts.append(("complete", op))
-        alts.extend(("body", op, t) for t in inlinable)
-        self._choose(alts)
+    def _branch_call(self, frame: _Frame, op: _Op) -> None:
+        targets = self.lowering.targets(op)
+        if not targets or len(frame.call_path) >= self.ctx.budget.depth_limit:
+            # No targets, or all cut by depth: the call contributes nothing.
+            self._complete_call(op)
+            return
+        on_stack = frame.on_stack
+        if op.target_ids.isdisjoint(on_stack):
+            alts = targets
+        else:
+            # Recursion cuts some target: completing the call comes first.
+            alts = [None]
+            alts.extend(t for t in targets if t.id not in on_stack)
+        if len(alts) == 1:
+            self._apply(op, alts[0])
+        else:
+            self._choose(op, alts)
 
     def _push_body(self, caller: _Frame, op: _Op, target: _Method) -> None:
         mdef = target.mdef
@@ -680,44 +720,43 @@ class _Enumerator:
                    caller.on_stack | {target.id}, "body", site=op)
         )
 
-    def _apply(self, alt) -> None:
-        kind = alt[0]
-        if kind == "block":
-            parent = self.frames[-1]
-            self.frames.append(
-                _Frame(alt[1], parent.env, parent.call_path, parent.prov, parent.on_stack, "block")
-            )
-        elif kind == "body":
-            self._push_body(self.frames[-1], alt[1], alt[2])
-        elif kind == "complete":
-            self._complete_call(alt[1])
-        # "skip": nothing to do
-
-    def _choose(self, alts: list) -> None:
-        if len(alts) == 1:
-            self._apply(alts[0])
+    def _apply(self, op: _Op, alt) -> None:
+        """Takes alternative `alt` of the choice at `op`: a call target or a
+        block, or None, which completes a call and skips a loop."""
+        if alt is None:
+            if op.code == _CALL:
+                self._complete_call(op)
             return
-        snapshot = (list(self.frames), [(f.i, f.env) for f in self.frames], len(self.events))
-        first, rest = alts[0], alts[1:]
-        self.choices.append((snapshot, rest))
-        self._apply(first)
+        parent = self.frames[-1]
+        if op.code == _CALL:
+            self._push_body(parent, op, alt)
+        else:
+            self.frames.append(
+                _Frame(alt, parent.env, parent.call_path, parent.prov, parent.on_stack, "block")
+            )
+
+    def _choose(self, op: _Op, alts: list) -> None:
+        frames = self.frames
+        self.choices.append([tuple(frames), [(f.i, f.env) for f in frames], len(self.events), op, alts, 1])
+        self._apply(op, alts[0])
 
     def _backtrack(self) -> bool:
-        while self.choices:
-            snapshot, rest = self.choices[-1]
-            if not rest:
-                self.choices.pop()
-                continue
-            alt = rest.pop(0)
-            frames, cursors, events_len = snapshot
-            self._truncate(events_len)
-            self.frames = list(frames)
-            for f, (i, env) in zip(self.frames, cursors):
-                f.i = i
-                f.env = env
-            self._apply(alt)
-            return True
-        return False
+        if not self.choices:
+            return False
+        choice = self.choices[-1]
+        saved, cursors, events_len, op, alts, k = choice
+        if k + 1 == len(alts):
+            self.choices.pop()
+        else:
+            choice[5] = k + 1
+        self._truncate(events_len)
+        frames = self.frames
+        frames[:] = saved
+        for f, (i, env) in zip(frames, cursors):
+            f.i = i
+            f.env = env
+        self._apply(op, alts[k])
+        return True
 
 
 def _collapses(prev: WriteEvent, ev: WriteEvent) -> bool:
@@ -756,7 +795,7 @@ def enumerate_write_paths(
     Branches fork, loops run zero or one iteration, and calls inline their
     resolved targets up to the depth limit with recursion cut on the call
     stack. The stream simply ends when a budget runs out; callers that need
-    to distinguish that pass their own context and check `timed_out`.
+    to distinguish that pass their own context and check its `stop_reason`.
     """
     if ctx is None:
         ctx = _make_context(p, entry, mode, budget, cha, pts)

@@ -180,6 +180,35 @@ def test_corpus_accepts_single_scenario_root(tmp_path, capsys):
     assert "fig1_advanced\tpa\tfalse" in out
 
 
+def _refuse_analysis(*args, **kwargs):
+    raise AssertionError("analysis ran before --out was checked")
+
+
+def test_analyze_bad_out_exits_3_before_any_report(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr("oadetect.cli.run_scenario", _refuse_analysis)
+    code = main(["analyze", "--mode", "nopa", "--out", str(taken), corpus_path("fig1_simple")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and "File exists" in line
+
+
+def test_corpus_bad_out_exits_3_before_the_run(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr("oadetect.cli.run_corpus", _refuse_analysis)
+    code = main(["corpus", "--root", str(bundled_corpus_dir()), "--reps", "1", "--deterministic",
+                 "--out", str(taken)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and "File exists" in line
+
+
 def test_dump_graph_points_to_mode(capsys):
     code = main(["dump-graph", "--mode", "pa", corpus_path("fig1_advanced")])
     assert code == 0

@@ -486,6 +486,32 @@ def test_wall_clock_budget_times_out(deep_hierarchy):
     assert out.verdict is Verdict.TIMEOUT
 
 
+def _drained(p, entry, bud: AnalysisBudget) -> DetectionContext:
+    ctx = DetectionContext(p, Mode.NOPA, bud, cha=build_cha_graph(p, entry))
+    for _ in enumerate_write_paths(p, entry, ctx=ctx):
+        pass
+    return ctx
+
+
+@pytest.mark.parametrize("bud, reason", [
+    (budget(fuel=100), "fuel"),
+    (budget(), "path_cap"),
+    (AnalysisBudget(wall_clock=0.0), "wall_clock"),
+])
+def test_stop_reason_names_the_budget_that_ran_out(deep_hierarchy, bud, reason):
+    p, entry = deep_hierarchy
+    ctx = _drained(p, entry, bud)
+    assert (ctx.stop_reason, ctx.timed_out) == (reason, True)
+
+
+def test_stop_reason_is_none_when_every_path_completes(fig1_advanced):
+    p, entry = fig1_advanced
+    ctx = _drained(p, entry, budget())
+    assert (ctx.stop_reason, ctx.timed_out, ctx.paths) == (None, False, 4)
+    with pytest.raises(AttributeError):
+        ctx.timed_out = True
+
+
 def test_detect_deterministic_outcomes(fig1_advanced):
     p, entry = fig1_advanced
     a = detect(p, entry, Mode.NOPA, budget=budget())
@@ -703,3 +729,81 @@ def test_each_method_is_lowered_once_per_detect_call(monkeypatch):
     assert sorted(lowered) == ["A.m/0", "A.s/0"]
     detect(p, find_method(p, "A.m"), Mode.NOPA, budget=budget())
     assert sorted(lowered) == ["A.m/0", "A.m/0", "A.s/0", "A.s/0"]
+
+
+# ---------------------------------------------------------------------------
+# Calls cut by recursion or depth. A cut call contributes nothing but its
+# result write; when a call is cut for some of its targets only, the path
+# that completes the call comes first, then one path per inlined target.
+
+
+def _stream(path) -> list:
+    return [(ev.kind, ev.local or ev.field_name, ev.pos.line, ev.method_id, ev.provenance.name,
+             len(ev.call_path)) for ev in path]
+
+
+RECURSIVE_SITE = (
+    "interface I {\n  method run();\n}\n"
+    "class P implements I {\n  field next: I;\n  field static g: int;\n"
+    "  method run() {\n    n = this.next;\n    r = n.run() @L;\n    P::g = 1 @R;\n  }\n}\n"
+    "class Q implements I {\n  method run() {\n    P::g = 2;\n  }\n}\n"
+)
+
+
+@pytest.mark.parametrize("mode", [Mode.NOPA, Mode.HYBRID])
+def test_call_cut_by_recursion_completes_first_then_inlines_the_rest(mode):
+    # `n.run()` resolves to P.run, which is on the stack, and to Q.run.
+    p = parse_source(RECURSIVE_SITE)
+    entry = find_method(p, "P.run")
+    ctx = DetectionContext(p, mode, budget(), cha=build_cha_graph(p, entry),
+                           pts=solve(p, pa_entry_points(p)))
+    paths = [_stream(path) for path in enumerate_write_paths(p, entry, ctx=ctx)]
+    assert paths == [
+        [("LV", "n", 8, "P.run/0", "BASE", 0), ("LV", "r", 9, "P.run/0", "LEFT", 0),
+         ("SFR", "g", 10, "P.run/0", "RIGHT", 0)],
+        [("LV", "n", 8, "P.run/0", "BASE", 0), ("SFR", "g", 15, "Q.run/0", "LEFT", 1),
+         ("LV", "r", 9, "P.run/0", "LEFT", 0), ("SFR", "g", 10, "P.run/0", "RIGHT", 0)],
+    ]
+    assert (ctx.visited, ctx.paths, ctx.timed_out) == (5, 2, False)
+    out = detect(p, entry, mode, budget=budget())
+    assert out.verdict is Verdict.TRUE
+    assert [(c.overridden.pos.line, c.overriding.pos.line) for c in out.conflicts] == [(15, 10)]
+    assert (out.stats.visited, out.stats.paths) == (5, 2)
+
+
+DEPTH_SITE = (
+    "interface I {\n  method run();\n}\n"
+    "class P implements I {\n  field static g: int;\n  method run() {\n    P::g = 1;\n  }\n}\n"
+    "class Q implements I {\n  method run() {\n    P::g = 2;\n  }\n}\n"
+    "class M {\n  field h: I;\n  method entry() {\n    call this.hop() @L;\n    P::g = 3 @R;\n  }\n"
+    "  method hop() {\n    h = this.h;\n    r = h.run();\n  }\n}\n"
+)
+
+
+def test_multi_target_call_at_the_depth_limit_contributes_nothing():
+    # `h.run()` sits one call deep; at depth limit 1 both its targets are cut.
+    p = parse_source(DEPTH_SITE)
+    entry = find_method(p, "M.entry")
+    cut = budget(depth_limit=1)
+    ctx = DetectionContext(p, Mode.NOPA, cut, cha=build_cha_graph(p, entry))
+    paths = [_stream(path) for path in enumerate_write_paths(p, entry, ctx=ctx)]
+    assert paths == [
+        [("LV", "h", 22, "M.hop/0", "LEFT", 1), ("LV", "r", 23, "M.hop/0", "LEFT", 1),
+         ("SFR", "g", 19, "M.entry/0", "RIGHT", 0)],
+    ]
+    assert (ctx.visited, ctx.paths, ctx.timed_out) == (4, 1, False)
+    out = detect(p, entry, Mode.NOPA, budget=cut)
+    assert out.verdict is Verdict.FALSE
+    assert (out.stats.visited, out.stats.paths) == (4, 1)
+    # One level deeper, each target is a path of its own and overrides line 19.
+    out = detect(p, entry, Mode.NOPA, budget=budget(depth_limit=2))
+    assert out.verdict is Verdict.TRUE
+    assert [(c.overridden.pos.line, c.overriding.pos.line) for c in out.conflicts] == [(7, 19), (12, 19)]
+    assert (out.stats.visited, out.stats.paths) == (7, 2)
+
+
+def test_deep_hierarchy_nopa_reaches_the_path_cap(deep_hierarchy):
+    p, entry = deep_hierarchy
+    out = detect(p, entry, Mode.NOPA, budget=budget())
+    assert out.verdict is Verdict.TIMEOUT
+    assert (out.stats.visited, out.stats.paths) == (8200, 4097)
