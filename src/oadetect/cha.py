@@ -5,7 +5,10 @@ statements that feed them: allocations, reflective instantiation, field and
 array loads (via declared field types), copies, and parameter bindings seen
 at call sites. Branches join with the least common supertype and unknown
 types widen to "any class providing the method", which keeps resolution
-conservative: everything a run can dispatch to is in the graph.
+conservative: everything a run can dispatch to is in the graph. A virtual
+call whose method no class provides (say, on an interface no class
+implements) has no hierarchy targets and adds no edge; a static call that
+names no method is a `ResolutionError`.
 
 `build_cha_graph` is the one fixpoint: a worklist over methods. Each visit
 types the method's body in a single walk from its parameter types, and a
@@ -206,7 +209,7 @@ def initial_env(method: MethodDef, param_types=None) -> TypeEnv:
 
 
 def _resolve_virtual(
-    p: Program, receiver_type: Optional[str], name: str, arity: int, pos: Position
+    p: Program, receiver_type: Optional[str], name: str, arity: int
 ) -> list[MethodDef]:
     if receiver_type is not None and p.declares_type(receiver_type):
         defs = {}
@@ -222,14 +225,13 @@ def _resolve_virtual(
         m = resolve_method(p, c.name, name, arity)
         if m is not None:
             defs[m.id] = m
-    if not defs:
-        raise ResolutionError(f"cannot resolve call to '{name}/{arity}' at {pos}")
     return [defs[k] for k in sorted(defs)]
 
 
 def cha_resolve(site: VirtualCall, p: Program, receiver_type: Optional[str] = None) -> set[str]:
-    """Possible targets of a virtual call under class-hierarchy resolution."""
-    defs = _resolve_virtual(p, receiver_type, site.method, len(site.args), site.pos)
+    """Possible targets of a virtual call under class-hierarchy resolution;
+    none when no class provides the method."""
+    defs = _resolve_virtual(p, receiver_type, site.method, len(site.args))
     return {m.id for m in defs}
 
 
@@ -315,7 +317,7 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
         for pos in sorted(sites):
             st, recv_type, arg_types = sites[pos]
             if isinstance(st, VirtualCall):
-                targets = _resolve_virtual(p, recv_type, st.method, len(st.args), st.pos)
+                targets = _resolve_virtual(p, recv_type, st.method, len(st.args))
             elif isinstance(st, StaticCall):
                 targets = [resolve_static(p, st)]
             else:

@@ -12,6 +12,9 @@ mode reports a conflict, 2 when any mode times out (and none conflicts), 3
 on usage, input or parse errors. `corpus` evaluates scenario directories and writes the records
 stream plus the confusion/metrics/transitions/histogram/timing tables. Both
 run `harness.run_scenario` per scenario.
+
+`main` builds only the parser of the subcommand it runs, because building
+all four cost as much as analysing a small scenario.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .cha import build_cha_graph
 from .engine import AnalysisBudget, Mode, Verdict
@@ -219,45 +223,72 @@ class _Parser(argparse.ArgumentParser):
         raise MirError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="oadetect", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="analyze sources for override-assignment conflicts")
-    analyze.add_argument("sources", nargs="+", help="source files or scenario directories")
-    analyze.add_argument(
+def _analyze_args(sub) -> None:
+    sub.add_argument("sources", nargs="+", help="source files or scenario directories")
+    sub.add_argument(
         "--mode", action="append", default=[], help="nopa, pa or hybrid (default nopa); repeatable"
     )
-    analyze.add_argument("--entry", help="entry as Class.method (default: dually modified methods)")
-    analyze.add_argument("--sidecar", help="provenance line-map JSON file")
-    analyze.add_argument("--out", help="directory for machine records")
-    _add_budget_flags(analyze)
-    analyze.set_defaults(func=cmd_analyze)
+    sub.add_argument("--entry", help="entry as Class.method (default: dually modified methods)")
+    sub.add_argument("--sidecar", help="provenance line-map JSON file")
+    sub.add_argument("--out", help="directory for machine records")
+    _add_budget_flags(sub)
 
-    corpus = sub.add_parser("corpus", help="evaluate a corpus of scenario directories")
-    corpus.add_argument("--root", required=True, help="directory of scenario directories")
-    corpus.add_argument("--modes", default="nopa,pa", help="comma-separated mode list")
-    corpus.add_argument("--reps", type=int, default=10, help="timing repetitions per unit")
-    corpus.add_argument("--out", default="oa-results", help="output directory for tables")
-    _add_budget_flags(corpus)
-    corpus.set_defaults(func=cmd_corpus)
 
-    dump_graph = sub.add_parser("dump-graph", help="print the call graph, one edge per line")
-    dump_graph.add_argument("sources", nargs="+")
-    dump_graph.add_argument("--mode", choices=["nopa", "pa"], default="nopa")
-    dump_graph.add_argument("--entry")
-    dump_graph.add_argument("--sidecar")
-    dump_graph.set_defaults(func=cmd_dump_graph)
+def _corpus_args(sub) -> None:
+    sub.add_argument("--root", required=True, help="directory of scenario directories")
+    sub.add_argument("--modes", default="nopa,pa", help="comma-separated mode list")
+    sub.add_argument("--reps", type=int, default=10, help="timing repetitions per unit")
+    sub.add_argument("--out", default="oa-results", help="output directory for tables")
+    _add_budget_flags(sub)
 
-    dump_pts_cmd = sub.add_parser("dump-pts", help="print points-to sets and miss sites")
-    dump_pts_cmd.add_argument("sources", nargs="+")
-    dump_pts_cmd.set_defaults(func=cmd_dump_pts)
+
+def _dump_graph_args(sub) -> None:
+    sub.add_argument("sources", nargs="+")
+    sub.add_argument("--mode", choices=["nopa", "pa"], default="nopa")
+    sub.add_argument("--entry")
+    sub.add_argument("--sidecar")
+
+
+def _dump_pts_args(sub) -> None:
+    sub.add_argument("sources", nargs="+")
+
+
+class Command(NamedTuple):
+    """One subcommand: its help line, its argument builder and its handler."""
+
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+COMMANDS = {
+    "analyze": Command("analyze sources for override-assignment conflicts", _analyze_args, cmd_analyze),
+    "corpus": Command("evaluate a corpus of scenario directories", _corpus_args, cmd_corpus),
+    "dump-graph": Command("print the call graph, one edge per line", _dump_graph_args, cmd_dump_graph),
+    "dump-pts": Command("print points-to sets and miss sites", _dump_pts_args, cmd_dump_pts),
+}
+
+
+def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser of the subcommands `names` (by default all of them)."""
+    parser = _Parser(prog="oadetect", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        command = COMMANDS[name]
+        subparser = sub.add_parser(name, help=command.help)
+        command.add_arguments(subparser)
+        subparser.set_defaults(func=command.run)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # The top level takes no option but -h and no positional but the
+        # subcommand, so a first word that names one is the subcommand and
+        # its parser alone parses the rest.
+        names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+        args = build_parser(names).parse_args(argv)
         return args.func(args)
     except SystemExit:  # only -h/--help exits; `_Parser` raises on errors
         return EXIT_FALSE

@@ -65,11 +65,19 @@ def test_resolve_three_level_hierarchy_with_inherited_definitions():
     assert cha_resolve(site, p, receiver_type="C") == {"A.m/0", "C.m/0"}
 
 
-def test_resolve_unknown_method_errors():
-    p = parse_source("class A {\n  method u(r) {\n    call r.nosuch();\n  }\n}\n")
-    site = _site(p, "A.u")
+def test_resolve_unknown_method_has_no_targets():
+    # A virtual call no class provides used to raise, which made nopa and
+    # hybrid exit 3 on programs the parser accepts; a static one still does.
+    p = parse_source(
+        "interface I {\n  method m();\n}\n"
+        "class A {\n  method u(r) {\n    call r.nosuch();\n    s = mkref I;\n    call s.m();\n  }\n"
+        "  method v() {\n    call A::nosuch();\n  }\n}\n"
+    )
+    assert cha_resolve(_site(p, "A.u", line=6), p) == set()
+    assert cha_resolve(_site(p, "A.u", line=8), p, receiver_type="I") == set()
+    assert build_cha_graph(p, find_method(p, "A.u")).edges == set()
     with pytest.raises(ResolutionError, match="nosuch"):
-        cha_resolve(site, p)
+        build_cha_graph(p, find_method(p, "A.v"))
 
 
 def test_graph_fig1_advanced_has_five_nodes(fig1_advanced):

@@ -5,8 +5,11 @@ from pathlib import Path
 import pytest
 
 from conftest import CONFLICT_THEN_FORKS
+from oadetect import cli
 from oadetect.cli import main
+from oadetect.frontend import pretty_print
 from oadetect.harness import bundled_corpus_dir
+from oadetect.randprog import DEFAULT_SEED, generate_program
 from oadetect.reporting import parse_records
 
 
@@ -106,6 +109,73 @@ def test_usage_error_exit_code(capsys):
 def test_help_exits_0(capsys):
     assert main(["corpus", "-h"]) == 0
     assert capsys.readouterr().out.startswith("usage: oadetect corpus")
+
+
+# `main` builds the parser of the subcommand its first word names; on each
+# of these it must act as the parser of all four subcommands does.
+FULL_PARSER_PROBES = [
+    [],
+    ["-h"],
+    *([name, "-h"] for name in cli.COMMANDS),
+    ["no-such-command"],
+    ["-x", "analyze", "a.mir"],
+    *([name] for name in cli.COMMANDS),
+    ["analyze", "--fuel", "x", "a.mir"],
+    ["corpus", "--root", "a", "--modes", "nopa,zz"],
+    ["dump-graph", "--mode", "hybrid", "a.mir"],
+]
+
+
+@pytest.mark.parametrize("argv", FULL_PARSER_PROBES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_acts_as_the_full_parser(argv, capsys, monkeypatch):
+    got = main(argv), capsys.readouterr()
+    build_all = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names: build_all())
+    assert (main(argv), capsys.readouterr()) == got
+
+
+def test_analyze_builds_no_other_subcommand(monkeypatch, capsys):
+    def refuse(sub):
+        raise AssertionError("built the parser of a subcommand main does not run")
+
+    for name, command in list(cli.COMMANDS.items()):
+        if name != "analyze":
+            monkeypatch.setitem(cli.COMMANDS, name, command._replace(add_arguments=refuse))
+    assert main(["analyze", "--mode", "nopa", corpus_path("fig1_simple")]) == 1
+    assert "verdict: true" in capsys.readouterr().out
+
+
+# A virtual call whose method no class provides used to make the CHA graph
+# raise, so nopa and hybrid exited 3 on programs the parser accepts.
+
+@pytest.mark.parametrize("offset", [3023, 3083])
+def test_analyze_decides_suite_programs_calling_a_method_no_class_provides(offset, tmp_path, capsys):
+    # Pinned to the default OA_SEED, which generated the two programs.
+    gen = generate_program(DEFAULT_SEED + offset, mkref=True, mark_changes=True)
+    src = tmp_path / "gen.mir"
+    src.write_text(pretty_print(gen.program))
+    entry = f"{gen.entry.declaring_class}.{gen.entry.name}"
+    for mode in ("nopa", "pa", "hybrid"):
+        code = main(["analyze", "--deterministic", "--mode", mode, "--entry", entry, str(src)])
+        assert code in (0, 1, 2), capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+
+
+NO_PROVIDER = (
+    "interface I {\n  method m();\n}\n"
+    "class A {\n  method run() {\n    x = 1 @L;\n    r = mkref I;\n    call r.m();\n    x = 2 @R;\n  }\n}\n"
+)
+
+
+def test_call_no_class_provides_has_no_targets_and_completes(tmp_path, capsys):
+    src = tmp_path / "a.mir"
+    src.write_text(NO_PROVIDER)
+    for mode in ("nopa", "hybrid"):
+        # The call completes, so the writes on either side of it conflict.
+        assert main(["analyze", "--deterministic", "--mode", mode, str(src)]) == 1
+        assert f"[{mode}] verdict: true" in capsys.readouterr().out
+    assert main(["dump-graph", "--mode", "nopa", "--entry", "A.run", str(src)]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

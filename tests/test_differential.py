@@ -30,7 +30,7 @@ from oadetect.engine import (
 )
 from oadetect.frontend import parse_source
 from oadetect.harness import load_bundled, scenario_units
-from oadetect.mir import Position, Provenance
+from oadetect.mir import MirError, Position, Provenance
 from oadetect.pointsto import pa_entry_points, solve
 from oadetect.randprog import default_seed, generate_program
 
@@ -180,3 +180,26 @@ def test_random_programs_match_reference():
         assert_matches_reference(p, entry, Mode.PA, budget(fuel=400, path_cap=3))
         checked += 1
     assert checked >= 10
+
+
+def test_every_suite_program_runs_in_every_mode():
+    # The sample above takes one mkref setting per seed; OA_SEED+3023 and
+    # +3083 with mkref call a method no class provides, which made the CHA
+    # graph raise and nopa and hybrid exit 3.
+    base = default_seed()
+    ran, failed = 0, []
+    for seed in range(base + 3000, base + 3101):
+        for mkref in (False, True):
+            gen = generate_program(seed, mkref=mkref, mark_changes=True)
+            if gen.entry is None:
+                continue
+            try:
+                solve(gen.program, pa_entry_points(gen.program))
+                build_cha_graph(gen.program, gen.entry)
+                for mode in ALL_MODES:
+                    detect(gen.program, gen.entry, mode, budget=budget(fuel=500, path_cap=8))
+            except MirError as e:
+                failed.append(f"OA_SEED+{seed - base} mkref={mkref}: {e}")
+            ran += 1
+    assert failed == []
+    assert ran >= 150
