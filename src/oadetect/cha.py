@@ -28,6 +28,7 @@ from .mir import (
     CopyAssign,
     Const,
     FieldLoad,
+    Hierarchy,
     If,
     MethodDef,
     MirError,
@@ -40,14 +41,6 @@ from .mir import (
     Stmt,
     VirtualCall,
     While,
-    constructor_of,
-    field_of,
-    implementers_of,
-    lca_type,
-    methods_by_id,
-    resolve_method,
-    resolve_static_method,
-    static_field_of,
 )
 
 
@@ -66,7 +59,6 @@ class CallGraph:
     nodes: set[str] = field(default_factory=set)
     edges: set[CallEdge] = field(default_factory=set)
     roots: set[str] = field(default_factory=set)
-    tag: str = "cha"  # "cha" | "pts" | "hybrid"
 
     def _by_site(self) -> dict:
         # Built on first query; graphs are immutable once constructed.
@@ -98,25 +90,17 @@ class CallGraph:
 # Static type environments
 
 # A type env maps local name -> type name, "int", "String", "T[]", or None
-# for unknown. Missing keys mean unknown too.
+# for unknown. Missing keys mean unknown too. Two types join to their least
+# common supertype, `Hierarchy.lca`: equal types stay, anything else with
+# no unique declared common supertype becomes unknown.
 
 TypeEnv = dict
 
 
-def _join_type(a: Optional[str], b: Optional[str], p: Program) -> Optional[str]:
-    if a == b:
-        return a
-    if a is None or b is None:
-        return None
-    if p.declares_type(a) and p.declares_type(b):
-        return lca_type(a, b, p)
-    return None
-
-
-def join_envs(a: TypeEnv, b: TypeEnv, p: Program) -> TypeEnv:
+def join_envs(a: TypeEnv, b: TypeEnv, h: Hierarchy) -> TypeEnv:
     out: TypeEnv = {}
     for key in set(a) | set(b):
-        out[key] = _join_type(a.get(key), b.get(key), p)
+        out[key] = h.lca(a.get(key), b.get(key))
     return out
 
 
@@ -134,7 +118,7 @@ FIELD = "field"  # the declared type of field `arg[1]` through local `arg[0]`
 ELEM = "elem"  # the element type of array local `arg`
 
 
-def type_rule(st: Stmt, p: Program) -> Optional[tuple]:
+def type_rule(st: Stmt, h: Hierarchy) -> Optional[tuple]:
     """The binding one simple statement makes, as a `(target, how, arg)`
     rule: local `target` gets the type `how` finds from `arg`. None when the
     statement binds no local.
@@ -154,7 +138,7 @@ def type_rule(st: Stmt, p: Program) -> Optional[tuple]:
     if isinstance(st, FieldLoad):
         return (st.target, FIELD, (st.base, st.field))
     if isinstance(st, StaticLoad):
-        return (st.target, CONST, static_field_of(p, st.cls, st.field)[1])
+        return (st.target, CONST, h.static_field_of(st.cls, st.field)[1])
     if isinstance(st, ArrayLoad):
         return (st.target, ELEM, st.base)
     if isinstance(st, (VirtualCall, StaticCall)):
@@ -165,7 +149,7 @@ def type_rule(st: Stmt, p: Program) -> Optional[tuple]:
     return None
 
 
-def apply_rule(rule: tuple, env: TypeEnv, p: Program) -> TypeEnv:
+def apply_rule(rule: tuple, env: TypeEnv, h: Hierarchy) -> TypeEnv:
     """Env after `rule`'s binding.
 
     Returns the input env unchanged when the binding changes nothing; the
@@ -177,7 +161,7 @@ def apply_rule(rule: tuple, env: TypeEnv, p: Program) -> TypeEnv:
     elif how == OPERAND:
         value = operand_type(arg, env)
     elif how == FIELD:
-        hit = field_of(p, env.get(arg[0]), arg[1])
+        hit = h.field_of(env.get(arg[0]), arg[1])
         value = hit[1] if hit is not None else None
     else:
         base = env.get(arg)
@@ -189,10 +173,10 @@ def apply_rule(rule: tuple, env: TypeEnv, p: Program) -> TypeEnv:
     return out
 
 
-def transfer_type(st: Stmt, env: TypeEnv, p: Program) -> TypeEnv:
+def transfer_type(st: Stmt, env: TypeEnv, h: Hierarchy) -> TypeEnv:
     """Env after one simple statement (blocks are not entered); see `apply_rule`."""
-    rule = type_rule(st, p)
-    return env if rule is None else apply_rule(rule, env, p)
+    rule = type_rule(st, h)
+    return env if rule is None else apply_rule(rule, env, h)
 
 
 def initial_env(method: MethodDef, param_types=None) -> TypeEnv:
@@ -209,20 +193,20 @@ def initial_env(method: MethodDef, param_types=None) -> TypeEnv:
 
 
 def _resolve_virtual(
-    p: Program, receiver_type: Optional[str], name: str, arity: int
+    h: Hierarchy, receiver_type: Optional[str], name: str, arity: int
 ) -> list[MethodDef]:
-    if receiver_type is not None and p.declares_type(receiver_type):
+    if receiver_type is not None and h.declares(receiver_type):
         defs = {}
-        for cls in implementers_of(receiver_type, p):
-            m = resolve_method(p, cls, name, arity)
+        for cls in h.implementers(receiver_type):
+            m = h.resolve_method(cls, name, arity, static=False)
             if m is not None:
                 defs[m.id] = m
         if defs:
             return [defs[k] for k in sorted(defs)]
     # Unknown or unhelpful receiver type: any class providing the method.
     defs = {}
-    for c in p.classes:
-        m = resolve_method(p, c.name, name, arity)
+    for c in h.class_list:
+        m = h.resolve_method(c.name, name, arity, static=False)
         if m is not None:
             defs[m.id] = m
     return [defs[k] for k in sorted(defs)]
@@ -231,12 +215,12 @@ def _resolve_virtual(
 def cha_resolve(site: VirtualCall, p: Program, receiver_type: Optional[str] = None) -> set[str]:
     """Possible targets of a virtual call under class-hierarchy resolution;
     none when no class provides the method."""
-    defs = _resolve_virtual(p, receiver_type, site.method, len(site.args))
+    defs = _resolve_virtual(p.hierarchy(), receiver_type, site.method, len(site.args))
     return {m.id for m in defs}
 
 
-def resolve_static(p: Program, st: StaticCall) -> MethodDef:
-    m = resolve_static_method(p, st.cls, st.method, len(st.args))
+def resolve_static(h: Hierarchy, st: StaticCall) -> MethodDef:
+    m = h.resolve_method(st.cls, st.method, len(st.args), static=True)
     if m is None:
         raise ResolutionError(
             f"cannot resolve static call '{st.cls}::{st.method}/{len(st.args)}' at {st.pos}"
@@ -248,7 +232,7 @@ def resolve_static(p: Program, st: StaticCall) -> MethodDef:
 # Graph construction
 
 
-def _scan_sites(body, env: TypeEnv, sites: dict, p: Program) -> TypeEnv:
+def _scan_sites(body, env: TypeEnv, sites: dict, h: Hierarchy) -> TypeEnv:
     """Walk `body` from `env`, joining the receiver and argument types of each
     call or allocation site into `sites[pos] = [stmt, receiver type, arg
     types]`; returns the env after the body.
@@ -258,15 +242,15 @@ def _scan_sites(body, env: TypeEnv, sites: dict, p: Program) -> TypeEnv:
     """
     for st in body:
         if isinstance(st, If):
-            e1 = _scan_sites(st.then_body, dict(env), sites, p)
-            e2 = _scan_sites(st.else_body, dict(env), sites, p)
-            env = join_envs(e1, e2, p)
+            e1 = _scan_sites(st.then_body, dict(env), sites, h)
+            e2 = _scan_sites(st.else_body, dict(env), sites, h)
+            env = join_envs(e1, e2, h)
             continue
         if isinstance(st, While):
             e = dict(env)
             for _ in range(4):
-                after = _scan_sites(st.body, dict(e), sites, p)
-                joined = join_envs(e, after, p)
+                after = _scan_sites(st.body, dict(e), sites, h)
+                joined = join_envs(e, after, h)
                 if joined == e:
                     break
                 e = joined
@@ -279,18 +263,19 @@ def _scan_sites(body, env: TypeEnv, sites: dict, p: Program) -> TypeEnv:
             if seen is None:
                 sites[st.pos] = [st, recv, arg_types]
             else:
-                seen[1] = _join_type(seen[1], recv, p)
-                seen[2] = [_join_type(x, y, p) for x, y in zip(seen[2], arg_types)]
-        env = transfer_type(st, env, p)
+                seen[1] = h.lca(seen[1], recv)
+                seen[2] = [h.lca(x, y) for x, y in zip(seen[2], arg_types)]
+        env = transfer_type(st, env, h)
     return env
 
 
 def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
     """Closure of class-hierarchy resolution over calls reachable from root."""
-    graph = CallGraph(tag="cha", roots={root.id})
+    h = p.hierarchy()
+    graph = CallGraph(roots={root.id})
     graph.nodes.add(root.id)
     param_types: dict[str, list] = {root.id: [None] * len(root.params)}
-    by_id = methods_by_id(p)
+    by_id = h.methods_by_id()
     queue = deque([root.id])
     queued = {root.id}
 
@@ -302,7 +287,7 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
         if known is None:
             param_types[tid] = incoming
             return True
-        widened = [_join_type(a, b, p) for a, b in zip(known, incoming)]
+        widened = [h.lca(a, b) for a, b in zip(known, incoming)]
         if widened != known:
             param_types[tid] = widened
             return True
@@ -313,15 +298,15 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
         queued.discard(mid)
         method = by_id[mid]
         sites: dict = {}
-        _scan_sites(method.body, initial_env(method, param_types.get(mid)), sites, p)
+        _scan_sites(method.body, initial_env(method, param_types.get(mid)), sites, h)
         for pos in sorted(sites):
             st, recv_type, arg_types = sites[pos]
             if isinstance(st, VirtualCall):
-                targets = _resolve_virtual(p, recv_type, st.method, len(st.args))
+                targets = _resolve_virtual(h, recv_type, st.method, len(st.args))
             elif isinstance(st, StaticCall):
-                targets = [resolve_static(p, st)]
+                targets = [resolve_static(h, st)]
             else:
-                ctor = constructor_of(p, st.cls, len(st.args))
+                ctor = h.constructor_of(st.cls, len(st.args))
                 targets = [ctor] if ctor is not None else []
             for tgt in targets:
                 tid = tgt.id  # `id` formats a new string on each read

@@ -38,6 +38,12 @@ EXIT_TRUE = 1
 EXIT_TIMEOUT = 2
 EXIT_ERROR = 3
 
+DESCRIPTION = (
+    "Detect override-assignment conflicts in merged programs, with and without "
+    "pointer analysis. Exit codes: 0 no conflict, 1 a conflict, 2 a timeout, "
+    "3 a usage, input or parse error."
+)
+
 
 def _require(ok: bool, flag: str, rule: str, value) -> None:
     if not ok:
@@ -271,7 +277,7 @@ COMMANDS = {
 
 def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
     """The parser of the subcommands `names` (by default all of them)."""
-    parser = _Parser(prog="oadetect", description=__doc__)
+    parser = _Parser(prog="oadetect", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
         command = COMMANDS[name]

@@ -29,11 +29,14 @@ it enters is lowered once per `detect` or `enumerate_write_paths` call, on
 first entry, into a list of ops (nested `if`/`while` blocks with it). An op
 holds an opcode and what every visit shares: the method's id, display and
 kind, the call hop and the resolved call targets or constructor, the
-`static_field_of` answer, the written base's points-to set, the type rule
-(`cha.type_rule`, the one transfer rule that `cha.transfer_type` applies
-too) and a template of the write event. A visit adds only what depends on
-the path: the call path, the provenance inherited from it (kept on the
-frame), and for heap writes the base type and the `field_of` triple on it.
+static field's declaring class and type, the written base's points-to set,
+the type rule (`cha.type_rule`, the one transfer rule that
+`cha.transfer_type` applies too) and a template of the write event. A visit
+adds only what depends on the path: the call path, the provenance inherited
+from it (kept on the frame), and for heap writes the base type and the
+field triple on it. Every field, method, constructor and subtype answer
+comes from the program's `Hierarchy`, which the detection context takes
+once, as CHA and the points-to solver do.
 
 Branches, loops and calls with several targets are choice points. A call is
 cut for all its targets at the depth limit, which a visit checks once, and
@@ -94,6 +97,7 @@ from .mir import (
     AllocAssign,
     ArrayStore,
     FieldStore,
+    Hierarchy,
     If,
     MethodDef,
     MirError,
@@ -105,11 +109,6 @@ from .mir import (
     StaticStore,
     VirtualCall,
     While,
-    constructor_of,
-    field_of,
-    methods_by_id,
-    static_field_of,
-    subtype_of,
 )
 from .pointsto import PointsToResult, pa_entry_points, solve
 
@@ -255,7 +254,7 @@ def _same_constructor(a: WriteEvent, b: WriteEvent) -> bool:
     )
 
 
-def _types_related(a: Optional[str], b: Optional[str], p: Program) -> bool:
+def _types_related(a: Optional[str], b: Optional[str], h: Hierarchy) -> bool:
     # Unknown types stay match-eligible: the name/type rule is conservative.
     if a is None or b is None:
         return True
@@ -263,15 +262,15 @@ def _types_related(a: Optional[str], b: Optional[str], p: Program) -> bool:
         return True
     if a.endswith("[]") or b.endswith("[]"):
         return False
-    if not p.declares_type(a) or not p.declares_type(b):
+    if not h.declares(a) or not h.declares(b):
         return False
-    return subtype_of(a, b, p) or subtype_of(b, a, p)
+    return b in h.supertypes(a) or a in h.supertypes(b)
 
 
-def _base_types_related(a: WriteEvent, b: WriteEvent, p: Program) -> bool:
+def _base_types_related(a: WriteEvent, b: WriteEvent, h: Hierarchy) -> bool:
     ea = a.base_type[:-2] if a.base_type and a.base_type.endswith("[]") else a.base_type
     eb = b.base_type[:-2] if b.base_type and b.base_type.endswith("[]") else b.base_type
-    return _types_related(ea, eb, p)
+    return _types_related(ea, eb, h)
 
 
 def _same_slot(a: WriteEvent, b: WriteEvent) -> bool:
@@ -288,14 +287,14 @@ def _same_slot(a: WriteEvent, b: WriteEvent) -> bool:
     return True  # constant vs local: unknown, stays match-eligible
 
 
-def compare_heap(a: WriteEvent, b: WriteEvent, mode: Mode, program: Program) -> ComparisonResult:
+def compare_heap(a: WriteEvent, b: WriteEvent, mode: Mode, h: Hierarchy) -> ComparisonResult:
     """Whether two IFR writes, or two AR writes, may write one heap element.
 
     Their slots must match and they must not sit in one constructor. `nopa`
-    then asks for related base types. `pa` and `hybrid` ask for overlapping
-    points-to sets; when either set is empty they log an `empty-pts`
-    miss-reference for each such write, whatever the slots, and fall back
-    to the base-type rule.
+    then asks the hierarchy `h` for related base types. `pa` and `hybrid`
+    ask for overlapping points-to sets; when either set is empty they log an
+    `empty-pts` miss-reference for each such write, whatever the slots, and
+    fall back to the base-type rule.
     """
     eligible = _same_slot(a, b) and not _same_constructor(a, b)
     misses = _NO_MISS
@@ -304,7 +303,7 @@ def compare_heap(a: WriteEvent, b: WriteEvent, mode: Mode, program: Program) -> 
         if not empty:
             return ComparisonResult(eligible and bool(a.base_pts & b.base_pts), _NO_MISS)
         misses = tuple(MissRef(ev.pos, _written(ev), "empty-pts") for ev in empty)
-    return ComparisonResult(eligible and _base_types_related(a, b, program), misses)
+    return ComparisonResult(eligible and _base_types_related(a, b, h), misses)
 
 
 def _written(ev: WriteEvent) -> str:
@@ -330,11 +329,12 @@ class DetectionContext:
         pts: Optional[PointsToResult] = None,
     ):
         self.program = program
+        self.hierarchy = program.hierarchy()
         self.mode = mode
         self.budget = budget
         self.cha = cha
         self.pts = pts
-        self.by_id = methods_by_id(program)
+        self.by_id = self.hierarchy.methods_by_id()
         self.visited = 0
         self.paths = 0
         # The budget that ran out: "fuel", "path_cap" or "wall_clock".
@@ -482,7 +482,7 @@ class _Lowering:
                 if miss is not None:
                     ctx.record_missref(miss)
             else:
-                defs = [resolve_static(ctx.program, st)]
+                defs = [resolve_static(ctx.hierarchy, st)]
             op.targets = [self.method(d) for d in defs]
             op.target_ids = frozenset(t.id for t in op.targets)
         return op.targets
@@ -491,7 +491,7 @@ class _Lowering:
         return [self.stmt(st, m) for st in stmts]
 
     def stmt(self, st, m: _Method) -> _Op:
-        p = self.ctx.program
+        h = self.ctx.hierarchy
         if isinstance(st, If):
             op = _Op(_IF, st)
             op.alts = [self.block(st.then_body, m), self.block(st.else_body, m)]
@@ -508,7 +508,7 @@ class _Lowering:
         elif isinstance(st, AllocAssign):
             op = self._write(_Op(_ALLOC, st), m, LV, local=st.target)
             op.hop = Hop(m.id, m.display, st.pos, st.provenance)
-            ctor = constructor_of(p, st.cls, len(st.args))
+            ctor = h.constructor_of(st.cls, len(st.args))
             op.ctor = self.method(ctor) if ctor is not None else None
         elif isinstance(st, FieldStore):
             op = self._heap(st, m, IFR, field_name=st.field)
@@ -516,7 +516,7 @@ class _Lowering:
         elif isinstance(st, ArrayStore):
             op = self._heap(st, m, AR, index=st.index)
         elif isinstance(st, StaticStore):
-            decl, ftype = static_field_of(p, st.cls, st.field)
+            decl, ftype = h.static_field_of(st.cls, st.field)
             op = self._write(_Op(_WRITE, st), m, SFR, static_cls=decl, field_name=st.field, static_type=ftype)
         else:  # a copy, mkref, op, newarr or load: a local write
             op = self._write(_Op(_WRITE, st), m, LV, local=st.target)
@@ -531,7 +531,7 @@ class _Lowering:
     def _write(self, op: _Op, m: _Method, kind: str, **payload) -> _Op:
         op.template = self._template(op.st, m, kind, **payload)
         op.key = _instantiate(op.template, (), Provenance.BASE).element_key()
-        op.rule = type_rule(op.st, self.ctx.program)
+        op.rule = type_rule(op.st, self.ctx.hierarchy)
         return op
 
     def _heap(self, st, m: _Method, kind: str, **payload) -> _Op:
@@ -603,7 +603,7 @@ class _Enumerator:
     def paths(self) -> Iterator:
         """Yields `_finish_path()` once per completed path."""
         ctx, entry = self.ctx, self.entry
-        program, budget, deadline = ctx.program, ctx.budget, ctx.deadline
+        h, budget, deadline = ctx.hierarchy, ctx.budget, ctx.deadline
         fuel, path_cap = budget.fuel, budget.path_cap
         append = self._append
         frames = self.frames
@@ -641,13 +641,13 @@ class _Enumerator:
                 if code == _WRITE:
                     append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
                     if op.rule is not None:
-                        frame.env = apply_rule(op.rule, frame.env, program)
+                        frame.env = apply_rule(op.rule, frame.env, h)
                 elif code == _HEAP:
                     base_type = frame.env.get(op.base)
                     ev = _instantiate(op.template, frame.call_path, op.prov or frame.prov)
                     ev.__dict__["base_type"] = base_type
                     if op.field is not None:
-                        hit = field_of(program, base_type, op.field)
+                        hit = h.field_of(base_type, op.field)
                         ev.__dict__["field"] = (hit[0], op.field, hit[1]) if hit is not None else None
                     append(ev, None)
                 elif code == _CALL:
@@ -664,7 +664,7 @@ class _Enumerator:
     def _write(self, frame: _Frame, op: _Op) -> None:
         self._append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
         if op.rule is not None:
-            frame.env = apply_rule(op.rule, frame.env, self.ctx.program)
+            frame.env = apply_rule(op.rule, frame.env, self.ctx.hierarchy)
 
     def _complete_call(self, site: _Op) -> None:
         if site.result is not None:
@@ -852,10 +852,10 @@ class _Scanner(_Enumerator):
     def _walk_back(self, same: list[WriteEvent], w: WriteEvent):
         if w.provenance is Provenance.BASE:
             return None, _NO_MISS
-        mode, program = self.ctx.mode, self.ctx.program
+        mode, h = self.ctx.mode, self.ctx.hierarchy
         misses: list[MissRef] = []
         for prior in reversed(same):
-            res = compare_heap(prior, w, mode, program)
+            res = compare_heap(prior, w, mode, h)
             misses.extend(res.missrefs)
             if res.match:
                 return _overridden(prior, w), misses
@@ -916,7 +916,7 @@ def detect(
     pts: Optional[PointsToResult] = None,
 ) -> AnalysisOutcome:
     """Run override-assignment detection from `entry` under `mode`."""
-    if entry.id not in methods_by_id(p):
+    if entry.id not in p.hierarchy().methods_by_id():
         raise MirError(f"entry '{entry.id}' not found in program")
     budget = budget or AnalysisBudget()
     ctx = _make_context(p, entry, mode, budget, cha, pts)

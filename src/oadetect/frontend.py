@@ -165,10 +165,11 @@ def _sidecar_lines(raw: dict, side: str) -> set[Position]:
 
 
 def _sidecar_line(side: str, e) -> Position:
+    # `line` must be a JSON integer: a float, string or bool is not coerced.
     try:
-        if isinstance(e["file"], str):
-            return Position(e["file"], int(e["line"]))
-    except (KeyError, TypeError, ValueError, OverflowError):
+        if isinstance(e["file"], str) and type(e["line"]) is int:
+            return Position(e["file"], e["line"])
+    except (KeyError, TypeError):
         pass
     raise SidecarError(
         f"sidecar '{side}' entries must look like {{\"file\": NAME, \"line\": N}}, got {json.dumps(e)}"

@@ -87,9 +87,10 @@ def load_scenario(directory: Path) -> Scenario:
     if manifest.get("sidecar"):
         sidecar = ProvenanceMap.from_json(read_text(directory / manifest["sidecar"]))
     truth = manifest.get("ground_truth")
+    project = manifest.get("project")  # absent or null: the scenario is its own project
     return Scenario(
         id=manifest["id"],
-        project=manifest.get("project", manifest["id"]),
+        project=manifest["id"] if project is None else project,
         sources=sources,
         sidecar=sidecar,
         entry=manifest.get("entry"),

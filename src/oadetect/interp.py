@@ -38,11 +38,7 @@ from .mir import (
     VirtualCall,
     While,
     all_methods,
-    constructor_of,
     iter_stmts,
-    resolve_method,
-    resolve_static_method,
-    static_field_of,
 )
 from .pointsto import alloc_sites
 
@@ -99,6 +95,7 @@ class Trace:
 class _Interp:
     def __init__(self, p: Program, step_limit: int):
         self.p = p
+        self.h = p.hierarchy()
         self.step_limit = step_limit
         self.trace = Trace()
         self.statics: dict = {}
@@ -204,7 +201,7 @@ class _Interp:
             obj = Obj(self.next_oid, self.site_ids[st.pos], st.cls)
             self.next_oid += 1
             self._assign(frame, mid, st, st.target, obj, prov)
-            ctor = constructor_of(self.p, st.cls, len(st.args))
+            ctor = self.h.constructor_of(st.cls, len(st.args))
             if ctor is not None:
                 args = [self._operand(a, frame) for a in st.args]
                 self._invoke(ctor, args, obj, prov, depth + 1)
@@ -235,12 +232,12 @@ class _Interp:
             self._assign(frame, mid, st, st.target, obj.fields.get(st.field, 0), prov)
             return None
         if isinstance(st, StaticStore):
-            decl = static_field_of(self.p, st.cls, st.field)[0]
+            decl = self.h.static_field_of(st.cls, st.field)[0]
             self.statics[(decl, st.field)] = self._operand(st.source, frame)
             self.trace.writes.append(TraceWrite("SFR", (decl, st.field), st.pos, prov))
             return None
         if isinstance(st, StaticLoad):
-            decl = static_field_of(self.p, st.cls, st.field)[0]
+            decl = self.h.static_field_of(st.cls, st.field)[0]
             self._assign(frame, mid, st, st.target, self.statics.get((decl, st.field), 0), prov)
             return None
         if isinstance(st, ArrayStore):
@@ -264,7 +261,7 @@ class _Interp:
             recv = frame.get(st.receiver)
             if not isinstance(recv, Obj):
                 raise _Halt(f"virtual call on non-object at {st.pos}")
-            target = resolve_method(self.p, recv.cls, st.method, len(st.args))
+            target = self.h.resolve_method(recv.cls, st.method, len(st.args), static=False)
             if target is None:
                 raise _Halt(f"no method '{st.method}/{len(st.args)}' on {recv.cls} at {st.pos}")
             self.trace.dispatches.append((st.pos, target.id))
@@ -274,7 +271,7 @@ class _Interp:
                 self._assign(frame, mid, st, st.result, ret, prov)
             return None
         if isinstance(st, StaticCall):
-            target = resolve_static_method(self.p, st.cls, st.method, len(st.args))
+            target = self.h.resolve_method(st.cls, st.method, len(st.args), static=True)
             if target is None:
                 raise _Halt(f"no static method '{st.cls}::{st.method}' at {st.pos}")
             args = [self._operand(a, frame) for a in st.args]

@@ -269,15 +269,6 @@ class Program:
             h = self._hierarchy = Hierarchy(self)
         return h
 
-    def class_named(self, name: str) -> Optional[ClassDef]:
-        return self.hierarchy().classes.get(name)
-
-    def interface_named(self, name: str) -> Optional[InterfaceDef]:
-        return self.hierarchy().interfaces.get(name)
-
-    def declares_type(self, name: str) -> bool:
-        return self.hierarchy().declares(name)
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -313,11 +304,6 @@ def _declared_methods(classes: list[ClassDef]) -> Iterator[MethodDef]:
         yield from sorted(c.constructors + c.methods, key=lambda m: (m.pos.line, m.name))
 
 
-def methods_by_id(p: Program) -> Mapping[str, MethodDef]:
-    """Methods and constructors by `MethodDef.id`, as a read-only view."""
-    return p.hierarchy().methods_by_id()
-
-
 def find_method(p: Program, ref: str) -> MethodDef:
     """Look up a method by 'Class.name' or 'Class.name/arity'."""
     arity = None
@@ -328,7 +314,7 @@ def find_method(p: Program, ref: str) -> MethodDef:
         except ValueError:
             raise MirError(f"bad arity in method reference '{ref}/{a}', expected Class.method/N") from None
     cls_name, _, name = ref.partition(".")
-    cls = p.class_named(cls_name)
+    cls = p.hierarchy().classes.get(cls_name)
     if cls is None:
         raise MirError(f"unknown class '{cls_name}'")
     matches = [
@@ -343,17 +329,6 @@ def find_method(p: Program, ref: str) -> MethodDef:
     return matches[0]
 
 
-def constructor_of(p: Program, cls_name: str, arity: int) -> Optional[MethodDef]:
-    """The first declared constructor of `cls_name` taking `arity` arguments."""
-    c = p.class_named(cls_name)
-    if c is None:
-        return None
-    for ctor in c.constructors:
-        if len(ctor.params) == arity:
-            return ctor
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Hierarchy queries
 
@@ -361,7 +336,10 @@ def constructor_of(p: Program, cls_name: str, arity: int) -> Optional[MethodDef]
 class Hierarchy:
     """Name lookups and memoised hierarchy answers for one Program.
 
-    `Program.hierarchy()` builds it and keeps it while the class and
+    This is the one place that answers which class or interface a name
+    declares, which types a type extends, and which field, method or
+    constructor a class declares or inherits; every analysis asks it
+    directly. `Program.hierarchy()` builds it and keeps it while the class and
     interface lists are unchanged in identity and length. The first
     declaration of a name wins, as a linear scan would find it. Supertype
     closures, implementer sets and least common supertypes are computed
@@ -431,7 +409,13 @@ class Hierarchy:
             self._implementers = {s: frozenset(names) for s, names in found.items()}
         return self._implementers.get(t, frozenset())
 
-    def lca(self, a: str, b: str) -> Optional[str]:
+    def lca(self, a: Optional[str], b: Optional[str]) -> Optional[str]:
+        """Most specific common supertype of two types, if unique: the type
+        itself for equal names, None when either is None or undeclared."""
+        if a is None or b is None:
+            return None
+        if a == b:
+            return a
         key = (a, b)
         if key in self._lca:
             return self._lca[key]
@@ -456,6 +440,8 @@ class Hierarchy:
             c = self.classes.get(c.superclass)
 
     def resolve_field(self, cls_name: Optional[str], fname: str, static: bool):
+        """The first field `fname` of that staticness on the class chain of
+        `cls_name`, as (declaring class, def); None when none declares it."""
         key = ("field", cls_name, fname, static)
         if key not in self._lookups:
             self._lookups[key] = next(
@@ -470,11 +456,25 @@ class Hierarchy:
         return self._lookups[key]
 
     def field_of(self, cls_name: Optional[str], fname: str) -> Optional[tuple[str, str]]:
+        """(declaring class, type) of instance field `fname` through a base
+        of type `cls_name`.
+
+        The class chain of `cls_name` is searched first; failing that (an
+        untyped base, or one whose chain lacks the field), the only class
+        that declares an instance field `fname` answers. None when neither
+        does.
+        """
         key = ("field_of", cls_name, fname)
         if key not in self._lookups:
             hit = self.resolve_field(cls_name, fname, static=False) or self._only_field(fname)
             self._lookups[key] = (hit[0], hit[1].type) if hit is not None else None
         return self._lookups[key]
+
+    def static_field_of(self, cls_name: str, fname: str) -> tuple[str, Optional[str]]:
+        """(declaring class, type) of `cls_name::fname`; a field no class on
+        the chain declares belongs to `cls_name` itself, with an unknown type."""
+        hit = self.resolve_field(cls_name, fname, static=True)
+        return (hit[0], hit[1].type) if hit is not None else (cls_name, None)
 
     def _only_field(self, fname: str) -> Optional[tuple[str, FieldDef]]:
         """The instance field `fname`, if exactly one class declares one."""
@@ -488,6 +488,9 @@ class Hierarchy:
         return self._only_fields.get(fname)
 
     def resolve_method(self, cls_name: str, mname: str, arity: int, static: bool) -> Optional[MethodDef]:
+        """The definition of (mname, arity) that `cls_name` declares or
+        inherits: dynamic dispatch for instance methods, and the static
+        method a `Class::name` call reaches for static ones."""
         key = ("method", cls_name, mname, arity, static)
         if key not in self._lookups:
             self._lookups[key] = next(
@@ -501,7 +504,18 @@ class Hierarchy:
             )
         return self._lookups[key]
 
+    def constructor_of(self, cls_name: str, arity: int) -> Optional[MethodDef]:
+        """The first declared constructor of `cls_name` taking `arity` arguments."""
+        c = self.classes.get(cls_name)
+        if c is None:
+            return None
+        for ctor in c.constructors:
+            if len(ctor.params) == arity:
+                return ctor
+        return None
+
     def methods_by_id(self) -> Mapping[str, MethodDef]:
+        """Methods and constructors by `MethodDef.id`, as a read-only view."""
         if self._methods is None:
             self._methods = MappingProxyType({m.id: m for m in _declared_methods(self.class_list)})
         return self._methods
@@ -527,50 +541,6 @@ def implementers_of(t: str, p: Program) -> frozenset[str]:
     return p.hierarchy().implementers(t)
 
 
-def lca_type(a: Optional[str], b: Optional[str], p: Program) -> Optional[str]:
-    """Most specific common supertype of two declared types, if unique."""
-    if a is None or b is None:
-        return None
-    if a == b:
-        return a
-    return p.hierarchy().lca(a, b)
-
-
-def resolve_field(p: Program, cls_name: Optional[str], fname: str):
-    """Walk the class chain for an instance field; (declaring class, def) or None."""
-    return p.hierarchy().resolve_field(cls_name, fname, static=False)
-
-
-def field_of(p: Program, base_type: Optional[str], fname: str) -> Optional[tuple[str, str]]:
-    """(declaring class, type) of field `fname` through a base of `base_type`.
-
-    The class chain of `base_type` is searched first; failing that (an
-    untyped base, or one whose chain lacks the field), the only class that
-    declares an instance field `fname` answers. None when neither does.
-    """
-    return p.hierarchy().field_of(base_type, fname)
-
-
-def resolve_static_field(p: Program, cls_name: str, fname: str):
-    return p.hierarchy().resolve_field(cls_name, fname, static=True)
-
-
-def static_field_of(p: Program, cls_name: str, fname: str) -> tuple[str, Optional[str]]:
-    """(declaring class, type) of `cls_name::fname`; a field no class on the
-    chain declares belongs to `cls_name` itself, with an unknown type."""
-    hit = resolve_static_field(p, cls_name, fname)
-    return (hit[0], hit[1].type) if hit is not None else (cls_name, None)
-
-
-def resolve_method(p: Program, cls_name: str, mname: str, arity: int) -> Optional[MethodDef]:
-    """Dynamic-dispatch lookup: the definition cls_name inherits for (mname, arity)."""
-    return p.hierarchy().resolve_method(cls_name, mname, arity, static=False)
-
-
-def resolve_static_method(p: Program, cls_name: str, mname: str, arity: int) -> Optional[MethodDef]:
-    return p.hierarchy().resolve_method(cls_name, mname, arity, static=True)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -578,6 +548,7 @@ def resolve_static_method(p: Program, cls_name: str, mname: str, arity: int) -> 
 def validate_program(p: Program) -> list[Diagnostic]:
     """Structural checks; an empty result means the program is well formed."""
     diags: list[Diagnostic] = []
+    h = p.hierarchy()
 
     seen_types: dict[str, Position] = {}
     for decl in list(p.classes) + list(p.interfaces):
@@ -587,29 +558,28 @@ def validate_program(p: Program) -> list[Diagnostic]:
 
     for c in p.classes:
         if c.superclass is not None:
-            if not p.declares_type(c.superclass):
+            if not h.declares(c.superclass):
                 diags.append(Diagnostic(c.pos, f"unknown supertype '{c.superclass}'"))
-            elif p.class_named(c.superclass) is None:
+            elif c.superclass not in h.classes:
                 diags.append(
                     Diagnostic(c.pos, f"class '{c.name}' extends interface '{c.superclass}'")
                 )
         for i in c.interfaces:
-            if not p.declares_type(i):
+            if not h.declares(i):
                 diags.append(Diagnostic(c.pos, f"unknown supertype '{i}'"))
-            elif p.interface_named(i) is None:
+            elif i not in h.interfaces:
                 diags.append(Diagnostic(c.pos, f"class '{c.name}' implements class '{i}'"))
     for i in p.interfaces:
         if i.extends is not None:
-            if not p.declares_type(i.extends):
+            if not h.declares(i.extends):
                 diags.append(Diagnostic(i.pos, f"unknown supertype '{i.extends}'"))
-            elif p.interface_named(i.extends) is None:
+            elif i.extends not in h.interfaces:
                 diags.append(
                     Diagnostic(i.pos, f"interface '{i.name}' extends class '{i.extends}'")
                 )
 
     # Cycle detection over the declared-supertype graph, skipping unknown names.
     colors: dict[str, int] = {}
-    h = p.hierarchy()
 
     def visit(name: str) -> bool:
         state = colors.get(name, 0)

@@ -49,12 +49,7 @@ from .mir import (
     StaticStore,
     VirtualCall,
     all_methods,
-    constructor_of,
     iter_stmts,
-    methods_by_id,
-    resolve_method,
-    resolve_static_method,
-    static_field_of,
 )
 
 
@@ -136,9 +131,9 @@ def _locals_of(m: MethodDef) -> set[str]:
 
 class _Solver:
     def __init__(self, p: Program, entries: list[MethodDef]):
-        self.p = p
+        self.h = p.hierarchy()
         self.entries = entries
-        self.by_id = methods_by_id(p)
+        self.by_id = self.h.methods_by_id()
         self.sites_by_pos = alloc_sites(p)
         self.sites = sorted(self.sites_by_pos.values(), key=lambda s: s.id)
         self.pts: dict[Var, set[int]] = defaultdict(set)
@@ -195,7 +190,7 @@ class _Solver:
         if isinstance(st, AllocAssign):
             site = self.sites_by_pos[st.pos]
             self.add_pts(self.local(mid, st.target), {site.id})
-            ctor = constructor_of(self.p, st.cls, len(st.args))
+            ctor = self.h.constructor_of(st.cls, len(st.args))
             if ctor is not None:
                 self._bind_call(st.pos, mid, ctor, this_sites={site.id}, args=st.args, result=None)
         elif isinstance(st, ArrayAlloc):
@@ -226,7 +221,7 @@ class _Solver:
             self.vcalls[recv].append((mid, st))
             self._apply_calls(recv)
         elif isinstance(st, StaticCall):
-            target = resolve_static_method(self.p, st.cls, st.method, len(st.args))
+            target = self.h.resolve_method(st.cls, st.method, len(st.args), static=True)
             if target is not None:
                 self._bind_call(st.pos, mid, target, this_sites=None, args=st.args, result=st.result)
         elif isinstance(st, Return):
@@ -234,7 +229,7 @@ class _Solver:
                 self.add_copy(self.local(mid, st.value), ("r", mid))
 
     def _static_var(self, cls: str, fname: str) -> Var:
-        return ("s", static_field_of(self.p, cls, fname)[0], fname)
+        return ("s", self.h.static_field_of(cls, fname)[0], fname)
 
     def _bind_call(self, pos, caller_mid, target: MethodDef, this_sites, args, result) -> None:
         tid = target.id  # `id` formats a new string on each read
@@ -275,7 +270,8 @@ class _Solver:
                 if (st.pos, sid) in self.dispatched:
                     continue
                 self.dispatched.add((st.pos, sid))
-                target = resolve_method(self.p, self.sites[sid].cls, st.method, len(st.args))
+                cls = self.sites[sid].cls
+                target = self.h.resolve_method(cls, st.method, len(st.args), static=False)
                 if target is None:
                     continue
                 self._bind_call(st.pos, caller_mid, target, this_sites={sid}, args=st.args, result=st.result)
@@ -305,7 +301,7 @@ def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResu
     solver.run()
 
     entry_ids = tuple(m.id for m in entries)
-    graph = CallGraph(tag="pts", roots=set(entry_ids))
+    graph = CallGraph(roots=set(entry_ids))
     graph.nodes = set(solver.reachable) | set(entry_ids)
     graph.edges = set(solver.edges)
 

@@ -120,10 +120,11 @@ class _Gen:
                 cls.fields.append(FieldDef("g", "int", static=True, pos=self.pos()))
 
         # Interface signatures must be implemented by every implementer.
+        h = p.hierarchy()
         for cls in self.classes:
             needed: dict[tuple[str, int], tuple] = {}
-            for iname in self._all_ifaces(cls):
-                for sig in iface_sigs[iname]:
+            for t in h.supertypes(cls.name):
+                for sig in iface_sigs.get(t, ()):
                     needed[(sig.name, len(sig.params))] = sig.params
             extra = rng.randint(0, 2)
             for m in rng.sample(self.METHOD_POOL, extra):
@@ -166,6 +167,7 @@ class _Gen:
         main_cls.methods.append(self.main)
         p.classes.append(main_cls)
         self.program = p
+        self.hierarchy = p.hierarchy()
 
         for cls in self.classes:
             for ctor in cls.constructors:
@@ -175,32 +177,12 @@ class _Gen:
         self.main.body = self.gen_body(main_cls, self.main, budget=self.rng.randint(4, 12))
         return p
 
-    def _all_ifaces(self, cls: ClassDef) -> set[str]:
-        out = set(cls.interfaces)
-        sup = cls.superclass
-        while sup is not None:
-            parent = next(c for c in self.classes if c.name == sup)
-            out |= set(parent.interfaces)
-            sup = parent.superclass
-        return out
-
     def _defines(self, cls: ClassDef, name: str, arity: int) -> bool:
         return any(m.name == name and len(m.params) == arity for m in cls.methods)
 
-    def _chain(self, cls_name: str) -> list[ClassDef]:
-        out = []
-        name: Optional[str] = cls_name
-        while name is not None:
-            cls = next((c for c in self.classes if c.name == name), None)
-            if cls is None:
-                break
-            out.append(cls)
-            name = cls.superclass
-        return out
-
     def _callable_methods(self, cls_name: str) -> list[MethodDef]:
         seen: dict[tuple[str, int], MethodDef] = {}
-        for cls in self._chain(cls_name):
+        for cls in self.hierarchy.chain(cls_name):
             for m in cls.methods:
                 if not m.static:
                     seen.setdefault((m.name, len(m.params)), m)
@@ -208,7 +190,7 @@ class _Gen:
 
     def _instance_fields(self, cls_name: str) -> list[tuple[str, FieldDef]]:
         out = []
-        for cls in self._chain(cls_name):
+        for cls in self.hierarchy.chain(cls_name):
             for f in cls.fields:
                 if not f.static:
                     out.append((cls.name, f))
@@ -218,12 +200,6 @@ class _Gen:
         return [
             (c.name, f) for c in self.classes for f in c.fields if f.static
         ]
-
-    def _is_subtype(self, cls_name: str, type_name: str) -> bool:
-        for cls in self._chain(cls_name):
-            if cls.name == type_name or type_name in self._all_ifaces(cls):
-                return True
-        return False
 
     # -- bodies
 
@@ -322,7 +298,7 @@ class _Gen:
             fits = [
                 name
                 for name, k in self._obj_locals(env)
-                if self._is_subtype(k, f.type)
+                if f.type in self.hierarchy.supertypes(k)
             ]
             if not fits:
                 return None
@@ -330,7 +306,7 @@ class _Gen:
         return FieldStore(pos=self.pos(), base=base, field=f.name, source=src)
 
     def _fields_for_type(self, type_name: str) -> list[tuple[str, FieldDef]]:
-        if any(c.name == type_name for c in self.classes):
+        if type_name in self.hierarchy.classes:
             return self._instance_fields(type_name)
         return []  # interface-typed bases have no declared fields
 
@@ -354,7 +330,7 @@ class _Gen:
         if not candidates:
             return None
         recv, tname = self.rng.choice(sorted(candidates))
-        if any(c.name == tname for c in self.classes):
+        if tname in self.hierarchy.classes:
             sigs = [(m.name, len(m.params)) for m in self._callable_methods(tname)]
         else:
             sigs = self._iface_methods(tname)
@@ -369,7 +345,7 @@ class _Gen:
         return VirtualCall(pos=self.pos(), receiver=recv, method=name, args=args, result=result)
 
     def _iface_methods(self, iname: str) -> list[tuple[str, int]]:
-        iface = self.program.interface_named(iname)
+        iface = self.hierarchy.interfaces.get(iname)
         if iface is None:
             return []
         return sorted((s.name, len(s.params)) for s in iface.signatures)
@@ -390,7 +366,7 @@ class _Gen:
             if elem == "int":
                 src = self._int_operand(env)
             else:
-                fits = [n for n, k in self._obj_locals(env) if self._is_subtype(k, elem)]
+                fits = [n for n, k in self._obj_locals(env) if elem in self.hierarchy.supertypes(k)]
                 if not fits:
                     return ArrayAlloc(
                         pos=self.pos(), target=self.fresh(), elem_type="int", size=1

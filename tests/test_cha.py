@@ -226,9 +226,10 @@ def test_transfer_rule_per_statement_kind():
     p = parse_source(src)
     m = find_method(p, "C.m")
     env = initial_env(m)
+    h = p.hierarchy()
     for st in m.body:
-        after = transfer_type(st, env, p)
-        if type_rule(st, p) is None:
+        after = transfer_type(st, env, h)
+        if type_rule(st, h) is None:
             assert after is env  # a store binds nothing and shares the env
         env = after
     assert env == {

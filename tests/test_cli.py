@@ -111,6 +111,16 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: oadetect corpus")
 
 
+def test_top_level_help_is_a_short_description(capsys):
+    # It used to print the whole module docstring, internal names included.
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: oadetect")
+    assert "Exit codes: 0 no conflict, 1 a conflict, 2 a timeout" in out
+    assert "harness.run_scenario" not in out
+    assert "builds only the parser" not in out
+
+
 # `main` builds the parser of the subcommand its first word names; on each
 # of these it must act as the parser of all four subcommands does.
 FULL_PARSER_PROBES = [

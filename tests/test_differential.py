@@ -48,7 +48,7 @@ def same_element(a: WriteEvent, b: WriteEvent, mode: Mode, ctx: DetectionContext
         return False
     if a.kind == LV or a.kind == SFR:
         return a.element_key() == b.element_key()
-    res = compare_heap(a, b, mode, ctx.program)
+    res = compare_heap(a, b, mode, ctx.hierarchy)
     for miss in res.missrefs:
         ctx.record_missref(miss)
     return res.match

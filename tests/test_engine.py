@@ -104,7 +104,7 @@ def _ifr(line, base, base_type, field=("D", "f", "int"), pts=None, prov=Provenan
 def test_ifr_pa_overlapping_points_to(ctx):
     a = _ifr(1, "this", "D", pts=frozenset({0}))
     b = _ifr(2, "this", "D", pts=frozenset({0, 1}))
-    res = compare_heap(a, b, Mode.PA, ctx.program)
+    res = compare_heap(a, b, Mode.PA, ctx.hierarchy)
     assert res.match and not res.missrefs
 
 
@@ -112,31 +112,31 @@ def test_ifr_nopa_same_class_different_constructors(ctx):
     # Two constructors of one class: the same-constructor exclusion is off.
     a = _ifr(1, "a", "D", method="D.<init>/1", enclosing="constructor")
     b = _ifr(2, "b", "D", method="D.<init>/2", enclosing="constructor")
-    assert compare_heap(a, b, Mode.NOPA, ctx.program).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
 
 
 def test_ifr_nopa_subtype_bases_are_related(ctx):
     a = _ifr(1, "a", "A")
     b = _ifr(2, "b", "D")
-    assert compare_heap(a, b, Mode.NOPA, ctx.program).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
 
 
 def test_ifr_same_constructor_excluded(ctx):
     a = _ifr(1, "this", "D", method="D.<init>/1", enclosing="constructor")
     b = _ifr(2, "this", "D", method="D.<init>/1", enclosing="constructor")
-    assert not compare_heap(a, b, Mode.NOPA, ctx.program).match
+    assert not compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
     assert not compare_heap(
         _ifr(1, "this", "D", pts=frozenset({0}), method="D.<init>/1", enclosing="constructor"),
         _ifr(2, "this", "D", pts=frozenset({0}), method="D.<init>/1", enclosing="constructor"),
         Mode.PA,
-        ctx.program,
+        ctx.hierarchy,
     ).match
 
 
 def test_ifr_pa_disjoint_points_to(ctx):
     a = _ifr(1, "a", "D", pts=frozenset({0}))
     b = _ifr(2, "b", "D", pts=frozenset({1}))
-    assert not compare_heap(a, b, Mode.PA, ctx.program).match
+    assert not compare_heap(a, b, Mode.PA, ctx.hierarchy).match
 
 
 def test_hybrid_compares_heap_writes_by_points_to(ctx):
@@ -144,11 +144,11 @@ def test_hybrid_compares_heap_writes_by_points_to(ctx):
     for make in (lambda line, pts: _ifr(line, "a", "D", pts=pts),
                  lambda line, pts: _ar(line, "arr", "D[]", 0, pts=pts)):
         a, b = make(1, frozenset({0})), make(2, frozenset({1}))
-        assert compare_heap(a, b, Mode.NOPA, ctx.program).match
+        assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
         for mode in (Mode.PA, Mode.HYBRID):
-            assert compare_heap(a, b, mode, ctx.program) == (False, ())
+            assert compare_heap(a, b, mode, ctx.hierarchy) == (False, ())
             # An empty set logs its write and falls back to the base types.
-            res = compare_heap(a, make(2, None), mode, ctx.program)
+            res = compare_heap(a, make(2, None), mode, ctx.hierarchy)
             assert res.match and [m.pos.line for m in res.missrefs] == [2]
 
 
@@ -156,27 +156,27 @@ def test_ifr_pa_miss_falls_back_to_name_rule(ctx):
     # Unrelated base types: the fallback refuses the match but logs the miss.
     a = _ifr(1, "a", "U", field=("U", "f", "int"))
     b = _ifr(2, "b", "D", field=("U", "f", "int"))
-    res = compare_heap(a, b, Mode.PA, ctx.program)
+    res = compare_heap(a, b, Mode.PA, ctx.hierarchy)
     assert res.missrefs and not res.match
     assert len(res.missrefs) == 2
     assert all(m.reason == "empty-pts" for m in res.missrefs)
     # Related base types: the fallback accepts.
     c = _ifr(1, "a", "A")
     d = _ifr(2, "b", "D")
-    res2 = compare_heap(c, d, Mode.PA, ctx.program)
+    res2 = compare_heap(c, d, Mode.PA, ctx.hierarchy)
     assert res2.missrefs and res2.match
 
 
 def test_ifr_nopa_unrelated_bases(ctx):
     a = _ifr(1, "a", "U", field=("U", "f", "int"))
     b = _ifr(2, "b", "D", field=("U", "f", "int"))
-    assert not compare_heap(a, b, Mode.NOPA, ctx.program).match
+    assert not compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
 
 
 def test_ifr_different_fields_never_match(ctx):
     a = _ifr(1, "this", "D", field=("D", "f", "int"), pts=frozenset({0}))
     b = _ifr(2, "this", "D", field=("D", "g", "int"), pts=frozenset({0}))
-    assert not compare_heap(a, b, Mode.PA, ctx.program).match
+    assert not compare_heap(a, b, Mode.PA, ctx.hierarchy).match
 
 
 def _ar(line, base, base_type, index, pts=None, method="C.m/0", enclosing="method"):
@@ -195,23 +195,23 @@ def _ar(line, base, base_type, index, pts=None, method="C.m/0", enclosing="metho
 def test_ar_nopa_same_class_same_index_local(ctx):
     a = _ar(1, "arr1", "D[]", "i")
     b = _ar(2, "arr2", "D[]", "i")
-    assert compare_heap(a, b, Mode.NOPA, ctx.program).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
 
 
 def test_ar_distinct_constant_indexes(ctx):
-    assert not compare_heap(_ar(1, "arr", "D[]", 0), _ar(2, "arr", "D[]", 1), Mode.NOPA, ctx.program).match
+    assert not compare_heap(_ar(1, "arr", "D[]", 0), _ar(2, "arr", "D[]", 1), Mode.NOPA, ctx.hierarchy).match
 
 
 def test_ar_pa_disjoint_sites(ctx):
     a = _ar(1, "arr1", "D[]", "i", pts=frozenset({0}))
     b = _ar(2, "arr2", "D[]", "i", pts=frozenset({1}))
-    assert not compare_heap(a, b, Mode.PA, ctx.program).match
+    assert not compare_heap(a, b, Mode.PA, ctx.hierarchy).match
 
 
 def test_ar_constant_vs_local_index_is_eligible(ctx):
     a = _ar(1, "arr1", "D[]", 0)
     b = _ar(2, "arr2", "D[]", "i")
-    assert compare_heap(a, b, Mode.NOPA, ctx.program).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
 
 
 def test_sfr_matches_on_class_name_type():
@@ -308,7 +308,7 @@ def test_static_calls_resolve_to_single_target():
     )
     p = parse_source(src)
     site = next(st for st in iter_stmts(find_method(p, "A.m").body) if isinstance(st, StaticCall))
-    assert resolve_static(p, site).id == "U.s/0"
+    assert resolve_static(p.hierarchy(), site).id == "U.s/0"
 
 
 # ---------------------------------------------------------------------------

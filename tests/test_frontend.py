@@ -298,6 +298,9 @@ def test_pretty_print_round_trip_is_fixpoint(scenario):
         ('{"left": [{"file": 1, "line": 3}]}', "entries must look like"),
         ('{"left": [{"file": "a.mir", "line": "x"}]}', "entries must look like"),
         ('{"left": [{"file": "a.mir", "line": 1e999}]}', "entries must look like"),
+        ('{"left": [{"file": "a.mir", "line": 3.9}]}', "entries must look like"),
+        ('{"left": [{"file": "a.mir", "line": true}]}', "entries must look like"),
+        ('{"left": [{"file": "a.mir", "line": "3"}]}', "entries must look like"),
     ],
 )
 def test_sidecar_of_wrong_shape_is_a_sidecar_error(text, fragment):

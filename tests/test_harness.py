@@ -385,3 +385,32 @@ def test_scenario_manifest_round_trip(tmp_path):
     assert s.id == "scn" and s.ground_truth is True and s.entry == "A.m"
     results = run_scenario(s, [Mode.NOPA], budget=budget())
     assert results[0].verdict is T
+
+
+@pytest.mark.parametrize("project", ["absent", None])
+def test_scenario_without_a_project_is_its_own_project(project, tmp_path):
+    # A null project used to load as None, so every such scenario fell into
+    # one project and two copies of mkref read `2,1` in histogram.csv.
+    import shutil
+
+    from oadetect.harness import bundled_corpus_dir, load_scenario, write_tables
+
+    scenarios = []
+    for sid in ("mkref-a", "mkref-b"):
+        d = tmp_path / sid
+        shutil.copytree(bundled_corpus_dir() / "mkref", d)
+        manifest = json.loads((d / "scenario.json").read_text())
+        manifest["id"] = sid
+        if project == "absent":
+            del manifest["project"]
+        else:
+            manifest["project"] = project
+        (d / "scenario.json").write_text(json.dumps(manifest))
+        scenarios.append(load_scenario(d))
+    assert [s.project for s in scenarios] == ["mkref-a", "mkref-b"]
+
+    modes = [Mode.NOPA, Mode.PA]
+    run = run_corpus(scenarios, modes, budget=budget())
+    out = tmp_path / "out"
+    write_tables(run, modes, out)
+    assert (out / "histogram.csv").read_text().splitlines() == ["divergences,projects", "1,2"]

@@ -3,7 +3,9 @@
 `Program.hierarchy()` answers name, supertype, implementer, member and
 constructor queries from maps built once per program. The functions below
 are the original linear-scan versions, kept only here as the oracle: every
-query is asked of both, for every type and every pair of types.
+query is asked of both, for every type and every pair of types, through
+the `Hierarchy` methods and the package's `subtype_of`, `implementers_of`
+and `supertypes_of`.
 """
 
 from __future__ import annotations
@@ -20,16 +22,7 @@ from oadetect.mir import (
     MirError,
     Program,
     all_methods,
-    constructor_of,
-    field_of,
     implementers_of,
-    lca_type,
-    methods_by_id,
-    resolve_field,
-    resolve_method,
-    resolve_static_field,
-    resolve_static_method,
-    static_field_of,
     subtype_of,
     supertypes_of,
 )
@@ -156,13 +149,14 @@ def ref_static_field_of(p, cls_name, fname):
 
 def assert_index_matches(p: Program) -> int:
     """Every query on every type and type pair; returns the number asked."""
+    h = p.hierarchy()
     names = sorted({c.name for c in p.classes} | {i.name for i in p.interfaces})
     probes = names + [UNKNOWN]
     asked = 0
     for n in probes:
-        assert p.class_named(n) is ref_class_named(p, n)
-        assert p.interface_named(n) is ref_interface_named(p, n)
-        assert p.declares_type(n) == ref_declares(p, n)
+        assert h.classes.get(n) is ref_class_named(p, n)
+        assert h.interfaces.get(n) is ref_interface_named(p, n)
+        assert h.declares(n) == ref_declares(p, n)
         asked += 3
     for a in names:
         assert supertypes_of(a, p) == ref_supertypes(a, p)
@@ -172,11 +166,13 @@ def assert_index_matches(p: Program) -> int:
             if b != UNKNOWN:
                 assert subtype_of(a, b, p) == ref_subtype(a, b, p)
                 asked += 1
-            assert lca_type(a, b, p) == ref_lca(a, b, p)
-            assert lca_type(b, a, p) == ref_lca(b, a, p)
+            assert h.lca(a, b) == ref_lca(a, b, p)
+            assert h.lca(b, a) == ref_lca(b, a, p)
             asked += 2
+        assert h.lca(a, None) is None and h.lca(None, a) is None
+        asked += 1
 
-    got = methods_by_id(p)
+    got = h.methods_by_id()
     want = ref_methods_by_id(p)
     assert list(got) == list(want)
     assert all(got[k] is want[k] for k in want)
@@ -185,21 +181,23 @@ def assert_index_matches(p: Program) -> int:
     method_names = sorted({m.name for m in all_methods(p)})
     field_names = sorted({f.name for c in p.classes for f in c.fields})
     for cls in probes:
+        assert list(h.chain(cls)) == list(ref_chain(p, cls))
+        asked += 1
         for arity in range(4):
-            assert constructor_of(p, cls, arity) is ref_constructor(p, cls, arity)
+            assert h.constructor_of(cls, arity) is ref_constructor(p, cls, arity)
             asked += 1
             for mname in method_names:
-                assert resolve_method(p, cls, mname, arity) is ref_method(p, cls, mname, arity, False)
-                assert resolve_static_method(p, cls, mname, arity) is ref_method(p, cls, mname, arity, True)
+                assert h.resolve_method(cls, mname, arity, static=False) is ref_method(p, cls, mname, arity, False)
+                assert h.resolve_method(cls, mname, arity, static=True) is ref_method(p, cls, mname, arity, True)
                 asked += 2
         for fname in field_names:
-            assert resolve_field(p, cls, fname) == ref_field(p, cls, fname, False)
-            assert resolve_static_field(p, cls, fname) == ref_field(p, cls, fname, True)
-            assert field_of(p, cls, fname) == ref_field_of(p, cls, fname)
-            assert static_field_of(p, cls, fname) == ref_static_field_of(p, cls, fname)
+            assert h.resolve_field(cls, fname, static=False) == ref_field(p, cls, fname, False)
+            assert h.resolve_field(cls, fname, static=True) == ref_field(p, cls, fname, True)
+            assert h.field_of(cls, fname) == ref_field_of(p, cls, fname)
+            assert h.static_field_of(cls, fname) == ref_static_field_of(p, cls, fname)
             asked += 4
     for fname in field_names + ["noSuchField"]:
-        assert field_of(p, None, fname) == ref_field_of(p, None, fname)
+        assert h.field_of(None, fname) == ref_field_of(p, None, fname)
         asked += 1
     return asked
 
@@ -238,7 +236,7 @@ def test_index_sees_declarations_added_after_a_query():
         "class A implements I {\n  method m() {\n  }\n}\n"
     )
     assert implementers_of("I", p) == {"A"}
-    assert lca_type("A", "I", p) == "I"
+    assert p.hierarchy().lca("A", "I") == "I"
     with pytest.raises(MirError, match="unknown type 'B'"):
         supertypes_of("B", p)
 
@@ -254,8 +252,8 @@ def test_index_sees_declarations_added_after_a_query():
     )
     assert implementers_of("I", p) == {"A", "B"}
     assert supertypes_of("B", p) == {"B", "A", "I"}
-    assert constructor_of(p, "B", 1) is ctor
-    assert "B.n/0" in methods_by_id(p)
+    assert p.hierarchy().constructor_of("B", 1) is ctor
+    assert "B.n/0" in p.hierarchy().methods_by_id()
 
     p.interfaces.append(InterfaceDef(name="J", extends="I"))
     assert subtype_of("J", "I", p)
@@ -263,14 +261,14 @@ def test_index_sees_declarations_added_after_a_query():
 
     # A replaced list of the same length is noticed too.
     p.classes = [ClassDef(name="Z"), ClassDef(name="Y")]
-    assert p.class_named("A") is None and p.class_named("Z") is not None
+    assert "A" not in p.hierarchy().classes and "Z" in p.hierarchy().classes
     assert_index_matches(p)
 
 
 def test_first_declaration_of_a_name_wins():
     p = parse_source("class A {\n  field x: int;\n}\nclass A {\n  field y: int;\n}\n", validate=False)
-    assert p.class_named("A") is p.classes[0]
-    assert resolve_field(p, "A", "y") is None
+    assert p.hierarchy().classes["A"] is p.classes[0]
+    assert p.hierarchy().resolve_field("A", "y", static=False) is None
     assert_index_matches(p)
 
 
@@ -281,5 +279,5 @@ def test_memoised_answers_cannot_be_corrupted(fig1_advanced):
     with pytest.raises(AttributeError):
         supertypes_of("ReportSimple", p).add("Main")
     with pytest.raises(TypeError):
-        methods_by_id(p)["X.y/0"] = None
+        p.hierarchy().methods_by_id()["X.y/0"] = None
     assert implementers_of("Report", p) == {"ReportSimple", "ReportAdvanced"}
