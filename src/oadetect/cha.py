@@ -10,9 +10,10 @@ call whose method no class provides (say, on an interface no class
 implements) has no hierarchy targets and adds no edge; a static call that
 names no method is a `ResolutionError`.
 
-`build_cha_graph` is the one fixpoint: a worklist over methods. Each visit
-types the method's body in a single walk from its parameter types, and a
-method is queued again only when the argument types reaching it widen.
+`build_cha_graph` is a worklist over methods. Each visit types the method's
+body in a single walk from its parameter types (a `while` body is walked to
+its fixpoint), and a method is queued again only when the argument types
+reaching it widen.
 """
 
 from __future__ import annotations
@@ -247,8 +248,10 @@ def _scan_sites(body, env: TypeEnv, sites: dict, h: Hierarchy) -> TypeEnv:
             env = join_envs(e1, e2, h)
             continue
         if isinstance(st, While):
+            # Iterate to the fixpoint. This ends: a join only widens each
+            # local, through `Hierarchy.lca`, to a supertype or to None.
             e = dict(env)
-            for _ in range(4):
+            while True:
                 after = _scan_sites(st.body, dict(e), sites, h)
                 joined = join_envs(e, after, h)
                 if joined == e:
@@ -279,17 +282,16 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
     queue = deque([root.id])
     queued = {root.id}
 
-    def bind(tid: str, target: MethodDef, arg_types) -> bool:
-        """Join argument types into the params of `target` (whose id is
-        `tid`); True if widened."""
-        known = param_types.get(tid)
+    def bind(target: MethodDef, arg_types) -> bool:
+        """Join argument types into the params of `target`; True if widened."""
+        known = param_types.get(target.id)
         incoming = list(arg_types) if arg_types else [None] * len(target.params)
         if known is None:
-            param_types[tid] = incoming
+            param_types[target.id] = incoming
             return True
         widened = [h.lca(a, b) for a, b in zip(known, incoming)]
         if widened != known:
-            param_types[tid] = widened
+            param_types[target.id] = widened
             return True
         return False
 
@@ -309,12 +311,11 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
                 ctor = h.constructor_of(st.cls, len(st.args))
                 targets = [ctor] if ctor is not None else []
             for tgt in targets:
-                tid = tgt.id  # `id` formats a new string on each read
-                graph.edges.add(CallEdge(st.pos, mid, tid))
-                fresh = tid not in graph.nodes
-                graph.nodes.add(tid)
-                if bind(tid, tgt, arg_types) or fresh:
-                    if tid not in queued:
-                        queue.append(tid)
-                        queued.add(tid)
+                graph.edges.add(CallEdge(st.pos, mid, tgt.id))
+                fresh = tgt.id not in graph.nodes
+                graph.nodes.add(tgt.id)
+                if bind(tgt, arg_types) or fresh:
+                    if tgt.id not in queued:
+                        queue.append(tgt.id)
+                        queued.add(tgt.id)
     return graph

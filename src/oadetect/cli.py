@@ -11,7 +11,9 @@ only). It exits 0 when every requested mode is conflict-free, 1 when any
 mode reports a conflict, 2 when any mode times out (and none conflicts), 3
 on usage, input or parse errors. `corpus` evaluates scenario directories and writes the records
 stream plus the confusion/metrics/transitions/histogram/timing tables. Both
-run `harness.run_scenario` per scenario.
+run `harness.run_scenario` per scenario. The dump commands read their
+sources as `analyze` does: a scenario directory through its manifest's
+sources, sidecar and entry.
 
 `main` builds only the parser of the subcommand it runs, because building
 all four cost as much as analysing a small scenario.
@@ -26,9 +28,10 @@ from typing import Callable, NamedTuple
 
 from .cha import build_cha_graph
 from .engine import AnalysisBudget, Mode, Verdict
-from .frontend import ProvenanceMap, SourceUnit, apply_sidecar, entry_candidates, parse_program, read_text
+from .frontend import ProvenanceMap, SourceUnit, read_text
 from .harness import Scenario, load_scenario, run_corpus, run_scenario, scenario_dirs, write_tables
-from .mir import MirError, find_method
+from .harness import scenario_entries, scenario_program
+from .mir import MirError
 from .pointsto import dump_pts, pa_entry_points, solve
 from .reporting import build_reports, emit_records, render_text
 from .stats import InsufficientPairsError, wilcoxon_signed_rank
@@ -65,10 +68,11 @@ def _budget(args) -> AnalysisBudget:
 
 
 def _add_budget_flags(sub) -> None:
-    sub.add_argument("--depth", type=int, default=5, help="call inlining depth limit")
-    sub.add_argument("--fuel", type=int, default=500_000, help="statement-visit budget")
-    sub.add_argument("--timeout", type=float, default=300.0, help="wall-clock limit in seconds")
-    sub.add_argument("--path-cap", type=int, default=4096, help="maximum enumerated paths")
+    default = AnalysisBudget()
+    sub.add_argument("--depth", type=int, default=default.depth_limit, help="call inlining depth limit")
+    sub.add_argument("--fuel", type=int, default=default.fuel, help="statement-visit budget")
+    sub.add_argument("--timeout", type=float, default=default.wall_clock, help="wall-clock limit in seconds")
+    sub.add_argument("--path-cap", type=int, default=default.path_cap, help="maximum enumerated paths")
     sub.add_argument(
         "--deterministic",
         action="store_true",
@@ -104,18 +108,19 @@ def _modes(flag: str, names: list[str]) -> list[Mode]:
     return modes
 
 
-def _analyze_scenario(args) -> Scenario:
-    """The scenario an `analyze` call names: one scenario directory or loose
-    sources. `--sidecar` and `--entry` take precedence over its manifest."""
-    sidecar = ProvenanceMap.from_json(read_text(args.sidecar)) if args.sidecar else None
-    single = Path(args.sources[0]) if len(args.sources) == 1 else None
+def _analyze_scenario(sources: list[str], sidecar=None, entry=None) -> Scenario:
+    """The scenario a command's `sources` name: one scenario directory or
+    loose sources. A `sidecar` file and an `entry` given on the command line
+    take precedence over its manifest."""
+    provenance = ProvenanceMap.from_json(read_text(sidecar)) if sidecar else None
+    single = Path(sources[0]) if len(sources) == 1 else None
     if single is not None and (single / "scenario.json").exists():
         scenario = load_scenario(single)
     else:
-        label = " ".join(args.sources)
-        scenario = Scenario(id=label, project=label, sources=_load_sources(args.sources))
-    scenario.sidecar = sidecar or scenario.sidecar
-    scenario.entry = args.entry or scenario.entry
+        label = " ".join(sources)
+        scenario = Scenario(id=label, project=label, sources=_load_sources(sources))
+    scenario.sidecar = provenance or scenario.sidecar
+    scenario.entry = entry or scenario.entry
     return scenario
 
 
@@ -145,7 +150,7 @@ def _exit_code(verdicts) -> int:
 def cmd_analyze(args) -> int:
     modes = _modes("--mode", args.mode or [Mode.NOPA.value])
     budget = _budget(args)
-    scenario = _analyze_scenario(args)
+    scenario = _analyze_scenario(args.sources, args.sidecar, args.entry)
     outdir = _out_dir(args.out) if args.out else None
     results = run_scenario(scenario, modes, budget=budget)
     several_entries = len(results) > len(modes)
@@ -197,14 +202,10 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_dump_graph(args) -> int:
-    program = parse_program(_load_sources(args.sources))
-    if args.sidecar:
-        apply_sidecar(program, ProvenanceMap.from_json(read_text(args.sidecar)))
-    mode = Mode(args.mode)
-    if mode is Mode.NOPA:
-        entries = (
-            [find_method(program, args.entry)] if args.entry else entry_candidates(program)
-        )
+    scenario = _analyze_scenario(args.sources, args.sidecar, args.entry)
+    program = scenario_program(scenario)
+    if Mode(args.mode) is Mode.NOPA:
+        entries = scenario_entries(scenario, program)
         if not entries:
             raise MirError("an entry is required for the hierarchy-based graph")
         print(build_cha_graph(program, entries[0]).dump(), end="")
@@ -215,7 +216,7 @@ def cmd_dump_graph(args) -> int:
 
 
 def cmd_dump_pts(args) -> int:
-    program = parse_program(_load_sources(args.sources))
+    program = scenario_program(_analyze_scenario(args.sources))
     result = solve(program, pa_entry_points(program))
     print(dump_pts(result), end="")
     return EXIT_FALSE

@@ -24,11 +24,12 @@ additionally widens unresolvable calls to the hierarchy-based targets
 instead of dropping them. `Mode.uses_cha` and `Mode.uses_pts` say which
 graphs a mode reads.
 
-The enumerator steps over a lowered form, not over statements. Each method
-it enters is lowered once per `detect` or `enumerate_write_paths` call, on
-first entry, into a list of ops (nested `if`/`while` blocks with it). An op
-holds an opcode and what every visit shares: the method's id, display and
-kind, the call hop and the resolved call targets or constructor, the
+The enumerator steps over a lowered form, not over statements. Each
+`MethodDef` it enters is lowered once per `detect` or `enumerate_write_paths`
+call, on first entry, into a list of ops kept by its id (nested `if`/`while`
+blocks with it); its frame's env is `cha.initial_env` of the argument types.
+An op holds an opcode and what every visit shares: the method's id, display
+and kind, the call hop and the resolved target or constructor `MethodDef`s, the
 static field's declaring class and type, the written base's points-to set,
 the type rule (`cha.type_rule`, the one transfer rule that
 `cha.transfer_type` applies too) and a template of the write event. A visit
@@ -400,20 +401,6 @@ _WRITE, _HEAP, _ALLOC, _CALL, _IF, _WHILE, _RETURN = range(7)
 _EVENT_FIELDS = tuple(f.name for f in dc_fields(WriteEvent))
 
 
-class _Method:
-    """A method as the enumerator enters it: id, display and kind computed
-    once, and its ops once it has been entered."""
-
-    __slots__ = ("mdef", "id", "display", "kind", "ops")
-
-    def __init__(self, mdef: MethodDef):
-        self.mdef = mdef
-        self.id = mdef.id
-        self.display = mdef.display
-        self.kind = mdef.kind
-        self.ops: Optional[list[_Op]] = None
-
-
 class _Op:
     """One lowered statement: an opcode and its static payload.
 
@@ -452,24 +439,19 @@ def _instantiate(template: dict, call_path: tuple, provenance: Provenance) -> Wr
 
 
 class _Lowering:
-    """The methods entered under one context, each lowered on first entry."""
+    """The ops of the methods entered under one context, each lowered on first entry."""
 
     def __init__(self, ctx: DetectionContext):
         self.ctx = ctx
-        self.methods: dict[str, _Method] = {}
+        self.lowered: dict[str, list[_Op]] = {}
 
-    def method(self, mdef: MethodDef) -> _Method:
-        m = self.methods.get(mdef.id)
-        if m is None:
-            m = self.methods[mdef.id] = _Method(mdef)
-        return m
+    def ops(self, m: MethodDef) -> list[_Op]:
+        ops = self.lowered.get(m.id)
+        if ops is None:
+            ops = self.lowered[m.id] = self.block(m.body, m)
+        return ops
 
-    def ops(self, m: _Method) -> list[_Op]:
-        if m.ops is None:
-            m.ops = self.block(m.mdef.body, m)
-        return m.ops
-
-    def targets(self, op: _Op) -> list[_Method]:
+    def targets(self, op: _Op) -> list[MethodDef]:
         """A call op's targets, resolved on its first visit.
 
         Its miss-reference is recorded then; recorded misses are never
@@ -483,14 +465,14 @@ class _Lowering:
                     ctx.record_missref(miss)
             else:
                 defs = [resolve_static(ctx.hierarchy, st)]
-            op.targets = [self.method(d) for d in defs]
+            op.targets = defs
             op.target_ids = frozenset(t.id for t in op.targets)
         return op.targets
 
-    def block(self, stmts, m: _Method) -> list[_Op]:
+    def block(self, stmts, m: MethodDef) -> list[_Op]:
         return [self.stmt(st, m) for st in stmts]
 
-    def stmt(self, st, m: _Method) -> _Op:
+    def stmt(self, st, m: MethodDef) -> _Op:
         h = self.ctx.hierarchy
         if isinstance(st, If):
             op = _Op(_IF, st)
@@ -508,8 +490,7 @@ class _Lowering:
         elif isinstance(st, AllocAssign):
             op = self._write(_Op(_ALLOC, st), m, LV, local=st.target)
             op.hop = Hop(m.id, m.display, st.pos, st.provenance)
-            ctor = h.constructor_of(st.cls, len(st.args))
-            op.ctor = self.method(ctor) if ctor is not None else None
+            op.ctor = h.constructor_of(st.cls, len(st.args))
         elif isinstance(st, FieldStore):
             op = self._heap(st, m, IFR, field_name=st.field)
             op.field = st.field
@@ -522,19 +503,19 @@ class _Lowering:
             op = self._write(_Op(_WRITE, st), m, LV, local=st.target)
         return op
 
-    def _template(self, st, m: _Method, kind: str, **payload) -> dict:
+    def _template(self, st, m: MethodDef, kind: str, **payload) -> dict:
         template = dict.fromkeys(_EVENT_FIELDS)
         template.update(kind=kind, pos=st.pos, method_id=m.id, method_display=m.display,
                         enclosing_kind=m.kind, call_path=(), **payload)
         return template
 
-    def _write(self, op: _Op, m: _Method, kind: str, **payload) -> _Op:
+    def _write(self, op: _Op, m: MethodDef, kind: str, **payload) -> _Op:
         op.template = self._template(op.st, m, kind, **payload)
         op.key = _instantiate(op.template, (), Provenance.BASE).element_key()
         op.rule = type_rule(op.st, self.ctx.hierarchy)
         return op
 
-    def _heap(self, st, m: _Method, kind: str, **payload) -> _Op:
+    def _heap(self, st, m: MethodDef, kind: str, **payload) -> _Op:
         op = _Op(_HEAP, st)
         op.base = st.base
         op.template = self._template(st, m, kind, base=st.base,
@@ -580,7 +561,7 @@ class _Enumerator:
     def __init__(self, ctx: DetectionContext, entry: MethodDef):
         self.ctx = ctx
         self.lowering = _Lowering(ctx)
-        self.entry = self.lowering.method(entry)
+        self.entry = entry
         self.events: list[WriteEvent] = []
         self.frames: list[_Frame] = []
         # Choice points: [frames, per-frame (i, env), events length, op,
@@ -607,7 +588,7 @@ class _Enumerator:
         fuel, path_cap = budget.fuel, budget.path_cap
         append = self._append
         frames = self.frames
-        frames.append(_Frame(self.lowering.ops(entry), initial_env(entry.mdef), (), Provenance.BASE,
+        frames.append(_Frame(self.lowering.ops(entry), initial_env(entry), (), Provenance.BASE,
                              frozenset({entry.id}), "root"))
         visited = ctx.visited
         try:
@@ -708,15 +689,10 @@ class _Enumerator:
         else:
             self._choose(op, alts)
 
-    def _push_body(self, caller: _Frame, op: _Op, target: _Method) -> None:
-        mdef = target.mdef
-        cenv = {}
-        for pname, a in zip(mdef.params, op.st.args):
-            cenv[pname] = operand_type(a, caller.env)
-        if not mdef.static:
-            cenv["this"] = mdef.declaring_class
+    def _push_body(self, caller: _Frame, op: _Op, target: MethodDef) -> None:
+        env = initial_env(target, [operand_type(a, caller.env) for a in op.st.args])
         self.frames.append(
-            _Frame(self.lowering.ops(target), cenv, caller.call_path + (op.hop,), op.prov or caller.prov,
+            _Frame(self.lowering.ops(target), env, caller.call_path + (op.hop,), op.prov or caller.prov,
                    caller.on_stack | {target.id}, "body", site=op)
         )
 

@@ -156,15 +156,23 @@ class CorpusRun:
         return seen
 
 
-def scenario_units(s: Scenario) -> tuple[Program, list[tuple[str, MethodDef]]]:
-    """Parse a scenario and expand it to (unit id, entry) pairs."""
+def scenario_program(s: Scenario) -> Program:
+    """A scenario's sources parsed, with its sidecar's provenance applied."""
     program = parse_program(s.sources)
     if s.sidecar is not None:
         apply_sidecar(program, s.sidecar)
-    if s.entry:
-        entries = [find_method(program, s.entry)]
-    else:
-        entries = entry_candidates(program)
+    return program
+
+
+def scenario_entries(s: Scenario, program: Program) -> list[MethodDef]:
+    """The scenario's entry override, else its dually modified declarations."""
+    return [find_method(program, s.entry)] if s.entry else entry_candidates(program)
+
+
+def scenario_units(s: Scenario) -> tuple[Program, list[tuple[str, MethodDef]]]:
+    """Parse a scenario and expand it to (unit id, entry) pairs."""
+    program = scenario_program(s)
+    entries = scenario_entries(s, program)
     if not entries:
         raise MirError(f"scenario '{s.id}' has no dually modified declaration")
     if len(entries) == 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -197,6 +198,9 @@ class FieldDef:
 
 @dataclass
 class MethodDef:
+    """`id` and `display` are formatted once, on first read: `name`,
+    `params` and `declaring_class` must not change after construction."""
+
     name: str
     params: tuple[str, ...]
     body: list[Stmt]
@@ -206,11 +210,11 @@ class MethodDef:
     public: bool = True
     pos: Position = UNKNOWN_POS
 
-    @property
+    @cached_property
     def id(self) -> str:
         return f"{self.declaring_class}.{self.name}/{len(self.params)}"
 
-    @property
+    @cached_property
     def display(self) -> str:
         return f"{self.declaring_class}.{self.name}()"
 
@@ -545,6 +549,30 @@ def implementers_of(t: str, p: Program) -> frozenset[str]:
 # Validation
 
 
+def _reaches_cycle(h: Hierarchy, start: str, colors: dict[str, int]) -> bool:
+    """Whether the colored depth-first search from `start` over declared
+    supertypes (1 on the path, 2 done; unknown names skipped) reaches its own
+    path. On a cycle it marks the whole path done and stops. It is iterative,
+    so a deep chain needs no deep Python stack."""
+    colors[start] = 1
+    path = [(start, iter(h.declared_supers(start)))]
+    while path:
+        name, supers = path[-1]
+        for s in supers:
+            state = colors.get(s, 0) if h.declares(s) else 2
+            if state == 1:
+                colors.update((n, 2) for n, _ in path)
+                return True
+            if state == 0:
+                colors[s] = 1
+                path.append((s, iter(h.declared_supers(s))))
+                break
+        else:
+            colors[name] = 2
+            path.pop()
+    return False
+
+
 def validate_program(p: Program) -> list[Diagnostic]:
     """Structural checks; an empty result means the program is well formed."""
     diags: list[Diagnostic] = []
@@ -578,25 +606,9 @@ def validate_program(p: Program) -> list[Diagnostic]:
                     Diagnostic(i.pos, f"interface '{i.name}' extends class '{i.extends}'")
                 )
 
-    # Cycle detection over the declared-supertype graph, skipping unknown names.
     colors: dict[str, int] = {}
-
-    def visit(name: str) -> bool:
-        state = colors.get(name, 0)
-        if state == 1:
-            return True
-        if state == 2:
-            return False
-        colors[name] = 1
-        for s in h.declared_supers(name):
-            if h.declares(s) and visit(s):
-                colors[name] = 2
-                return True
-        colors[name] = 2
-        return False
-
     for decl in list(p.classes) + list(p.interfaces):
-        if decl.name not in colors and visit(decl.name):
+        if decl.name not in colors and _reaches_cycle(h, decl.name, colors):
             diags.append(Diagnostic(decl.pos, f"inheritance cycle involving '{decl.name}'"))
 
     for c in p.classes:

@@ -232,17 +232,16 @@ class _Solver:
         return ("s", self.h.static_field_of(cls, fname)[0], fname)
 
     def _bind_call(self, pos, caller_mid, target: MethodDef, this_sites, args, result) -> None:
-        tid = target.id  # `id` formats a new string on each read
-        self.edges.add(CallEdge(pos, caller_mid, tid))
-        self.make_reachable(tid)
+        self.edges.add(CallEdge(pos, caller_mid, target.id))
+        self.make_reachable(target.id)
         if this_sites is not None and not target.static:
-            self.add_pts(self.local(tid, "this"), set(this_sites))
+            self.add_pts(self.local(target.id, "this"), set(this_sites))
         for pname, a in zip(target.params, args):
             src = self.operand_var(caller_mid, a)
             if src is not None:
-                self.add_copy(src, self.local(tid, pname))
+                self.add_copy(src, self.local(target.id, pname))
         if result is not None:
-            self.add_copy(("r", tid), self.local(caller_mid, result))
+            self.add_copy(("r", target.id), self.local(caller_mid, result))
 
     # -- complex-constraint application
 

@@ -8,6 +8,7 @@ from oadetect import cha
 from oadetect.cha import ResolutionError, build_cha_graph, cha_resolve, initial_env, transfer_type, type_rule
 from oadetect.frontend import parse_source
 from oadetect.mir import VirtualCall, all_methods, find_method, iter_stmts
+from oadetect.pointsto import pa_entry_points, solve
 
 
 def _site(p, method_ref, line=None) -> VirtualCall:
@@ -392,3 +393,45 @@ def test_site_types_join_over_loop_iterations():
     # the site keeps both, where the last iteration's env alone has only T2.
     assert g.targets_at(_site(p, "Use.u").pos) == ["T1.m/0", "T2.m/0"]
     assert g.targets_at(_site(p, "H.take").pos) == ["T1.m/0", "T2.m/0"]
+
+
+LONG_LOOP_CHAIN = """
+class A {
+  method m() {
+    x = op();
+  }
+}
+class B {
+  method m() {
+    y = op();
+  }
+}
+class Use {
+  method u(c) {
+    a = new A();
+    b = new A();
+    d = new A();
+    e = new A();
+    f = new A();
+    while c {
+      a = b;
+      b = d;
+      d = e;
+      e = f;
+      f = new B();
+    }
+    call a.m();
+  }
+}
+"""
+
+
+def test_loop_join_runs_to_its_fixpoint():
+    # The B allocated into f reaches a on the fifth walk of the body; a walk
+    # cut after four rounds left a typed A and the call resolved to A.m only.
+    p = parse_source(LONG_LOOP_CHAIN)
+    entry = find_method(p, "Use.u")
+    pos = _site(p, "Use.u").pos
+    pts_targets = solve(p, pa_entry_points(p)).callgraph.targets_at(pos)
+    assert pts_targets == ["A.m/0", "B.m/0"]
+    assert set(pts_targets) <= set(build_cha_graph(p, entry).targets_at(pos))

@@ -575,3 +575,48 @@ def test_corpus_with_a_source_not_utf8_exits_3_and_writes_tables(tmp_path, capsy
     out = tmp_path / "out"
     code = main(["corpus", "--deterministic", "--reps", "1", "--root", str(root), "--out", str(out)])
     _assert_scenario_error_beside_fig1_simple(code, capsys.readouterr(), out, "a.mir: not UTF-8 text")
+
+
+def test_analyze_decides_a_deep_chain_declared_subclass_first(tmp_path, capsys):
+    # The validator's cycle check recursed once per link, so a chain this
+    # deep ended in a RecursionError traceback and exit 1, the conflict code.
+    n = 3000
+    chain = "".join(f"class C{i} extends C{i - 1} {{\n}}\n" for i in range(n - 1, 0, -1))
+    src = tmp_path / "deep.mir"
+    src.write_text(chain + "class C0 {\n}\nclass M {\n  method m() {\n    x = 1 @L;\n    y = 2 @R;\n  }\n}\n")
+    for mode in ("nopa", "pa", "hybrid"):
+        assert main(["analyze", "--deterministic", "--mode", mode, str(src)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (f"== M.m() [{mode}] verdict: false\n", "")
+
+
+def test_dump_commands_read_a_scenario_through_its_manifest(tmp_path, capsys):
+    # They used to parse every *.mir in the directory, so the unlisted
+    # notes.mir, which `analyze` never reads, made them exit 3. The nopa
+    # graph needs the sidecar too: without it A.m is no entry.
+    import json
+
+    scn = tmp_path / "scn"
+    scn.mkdir()
+    (scn / "a.mir").write_text(
+        "class B {\n  method n() {\n  }\n}\n"
+        "class A {\n  method m() {\n    x = 1;\n    x = 2;\n    b = new B();\n    call b.n();\n  }\n}\n"
+    )
+    (scn / "notes.mir").write_text("not a source file\n")
+    (scn / "map.json").write_text(
+        json.dumps({"left": [{"file": "a.mir", "line": 7}], "right": [{"file": "a.mir", "line": 8}]})
+    )
+    (scn / "scenario.json").write_text(
+        json.dumps({"id": "s", "project": "p", "sources": ["a.mir"], "sidecar": "map.json"})
+    )
+    d = str(scn)
+    assert main(["analyze", "--mode", "nopa", d]) == 1
+    capsys.readouterr()
+    edge = "A.m/0\ta.mir:10\tB.n/0\n"
+    for mode in ("nopa", "pa"):
+        assert main(["dump-graph", "--mode", mode, d]) == 0
+        assert capsys.readouterr() == (edge, "")
+    assert main(["dump-pts", d]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "A.m/0::b\t{0}" in captured.out

@@ -718,7 +718,7 @@ def test_each_method_is_lowered_once_per_detect_call(monkeypatch):
     real = engine._Lowering.block
 
     def counting(lowering, stmts, m):
-        if stmts is m.mdef.body:
+        if stmts is m.body:
             lowered.append(m.id)
         return real(lowering, stmts, m)
 

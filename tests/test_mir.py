@@ -5,6 +5,7 @@ import pytest
 from oadetect.frontend import parse_source
 from oadetect.mir import (
     MirError,
+    find_method,
     implementers_of,
     subtype_of,
     validate_program,
@@ -42,6 +43,29 @@ def test_validate_inheritance_cycle():
     p = parse_source("class A extends B {\n}\nclass B extends A {\n}\n", validate=False)
     messages = [d.message for d in validate_program(p)]
     assert any("inheritance cycle" in m for m in messages)
+
+
+def test_validate_names_each_cycle_once_in_declaration_order():
+    # The search from C runs into the A-B cycle and marks its whole path
+    # done, so A and B are not named again; E reaches no cycle.
+    src = (
+        "class C extends A {\n}\nclass A extends B {\n}\nclass B extends A {\n}\n"
+        "class D extends D {\n}\nclass E {\n}\n"
+        "interface I extends J {\n}\ninterface J extends I {\n}\n"
+    )
+    p = parse_source(src, validate=False)
+    assert [(d.pos.line, d.message) for d in validate_program(p)] == [
+        (1, "inheritance cycle involving 'C'"),
+        (7, "inheritance cycle involving 'D'"),
+        (11, "inheritance cycle involving 'I'"),
+    ]
+
+
+def test_method_id_and_display_are_formatted_once():
+    m = find_method(parse_source(TWO_CLASSES), "B.m")
+    assert m.id == "B.m/0" and m.display == "B.m()"
+    assert m.id is m.id
+    assert m.display is m.display
 
 
 def test_validate_duplicate_field_and_method():
