@@ -185,10 +185,12 @@ def cmd_corpus(args) -> int:
     for r in run.results:
         print(f"{r.unit}\t{r.mode.value}\t{r.verdict.value}")
     if len(modes) >= 2:
+        a, b = modes[:2]
         pairs = [
-            (sum(s[modes[0]]) / len(s[modes[0]]), sum(s[modes[1]]) / len(s[modes[1]]))
-            for s in run.timing_samples().values()
-            if modes[0] in s and modes[1] in s
+            (sum(per_mode[a].timings_ms) / len(per_mode[a].timings_ms),
+             sum(per_mode[b].timings_ms) / len(per_mode[b].timings_ms))
+            for per_mode in run.by_unit().values()
+            if a in per_mode and b in per_mode
         ]
         try:
             res = wilcoxon_signed_rank(pairs)

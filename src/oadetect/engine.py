@@ -228,7 +228,7 @@ class Conflict:
 class OutcomeStats:
     visited: int = 0
     paths: int = 0
-    elapsed_ms: int = 0
+    elapsed_ms: float = 0.0  # the path search's wall time; 0 without a wall clock
 
 
 @dataclass
@@ -921,7 +921,7 @@ def detect(
             c.overriding.pos,
         ),
     )
-    missrefs = [ctx.missrefs[k] for k in sorted(ctx.missrefs, key=lambda k: (k[0], k[1], k[2]))]
-    elapsed = int(round((time.perf_counter() - started) * 1000)) if budget.wall_clock is not None else 0
+    missrefs = [ctx.missrefs[k] for k in sorted(ctx.missrefs)]
+    elapsed = (time.perf_counter() - started) * 1000.0 if budget.wall_clock is not None else 0.0
     stats = OutcomeStats(visited=ctx.visited, paths=ctx.paths, elapsed_ms=elapsed)
     return AnalysisOutcome(verdict=verdict, conflicts=ordered, missrefs=missrefs, stats=stats)

@@ -4,12 +4,17 @@ Scenarios are directories with a `scenario.json` manifest naming the source
 files, an optional sidecar line map, an optional entry override, and an
 optional ground-truth label. Each dually modified declaration of a scenario
 becomes one experimental unit; every unit runs once per mode, repeated for
-timing, with the verdict required to agree across repetitions.
+timing, with the verdict required to agree across repetitions. A repetition's
+timing is the `elapsed_ms` that `detect` measures itself. Unit ids are unique
+across a corpus run: a scenario repeating one is a scenario error.
 
-The table builders mirror the usual comparison methodology: a confusion
-matrix against labels (timeouts excluded from scoring), derived accuracy
-metrics, a verdict-transition cross-tab between two modes, a per-project
-divergence histogram, and paired timing summaries.
+`CorpusRun.by_unit` is the one per-unit table every output reads: each unit
+id maps to its result under each mode, units in run order. The table
+builders mirror the usual comparison methodology: a confusion matrix against
+labels (a unit that times out under any evaluated mode is excluded from
+every mode's scores), derived accuracy metrics, a verdict-transition
+cross-tab between two modes, a per-project divergence histogram, and paired
+timing summaries.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import mean, stdev
@@ -132,28 +136,12 @@ class CorpusRun:
     results: list[UnitResult] = field(default_factory=list)
     errors: list[tuple[str, str]] = field(default_factory=list)
 
-    def verdicts(self, mode: Mode) -> dict[str, Verdict]:
-        return {r.unit: r.verdict for r in self.results if r.mode is mode}
-
-    def truths(self) -> dict[str, Optional[bool]]:
-        return {r.unit: r.ground_truth for r in self.results}
-
-    def projects(self) -> dict[str, str]:
-        return {r.unit: r.project for r in self.results}
-
-    def timing_samples(self) -> dict[str, dict[Mode, list[float]]]:
-        """The repetition timings of each unit under each mode."""
-        samples: dict[str, dict[Mode, list[float]]] = {}
+    def by_unit(self) -> dict[str, dict[Mode, UnitResult]]:
+        """Each unit's result under each mode, units in run order."""
+        table: dict[str, dict[Mode, UnitResult]] = {}
         for r in self.results:
-            samples.setdefault(r.unit, {})[r.mode] = r.timings_ms
-        return samples
-
-    def units(self) -> list[str]:
-        seen: list[str] = []
-        for r in self.results:
-            if r.unit not in seen:
-                seen.append(r.unit)
-        return seen
+            table.setdefault(r.unit, {})[r.mode] = r
+        return table
 
 
 def scenario_program(s: Scenario) -> Program:
@@ -191,15 +179,14 @@ def run_scenario(
     The one pipeline behind `analyze` and `corpus`: parse and expand the
     scenario, solve points-to once per program if a mode uses it, build
     the CHA graph once per entry if a mode uses it, and run `detect` per
-    unit and mode over those shared graphs. Repetitions are timed only
-    under a wall-clock budget; without one every timing is 0.
+    unit and mode over those shared graphs. A repetition's timing is the
+    `elapsed_ms` that `detect` measures, 0 without a wall-clock budget.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     budget = budget or AnalysisBudget()
     program, units = scenario_units(s)
 
-    timed = budget.wall_clock is not None
     needs_pts = any(m.uses_pts for m in modes)
     needs_cha = any(m.uses_cha for m in modes)
     pts = solve(program, pa_entry_points(program)) if needs_pts else None
@@ -212,9 +199,8 @@ def run_scenario(
             outcome = None
             timings: list[float] = []
             for _ in range(reps):
-                t0 = time.perf_counter()
                 outcome = detect(program, entry, mode, budget=budget, cha=cha, pts=pts)
-                timings.append((time.perf_counter() - t0) * 1000.0 if timed else 0.0)
+                timings.append(outcome.stats.elapsed_ms)
                 if verdict is None:
                     verdict = outcome.verdict
                 elif verdict is not outcome.verdict:
@@ -246,15 +232,23 @@ def run_corpus(
 
     A scenario that fails to load or run lands in `run.errors`, under its
     id (its directory's name if the manifest cannot give one), and costs
-    only its own units.
+    only its own units. So does one with a unit id an earlier scenario
+    already gave: the tables hold one row per unit.
     """
     run = CorpusRun()
+    seen: set[str] = set()
     for item in corpus:
         sid = item.id if isinstance(item, Scenario) else Path(item).name
         try:
             s = item if isinstance(item, Scenario) else load_scenario(item)
             sid = s.id
-            run.results.extend(run_scenario(s, modes, budget, reps))
+            results = run_scenario(s, modes, budget, reps)
+            units = {r.unit for r in results}
+            if units & seen:
+                where = "" if isinstance(item, Scenario) else f"{item}: "
+                raise MirError(f"{where}unit id '{min(units & seen)}' is already taken by an earlier scenario")
+            seen |= units
+            run.results.extend(results)
         except (MirError, OSError) as e:
             run.errors.append((sid, str(e)))
     return run
@@ -391,7 +385,6 @@ class TimingSummary:
     rows: list[TimingRow]
     grand_mean_ms: dict[Mode, float]
     winner_counts: dict[Mode, int]
-    flagged_counts: dict[Mode, int]
 
 
 def timing_summary(samples: dict[str, dict[Mode, list[float]]]) -> TimingSummary:
@@ -402,7 +395,6 @@ def timing_summary(samples: dict[str, dict[Mode, list[float]]]) -> TimingSummary
     rows: list[TimingRow] = []
     per_mode_means: dict[Mode, list[float]] = {}
     winner_counts: dict[Mode, int] = {}
-    flagged_counts: dict[Mode, int] = {}
     for unit in samples:
         unit_means: dict[Mode, float] = {}
         for mode, values in samples[unit].items():
@@ -412,26 +404,21 @@ def timing_summary(samples: dict[str, dict[Mode, list[float]]]) -> TimingSummary
             rows.append(TimingRow(unit, mode, m, sd, flagged))
             unit_means[mode] = m
             per_mode_means.setdefault(mode, []).append(m)
-            if flagged:
-                flagged_counts[mode] = flagged_counts.get(mode, 0) + 1
         if len(unit_means) > 1:
             winner = min(sorted(unit_means, key=lambda mo: mo.value), key=lambda mo: unit_means[mo])
             winner_counts[winner] = winner_counts.get(winner, 0) + 1
     grand = {mode: mean(values) for mode, values in per_mode_means.items()}
-    return TimingSummary(rows, grand, winner_counts, flagged_counts)
+    return TimingSummary(rows, grand, winner_counts)
 
 
-def annotate_missref_paths(run: CorpusRun, nopa: Mode = Mode.NOPA, pa: Mode = Mode.PA) -> list[dict]:
-    """For units the precise mode cleared but the conservative one flagged,
-    mark whether any miss-reference sits on a reported conflict flow."""
-    by_unit: dict[str, dict[Mode, UnitResult]] = {}
-    for r in run.results:
-        by_unit.setdefault(r.unit, {})[r.mode] = r
+def annotate_missref_paths(run: CorpusRun) -> list[dict]:
+    """For units `pa` cleared but `nopa` flagged, mark whether any
+    miss-reference sits on a reported conflict flow."""
     enriched = []
-    for unit, per_mode in by_unit.items():
-        if nopa not in per_mode or pa not in per_mode:
+    for unit, per_mode in run.by_unit().items():
+        if Mode.NOPA not in per_mode or Mode.PA not in per_mode:
             continue
-        a, b = per_mode[nopa], per_mode[pa]
+        a, b = per_mode[Mode.NOPA], per_mode[Mode.PA]
         if a.verdict is not Verdict.TRUE or b.verdict is not Verdict.FALSE:
             continue
         trace_positions = set()
@@ -469,23 +456,24 @@ def write_tables(run: CorpusRun, modes: list[Mode], outdir: Path) -> None:
     records = emit_records([(r.unit, r.mode, r.outcome) for r in run.results])
     (outdir / "records.jsonl").write_text(records)
 
-    truths = run.truths()
-    labeled_units = [u for u, t in truths.items() if t is not None]
-    verdicts = {mode: run.verdicts(mode) for mode in modes}
-    # Units that time out under any evaluated mode are excluded from every
-    # mode's scoring so the totals stay comparable.
-    timeout_units = {
-        r.unit for r in run.results if r.verdict is Verdict.TIMEOUT
+    per_unit = run.by_unit()
+    verdicts = {
+        mode: {u: per_mode[mode].verdict for u, per_mode in per_unit.items() if mode in per_mode}
+        for mode in modes
     }
+    # A labelled unit that times out under any evaluated mode goes to
+    # `confusion` as a timeout under every mode, which excludes it from
+    # each mode's scores, so the totals stay comparable.
+    timed_out = {u for v in verdicts.values() for u, verdict in v.items() if verdict is Verdict.TIMEOUT}
+    truths = {u: next(iter(per_mode.values())).ground_truth for u, per_mode in per_unit.items()}
     matrices: dict[Mode, ConfusionMatrix] = {}
     for mode in modes:
         scored = {
-            u: verdicts[mode][u]
-            for u in labeled_units
-            if u in verdicts[mode] and u not in timeout_units
+            u: Verdict.TIMEOUT if u in timed_out else verdict
+            for u, verdict in verdicts[mode].items()
+            if truths[u] is not None
         }
-        cm = matrices[mode] = confusion(scored, truths)
-        cm.excluded = len([u for u in labeled_units if u in timeout_units and u in verdicts[mode]])
+        matrices[mode] = confusion(scored, truths)
 
     with (outdir / "confusion.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -518,21 +506,20 @@ def write_tables(run: CorpusRun, modes: list[Mode], outdir: Path) -> None:
         w = csv.writer(fh)
         w.writerow(["divergences", "projects"])
         if len(modes) >= 2:
-            va, vb = verdicts[modes[0]], verdicts[modes[1]]
-            projects = run.projects()
-            units = [
-                (projects[u], va[u], vb[u]) for u in run.units() if u in va and u in vb
+            a, b = modes[:2]
+            rows = [
+                (per_mode[a].project, per_mode[a].verdict, per_mode[b].verdict)
+                for per_mode in per_unit.values()
+                if a in per_mode and b in per_mode
             ]
-            for n, count in divergence_histogram(units).items():
+            for n, count in divergence_histogram(rows).items():
                 w.writerow([n, count])
 
     with (outdir / "timing.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["unit", "mode", "mean_ms", "stddev_ms", "flagged"])
-        samples = run.timing_samples()
-        if samples:
-            summary = timing_summary(samples)
-            for row in summary.rows:
-                w.writerow(
-                    [row.unit, row.mode.value, f"{row.mean_ms:.3f}", f"{row.stddev_ms:.3f}", str(row.flagged).lower()]
-                )
+        samples = {u: {m: r.timings_ms for m, r in per_mode.items()} for u, per_mode in per_unit.items()}
+        for row in timing_summary(samples).rows:
+            w.writerow(
+                [row.unit, row.mode.value, f"{row.mean_ms:.3f}", f"{row.stddev_ms:.3f}", str(row.flagged).lower()]
+            )

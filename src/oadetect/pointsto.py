@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .cha import CallEdge, CallGraph
 from .mir import (
@@ -325,26 +325,21 @@ def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResu
     )
 
 
-def pts_of(r: PointsToResult, expr: Union[Var, tuple[str, str]]) -> "frozenset[int] | _Miss":
-    """Points-to set of an expression; MISS when empty or never constrained.
-
-    `expr` is either a full variable key or a (method_id, local) pair. An
-    empty pair is checked against the method's statements, so a method or
-    local the program does not have raises MirError.
+def pts_of(r: PointsToResult, local: tuple[str, str]) -> "frozenset[int] | _Miss":
+    """Points-to set of a (method_id, local) pair; MISS when empty or never
+    constrained. An empty pair is checked against the method's statements,
+    so a method or local the program does not have raises MirError.
     """
-    if len(expr) == 2 and expr[0] not in ("f", "a", "s", "r", "l"):
-        mid, name = expr
-        got = r.pts.get(("l", mid, name))
-        if got:
-            return got
-        method = r.methods.get(mid)
-        if method is None:
-            raise MirError(f"unknown method '{mid}'")
-        if name not in _locals_of(method):
-            raise MirError(f"no local '{name}' in '{mid}'")
-        return MISS
-    got = r.pts.get(expr)
-    return got if got else MISS
+    mid, name = local
+    got = r.pts.get(("l", mid, name))
+    if got:
+        return got
+    method = r.methods.get(mid)
+    if method is None:
+        raise MirError(f"unknown method '{mid}'")
+    if name not in _locals_of(method):
+        raise MirError(f"no local '{name}' in '{mid}'")
+    return MISS
 
 
 def dump_pts(r: PointsToResult) -> str:

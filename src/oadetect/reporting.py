@@ -33,7 +33,8 @@ def _flow(ev: WriteEvent) -> list[str]:
 
 
 def build_reports(outcome: AnalysisOutcome, entry: MethodDef) -> list[ConflictReport]:
-    reports = [
+    """One report per conflict, in the order `detect` sorted them."""
+    return [
         ConflictReport(
             entry_class=entry.declaring_class,
             entry_method=entry.name,
@@ -43,8 +44,6 @@ def build_reports(outcome: AnalysisOutcome, entry: MethodDef) -> list[ConflictRe
         )
         for c in outcome.conflicts
     ]
-    reports.sort(key=lambda r: (r.overridden.root_pos, r.overriding.root_pos))
-    return reports
 
 
 def render_text(c: ConflictReport) -> str:
@@ -81,7 +80,7 @@ def outcome_record(unit: str, mode: Mode, outcome: AnalysisOutcome) -> dict:
         ],
         "visited": outcome.stats.visited,
         "paths": outcome.stats.paths,
-        "elapsed_ms": outcome.stats.elapsed_ms,
+        "elapsed_ms": round(outcome.stats.elapsed_ms),
     }
 
 

@@ -536,6 +536,71 @@ def test_corpus_with_a_failing_scenario_exits_3_and_writes_tables(tmp_path, caps
     assert (out / "confusion.csv").exists()
 
 
+def test_corpus_with_a_repeated_unit_id_exits_3(tmp_path, capsys):
+    # A second scenario under an id that already ran used to overwrite the
+    # first one's unit in every table while both stayed in the records.
+    import json
+    import shutil
+
+    root = tmp_path / "corpus"
+    root.mkdir()
+    shutil.copytree(bundled_corpus_dir() / "fig1_simple", root / "fig1_simple")
+    twin = root / "twin"
+    shutil.copytree(bundled_corpus_dir() / "fig1_advanced", twin)
+    manifest = json.loads((twin / "scenario.json").read_text())
+    (twin / "scenario.json").write_text(json.dumps({**manifest, "id": "fig1_simple"}))
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--reps", "1", "--modes", "nopa,pa", "--root", str(root), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    (line,) = captured.err.splitlines()
+    assert line.startswith("scenario error: fig1_simple: ") and str(twin) in line
+    assert captured.out.splitlines()[:2] == ["fig1_simple\tnopa\ttrue", "fig1_simple\tpa\ttrue"]
+    assert captured.out.count("\t") == 4
+    assert (out / "records.jsonl").read_text().count("\n") == 2
+    confusion = (out / "confusion.csv").read_text().splitlines()
+    assert confusion[1:] == ["nopa,1,0,0,0,0", "pa,1,0,0,0,0"]
+
+
+def test_corpus_deterministic_skips_wilcoxon(tmp_path, capsys):
+    code = main(["corpus", "--deterministic", "--reps", "2", "--fuel", "10000",
+                 "--root", str(bundled_corpus_dir()), "--out", str(tmp_path / "out")])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "wilcoxon skipped: insufficient pairs: 0 non-zero differences, need 5\n" in out
+
+
+def test_corpus_wilcoxon_pairs_are_unit_mean_timings_of_the_first_two_modes(tmp_path, capsys, monkeypatch):
+    from oadetect.engine import Mode
+
+    runs, pairs = [], []
+    run_corpus, wilcoxon = cli.run_corpus, cli.wilcoxon_signed_rank
+
+    def spy_run(*args, **kwargs):
+        runs.append(run_corpus(*args, **kwargs))
+        return runs[-1]
+
+    def spy_wilcoxon(given):
+        pairs.append(list(given))
+        return wilcoxon(given)
+
+    monkeypatch.setattr(cli, "run_corpus", spy_run)
+    monkeypatch.setattr(cli, "wilcoxon_signed_rank", spy_wilcoxon)
+    main(["corpus", "--reps", "2", "--fuel", "10000", "--modes", "pa,hybrid,nopa",
+          "--root", str(bundled_corpus_dir()), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    (run,) = runs
+
+    def mean_timing(unit, mode):
+        (r,) = [r for r in run.results if r.unit == unit and r.mode is mode]
+        assert len(r.timings_ms) == 2
+        return sum(r.timings_ms) / len(r.timings_ms)
+
+    units = list(dict.fromkeys(r.unit for r in run.results))
+    assert units == ["deep-hierarchy", "fig1_advanced", "fig1_simple", "mkref"]
+    assert pairs == [[(mean_timing(u, Mode.PA), mean_timing(u, Mode.HYBRID)) for u in units]]
+
+
 # Bytes that are not UTF-8 used to end in a UnicodeDecodeError traceback
 # and exit 1, the code that means "conflict found".
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import budget
-from oadetect.engine import Mode, Verdict
+from oadetect.engine import AnalysisBudget, Mode, Verdict
 from oadetect.frontend import SourceUnit
 from oadetect.harness import (
     ConfusionMatrix,
@@ -193,6 +193,10 @@ def test_timing_unequal_reps_rejected():
 # Corpus runs
 
 
+def verdicts(run, mode: Mode) -> dict:
+    return {u: per_mode[mode].verdict for u, per_mode in run.by_unit().items() if mode in per_mode}
+
+
 def test_run_corpus_counts():
     corpus = [load_bundled("fig1_simple"), load_bundled("fig1_advanced")]
     run = run_corpus(corpus, [Mode.NOPA, Mode.PA], budget=budget(), reps=3)
@@ -201,18 +205,46 @@ def test_run_corpus_counts():
     assert sum(len(r.timings_ms) for r in run.results) == 12
 
 
+def test_by_unit_maps_each_unit_to_its_result_per_mode_in_run_order():
+    corpus = [load_bundled("fig1_simple"), load_bundled("fig1_advanced")]
+    run = run_corpus(corpus, [Mode.PA, Mode.NOPA], budget=budget())
+    table = run.by_unit()
+    assert list(table) == ["fig1_simple", "fig1_advanced"]
+    for unit, per_mode in table.items():
+        assert list(per_mode) == [Mode.PA, Mode.NOPA]
+        assert all(r.unit == unit and r.mode is mode for mode, r in per_mode.items())
+    assert [r for per_mode in table.values() for r in per_mode.values()] == run.results
+
+
+def test_run_corpus_rejects_a_repeated_unit_id():
+    twin = load_bundled("fig1_advanced")
+    twin.id = "fig1_simple"
+    run = run_corpus([load_bundled("fig1_simple"), twin], [Mode.NOPA], budget=budget())
+    assert run.errors == [("fig1_simple", "unit id 'fig1_simple' is already taken by an earlier scenario")]
+    (result,) = run.results
+    assert result.verdict is T and result.ground_truth is True
+
+
+def test_run_scenario_timings_are_detects_elapsed_times():
+    timed = run_scenario(load_bundled("fig1_simple"), [Mode.PA], budget=AnalysisBudget(wall_clock=30.0), reps=3)
+    (result,) = timed
+    assert len(result.timings_ms) == 3 and result.timings_ms[-1] == result.outcome.stats.elapsed_ms
+    (untimed,) = run_scenario(load_bundled("fig1_simple"), [Mode.PA], budget=budget(), reps=2)
+    assert untimed.timings_ms == [0.0, 0.0]
+
+
 def test_run_corpus_report_advanced_verdicts():
     run = run_corpus([load_bundled("fig1_advanced")], [Mode.NOPA, Mode.PA], budget=budget())
-    assert run.verdicts(Mode.NOPA) == {"fig1_advanced": T}
-    assert run.verdicts(Mode.PA) == {"fig1_advanced": F}
+    assert verdicts(run, Mode.NOPA) == {"fig1_advanced": T}
+    assert verdicts(run, Mode.PA) == {"fig1_advanced": F}
 
 
 def test_run_corpus_deep_hierarchy_timeout_direction():
     run = run_corpus(
         [load_bundled("deep_hierarchy")], [Mode.NOPA, Mode.PA], budget=budget(fuel=10_000)
     )
-    assert run.verdicts(Mode.NOPA) == {"deep-hierarchy": TO}
-    assert run.verdicts(Mode.PA) == {"deep-hierarchy": F}
+    assert verdicts(run, Mode.NOPA) == {"deep-hierarchy": TO}
+    assert verdicts(run, Mode.PA) == {"deep-hierarchy": F}
     nopa_result = next(r for r in run.results if r.mode is Mode.NOPA)
     pa_result = next(r for r in run.results if r.mode is Mode.PA)
     assert nopa_result.outcome.stats.visited >= pa_result.outcome.stats.visited
@@ -309,8 +341,8 @@ def test_annotate_missref_paths_off_path_miss():
         id="offpath", project="offpath", sources=[SourceUnit("t.mir", UNRELATED_MISS)]
     )
     run = run_corpus([s], [Mode.NOPA, Mode.PA], budget=budget())
-    assert run.verdicts(Mode.NOPA) == {"offpath": T}
-    assert run.verdicts(Mode.PA) == {"offpath": F}
+    assert verdicts(run, Mode.NOPA) == {"offpath": T}
+    assert verdicts(run, Mode.PA) == {"offpath": F}
     (enriched,) = annotate_missref_paths(run)
     assert enriched["missrefs"] >= 1
     assert enriched["on_conflict_path"] is False
