@@ -8,7 +8,8 @@ types widen to "any class providing the method", which keeps resolution
 conservative: everything a run can dispatch to is in the graph. A virtual
 call whose method no class provides (say, on an interface no class
 implements) has no hierarchy targets and adds no edge; a static call that
-names no method is a `ResolutionError`.
+names no method is a `ResolutionError`, which only a program that skipped
+`validate_program` (it reports each such call) can reach.
 
 `build_cha_graph` is a worklist over methods. Each visit types the method's
 body in a single walk from its parameter types (a `while` body is walked to

@@ -11,9 +11,13 @@ only). It exits 0 when every requested mode is conflict-free, 1 when any
 mode reports a conflict, 2 when any mode times out (and none conflicts), 3
 on usage, input or parse errors. `corpus` evaluates scenario directories and writes the records
 stream plus the confusion/metrics/transitions/histogram/timing tables. Both
-run `harness.run_scenario` per scenario. The dump commands read their
-sources as `analyze` does: a scenario directory through its manifest's
-sources, sidecar and entry.
+run `harness.run_scenario` per scenario. Without `--out`, `analyze` prints
+only verdicts and reports, so it asks for verdicts only: a unit whose path
+tree has more paths or visits than the budget allows times out as soon as
+`engine.count_tree` counts past it, without being enumerated. Its output
+and exit code are the same as with `--out`, which, like `corpus`, always
+enumerates. The dump commands read their sources as `analyze` does: a
+scenario directory through its manifest's sources, sidecar and entry.
 
 `main` builds only the parser of the subcommand it runs, because building
 all four cost as much as analysing a small scenario.
@@ -152,7 +156,9 @@ def cmd_analyze(args) -> int:
     budget = _budget(args)
     scenario = _analyze_scenario(args.sources, args.sidecar, args.entry)
     outdir = _out_dir(args.out) if args.out else None
-    results = run_scenario(scenario, modes, budget=budget)
+    # Without records to write, only the verdicts are printed: a unit whose
+    # path tree exceeds the budget times out as soon as it is counted.
+    results = run_scenario(scenario, modes, budget=budget, verdict_only=outdir is None)
     several_entries = len(results) > len(modes)
     outcomes = []
     for r in results:

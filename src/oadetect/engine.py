@@ -75,6 +75,24 @@ Budgets make runs reproducible: a statement-visit fuel and a path cap bound
 the enumeration deterministically, with an optional wall-clock limit on top;
 exhausting any of them yields a TIMEOUT verdict, and the context's
 `stop_reason` names the budget that ran out.
+
+`count_tree` counts the enumeration tree without walking it: its leaves
+(paths) and op visits, by dynamic programming over the lowered ops (Ball and
+Larus's path counting). It follows the enumerator's rules: call targets, the
+depth cut, the recursion cut with completing the call first, constructor
+inlining, `return` ending the method or the root path, and a loop run zero
+times or once. Targets and constructors are resolved per op, not per env,
+so a body's subtree depends only on its method id, call depth and the ids on
+its call stack, and one count per such key serves every visit; at the depth
+limit the stack ids drop out of the key. The count walks with an explicit
+stack and shares the enumerator's `_Lowering`. Every way out of a counted
+part leads to at least one leaf, so the first part with more paths than the
+path cap or more visits than the fuel proves that the enumerator runs out
+of that budget, and the count stops there (it saturates). Otherwise its
+counts equal the enumerator's `paths` and `visited`. `detect(...,
+verdict_only=True)` counts first and returns TIMEOUT on an excess without
+enumerating; a validated program has no unresolvable static call, the one
+error the enumerator could otherwise raise mid-walk.
 """
 
 from __future__ import annotations
@@ -469,6 +487,29 @@ class _Lowering:
             op.target_ids = frozenset(t.id for t in op.targets)
         return op.targets
 
+    def call_alts(self, op: _Op, depth: int, on_stack: frozenset) -> Optional[list]:
+        """The alternatives of a call op visited at call depth `depth` with
+        the ids `on_stack` on the call stack: None when it has no targets or
+        the depth limit cuts them all, so that it completes without a body;
+        else its targets, after None (complete without a body) when
+        recursion cuts one of them."""
+        targets = self.targets(op)
+        if not targets or depth >= self.ctx.budget.depth_limit:
+            return None
+        if op.target_ids.isdisjoint(on_stack):
+            return targets
+        alts = [None]
+        alts.extend(t for t in targets if t.id not in on_stack)
+        return alts
+
+    def inlined_ctor(self, op: _Op, depth: int, on_stack: frozenset) -> Optional[MethodDef]:
+        """The constructor an allocation op visited there runs, if neither
+        the depth limit nor recursion cuts it."""
+        ctor = op.ctor
+        if ctor is None or depth >= self.ctx.budget.depth_limit or ctor.id in on_stack:
+            return None
+        return ctor
+
     def block(self, stmts, m: MethodDef) -> list[_Op]:
         return [self.stmt(st, m) for st in stmts]
 
@@ -653,12 +694,8 @@ class _Enumerator:
 
     def _alloc(self, frame: _Frame, op: _Op) -> None:
         self._write(frame, op)
-        ctor = op.ctor
-        if (
-            ctor is not None
-            and len(frame.call_path) < self.ctx.budget.depth_limit
-            and ctor.id not in frame.on_stack
-        ):
+        ctor = self.lowering.inlined_ctor(op, len(frame.call_path), frame.on_stack)
+        if ctor is not None:
             self._push_body(frame, op, ctor)
 
     def _return(self) -> None:
@@ -672,19 +709,10 @@ class _Enumerator:
                 return  # path ends at the loop head
 
     def _branch_call(self, frame: _Frame, op: _Op) -> None:
-        targets = self.lowering.targets(op)
-        if not targets or len(frame.call_path) >= self.ctx.budget.depth_limit:
-            # No targets, or all cut by depth: the call contributes nothing.
-            self._complete_call(op)
-            return
-        on_stack = frame.on_stack
-        if op.target_ids.isdisjoint(on_stack):
-            alts = targets
-        else:
-            # Recursion cuts some target: completing the call comes first.
-            alts = [None]
-            alts.extend(t for t in targets if t.id not in on_stack)
-        if len(alts) == 1:
+        alts = self.lowering.call_alts(op, len(frame.call_path), frame.on_stack)
+        if alts is None:
+            self._complete_call(op)  # the call contributes nothing
+        elif len(alts) == 1:
             self._apply(op, alts[0])
         else:
             self._choose(op, alts)
@@ -733,6 +761,169 @@ class _Enumerator:
             f.env = env
         self._apply(op, alts[k])
         return True
+
+
+# ---------------------------------------------------------------------------
+# Counting the enumeration tree (see the module docstring)
+#
+# A block folds its ops left to right into (visits, falls, returns): the
+# visits of its subtree, and how many of its ways through fall off its end
+# or reach a `return`. An op (v, f, r) after a prefix (V, F, R) gives
+# (V + F*v, F*f, R + F*r). An op with alternatives sums them, plus 1 for its
+# own visit: a branch arm gives its block's triple, a body its (visits,
+# falls + returns, 0), and None, which skips a loop or completes a call
+# without a body, gives (0, 1, 0). A write gives (1, 1, 0), a `return`
+# (1, 0, 1). A prefix with no falls ends its block: the rest is unreached.
+
+
+class TreeCount(NamedTuple):
+    """The leaves (paths) and op visits of the enumeration tree.
+
+    Exact while `exceeds` is None. Otherwise it names the first budget that
+    a reached part of the tree exceeds ("fuel", "path_cap" or "wall_clock"),
+    and the counts are that part's, lower bounds of the tree's.
+    """
+
+    paths: int
+    visits: int
+    exceeds: Optional[str] = None
+
+
+class _Part:
+    """A block being counted, with the alternatives of its op in progress:
+    `alts`, the cursor `k` into them, and their sums so far."""
+
+    __slots__ = ("ops", "i", "visits", "falls", "returns", "depth", "on_stack", "key",
+                 "alts", "k", "alt_visits", "alt_falls", "alt_returns")
+
+    def __init__(self, ops, depth, on_stack, key):
+        self.ops = ops
+        self.i = 0
+        self.visits = self.returns = 0
+        self.falls = 1
+        self.depth = depth
+        self.on_stack = on_stack
+        self.key = key  # the memo key of a callee or constructor body; None for the root and arms
+        self.alts = None
+
+
+def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
+    """Counts the tree `_Enumerator(lowering.ctx, entry)` walks, one count
+    per (method id, call depth, ids on the call stack) shared by every visit.
+
+    The walk keeps an explicit stack of parts, as the enumerator keeps
+    frames: block nesting times call depth can exceed Python's stack.
+    """
+    ctx = lowering.ctx
+    budget, deadline = ctx.budget, ctx.deadline
+    fuel, path_cap, limit = budget.fuel, budget.path_cap, budget.depth_limit
+    memo: dict[tuple, tuple[int, int]] = {}
+    stack = [_Part(lowering.ops(entry), 0, frozenset({entry.id}), None)]
+    steps = 0
+    while True:
+        part = stack[-1]
+        steps += 1
+        if deadline is not None and steps % 512 == 0 and time.monotonic() > deadline:
+            return TreeCount(part.falls + part.returns, part.visits, "wall_clock")
+        alts = part.alts
+        if alts is not None:
+            # Sum the op's alternatives; descend into the first one not counted.
+            k, child = part.k, None
+            while k < len(alts) and child is None:
+                alt = alts[k]
+                if alt is None:
+                    part.alt_falls += 1
+                elif type(alt) is list:  # a branch arm
+                    child = _Part(alt, part.depth, part.on_stack, None)
+                else:  # a call target or constructor: its body one level down
+                    depth = part.depth + 1
+                    key = (alt.id, depth, part.on_stack if depth < limit else None)
+                    hit = memo.get(key)
+                    if hit is None:
+                        child = _Part(lowering.ops(alt), depth, part.on_stack | {alt.id}, key)
+                    else:
+                        part.alt_visits += hit[0]
+                        part.alt_falls += hit[1]
+                if child is None:
+                    k += 1
+            part.k = k
+            falls = part.falls
+            if child is None:
+                part.alts = None
+                part.visits += falls * (1 + part.alt_visits)
+                part.returns += falls * part.alt_returns
+                part.falls = falls * part.alt_falls
+                visits, outs = part.visits, part.falls + part.returns
+            else:
+                # What the op folds in so far already bounds the part's counts.
+                visits = part.visits + falls * (1 + part.alt_visits)
+                outs = part.returns + falls * (part.alt_falls + part.alt_returns)
+                stack.append(child)
+        else:
+            # Fold ops without alternatives up to the next op with some.
+            ops, i, n = part.ops, part.i, len(part.ops)
+            visits, falls, returns = part.visits, part.falls, part.returns
+            while i < n and falls:
+                op = ops[i]
+                i += 1
+                code = op.code
+                if code == _IF or code == _WHILE:
+                    alts = op.alts
+                    break
+                if code == _CALL:
+                    alts = lowering.call_alts(op, part.depth, part.on_stack)
+                    if alts is not None:
+                        break
+                elif code == _ALLOC:
+                    ctor = lowering.inlined_ctor(op, part.depth, part.on_stack)
+                    if ctor is not None:
+                        alts = (ctor,)
+                        break
+                visits += falls
+                if code == _RETURN:
+                    returns += falls
+                    falls = 0
+            part.i, part.visits, part.falls, part.returns = i, visits, falls, returns
+            outs = falls + returns
+            if alts is not None:
+                part.alts, part.k = alts, 0
+                part.alt_visits = part.alt_falls = part.alt_returns = 0
+        if visits > fuel:
+            return TreeCount(outs, visits, "fuel")
+        if outs > path_cap:
+            return TreeCount(outs, visits, "path_cap")
+        if part.alts is None and (part.i == len(part.ops) or not part.falls):
+            # The block is done: every way through it fell off or returned.
+            stack.pop()
+            if not stack:
+                return TreeCount(outs, visits)
+            parent = stack[-1]
+            parent.alt_visits += visits
+            if part.key is None:
+                parent.alt_falls += part.falls
+                parent.alt_returns += part.returns
+            else:  # every way out of a body completes the call
+                memo[part.key] = (visits, outs)
+                parent.alt_falls += outs
+            parent.k += 1
+
+
+def count_tree(
+    p: Program,
+    entry: MethodDef,
+    budget: Optional[AnalysisBudget] = None,
+    mode: Mode = Mode.NOPA,
+    cha: Optional[CallGraph] = None,
+    pts: Optional[PointsToResult] = None,
+) -> TreeCount:
+    """The leaves and op visits of the tree `enumerate_write_paths` walks.
+
+    The enumerator runs out of budget exactly when `exceeds` is set (a wall
+    clock aside); otherwise the counts are the `paths` and `visited` it
+    reports.
+    """
+    ctx = _make_context(p, entry, mode, budget, cha, pts)
+    return _count_tree(_Lowering(ctx), entry)
 
 
 def _collapses(prev: WriteEvent, ev: WriteEvent) -> bool:
@@ -890,8 +1081,15 @@ def detect(
     budget: Optional[AnalysisBudget] = None,
     cha: Optional[CallGraph] = None,
     pts: Optional[PointsToResult] = None,
+    verdict_only: bool = False,
 ) -> AnalysisOutcome:
-    """Run override-assignment detection from `entry` under `mode`."""
+    """Run override-assignment detection from `entry` under `mode`.
+
+    With `verdict_only`, the enumeration tree is counted first. A tree that
+    exceeds the budget then times out unenumerated: no conflicts, counters
+    of 0, and only the miss-references of the calls the count resolved.
+    Any other outcome is the one a full run gives.
+    """
     if entry.id not in p.hierarchy().methods_by_id():
         raise MirError(f"entry '{entry.id}' not found in program")
     budget = budget or AnalysisBudget()
@@ -899,11 +1097,14 @@ def detect(
     scanner = _Scanner(ctx, entry)
     conflicts = scanner.conflicts
     started = time.perf_counter()
-    try:
-        for _ in scanner.paths():
+    if verdict_only:
+        ctx.stop_reason = _count_tree(scanner.lowering, entry).exceeds
+    if not ctx.timed_out:
+        try:
+            for _ in scanner.paths():
+                pass
+        except _BudgetStop:
             pass
-    except _BudgetStop:
-        pass
 
     if ctx.timed_out:
         verdict = Verdict.TIMEOUT

@@ -173,6 +173,7 @@ def run_scenario(
     modes: list[Mode],
     budget: Optional[AnalysisBudget] = None,
     reps: int = 1,
+    verdict_only: bool = False,
 ) -> list[UnitResult]:
     """Detect every unit of a scenario under every mode.
 
@@ -181,6 +182,8 @@ def run_scenario(
     the CHA graph once per entry if a mode uses it, and run `detect` per
     unit and mode over those shared graphs. A repetition's timing is the
     `elapsed_ms` that `detect` measures, 0 without a wall-clock budget.
+    `verdict_only` goes to `detect`: a unit whose path tree exceeds the
+    budget then times out without being enumerated.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -199,7 +202,8 @@ def run_scenario(
             outcome = None
             timings: list[float] = []
             for _ in range(reps):
-                outcome = detect(program, entry, mode, budget=budget, cha=cha, pts=pts)
+                outcome = detect(program, entry, mode, budget=budget, cha=cha, pts=pts,
+                                 verdict_only=verdict_only)
                 timings.append(outcome.stats.elapsed_ms)
                 if verdict is None:
                     verdict = outcome.verdict

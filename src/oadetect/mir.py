@@ -607,9 +607,11 @@ def validate_program(p: Program) -> list[Diagnostic]:
                 )
 
     colors: dict[str, int] = {}
+    acyclic = True
     for decl in list(p.classes) + list(p.interfaces):
         if decl.name not in colors and _reaches_cycle(h, decl.name, colors):
             diags.append(Diagnostic(decl.pos, f"inheritance cycle involving '{decl.name}'"))
+            acyclic = False
 
     for c in p.classes:
         fnames: set[str] = set()
@@ -636,6 +638,9 @@ def validate_program(p: Program) -> list[Diagnostic]:
     for m in all_methods(p):
         for st in iter_stmts(m.body):
             positions[st.pos] = positions.get(st.pos, 0) + 1
+            # Method lookup walks the superclass chain, which a cycle never ends.
+            if acyclic and isinstance(st, StaticCall) and h.resolve_method(st.cls, st.method, len(st.args), static=True) is None:
+                diags.append(Diagnostic(st.pos, f"static call '{st.cls}::{st.method}/{len(st.args)}' names no method"))
     for pos, n in positions.items():
         if n > 1:
             diags.append(Diagnostic(pos, f"{n} statements share position {pos}"))

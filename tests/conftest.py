@@ -51,3 +51,25 @@ CONFLICT_THEN_FORKS = (
     + "".join(f"    if c {{\n      w{i} = 1;\n    }}\n" for i in range(12))
     + "  }\n}\n"
 )
+
+
+def _nested_calls(methods: int = 6, nesting: int = 200) -> str:
+    """Static methods chained by calls, each call under `nesting` nested
+    `if`s; the first method is the entry, with a conflict on every path."""
+    lines = ["class Main {"]
+    for i in range(methods):
+        lines.append(f"  static method m{i}() {{")
+        if i == 0:
+            lines += ["    x = 1 @L;", "    x = 2 @R;"]
+        lines.append("    c = 1;")
+        lines += ["    " + "  " * d + "if c {" for d in range(nesting)]
+        inner = f"call Main::m{i + 1}();" if i + 1 < methods else "y = 1;"
+        lines.append("    " + "  " * nesting + inner)
+        lines += ["    " + "  " * d + "}" for d in reversed(range(nesting))]
+        lines.append("  }")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+# Six methods, 1 201 paths and 1 214 visits at the default budget: its path
+# tree nests 1 200 blocks deep, past Python's recursion limit.
+NESTED_CALLS = _nested_calls()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CONFLICT_THEN_FORKS
+from conftest import CONFLICT_THEN_FORKS, NESTED_CALLS
 from oadetect import cli
 from oadetect.cli import main
 from oadetect.frontend import pretty_print
@@ -685,3 +685,76 @@ def test_dump_commands_read_a_scenario_through_its_manifest(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "A.m/0::b\t{0}" in captured.out
+
+
+# Without `--out`, `analyze` counts a unit's path tree before enumerating it
+# and times the unit out once the count passes the budget.
+
+@pytest.mark.parametrize("name", ["fig1_simple", "fig1_advanced", "mkref", "deep_hierarchy"])
+def test_analyze_prints_the_same_with_and_without_out(name, tmp_path, capsys):
+    argv = ["analyze", "--deterministic", "--mode", "nopa", "--mode", "pa", "--mode", "hybrid", corpus_path(name)]
+    code = main(argv)
+    printed = capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "rec")]) == code
+    assert capsys.readouterr() == printed
+    assert printed.err == ""
+
+
+def test_analyze_out_still_enumerates_to_the_path_cap(tmp_path, capsys):
+    out_dir = tmp_path / "rec"
+    assert main(["analyze", "--deterministic", "--mode", "nopa", "--out", str(out_dir), corpus_path("deep_hierarchy")]) == 2
+    assert capsys.readouterr().out == "== Driver.run() [nopa] verdict: timeout\n"
+    (record,) = parse_records((out_dir / "records.jsonl").read_text())
+    assert (record["verdict"], record["visited"], record["paths"]) == ("timeout", 8200, 4097)
+
+
+def test_analyze_decides_calls_nested_past_the_recursion_limit(tmp_path, capsys):
+    # A count that recursed once per nested block would die here with RecursionError.
+    src = tmp_path / "nested.mir"
+    src.write_text(NESTED_CALLS)
+    argv = ["analyze", "--deterministic", "--mode", "nopa", str(src)]
+    assert main(argv) == 1
+    printed = capsys.readouterr()
+    assert printed.out.startswith("== Main.m0() [nopa] verdict: true\n") and printed.err == ""
+    assert main(argv + ["--out", str(tmp_path / "rec")]) == 1
+    assert capsys.readouterr() == printed
+
+
+UNRESOLVED_STATIC = (
+    "class Main {\n  method main() {\n    x = 1 @L;\n    x = 2 @R;\n  }\n"
+    "  method unused() {\n    call Nope::gone();\n  }\n}\n"
+)
+
+
+def test_analyze_rejects_a_static_call_that_names_no_method(tmp_path, capsys):
+    # Only CHA or the enumerator found one, so an unreached call left the
+    # conflict's exit 1, and one reached after the budget ran out exit 2.
+    src = tmp_path / "a.mir"
+    src.write_text(UNRESOLVED_STATIC)
+    for mode in ("nopa", "pa", "hybrid"):
+        assert main(["analyze", "--deterministic", "--mode", mode, str(src)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid program: a.mir:7: static call 'Nope::gone/0' names no method\n"
+
+
+def test_analyze_reports_the_cycle_of_a_cyclic_class_with_an_unresolved_static_call(tmp_path, capsys):
+    # The static-call check looks methods up along the superclass chain; on a
+    # cycle it is skipped, so the cycle is reported instead of a hang.
+    src = tmp_path / "a.mir"
+    src.write_text("class A extends B {\n  static method m() {\n    call A::gone();\n  }\n}\nclass B extends A {\n}\n")
+    assert main(["analyze", "--deterministic", str(src)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid program: a.mir:1: inheritance cycle involving 'A'\n"
+
+
+def test_corpus_reports_a_static_call_that_names_no_method(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    bad = _scenario_dir(root, '{"id": "bad", "sources": ["a.mir"]}')
+    (bad / "a.mir").write_text(UNRESOLVED_STATIC)
+    code = main(["corpus", "--deterministic", "--reps", "1", "--modes", "nopa", "--root", str(root), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "scenario error: bad: invalid program: a.mir:7: static call 'Nope::gone/0' names no method\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import ALL_MODES, budget
+from conftest import ALL_MODES, NESTED_CALLS, budget, load_scenario_program
 from oadetect import engine
 from oadetect.cha import build_cha_graph
 from oadetect.engine import (
@@ -25,12 +25,13 @@ from oadetect.engine import (
     Verdict,
     WriteEvent,
     compare_heap,
+    count_tree,
     detect,
     enumerate_write_paths,
 )
 from oadetect.frontend import parse_source
 from oadetect.harness import load_bundled, scenario_units
-from oadetect.mir import MirError, Position, Provenance
+from oadetect.mir import MirError, Position, Provenance, find_method
 from oadetect.pointsto import pa_entry_points, solve
 from oadetect.randprog import default_seed, generate_program
 
@@ -203,3 +204,80 @@ def test_every_suite_program_runs_in_every_mode():
             ran += 1
     assert failed == []
     assert ran >= 150
+
+
+# ---------------------------------------------------------------------------
+# The tree count against the enumeration it stands in for
+
+
+def assert_count_matches(p, entry, mode: Mode, bud, cha=None, pts=None) -> Verdict:
+    """The count exceeds the budget exactly when `detect` times out, and
+    otherwise gives its paths and visits."""
+    outcome = detect(p, entry, mode, budget=bud, cha=cha, pts=pts)
+    count = count_tree(p, entry, bud, mode, cha=cha, pts=pts)
+    assert (count.exceeds is not None) == (outcome.verdict is Verdict.TIMEOUT)
+    if count.exceeds is None:
+        assert (count.paths, count.visits) == (outcome.stats.paths, outcome.stats.visited)
+    return outcome.verdict
+
+
+def test_count_matches_enumeration_on_the_seed_range():
+    base = default_seed()
+    ran, verdicts = 0, set()
+    for seed in range(base + 3000, base + 3101):
+        for mkref in (False, True):
+            gen = generate_program(seed, mkref=mkref, mark_changes=True)
+            if gen.entry is None:
+                continue
+            p, entry = gen.program, gen.entry
+            cha = build_cha_graph(p, entry)
+            pts = solve(p, pa_entry_points(p))
+            for mode in ALL_MODES:
+                for bud in (budget(**PROP_BUDGET), budget(fuel=400, path_cap=16)):
+                    verdicts.add(assert_count_matches(p, entry, mode, bud, cha, pts))
+            ran += 1
+    assert ran >= 150
+    assert verdicts == set(Verdict)  # the range both finishes and times out
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_count_matches_enumeration_on_the_bundled_scenarios(name):
+    program, units = scenario_units(load_bundled(name))
+    for _, entry in units:
+        for mode in ALL_MODES:
+            assert_count_matches(program, entry, mode, budget())
+
+
+def test_count_pins_the_budget_boundaries():
+    p, entry = load_scenario_program("fig1_advanced")
+    full = count_tree(p, entry, budget())
+    assert full == (4, 16, None)
+    for bud in (budget(path_cap=full.paths), budget(fuel=full.visits)):
+        assert count_tree(p, entry, bud).exceeds is None
+        assert detect(p, entry, Mode.NOPA, budget=bud).verdict is Verdict.TRUE
+        assert detect(p, entry, Mode.NOPA, budget=bud, verdict_only=True).verdict is Verdict.TRUE
+    for bud, reason in ((budget(path_cap=full.paths - 1), "path_cap"), (budget(fuel=full.visits - 1), "fuel")):
+        assert count_tree(p, entry, bud).exceeds == reason
+        assert detect(p, entry, Mode.NOPA, budget=bud).verdict is Verdict.TIMEOUT
+        assert detect(p, entry, Mode.NOPA, budget=bud, verdict_only=True).verdict is Verdict.TIMEOUT
+
+
+def test_count_walks_a_tree_nested_past_the_recursion_limit():
+    # Static calls resolve alike in every mode, so one mode stands for all
+    # (the enumerator takes half a second here: each choice point copies
+    # every frame's cursor).
+    p = parse_source(NESTED_CALLS)
+    entry = find_method(p, "Main.m0")
+    assert assert_count_matches(p, entry, Mode.NOPA, budget()) is Verdict.TRUE
+    assert count_tree(p, entry, budget()) == (1201, 1214, None)
+
+
+def test_verdict_only_times_out_on_the_count_alone():
+    # deep_hierarchy under nopa enumerates 4 097 paths to pass the 4 096
+    # cap; the count passes it inside the first call's bodies.
+    p, entry = load_scenario_program("deep_hierarchy")
+    count = count_tree(p, entry, budget())
+    assert count.exceeds == "path_cap" and count.paths > 4096
+    outcome = detect(p, entry, Mode.NOPA, budget=budget(), verdict_only=True)
+    assert outcome.verdict is Verdict.TIMEOUT
+    assert (outcome.conflicts, outcome.stats.paths, outcome.stats.visited) == ([], 0, 0)

@@ -446,3 +446,11 @@ def test_scenario_without_a_project_is_its_own_project(project, tmp_path):
     out = tmp_path / "out"
     write_tables(run, modes, out)
     assert (out / "histogram.csv").read_text().splitlines() == ["divergences,projects", "1,2"]
+
+
+@pytest.mark.parametrize("name", ["fig1_simple", "fig1_advanced", "mkref", "deep_hierarchy"])
+def test_run_scenario_verdict_only_keeps_every_verdict(name):
+    modes = [Mode.NOPA, Mode.PA, Mode.HYBRID]
+    full = run_scenario(load_bundled(name), modes, budget=budget())
+    counted = run_scenario(load_bundled(name), modes, budget=budget(), verdict_only=True)
+    assert [(r.unit, r.mode, r.verdict) for r in counted] == [(r.unit, r.mode, r.verdict) for r in full]

@@ -32,6 +32,23 @@ def test_validate_well_formed_program():
     assert validate_program(p) == []
 
 
+def test_validate_names_each_static_call_that_names_no_method():
+    # The unknown class, the unknown name, the wrong arity, and an instance
+    # method called as a static one; a resolvable call passes.
+    p = parse_source(
+        "class A {\n  method i() {\n  }\n  static method s(x) {\n  }\n"
+        "  method m() {\n    call Nope::s(1);\n    call A::t(1);\n    if c {\n      call A::s();\n    }\n"
+        "    call A::i();\n    call A::s(1);\n  }\n}\n",
+        validate=False,
+    )
+    assert [str(d) for d in validate_program(p)] == [
+        "input.mir:7: static call 'Nope::s/1' names no method",
+        "input.mir:8: static call 'A::t/1' names no method",
+        "input.mir:10: static call 'A::s/0' names no method",
+        "input.mir:12: static call 'A::i/0' names no method",
+    ]
+
+
 def test_validate_unknown_supertype():
     p = parse_source("class A extends Nope {\n}\n", validate=False)
     diags = validate_program(p)
@@ -58,6 +75,20 @@ def test_validate_names_each_cycle_once_in_declaration_order():
         (1, "inheritance cycle involving 'C'"),
         (7, "inheritance cycle involving 'D'"),
         (11, "inheritance cycle involving 'I'"),
+    ]
+
+
+def test_validate_a_cycle_skips_the_static_call_check():
+    # Method lookup on a cyclic chain would never end, so a static call that
+    # names no method inside a cycle leaves only the cycle diagnostics.
+    src = (
+        "class A extends B {\n  static method m() {\n    call A::gone();\n  }\n}\nclass B extends A {\n}\n"
+        "class D extends D {\n  static method m() {\n    call D::x();\n  }\n}\n"
+    )
+    p = parse_source(src, validate=False)
+    assert [(d.pos.line, d.message) for d in validate_program(p)] == [
+        (1, "inheritance cycle involving 'A'"),
+        (8, "inheritance cycle involving 'D'"),
     ]
 
 
