@@ -39,16 +39,21 @@ field triple on it. Every field, method, constructor and subtype answer
 comes from the program's `Hierarchy`, which the detection context takes
 once, as CHA and the points-to solver do.
 
-Branches, loops and calls with several targets are choice points. A call is
-cut for all its targets at the depth limit, which a visit checks once, and
-then completes without a choice point. Below the limit, one `isdisjoint`
-test of the call's target ids (a frozenset its op holds) against the ids on
-the call stack tells whether recursion cuts a target; only then are the
-targets filtered, and completing the call without a body becomes the first
-alternative. A choice point keeps its alternatives and a cursor into them.
-So, unless recursion cuts a target, a call visit costs the same however
-many targets the call has, and taking the next alternative on backtrack
-copies nothing.
+The machine's state is three values: a frame, the index of its next op, and
+the env. Frames are immutable links to the frame they resume, and envs are
+copy-on-write, so branches, loops and calls with several targets are choice
+points that save those three references, the event count, the op, its
+alternatives and a cursor into them: a fixed number of values however deep
+the path nests, restored on backtrack as a Prolog machine restores its
+continuation and environment pointers (Warren's abstract machine). A call
+is cut for all its targets at the depth limit, which a visit checks once,
+and then completes without a choice point. Below the limit, one
+`isdisjoint` test of the call's target ids (a frozenset its op holds)
+against the ids on the call stack tells whether recursion cuts a target;
+only then are the targets filtered, and completing the call without a body
+becomes the first alternative. So, unless recursion cuts a target, a call
+visit costs the same however many targets the call has, and neither a
+choice point nor a backtrack copies anything.
 
 The scan runs as the enumerator appends each write event, so every write is
 scanned once however many paths share it. The LV/SFR rule is an equality,
@@ -568,34 +573,49 @@ class _Lowering:
 # Path enumeration
 #
 # The enumerator is an explicit-stack machine rather than recursion: a single
-# path may inline thousands of statements, well past Python's stack. Frames
-# hold a block of ops in progress. `paths()` steps the top frame: it counts
-# fuel, runs writes and heap writes and ends frames inline, and hands calls,
-# allocations, returns and branches to their helpers.
+# path may inline thousands of statements, well past Python's stack. Its
+# state is three locals of `paths()`: the frame, the index `i` of its next
+# op, and the env. A frame never changes. It holds a block of ops, what they
+# run under (call path, provenance, ids on the call stack) and how it ends:
+# its `caller` resumes at op `resume`. A block frame (a branch arm or loop
+# body) ends with its env, so its bindings flow onward, and `method` links
+# it to the method frame that a `return` in it ends. A method frame (a
+# callee body, or the root, which has no caller) ends with `caller_env`, the
+# env at its call, and its `site` call writes its result local; the root's
+# end is the path's.
 #
-# A choice point snapshots the frame cursors and the event count, and keeps
-# the op, its alternatives and a cursor into them. Backtracking restores the
-# snapshot and applies the alternative under the cursor; taking the last one
-# drops the choice point. Envs are copy-on-write, so snapshots can share
-# references. A branch's alternatives are its lowered blocks, None skipping
-# a loop. A call's are its targets, each inlined in a body frame: the op's
-# own target list when nothing is cut, else None (complete the call without
-# a body) followed by the targets that recursion leaves. The depth cut is
-# decided once per visit, before any choice point (see the module docstring).
+# A choice point keeps the state, the event count, the op, its alternatives
+# and a cursor into them. Backtracking restores the three values and
+# applies the alternative under the cursor; taking the last one drops the
+# choice point. Frames are immutable and envs copy-on-write, so the state
+# is three shared references, however deep the frames nest. A branch's
+# alternatives are its lowered blocks, None skipping a loop. A call's are
+# its targets, each inlined in a body frame: the op's own target list when
+# nothing is cut, else None (complete the call without a body) followed by
+# the targets that recursion leaves. The depth cut is decided once per
+# visit, before any choice point (see the module docstring).
+
+# A call's alternatives when it has no targets or the depth limit cuts them.
+_NO_BODY = (None,)
 
 
 class _Frame:
-    __slots__ = ("ops", "i", "env", "call_path", "prov", "on_stack", "kind", "site")
+    __slots__ = ("ops", "call_path", "prov", "on_stack", "caller", "resume", "caller_env",
+                 "site", "method")
 
-    def __init__(self, ops, env, call_path, prov, on_stack, kind, site=None):
+    def __init__(self, ops, call_path, prov, on_stack, caller=None, resume=0, caller_env=None,
+                 site=None, method=None):
         self.ops = ops
-        self.i = 0
-        self.env = env
         self.call_path = call_path
         self.prov = prov  # the provenance of the nearest changed call on the call path
         self.on_stack = on_stack
-        self.kind = kind  # "root" | "body" | "block"
-        self.site = site  # call op for body frames
+        self.caller = caller
+        self.resume = resume
+        self.caller_env = caller_env  # a body's
+        self.site = site  # a body's call or allocation op
+        # A block's; None in a method frame, which a link to itself would
+        # keep alive until the cyclic garbage collector runs.
+        self.method = method
 
 
 class _Enumerator:
@@ -604,9 +624,8 @@ class _Enumerator:
         self.lowering = _Lowering(ctx)
         self.entry = entry
         self.events: list[WriteEvent] = []
-        self.frames: list[_Frame] = []
-        # Choice points: [frames, per-frame (i, env), events length, op,
-        # alternatives, cursor of the next alternative].
+        # Choice points: [frame, i, env, events length, op, alternatives,
+        # cursor of the next alternative].
         self.choices: list[list] = []
 
     # -- per-path event log; `_Scanner` extends these three
@@ -624,33 +643,31 @@ class _Enumerator:
 
     def paths(self) -> Iterator:
         """Yields `_finish_path()` once per completed path."""
-        ctx, entry = self.ctx, self.entry
+        ctx, entry, lowering = self.ctx, self.entry, self.lowering
         h, budget, deadline = ctx.hierarchy, ctx.budget, ctx.deadline
         fuel, path_cap = budget.fuel, budget.path_cap
-        append = self._append
-        frames = self.frames
-        frames.append(_Frame(self.lowering.ops(entry), initial_env(entry), (), Provenance.BASE,
-                             frozenset({entry.id}), "root"))
+        append, choose = self._append, self._choose
+        frame = _Frame(lowering.ops(entry), (), Provenance.BASE, frozenset({entry.id}))
+        i, env = 0, initial_env(entry)
         visited = ctx.visited
         try:
             while True:
-                if not frames:
+                if frame is None:
                     ctx.paths += 1
                     if ctx.paths > path_cap:
                         ctx.stop("path_cap")
                     ctx.visited = visited
                     yield self._finish_path()
-                    if not self._backtrack():
+                    if not self.choices:
                         return
+                    frame, i, env = self._backtrack()
                     continue
-                frame = frames[-1]
-                ops, i = frame.ops, frame.i
+                ops = frame.ops
                 if i == len(ops):
-                    frames.pop()
-                    if frame.kind == "block":
-                        frames[-1].env = frame.env  # branch bindings flow onward
-                    elif frame.kind == "body" and frame.site.result is not None:
-                        self._write(frames[-1], frame.site.result)  # the call completes
+                    if frame.method is None:
+                        frame, i, env = self._end(frame)
+                    else:  # a block: its bindings flow onward
+                        frame, i = frame.caller, frame.resume
                     continue
                 visited += 1
                 if visited > fuel:
@@ -658,14 +675,14 @@ class _Enumerator:
                 if deadline is not None and visited % 512 == 0 and time.monotonic() > deadline:
                     ctx.stop("wall_clock")
                 op = ops[i]
-                frame.i = i + 1
+                i += 1
                 code = op.code
                 if code == _WRITE:
                     append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
                     if op.rule is not None:
-                        frame.env = apply_rule(op.rule, frame.env, h)
+                        env = apply_rule(op.rule, env, h)
                 elif code == _HEAP:
-                    base_type = frame.env.get(op.base)
+                    base_type = env.get(op.base)
                     ev = _instantiate(op.template, frame.call_path, op.prov or frame.prov)
                     ev.__dict__["base_type"] = base_type
                     if op.field is not None:
@@ -673,94 +690,67 @@ class _Enumerator:
                         ev.__dict__["field"] = (hit[0], op.field, hit[1]) if hit is not None else None
                     append(ev, None)
                 elif code == _CALL:
-                    self._branch_call(frame, op)
+                    alts = lowering.call_alts(op, len(frame.call_path), frame.on_stack)
+                    frame, i, env = choose(op, alts or _NO_BODY, frame, i, env)
                 elif code == _ALLOC:
-                    self._alloc(frame, op)
+                    env = self._write(frame, op, env)
+                    ctor = lowering.inlined_ctor(op, len(frame.call_path), frame.on_stack)
+                    if ctor is not None:
+                        frame, i, env = self._apply(op, ctor, frame, i, env)
                 elif code == _RETURN:
-                    self._return()
+                    frame, i, env = self._end(frame.method or frame)
                 else:  # _IF, _WHILE
-                    self._choose(op, op.alts)
+                    frame, i, env = choose(op, op.alts, frame, i, env)
         finally:
             ctx.visited = visited
 
-    def _write(self, frame: _Frame, op: _Op) -> None:
+    def _write(self, frame: _Frame, op: _Op, env: dict) -> dict:
+        """Appends `op`'s write event in `frame`; returns the env after it."""
         self._append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
-        if op.rule is not None:
-            frame.env = apply_rule(op.rule, frame.env, self.ctx.hierarchy)
+        return env if op.rule is None else apply_rule(op.rule, env, self.ctx.hierarchy)
 
-    def _complete_call(self, site: _Op) -> None:
-        if site.result is not None:
-            self._write(self.frames[-1], site.result)
+    def _end(self, method: _Frame) -> tuple:
+        """The state after method frame `method` ends: its caller's, after the
+        call completes, or (None, 0, None) at the root, where the path ends."""
+        caller = method.caller
+        if caller is None:
+            return None, 0, None
+        env = method.caller_env
+        if method.site.result is not None:
+            env = self._write(caller, method.site.result, env)
+        return caller, method.resume, env
 
-    def _alloc(self, frame: _Frame, op: _Op) -> None:
-        self._write(frame, op)
-        ctor = self.lowering.inlined_ctor(op, len(frame.call_path), frame.on_stack)
-        if ctor is not None:
-            self._push_body(frame, op, ctor)
-
-    def _return(self) -> None:
-        frames = self.frames
-        while frames:
-            done = frames.pop()
-            if done.kind == "body":
-                self._complete_call(done.site)
-                return
-            if done.kind == "root":
-                return  # path ends at the loop head
-
-    def _branch_call(self, frame: _Frame, op: _Op) -> None:
-        alts = self.lowering.call_alts(op, len(frame.call_path), frame.on_stack)
-        if alts is None:
-            self._complete_call(op)  # the call contributes nothing
-        elif len(alts) == 1:
-            self._apply(op, alts[0])
-        else:
-            self._choose(op, alts)
-
-    def _push_body(self, caller: _Frame, op: _Op, target: MethodDef) -> None:
-        env = initial_env(target, [operand_type(a, caller.env) for a in op.st.args])
-        self.frames.append(
-            _Frame(self.lowering.ops(target), env, caller.call_path + (op.hop,), op.prov or caller.prov,
-                   caller.on_stack | {target.id}, "body", site=op)
-        )
-
-    def _apply(self, op: _Op, alt) -> None:
-        """Takes alternative `alt` of the choice at `op`: a call target or a
-        block, or None, which completes a call and skips a loop."""
+    def _apply(self, op: _Op, alt, frame: _Frame, i: int, env: dict) -> tuple:
+        """The state after taking alternative `alt` of the choice at `op` in
+        state (frame, i, env): a block or a call target entered, or None,
+        which skips a loop and completes a call without a body."""
         if alt is None:
-            if op.code == _CALL:
-                self._complete_call(op)
-            return
-        parent = self.frames[-1]
-        if op.code == _CALL:
-            self._push_body(parent, op, alt)
-        else:
-            self.frames.append(
-                _Frame(alt, parent.env, parent.call_path, parent.prov, parent.on_stack, "block")
-            )
+            if op.result is not None:
+                env = self._write(frame, op.result, env)
+            return frame, i, env
+        if type(alt) is list:
+            return _Frame(alt, frame.call_path, frame.prov, frame.on_stack, frame, i,
+                          method=frame.method or frame), 0, env
+        body = _Frame(self.lowering.ops(alt), frame.call_path + (op.hop,), op.prov or frame.prov,
+                      frame.on_stack | {alt.id}, frame, i, env, op)
+        return body, 0, initial_env(alt, [operand_type(a, env) for a in op.st.args])
 
-    def _choose(self, op: _Op, alts: list) -> None:
-        frames = self.frames
-        self.choices.append([tuple(frames), [(f.i, f.env) for f in frames], len(self.events), op, alts, 1])
-        self._apply(op, alts[0])
+    def _choose(self, op: _Op, alts, frame: _Frame, i: int, env: dict) -> tuple:
+        """Takes the first of `alts`, keeping a choice point for the rest."""
+        if len(alts) > 1:
+            self.choices.append([frame, i, env, len(self.events), op, alts, 1])
+        return self._apply(op, alts[0], frame, i, env)
 
-    def _backtrack(self) -> bool:
-        if not self.choices:
-            return False
+    def _backtrack(self) -> tuple:
+        """The state on the next alternative of the latest choice point."""
         choice = self.choices[-1]
-        saved, cursors, events_len, op, alts, k = choice
+        frame, i, env, events_len, op, alts, k = choice
         if k + 1 == len(alts):
             self.choices.pop()
         else:
-            choice[5] = k + 1
+            choice[6] = k + 1
         self._truncate(events_len)
-        frames = self.frames
-        frames[:] = saved
-        for f, (i, env) in zip(frames, cursors):
-            f.i = i
-            f.env = env
-        self._apply(op, alts[k])
-        return True
+        return self._apply(op, alts[k], frame, i, env)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +801,7 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
     """Counts the tree `_Enumerator(lowering.ctx, entry)` walks, one count
     per (method id, call depth, ids on the call stack) shared by every visit.
 
-    The walk keeps an explicit stack of parts, as the enumerator keeps
+    The walk keeps an explicit stack of parts, as the enumerator links its
     frames: block nesting times call depth can exceed Python's stack.
     """
     ctx = lowering.ctx

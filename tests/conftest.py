@@ -73,3 +73,60 @@ def _nested_calls(methods: int = 6, nesting: int = 200) -> str:
 # Six methods, 1 201 paths and 1 214 visits at the default budget: its path
 # tree nests 1 200 blocks deep, past Python's recursion limit.
 NESTED_CALLS = _nested_calls()
+
+
+# `return` inside nested blocks of callees, which neither `randprog` (it
+# emits `return` only as a method's last statement) nor the bundled corpus
+# has: the constructor returns from inside an `if` (line 11), the virtual
+# `area` from an `if` inside a `while` (line 20), and `Main.main` calls
+# `area` inside an `if` and writes after both calls. Under `nopa`, `t.area()`
+# also reaches `Circle.area`; points-to narrows it to `Sq.area`.
+RETURN_IN_BLOCKS = (
+    "interface Shape {\n"
+    "  method area();\n"
+    "}\n"
+    "class Sq implements Shape {\n"
+    "  field side: int;\n"
+    "  field static log: int;\n"
+    "  ctor(v) {\n"
+    "    this.side = v;\n"
+    "    if v {\n"
+    "      Sq::log = 1;\n"
+    "      return;\n"
+    "    }\n"
+    "    this.side = 2;\n"
+    "  }\n"
+    "  method area() {\n"
+    "    n = this.side;\n"
+    "    while n {\n"
+    "      if n {\n"
+    "        Sq::log = 3;\n"
+    "        return n;\n"
+    "      }\n"
+    "      n = op(n);\n"
+    "    }\n"
+    "    Sq::log = 4;\n"
+    "    return n;\n"
+    "  }\n"
+    "}\n"
+    "class Circle implements Shape {\n"
+    "  method area() {\n"
+    "    Sq::log = 5;\n"
+    "  }\n"
+    "}\n"
+    "class Main {\n"
+    "  field shape: Shape;\n"
+    "  public static method main() {\n"
+    "    s = new Sq(1) @L;\n"
+    "    m = new Main();\n"
+    "    m.shape = s;\n"
+    "    t = m.shape;\n"
+    "    if t {\n"
+    "      a = t.area() @R;\n"
+    "      b = a;\n"
+    "    }\n"
+    "    Sq::log = 6 @L;\n"
+    "    s.side = 7 @R;\n"
+    "  }\n"
+    "}\n"
+)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import ALL_MODES, NESTED_CALLS, budget, load_scenario_program
+from conftest import ALL_MODES, NESTED_CALLS, RETURN_IN_BLOCKS, budget, load_scenario_program
 from oadetect import engine
 from oadetect.cha import build_cha_graph
 from oadetect.engine import (
@@ -263,13 +263,22 @@ def test_count_pins_the_budget_boundaries():
 
 
 def test_count_walks_a_tree_nested_past_the_recursion_limit():
-    # Static calls resolve alike in every mode, so one mode stands for all
-    # (the enumerator takes half a second here: each choice point copies
-    # every frame's cursor).
+    # Static calls resolve alike in every mode, so one mode stands for all.
     p = parse_source(NESTED_CALLS)
     entry = find_method(p, "Main.m0")
     assert assert_count_matches(p, entry, Mode.NOPA, budget()) is Verdict.TRUE
     assert count_tree(p, entry, budget()) == (1201, 1214, None)
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_return_from_nested_blocks_in_callees_matches_reference(mode):
+    p = parse_source(RETURN_IN_BLOCKS)
+    entry = find_method(p, "Main.main")
+    assert assert_count_matches(p, entry, mode, budget()) is Verdict.TRUE
+    assert count_tree(p, entry, budget(), mode)[:2] == ((10, 66) if mode is Mode.NOPA else (8, 58))
+    # A fuel and path cap that cut the walk inside the callees too.
+    for bud in (budget(), budget(fuel=40, path_cap=5)):
+        assert_matches_reference(p, entry, mode, bud)
 
 
 def test_verdict_only_times_out_on_the_count_alone():

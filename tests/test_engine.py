@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
-from conftest import ALL_MODES, CONFLICT_THEN_FORKS, budget
+from conftest import ALL_MODES, CONFLICT_THEN_FORKS, RETURN_IN_BLOCKS, _nested_calls, budget
 from oadetect.cha import build_cha_graph, resolve_static
 from oadetect.engine import (
     AnalysisBudget,
@@ -807,3 +809,103 @@ def test_deep_hierarchy_nopa_reaches_the_path_cap(deep_hierarchy):
     out = detect(p, entry, Mode.NOPA, budget=budget())
     assert out.verdict is Verdict.TIMEOUT
     assert (out.stats.visited, out.stats.paths) == (8200, 4097)
+
+
+# ---------------------------------------------------------------------------
+# The machine's state: a frame, the index of its next op, and the env
+
+
+def test_return_from_nested_blocks_resumes_each_caller():
+    p = parse_source(RETURN_IN_BLOCKS)
+    entry = find_method(p, "Main.main")
+    # Each event as (line, side, call depth); a line names one statement.
+    ctor = [
+        [(8, "L", 1), (10, "L", 1)],  # returns from inside the `if`
+        [(8, "L", 1), (13, "L", 1)],
+    ]
+    area = {
+        "Circle": [(30, "R", 1)],
+        "skip": [(16, "R", 1), (24, "R", 1)],  # the loop runs zero times
+        "return": [(16, "R", 1), (19, "R", 1)],  # returns from the `if` in the loop
+        "once": [(22, "R", 1), (24, "R", 1)],  # `n = op(n)` replaces line 16's write
+    }
+    for mode in ALL_MODES:
+        arms = (["Circle"] if mode is Mode.NOPA else []) + ["skip", "return", "once"]
+        # After the callee, the call's result and the rest of the caller's
+        # `if`; last, the path that skips that `if`.
+        calls = [area[arm] + [(41, "R", 0), (42, "B", 0)] for arm in arms] + [[]]
+        expected = [
+            [(36, "L", 0)] + c + [(37, "B", 0), (38, "B", 0), (39, "B", 0)] + call
+            + [(44, "L", 0), (45, "R", 0)]
+            for c in ctor
+            for call in calls
+        ]
+        paths = [
+            [(ev.pos.line, ev.provenance.name[0], len(ev.call_path)) for ev in path]
+            for path in enumerate_write_paths(p, entry, budget(), mode)
+        ]
+        assert paths == expected
+
+
+ENV_RULES = (
+    "class A {\n  field f: int;\n}\n"
+    "class B extends A {\n}\n"
+    "class M {\n"
+    "  public static method main() {\n"
+    "    c = 1;\n"
+    "    x = new A();\n"
+    "    if c {\n"
+    "      x = new B();\n"
+    "      x.f = 1;\n"
+    "    } else {\n"
+    "      x.f = 2;\n"
+    "    }\n"
+    "    x.f = 3;\n"
+    "    y = new A();\n"
+    "    call M::s();\n"
+    "    y.f = 4;\n"
+    "    z = new A();\n"
+    "    while c {\n"
+    "      z = new B();\n"
+    "    }\n"
+    "    z.f = 5;\n"
+    "  }\n"
+    "  static method s() {\n"
+    "    y = new B();\n"
+    "    y.f = 6;\n"
+    "  }\n"
+    "}\n"
+)
+
+
+def test_env_flows_on_each_path_and_is_restored_on_backtrack():
+    p = parse_source(ENV_RULES)
+    paths = [
+        [(ev.pos.line, ev.base_type) for ev in path if ev.kind == "IFR"]
+        for path in enumerate_write_paths(p, find_method(p, "M.main"), budget(), Mode.NOPA)
+    ]
+    then_arm = [(12, "B"), (16, "B")]  # the arm's binding flows past the `if`
+    else_arm = [(14, "A"), (16, "A")]  # the second arm starts from the saved env
+    call = [(28, "B"), (19, "A")]  # the callee's `y` leaves the caller's alone
+    assert paths == [
+        then_arm + call + [(24, "A")],  # the loop runs zero times
+        then_arm + call + [(24, "B")],  # the loop body's binding reaches past it
+        else_arm + call + [(24, "A")],
+        else_arm + call + [(24, "B")],
+    ]
+
+
+def test_choice_points_hold_a_fixed_number_of_values():
+    # Blocks nest 100 and then 200 deep on every path. A choice point that
+    # copied the frames would hold state quadratic in the nesting.
+    peaks = []
+    for nesting in (100, 200):
+        p = parse_source(_nested_calls(6, nesting))
+        entry = find_method(p, "Main.m0")
+        tracemalloc.start()
+        try:
+            detect(p, entry, Mode.NOPA, budget=budget())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0]
