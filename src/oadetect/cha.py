@@ -14,14 +14,22 @@ names no method is a `ResolutionError`, which only a program that skipped
 `build_cha_graph` is a worklist over methods. Each visit types the method's
 body in a single walk from its parameter types (a `while` body is walked to
 its fixpoint), and a method is queued again only when the argument types
-reaching it widen.
+reaching it widen. A virtual call's targets come from
+`Hierarchy.dispatch_targets`, which resolves each (receiver type, name,
+arity) once per program; a visit unions them into the call site's entry
+once, and joins argument types only into targets that take parameters.
+
+`CallGraph` is kept per site: each call site's caller and sorted target ids,
+which `targets_at` and `has_site` read. Its `edges`, one `CallEdge` per site
+and target, are derived on first read; the analyses never read them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping, NamedTuple, Optional
 
 from .mir import (
     AllocAssign,
@@ -56,36 +64,63 @@ class CallEdge(NamedTuple):
     target: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallGraph:
-    nodes: set[str] = field(default_factory=set)
-    edges: set[CallEdge] = field(default_factory=set)
-    roots: set[str] = field(default_factory=set)
+    """A call graph kept per call site.
 
-    def _by_site(self) -> dict:
-        # Built on first query; graphs are immutable once constructed.
-        cached = self.__dict__.get("_site_index")
-        if cached is None:
-            cached = {}
-            for e in self.edges:
-                cached.setdefault(e.site, []).append(e.target)
-            for targets in cached.values():
-                targets.sort()
-            self.__dict__["_site_index"] = cached
-        return cached
+    `sites` maps each call or allocation site that reaches a method to its
+    caller and its target ids, sorted; a site without targets is absent.
+    `targets_at` and `has_site` read it directly. A site has one caller,
+    since `validate_program` rejects statements that share a position.
+    `edges`, one `CallEdge` per site and target, is derived on first read.
+    """
+
+    roots: frozenset[str]
+    nodes: frozenset[str]
+    sites: Mapping[Position, tuple[str, tuple[str, ...]]]
+
+    @classmethod
+    def from_edges(cls, roots, nodes, edges) -> "CallGraph":
+        by_site: dict[Position, tuple[str, set[str]]] = {}
+        for e in edges:
+            _add_targets(by_site, e.site, e.caller, (e.target,))
+        return cls(frozenset(roots), frozenset(nodes), _sorted_sites(by_site))
+
+    @cached_property
+    def edges(self) -> frozenset[CallEdge]:
+        return frozenset(
+            CallEdge(pos, caller, t) for pos, (caller, targets) in self.sites.items() for t in targets
+        )
 
     def targets_at(self, pos: Position) -> list[str]:
-        return list(self._by_site().get(pos, ()))
+        hit = self.sites.get(pos)
+        return list(hit[1]) if hit is not None else []
 
     def has_site(self, pos: Position) -> bool:
-        return pos in self._by_site()
+        return pos in self.sites
 
     def dump(self) -> str:
         lines = [
-            f"{e.caller}\t{e.site.file}:{e.site.line}\t{e.target}"
-            for e in sorted(self.edges)
+            f"{caller}\t{pos.file}:{pos.line}\t{t}"
+            for pos, (caller, targets) in sorted(self.sites.items())
+            for t in targets
         ]
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _add_targets(by_site: dict, pos: Position, caller: str, ids) -> None:
+    """Union target ids into `by_site[pos] = (caller, ids)`."""
+    hit = by_site.get(pos)
+    if hit is None:
+        by_site[pos] = (caller, set(ids))
+    elif hit[0] != caller:
+        raise MirError(f"statements share position {pos}")
+    else:
+        hit[1].update(ids)
+
+
+def _sorted_sites(by_site: dict) -> dict[Position, tuple[str, tuple[str, ...]]]:
+    return {pos: (caller, tuple(sorted(ids))) for pos, (caller, ids) in by_site.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +229,10 @@ def initial_env(method: MethodDef, param_types=None) -> TypeEnv:
 # Resolution
 
 
-def _resolve_virtual(
-    h: Hierarchy, receiver_type: Optional[str], name: str, arity: int
-) -> list[MethodDef]:
-    if receiver_type is not None and h.declares(receiver_type):
-        defs = {}
-        for cls in h.implementers(receiver_type):
-            m = h.resolve_method(cls, name, arity, static=False)
-            if m is not None:
-                defs[m.id] = m
-        if defs:
-            return [defs[k] for k in sorted(defs)]
-    # Unknown or unhelpful receiver type: any class providing the method.
-    defs = {}
-    for c in h.class_list:
-        m = h.resolve_method(c.name, name, arity, static=False)
-        if m is not None:
-            defs[m.id] = m
-    return [defs[k] for k in sorted(defs)]
-
-
 def cha_resolve(site: VirtualCall, p: Program, receiver_type: Optional[str] = None) -> set[str]:
     """Possible targets of a virtual call under class-hierarchy resolution;
     none when no class provides the method."""
-    defs = _resolve_virtual(p.hierarchy(), receiver_type, site.method, len(site.args))
-    return {m.id for m in defs}
+    return {m.id for m in p.hierarchy().dispatch_targets(receiver_type, site.method, len(site.args))}
 
 
 def resolve_static(h: Hierarchy, st: StaticCall) -> MethodDef:
@@ -273,28 +287,27 @@ def _scan_sites(body, env: TypeEnv, sites: dict, h: Hierarchy) -> TypeEnv:
     return env
 
 
+def _widen(param_types: dict, mid: str, arg_types, h: Hierarchy) -> bool:
+    """Join `arg_types` into the parameter types of `mid`; True if they widened."""
+    known = param_types[mid]
+    widened = [h.lca(a, b) for a, b in zip(known, arg_types)]
+    if widened == known:
+        return False
+    param_types[mid] = widened
+    return True
+
+
 def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
     """Closure of class-hierarchy resolution over calls reachable from root."""
     h = p.hierarchy()
-    graph = CallGraph(roots={root.id})
-    graph.nodes.add(root.id)
-    param_types: dict[str, list] = {root.id: [None] * len(root.params)}
     by_id = h.methods_by_id()
+    nodes = {root.id}
+    # A method without parameters types alike on every visit, so it is
+    # queued only when first reached and keeps no entry here.
+    param_types: dict[str, list] = {root.id: [None] * len(root.params)}
+    by_site: dict[Position, tuple[str, set[str]]] = {}
     queue = deque([root.id])
     queued = {root.id}
-
-    def bind(target: MethodDef, arg_types) -> bool:
-        """Join argument types into the params of `target`; True if widened."""
-        known = param_types.get(target.id)
-        incoming = list(arg_types) if arg_types else [None] * len(target.params)
-        if known is None:
-            param_types[target.id] = incoming
-            return True
-        widened = [h.lca(a, b) for a, b in zip(known, incoming)]
-        if widened != known:
-            param_types[target.id] = widened
-            return True
-        return False
 
     while queue:
         mid = queue.popleft()
@@ -305,18 +318,24 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
         for pos in sorted(sites):
             st, recv_type, arg_types = sites[pos]
             if isinstance(st, VirtualCall):
-                targets = _resolve_virtual(h, recv_type, st.method, len(st.args))
+                targets = h.dispatch_targets(recv_type, st.method, len(st.args))
             elif isinstance(st, StaticCall):
-                targets = [resolve_static(h, st)]
+                targets = (resolve_static(h, st),)
             else:
                 ctor = h.constructor_of(st.cls, len(st.args))
-                targets = [ctor] if ctor is not None else []
+                targets = (ctor,) if ctor is not None else ()
+            if not targets:
+                continue
+            _add_targets(by_site, pos, mid, [t.id for t in targets])
             for tgt in targets:
-                graph.edges.add(CallEdge(st.pos, mid, tgt.id))
-                fresh = tgt.id not in graph.nodes
-                graph.nodes.add(tgt.id)
-                if bind(tgt, arg_types) or fresh:
-                    if tgt.id not in queued:
-                        queue.append(tgt.id)
-                        queued.add(tgt.id)
-    return graph
+                tid = tgt.id
+                if tid not in nodes:
+                    nodes.add(tid)
+                    if tgt.params:
+                        param_types[tid] = list(arg_types)
+                elif not tgt.params or not _widen(param_types, tid, arg_types, h):
+                    continue
+                if tid not in queued:
+                    queue.append(tid)
+                    queued.add(tid)
+    return CallGraph(frozenset({root.id}), frozenset(nodes), _sorted_sites(by_site))

@@ -111,7 +111,6 @@ from .cha import (
     CallGraph,
     apply_rule,
     build_cha_graph,
-    cha_resolve,
     initial_env,
     operand_type,
     resolve_static,
@@ -394,10 +393,9 @@ def resolve_call(st: VirtualCall, ctx: DetectionContext):
     """
 
     def cha_targets() -> list[MethodDef]:
-        ids = ctx.cha.targets_at(st.pos) if ctx.cha is not None else []
-        if not ids and (ctx.cha is None or not ctx.cha.has_site(st.pos)):
-            ids = sorted(cha_resolve(st, ctx.program))
-        return [ctx.by_id[i] for i in ids]
+        if ctx.cha is not None and ctx.cha.has_site(st.pos):
+            return [ctx.by_id[i] for i in ctx.cha.targets_at(st.pos)]
+        return list(ctx.hierarchy.dispatch_targets(None, st.method, len(st.args)))
 
     if not ctx.mode.uses_pts:
         return cha_targets(), None

@@ -282,17 +282,6 @@ class MetricsSummary:
     accuracy: Optional[float]
     f1: Optional[float]
 
-    def rounded(self) -> dict:
-        return {
-            k: (None if v is None else round(v, 2))
-            for k, v in (
-                ("precision", self.precision),
-                ("recall", self.recall),
-                ("accuracy", self.accuracy),
-                ("f1", self.f1),
-            )
-        }
-
 
 def confusion(outcomes: dict[str, Verdict], truths: dict[str, bool]) -> ConfusionMatrix:
     """Score verdicts against labels; timeouts are excluded, not guessed."""
@@ -339,12 +328,6 @@ class TransitionTable:
 
     def cell(self, a: Verdict, b: Verdict) -> int:
         return self.counts.get((a, b), 0)
-
-    def row_marginal(self, a: Verdict) -> int:
-        return sum(self.cell(a, b) for b in VERDICTS)
-
-    def col_marginal(self, b: Verdict) -> int:
-        return sum(self.cell(a, b) for a in VERDICTS)
 
 
 def transitions(a: dict[str, Verdict], b: dict[str, Verdict]) -> TransitionTable:

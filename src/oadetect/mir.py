@@ -349,8 +349,9 @@ class Hierarchy:
     closures, implementer sets and least common supertypes are computed
     once per type (or pair) and shared as frozensets; unknown types raise
     `MirError` every time and are never cached. Member lookups (fields,
-    inherited methods, `methods_by_id`) are memoised too, so a class's
-    members must be complete before its Program is first queried.
+    inherited methods, virtual dispatch targets, `methods_by_id`) are
+    memoised too, so a class's members must be complete before its Program
+    is first queried.
     """
 
     def __init__(self, p: Program):
@@ -507,6 +508,34 @@ class Hierarchy:
                 None,
             )
         return self._lookups[key]
+
+    def dispatch_targets(self, receiver_type: Optional[str], mname: str, arity: int) -> tuple[MethodDef, ...]:
+        """The instance methods a virtual call `mname/arity` on a receiver of
+        static type `receiver_type` may reach, sorted by id: each definition
+        an implementer of that type declares or inherits (class hierarchy
+        analysis). An unknown, undeclared, array or primitive receiver type,
+        or one whose implementers provide no such method, falls back to every
+        class that provides it; () when no class does."""
+        key = ("dispatch", receiver_type, mname, arity)
+        got = self._lookups.get(key)
+        if got is None:
+            got = ()
+            if receiver_type is not None and self.declares(receiver_type):
+                got = self._provided(self.implementers(receiver_type), mname, arity)
+            if not got:
+                got = self._provided((c.name for c in self.class_list), mname, arity)
+            self._lookups[key] = got
+        return got
+
+    def _provided(self, classes, mname: str, arity: int) -> tuple[MethodDef, ...]:
+        """The distinct definitions of instance method `mname/arity` that
+        `classes` declare or inherit, sorted by id."""
+        defs = {}
+        for cls in classes:
+            m = self.resolve_method(cls, mname, arity, static=False)
+            if m is not None:
+                defs[m.id] = m
+        return tuple(defs[k] for k in sorted(defs))
 
     def constructor_of(self, cls_name: str, arity: int) -> Optional[MethodDef]:
         """The first declared constructor of `cls_name` taking `arity` arguments."""

@@ -300,18 +300,15 @@ def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResu
     solver.run()
 
     entry_ids = tuple(m.id for m in entries)
-    graph = CallGraph(roots=set(entry_ids))
-    graph.nodes = set(solver.reachable) | set(entry_ids)
-    graph.edges = set(solver.edges)
+    graph = CallGraph.from_edges(entry_ids, solver.reachable | set(entry_ids), solver.edges)
 
     # Every virtual call of a reachable method is in `vcalls`; those that
     # never dispatched have no edge.
-    resolved_sites = {e.site for e in solver.edges}
     unresolved = sorted(
         (st.pos, "unresolved-call")
         for calls in solver.vcalls.values()
         for _, st in calls
-        if st.pos not in resolved_sites
+        if not graph.has_site(st.pos)
     )
 
     pts = {var: frozenset(sids) for var, sids in solver.pts.items() if sids}
@@ -366,20 +363,3 @@ def dump_pts(r: PointsToResult) -> str:
         for pos, reason in r.unresolved:
             lines.append(f"{pos.file}:{pos.line}\t{reason}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def is_closed(p: Program, r: PointsToResult) -> bool:
-    """Whether one more application of every constraint adds nothing to `r`.
-
-    A solver is seeded with the result's sets, call edges and reachable
-    methods, and the constraints of every reachable method are added once;
-    the result is closed when no set, call edge or reachable method grows.
-    """
-    solver = _Solver(p, [])
-    for var, sids in r.pts.items():
-        solver.pts[var] = set(sids)
-    solver.edges = set(r.callgraph.edges)
-    solver.reachable = set(r.callgraph.nodes)
-    for mid in r.callgraph.nodes:
-        solver.process_method(mid)
-    return not solver.var_queue and not solver.method_queue and solver.edges == r.callgraph.edges

@@ -89,6 +89,3 @@ def emit_records(outcomes: list[tuple[str, Mode, AnalysisOutcome]]) -> str:
     lines = [json.dumps(outcome_record(u, m, o), separators=(",", ":")) for u, m, o in outcomes]
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def parse_records(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]

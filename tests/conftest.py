@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from oadetect.engine import AnalysisBudget, Mode
 from oadetect.harness import load_bundled, scenario_units
+from oadetect.pointsto import _Solver
 
 
 def budget(**overrides) -> AnalysisBudget:
@@ -11,6 +14,29 @@ def budget(**overrides) -> AnalysisBudget:
     kwargs = {"wall_clock": None}
     kwargs.update(overrides)
     return AnalysisBudget(**kwargs)
+
+
+def parse_records(text: str) -> list[dict]:
+    """The objects of a `records.jsonl` text, one per non-blank line."""
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+def is_closed(p, r) -> bool:
+    """Whether one more application of every points-to constraint adds
+    nothing to the solve result `r`.
+
+    A solver is seeded with the result's sets, call edges and reachable
+    methods, and the constraints of every reachable method are added once;
+    the result is closed when no set, call edge or reachable method grows.
+    """
+    solver = _Solver(p, [])
+    for var, sids in r.pts.items():
+        solver.pts[var] = set(sids)
+    solver.edges = set(r.callgraph.edges)
+    solver.reachable = set(r.callgraph.nodes)
+    for mid in r.callgraph.nodes:
+        solver.process_method(mid)
+    return not solver.var_queue and not solver.method_queue and solver.edges == r.callgraph.edges
 
 
 def load_scenario_program(name: str):

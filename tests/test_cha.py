@@ -5,9 +5,18 @@ from collections import deque
 import pytest
 
 from oadetect import cha
-from oadetect.cha import ResolutionError, build_cha_graph, cha_resolve, initial_env, transfer_type, type_rule
+from oadetect.cha import (
+    CallEdge,
+    CallGraph,
+    ResolutionError,
+    build_cha_graph,
+    cha_resolve,
+    initial_env,
+    transfer_type,
+    type_rule,
+)
 from oadetect.frontend import parse_source
-from oadetect.mir import VirtualCall, all_methods, find_method, iter_stmts
+from oadetect.mir import MirError, Position, VirtualCall, all_methods, find_method, iter_stmts
 from oadetect.pointsto import pa_entry_points, solve
 
 
@@ -36,6 +45,17 @@ def test_resolve_leaf_class_receiver(fig1_advanced):
     assert cha_resolve(site, p, receiver_type="ReportSimple") == {
         "ReportSimple.countDupWords/0"
     }
+
+
+def test_cha_resolve_is_the_set_of_dispatch_target_ids(fig1_advanced):
+    p, _ = fig1_advanced
+    site = _site(p, "Text.generateReport", line=8)
+    h = p.hierarchy()
+    for recv in (None, "Report", "ReportSimple", "int", "Undeclared"):
+        got = cha_resolve(site, p, receiver_type=recv)
+        assert isinstance(got, set)
+        assert got == {m.id for m in h.dispatch_targets(recv, site.method, len(site.args))}
+    assert cha_resolve(site, p) == cha_resolve(site, p, receiver_type=None)
 
 
 THREE_LEVEL = """
@@ -437,3 +457,44 @@ def test_loop_join_runs_to_its_fixpoint():
     pts_targets = solve(p, pa_entry_points(p)).callgraph.targets_at(pos)
     assert pts_targets == ["A.m/0", "B.m/0"]
     assert set(pts_targets) <= set(build_cha_graph(p, entry).targets_at(pos))
+
+
+# ---------------------------------------------------------------------------
+# The call-graph surface that bench/run.py reads: `nodes`, `edges` (`.site`,
+# `.caller`, `.target`), `targets_at` and `has_site`, of the CHA graph and of
+# `solve(...).callgraph`. A break there shows in the bench only as a fall in
+# its share of operations that pass.
+
+
+@pytest.mark.parametrize("kind", ["cha", "pts"])
+@pytest.mark.parametrize("scenario", ["fig1_simple", "fig1_advanced"])
+def test_call_graph_surface(kind, scenario, request):
+    p, entry = request.getfixturevalue(scenario)
+    g = build_cha_graph(p, entry) if kind == "cha" else solve(p, pa_entry_points(p)).callgraph
+    assert g.roots and g.roots <= g.nodes
+    edges = g.edges
+    assert edges and all(isinstance(e, CallEdge) for e in edges)
+    assert g.edges is edges  # derived once
+    sites = {e.site for e in edges}
+    assert len(edges) == sum(len(g.targets_at(pos)) for pos in sites)
+    for e in edges:
+        assert {e.caller, e.target} <= g.nodes
+        assert g.has_site(e.site) and e.target in g.targets_at(e.site)
+    for pos in sites:
+        assert g.targets_at(pos) == sorted(e.target for e in edges if e.site == pos)
+        g.targets_at(pos).append("X.y/0")  # a copy: the graph keeps its own
+        assert "X.y/0" not in g.targets_at(pos)
+    nowhere = Position("nowhere.mir", 0)
+    assert not g.has_site(nowhere) and g.targets_at(nowhere) == []
+    assert g.dump() == "".join(f"{e.caller}\t{e.site}\t{e.target}\n" for e in sorted(edges))
+    assert CallGraph.from_edges(g.roots, g.nodes, edges) == g
+
+
+def test_call_graph_from_edges_keeps_one_caller_per_site():
+    pos = Position("t.mir", 3)
+    g = CallGraph.from_edges({"A.r/0"}, {"A.r/0", "B.m/0", "C.m/0"},
+                             [CallEdge(pos, "A.r/0", "C.m/0"), CallEdge(pos, "A.r/0", "B.m/0")])
+    assert g.sites == {pos: ("A.r/0", ("B.m/0", "C.m/0"))}
+    assert CallGraph.from_edges((), (), []).edges == frozenset()
+    with pytest.raises(MirError, match="share position"):
+        CallGraph.from_edges((), (), [CallEdge(pos, "A.r/0", "B.m/0"), CallEdge(pos, "D.s/0", "B.m/0")])

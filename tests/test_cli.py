@@ -4,13 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CONFLICT_THEN_FORKS, NESTED_CALLS
+from conftest import CONFLICT_THEN_FORKS, NESTED_CALLS, parse_records
 from oadetect import cli
 from oadetect.cli import main
 from oadetect.frontend import pretty_print
 from oadetect.harness import bundled_corpus_dir
 from oadetect.randprog import DEFAULT_SEED, generate_program
-from oadetect.reporting import parse_records
 
 
 def corpus_path(name: str) -> str:

@@ -1,19 +1,28 @@
-"""Differential test: `detect` against the per-path scan it replaced.
+"""Differential tests: `detect` against the per-path scan it replaced, and
+`build_cha_graph` against the per-edge builder it replaced.
 
 `engine.detect` scans each write once, as the enumerator appends it, and
 undoes the scan on backtrack. The reference below is the original design:
 it drains `enumerate_write_paths` and, for every completed path, walks back
 from each changed write over all earlier events of the path. It is
 quadratic per path and lives only here, as the oracle.
+
+`build_cha_graph` resolves each virtual dispatch once per receiver type and
+keeps targets per site. `reference_cha_graph` is the original builder: it
+resolves every call anew on every method visit and adds one `CallEdge` per
+target, binding argument types into each.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import pytest
 
 from conftest import ALL_MODES, NESTED_CALLS, RETURN_IN_BLOCKS, budget, load_scenario_program
 from oadetect import engine
-from oadetect.cha import build_cha_graph
+from oadetect.cha import CallEdge, build_cha_graph, initial_env, resolve_static
+from oadetect.cha import _scan_sites as scan_sites
 from oadetect.engine import (
     IFR,
     LV,
@@ -31,7 +40,16 @@ from oadetect.engine import (
 )
 from oadetect.frontend import parse_source
 from oadetect.harness import load_bundled, scenario_units
-from oadetect.mir import MirError, Position, Provenance, find_method
+from oadetect.mir import (
+    MirError,
+    Position,
+    Provenance,
+    StaticCall,
+    VirtualCall,
+    all_methods,
+    find_method,
+    iter_stmts,
+)
 from oadetect.pointsto import pa_entry_points, solve
 from oadetect.randprog import default_seed, generate_program
 
@@ -290,3 +308,176 @@ def test_verdict_only_times_out_on_the_count_alone():
     outcome = detect(p, entry, Mode.NOPA, budget=budget(), verdict_only=True)
     assert outcome.verdict is Verdict.TIMEOUT
     assert (outcome.conflicts, outcome.stats.paths, outcome.stats.visited) == ([], 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# The per-site CHA graph against the per-edge builder it replaced
+
+
+def reference_resolve_virtual(h, receiver_type, name: str, arity: int) -> list:
+    """The definitions the implementers of a declared receiver type reach,
+    else those of every class, sorted by id."""
+    if receiver_type is not None and h.declares(receiver_type):
+        defs = {}
+        for cls in h.implementers(receiver_type):
+            m = h.resolve_method(cls, name, arity, static=False)
+            if m is not None:
+                defs[m.id] = m
+        if defs:
+            return [defs[k] for k in sorted(defs)]
+    defs = {}
+    for c in h.class_list:
+        m = h.resolve_method(c.name, name, arity, static=False)
+        if m is not None:
+            defs[m.id] = m
+    return [defs[k] for k in sorted(defs)]
+
+
+def reference_cha_graph(p, root) -> tuple[set, set, set]:
+    """(roots, nodes, edges) of the original worklist builder."""
+    h = p.hierarchy()
+    nodes, edges = {root.id}, set()
+    param_types = {root.id: [None] * len(root.params)}
+    by_id = h.methods_by_id()
+    queue, queued = deque([root.id]), {root.id}
+
+    def bind(target, arg_types) -> bool:
+        known = param_types.get(target.id)
+        incoming = list(arg_types) if arg_types else [None] * len(target.params)
+        if known is None:
+            param_types[target.id] = incoming
+            return True
+        widened = [h.lca(a, b) for a, b in zip(known, incoming)]
+        if widened != known:
+            param_types[target.id] = widened
+            return True
+        return False
+
+    while queue:
+        mid = queue.popleft()
+        queued.discard(mid)
+        method = by_id[mid]
+        sites: dict = {}
+        scan_sites(method.body, initial_env(method, param_types.get(mid)), sites, h)
+        for pos in sorted(sites):
+            st, recv_type, arg_types = sites[pos]
+            if isinstance(st, VirtualCall):
+                targets = reference_resolve_virtual(h, recv_type, st.method, len(st.args))
+            elif isinstance(st, StaticCall):
+                targets = [resolve_static(h, st)]
+            else:
+                ctor = h.constructor_of(st.cls, len(st.args))
+                targets = [ctor] if ctor is not None else []
+            for tgt in targets:
+                edges.add(CallEdge(st.pos, mid, tgt.id))
+                fresh = tgt.id not in nodes
+                nodes.add(tgt.id)
+                if (bind(tgt, arg_types) or fresh) and tgt.id not in queued:
+                    queue.append(tgt.id)
+                    queued.add(tgt.id)
+    return {root.id}, nodes, edges
+
+
+def assert_graph_matches_reference(p, root) -> None:
+    """Equal roots, nodes, edges and dump, and equal targets at every
+    statement of the program and every site of the reference."""
+    g = build_cha_graph(p, root)
+    roots, nodes, edges = reference_cha_graph(p, root)
+    assert (g.roots, g.nodes, g.edges) == (roots, nodes, edges)
+    assert g.dump() == "".join(f"{e.caller}\t{e.site.file}:{e.site.line}\t{e.target}\n" for e in sorted(edges))
+    by_site: dict = {}
+    for e in edges:
+        by_site.setdefault(e.site, []).append(e.target)
+    positions = {st.pos for m in all_methods(p) for st in iter_stmts(m.body)}
+    for pos in positions | set(by_site):
+        assert g.has_site(pos) == (pos in by_site)
+        assert g.targets_at(pos) == sorted(by_site.get(pos, ()))
+
+
+def test_cha_graph_matches_reference_on_the_seed_range():
+    base = default_seed()
+    ran = 0
+    for seed in range(base + 3000, base + 3101):
+        for mkref in (False, True):
+            gen = generate_program(seed, mkref=mkref, mark_changes=True)
+            if gen.entry is None:
+                continue
+            assert_graph_matches_reference(gen.program, gen.entry)
+            assert_graph_matches_reference(gen.program, gen.main)
+            ran += 1
+    assert ran == 195
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_cha_graph_matches_reference_on_the_bundled_scenarios(name):
+    # Every method as a root, the scenario's entries among them.
+    program, units = scenario_units(load_bundled(name))
+    roots = list(all_methods(program))
+    assert {entry.id for _, entry in units} <= {m.id for m in roots}
+    for root in roots:
+        assert_graph_matches_reference(program, root)
+
+
+def wide_fan_out(k: int) -> str:
+    """`k` implementers of `Node` that call each other through `Node`
+    receivers, as in `deep_hierarchy`, and hand themselves on as arguments,
+    so parameter types widen as more callers reach a method."""
+    lines = ["interface Node {", "  method step();", "  method take(v);", "}"]
+    for i in range(k):
+        lines += [
+            f"class Impl{i} implements Node {{",
+            "  field next: Node;",
+            "  method step() {",
+            "    n = this.next;",
+            "    call n.step();",
+            "    call n.take(this);",
+            "  }",
+            "  method take(v) {",
+            "    call v.step();",
+            f"    w = new Impl{(i + 1) % k}();",
+            "    call w.take(v);",
+            "  }",
+            "}",
+        ]
+    lines += ["class Main {", "  public static method main() {", "    a = new Impl0();", "    call a.take(a);", "  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def _site_of(p, method_ref: str, receiver: str) -> VirtualCall:
+    return next(st for st in iter_stmts(find_method(p, method_ref).body)
+                if isinstance(st, VirtualCall) and st.receiver == receiver)
+
+
+@pytest.mark.parametrize("k", [1, 4, 32])
+def test_cha_graph_matches_reference_on_a_wide_fan_out(k):
+    p = parse_source(wide_fan_out(k))
+    main = find_method(p, "Main.main")
+    assert_graph_matches_reference(p, main)
+    g = build_cha_graph(p, main)
+    # Every step and take is reached, and `v` in each take widens to Node.
+    assert len(g.nodes) == 1 + 2 * k
+    assert g.targets_at(_site_of(p, f"Impl{k - 1}.take", "v").pos) == sorted(f"Impl{i}.step/0" for i in range(k))
+
+
+# `H.h` is first visited with `p` typed X, whose implementers provide no `m`,
+# so `p.m()` falls back to every class providing it. `Main.later` then widens
+# `p` to I, and the second visit resolves only A.m: the site keeps the union.
+NARROWING = (
+    "interface I {\n  method m();\n}\n"
+    "class A implements I {\n  method m() {\n  }\n}\n"
+    "class X implements I {\n}\n"
+    "class C {\n  method m() {\n  }\n}\n"
+    "class H {\n  method h(p) {\n    call p.m();\n  }\n}\n"
+    "class Main {\n"
+    "  public static method main() {\n    x = new X();\n    h = new H();\n    call h.h(x);\n"
+    "    call Main::later();\n  }\n"
+    "  static method later() {\n    a = new A();\n    h = new H();\n    call h.h(a);\n  }\n"
+    "}\n"
+)
+
+
+def test_cha_graph_keeps_targets_of_a_site_that_narrows_on_a_later_visit():
+    p = parse_source(NARROWING)
+    main = find_method(p, "Main.main")
+    assert_graph_matches_reference(p, main)
+    assert build_cha_graph(p, main).targets_at(_site_of(p, "H.h", "p").pos) == ["A.m/0", "C.m/0"]

@@ -144,6 +144,25 @@ def ref_static_field_of(p, cls_name, fname):
     return (hit[0], hit[1].type) if hit is not None else (cls_name, None)
 
 
+def ref_dispatch_targets(p, receiver_type, mname, arity):
+    """The instance methods the implementers of a declared receiver type
+    reach, else those every class reaches; one per id, sorted by id."""
+    if receiver_type is not None and ref_declares(p, receiver_type):
+        found = {}
+        for cls in ref_implementers(receiver_type, p):
+            m = ref_method(p, cls, mname, arity, False)
+            if m is not None:
+                found[m.id] = m
+        if found:
+            return [found[k] for k in sorted(found)]
+    found = {}
+    for c in p.classes:
+        m = ref_method(p, c.name, mname, arity, False)
+        if m is not None:
+            found[m.id] = m
+    return [found[k] for k in sorted(found)]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -199,6 +218,13 @@ def assert_index_matches(p: Program) -> int:
     for fname in field_names + ["noSuchField"]:
         assert h.field_of(None, fname) == ref_field_of(p, None, fname)
         asked += 1
+    signatures = sorted({(m.name, len(m.params)) for m in all_methods(p)}) + [("noSuchMethod", 0)]
+    for recv in probes + [None, "int", "String", f"{probes[0]}[]"]:
+        for mname, arity in signatures:
+            got = h.dispatch_targets(recv, mname, arity)
+            want = ref_dispatch_targets(p, recv, mname, arity)
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+            asked += 1
     return asked
 
 
@@ -281,3 +307,64 @@ def test_memoised_answers_cannot_be_corrupted(fig1_advanced):
     with pytest.raises(TypeError):
         p.hierarchy().methods_by_id()["X.y/0"] = None
     assert implementers_of("Report", p) == {"ReportSimple", "ReportAdvanced"}
+
+
+# ---------------------------------------------------------------------------
+# Virtual dispatch
+
+DISPATCH = (
+    "interface I {\n  method m();\n}\n"
+    "interface Lonely {\n  method m();\n}\n"
+    "class A implements I {\n  method m() {\n  }\n}\n"
+    "class B extends A {\n}\n"
+    "class C {\n  method m() {\n  }\n  method k(x) {\n  }\n}\n"
+)
+
+
+def _ids(methods) -> list[str]:
+    return [m.id for m in methods]
+
+
+def test_dispatch_targets_are_the_receivers_implementers_definitions():
+    h = parse_source(DISPATCH).hierarchy()
+    # B inherits A.m, so it adds no definition of its own.
+    assert _ids(h.dispatch_targets("I", "m", 0)) == ["A.m/0"]
+    assert _ids(h.dispatch_targets("B", "m", 0)) == ["A.m/0"]
+    assert _ids(h.dispatch_targets("C", "k", 1)) == ["C.k/1"]
+
+
+def test_dispatch_targets_are_memoised():
+    h = parse_source(DISPATCH).hierarchy()
+    for recv in ("I", None):
+        first = h.dispatch_targets(recv, "m", 0)
+        assert isinstance(first, tuple)
+        assert h.dispatch_targets(recv, "m", 0) is first
+
+
+def test_dispatch_targets_fall_back_to_every_providing_class():
+    h = parse_source(DISPATCH).hierarchy()
+    # Unknown, undeclared, array and primitive receivers, and an interface
+    # that no class implements.
+    for recv in (None, "Undeclared", "A[]", "int", "String", "Lonely"):
+        assert _ids(h.dispatch_targets(recv, "m", 0)) == ["A.m/0", "C.m/0"]
+    # I's implementers provide no k/1, so every class that does answers.
+    assert _ids(h.dispatch_targets("I", "k", 1)) == ["C.k/1"]
+
+
+def test_dispatch_targets_of_a_method_no_class_provides():
+    h = parse_source(DISPATCH).hierarchy()
+    assert h.dispatch_targets("I", "nosuch", 0) == ()
+    assert h.dispatch_targets(None, "m", 1) == ()
+    assert h.dispatch_targets("Undeclared", "k", 0) == ()
+
+
+def test_dispatch_targets_see_a_class_added_after_a_query():
+    p = parse_source(DISPATCH)
+    assert _ids(p.hierarchy().dispatch_targets("I", "m", 0)) == ["A.m/0"]
+    assert _ids(p.hierarchy().dispatch_targets(None, "m", 0)) == ["A.m/0", "C.m/0"]
+    p.classes.append(
+        ClassDef(name="D", interfaces=("I",), methods=[MethodDef(name="m", params=(), body=[], declaring_class="D")])
+    )
+    assert _ids(p.hierarchy().dispatch_targets("I", "m", 0)) == ["A.m/0", "D.m/0"]
+    assert _ids(p.hierarchy().dispatch_targets(None, "m", 0)) == ["A.m/0", "C.m/0", "D.m/0"]
+    assert_index_matches(p)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import budget
+from conftest import budget, is_closed
 from oadetect.cha import build_cha_graph
 from oadetect.engine import Mode, Verdict, detect
 from oadetect.frontend import parse_source, pretty_print
@@ -15,7 +15,7 @@ from oadetect.mir import (
     iter_stmts,
     subtype_of,
 )
-from oadetect.pointsto import MISS, is_closed, pts_of, solve
+from oadetect.pointsto import MISS, pts_of, solve
 from oadetect.randprog import default_seed, generate_program
 from oadetect.reporting import outcome_record
 

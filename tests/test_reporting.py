@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from conftest import budget
+from conftest import budget, parse_records
 from oadetect.engine import Mode, Verdict, detect
 from oadetect.frontend import parse_source
 from oadetect.mir import find_method
@@ -8,7 +8,6 @@ from oadetect.reporting import (
     build_reports,
     emit_records,
     outcome_record,
-    parse_records,
     render_text,
 )
 
