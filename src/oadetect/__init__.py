@@ -1,6 +1,6 @@
 """Override-assignment merge conflict detection over a small class-based IR."""
 
-from .cha import CallGraph, build_cha_graph, cha_resolve
+from .cha import CallGraph, build_cha_graph
 from .engine import (
     AnalysisBudget,
     AnalysisOutcome,
@@ -36,7 +36,6 @@ __all__ = [
     "Verdict",
     "apply_sidecar",
     "build_cha_graph",
-    "cha_resolve",
     "detect",
     "entry_candidates",
     "enumerate_write_paths",

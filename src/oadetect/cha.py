@@ -79,13 +79,6 @@ class CallGraph:
     nodes: frozenset[str]
     sites: Mapping[Position, tuple[str, tuple[str, ...]]]
 
-    @classmethod
-    def from_edges(cls, roots, nodes, edges) -> "CallGraph":
-        by_site: dict[Position, tuple[str, set[str]]] = {}
-        for e in edges:
-            _add_targets(by_site, e.site, e.caller, (e.target,))
-        return cls(frozenset(roots), frozenset(nodes), _sorted_sites(by_site))
-
     @cached_property
     def edges(self) -> frozenset[CallEdge]:
         return frozenset(
@@ -160,7 +153,7 @@ def type_rule(st: Stmt, h: Hierarchy) -> Optional[tuple]:
     rule: local `target` gets the type `how` finds from `arg`. None when the
     statement binds no local.
 
-    Blocks are not entered. This is the one transfer rule: `transfer_type`
+    Blocks are not entered. This is the one transfer rule: `_scan_sites`
     applies it here and the engine applies it to its lowered statements.
     (Rules are plain tuples because CHA builds one per statement visit.)
     """
@@ -210,12 +203,6 @@ def apply_rule(rule: tuple, env: TypeEnv, h: Hierarchy) -> TypeEnv:
     return out
 
 
-def transfer_type(st: Stmt, env: TypeEnv, h: Hierarchy) -> TypeEnv:
-    """Env after one simple statement (blocks are not entered); see `apply_rule`."""
-    rule = type_rule(st, h)
-    return env if rule is None else apply_rule(rule, env, h)
-
-
 def initial_env(method: MethodDef, param_types=None) -> TypeEnv:
     env: TypeEnv = {}
     for i, name in enumerate(method.params):
@@ -227,12 +214,6 @@ def initial_env(method: MethodDef, param_types=None) -> TypeEnv:
 
 # ---------------------------------------------------------------------------
 # Resolution
-
-
-def cha_resolve(site: VirtualCall, p: Program, receiver_type: Optional[str] = None) -> set[str]:
-    """Possible targets of a virtual call under class-hierarchy resolution;
-    none when no class provides the method."""
-    return {m.id for m in p.hierarchy().dispatch_targets(receiver_type, site.method, len(site.args))}
 
 
 def resolve_static(h: Hierarchy, st: StaticCall) -> MethodDef:
@@ -283,7 +264,9 @@ def _scan_sites(body, env: TypeEnv, sites: dict, h: Hierarchy) -> TypeEnv:
             else:
                 seen[1] = h.lca(seen[1], recv)
                 seen[2] = [h.lca(x, y) for x, y in zip(seen[2], arg_types)]
-        env = transfer_type(st, env, h)
+        rule = type_rule(st, h)
+        if rule is not None:
+            env = apply_rule(rule, env, h)
     return env
 
 

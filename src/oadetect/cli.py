@@ -36,7 +36,7 @@ from .frontend import ProvenanceMap, SourceUnit, read_text
 from .harness import Scenario, load_scenario, run_corpus, run_scenario, scenario_dirs, write_tables
 from .harness import scenario_entries, scenario_program
 from .mir import MirError
-from .pointsto import dump_pts, pa_entry_points, solve
+from .pointsto import dump_pts, solve
 from .reporting import build_reports, emit_records, render_text
 from .stats import InsufficientPairsError, wilcoxon_signed_rank
 
@@ -218,15 +218,13 @@ def cmd_dump_graph(args) -> int:
             raise MirError("an entry is required for the hierarchy-based graph")
         print(build_cha_graph(program, entries[0]).dump(), end="")
     else:
-        result = solve(program, pa_entry_points(program))
-        print(result.callgraph.dump(), end="")
+        print(solve(program).callgraph.dump(), end="")
     return EXIT_FALSE
 
 
 def cmd_dump_pts(args) -> int:
     program = scenario_program(_analyze_scenario(args.sources))
-    result = solve(program, pa_entry_points(program))
-    print(dump_pts(result), end="")
+    print(dump_pts(solve(program)), end="")
     return EXIT_FALSE
 
 

@@ -31,8 +31,8 @@ blocks with it); its frame's env is `cha.initial_env` of the argument types.
 An op holds an opcode and what every visit shares: the method's id, display
 and kind, the call hop and the resolved target or constructor `MethodDef`s, the
 static field's declaring class and type, the written base's points-to set,
-the type rule (`cha.type_rule`, the one transfer rule that
-`cha.transfer_type` applies too) and a template of the write event. A visit
+the type rule (`cha.type_rule`, the one transfer rule, which CHA's typing
+applies too) and a template of the write event. A visit
 adds only what depends on the path: the call path, the provenance inherited
 from it (kept on the frame), and for heap writes the base type and the
 field triple on it. Every field, method, constructor and subtype answer
@@ -78,8 +78,13 @@ Writes reached through a changed call site inherit that side's provenance,
 so a base-code write counts for the developer whose added call executes it.
 Budgets make runs reproducible: a statement-visit fuel and a path cap bound
 the enumeration deterministically, with an optional wall-clock limit on top;
-exhausting any of them yields a TIMEOUT verdict, and the context's
-`stop_reason` names the budget that ran out.
+exhausting any of them yields a TIMEOUT verdict. A budget stop is a value,
+not an exception: the walk sets the context's `stop_reason` to the budget
+that ran out and returns, as the count returns it in `TreeCount.exceeds`.
+
+Outcomes are values too. A miss-reference is an immutable (position,
+expression, reason) tuple; the context collects them in a set, and
+`detect` returns them sorted. Nothing changes an outcome after `detect`.
 
 `count_tree` counts the enumeration tree without walking it: its leaves
 (paths) and op visits, by dynamic programming over the lowered ops (Ball and
@@ -133,7 +138,7 @@ from .mir import (
     VirtualCall,
     While,
 )
-from .pointsto import PointsToResult, pa_entry_points, solve
+from .pointsto import PointsToResult, solve
 
 
 class Mode(Enum):
@@ -221,12 +226,10 @@ class WriteEvent:
         return (SFR, self.static_cls, self.field_name, self.static_type)
 
 
-@dataclass
-class MissRef:
+class MissRef(NamedTuple):
     pos: Position
     expression: str
     reason: str  # "empty-pts" | "unresolved-call"
-    on_conflict_path: bool = False
 
 
 @dataclass
@@ -338,10 +341,6 @@ def _written(ev: WriteEvent) -> str:
 # Detection context and call resolution
 
 
-class _BudgetStop(Exception):
-    pass
-
-
 class DetectionContext:
     def __init__(
         self,
@@ -362,7 +361,7 @@ class DetectionContext:
         self.paths = 0
         # The budget that ran out: "fuel", "path_cap" or "wall_clock".
         self.stop_reason: Optional[str] = None
-        self.missrefs: dict[tuple, MissRef] = {}
+        self.missrefs: set[MissRef] = set()
         self.deadline = (
             time.monotonic() + budget.wall_clock if budget.wall_clock is not None else None
         )
@@ -370,13 +369,6 @@ class DetectionContext:
     @property
     def timed_out(self) -> bool:
         return self.stop_reason is not None
-
-    def stop(self, reason: str) -> None:
-        self.stop_reason = reason
-        raise _BudgetStop()
-
-    def record_missref(self, miss: MissRef) -> None:
-        self.missrefs.setdefault((miss.pos, miss.expression, miss.reason), miss)
 
     def base_pts(self, mid: str, local: str) -> Optional[frozenset]:
         if not self.mode.uses_pts or self.pts is None:
@@ -483,7 +475,7 @@ class _Lowering:
             if isinstance(st, VirtualCall):
                 defs, miss = resolve_call(st, ctx)
                 if miss is not None:
-                    ctx.record_missref(miss)
+                    ctx.missrefs.add(miss)
             else:
                 defs = [resolve_static(ctx.hierarchy, st)]
             op.targets = defs
@@ -640,7 +632,8 @@ class _Enumerator:
     # -- machine
 
     def paths(self) -> Iterator:
-        """Yields `_finish_path()` once per completed path."""
+        """Yields `_finish_path()` once per completed path; when a budget
+        runs out, sets `ctx.stop_reason` and returns."""
         ctx, entry, lowering = self.ctx, self.entry, self.lowering
         h, budget, deadline = ctx.hierarchy, ctx.budget, ctx.deadline
         fuel, path_cap = budget.fuel, budget.path_cap
@@ -653,7 +646,8 @@ class _Enumerator:
                 if frame is None:
                     ctx.paths += 1
                     if ctx.paths > path_cap:
-                        ctx.stop("path_cap")
+                        ctx.stop_reason = "path_cap"
+                        return
                     ctx.visited = visited
                     yield self._finish_path()
                     if not self.choices:
@@ -669,9 +663,11 @@ class _Enumerator:
                     continue
                 visited += 1
                 if visited > fuel:
-                    ctx.stop("fuel")
+                    ctx.stop_reason = "fuel"
+                    return
                 if deadline is not None and visited % 512 == 0 and time.monotonic() > deadline:
-                    ctx.stop("wall_clock")
+                    ctx.stop_reason = "wall_clock"
+                    return
                 op = ops[i]
                 i += 1
                 code = op.code
@@ -954,11 +950,7 @@ def enumerate_write_paths(
     """
     if ctx is None:
         ctx = _make_context(p, entry, mode, budget, cha, pts)
-    gen = _Enumerator(ctx, entry).paths()
-    try:
-        yield from gen
-    except _BudgetStop:
-        return
+    yield from _Enumerator(ctx, entry).paths()
 
 
 def _make_context(p, entry, mode, budget, cha, pts) -> DetectionContext:
@@ -966,7 +958,7 @@ def _make_context(p, entry, mode, budget, cha, pts) -> DetectionContext:
     if mode.uses_cha and cha is None:
         cha = build_cha_graph(p, entry)
     if mode.uses_pts and pts is None:
-        pts = solve(p, pa_entry_points(p))
+        pts = solve(p)
     return DetectionContext(p, mode, budget, cha=cha, pts=pts)
 
 
@@ -1039,7 +1031,7 @@ class _Scanner(_Enumerator):
                 continue
             _, _, overridden, misses = trail[i]
             for miss in misses:
-                ctx.record_missref(miss)
+                ctx.missrefs.add(miss)
             if overridden is not None:
                 c = Conflict(w.element_text(), overridden=overridden, overriding=w)
                 self.conflicts.setdefault(c.key, c)
@@ -1088,10 +1080,7 @@ def detect(
     if verdict_only:
         ctx.stop_reason = _count_tree(scanner.lowering, entry).exceeds
     if not ctx.timed_out:
-        try:
-            for _ in scanner.paths():
-                pass
-        except _BudgetStop:
+        for _ in scanner.paths():
             pass
 
     if ctx.timed_out:
@@ -1110,7 +1099,7 @@ def detect(
             c.overriding.pos,
         ),
     )
-    missrefs = [ctx.missrefs[k] for k in sorted(ctx.missrefs)]
+    missrefs = sorted(ctx.missrefs)
     elapsed = (time.perf_counter() - started) * 1000.0 if budget.wall_clock is not None else 0.0
     stats = OutcomeStats(visited=ctx.visited, paths=ctx.paths, elapsed_ms=elapsed)
     return AnalysisOutcome(verdict=verdict, conflicts=ordered, missrefs=missrefs, stats=stats)

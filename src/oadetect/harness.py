@@ -13,8 +13,8 @@ id maps to its result under each mode, units in run order. The table
 builders mirror the usual comparison methodology: a confusion matrix against
 labels (a unit that times out under any evaluated mode is excluded from
 every mode's scores), derived accuracy metrics, a verdict-transition
-cross-tab between two modes, a per-project divergence histogram, and paired
-timing summaries.
+cross-tab between two modes, a per-project divergence histogram, and
+per-unit timing means.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .cha import build_cha_graph
 from .engine import AnalysisBudget, AnalysisOutcome, Mode, Verdict, detect
 from .frontend import ProvenanceMap, SourceUnit, apply_sidecar, entry_candidates, parse_program, read_text
 from .mir import MethodDef, MirError, Program, find_method
-from .pointsto import pa_entry_points, solve
+from .pointsto import solve
 from .reporting import emit_records
 
 
@@ -192,7 +192,7 @@ def run_scenario(
 
     needs_pts = any(m.uses_pts for m in modes)
     needs_cha = any(m.uses_cha for m in modes)
-    pts = solve(program, pa_entry_points(program)) if needs_pts else None
+    pts = solve(program) if needs_pts else None
 
     out: list[UnitResult] = []
     for unit_id, entry in units:
@@ -367,64 +367,19 @@ class TimingRow:
     flagged: bool  # standard deviation above 10% of the mean
 
 
-@dataclass
-class TimingSummary:
-    rows: list[TimingRow]
-    grand_mean_ms: dict[Mode, float]
-    winner_counts: dict[Mode, int]
-
-
-def timing_summary(samples: dict[str, dict[Mode, list[float]]]) -> TimingSummary:
-    """Per-unit means/deviations, per-mode grand means, and per-unit winners."""
+def timing_summary(samples: dict[str, dict[Mode, list[float]]]) -> list[TimingRow]:
+    """Per-unit, per-mode means and standard deviations, units in order."""
     reps = {len(s) for per_mode in samples.values() for s in per_mode.values()}
     if len(reps) > 1:
         raise MirError(f"unequal repetition counts across units: {sorted(reps)}")
     rows: list[TimingRow] = []
-    per_mode_means: dict[Mode, list[float]] = {}
-    winner_counts: dict[Mode, int] = {}
     for unit in samples:
-        unit_means: dict[Mode, float] = {}
         for mode, values in samples[unit].items():
             m = mean(values)
             sd = stdev(values) if len(values) > 1 else 0.0
             flagged = m > 0 and sd / m > 0.10
             rows.append(TimingRow(unit, mode, m, sd, flagged))
-            unit_means[mode] = m
-            per_mode_means.setdefault(mode, []).append(m)
-        if len(unit_means) > 1:
-            winner = min(sorted(unit_means, key=lambda mo: mo.value), key=lambda mo: unit_means[mo])
-            winner_counts[winner] = winner_counts.get(winner, 0) + 1
-    grand = {mode: mean(values) for mode, values in per_mode_means.items()}
-    return TimingSummary(rows, grand, winner_counts)
-
-
-def annotate_missref_paths(run: CorpusRun) -> list[dict]:
-    """For units `pa` cleared but `nopa` flagged, mark whether any
-    miss-reference sits on a reported conflict flow."""
-    enriched = []
-    for unit, per_mode in run.by_unit().items():
-        if Mode.NOPA not in per_mode or Mode.PA not in per_mode:
-            continue
-        a, b = per_mode[Mode.NOPA], per_mode[Mode.PA]
-        if a.verdict is not Verdict.TRUE or b.verdict is not Verdict.FALSE:
-            continue
-        trace_positions = set()
-        for c in a.outcome.conflicts:
-            for ev in (c.overridden, c.overriding):
-                trace_positions.update(h.pos for h in ev.call_path)
-                trace_positions.add(ev.pos)
-        on_path = False
-        for miss in b.outcome.missrefs:
-            miss.on_conflict_path = miss.pos in trace_positions
-            on_path = on_path or miss.on_conflict_path
-        enriched.append(
-            {
-                "unit": unit,
-                "missrefs": len(b.outcome.missrefs),
-                "on_conflict_path": on_path,
-            }
-        )
-    return enriched
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +461,7 @@ def write_tables(run: CorpusRun, modes: list[Mode], outdir: Path) -> None:
         w = csv.writer(fh)
         w.writerow(["unit", "mode", "mean_ms", "stddev_ms", "flagged"])
         samples = {u: {m: r.timings_ms for m, r in per_mode.items()} for u, per_mode in per_unit.items()}
-        for row in timing_summary(samples).rows:
+        for row in timing_summary(samples):
             w.writerow(
                 [row.unit, row.mode.value, f"{row.mean_ms:.3f}", f"{row.stddev_ms:.3f}", str(row.flagged).lower()]
             )

@@ -29,7 +29,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .cha import CallEdge, CallGraph
+from .cha import CallGraph, _add_targets, _sorted_sites
 from .mir import (
     AllocAssign,
     ArrayAlloc,
@@ -143,7 +143,8 @@ class _Solver:
         self.stores: dict[Var, set[tuple[Optional[str], Var]]] = defaultdict(set)
         self.vcalls: dict[Var, list[tuple[str, VirtualCall]]] = defaultdict(list)
         self.dispatched: set[tuple[Position, int]] = set()
-        self.edges: set[CallEdge] = set()
+        # call site -> (caller id, target ids), as `cha.build_cha_graph` keeps it
+        self.by_site: dict[Position, tuple[str, set[str]]] = {}
         self.reachable: set[str] = set()
         self.method_queue: deque[str] = deque()
         self.var_queue: deque[Var] = deque()
@@ -232,7 +233,7 @@ class _Solver:
         return ("s", self.h.static_field_of(cls, fname)[0], fname)
 
     def _bind_call(self, pos, caller_mid, target: MethodDef, this_sites, args, result) -> None:
-        self.edges.add(CallEdge(pos, caller_mid, target.id))
+        _add_targets(self.by_site, pos, caller_mid, (target.id,))
         self.make_reachable(target.id)
         if this_sites is not None and not target.static:
             self.add_pts(self.local(target.id, "this"), set(this_sites))
@@ -300,7 +301,8 @@ def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResu
     solver.run()
 
     entry_ids = tuple(m.id for m in entries)
-    graph = CallGraph.from_edges(entry_ids, solver.reachable | set(entry_ids), solver.edges)
+    graph = CallGraph(frozenset(entry_ids), frozenset(solver.reachable | set(entry_ids)),
+                      _sorted_sites(solver.by_site))
 
     # Every virtual call of a reachable method is in `vcalls`; those that
     # never dispatched have no edge.

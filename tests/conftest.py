@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from oadetect.engine import AnalysisBudget, Mode
+from oadetect.cha import CallGraph, _add_targets, _sorted_sites
+from oadetect.engine import AnalysisBudget, Mode, Verdict
 from oadetect.harness import load_bundled, scenario_units
 from oadetect.pointsto import _Solver
 
@@ -21,22 +22,62 @@ def parse_records(text: str) -> list[dict]:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
+def call_graph_from_edges(roots, nodes, edges) -> CallGraph:
+    """The call graph of `CallEdge`s, kept per site as the builders keep it;
+    a site with two callers raises MirError."""
+    by_site: dict = {}
+    for e in edges:
+        _add_targets(by_site, e.site, e.caller, (e.target,))
+    return CallGraph(frozenset(roots), frozenset(nodes), _sorted_sites(by_site))
+
+
 def is_closed(p, r) -> bool:
     """Whether one more application of every points-to constraint adds
     nothing to the solve result `r`.
 
-    A solver is seeded with the result's sets, call edges and reachable
+    A solver is seeded with the result's sets, call sites and reachable
     methods, and the constraints of every reachable method are added once;
-    the result is closed when no set, call edge or reachable method grows.
+    the result is closed when no set, call target or reachable method grows.
     """
     solver = _Solver(p, [])
     for var, sids in r.pts.items():
         solver.pts[var] = set(sids)
-    solver.edges = set(r.callgraph.edges)
+    solver.by_site = {pos: (caller, set(ids)) for pos, (caller, ids) in r.callgraph.sites.items()}
     solver.reachable = set(r.callgraph.nodes)
     for mid in r.callgraph.nodes:
         solver.process_method(mid)
-    return not solver.var_queue and not solver.method_queue and solver.edges == r.callgraph.edges
+    return (not solver.var_queue and not solver.method_queue
+            and _sorted_sites(solver.by_site) == r.callgraph.sites)
+
+
+def annotate_missref_paths(run) -> list[dict]:
+    """For each unit of corpus run `run` that `pa` cleared but `nopa`
+    flagged: its `pa` miss-references, and those that sit on a position of
+    a `nopa` conflict flow (a write or a call on its call path).
+
+    Each unit gives {"unit", "missrefs" (the count), "on_path" (the misses
+    on a flow, in `pa`'s order), "on_conflict_path" (whether there are any)}.
+    """
+    enriched = []
+    for unit, per_mode in run.by_unit().items():
+        if Mode.NOPA not in per_mode or Mode.PA not in per_mode:
+            continue
+        a, b = per_mode[Mode.NOPA], per_mode[Mode.PA]
+        if a.verdict is not Verdict.TRUE or b.verdict is not Verdict.FALSE:
+            continue
+        trace_positions = set()
+        for c in a.outcome.conflicts:
+            for ev in (c.overridden, c.overriding):
+                trace_positions.update(h.pos for h in ev.call_path)
+                trace_positions.add(ev.pos)
+        on_path = [m for m in b.outcome.missrefs if m.pos in trace_positions]
+        enriched.append({
+            "unit": unit,
+            "missrefs": len(b.outcome.missrefs),
+            "on_path": on_path,
+            "on_conflict_path": bool(on_path),
+        })
+    return enriched
 
 
 def load_scenario_program(name: str):

@@ -13,13 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import budget, load_scenario_program
+from conftest import annotate_missref_paths, budget, load_scenario_program
 from oadetect.cha import build_cha_graph
 from oadetect.cli import main
 from oadetect.engine import Mode, Verdict, detect
 from oadetect.harness import (
     ConfusionMatrix,
-    annotate_missref_paths,
     bundled_corpus_dir,
     divergence_histogram,
     load_bundled,

@@ -4,15 +4,14 @@ from collections import deque
 
 import pytest
 
+from conftest import call_graph_from_edges
 from oadetect import cha
 from oadetect.cha import (
     CallEdge,
-    CallGraph,
     ResolutionError,
+    apply_rule,
     build_cha_graph,
-    cha_resolve,
     initial_env,
-    transfer_type,
     type_rule,
 )
 from oadetect.frontend import parse_source
@@ -29,10 +28,15 @@ def _site(p, method_ref, line=None) -> VirtualCall:
     return sites[0]
 
 
+def _dispatch_ids(site: VirtualCall, p, receiver_type=None) -> set[str]:
+    """The ids of a virtual call's class-hierarchy targets."""
+    return {m.id for m in p.hierarchy().dispatch_targets(receiver_type, site.method, len(site.args))}
+
+
 def test_resolve_interface_receiver_covers_all_implementers(fig1_advanced):
     p, entry = fig1_advanced
     site = _site(p, "Text.generateReport", line=8)
-    targets = cha_resolve(site, p, receiver_type="Report")
+    targets = _dispatch_ids(site, p, receiver_type="Report")
     assert targets == {
         "ReportSimple.countDupWords/0",
         "ReportAdvanced.countDupWords/0",
@@ -42,20 +46,21 @@ def test_resolve_interface_receiver_covers_all_implementers(fig1_advanced):
 def test_resolve_leaf_class_receiver(fig1_advanced):
     p, _ = fig1_advanced
     site = _site(p, "Text.generateReport", line=8)
-    assert cha_resolve(site, p, receiver_type="ReportSimple") == {
+    assert _dispatch_ids(site, p, receiver_type="ReportSimple") == {
         "ReportSimple.countDupWords/0"
     }
 
 
-def test_cha_resolve_is_the_set_of_dispatch_target_ids(fig1_advanced):
+def test_dispatch_targets_are_method_defs_sorted_by_id(fig1_advanced):
     p, _ = fig1_advanced
     site = _site(p, "Text.generateReport", line=8)
     h = p.hierarchy()
     for recv in (None, "Report", "ReportSimple", "int", "Undeclared"):
-        got = cha_resolve(site, p, receiver_type=recv)
-        assert isinstance(got, set)
-        assert got == {m.id for m in h.dispatch_targets(recv, site.method, len(site.args))}
-    assert cha_resolve(site, p) == cha_resolve(site, p, receiver_type=None)
+        got = h.dispatch_targets(recv, site.method, len(site.args))
+        assert isinstance(got, tuple)
+        ids = [m.id for m in got]
+        assert ids == sorted(set(ids))
+        assert all(h.methods_by_id()[m.id] is m for m in got)
 
 
 THREE_LEVEL = """
@@ -83,7 +88,7 @@ def test_resolve_three_level_hierarchy_with_inherited_definitions():
     p = parse_source(THREE_LEVEL)
     site = _site(p, "Use.u")
     # B inherits C.m, so receiver type C yields the two definitions only.
-    assert cha_resolve(site, p, receiver_type="C") == {"A.m/0", "C.m/0"}
+    assert _dispatch_ids(site, p, receiver_type="C") == {"A.m/0", "C.m/0"}
 
 
 def test_resolve_unknown_method_has_no_targets():
@@ -96,8 +101,8 @@ def test_resolve_unknown_method_has_no_targets():
         "  method v() {\n    call A::nosuch();\n  }\n}\n",
         validate=False,
     )
-    assert cha_resolve(_site(p, "A.u", line=6), p) == set()
-    assert cha_resolve(_site(p, "A.u", line=8), p, receiver_type="I") == set()
+    assert _dispatch_ids(_site(p, "A.u", line=6), p) == set()
+    assert _dispatch_ids(_site(p, "A.u", line=8), p, receiver_type="I") == set()
     assert build_cha_graph(p, find_method(p, "A.u")).edges == set()
     with pytest.raises(ResolutionError, match="nosuch"):
         build_cha_graph(p, find_method(p, "A.v"))
@@ -251,8 +256,9 @@ def test_transfer_rule_per_statement_kind():
     env = initial_env(m)
     h = p.hierarchy()
     for st in m.body:
-        after = transfer_type(st, env, h)
-        if type_rule(st, h) is None:
+        rule = type_rule(st, h)
+        after = env if rule is None else apply_rule(rule, env, h)
+        if rule is None:
             assert after is env  # a store binds nothing and shares the env
         env = after
     assert env == {
@@ -487,14 +493,14 @@ def test_call_graph_surface(kind, scenario, request):
     nowhere = Position("nowhere.mir", 0)
     assert not g.has_site(nowhere) and g.targets_at(nowhere) == []
     assert g.dump() == "".join(f"{e.caller}\t{e.site}\t{e.target}\n" for e in sorted(edges))
-    assert CallGraph.from_edges(g.roots, g.nodes, edges) == g
+    assert call_graph_from_edges(g.roots, g.nodes, edges) == g
 
 
 def test_call_graph_from_edges_keeps_one_caller_per_site():
     pos = Position("t.mir", 3)
-    g = CallGraph.from_edges({"A.r/0"}, {"A.r/0", "B.m/0", "C.m/0"},
+    g = call_graph_from_edges({"A.r/0"}, {"A.r/0", "B.m/0", "C.m/0"},
                              [CallEdge(pos, "A.r/0", "C.m/0"), CallEdge(pos, "A.r/0", "B.m/0")])
     assert g.sites == {pos: ("A.r/0", ("B.m/0", "C.m/0"))}
-    assert CallGraph.from_edges((), (), []).edges == frozenset()
+    assert call_graph_from_edges((), (), []).edges == frozenset()
     with pytest.raises(MirError, match="share position"):
-        CallGraph.from_edges((), (), [CallEdge(pos, "A.r/0", "B.m/0"), CallEdge(pos, "D.s/0", "B.m/0")])
+        call_graph_from_edges((), (), [CallEdge(pos, "A.r/0", "B.m/0"), CallEdge(pos, "D.s/0", "B.m/0")])

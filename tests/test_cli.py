@@ -510,6 +510,19 @@ def test_analyze_entry_with_bad_arity_exits_3(capsys):
     _assert_one_line_usage_error(code, capsys.readouterr(), "bad arity in method reference 'Text.m/x'")
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("Nope.m", "unknown class 'Nope'"),
+    ("A.nope", "no method 'nope' in class 'A'"),
+    ("A.m/3", "no method 'm' in class 'A'"),
+    ("A.m", "ambiguous method 'A.m', give an arity as 'A.m/N'"),
+])
+def test_analyze_entry_that_names_no_single_method_exits_3(entry, message, tmp_path, capsys):
+    src = tmp_path / "a.mir"
+    src.write_text("class A {\n  method m() {\n    x = 1 @L;\n  }\n  method m(a) {\n    x = a @R;\n  }\n}\n")
+    code = main(["analyze", "--deterministic", "--entry", entry, str(src)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), f"error: {message}\n")
+
+
 def test_analyze_manifest_entry_with_bad_arity_exits_3(tmp_path, capsys):
     d = _scenario_dir(tmp_path, '{"id": "s", "sources": ["a.mir"], "entry": "A.m/one"}')
     code = main(["analyze", "--deterministic", "--mode", "nopa", str(d)])
@@ -598,6 +611,36 @@ def test_corpus_wilcoxon_pairs_are_unit_mean_timings_of_the_first_two_modes(tmp_
     units = list(dict.fromkeys(r.unit for r in run.results))
     assert units == ["deep-hierarchy", "fig1_advanced", "fig1_simple", "mkref"]
     assert pairs == [[(mean_timing(u, Mode.PA), mean_timing(u, Mode.HYBRID)) for u in units]]
+
+
+def test_corpus_prints_the_wilcoxon_result_line(tmp_path, capsys, monkeypatch):
+    # Six one-unit scenarios; their timings are set after the run, so the
+    # test pair (unit mean under nopa, under pa) is known.
+    from oadetect.stats import wilcoxon_signed_rank
+
+    root = tmp_path / "root"
+    for i in range(6):
+        d = root / f"s{i}"
+        d.mkdir(parents=True)
+        (d / "a.mir").write_text("class A {\n  method m() {\n    x = 1 @L;\n    x = 2 @R;\n  }\n}\n")
+        (d / "scenario.json").write_text(f'{{"id": "s{i}", "sources": ["a.mir"]}}')
+    timings = {"nopa": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "pa": [2.5, 2.0, 1.0, 7.0, 9.5, 12.0]}
+    run_corpus = cli.run_corpus
+
+    def timed_run(*args, **kwargs):
+        run = run_corpus(*args, **kwargs)
+        for r in run.results:
+            r.timings_ms = [timings[r.mode.value][int(r.unit[1:])]] * 2
+        return run
+
+    monkeypatch.setattr(cli, "run_corpus", timed_run)
+    code = main(["corpus", "--reps", "2", "--root", str(root), "--out", str(tmp_path / "out")])
+    assert code == 1
+    res = wilcoxon_signed_rank(list(zip(timings["nopa"], timings["pa"])))
+    assert res.n == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == f"wilcoxon W={res.w} p={res.p_value:.4f} n=5"
+    assert lines[-1] == f"tables written to {tmp_path / 'out'}"
 
 
 # Bytes that are not UTF-8 used to end in a UnicodeDecodeError traceback

@@ -68,8 +68,7 @@ def same_element(a: WriteEvent, b: WriteEvent, mode: Mode, ctx: DetectionContext
     if a.kind == LV or a.kind == SFR:
         return a.element_key() == b.element_key()
     res = compare_heap(a, b, mode, ctx.hierarchy)
-    for miss in res.missrefs:
-        ctx.record_missref(miss)
+    ctx.missrefs.update(res.missrefs)
     return res.match
 
 

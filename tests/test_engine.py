@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import ALL_MODES, CONFLICT_THEN_FORKS, RETURN_IN_BLOCKS, _nested_calls, budget
+from conftest import ALL_MODES, CONFLICT_THEN_FORKS, NESTED_CALLS, RETURN_IN_BLOCKS, _nested_calls, budget
 from oadetect.cha import build_cha_graph, resolve_static
 from oadetect.engine import (
     AnalysisBudget,
@@ -13,6 +13,7 @@ from oadetect.engine import (
     Verdict,
     WriteEvent,
     compare_heap,
+    count_tree,
     detect,
     enumerate_write_paths,
     resolve_call,
@@ -208,6 +209,19 @@ def test_ar_pa_disjoint_sites(ctx):
     a = _ar(1, "arr1", "D[]", "i", pts=frozenset({0}))
     b = _ar(2, "arr2", "D[]", "i", pts=frozenset({1}))
     assert not compare_heap(a, b, Mode.PA, ctx.hierarchy).match
+
+
+def test_nopa_bases_of_array_or_undeclared_types(ctx):
+    # A base of type `T[][]` holds arrays, which no class type relates to;
+    # an undeclared type relates only to itself.
+    h = ctx.hierarchy
+    assert compare_heap(_ar(1, "a", "D[]", 0), _ar(2, "b", "A[]", 0), Mode.NOPA, h).match
+    assert not compare_heap(_ar(1, "a", "D[][]", 0), _ar(2, "b", "D[]", 0), Mode.NOPA, h).match
+    assert not compare_heap(_ar(1, "a", "D[]", 0), _ar(2, "b", "D[][]", 0), Mode.NOPA, h).match
+    assert compare_heap(_ar(1, "a", "D[][]", 0), _ar(2, "b", "D[][]", 0), Mode.NOPA, h).match
+    assert not compare_heap(_ifr(1, "a", "Nope"), _ifr(2, "b", "D"), Mode.NOPA, h).match
+    assert not compare_heap(_ifr(1, "a", "D"), _ifr(2, "b", "Nope"), Mode.NOPA, h).match
+    assert compare_heap(_ifr(1, "a", "Nope"), _ifr(2, "b", "Nope"), Mode.NOPA, h).match
 
 
 def test_ar_constant_vs_local_index_is_eligible(ctx):
@@ -486,6 +500,21 @@ def test_wall_clock_budget_times_out(deep_hierarchy):
     p, entry = deep_hierarchy
     out = detect(p, entry, Mode.NOPA, budget=AnalysisBudget(wall_clock=0.0))
     assert out.verdict is Verdict.TIMEOUT
+
+
+def test_count_stops_on_the_wall_clock():
+    # 1 201 paths and 1 214 visits in all; the count checks the clock every
+    # 512 steps, and a clock of 0 s has run out by the first check. The
+    # counts are then those of the part it was in, lower bounds.
+    p = parse_source(NESTED_CALLS)
+    entry = find_method(p, "Main.m0")
+    count = count_tree(p, entry, AnalysisBudget(wall_clock=0.0))
+    assert count.exceeds == "wall_clock"
+    assert count.paths <= 1201 and count.visits <= 1214
+    assert count_tree(p, entry, budget()) == (1201, 1214, None)
+    out = detect(p, entry, Mode.NOPA, budget=AnalysisBudget(wall_clock=0.0), verdict_only=True)
+    assert out.verdict is Verdict.TIMEOUT
+    assert (out.stats.paths, out.stats.visited, out.conflicts) == (0, 0, [])
 
 
 def _drained(p, entry, bud: AnalysisBudget) -> DetectionContext:

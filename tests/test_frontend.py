@@ -286,6 +286,38 @@ def test_pretty_print_round_trip_is_fixpoint(scenario):
     assert text1 == text2
 
 
+EXTENDS_AND_STATIC_CALLS = """interface I {
+  method m();
+}
+interface J extends I {
+  method n(a);
+}
+class C implements J {
+  field items: C[];
+  field static all: C[];
+  method m() {
+    x = C::mk(1);
+    call C::mk(2) @L;
+  }
+  method n(a) {
+  }
+  static method mk(v) {
+    return v;
+  }
+}
+"""
+
+
+def test_array_typed_fields_interface_extends_and_static_calls_round_trip():
+    p = parse_source(EXTENDS_AND_STATIC_CALLS)
+    h = p.hierarchy()
+    assert h.field_of("C", "items") == ("C", "C[]")
+    assert h.static_field_of("C", "all") == ("C", "C[]")
+    assert h.supertypes("J") == {"I", "J"}
+    assert pretty_print(p) == EXTENDS_AND_STATIC_CALLS
+    assert pretty_print(parse_source(pretty_print(p))) == EXTENDS_AND_STATIC_CALLS
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [

@@ -79,6 +79,35 @@ class Main {
     assert all(target != "A.pick/0" for _, target in trace.dispatches)
 
 
+STATIC_CALL = """
+class A {
+  field static g: int;
+  static method make(v) {
+    A::g = v;
+    o = new A();
+    return o;
+  }
+}
+class Main {
+  public static method main() {
+    a = A::make(3);
+    call A::make(4) @R;
+  }
+}
+"""
+
+
+def test_static_call_runs_the_callee_and_binds_its_result():
+    p = parse_source(STATIC_CALL)
+    trace = interpret(p, find_method(p, "Main.main"))
+    assert not trace.halted and trace.dispatches == []
+    # Each call binds the callee's allocation; only the first has a result.
+    assert trace.bindings == [("A.make/1", "o", 0), ("Main.main/0", "a", 0), ("A.make/1", "o", 0)]
+    statics = [(w.key, w.pos.line, w.provenance) for w in trace.writes if w.kind == "SFR"]
+    # The callee's write inherits the provenance of the changed call.
+    assert statics == [(("A", "g"), 5, Provenance.BASE), (("A", "g"), 5, Provenance.RIGHT)]
+
+
 def _oracle_conflict(trace) -> bool:
     """Concrete mirror of the override rule over the recorded write trace."""
     for i, w in enumerate(trace.writes):

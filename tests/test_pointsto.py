@@ -4,8 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import is_closed
-from oadetect.cha import CallGraph
+from conftest import call_graph_from_edges, is_closed
 from oadetect.frontend import parse_source
 from oadetect.mir import MirError, find_method
 from oadetect.pointsto import (
@@ -164,9 +163,9 @@ def test_is_closed_sees_a_missing_call_edge_or_method(fig1_simple):
     r = solve(p)
     edge = next(e for e in sorted(r.callgraph.edges) if e.target == "ReportSimple.countDupWords/0")
     g = r.callgraph
-    fewer_edges = CallGraph.from_edges(g.roots, g.nodes, g.edges - {edge})
+    fewer_edges = call_graph_from_edges(g.roots, g.nodes, g.edges - {edge})
     assert not is_closed(p, replace(r, callgraph=fewer_edges))
-    fewer_nodes = CallGraph.from_edges(g.roots, g.nodes - {edge.target}, g.edges)
+    fewer_nodes = call_graph_from_edges(g.roots, g.nodes - {edge.target}, g.edges)
     assert not is_closed(p, replace(r, callgraph=fewer_nodes))
 
 
@@ -191,6 +190,28 @@ def test_dump_lists_miss_section(mkref_scenario):
     text = dump_pts(solve(p))
     assert "#MISS" in text
     assert "TextR.mir:9\tunresolved-call" in text
+
+
+def test_dump_renders_every_kind_of_variable():
+    src = (
+        "class A {\n  field f: A;\n  field static s: A;\n"
+        "  method get() {\n    r = new A();\n    return r;\n  }\n}\n"
+        "class Main {\n  public static method main() {\n"
+        "    a = new A();\n    a.f = a;\n    arr = newarr A 1;\n    arr[0] = a;\n"
+        "    A::s = a;\n    x = a.get();\n  }\n}\n"
+    )
+    # Sites: 0 `new A()` in A.get, 1 `new A()` and 2 `newarr` in Main.main.
+    assert dump_pts(solve(parse_source(src))) == (
+        "A.get/0::r\t{0}\n"
+        "A.get/0::this\t{1}\n"
+        "A::s\t{1}\n"
+        "Main.main/0::a\t{1}\n"
+        "Main.main/0::arr\t{2}\n"
+        "Main.main/0::x\t{0}\n"
+        "return:A.get/0\t{0}\n"
+        "site1.f\t{1}\n"
+        "site2[*]\t{1}\n"
+    )
 
 
 def test_array_slots_are_smashed():
