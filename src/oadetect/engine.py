@@ -28,16 +28,19 @@ The enumerator steps over a lowered form, not over statements. Each
 `MethodDef` it enters is lowered once per `detect` or `enumerate_write_paths`
 call, on first entry, into a list of ops kept by its id (nested `if`/`while`
 blocks with it); its frame's env is `cha.initial_env` of the argument types.
-An op holds an opcode and what every visit shares: the method's id, display
-and kind, the call hop and the resolved target or constructor `MethodDef`s, the
-static field's declaring class and type, the written base's points-to set,
-the type rule (`cha.type_rule`, the one transfer rule, which CHA's typing
-applies too) and a template of the write event. A visit
-adds only what depends on the path: the call path, the provenance inherited
-from it (kept on the frame), and for heap writes the base type and the
-field triple on it. Every field, method, constructor and subtype answer
-comes from the program's `Hierarchy`, which the detection context takes
-once, as CHA and the points-to solver do.
+There are five ops: a local or static write, a heap write, a call, a branch
+(`if` or `while`) and a return. An allocation `x = new C(args)` is a call
+whose one target is `C`'s constructor, as CHA, the points-to solver and the
+interpreter take it; its op also writes `x` first. An op holds an opcode and
+what every visit shares: the method's id, display and kind, the call hop and
+the resolved target `MethodDef`s, the static field's declaring class and
+type, the written base's points-to set, the type rule (`cha.type_rule`, the
+one transfer rule, which CHA's typing applies too) and a template of the
+write event. A visit adds only what depends on the path: the call path, the
+provenance inherited from it (kept on the frame), and for heap writes the
+base type and the field triple on it. Every field, method, constructor and
+subtype answer comes from the program's `Hierarchy`, which the detection
+context takes once, as CHA and the points-to solver do.
 
 The machine's state is three values: a frame, the index of its next op, and
 the env. Frames are immutable links to the frame they resume, and envs are
@@ -88,21 +91,22 @@ expression, reason) tuple; the context collects them in a set, and
 
 `count_tree` counts the enumeration tree without walking it: its leaves
 (paths) and op visits, by dynamic programming over the lowered ops (Ball and
-Larus's path counting). It follows the enumerator's rules: call targets, the
-depth cut, the recursion cut with completing the call first, constructor
-inlining, `return` ending the method or the root path, and a loop run zero
-times or once. Targets and constructors are resolved per op, not per env,
-so a body's subtree depends only on its method id, call depth and the ids on
-its call stack, and one count per such key serves every visit; at the depth
-limit the stack ids drop out of the key. The count walks with an explicit
-stack and shares the enumerator's `_Lowering`. Every way out of a counted
-part leads to at least one leaf, so the first part with more paths than the
-path cap or more visits than the fuel proves that the enumerator runs out
-of that budget, and the count stops there (it saturates). Otherwise its
-counts equal the enumerator's `paths` and `visited`. `detect(...,
-verdict_only=True)` counts first and returns TIMEOUT on an excess without
-enumerating; a validated program has no unresolvable static call, the one
-error the enumerator could otherwise raise mid-walk.
+Larus's path counting). It follows the enumerator's rules: call targets
+(an allocation's constructor among them), the depth cut, the recursion cut
+with completing the call first, `return` ending the method or the root
+path, and a loop run zero times or once. Targets are resolved per op, not
+per env, so a body's subtree depends only on its method id, call depth and
+the ids on its call stack, and one count per such key serves every visit;
+at the depth limit the stack ids drop out of the key. The count walks with
+an explicit stack and shares the enumerator's `_Lowering`, so the walk and
+the count share one call rule, `_Lowering.call_alts`. Every way out of a
+counted part leads to at least one leaf, so the first part with more paths
+than the path cap or more visits than the fuel proves that the enumerator
+runs out of that budget, and the count stops there (it saturates).
+Otherwise its counts equal the enumerator's `paths` and `visited`.
+`detect(..., verdict_only=True)` counts first and returns TIMEOUT on an
+excess without enumerating; a validated program has no unresolvable static
+call, the one error the enumerator could otherwise raise mid-walk.
 """
 
 from __future__ import annotations
@@ -350,7 +354,6 @@ class DetectionContext:
         cha: Optional[CallGraph] = None,
         pts: Optional[PointsToResult] = None,
     ):
-        self.program = program
         self.hierarchy = program.hierarchy()
         self.mode = mode
         self.budget = budget
@@ -409,7 +412,7 @@ def resolve_call(st: VirtualCall, ctx: DetectionContext):
 # fields, which skips the frozen dataclass's per-field `__init__`; equality
 # and hash read the same fields either way.
 
-_WRITE, _HEAP, _ALLOC, _CALL, _IF, _WHILE, _RETURN = range(7)
+_WRITE, _HEAP, _CALL, _BRANCH, _RETURN = range(5)
 
 _EVENT_FIELDS = tuple(f.name for f in dc_fields(WriteEvent))
 
@@ -420,17 +423,20 @@ class _Op:
     _WRITE   an LV or SFR write: `template`, its element `key`, and the
              type `rule` (None for a static store)
     _HEAP    an IFR or AR write: `template`, `base` and, for IFR, `field`
-    _ALLOC   the LV write of an allocation, as _WRITE, then `hop` and `ctor`
-    _CALL    `hop`, and `targets` with the frozenset of their ids,
-             `target_ids` (both resolved on first visit); `result` is the
-             _WRITE op of the result local, or None
-    _IF, _WHILE  `alts`, the blocks the choice point tries in order: the
-             then and else blocks, or None (skip the loop) and the body
+    _CALL    a call or an allocation: `hop`, and `targets` with the
+             frozenset of their ids, `target_ids` (both resolved on first
+             visit; an allocation's one target is its class's constructor);
+             `result` is the _WRITE op of a call's result local, or None; an
+             allocation carries its LV write as _WRITE does, made before
+             the call
+    _BRANCH  an `if` or `while`: `alts`, the blocks the choice point tries
+             in order: the then and else blocks, or None (skip the loop)
+             and the body
     _RETURN  nothing
     """
 
     __slots__ = ("code", "st", "prov", "template", "key", "rule", "base", "field",
-                 "ctor", "hop", "targets", "target_ids", "result", "alts")
+                 "hop", "targets", "target_ids", "result", "alts")
 
     def __init__(self, code: int, st):
         self.code = code
@@ -439,7 +445,7 @@ class _Op:
         # BASE call enters, take the provenance their path inherits.
         self.prov = st.provenance if st.provenance is not Provenance.BASE else None
         self.template = self.key = self.rule = self.base = self.field = None
-        self.ctor = self.hop = self.targets = self.target_ids = self.result = self.alts = None
+        self.hop = self.targets = self.target_ids = self.result = self.alts = None
 
 
 def _instantiate(template: dict, call_path: tuple, provenance: Provenance) -> WriteEvent:
@@ -464,23 +470,26 @@ class _Lowering:
             ops = self.lowered[m.id] = self.block(m.body, m)
         return ops
 
-    def targets(self, op: _Op) -> list[MethodDef]:
-        """A call op's targets, resolved on its first visit.
+    def resolve_targets(self, op: _Op) -> list[MethodDef]:
+        """Resolves a call op's targets, on its first visit: an allocation's
+        are its class's constructor of that arity, if it has one.
 
-        Its miss-reference is recorded then; recorded misses are never
-        undone, so once is as good as once per visit.
+        A miss-reference is recorded then; recorded misses are never undone,
+        so once is as good as once per visit.
         """
-        if op.targets is None:
-            st, ctx = op.st, self.ctx
-            if isinstance(st, VirtualCall):
-                defs, miss = resolve_call(st, ctx)
-                if miss is not None:
-                    ctx.missrefs.add(miss)
-            else:
-                defs = [resolve_static(ctx.hierarchy, st)]
-            op.targets = defs
-            op.target_ids = frozenset(t.id for t in op.targets)
-        return op.targets
+        st, ctx = op.st, self.ctx
+        if isinstance(st, VirtualCall):
+            defs, miss = resolve_call(st, ctx)
+            if miss is not None:
+                ctx.missrefs.add(miss)
+        elif isinstance(st, AllocAssign):
+            ctor = ctx.hierarchy.constructor_of(st.cls, len(st.args))
+            defs = [] if ctor is None else [ctor]
+        else:
+            defs = [resolve_static(ctx.hierarchy, st)]
+        op.targets = defs
+        op.target_ids = frozenset(t.id for t in defs)
+        return defs
 
     def call_alts(self, op: _Op, depth: int, on_stack: frozenset) -> Optional[list]:
         """The alternatives of a call op visited at call depth `depth` with
@@ -488,7 +497,9 @@ class _Lowering:
         the depth limit cuts them all, so that it completes without a body;
         else its targets, after None (complete without a body) when
         recursion cuts one of them."""
-        targets = self.targets(op)
+        targets = op.targets
+        if targets is None:
+            targets = self.resolve_targets(op)
         if not targets or depth >= self.ctx.budget.depth_limit:
             return None
         if op.target_ids.isdisjoint(on_stack):
@@ -497,43 +508,32 @@ class _Lowering:
         alts.extend(t for t in targets if t.id not in on_stack)
         return alts
 
-    def inlined_ctor(self, op: _Op, depth: int, on_stack: frozenset) -> Optional[MethodDef]:
-        """The constructor an allocation op visited there runs, if neither
-        the depth limit nor recursion cuts it."""
-        ctor = op.ctor
-        if ctor is None or depth >= self.ctx.budget.depth_limit or ctor.id in on_stack:
-            return None
-        return ctor
-
     def block(self, stmts, m: MethodDef) -> list[_Op]:
         return [self.stmt(st, m) for st in stmts]
 
     def stmt(self, st, m: MethodDef) -> _Op:
-        h = self.ctx.hierarchy
         if isinstance(st, If):
-            op = _Op(_IF, st)
+            op = _Op(_BRANCH, st)
             op.alts = [self.block(st.then_body, m), self.block(st.else_body, m)]
         elif isinstance(st, While):
-            op = _Op(_WHILE, st)
+            op = _Op(_BRANCH, st)
             op.alts = [None, self.block(st.body, m)]
         elif isinstance(st, Return):
             op = _Op(_RETURN, st)
-        elif isinstance(st, (VirtualCall, StaticCall)):
+        elif isinstance(st, (VirtualCall, StaticCall, AllocAssign)):
             op = _Op(_CALL, st)
             op.hop = Hop(m.id, m.display, st.pos, st.provenance)
-            if st.result is not None:
+            if isinstance(st, AllocAssign):
+                self._write(op, m, LV, local=st.target)
+            elif st.result is not None:
                 op.result = self._write(_Op(_WRITE, st), m, LV, local=st.result)
-        elif isinstance(st, AllocAssign):
-            op = self._write(_Op(_ALLOC, st), m, LV, local=st.target)
-            op.hop = Hop(m.id, m.display, st.pos, st.provenance)
-            op.ctor = h.constructor_of(st.cls, len(st.args))
         elif isinstance(st, FieldStore):
             op = self._heap(st, m, IFR, field_name=st.field)
             op.field = st.field
         elif isinstance(st, ArrayStore):
             op = self._heap(st, m, AR, index=st.index)
         elif isinstance(st, StaticStore):
-            decl, ftype = h.static_field_of(st.cls, st.field)
+            decl, ftype = self.ctx.hierarchy.static_field_of(st.cls, st.field)
             op = self._write(_Op(_WRITE, st), m, SFR, static_cls=decl, field_name=st.field, static_type=ftype)
         else:  # a copy, mkref, op, newarr or load: a local write
             op = self._write(_Op(_WRITE, st), m, LV, local=st.target)
@@ -583,7 +583,10 @@ class _Lowering:
 # its targets, each inlined in a body frame: the op's own target list when
 # nothing is cut, else None (complete the call without a body) followed by
 # the targets that recursion leaves. The depth cut is decided once per
-# visit, before any choice point (see the module docstring).
+# visit, before any choice point (see the module docstring). An allocation
+# writes its local on the visit, before its constructor is chosen. Branches
+# and calls then share one arm of the walk: take the first alternative, and
+# keep a choice point when there are more.
 
 # A call's alternatives when it has no targets or the depth limit cuts them.
 _NO_BODY = (None,)
@@ -602,7 +605,7 @@ class _Frame:
         self.caller = caller
         self.resume = resume
         self.caller_env = caller_env  # a body's
-        self.site = site  # a body's call or allocation op
+        self.site = site  # a body's call op
         # A block's; None in a method frame, which a link to itself would
         # keep alive until the cyclic garbage collector runs.
         self.method = method
@@ -637,7 +640,7 @@ class _Enumerator:
         ctx, entry, lowering = self.ctx, self.entry, self.lowering
         h, budget, deadline = ctx.hierarchy, ctx.budget, ctx.deadline
         fuel, path_cap = budget.fuel, budget.path_cap
-        append, choose = self._append, self._choose
+        append, apply, choices, events = self._append, self._apply, self.choices, self.events
         frame = _Frame(lowering.ops(entry), (), Provenance.BASE, frozenset({entry.id}))
         i, env = 0, initial_env(entry)
         visited = ctx.visited
@@ -650,7 +653,7 @@ class _Enumerator:
                         return
                     ctx.visited = visited
                     yield self._finish_path()
-                    if not self.choices:
+                    if not choices:
                         return
                     frame, i, env = self._backtrack()
                     continue
@@ -683,18 +686,18 @@ class _Enumerator:
                         hit = h.field_of(base_type, op.field)
                         ev.__dict__["field"] = (hit[0], op.field, hit[1]) if hit is not None else None
                     append(ev, None)
-                elif code == _CALL:
-                    alts = lowering.call_alts(op, len(frame.call_path), frame.on_stack)
-                    frame, i, env = choose(op, alts or _NO_BODY, frame, i, env)
-                elif code == _ALLOC:
-                    env = self._write(frame, op, env)
-                    ctor = lowering.inlined_ctor(op, len(frame.call_path), frame.on_stack)
-                    if ctor is not None:
-                        frame, i, env = self._apply(op, ctor, frame, i, env)
                 elif code == _RETURN:
                     frame, i, env = self._end(frame.method or frame)
-                else:  # _IF, _WHILE
-                    frame, i, env = choose(op, op.alts, frame, i, env)
+                else:  # _CALL or _BRANCH: take the first alternative, keep the rest
+                    if code == _BRANCH:
+                        alts = op.alts
+                    else:
+                        if op.template is not None:  # an allocation writes its local first
+                            env = self._write(frame, op, env)
+                        alts = lowering.call_alts(op, len(frame.call_path), frame.on_stack) or _NO_BODY
+                    if len(alts) > 1:
+                        choices.append([frame, i, env, len(events), op, alts, 1])
+                    frame, i, env = apply(op, alts[0], frame, i, env)
         finally:
             ctx.visited = visited
 
@@ -729,12 +732,6 @@ class _Enumerator:
                       frame.on_stack | {alt.id}, frame, i, env, op)
         return body, 0, initial_env(alt, [operand_type(a, env) for a in op.st.args])
 
-    def _choose(self, op: _Op, alts, frame: _Frame, i: int, env: dict) -> tuple:
-        """Takes the first of `alts`, keeping a choice point for the rest."""
-        if len(alts) > 1:
-            self.choices.append([frame, i, env, len(self.events), op, alts, 1])
-        return self._apply(op, alts[0], frame, i, env)
-
     def _backtrack(self) -> tuple:
         """The state on the next alternative of the latest choice point."""
         choice = self.choices[-1]
@@ -753,11 +750,13 @@ class _Enumerator:
 # A block folds its ops left to right into (visits, falls, returns): the
 # visits of its subtree, and how many of its ways through fall off its end
 # or reach a `return`. An op (v, f, r) after a prefix (V, F, R) gives
-# (V + F*v, F*f, R + F*r). An op with alternatives sums them, plus 1 for its
-# own visit: a branch arm gives its block's triple, a body its (visits,
-# falls + returns, 0), and None, which skips a loop or completes a call
-# without a body, gives (0, 1, 0). A write gives (1, 1, 0), a `return`
-# (1, 0, 1). A prefix with no falls ends its block: the rest is unreached.
+# (V + F*v, F*f, R + F*r). A branch, and a call with a target left to enter,
+# sums its alternatives, plus 1 for its own visit: a branch arm gives its
+# block's triple, a body its (visits, falls + returns, 0), and None, which
+# skips a loop or completes a call without a body, gives (0, 1, 0). A
+# write, a heap write and a call with no body to enter give (1, 1, 0), a
+# `return` (1, 0, 1). A prefix with no falls ends its block: the rest is
+# unreached.
 
 
 class TreeCount(NamedTuple):
@@ -787,7 +786,7 @@ class _Part:
         self.falls = 1
         self.depth = depth
         self.on_stack = on_stack
-        self.key = key  # the memo key of a callee or constructor body; None for the root and arms
+        self.key = key  # the memo key of a callee body; None for the root and arms
         self.alts = None
 
 
@@ -819,7 +818,7 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
                     part.alt_falls += 1
                 elif type(alt) is list:  # a branch arm
                     child = _Part(alt, part.depth, part.on_stack, None)
-                else:  # a call target or constructor: its body one level down
+                else:  # a call target: its body one level down
                     depth = part.depth + 1
                     key = (alt.id, depth, part.on_stack if depth < limit else None)
                     hit = memo.get(key)
@@ -851,17 +850,12 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
                 op = ops[i]
                 i += 1
                 code = op.code
-                if code == _IF or code == _WHILE:
+                if code == _BRANCH:
                     alts = op.alts
                     break
                 if code == _CALL:
                     alts = lowering.call_alts(op, part.depth, part.on_stack)
                     if alts is not None:
-                        break
-                elif code == _ALLOC:
-                    ctor = lowering.inlined_ctor(op, part.depth, part.on_stack)
-                    if ctor is not None:
-                        alts = (ctor,)
                         break
                 visits += falls
                 if code == _RETURN:

@@ -13,8 +13,9 @@ Constraint variables:
     ("r", method_id)          return value
 
 The solver starts from the program's entry points (all static `main`
-methods, else every public method and constructor), discovers call edges as
-receiver sets grow, and links parameters and returns along each edge.
+methods, else every public method and constructor, else none, which gives
+the empty result), discovers call edges as receiver sets grow, and links
+parameters and returns along each edge.
 Parameters of methods nobody calls stay empty: external callers are unknown.
 
 Heap accesses share one rule: a load or store through a base names a field,
@@ -79,23 +80,15 @@ class PointsToResult:
     pts: dict
     sites: tuple
     callgraph: CallGraph
-    entries: tuple
     unresolved: tuple  # (Position, reason) pairs
     methods: Mapping[str, MethodDef]  # the program's methods by id
 
-    def site(self, sid: int) -> AllocSite:
-        return self.sites[sid]
-
 
 def pa_entry_points(p: Program) -> list[MethodDef]:
-    """All static `main` methods; else every public method and constructor."""
+    """All static `main` methods; else every public method and constructor,
+    which may be none."""
     mains = [m for m in all_methods(p) if m.static and m.name == "main"]
-    if mains:
-        return mains
-    publics = [m for m in all_methods(p) if m.public or m.is_constructor]
-    if not publics:
-        raise MirError("no entry points")
-    return publics
+    return mains or [m for m in all_methods(p) if m.public or m.is_constructor]
 
 
 def alloc_sites(p: Program) -> dict[Position, AllocSite]:
@@ -318,7 +311,6 @@ def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResu
         pts=pts,
         sites=tuple(solver.sites),
         callgraph=graph,
-        entries=entry_ids,
         unresolved=tuple(unresolved),
         methods=solver.by_id,
     )

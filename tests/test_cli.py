@@ -296,6 +296,29 @@ def test_dump_graph_points_to_mode(capsys):
     assert "ReportSimple.countDupWords/0" not in out
 
 
+# No static main, public method or constructor: a valid program that gives
+# the points-to solve no root.
+NO_ROOT = "class A {\n  field f: int;\n  private method m() {\n    this.f = 1 @L;\n    this.f = 2 @R;\n  }\n}\n"
+
+
+def test_a_program_with_no_points_to_root_is_analysed_in_every_mode(tmp_path, capsys):
+    src = tmp_path / "a.mir"
+    src.write_text(NO_ROOT)
+    for mode in ("nopa", "pa", "hybrid"):
+        out_dir = tmp_path / mode
+        assert main(["analyze", "--deterministic", "--mode", mode, "--out", str(out_dir), str(src)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out.startswith(f"== A.m() [{mode}] verdict: true\n") and printed.err == ""
+        (record,) = parse_records((out_dir / "records.jsonl").read_text())
+        # The empty solve leaves both bases without points-to facts.
+        expected = [] if mode == "nopa" else [{"file": "a.mir", "line": line, "reason": "empty-pts"} for line in (4, 5)]
+        assert record["missrefs"] == expected
+    assert main(["dump-pts", str(src)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(["dump-graph", "--mode", "pa", str(src)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["analyze", "--mode", "nopa", "/nonexistent/x.mir"]) == 3
     assert "error:" in capsys.readouterr().err

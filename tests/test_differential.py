@@ -480,3 +480,37 @@ def test_cha_graph_keeps_targets_of_a_site_that_narrows_on_a_later_visit():
     main = find_method(p, "Main.main")
     assert_graph_matches_reference(p, main)
     assert build_cha_graph(p, main).targets_at(_site_of(p, "H.h", "p").pos) == ["A.m/0", "C.m/0"]
+
+
+# Allocations, each a call of its class's constructor: `Node`'s constructor
+# allocates a `Node` (recursion cuts the inner one), `K0` starts a chain of
+# seven constructors that the depth limit of 5 cuts after `K4` (so `K6`'s
+# write is never reached), `Plain` has no constructor, and `Guard`'s
+# constructor returns from inside an `if`.
+CONSTRUCTORS = (
+    "class Node {\n  field next: Node;\n  field v: int;\n"
+    "  ctor() {\n    this.v = 1 @L;\n    n = new Node() @R;\n    this.next = n;\n  }\n}\n"
+    "class K0 {\n  field static g: int;\n  ctor() {\n    K0::g = 0 @L;\n    k = new K1();\n  }\n}\n"
+    + "".join(f"class K{i} {{\n  ctor() {{\n    k = new K{i + 1}();\n  }}\n}}\n" for i in range(1, 6))
+    + "class K6 {\n  ctor() {\n    K0::g = 6 @R;\n  }\n}\n"
+    "class Plain {\n  field f: int;\n}\n"
+    "class Guard {\n  field w: int;\n"
+    "  ctor(c) {\n    this.w = 1 @R;\n    if c {\n      K0::g = 2 @R;\n      return;\n    }\n"
+    "    this.w = 3;\n  }\n}\n"
+    "class Main {\n"
+    "  public static method main() {\n    c = 1;\n    x = new Node();\n"
+    "    if c {\n      k = new K0() @L;\n    } else {\n      p = new Plain() @R;\n      p.f = 4 @L;\n    }\n"
+    "    g = new Guard(c) @L;\n    K0::g = 5 @R;\n    x.v = 6 @R;\n  }\n}\n"
+)
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_constructor_cuts_match_reference(mode):
+    p = parse_source(CONSTRUCTORS)
+    entry = find_method(p, "Main.main")
+    assert assert_count_matches(p, entry, mode, budget()) is Verdict.TRUE
+    # Two paths through each `if`: 6 visits before the first, 7 in its then
+    # arm (K0 to K4) and 2 in its else arm, and 10 in the tree after it.
+    assert count_tree(p, entry, budget(), mode)[:2] == (4, 35)
+    for bud in (budget(), budget(fuel=20, path_cap=2)):
+        assert_matches_reference(p, entry, mode, bud)

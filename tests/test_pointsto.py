@@ -53,10 +53,12 @@ class Lib {
     assert ids == {"Lib.<init>/0", "Lib.p1/0", "Lib.p2/0", "Lib.p3/0"}
 
 
-def test_entry_points_error_when_none():
-    p = parse_source("class A {\n  field x: int;\n}\n")
-    with pytest.raises(MirError, match="no entry points"):
-        pa_entry_points(p)
+def test_entry_points_empty_when_none():
+    # No main, public method or constructor: no root, so the solve is empty.
+    p = parse_source("class A {\n  field x: int;\n  private method m() {\n    y = new A();\n  }\n}\n")
+    assert pa_entry_points(p) == []
+    r = solve(p)
+    assert (r.pts, r.callgraph.roots, r.callgraph.nodes, r.unresolved) == ({}, frozenset(), frozenset(), ())
 
 
 def test_alloc_and_copy():
@@ -225,7 +227,7 @@ def test_array_slots_are_smashed():
     r = solve(p)
     # One slot per array site: both stored objects flow to any load.
     got = pts_of(r, ("Main.main/0", "u"))
-    classes = {r.site(s).cls for s in got}
+    classes = {r.sites[s].cls for s in got}
     assert classes == {"A", "B"}
 
 
