@@ -43,12 +43,18 @@ subtype answer comes from the program's `Hierarchy`, which the detection
 context takes once, as CHA and the points-to solver do.
 
 The machine's state is three values: a frame, the index of its next op, and
-the env. Frames are immutable links to the frame they resume, and envs are
-copy-on-write, so branches, loops and calls with several targets are choice
-points that save those three references, the event count, the op, its
-alternatives and a cursor into them: a fixed number of values however deep
-the path nests, restored on backtrack as a Prolog machine restores its
-continuation and environment pointers (Warren's abstract machine). A call
+the env. Frames are immutable, each linked to the continuation it resumes
+(a caller frame and an op index in it), and envs are copy-on-write, so
+branches, loops and calls with several targets are choice points that save
+those three references, the event count, the op, its alternatives and a
+cursor into them: a fixed number of values however deep the path nests,
+restored on backtrack as a Prolog machine restores its continuation and
+environment pointers (Warren's abstract machine). A last call, the last op
+of a method's frame that writes no result local, keeps no frame: a body it
+enters resumes that frame's continuation, so a path ending in a chain of
+last calls unwinds one frame, not one per call (Warren's last-call
+optimisation). Its call path, call-stack ids and depth still count the
+method whose frame it dropped, so the cuts are the same. A call
 is cut for all its targets at the depth limit, which a visit checks once,
 and then completes without a choice point. Below the limit, one
 `isdisjoint` test of the call's target ids (a frozenset its op holds)
@@ -97,7 +103,14 @@ with completing the call first, `return` ending the method or the root
 path, and a loop run zero times or once. Targets are resolved per op, not
 per env, so a body's subtree depends only on its method id, call depth and
 the ids on its call stack, and one count per such key serves every visit;
-at the depth limit the stack ids drop out of the key. The count walks with
+at the depth limit the stack ids drop out of the key. So a call one level
+above the limit, which enters bodies only at the limit, is counted from one
+sum of its targets' counts there, kept per set of target ids, less those of
+the targets that recursion cuts on the visit (its frontier sum). The sum
+serves a visit when every target not counted yet is cut there; otherwise
+the targets are counted one by one, which counts the missing ones. The
+count still stops at the call, so it checks its budgets where it did
+before. The count walks with
 an explicit stack and shares the enumerator's `_Lowering`, so the walk and
 the count share one call rule, `_Lowering.call_alts`. Every way out of a
 counted part leads to at least one leaf, so the first part with more paths
@@ -567,12 +580,15 @@ class _Lowering:
 # state is three locals of `paths()`: the frame, the index `i` of its next
 # op, and the env. A frame never changes. It holds a block of ops, what they
 # run under (call path, provenance, ids on the call stack) and how it ends:
-# its `caller` resumes at op `resume`. A block frame (a branch arm or loop
-# body) ends with its env, so its bindings flow onward, and `method` links
-# it to the method frame that a `return` in it ends. A method frame (a
-# callee body, or the root, which has no caller) ends with `caller_env`, the
-# env at its call, and its `site` call writes its result local; the root's
-# end is the path's.
+# the continuation it resumes, op `resume` of frame `caller`. A block frame
+# (a branch arm or loop body) ends with its env, so its bindings flow
+# onward, and `method` links it to the method frame that a `return` in it
+# ends. A method frame (a callee body, or the root, which has no caller)
+# ends with `caller_env`, the env at its call, and its `site` call writes
+# its result local; the root's end is the path's. A call that is the last op
+# of a method frame and writes no result local would end that frame as soon
+# as its body ended, so the body takes the frame's continuation instead:
+# its `caller`, `resume`, `caller_env` and `site`. Frame ends are not visits.
 #
 # A choice point keeps the state, the event count, the op, its alternatives
 # and a cursor into them. Backtracking restores the three values and
@@ -586,7 +602,8 @@ class _Lowering:
 # visit, before any choice point (see the module docstring). An allocation
 # writes its local on the visit, before its constructor is chosen. Branches
 # and calls then share one arm of the walk: take the first alternative, and
-# keep a choice point when there are more.
+# keep a choice point when there are more. The machine's transitions (a
+# frame's end, taking an alternative, backtracking) run inline in the loop.
 
 # A call's alternatives when it has no targets or the depth limit cuts them.
 _NO_BODY = (None,)
@@ -602,6 +619,8 @@ class _Frame:
         self.call_path = call_path
         self.prov = prov  # the provenance of the nearest changed call on the call path
         self.on_stack = on_stack
+        # The continuation, op `resume` of frame `caller`: a last call's body
+        # takes over that of the frame it drops.
         self.caller = caller
         self.resume = resume
         self.caller_env = caller_env  # a body's
@@ -640,13 +659,63 @@ class _Enumerator:
         ctx, entry, lowering = self.ctx, self.entry, self.lowering
         h, budget, deadline = ctx.hierarchy, ctx.budget, ctx.deadline
         fuel, path_cap = budget.fuel, budget.path_cap
-        append, apply, choices, events = self._append, self._apply, self.choices, self.events
+        append, write, truncate = self._append, self._write, self._truncate
+        choices, events = self.choices, self.events
         frame = _Frame(lowering.ops(entry), (), Provenance.BASE, frozenset({entry.id}))
         i, env = 0, initial_env(entry)
         visited = ctx.visited
         try:
             while True:
-                if frame is None:
+                ops = frame.ops
+                if i < len(ops):
+                    visited += 1
+                    if visited > fuel:
+                        ctx.stop_reason = "fuel"
+                        return
+                    if deadline is not None and visited % 512 == 0 and time.monotonic() > deadline:
+                        ctx.stop_reason = "wall_clock"
+                        return
+                    op = ops[i]
+                    i += 1
+                    code = op.code
+                    if code == _WRITE:
+                        append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
+                        if op.rule is not None:
+                            env = apply_rule(op.rule, env, h)
+                        continue
+                    if code == _HEAP:
+                        base_type = env.get(op.base)
+                        ev = _instantiate(op.template, frame.call_path, op.prov or frame.prov)
+                        ev.__dict__["base_type"] = base_type
+                        if op.field is not None:
+                            hit = h.field_of(base_type, op.field)
+                            ev.__dict__["field"] = (hit[0], op.field, hit[1]) if hit is not None else None
+                        append(ev, None)
+                        continue
+                    if code == _RETURN:  # on to the end of its method's frame
+                        frame = frame.method or frame
+                        i = len(frame.ops)
+                        continue
+                    # _CALL or _BRANCH: take the first alternative, keep the rest
+                    if code == _BRANCH:
+                        alts = op.alts
+                    else:
+                        if op.template is not None:  # an allocation writes its local first
+                            env = write(frame, op, env)
+                        alts = lowering.call_alts(op, len(frame.call_path), frame.on_stack) or _NO_BODY
+                    if len(alts) > 1:
+                        choices.append([frame, i, env, len(events), op, alts, 1])
+                    alt = alts[0]
+                elif frame.method is not None:  # a block ends: its bindings flow onward
+                    frame, i = frame.caller, frame.resume
+                    continue
+                elif frame.caller is not None:  # a body ends: its call completes
+                    result = frame.site.result
+                    frame, i, env = frame.caller, frame.resume, frame.caller_env
+                    if result is not None:
+                        env = write(frame, result, env)
+                    continue
+                else:  # the root ends, and the path with it
                     ctx.paths += 1
                     if ctx.paths > path_cap:
                         ctx.stop_reason = "path_cap"
@@ -655,49 +724,33 @@ class _Enumerator:
                     yield self._finish_path()
                     if not choices:
                         return
-                    frame, i, env = self._backtrack()
-                    continue
-                ops = frame.ops
-                if i == len(ops):
-                    if frame.method is None:
-                        frame, i, env = self._end(frame)
-                    else:  # a block: its bindings flow onward
-                        frame, i = frame.caller, frame.resume
-                    continue
-                visited += 1
-                if visited > fuel:
-                    ctx.stop_reason = "fuel"
-                    return
-                if deadline is not None and visited % 512 == 0 and time.monotonic() > deadline:
-                    ctx.stop_reason = "wall_clock"
-                    return
-                op = ops[i]
-                i += 1
-                code = op.code
-                if code == _WRITE:
-                    append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
-                    if op.rule is not None:
-                        env = apply_rule(op.rule, env, h)
-                elif code == _HEAP:
-                    base_type = env.get(op.base)
-                    ev = _instantiate(op.template, frame.call_path, op.prov or frame.prov)
-                    ev.__dict__["base_type"] = base_type
-                    if op.field is not None:
-                        hit = h.field_of(base_type, op.field)
-                        ev.__dict__["field"] = (hit[0], op.field, hit[1]) if hit is not None else None
-                    append(ev, None)
-                elif code == _RETURN:
-                    frame, i, env = self._end(frame.method or frame)
-                else:  # _CALL or _BRANCH: take the first alternative, keep the rest
-                    if code == _BRANCH:
-                        alts = op.alts
+                    # Backtrack to the next alternative of the latest choice point.
+                    choice = choices[-1]
+                    frame, i, env, n, op, alts, k = choice
+                    if k + 1 == len(alts):
+                        choices.pop()
                     else:
-                        if op.template is not None:  # an allocation writes its local first
-                            env = self._write(frame, op, env)
-                        alts = lowering.call_alts(op, len(frame.call_path), frame.on_stack) or _NO_BODY
-                    if len(alts) > 1:
-                        choices.append([frame, i, env, len(events), op, alts, 1])
-                    frame, i, env = apply(op, alts[0], frame, i, env)
+                        choice[6] = k + 1
+                    truncate(n)
+                    alt = alts[k]
+                # Take alternative `alt` of `op` in state (frame, i, env).
+                if alt is None:  # skip a loop, or complete a call without a body
+                    if op.result is not None:
+                        env = write(frame, op.result, env)
+                elif type(alt) is list:  # enter a branch arm or a loop body
+                    frame = _Frame(alt, frame.call_path, frame.prov, frame.on_stack, frame, i,
+                                   method=frame.method or frame)
+                    i = 0
+                else:  # enter a call target's body
+                    body_env = initial_env(alt, [operand_type(a, env) for a in op.st.args])
+                    if i == len(frame.ops) and frame.method is None and op.result is None:
+                        # A last call: the body resumes what its method's frame would.
+                        caller, resume, caller_env, site = frame.caller, frame.resume, frame.caller_env, frame.site
+                    else:
+                        caller, resume, caller_env, site = frame, i, env, op
+                    frame = _Frame(lowering.ops(alt), frame.call_path + (op.hop,), op.prov or frame.prov,
+                                   frame.on_stack | {alt.id}, caller, resume, caller_env, site)
+                    i, env = 0, body_env
         finally:
             ctx.visited = visited
 
@@ -705,43 +758,6 @@ class _Enumerator:
         """Appends `op`'s write event in `frame`; returns the env after it."""
         self._append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
         return env if op.rule is None else apply_rule(op.rule, env, self.ctx.hierarchy)
-
-    def _end(self, method: _Frame) -> tuple:
-        """The state after method frame `method` ends: its caller's, after the
-        call completes, or (None, 0, None) at the root, where the path ends."""
-        caller = method.caller
-        if caller is None:
-            return None, 0, None
-        env = method.caller_env
-        if method.site.result is not None:
-            env = self._write(caller, method.site.result, env)
-        return caller, method.resume, env
-
-    def _apply(self, op: _Op, alt, frame: _Frame, i: int, env: dict) -> tuple:
-        """The state after taking alternative `alt` of the choice at `op` in
-        state (frame, i, env): a block or a call target entered, or None,
-        which skips a loop and completes a call without a body."""
-        if alt is None:
-            if op.result is not None:
-                env = self._write(frame, op.result, env)
-            return frame, i, env
-        if type(alt) is list:
-            return _Frame(alt, frame.call_path, frame.prov, frame.on_stack, frame, i,
-                          method=frame.method or frame), 0, env
-        body = _Frame(self.lowering.ops(alt), frame.call_path + (op.hop,), op.prov or frame.prov,
-                      frame.on_stack | {alt.id}, frame, i, env, op)
-        return body, 0, initial_env(alt, [operand_type(a, env) for a in op.st.args])
-
-    def _backtrack(self) -> tuple:
-        """The state on the next alternative of the latest choice point."""
-        choice = self.choices[-1]
-        frame, i, env, events_len, op, alts, k = choice
-        if k + 1 == len(alts):
-            self.choices.pop()
-        else:
-            choice[6] = k + 1
-        self._truncate(events_len)
-        return self._apply(op, alts[k], frame, i, env)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +769,8 @@ class _Enumerator:
 # (V + F*v, F*f, R + F*r). A branch, and a call with a target left to enter,
 # sums its alternatives, plus 1 for its own visit: a branch arm gives its
 # block's triple, a body its (visits, falls + returns, 0), and None, which
-# skips a loop or completes a call without a body, gives (0, 1, 0). A
+# skips a loop or completes a call without a body, gives (0, 1, 0). A call
+# whose bodies sit at the depth limit sums them by its frontier sum. A
 # write, a heap write and a call with no body to enter give (1, 1, 0), a
 # `return` (1, 0, 1). A prefix with no falls ends its block: the rest is
 # unreached.
@@ -774,7 +791,9 @@ class TreeCount(NamedTuple):
 
 class _Part:
     """A block being counted, with the alternatives of its op in progress:
-    `alts`, the cursor `k` into them, and their sums so far."""
+    `alts`, the cursor `k` into them, and their sums so far. A call whose
+    bodies sit at the depth limit holds itself in `alts` until its frontier
+    sum is tried."""
 
     __slots__ = ("ops", "i", "visits", "falls", "returns", "depth", "on_stack", "key",
                  "alts", "k", "alt_visits", "alt_falls", "alt_returns")
@@ -801,6 +820,10 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
     budget, deadline = ctx.budget, ctx.deadline
     fuel, path_cap, limit = budget.fuel, budget.path_cap, budget.depth_limit
     memo: dict[tuple, tuple[int, int]] = {}
+    # Per target ids of a call at depth `limit - 1` (calls with equal ones
+    # share it): the visits and outs summed over the memo entries those
+    # targets had at the limit, and the ids that had none.
+    frontier: dict[frozenset, tuple[int, int, frozenset]] = {}
     stack = [_Part(lowering.ops(entry), 0, frozenset({entry.id}), None)]
     steps = 0
     while True:
@@ -809,6 +832,35 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
         if deadline is not None and steps % 512 == 0 and time.monotonic() > deadline:
             return TreeCount(part.falls + part.returns, part.visits, "wall_clock")
         alts = part.alts
+        if type(alts) is _Op:
+            # A call entering bodies at the depth limit: sum its targets'
+            # entries, less those recursion cuts, when every target without
+            # an entry is cut; else count its alternatives one by one.
+            op = alts
+            cut = op.target_ids & part.on_stack
+            sums = frontier.get(op.target_ids)
+            if sums is None or not sums[2] <= cut:
+                sum_visits = sum_outs = 0
+                missing = []
+                for t in op.targets:
+                    hit = memo.get((t.id, limit, None))
+                    if hit is None:
+                        missing.append(t.id)
+                    else:
+                        sum_visits += hit[0]
+                        sum_outs += hit[1]
+                sums = frontier[op.target_ids] = (sum_visits, sum_outs, frozenset(missing))
+            sum_visits, sum_outs, missing = sums
+            if missing <= cut:
+                for tid in cut - missing:
+                    hit = memo[(tid, limit, None)]
+                    sum_visits -= hit[0]
+                    sum_outs -= hit[1]
+                part.alt_visits += sum_visits
+                part.alt_falls += sum_outs + (1 if cut else 0)  # None: complete without a body
+                alts = part.alts = ()
+            else:
+                alts = part.alts = lowering.call_alts(op, part.depth, part.on_stack)
         if alts is not None:
             # Sum the op's alternatives; descend into the first one not counted.
             k, child = part.k, None
@@ -846,6 +898,7 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
             # Fold ops without alternatives up to the next op with some.
             ops, i, n = part.ops, part.i, len(part.ops)
             visits, falls, returns = part.visits, part.falls, part.returns
+            at_frontier = part.depth == limit - 1
             while i < n and falls:
                 op = ops[i]
                 i += 1
@@ -854,6 +907,9 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
                     alts = op.alts
                     break
                 if code == _CALL:
+                    if at_frontier and op.targets:  # resolved, with bodies at the limit
+                        alts = op
+                        break
                     alts = lowering.call_alts(op, part.depth, part.on_stack)
                     if alts is not None:
                         break
@@ -948,6 +1004,8 @@ def enumerate_write_paths(
 
 
 def _make_context(p, entry, mode, budget, cha, pts) -> DetectionContext:
+    if entry.id not in p.hierarchy().methods_by_id():
+        raise MirError(f"entry '{entry.id}' not found in program")
     budget = budget or AnalysisBudget()
     if mode.uses_cha and cha is None:
         cha = build_cha_graph(p, entry)
@@ -1064,8 +1122,6 @@ def detect(
     of 0, and only the miss-references of the calls the count resolved.
     Any other outcome is the one a full run gives.
     """
-    if entry.id not in p.hierarchy().methods_by_id():
-        raise MirError(f"entry '{entry.id}' not found in program")
     budget = budget or AnalysisBudget()
     ctx = _make_context(p, entry, mode, budget, cha, pts)
     scanner = _Scanner(ctx, entry)

@@ -1,4 +1,5 @@
-"""Differential tests: `detect` against the per-path scan it replaced, and
+"""Differential tests: `detect` against the per-path scan it replaced,
+`enumerate_write_paths` against a recursive enumerator, and
 `build_cha_graph` against the per-edge builder it replaced.
 
 `engine.detect` scans each write once, as the enumerator appends it, and
@@ -6,6 +7,11 @@ undoes the scan on backtrack. The reference below is the original design:
 it drains `enumerate_write_paths` and, for every completed path, walks back
 from each changed write over all earlier events of the path. It is
 quadratic per path and lives only here, as the oracle.
+
+`reference_detect` drains `enumerate_write_paths`, so it shares the
+enumerator's frames and choice points. `reference_paths` shares neither: it
+follows the rules of the engine's module docstring by plain recursion over
+the statements, and gives every path's write events in the walk's order.
 
 `build_cha_graph` resolves each virtual dispatch once per receiver type and
 keeps targets per site. `reference_cha_graph` is the original builder: it
@@ -21,9 +27,10 @@ import pytest
 
 from conftest import ALL_MODES, NESTED_CALLS, RETURN_IN_BLOCKS, budget, load_scenario_program
 from oadetect import engine
-from oadetect.cha import CallEdge, build_cha_graph, initial_env, resolve_static
+from oadetect.cha import CallEdge, apply_rule, build_cha_graph, initial_env, operand_type, resolve_static, type_rule
 from oadetect.cha import _scan_sites as scan_sites
 from oadetect.engine import (
+    AR,
     IFR,
     LV,
     SFR,
@@ -37,15 +44,23 @@ from oadetect.engine import (
     count_tree,
     detect,
     enumerate_write_paths,
+    resolve_call,
 )
 from oadetect.frontend import parse_source
 from oadetect.harness import load_bundled, scenario_units
 from oadetect.mir import (
+    AllocAssign,
+    ArrayStore,
+    FieldStore,
+    If,
     MirError,
     Position,
     Provenance,
+    Return,
     StaticCall,
+    StaticStore,
     VirtualCall,
+    While,
     all_methods,
     find_method,
     iter_stmts,
@@ -293,9 +308,72 @@ def test_return_from_nested_blocks_in_callees_matches_reference(mode):
     entry = find_method(p, "Main.main")
     assert assert_count_matches(p, entry, mode, budget()) is Verdict.TRUE
     assert count_tree(p, entry, budget(), mode)[:2] == ((10, 66) if mode is Mode.NOPA else (8, 58))
+    assert_walk_matches_recursion(p, entry, mode, budget())
     # A fuel and path cap that cut the walk inside the callees too.
     for bud in (budget(), budget(fuel=40, path_cap=5)):
         assert_matches_reference(p, entry, mode, bud)
+
+
+# `deep_hierarchy` under `nopa` exceeds every budget but the shallowest
+# depth limit. The count stops at the first part past the budget, so each
+# budget pins how far it got and which budget it names.
+DEEP_HIERARCHY_COUNTS = (
+    ({}, (4211, 8422, "path_cap")),
+    ({"depth_limit": 4}, (4506, 9012, "path_cap")),
+    ({"depth_limit": 3}, (4810, 9622, "path_cap")),
+    ({"depth_limit": 2}, (32768, 69634, "path_cap")),
+    ({"depth_limit": 1}, (1024, 2178, None)),
+    ({"path_cap": 100}, (117, 234, "path_cap")),
+    ({"fuel": 3000}, (1685, 3370, "fuel")),
+    ({"depth_limit": 2, "path_cap": 10**6}, (262144, 528386, "fuel")),
+)
+
+
+def test_count_pins_exceeded_values_on_deep_hierarchy():
+    p, entry = load_scenario_program("deep_hierarchy")
+    for overrides, expected in DEEP_HIERARCHY_COUNTS:
+        assert count_tree(p, entry, budget(**overrides)) == expected, overrides
+
+
+def frontier_calls(k: int) -> str:
+    """`k` implementers of `Node`, each of whose `step` writes under a branch
+    and calls `step` through a `Node` field, as in `deep_hierarchy`."""
+    lines = ["interface Node {", "  method step();", "}"]
+    for i in range(k):
+        lines += [
+            f"class Impl{i} implements Node {{",
+            "  field next: Node;",
+            "  field v: int;",
+            "  method step() {",
+            "    n = this.next;",
+            "    if n {",
+            f"      this.v = {i} {'@L' if i % 2 else '@R'};",
+            "    }",
+            "    call n.step();",
+            "  }",
+            "}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def test_count_sums_a_frontier_whose_target_is_never_counted():
+    # The entry, `Impl0.step`, is on every call stack, so recursion always
+    # cuts it where a call enters bodies at the depth limit: the count of its
+    # body there is never made. Below a depth limit of 5, the other targets
+    # are counted on their first uncut visit.
+    p = parse_source(frontier_calls(5))
+    entry = find_method(p, "Impl0.step")
+    pins = (
+        ({}, (1266, 3165, None)),
+        ({"depth_limit": 3}, (498, 1245, None)),
+        ({"depth_limit": 2}, (114, 285, None)),
+        ({"depth_limit": 4, "path_cap": 100}, (106, 265, "path_cap")),
+        ({"depth_limit": 4, "fuel": 500}, (318, 795, "fuel")),
+    )
+    for overrides, expected in pins:
+        assert count_tree(p, entry, budget(**overrides)) == expected, overrides
+        for mode in ALL_MODES:
+            assert_count_matches(p, entry, mode, budget(**overrides))
 
 
 def test_verdict_only_times_out_on_the_count_alone():
@@ -307,6 +385,191 @@ def test_verdict_only_times_out_on_the_count_alone():
     outcome = detect(p, entry, Mode.NOPA, budget=budget(), verdict_only=True)
     assert outcome.verdict is Verdict.TIMEOUT
     assert (outcome.conflicts, outcome.stats.paths, outcome.stats.visited) == ([], 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# The walk against a recursive enumerator
+
+
+def reference_paths(p, entry, mode: Mode, bud) -> list[list[tuple]]:
+    """Every path's write events, in the walk's order, by plain recursion
+    over the statements; budgets other than the depth limit are ignored.
+
+    An event is (kind, position, provenance, call path, method id, local,
+    base, base type, field). A way through a block is (events, env,
+    returned): branches fork, a loop runs zero times or once, a `return`
+    skips the rest of its method (or ends the path in the entry), and a
+    call inlines each target at a depth below the limit, after completing
+    without a body when recursion cuts one. An allocation writes its local
+    first; a call's result local is written when it completes.
+    """
+    cha = build_cha_graph(p, entry) if mode.uses_cha else None
+    pts = solve(p, pa_entry_points(p)) if mode.uses_pts else None
+    ctx = DetectionContext(p, mode, bud, cha=cha, pts=pts)
+    h = ctx.hierarchy
+
+    def event(st, m, call_path, prov, kind, local=None, base=None, base_type=None, field=None):
+        own = st.provenance if st.provenance is not Provenance.BASE else prov
+        return (kind, st.pos, own, call_path, m.id, local, base, base_type, field)
+
+    def assign(st, m, call_path, prov, env, local):
+        """The local write `st` makes and the env after it."""
+        rule = type_rule(st, h)
+        return event(st, m, call_path, prov, LV, local=local), (env if rule is None else apply_rule(rule, env, h))
+
+    def targets(st) -> list:
+        if isinstance(st, VirtualCall):
+            return resolve_call(st, ctx)[0]
+        if isinstance(st, AllocAssign):
+            ctor = h.constructor_of(st.cls, len(st.args))
+            return [] if ctor is None else [ctor]
+        return [resolve_static(h, st)]
+
+    def block(stmts, m, call_path, prov, stack, env) -> list:
+        ways = [((), env, False)]
+        for st in stmts:
+            ways = [
+                (evs + more, env2, returned2)
+                for evs, env1, returned in ways
+                for more, env2, returned2 in ([((), env1, True)] if returned else
+                                              statement(st, m, call_path, prov, stack, env1))
+            ]
+        return ways
+
+    def statement(st, m, call_path, prov, stack, env) -> list:
+        if isinstance(st, If):
+            return (block(st.then_body, m, call_path, prov, stack, env)
+                    + block(st.else_body, m, call_path, prov, stack, env))
+        if isinstance(st, While):
+            return [((), env, False)] + block(st.body, m, call_path, prov, stack, env)
+        if isinstance(st, Return):
+            return [((), env, True)]
+        if isinstance(st, FieldStore):
+            base_type = env.get(st.base)
+            hit = h.field_of(base_type, st.field)
+            field = (hit[0], st.field, hit[1]) if hit is not None else None
+            return [((event(st, m, call_path, prov, IFR, base=st.base, base_type=base_type, field=field),),
+                     env, False)]
+        if isinstance(st, ArrayStore):
+            return [((event(st, m, call_path, prov, AR, base=st.base, base_type=env.get(st.base)),), env, False)]
+        if isinstance(st, StaticStore):
+            return [((event(st, m, call_path, prov, SFR, local=st.field),), env, False)]
+        if not isinstance(st, (VirtualCall, StaticCall, AllocAssign)):
+            ev, env = assign(st, m, call_path, prov, env, st.target)
+            return [((ev,), env, False)]
+        before: tuple = ()
+        if isinstance(st, AllocAssign):
+            ev, env = assign(st, m, call_path, prov, env, st.target)
+            before = (ev,)
+        after, env_after = (), env
+        if getattr(st, "result", None) is not None:
+            ev, env_after = assign(st, m, call_path, prov, env, st.result)
+            after = (ev,)
+        alts = targets(st)
+        if len(call_path) >= bud.depth_limit:
+            alts = []
+        entered = [t for t in alts if t.id not in stack]
+        ways = [(before + after, env_after, False)] if len(entered) < len(alts) or not alts else []
+        hop = (m.id, m.display, st.pos, st.provenance)
+        own = st.provenance if st.provenance is not Provenance.BASE else prov
+        for t in entered:
+            body_env = initial_env(t, [operand_type(a, env) for a in st.args])
+            for evs, _, _ in block(t.body, t, call_path + (hop,), own, stack | {t.id}, body_env):
+                ways.append((before + evs + after, env_after, False))
+        return ways
+
+    paths = block(entry.body, entry, (), Provenance.BASE, frozenset({entry.id}), initial_env(entry))
+    return [_collapsed(evs) for evs, _, _ in paths]
+
+
+def _collapsed(events) -> list:
+    """Back-to-back same-side writes to one local keep only the last."""
+    out: list = []
+    for ev in events:
+        if out and ev[0] == LV and out[-1][0] == LV and ev[2] is out[-1][2] and ev[4:6] == out[-1][4:6]:
+            out[-1] = ev
+        else:
+            out.append(ev)
+    return out
+
+
+def walked_paths(p, entry, mode: Mode, bud) -> list[list[tuple]]:
+    """`enumerate_write_paths`'s paths as `reference_paths` spells them."""
+    return [
+        [(ev.kind, ev.pos, ev.provenance, ev.call_path, ev.method_id,
+          ev.local if ev.kind != SFR else ev.field_name, ev.base, ev.base_type, ev.field) for ev in path]
+        for path in enumerate_write_paths(p, entry, bud, mode)
+    ]
+
+
+def assert_walk_matches_recursion(p, entry, mode: Mode, bud) -> int:
+    """The walk's paths equal the recursive enumerator's; returns their number."""
+    walked = walked_paths(p, entry, mode, bud)
+    assert walked == reference_paths(p, entry, mode, bud)
+    return len(walked)
+
+
+# Calls and an allocation that are the last op of their block, as the walk
+# sees them: the last op of a method (`Fast.go` and `Slow.go`, which call
+# each other through a field until recursion cuts them), of an `if` arm
+# (`Box.put`), of a `while` body (`Box.spin`) and of the entry (`Main.main`);
+# an allocation as the last op (`Box.fresh`, and `put`'s else arm), whose
+# constructor returns from inside an `if`; a last call with a result local
+# (`Box.res`), whose callee returns from inside an `if`; a last call in a
+# method called with a result local (`Box.relay`); and a chain of last calls
+# (`Chain.c0` to `Chain.c6`) that the depth limit cuts. `Box.fresh` binds
+# `s`, which `Main.main` types otherwise and writes through after the call.
+LAST_CALLS = (
+    "interface Step {\n  method go(v);\n}\n"
+    "class Fast implements Step {\n  field n: Step;\n"
+    "  method go(v) {\n    Chain::g = 8 @L;\n    s = this.n;\n    call s.go(v);\n  }\n}\n"
+    "class Slow implements Step {\n  field n: Step;\n"
+    "  method go(v) {\n    Chain::g = 9 @R;\n    s = this.n;\n    call s.go(v);\n  }\n}\n"
+    "class Chain {\n  field static g: int;\n"
+    + "".join(f"  static method c{i}() {{\n    Chain::g = {i};\n    call Chain::c{i + 1}();\n  }}\n" for i in range(6))
+    + "  static method c6() {\n    Chain::g = 6 @R;\n  }\n}\n"
+    "class Box {\n  field v: int;\n"
+    "  ctor(x) {\n    this.v = x;\n    if x {\n      return;\n    }\n    this.v = 2 @R;\n  }\n"
+    "  method put(x) {\n    this.v = x @L;\n    if x {\n      call Chain::c3();\n    } else {\n"
+    "      b = new Box(x);\n    }\n  }\n"
+    "  method spin(x) {\n    while x {\n      call this.put(x);\n    }\n  }\n"
+    "  method get(x) {\n    if x {\n      this.v = 3 @L;\n      return x;\n    }\n    this.v = 4 @R;\n  }\n"
+    "  method res(x) {\n    this.v = 5;\n    r = this.get(x);\n  }\n"
+    "  method relay(x) {\n    this.v = 6;\n    call this.spin(x);\n  }\n"
+    "  method fresh(x) {\n    Chain::g = 7 @L;\n    s = new Box(x);\n  }\n}\n"
+    "class Main {\n  field step: Step;\n"
+    "  public static method main() {\n    c = 1;\n    s = new Fast();\n    b = new Box(c) @R;\n"
+    "    call b.spin(c);\n    call b.res(c) @L;\n    q = b.relay(c) @R;\n    call b.fresh(c) @R;\n"
+    "    s.n = s @L;\n    m = new Main();\n    f = new Fast();\n"
+    "    m.step = f;\n    t = m.step;\n    call t.go(c) @L;\n    call Chain::c0() @R;\n  }\n}\n"
+)
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_last_calls_match_the_recursive_enumerator(mode):
+    p = parse_source(LAST_CALLS)
+    for ref in ("Main.main", "Box.spin", "Box.put", "Box.res", "Box.relay", "Box.fresh", "Fast.go", "Chain.c0"):
+        entry = find_method(p, ref)
+        for bud in (budget(), budget(depth_limit=3), budget(depth_limit=1)):
+            assert count_tree(p, entry, bud, mode).exceeds is None
+            assert assert_walk_matches_recursion(p, entry, mode, bud) >= 1
+
+
+def test_walk_matches_the_recursive_enumerator_on_the_seed_range():
+    base = default_seed()
+    ran = 0
+    for seed in range(base + 3000, base + 3101):
+        for mkref in (False, True):
+            gen = generate_program(seed, mkref=mkref, mark_changes=True)
+            if gen.entry is None:
+                continue
+            p, entry = gen.program, gen.entry
+            bud = budget(**PROP_BUDGET)
+            for mode in ALL_MODES:
+                if count_tree(p, entry, bud, mode).exceeds is None:
+                    assert_walk_matches_recursion(p, entry, mode, bud)
+                    ran += 1
+    assert ran >= 400
 
 
 # ---------------------------------------------------------------------------
@@ -512,5 +775,6 @@ def test_constructor_cuts_match_reference(mode):
     # Two paths through each `if`: 6 visits before the first, 7 in its then
     # arm (K0 to K4) and 2 in its else arm, and 10 in the tree after it.
     assert count_tree(p, entry, budget(), mode)[:2] == (4, 35)
+    assert_walk_matches_recursion(p, entry, mode, budget())
     for bud in (budget(), budget(fuel=20, path_cap=2)):
         assert_matches_reference(p, entry, mode, bud)

@@ -551,11 +551,18 @@ def test_detect_deterministic_outcomes(fig1_advanced):
 
 
 def test_detect_unknown_entry_errors(fig1_simple):
+    # Every entry point that makes its own context checks the entry first.
     p, _ = fig1_simple
-    other_p, other_entry = parse_source("class Z {\n  method zz() {\n  }\n}\n"), None
-    other_entry = find_method(other_p, "Z.zz")
-    with pytest.raises(MirError, match="not found"):
-        detect(p, other_entry, Mode.NOPA, budget=budget())
+    other_entry = find_method(parse_source("class Z {\n  method zz() {\n  }\n}\n"), "Z.zz")
+    for mode in ALL_MODES:
+        with pytest.raises(MirError, match="entry 'Z.zz/0' not found in program"):
+            detect(p, other_entry, mode, budget=budget())
+        with pytest.raises(MirError, match="entry 'Z.zz/0' not found in program"):
+            detect(p, other_entry, mode, budget=budget(), verdict_only=True)
+        with pytest.raises(MirError, match="entry 'Z.zz/0' not found in program"):
+            count_tree(p, other_entry, budget(), mode)
+        with pytest.raises(MirError, match="entry 'Z.zz/0' not found in program"):
+            list(enumerate_write_paths(p, other_entry, budget(), mode))
 
 
 # ---------------------------------------------------------------------------
