@@ -27,7 +27,6 @@ and target, are derived on first read; the analyses never read them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
@@ -38,6 +37,7 @@ from .mir import (
     CopyAssign,
     Const,
     FieldLoad,
+    FrozenRecord,
     Hierarchy,
     If,
     MethodDef,
@@ -64,8 +64,7 @@ class CallEdge(NamedTuple):
     target: str
 
 
-@dataclass(frozen=True)
-class CallGraph:
+class CallGraph(FrozenRecord):
     """A call graph kept per call site.
 
     `sites` maps each call or allocation site that reaches a method to its
@@ -75,9 +74,12 @@ class CallGraph:
     `edges`, one `CallEdge` per site and target, is derived on first read.
     """
 
-    roots: frozenset[str]
-    nodes: frozenset[str]
-    sites: Mapping[Position, tuple[str, tuple[str, ...]]]
+    # No __slots__: `cached_property` keeps `edges` in the instance dict.
+    _fields = ("roots", "nodes", "sites")
+
+    def __init__(self, roots: frozenset[str], nodes: frozenset[str],
+                 sites: Mapping[Position, tuple[str, tuple[str, ...]]]):
+        self.__dict__.update(roots=roots, nodes=nodes, sites=sites)
 
     @cached_property
     def edges(self) -> frozenset[CallEdge]:

@@ -125,7 +125,6 @@ call, the one error the enumerator could otherwise raise mid-walk.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
@@ -142,6 +141,7 @@ from .mir import (
     AllocAssign,
     ArrayStore,
     FieldStore,
+    FrozenRecord,
     Hierarchy,
     If,
     MethodDef,
@@ -149,6 +149,7 @@ from .mir import (
     Position,
     Program,
     Provenance,
+    Record,
     Return,
     StaticCall,
     StaticStore,
@@ -183,12 +184,15 @@ class Verdict(Enum):
 LV, IFR, AR, SFR = "LV", "IFR", "AR", "SFR"
 
 
-@dataclass
-class AnalysisBudget:
-    depth_limit: int = 5
-    fuel: int = 500_000
-    wall_clock: Optional[float] = 300.0
-    path_cap: int = 4096
+class AnalysisBudget(Record):
+    __slots__ = _fields = ("depth_limit", "fuel", "wall_clock", "path_cap")
+
+    def __init__(self, depth_limit: int = 5, fuel: int = 500_000,
+                 wall_clock: Optional[float] = 300.0, path_cap: int = 4096):
+        self.depth_limit = depth_limit
+        self.fuel = fuel
+        self.wall_clock = wall_clock
+        self.path_cap = path_cap
 
 
 class Hop(NamedTuple):
@@ -198,24 +202,39 @@ class Hop(NamedTuple):
     provenance: Provenance
 
 
-@dataclass(frozen=True)
-class WriteEvent:
-    kind: str
-    pos: Position
-    provenance: Provenance
-    method_id: str
-    method_display: str
-    enclosing_kind: str  # "method" | "constructor"
-    call_path: tuple[Hop, ...] = ()
-    local: Optional[str] = None
-    base: Optional[str] = None
-    base_type: Optional[str] = None
-    base_pts: Optional[frozenset] = None
-    field: Optional[tuple] = None  # (declaring class, name, type) when resolved
-    field_name: Optional[str] = None
-    index: Optional[object] = None
-    static_cls: Optional[str] = None
-    static_type: Optional[str] = None
+class WriteEvent(FrozenRecord):
+    """One write on a path. Its fields live in the instance dict, which
+    `_instantiate` fills from a lowered template."""
+
+    _fields = ("kind", "pos", "provenance", "method_id", "method_display", "enclosing_kind",
+               "call_path", "local", "base", "base_type", "base_pts", "field", "field_name",
+               "index", "static_cls", "static_type")
+
+    def __init__(
+        self,
+        kind: str,
+        pos: Position,
+        provenance: Provenance,
+        method_id: str,
+        method_display: str,
+        enclosing_kind: str,  # "method" | "constructor"
+        call_path: tuple[Hop, ...] = (),
+        local: Optional[str] = None,
+        base: Optional[str] = None,
+        base_type: Optional[str] = None,
+        base_pts: Optional[frozenset] = None,
+        field: Optional[tuple] = None,  # (declaring class, name, type) when resolved
+        field_name: Optional[str] = None,
+        index: Optional[object] = None,
+        static_cls: Optional[str] = None,
+        static_type: Optional[str] = None,
+    ):
+        self.__dict__.update(
+            kind=kind, pos=pos, provenance=provenance, method_id=method_id,
+            method_display=method_display, enclosing_kind=enclosing_kind, call_path=call_path,
+            local=local, base=base, base_type=base_type, base_pts=base_pts, field=field,
+            field_name=field_name, index=index, static_cls=static_cls, static_type=static_type,
+        )
 
     @property
     def root_pos(self) -> Position:
@@ -249,11 +268,13 @@ class MissRef(NamedTuple):
     reason: str  # "empty-pts" | "unresolved-call"
 
 
-@dataclass
-class Conflict:
-    element: str
-    overridden: WriteEvent
-    overriding: WriteEvent
+class Conflict(Record):
+    __slots__ = _fields = ("element", "overridden", "overriding")
+
+    def __init__(self, element: str, overridden: WriteEvent, overriding: WriteEvent):
+        self.element = element
+        self.overridden = overridden
+        self.overriding = overriding
 
     @property
     def key(self) -> tuple:
@@ -266,19 +287,29 @@ class Conflict:
         )
 
 
-@dataclass
-class OutcomeStats:
-    visited: int = 0
-    paths: int = 0
-    elapsed_ms: float = 0.0  # the path search's wall time; 0 without a wall clock
+class OutcomeStats(Record):
+    __slots__ = _fields = ("visited", "paths", "elapsed_ms")
+
+    def __init__(self, visited: int = 0, paths: int = 0, elapsed_ms: float = 0.0):
+        self.visited = visited
+        self.paths = paths
+        self.elapsed_ms = elapsed_ms  # the path search's wall time; 0 without a wall clock
 
 
-@dataclass
-class AnalysisOutcome:
-    verdict: Verdict
-    conflicts: list[Conflict] = dc_field(default_factory=list)
-    missrefs: list[MissRef] = dc_field(default_factory=list)
-    stats: OutcomeStats = dc_field(default_factory=OutcomeStats)
+class AnalysisOutcome(Record):
+    __slots__ = _fields = ("verdict", "conflicts", "missrefs", "stats")
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        conflicts: Optional[list[Conflict]] = None,
+        missrefs: Optional[list[MissRef]] = None,
+        stats: Optional[OutcomeStats] = None,
+    ):
+        self.verdict = verdict
+        self.conflicts = [] if conflicts is None else conflicts
+        self.missrefs = [] if missrefs is None else missrefs
+        self.stats = OutcomeStats() if stats is None else stats
 
 
 class ComparisonResult(NamedTuple):
@@ -422,12 +453,12 @@ def resolve_call(st: VirtualCall, ctx: DetectionContext):
 #
 # Event templates are complete `WriteEvent` field dicts. An event is a
 # template copied into a fresh instance's `__dict__` plus its dynamic
-# fields, which skips the frozen dataclass's per-field `__init__`; equality
-# and hash read the same fields either way.
+# fields, which skips the call to `WriteEvent.__init__`; equality and hash
+# read the same fields either way.
 
 _WRITE, _HEAP, _CALL, _BRANCH, _RETURN = range(5)
 
-_EVENT_FIELDS = tuple(f.name for f in dc_fields(WriteEvent))
+_EVENT_FIELDS = WriteEvent._fields
 
 
 class _Op:

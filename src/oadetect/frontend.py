@@ -50,7 +50,6 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -75,6 +74,7 @@ from .mir import (
     Position,
     Program,
     Provenance,
+    Record,
     ReflectiveAssign,
     Return,
     StaticCall,
@@ -114,24 +114,26 @@ def read_text(path: Path) -> str:
         raise MirError(f"{str(path)!r}: {e}") from None
 
 
-@dataclass
-class SourceUnit:
-    path: str
-    text: str
+class SourceUnit(Record):
+    __slots__ = _fields = ("path", "text")
+
+    def __init__(self, path: str, text: str):
+        self.path = path
+        self.text = text
 
     @property
     def line_count(self) -> int:
         return self.text.count("\n") + (0 if self.text.endswith("\n") or not self.text else 1)
 
 
-@dataclass
-class ProvenanceMap:
+class ProvenanceMap(Record):
     """Line-level change map: which (file, line) pairs each side touched."""
 
-    left: set[Position] = field(default_factory=set)
-    right: set[Position] = field(default_factory=set)
+    __slots__ = _fields = ("left", "right")
 
-    def __post_init__(self):
+    def __init__(self, left: Optional[set[Position]] = None, right: Optional[set[Position]] = None):
+        self.left = set() if left is None else left
+        self.right = set() if right is None else right
         dup = self.left & self.right
         if dup:
             pos = sorted(dup)[0]

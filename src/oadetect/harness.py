@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import mean, stdev
 from typing import Optional, Union
@@ -30,19 +29,29 @@ from typing import Optional, Union
 from .cha import build_cha_graph
 from .engine import AnalysisBudget, AnalysisOutcome, Mode, Verdict, detect
 from .frontend import ProvenanceMap, SourceUnit, apply_sidecar, entry_candidates, parse_program, read_text
-from .mir import MethodDef, MirError, Program, find_method
+from .mir import MethodDef, MirError, Program, Record, find_method
 from .pointsto import solve
 from .reporting import emit_records
 
 
-@dataclass
-class Scenario:
-    id: str
-    project: str
-    sources: list[SourceUnit]
-    sidecar: Optional[ProvenanceMap] = None
-    entry: Optional[str] = None
-    ground_truth: Optional[bool] = None
+class Scenario(Record):
+    __slots__ = _fields = ("id", "project", "sources", "sidecar", "entry", "ground_truth")
+
+    def __init__(
+        self,
+        id: str,
+        project: str,
+        sources: list[SourceUnit],
+        sidecar: Optional[ProvenanceMap] = None,
+        entry: Optional[str] = None,
+        ground_truth: Optional[bool] = None,
+    ):
+        self.id = id
+        self.project = project
+        self.sources = sources
+        self.sidecar = sidecar
+        self.entry = entry
+        self.ground_truth = ground_truth
 
 
 # Line breaks, tabs and other control characters. A unit name holding one
@@ -119,22 +128,38 @@ def scenario_dirs(root: Path) -> list[Path]:
 # Running
 
 
-@dataclass
-class UnitResult:
-    unit: str
-    project: str
-    mode: Mode
-    verdict: Verdict
-    outcome: AnalysisOutcome
-    timings_ms: list[float]
-    ground_truth: Optional[bool]
-    entry: MethodDef
+class UnitResult(Record):
+    __slots__ = _fields = ("unit", "project", "mode", "verdict", "outcome", "timings_ms",
+                           "ground_truth", "entry")
+
+    def __init__(
+        self,
+        unit: str,
+        project: str,
+        mode: Mode,
+        verdict: Verdict,
+        outcome: AnalysisOutcome,
+        timings_ms: list[float],
+        ground_truth: Optional[bool],
+        entry: MethodDef,
+    ):
+        self.unit = unit
+        self.project = project
+        self.mode = mode
+        self.verdict = verdict
+        self.outcome = outcome
+        self.timings_ms = timings_ms
+        self.ground_truth = ground_truth
+        self.entry = entry
 
 
-@dataclass
-class CorpusRun:
-    results: list[UnitResult] = field(default_factory=list)
-    errors: list[tuple[str, str]] = field(default_factory=list)
+class CorpusRun(Record):
+    __slots__ = _fields = ("results", "errors")
+
+    def __init__(self, results: Optional[list[UnitResult]] = None,
+                 errors: Optional[list[tuple[str, str]]] = None):
+        self.results = [] if results is None else results
+        self.errors = [] if errors is None else errors
 
     def by_unit(self) -> dict[str, dict[Mode, UnitResult]]:
         """Each unit's result under each mode, units in run order."""
@@ -262,25 +287,30 @@ def run_corpus(
 # Tables
 
 
-@dataclass
-class ConfusionMatrix:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
-    excluded: int = 0
+class ConfusionMatrix(Record):
+    __slots__ = _fields = ("tp", "fp", "tn", "fn", "excluded")
+
+    def __init__(self, tp: int = 0, fp: int = 0, tn: int = 0, fn: int = 0, excluded: int = 0):
+        self.tp = tp
+        self.fp = fp
+        self.tn = tn
+        self.fn = fn
+        self.excluded = excluded
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass
-class MetricsSummary:
-    precision: Optional[float]
-    recall: Optional[float]
-    accuracy: Optional[float]
-    f1: Optional[float]
+class MetricsSummary(Record):
+    __slots__ = _fields = ("precision", "recall", "accuracy", "f1")
+
+    def __init__(self, precision: Optional[float], recall: Optional[float],
+                 accuracy: Optional[float], f1: Optional[float]):
+        self.precision = precision
+        self.recall = recall
+        self.accuracy = accuracy
+        self.f1 = f1
 
 
 def confusion(outcomes: dict[str, Verdict], truths: dict[str, bool]) -> ConfusionMatrix:
@@ -322,9 +352,11 @@ def metrics(cm: ConfusionMatrix) -> MetricsSummary:
 VERDICTS = (Verdict.TRUE, Verdict.FALSE, Verdict.TIMEOUT)
 
 
-@dataclass
-class TransitionTable:
-    counts: dict = field(default_factory=dict)
+class TransitionTable(Record):
+    __slots__ = _fields = ("counts",)
+
+    def __init__(self, counts: Optional[dict] = None):
+        self.counts = {} if counts is None else counts
 
     def cell(self, a: Verdict, b: Verdict) -> int:
         return self.counts.get((a, b), 0)
@@ -358,13 +390,15 @@ def divergence_histogram(units: list[tuple[str, Verdict, Verdict]]) -> dict[int,
     return dict(sorted(hist.items()))
 
 
-@dataclass
-class TimingRow:
-    unit: str
-    mode: Mode
-    mean_ms: float
-    stddev_ms: float
-    flagged: bool  # standard deviation above 10% of the mean
+class TimingRow(Record):
+    __slots__ = _fields = ("unit", "mode", "mean_ms", "stddev_ms", "flagged")
+
+    def __init__(self, unit: str, mode: Mode, mean_ms: float, stddev_ms: float, flagged: bool):
+        self.unit = unit
+        self.mode = mode
+        self.mean_ms = mean_ms
+        self.stddev_ms = stddev_ms
+        self.flagged = flagged  # standard deviation above 10% of the mean
 
 
 def timing_summary(samples: dict[str, dict[Mode, list[float]]]) -> list[TimingRow]:

@@ -12,7 +12,7 @@ concrete semantics here and is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .mir import (
     AllocAssign,
@@ -30,6 +30,7 @@ from .mir import (
     Position,
     Program,
     Provenance,
+    Record,
     ReflectiveAssign,
     Return,
     StaticCall,
@@ -59,37 +60,50 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-@dataclass
-class Obj:
-    oid: int
-    site_id: int
-    cls: str
-    fields: dict = field(default_factory=dict)
+class Obj(Record):
+    __slots__ = _fields = ("oid", "site_id", "cls", "fields")
+
+    def __init__(self, oid: int, site_id: int, cls: str, fields: Optional[dict] = None):
+        self.oid = oid
+        self.site_id = site_id
+        self.cls = cls
+        self.fields = {} if fields is None else fields
 
 
-@dataclass
-class Arr:
-    oid: int
-    site_id: int
-    slots: dict = field(default_factory=dict)
+class Arr(Record):
+    __slots__ = _fields = ("oid", "site_id", "slots")
+
+    def __init__(self, oid: int, site_id: int, slots: Optional[dict] = None):
+        self.oid = oid
+        self.site_id = site_id
+        self.slots = {} if slots is None else slots
 
 
-@dataclass(frozen=True)
-class TraceWrite:
+class TraceWrite(NamedTuple):
     kind: str  # LV | IFR | AR | SFR
     key: tuple
     pos: Position
     provenance: Provenance
 
 
-@dataclass
-class Trace:
-    bindings: list = field(default_factory=list)  # (method_id, local, site_id)
-    dispatches: list = field(default_factory=list)  # (Position, target method_id)
-    writes: list = field(default_factory=list)  # TraceWrite
-    steps: int = 0
-    halted: bool = False
-    halt_reason: str = ""
+class Trace(Record):
+    __slots__ = _fields = ("bindings", "dispatches", "writes", "steps", "halted", "halt_reason")
+
+    def __init__(
+        self,
+        bindings: Optional[list] = None,
+        dispatches: Optional[list] = None,
+        writes: Optional[list] = None,
+        steps: int = 0,
+        halted: bool = False,
+        halt_reason: str = "",
+    ):
+        self.bindings = [] if bindings is None else bindings  # (method_id, local, site_id)
+        self.dispatches = [] if dispatches is None else dispatches  # (Position, target method_id)
+        self.writes = [] if writes is None else writes  # TraceWrite
+        self.steps = steps
+        self.halted = halted
+        self.halt_reason = halt_reason
 
 
 class _Interp:

@@ -9,7 +9,6 @@ Once validated, a Program is treated as immutable by all analyses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -44,8 +43,7 @@ class Position(NamedTuple):
 UNKNOWN_POS = Position("<builtin>", 0)
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     """Literal operand (int or string), distinct from a local name."""
 
     value: Union[int, str]
@@ -58,127 +56,279 @@ IndexOperand = Union[int, str]
 
 
 # ---------------------------------------------------------------------------
+# Records
+#
+# Values are NamedTuples (`Position`, `Const`, `Diagnostic`). Every other
+# record is a plain class that writes out its `__init__` and names its
+# fields, in order, in `_fields`; `Record` gives it equality and a repr
+# over them. Nothing is generated when a module is imported.
+
+
+class Record:
+    """Equality and repr over the fields named in `_fields`.
+
+    Records are equal only when they are of one class and their fields are
+    equal, so a `FieldStore` never equals a `FieldLoad`. A record is
+    unhashable, as it may be mutated; `FrozenRecord` refuses assignment and
+    hashes by value.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose `__init__` sets its fields once, through the instance
+    dict; assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}' of {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}' of {type(self).__qualname__}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+# ---------------------------------------------------------------------------
 # Statements
+#
+# Statements are keyword-only; `provenance` defaults to BASE.
 
 
-@dataclass(kw_only=True)
-class Stmt:
-    pos: Position
-    provenance: Provenance = Provenance.BASE
+class Stmt(Record):
+    __slots__ = ("pos", "provenance")
+    _fields = __slots__
 
 
-@dataclass(kw_only=True)
 class AllocAssign(Stmt):
     """target = new cls(args); runs the matching constructor."""
 
-    target: str
-    cls: str
-    args: tuple[Operand, ...] = ()
+    __slots__ = ("target", "cls", "args")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 target: str, cls: str, args: tuple[Operand, ...] = ()):
+        self.pos = pos
+        self.provenance = provenance
+        self.target = target
+        self.cls = cls
+        self.args = args
 
 
-@dataclass(kw_only=True)
 class ReflectiveAssign(Stmt):
     """target = mkref type; yields an instance with no allocation site."""
 
-    target: str
-    type: str
+    __slots__ = ("target", "type")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 target: str, type: str):
+        self.pos = pos
+        self.provenance = provenance
+        self.target = target
+        self.type = type
 
 
-@dataclass(kw_only=True)
 class CopyAssign(Stmt):
-    target: str
-    source: Operand
+    __slots__ = ("target", "source")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 target: str, source: Operand):
+        self.pos = pos
+        self.provenance = provenance
+        self.target = target
+        self.source = source
 
 
-@dataclass(kw_only=True)
 class FieldStore(Stmt):
-    base: str
-    field: str
-    source: Operand
+    __slots__ = ("base", "field", "source")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 base: str, field: str, source: Operand):
+        self.pos = pos
+        self.provenance = provenance
+        self.base = base
+        self.field = field
+        self.source = source
 
 
-@dataclass(kw_only=True)
 class FieldLoad(Stmt):
-    target: str
-    base: str
-    field: str
+    __slots__ = ("target", "base", "field")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 target: str, base: str, field: str):
+        self.pos = pos
+        self.provenance = provenance
+        self.target = target
+        self.base = base
+        self.field = field
 
 
-@dataclass(kw_only=True)
 class StaticStore(Stmt):
-    cls: str
-    field: str
-    source: Operand
+    __slots__ = ("cls", "field", "source")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 cls: str, field: str, source: Operand):
+        self.pos = pos
+        self.provenance = provenance
+        self.cls = cls
+        self.field = field
+        self.source = source
 
 
-@dataclass(kw_only=True)
 class StaticLoad(Stmt):
-    target: str
-    cls: str
-    field: str
+    __slots__ = ("target", "cls", "field")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 target: str, cls: str, field: str):
+        self.pos = pos
+        self.provenance = provenance
+        self.target = target
+        self.cls = cls
+        self.field = field
 
 
-@dataclass(kw_only=True)
 class ArrayAlloc(Stmt):
-    target: str
-    elem_type: str
-    size: int
+    __slots__ = ("target", "elem_type", "size")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 target: str, elem_type: str, size: int):
+        self.pos = pos
+        self.provenance = provenance
+        self.target = target
+        self.elem_type = elem_type
+        self.size = size
 
 
-@dataclass(kw_only=True)
 class ArrayStore(Stmt):
-    base: str
-    index: IndexOperand
-    source: Operand
+    __slots__ = ("base", "index", "source")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 base: str, index: IndexOperand, source: Operand):
+        self.pos = pos
+        self.provenance = provenance
+        self.base = base
+        self.index = index
+        self.source = source
 
 
-@dataclass(kw_only=True)
 class ArrayLoad(Stmt):
-    target: str
-    base: str
-    index: IndexOperand
+    __slots__ = ("target", "base", "index")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 target: str, base: str, index: IndexOperand):
+        self.pos = pos
+        self.provenance = provenance
+        self.target = target
+        self.base = base
+        self.index = index
 
 
-@dataclass(kw_only=True)
 class VirtualCall(Stmt):
-    receiver: str
-    method: str
-    args: tuple[Operand, ...] = ()
-    result: Optional[str] = None
+    __slots__ = ("receiver", "method", "args", "result")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 receiver: str, method: str, args: tuple[Operand, ...] = (),
+                 result: Optional[str] = None):
+        self.pos = pos
+        self.provenance = provenance
+        self.receiver = receiver
+        self.method = method
+        self.args = args
+        self.result = result
 
 
-@dataclass(kw_only=True)
 class StaticCall(Stmt):
-    cls: str
-    method: str
-    args: tuple[Operand, ...] = ()
-    result: Optional[str] = None
+    __slots__ = ("cls", "method", "args", "result")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 cls: str, method: str, args: tuple[Operand, ...] = (),
+                 result: Optional[str] = None):
+        self.pos = pos
+        self.provenance = provenance
+        self.cls = cls
+        self.method = method
+        self.args = args
+        self.result = result
 
 
-@dataclass(kw_only=True)
 class If(Stmt):
-    cond: str
-    then_body: list[Stmt] = field(default_factory=list)
-    else_body: list[Stmt] = field(default_factory=list)
+    __slots__ = ("cond", "then_body", "else_body")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 cond: str, then_body: Optional[list[Stmt]] = None,
+                 else_body: Optional[list[Stmt]] = None):
+        self.pos = pos
+        self.provenance = provenance
+        self.cond = cond
+        self.then_body = [] if then_body is None else then_body
+        self.else_body = [] if else_body is None else else_body
 
 
-@dataclass(kw_only=True)
 class While(Stmt):
-    cond: str
-    body: list[Stmt] = field(default_factory=list)
+    __slots__ = ("cond", "body")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 cond: str, body: Optional[list[Stmt]] = None):
+        self.pos = pos
+        self.provenance = provenance
+        self.cond = cond
+        self.body = [] if body is None else body
 
 
-@dataclass(kw_only=True)
 class Return(Stmt):
-    value: Optional[str] = None
+    __slots__ = ("value",)
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 value: Optional[str] = None):
+        self.pos = pos
+        self.provenance = provenance
+        self.value = value
 
 
-@dataclass(kw_only=True)
 class OpaqueOp(Stmt):
     """target = op(operands); stands in for any arithmetic or logic."""
 
-    target: str
-    operands: tuple[Operand, ...] = ()
+    __slots__ = ("target", "operands")
+    _fields = Stmt._fields + __slots__
+
+    def __init__(self, *, pos: Position, provenance: Provenance = Provenance.BASE,
+                 target: str, operands: tuple[Operand, ...] = ()):
+        self.pos = pos
+        self.provenance = provenance
+        self.target = target
+        self.operands = operands
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +338,42 @@ class OpaqueOp(Stmt):
 CTOR_NAME = "<init>"
 
 
-@dataclass
-class FieldDef:
-    name: str
-    type: str
-    static: bool = False
-    pos: Position = UNKNOWN_POS
+class FieldDef(Record):
+    __slots__ = _fields = ("name", "type", "static", "pos")
+
+    def __init__(self, name: str, type: str, static: bool = False, pos: Position = UNKNOWN_POS):
+        self.name = name
+        self.type = type
+        self.static = static
+        self.pos = pos
 
 
-@dataclass
-class MethodDef:
+class MethodDef(Record):
     """`id` and `display` are formatted once, on first read: `name`,
     `params` and `declaring_class` must not change after construction."""
 
-    name: str
-    params: tuple[str, ...]
-    body: list[Stmt]
-    declaring_class: str
-    kind: str = "method"  # "method" | "constructor"
-    static: bool = False
-    public: bool = True
-    pos: Position = UNKNOWN_POS
+    # No __slots__: `cached_property` keeps its values in the instance dict.
+    _fields = ("name", "params", "body", "declaring_class", "kind", "static", "public", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[str, ...],
+        body: list[Stmt],
+        declaring_class: str,
+        kind: str = "method",  # "method" | "constructor"
+        static: bool = False,
+        public: bool = True,
+        pos: Position = UNKNOWN_POS,
+    ):
+        self.name = name
+        self.params = params
+        self.body = body
+        self.declaring_class = declaring_class
+        self.kind = kind
+        self.static = static
+        self.public = public
+        self.pos = pos
 
     @cached_property
     def id(self) -> str:
@@ -223,37 +388,62 @@ class MethodDef:
         return self.kind == "constructor"
 
 
-@dataclass
-class MethodSig:
-    name: str
-    params: tuple[str, ...]
-    pos: Position = UNKNOWN_POS
+class MethodSig(Record):
+    __slots__ = _fields = ("name", "params", "pos")
+
+    def __init__(self, name: str, params: tuple[str, ...], pos: Position = UNKNOWN_POS):
+        self.name = name
+        self.params = params
+        self.pos = pos
 
 
-@dataclass
-class ClassDef:
-    name: str
-    superclass: Optional[str] = None
-    interfaces: tuple[str, ...] = ()
-    fields: list[FieldDef] = field(default_factory=list)
-    methods: list[MethodDef] = field(default_factory=list)
-    constructors: list[MethodDef] = field(default_factory=list)
-    pos: Position = UNKNOWN_POS
+class ClassDef(Record):
+    __slots__ = _fields = ("name", "superclass", "interfaces", "fields", "methods", "constructors", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        superclass: Optional[str] = None,
+        interfaces: tuple[str, ...] = (),
+        fields: Optional[list[FieldDef]] = None,
+        methods: Optional[list[MethodDef]] = None,
+        constructors: Optional[list[MethodDef]] = None,
+        pos: Position = UNKNOWN_POS,
+    ):
+        self.name = name
+        self.superclass = superclass
+        self.interfaces = interfaces
+        self.fields = [] if fields is None else fields
+        self.methods = [] if methods is None else methods
+        self.constructors = [] if constructors is None else constructors
+        self.pos = pos
 
 
-@dataclass
-class InterfaceDef:
-    name: str
-    extends: Optional[str] = None
-    signatures: list[MethodSig] = field(default_factory=list)
-    pos: Position = UNKNOWN_POS
+class InterfaceDef(Record):
+    __slots__ = _fields = ("name", "extends", "signatures", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        extends: Optional[str] = None,
+        signatures: Optional[list[MethodSig]] = None,
+        pos: Position = UNKNOWN_POS,
+    ):
+        self.name = name
+        self.extends = extends
+        self.signatures = [] if signatures is None else signatures
+        self.pos = pos
 
 
-@dataclass
-class Program:
-    classes: list[ClassDef] = field(default_factory=list)
-    interfaces: list[InterfaceDef] = field(default_factory=list)
-    _hierarchy = None  # not a dataclass field: no annotation
+class Program(Record):
+    __slots__ = ("classes", "interfaces", "_hierarchy")
+    _fields = ("classes", "interfaces")
+
+    def __init__(self, classes: Optional[list[ClassDef]] = None,
+                 interfaces: Optional[list[InterfaceDef]] = None):
+        self.classes = [] if classes is None else classes
+        self.interfaces = [] if interfaces is None else interfaces
+        self._hierarchy: Optional[Hierarchy] = None
 
     def hierarchy(self) -> "Hierarchy":
         """The name and hierarchy index, built on first use.
@@ -274,8 +464,7 @@ class Program:
         return h
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     pos: Position
     message: str
 

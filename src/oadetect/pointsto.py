@@ -27,8 +27,7 @@ sites. A virtual call that never dispatched is reported as unresolved.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .cha import CallGraph, _add_targets, _sorted_sites
 from .mir import (
@@ -44,6 +43,7 @@ from .mir import (
     MirError,
     Position,
     Program,
+    Record,
     Return,
     StaticCall,
     StaticLoad,
@@ -67,21 +67,23 @@ MISS = _Miss()
 Var = tuple
 
 
-@dataclass(frozen=True)
-class AllocSite:
+class AllocSite(NamedTuple):
     id: int
     pos: Position
     cls: str
     kind: str  # "object" | "array"
 
 
-@dataclass
-class PointsToResult:
-    pts: dict
-    sites: tuple
-    callgraph: CallGraph
-    unresolved: tuple  # (Position, reason) pairs
-    methods: Mapping[str, MethodDef]  # the program's methods by id
+class PointsToResult(Record):
+    __slots__ = _fields = ("pts", "sites", "callgraph", "unresolved", "methods")
+
+    def __init__(self, pts: dict, sites: tuple, callgraph: CallGraph, unresolved: tuple,
+                 methods: Mapping[str, MethodDef]):
+        self.pts = pts
+        self.sites = sites
+        self.callgraph = callgraph
+        self.unresolved = unresolved  # (Position, reason) pairs
+        self.methods = methods  # the program's methods by id
 
 
 def pa_entry_points(p: Program) -> list[MethodDef]:

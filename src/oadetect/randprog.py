@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .mir import (
@@ -37,6 +36,7 @@ from .mir import (
     Position,
     Program,
     Provenance,
+    Record,
     ReflectiveAssign,
     Return,
     StaticLoad,
@@ -57,11 +57,13 @@ def default_seed() -> int:
     return int(raw) if raw else DEFAULT_SEED
 
 
-@dataclass
-class GeneratedProgram:
-    program: Program
-    main: MethodDef
-    entry: Optional[MethodDef] = None  # dually modified method, when marked
+class GeneratedProgram(Record):
+    __slots__ = _fields = ("program", "main", "entry")
+
+    def __init__(self, program: Program, main: MethodDef, entry: Optional[MethodDef] = None):
+        self.program = program
+        self.main = main
+        self.entry = entry  # dually modified method, when marked
 
 
 class _Gen:

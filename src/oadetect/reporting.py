@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .engine import AnalysisOutcome, Conflict, Mode, WriteEvent
-from .mir import MethodDef
+from .mir import MethodDef, Record
 
 
-@dataclass
-class ConflictReport:
-    entry_class: str
-    entry_method: str
-    element: str
-    overriding: WriteEvent
-    overridden: WriteEvent
+class ConflictReport(Record):
+    __slots__ = _fields = ("entry_class", "entry_method", "element", "overriding", "overridden")
+
+    def __init__(self, entry_class: str, entry_method: str, element: str,
+                 overriding: WriteEvent, overridden: WriteEvent):
+        self.entry_class = entry_class
+        self.entry_method = entry_method
+        self.element = element
+        self.overriding = overriding
+        self.overridden = overridden
 
     @property
     def overridden_flow(self) -> list[str]:

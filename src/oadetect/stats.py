@@ -11,8 +11,7 @@ continuity correction and the usual tie adjustment of the variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 _EXACT_LIMIT = 25
 
@@ -21,8 +20,7 @@ class InsufficientPairsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WilcoxonResult:
+class WilcoxonResult(NamedTuple):
     w: float
     p_value: float
     n: int

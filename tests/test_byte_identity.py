@@ -4,13 +4,17 @@ A refactor must leave the records, the tables, the printed verdicts and
 reports, and the exit codes byte for byte as they were. The digests below
 pin `corpus` on the bundled corpus, and `analyze` on each bundled scenario
 and on two generated programs (literal seeds, so `OA_SEED` does not move
-them) under each mode, with and without `--out`. A change that moves
-records on purpose updates them and says which units moved and why.
+them) under each mode, with and without `--out`, and the records of
+`corpus` on the three benchmark workloads at seed 101, built by
+`bench/workloads.py`. A change that moves records on purpose updates them
+and says which units moved and why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +101,16 @@ ANALYZE_DIGESTS = {
 # miss-references under `pa` and `hybrid`.
 GENERATED = {"gen-4769": (4769, False), "gen-4793": (4793, True)}
 
+# sha256 of `corpus`'s records.jsonl on each benchmark workload at seed 101,
+# the digests the benchmark prints.
+WORKLOAD_SEED = 101
+WORKLOAD_DIGESTS = {
+    "gate-bundled": "a39eb26fc11c2bab6d393f96789b51ed09fcdd1a80feb9aa60b1ab586ad38800",
+    "scan-random": "bc10183c70897c053ed2e3fb85a8a627bdf11e2df3b8d47faf49495c54471719",
+    "wide-hierarchy": "518f24ba3394490a2c0ff080d180fd8906987e822e62bb87fa51b72e0d7bf252",
+}
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
 
 def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
@@ -135,3 +149,24 @@ def test_analyze_output_is_byte_identical(name, mode, tmp_path, capsys):
     assert printed.err == ""
     got = (code, _sha(printed.out), _sha((out_dir / "records.jsonl").read_text()))
     assert got == ANALYZE_DIGESTS[name, mode]
+
+
+def _bench_workloads():
+    """`bench/workloads.py`, loaded under a name of its own."""
+    name = "_bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, BENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
+def test_bench_workload_records_are_byte_identical(workload, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("OA_SEED", raising=False)  # scan-random draws its programs from it
+    wl = _bench_workloads().build_workload(workload, tmp_path / "in", WORKLOAD_SEED)
+    code = main(["corpus", "--deterministic", "--reps", "1", "--modes", ",".join(MODES),
+                 *wl.budget_flags(), "--root", str(wl.root), "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (1, "")
+    assert _sha((tmp_path / "out" / "records.jsonl").read_text()) == WORKLOAD_DIGESTS[workload]

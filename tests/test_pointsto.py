@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from conftest import call_graph_from_edges, is_closed
@@ -9,6 +7,7 @@ from oadetect.frontend import parse_source
 from oadetect.mir import MirError, find_method
 from oadetect.pointsto import (
     MISS,
+    PointsToResult,
     dump_pts,
     pa_entry_points,
     pts_of,
@@ -157,7 +156,7 @@ def test_is_closed_sees_a_set_missing_what_a_constraint_feeds():
     y = ("l", "Main.main/0", "y")
     assert r.pts[y] == {0}
     pts = {var: sids for var, sids in r.pts.items() if var != y}
-    assert not is_closed(p, replace(r, pts=pts))
+    assert not is_closed(p, PointsToResult(pts, r.sites, r.callgraph, r.unresolved, r.methods))
 
 
 def test_is_closed_sees_a_missing_call_edge_or_method(fig1_simple):
@@ -166,9 +165,9 @@ def test_is_closed_sees_a_missing_call_edge_or_method(fig1_simple):
     edge = next(e for e in sorted(r.callgraph.edges) if e.target == "ReportSimple.countDupWords/0")
     g = r.callgraph
     fewer_edges = call_graph_from_edges(g.roots, g.nodes, g.edges - {edge})
-    assert not is_closed(p, replace(r, callgraph=fewer_edges))
+    assert not is_closed(p, PointsToResult(r.pts, r.sites, fewer_edges, r.unresolved, r.methods))
     fewer_nodes = call_graph_from_edges(g.roots, g.nodes - {edge.target}, g.edges)
-    assert not is_closed(p, replace(r, callgraph=fewer_nodes))
+    assert not is_closed(p, PointsToResult(r.pts, r.sites, fewer_nodes, r.unresolved, r.methods))
 
 
 def test_is_closed_accepts_a_larger_set_that_feeds_nothing():
@@ -177,7 +176,8 @@ def test_is_closed_accepts_a_larger_set_that_feeds_nothing():
     p = parse_source(COPY_CHAIN)
     r = solve(p)
     y = ("l", "Main.main/0", "y")
-    assert is_closed(p, replace(r, pts={**r.pts, y: frozenset({0, 1})}))
+    wider = {**r.pts, y: frozenset({0, 1})}
+    assert is_closed(p, PointsToResult(wider, r.sites, r.callgraph, r.unresolved, r.methods))
 
 
 def test_solver_deterministic(fig1_advanced):
