@@ -37,7 +37,6 @@ from .mir import (
     CopyAssign,
     Const,
     FieldLoad,
-    FrozenRecord,
     Hierarchy,
     If,
     MethodDef,
@@ -45,6 +44,7 @@ from .mir import (
     OpaqueOp,
     Position,
     Program,
+    Record,
     ReflectiveAssign,
     StaticCall,
     StaticLoad,
@@ -64,7 +64,7 @@ class CallEdge(NamedTuple):
     target: str
 
 
-class CallGraph(FrozenRecord):
+class CallGraph(Record):
     """A call graph kept per call site.
 
     `sites` maps each call or allocation site that reaches a method to its
@@ -72,6 +72,7 @@ class CallGraph(FrozenRecord):
     `targets_at` and `has_site` read it directly. A site has one caller,
     since `validate_program` rejects statements that share a position.
     `edges`, one `CallEdge` per site and target, is derived on first read.
+    The fields are set once: assigning or deleting one raises AttributeError.
     """
 
     # No __slots__: `cached_property` keeps `edges` in the instance dict.
@@ -80,6 +81,12 @@ class CallGraph(FrozenRecord):
     def __init__(self, roots: frozenset[str], nodes: frozenset[str],
                  sites: Mapping[Position, tuple[str, tuple[str, ...]]]):
         self.__dict__.update(roots=roots, nodes=nodes, sites=sites)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}' of CallGraph")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}' of CallGraph")
 
     @cached_property
     def edges(self) -> frozenset[CallEdge]:

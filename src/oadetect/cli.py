@@ -38,7 +38,6 @@ from .harness import scenario_entries, scenario_program
 from .mir import MirError
 from .pointsto import dump_pts, solve
 from .reporting import build_reports, emit_records, render_text
-from .stats import InsufficientPairsError, wilcoxon_signed_rank
 
 EXIT_FALSE = 0
 EXIT_TRUE = 1
@@ -176,6 +175,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .stats import InsufficientPairsError, wilcoxon_signed_rank  # kept off `analyze`'s imports
+
     modes = _modes("--modes", args.modes.split(","))
     budget = _budget(args)
     _require(args.reps >= 1, "--reps", "at least 1", args.reps)

@@ -26,21 +26,22 @@ graphs a mode reads.
 
 The enumerator steps over a lowered form, not over statements. Each
 `MethodDef` it enters is lowered once per `detect` or `enumerate_write_paths`
-call, on first entry, into a list of ops kept by its id (nested `if`/`while`
-blocks with it); its frame's env is `cha.initial_env` of the argument types.
-There are five ops: a local or static write, a heap write, a call, a branch
-(`if` or `while`) and a return. An allocation `x = new C(args)` is a call
-whose one target is `C`'s constructor, as CHA, the points-to solver and the
-interpreter take it; its op also writes `x` first. An op holds an opcode and
-what every visit shares: the method's id, display and kind, the call hop and
-the resolved target `MethodDef`s, the static field's declaring class and
-type, the written base's points-to set, the type rule (`cha.type_rule`, the
-one transfer rule, which CHA's typing applies too) and a template of the
-write event. A visit adds only what depends on the path: the call path, the
-provenance inherited from it (kept on the frame), and for heap writes the
-base type and the field triple on it. Every field, method, constructor and
-subtype answer comes from the program's `Hierarchy`, which the detection
-context takes once, as CHA and the points-to solver do.
+call, on first entry, into a list of ops that the call's `DetectionContext`
+keeps by its id (nested `if`/`while` blocks with it); its frame's env is
+`cha.initial_env` of the argument types. There are five ops: a local or
+static write, a heap write, a call, a branch (`if` or `while`) and a return.
+An allocation `x = new C(args)` is a call whose one target is `C`'s
+constructor, as CHA, the points-to solver and the interpreter take it; its
+op also writes `x` first. An op holds an opcode and what every visit shares:
+the method's id, display and kind, the call hop and the resolved target
+`MethodDef`s, the static field's declaring class and type, the written
+base's points-to set, the type rule (`cha.type_rule`, the one transfer rule,
+which CHA's typing applies too) and the write event's other fields, as two
+tuples. A visit concatenates them around what depends on the path: the
+provenance inherited from it (kept on the frame), the call path, and for
+heap writes the base type and the field triple on it. Every field, method,
+constructor and subtype answer comes from the program's `Hierarchy`, which
+the detection context takes once, as CHA and the points-to solver do.
 
 The machine's state is three values: a frame, the index of its next op, and
 the env. Frames are immutable, each linked to the continuation it resumes
@@ -110,9 +111,9 @@ the targets that recursion cuts on the visit (its frontier sum). The sum
 serves a visit when every target not counted yet is cut there; otherwise
 the targets are counted one by one, which counts the missing ones. The
 count still stops at the call, so it checks its budgets where it did
-before. The count walks with
-an explicit stack and shares the enumerator's `_Lowering`, so the walk and
-the count share one call rule, `_Lowering.call_alts`. Every way out of a
+before. The count walks with an explicit stack over the ops the detection
+context lowers for the walk too, so the walk and the count share one call
+rule, `DetectionContext.call_alts`. Every way out of a
 counted part leads to at least one leaf, so the first part with more paths
 than the path cap or more visits than the fuel proves that the enumerator
 runs out of that budget, and the count stops there (it saturates).
@@ -141,7 +142,6 @@ from .mir import (
     AllocAssign,
     ArrayStore,
     FieldStore,
-    FrozenRecord,
     Hierarchy,
     If,
     MethodDef,
@@ -202,39 +202,26 @@ class Hop(NamedTuple):
     provenance: Provenance
 
 
-class WriteEvent(FrozenRecord):
-    """One write on a path. Its fields live in the instance dict, which
-    `_instantiate` fills from a lowered template."""
+class WriteEvent(NamedTuple):
+    """One write on a path. A visit builds it from its op's static fields
+    and those the path decides, by concatenation (see `_Op`)."""
 
-    _fields = ("kind", "pos", "provenance", "method_id", "method_display", "enclosing_kind",
-               "call_path", "local", "base", "base_type", "base_pts", "field", "field_name",
-               "index", "static_cls", "static_type")
-
-    def __init__(
-        self,
-        kind: str,
-        pos: Position,
-        provenance: Provenance,
-        method_id: str,
-        method_display: str,
-        enclosing_kind: str,  # "method" | "constructor"
-        call_path: tuple[Hop, ...] = (),
-        local: Optional[str] = None,
-        base: Optional[str] = None,
-        base_type: Optional[str] = None,
-        base_pts: Optional[frozenset] = None,
-        field: Optional[tuple] = None,  # (declaring class, name, type) when resolved
-        field_name: Optional[str] = None,
-        index: Optional[object] = None,
-        static_cls: Optional[str] = None,
-        static_type: Optional[str] = None,
-    ):
-        self.__dict__.update(
-            kind=kind, pos=pos, provenance=provenance, method_id=method_id,
-            method_display=method_display, enclosing_kind=enclosing_kind, call_path=call_path,
-            local=local, base=base, base_type=base_type, base_pts=base_pts, field=field,
-            field_name=field_name, index=index, static_cls=static_cls, static_type=static_type,
-        )
+    kind: str
+    pos: Position
+    method_id: str
+    method_display: str
+    enclosing_kind: str  # "method" | "constructor"
+    provenance: Provenance
+    call_path: tuple[Hop, ...] = ()
+    base_type: Optional[str] = None
+    field: Optional[tuple] = None  # (declaring class, name, type) when resolved
+    local: Optional[str] = None
+    base: Optional[str] = None
+    base_pts: Optional[frozenset] = None
+    field_name: Optional[str] = None
+    index: Optional[object] = None
+    static_cls: Optional[str] = None
+    static_type: Optional[str] = None
 
     @property
     def root_pos(self) -> Position:
@@ -390,6 +377,9 @@ def _written(ev: WriteEvent) -> str:
 
 
 class DetectionContext:
+    """One detection's inputs, its counters and findings, and the ops of the
+    methods it enters, each lowered on first entry."""
+
     def __init__(
         self,
         program: Program,
@@ -412,101 +402,11 @@ class DetectionContext:
         self.deadline = (
             time.monotonic() + budget.wall_clock if budget.wall_clock is not None else None
         )
+        self.lowered: dict[str, list[_Op]] = {}
 
     @property
     def timed_out(self) -> bool:
         return self.stop_reason is not None
-
-    def base_pts(self, mid: str, local: str) -> Optional[frozenset]:
-        if not self.mode.uses_pts or self.pts is None:
-            return None
-        got = self.pts.pts.get(("l", mid, local), frozenset())
-        return got if got else None
-
-
-def resolve_call(st: VirtualCall, ctx: DetectionContext):
-    """Targets of a virtual site under the context's mode.
-
-    Returns (methods, missref-or-None). In pa mode an unresolvable site
-    contributes no targets; hybrid widens it to the hierarchy-based targets.
-    """
-
-    def cha_targets() -> list[MethodDef]:
-        if ctx.cha is not None and ctx.cha.has_site(st.pos):
-            return [ctx.by_id[i] for i in ctx.cha.targets_at(st.pos)]
-        return list(ctx.hierarchy.dispatch_targets(None, st.method, len(st.args)))
-
-    if not ctx.mode.uses_pts:
-        return cha_targets(), None
-
-    pa_ids = ctx.pts.callgraph.targets_at(st.pos) if ctx.pts is not None else []
-    if pa_ids:
-        return [ctx.by_id[i] for i in pa_ids], None
-    miss = MissRef(st.pos, f"{st.receiver}.{st.method}()", "unresolved-call")
-    if not ctx.mode.uses_cha:
-        return [], miss
-    return cha_targets(), miss
-
-
-# ---------------------------------------------------------------------------
-# Lowered form (see the module docstring)
-#
-# Event templates are complete `WriteEvent` field dicts. An event is a
-# template copied into a fresh instance's `__dict__` plus its dynamic
-# fields, which skips the call to `WriteEvent.__init__`; equality and hash
-# read the same fields either way.
-
-_WRITE, _HEAP, _CALL, _BRANCH, _RETURN = range(5)
-
-_EVENT_FIELDS = WriteEvent._fields
-
-
-class _Op:
-    """One lowered statement: an opcode and its static payload.
-
-    _WRITE   an LV or SFR write: `template`, its element `key`, and the
-             type `rule` (None for a static store)
-    _HEAP    an IFR or AR write: `template`, `base` and, for IFR, `field`
-    _CALL    a call or an allocation: `hop`, and `targets` with the
-             frozenset of their ids, `target_ids` (both resolved on first
-             visit; an allocation's one target is its class's constructor);
-             `result` is the _WRITE op of a call's result local, or None; an
-             allocation carries its LV write as _WRITE does, made before
-             the call
-    _BRANCH  an `if` or `while`: `alts`, the blocks the choice point tries
-             in order: the then and else blocks, or None (skip the loop)
-             and the body
-    _RETURN  nothing
-    """
-
-    __slots__ = ("code", "st", "prov", "template", "key", "rule", "base", "field",
-                 "hop", "targets", "target_ids", "result", "alts")
-
-    def __init__(self, code: int, st):
-        self.code = code
-        self.st = st
-        # The statement's own side, None for BASE: a BASE write, and a body a
-        # BASE call enters, take the provenance their path inherits.
-        self.prov = st.provenance if st.provenance is not Provenance.BASE else None
-        self.template = self.key = self.rule = self.base = self.field = None
-        self.hop = self.targets = self.target_ids = self.result = self.alts = None
-
-
-def _instantiate(template: dict, call_path: tuple, provenance: Provenance) -> WriteEvent:
-    ev = object.__new__(WriteEvent)
-    d = ev.__dict__
-    d.update(template)
-    d["call_path"] = call_path
-    d["provenance"] = provenance
-    return ev
-
-
-class _Lowering:
-    """The ops of the methods entered under one context, each lowered on first entry."""
-
-    def __init__(self, ctx: DetectionContext):
-        self.ctx = ctx
-        self.lowered: dict[str, list[_Op]] = {}
 
     def ops(self, m: MethodDef) -> list[_Op]:
         ops = self.lowered.get(m.id)
@@ -521,16 +421,16 @@ class _Lowering:
         A miss-reference is recorded then; recorded misses are never undone,
         so once is as good as once per visit.
         """
-        st, ctx = op.st, self.ctx
+        st = op.st
         if isinstance(st, VirtualCall):
-            defs, miss = resolve_call(st, ctx)
+            defs, miss = resolve_call(st, self)
             if miss is not None:
-                ctx.missrefs.add(miss)
+                self.missrefs.add(miss)
         elif isinstance(st, AllocAssign):
-            ctor = ctx.hierarchy.constructor_of(st.cls, len(st.args))
+            ctor = self.hierarchy.constructor_of(st.cls, len(st.args))
             defs = [] if ctor is None else [ctor]
         else:
-            defs = [resolve_static(ctx.hierarchy, st)]
+            defs = [resolve_static(self.hierarchy, st)]
         op.targets = defs
         op.target_ids = frozenset(t.id for t in defs)
         return defs
@@ -544,7 +444,7 @@ class _Lowering:
         targets = op.targets
         if targets is None:
             targets = self.resolve_targets(op)
-        if not targets or depth >= self.ctx.budget.depth_limit:
+        if not targets or depth >= self.budget.depth_limit:
             return None
         if op.target_ids.isdisjoint(on_stack):
             return targets
@@ -577,30 +477,93 @@ class _Lowering:
         elif isinstance(st, ArrayStore):
             op = self._heap(st, m, AR, index=st.index)
         elif isinstance(st, StaticStore):
-            decl, ftype = self.ctx.hierarchy.static_field_of(st.cls, st.field)
+            decl, ftype = self.hierarchy.static_field_of(st.cls, st.field)
             op = self._write(_Op(_WRITE, st), m, SFR, static_cls=decl, field_name=st.field, static_type=ftype)
         else:  # a copy, mkref, op, newarr or load: a local write
             op = self._write(_Op(_WRITE, st), m, LV, local=st.target)
         return op
 
-    def _template(self, st, m: MethodDef, kind: str, **payload) -> dict:
-        template = dict.fromkeys(_EVENT_FIELDS)
-        template.update(kind=kind, pos=st.pos, method_id=m.id, method_display=m.display,
-                        enclosing_kind=m.kind, call_path=(), **payload)
-        return template
-
     def _write(self, op: _Op, m: MethodDef, kind: str, **payload) -> _Op:
-        op.template = self._template(op.st, m, kind, **payload)
-        op.key = _instantiate(op.template, (), Provenance.BASE).element_key()
-        op.rule = type_rule(op.st, self.ctx.hierarchy)
+        ev = WriteEvent(kind, op.st.pos, m.id, m.display, m.kind, Provenance.BASE, **payload)
+        op.head, op.tail, op.key = ev[:5], ev[7:], ev.element_key()
+        op.rule = type_rule(op.st, self.hierarchy)
         return op
 
     def _heap(self, st, m: MethodDef, kind: str, **payload) -> _Op:
         op = _Op(_HEAP, st)
         op.base = st.base
-        op.template = self._template(st, m, kind, base=st.base,
-                                     base_pts=self.ctx.base_pts(m.id, st.base), **payload)
+        pts = self.pts.pts.get(("l", m.id, st.base)) if self.mode.uses_pts and self.pts is not None else None
+        ev = WriteEvent(kind, st.pos, m.id, m.display, m.kind, Provenance.BASE, base=st.base,
+                        base_pts=pts or None, **payload)
+        op.head, op.tail = ev[:5], ev[9:]
         return op
+
+
+def resolve_call(st: VirtualCall, ctx: DetectionContext):
+    """Targets of a virtual site under the context's mode.
+
+    Returns (methods, missref-or-None). In pa mode an unresolvable site
+    contributes no targets; hybrid widens it to the hierarchy-based targets.
+    """
+
+    def cha_targets() -> list[MethodDef]:
+        if ctx.cha is not None and ctx.cha.has_site(st.pos):
+            return [ctx.by_id[i] for i in ctx.cha.targets_at(st.pos)]
+        return list(ctx.hierarchy.dispatch_targets(None, st.method, len(st.args)))
+
+    if not ctx.mode.uses_pts:
+        return cha_targets(), None
+
+    pa_ids = ctx.pts.callgraph.targets_at(st.pos) if ctx.pts is not None else []
+    if pa_ids:
+        return [ctx.by_id[i] for i in pa_ids], None
+    miss = MissRef(st.pos, f"{st.receiver}.{st.method}()", "unresolved-call")
+    if not ctx.mode.uses_cha:
+        return [], miss
+    return cha_targets(), miss
+
+
+# ---------------------------------------------------------------------------
+# Lowered form (see the module docstring)
+
+_WRITE, _HEAP, _CALL, _BRANCH, _RETURN = range(5)
+
+
+class _Op:
+    """One lowered statement: an opcode and its static payload.
+
+    _WRITE   an LV or SFR write: `head` and `tail`, its element `key`, and
+             the type `rule` (None for a static store)
+    _HEAP    an IFR or AR write: `head` and `tail`, `base` and, for IFR,
+             `field`
+    _CALL    a call or an allocation: `hop`, and `targets` with the
+             frozenset of their ids, `target_ids` (both resolved on first
+             visit; an allocation's one target is its class's constructor);
+             `result` is the _WRITE op of a call's result local, or None; an
+             allocation carries its LV write as _WRITE does, made before
+             the call
+    _BRANCH  an `if` or `while`: `alts`, the blocks the choice point tries
+             in order: the then and else blocks, or None (skip the loop)
+             and the body
+    _RETURN  nothing
+
+    A write's `head` and `tail` are its event's fields before and after
+    those a visit adds: the provenance and the call path, and for _HEAP the
+    base type and the field after them (a _WRITE's `tail` holds None for
+    those two).
+    """
+
+    __slots__ = ("code", "st", "prov", "head", "tail", "key", "rule", "base", "field",
+                 "hop", "targets", "target_ids", "result", "alts")
+
+    def __init__(self, code: int, st):
+        self.code = code
+        self.st = st
+        # The statement's own side, None for BASE: a BASE write, and a body a
+        # BASE call enters, take the provenance their path inherits.
+        self.prov = st.provenance if st.provenance is not Provenance.BASE else None
+        self.head = self.tail = self.key = self.rule = self.base = self.field = None
+        self.hop = self.targets = self.target_ids = self.result = self.alts = None
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +627,6 @@ class _Frame:
 class _Enumerator:
     def __init__(self, ctx: DetectionContext, entry: MethodDef):
         self.ctx = ctx
-        self.lowering = _Lowering(ctx)
         self.entry = entry
         self.events: list[WriteEvent] = []
         # Choice points: [frame, i, env, events length, op, alternatives,
@@ -687,12 +649,13 @@ class _Enumerator:
     def paths(self) -> Iterator:
         """Yields `_finish_path()` once per completed path; when a budget
         runs out, sets `ctx.stop_reason` and returns."""
-        ctx, entry, lowering = self.ctx, self.entry, self.lowering
+        ctx, entry = self.ctx, self.entry
         h, budget, deadline = ctx.hierarchy, ctx.budget, ctx.deadline
         fuel, path_cap = budget.fuel, budget.path_cap
         append, write, truncate = self._append, self._write, self._truncate
         choices, events = self.choices, self.events
-        frame = _Frame(lowering.ops(entry), (), Provenance.BASE, frozenset({entry.id}))
+        new, event = tuple.__new__, WriteEvent  # events are built from tuples (see `_Op`)
+        frame = _Frame(ctx.ops(entry), (), Provenance.BASE, frozenset({entry.id}))
         i, env = 0, initial_env(entry)
         visited = ctx.visited
         try:
@@ -710,18 +673,17 @@ class _Enumerator:
                     i += 1
                     code = op.code
                     if code == _WRITE:
-                        append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
+                        append(new(event, op.head + (op.prov or frame.prov, frame.call_path) + op.tail),
+                               op.key)
                         if op.rule is not None:
                             env = apply_rule(op.rule, env, h)
                         continue
                     if code == _HEAP:
                         base_type = env.get(op.base)
-                        ev = _instantiate(op.template, frame.call_path, op.prov or frame.prov)
-                        ev.__dict__["base_type"] = base_type
-                        if op.field is not None:
-                            hit = h.field_of(base_type, op.field)
-                            ev.__dict__["field"] = (hit[0], op.field, hit[1]) if hit is not None else None
-                        append(ev, None)
+                        hit = h.field_of(base_type, op.field) if op.field is not None else None
+                        field = (hit[0], op.field, hit[1]) if hit is not None else None
+                        append(new(event, op.head + (op.prov or frame.prov, frame.call_path, base_type, field)
+                                   + op.tail), None)
                         continue
                     if code == _RETURN:  # on to the end of its method's frame
                         frame = frame.method or frame
@@ -731,9 +693,9 @@ class _Enumerator:
                     if code == _BRANCH:
                         alts = op.alts
                     else:
-                        if op.template is not None:  # an allocation writes its local first
+                        if op.head is not None:  # an allocation writes its local first
                             env = write(frame, op, env)
-                        alts = lowering.call_alts(op, len(frame.call_path), frame.on_stack) or _NO_BODY
+                        alts = ctx.call_alts(op, len(frame.call_path), frame.on_stack) or _NO_BODY
                     if len(alts) > 1:
                         choices.append([frame, i, env, len(events), op, alts, 1])
                     alt = alts[0]
@@ -779,7 +741,7 @@ class _Enumerator:
                         caller, resume, caller_env, site = frame.caller, frame.resume, frame.caller_env, frame.site
                     else:
                         caller, resume, caller_env, site = frame, i, env, op
-                    frame = _Frame(lowering.ops(alt), frame.call_path + (op.hop,), op.prov or frame.prov,
+                    frame = _Frame(ctx.ops(alt), frame.call_path + (op.hop,), op.prov or frame.prov,
                                    frame.on_stack | {alt.id}, caller, resume, caller_env, site)
                     i, env = 0, body_env
         finally:
@@ -787,7 +749,8 @@ class _Enumerator:
 
     def _write(self, frame: _Frame, op: _Op, env: dict) -> dict:
         """Appends `op`'s write event in `frame`; returns the env after it."""
-        self._append(_instantiate(op.template, frame.call_path, op.prov or frame.prov), op.key)
+        self._append(tuple.__new__(WriteEvent, op.head + (op.prov or frame.prov, frame.call_path) + op.tail),
+                     op.key)
         return env if op.rule is None else apply_rule(op.rule, env, self.ctx.hierarchy)
 
 
@@ -840,14 +803,13 @@ class _Part:
         self.alts = None
 
 
-def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
-    """Counts the tree `_Enumerator(lowering.ctx, entry)` walks, one count
-    per (method id, call depth, ids on the call stack) shared by every visit.
+def _count_tree(ctx: DetectionContext, entry: MethodDef) -> TreeCount:
+    """Counts the tree `_Enumerator(ctx, entry)` walks, one count per
+    (method id, call depth, ids on the call stack) shared by every visit.
 
     The walk keeps an explicit stack of parts, as the enumerator links its
     frames: block nesting times call depth can exceed Python's stack.
     """
-    ctx = lowering.ctx
     budget, deadline = ctx.budget, ctx.deadline
     fuel, path_cap, limit = budget.fuel, budget.path_cap, budget.depth_limit
     memo: dict[tuple, tuple[int, int]] = {}
@@ -855,7 +817,7 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
     # share it): the visits and outs summed over the memo entries those
     # targets had at the limit, and the ids that had none.
     frontier: dict[frozenset, tuple[int, int, frozenset]] = {}
-    stack = [_Part(lowering.ops(entry), 0, frozenset({entry.id}), None)]
+    stack = [_Part(ctx.ops(entry), 0, frozenset({entry.id}), None)]
     steps = 0
     while True:
         part = stack[-1]
@@ -891,7 +853,7 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
                 part.alt_falls += sum_outs + (1 if cut else 0)  # None: complete without a body
                 alts = part.alts = ()
             else:
-                alts = part.alts = lowering.call_alts(op, part.depth, part.on_stack)
+                alts = part.alts = ctx.call_alts(op, part.depth, part.on_stack)
         if alts is not None:
             # Sum the op's alternatives; descend into the first one not counted.
             k, child = part.k, None
@@ -906,7 +868,7 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
                     key = (alt.id, depth, part.on_stack if depth < limit else None)
                     hit = memo.get(key)
                     if hit is None:
-                        child = _Part(lowering.ops(alt), depth, part.on_stack | {alt.id}, key)
+                        child = _Part(ctx.ops(alt), depth, part.on_stack | {alt.id}, key)
                     else:
                         part.alt_visits += hit[0]
                         part.alt_falls += hit[1]
@@ -941,7 +903,7 @@ def _count_tree(lowering: _Lowering, entry: MethodDef) -> TreeCount:
                     if at_frontier and op.targets:  # resolved, with bodies at the limit
                         alts = op
                         break
-                    alts = lowering.call_alts(op, part.depth, part.on_stack)
+                    alts = ctx.call_alts(op, part.depth, part.on_stack)
                     if alts is not None:
                         break
                 visits += falls
@@ -987,8 +949,7 @@ def count_tree(
     clock aside); otherwise the counts are the `paths` and `visited` it
     reports.
     """
-    ctx = _make_context(p, entry, mode, budget, cha, pts)
-    return _count_tree(_Lowering(ctx), entry)
+    return _count_tree(_make_context(p, entry, mode, budget, cha, pts), entry)
 
 
 def _collapses(prev: WriteEvent, ev: WriteEvent) -> bool:
@@ -1153,13 +1114,12 @@ def detect(
     of 0, and only the miss-references of the calls the count resolved.
     Any other outcome is the one a full run gives.
     """
-    budget = budget or AnalysisBudget()
     ctx = _make_context(p, entry, mode, budget, cha, pts)
     scanner = _Scanner(ctx, entry)
     conflicts = scanner.conflicts
     started = time.perf_counter()
     if verdict_only:
-        ctx.stop_reason = _count_tree(scanner.lowering, entry).exceeds
+        ctx.stop_reason = _count_tree(ctx, entry).exceeds
     if not ctx.timed_out:
         for _ in scanner.paths():
             pass
@@ -1181,6 +1141,6 @@ def detect(
         ),
     )
     missrefs = sorted(ctx.missrefs)
-    elapsed = (time.perf_counter() - started) * 1000.0 if budget.wall_clock is not None else 0.0
+    elapsed = (time.perf_counter() - started) * 1000.0 if ctx.budget.wall_clock is not None else 0.0
     stats = OutcomeStats(visited=ctx.visited, paths=ctx.paths, elapsed_ms=elapsed)
     return AnalysisOutcome(verdict=verdict, conflicts=ordered, missrefs=missrefs, stats=stats)

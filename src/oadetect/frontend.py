@@ -32,7 +32,8 @@ newlines and `//` comments separate tokens; any other character, a
 non-ASCII letter or digit included, is a ParseError. `if`/`while` blocks
 nest at most MAX_NESTING (300) deep inside one method body; deeper nesting
 is a ParseError too, so the recursive parser and the recursive walkers
-downstream stay within Python's stack.
+downstream stay within Python's stack. So is an INT with more digits than
+the interpreter converts (`sys.get_int_max_str_digits`).
 
 The lexer reads each source in one regular-expression pass that yields two
 flat lists, the token spellings and the line of each; a string literal keeps
@@ -143,7 +144,9 @@ class ProvenanceMap(Record):
     def from_json(cls, text: str) -> "ProvenanceMap":
         try:
             raw = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as e:  # too deep a nesting recurses
+        # A number past the interpreter's digit limit raises a plain ValueError,
+        # and too deep a nesting recurses.
+        except (ValueError, RecursionError) as e:
             raise SidecarError(f"sidecar is not valid JSON: {e}") from None
         if not isinstance(raw, dict):
             raise SidecarError("sidecar must be a JSON object with 'left' and 'right' lists")
@@ -284,6 +287,15 @@ class _Parser:
         if not self.at_name():
             raise self.fail(what)
         return self.next()
+
+    def int_literal(self) -> int:
+        """The INT token at hand as an int. One with more digits than the
+        interpreter converts (`sys.get_int_max_str_digits`) is a ParseError."""
+        line, token = self.lines[self.i], self.next()
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(self.path, line, f"integer literal too long ({len(token.lstrip('-'))} digits)") from None
 
     def pos(self, line: int) -> Position:
         return Position(self.path, line)
@@ -460,7 +472,7 @@ class _Parser:
             elem = self.parse_type()
             if not self.at_int():
                 raise self.fail("array size")
-            return ArrayAlloc(pos=pos, target=base, elem_type=elem, size=int(self.next()))
+            return ArrayAlloc(pos=pos, target=base, elem_type=elem, size=self.int_literal())
         if self.accept("op"):
             return OpaqueOp(pos=pos, target=base, operands=self.parse_list(self.parse_operand, "operand"))
         source = self.parse_operand("source")
@@ -490,7 +502,7 @@ class _Parser:
     def parse_operand(self, what: str) -> "str | Const":
         """A literal or a local: call arguments, store sources, literal right-hand sides."""
         if self.at_int():
-            return Const(int(self.next()))
+            return Const(self.int_literal())
         if self.vals[self.i][:1] == '"':
             return Const(self.next()[1:-1])
         return self.name(what)
@@ -507,7 +519,7 @@ class _Parser:
 
     def parse_index(self) -> "int | str":
         self.expect("[")
-        index = int(self.next()) if self.at_int() else self.name("index")
+        index = self.int_literal() if self.at_int() else self.name("index")
         self.expect("]")
         return index
 

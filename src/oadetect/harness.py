@@ -19,11 +19,9 @@ per-unit timing means.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from pathlib import Path
-from statistics import mean, stdev
 from typing import Optional, Union
 
 from .cha import build_cha_graph
@@ -63,7 +61,9 @@ def _read_manifest(path: Path) -> dict:
     """A `scenario.json` checked field by field; bad input raises MirError."""
     try:
         manifest = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as e:  # too deep a nesting recurses
+    # A number past the interpreter's digit limit raises a plain ValueError,
+    # and too deep a nesting recurses.
+    except (ValueError, RecursionError) as e:
         raise MirError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise MirError(f"{path}: manifest must be a JSON object")
@@ -403,6 +403,8 @@ class TimingRow(Record):
 
 def timing_summary(samples: dict[str, dict[Mode, list[float]]]) -> list[TimingRow]:
     """Per-unit, per-mode means and standard deviations, units in order."""
+    from statistics import mean, stdev  # only `corpus` needs it; `analyze` skips the import
+
     reps = {len(s) for per_mode in samples.values() for s in per_mode.values()}
     if len(reps) > 1:
         raise MirError(f"unequal repetition counts across units: {sorted(reps)}")
@@ -426,6 +428,8 @@ def _fmt(x: Optional[float]) -> str:
 
 def write_tables(run: CorpusRun, modes: list[Mode], outdir: Path) -> None:
     """The record stream plus confusion/metrics/transitions/histogram/timing CSVs."""
+    import csv  # only `corpus` needs it; `analyze` skips the import
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

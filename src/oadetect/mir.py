@@ -58,10 +58,12 @@ IndexOperand = Union[int, str]
 # ---------------------------------------------------------------------------
 # Records
 #
-# Values are NamedTuples (`Position`, `Const`, `Diagnostic`). Every other
-# record is a plain class that writes out its `__init__` and names its
-# fields, in order, in `_fields`; `Record` gives it equality and a repr
-# over them. Nothing is generated when a module is imported.
+# Values are NamedTuples (here `Position`, `Const` and `Diagnostic`; the
+# engine's `WriteEvent` and `MissRef` too). Every other record is a plain
+# class that writes out its `__init__` and names its fields, in order, in
+# `_fields`; `Record` gives it equality and a repr over them. Of those,
+# only `cha.CallGraph` refuses assignment. Nothing is generated when a
+# module is imported.
 
 
 class Record:
@@ -69,8 +71,7 @@ class Record:
 
     Records are equal only when they are of one class and their fields are
     equal, so a `FieldStore` never equals a `FieldLoad`. A record is
-    unhashable, as it may be mutated; `FrozenRecord` refuses assignment and
-    hashes by value.
+    unhashable, as it may be mutated.
     """
 
     __slots__ = ()
@@ -89,22 +90,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A record whose `__init__` sets its fields once, through the instance
-    dict; assigning or deleting an attribute raises AttributeError."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field '{name}' of {type(self).__qualname__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field '{name}' of {type(self).__qualname__}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
 
 # ---------------------------------------------------------------------------

@@ -606,10 +606,11 @@ def test_corpus_deterministic_skips_wilcoxon(tmp_path, capsys):
 
 
 def test_corpus_wilcoxon_pairs_are_unit_mean_timings_of_the_first_two_modes(tmp_path, capsys, monkeypatch):
+    from oadetect import stats
     from oadetect.engine import Mode
 
     runs, pairs = [], []
-    run_corpus, wilcoxon = cli.run_corpus, cli.wilcoxon_signed_rank
+    run_corpus, wilcoxon = cli.run_corpus, stats.wilcoxon_signed_rank
 
     def spy_run(*args, **kwargs):
         runs.append(run_corpus(*args, **kwargs))
@@ -620,7 +621,7 @@ def test_corpus_wilcoxon_pairs_are_unit_mean_timings_of_the_first_two_modes(tmp_
         return wilcoxon(given)
 
     monkeypatch.setattr(cli, "run_corpus", spy_run)
-    monkeypatch.setattr(cli, "wilcoxon_signed_rank", spy_wilcoxon)
+    monkeypatch.setattr(stats, "wilcoxon_signed_rank", spy_wilcoxon)
     main(["corpus", "--reps", "2", "--fuel", "10000", "--modes", "pa,hybrid,nopa",
           "--root", str(bundled_corpus_dir()), "--out", str(tmp_path / "out")])
     capsys.readouterr()

@@ -753,14 +753,14 @@ def test_each_method_is_lowered_once_per_detect_call(monkeypatch):
     )
     p = parse_source(src)
     lowered: list[str] = []
-    real = engine._Lowering.block
+    real = engine.DetectionContext.block
 
-    def counting(lowering, stmts, m):
+    def counting(ctx, stmts, m):
         if stmts is m.body:
             lowered.append(m.id)
-        return real(lowering, stmts, m)
+        return real(ctx, stmts, m)
 
-    monkeypatch.setattr(engine._Lowering, "block", counting)
+    monkeypatch.setattr(engine.DetectionContext, "block", counting)
     out = detect(p, find_method(p, "A.m"), Mode.NOPA, budget=budget())
     # Four paths enter `s` six times between them.
     assert out.stats.paths == 4

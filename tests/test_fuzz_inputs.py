@@ -13,9 +13,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,3 +205,32 @@ def test_a_line_break_in_a_name_stays_within_one_error_line(tmp_path):
     (d / "scenario.json").write_text(json.dumps({"id": "s", "sources": ["a.mir"]}))
     (d / "map.json").write_text(json.dumps({"left": [{"file": "a\nb", "line": 4}]}))
     _one_error_line(_analyze(d, "--sidecar", str(d / "map.json")), "no statement at line a\\nb:4")
+
+
+# Past the interpreter's limit on the digits `int()` converts (4 300 by
+# default since Python 3.11 and 3.10.7), a number in a source, a sidecar or
+# a manifest raised a bare ValueError.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_HUGE = "1" * (_DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="the interpreter converts any integer")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("stmt", [f"x = {_HUGE} @L;", f"a[{_HUGE}] = 1 @L;", f"x = newarr int {_HUGE};"],
+                         ids=["literal", "index", "array-size"])
+def test_a_huge_integer_in_a_source_exits_3(stmt, tmp_path):
+    d = _scenario(tmp_path, json.dumps({"id": "s", "sources": ["a.mir"]}).encode(), b"{}")
+    (d / "a.mir").write_text(f"class A {{\n  method m() {{\n    a = newarr int 2;\n    {stmt}\n  }}\n}}\n")
+    _one_error_line(_analyze(d), f"a.mir:4: integer literal too long ({len(_HUGE)} digits)")
+
+
+@needs_digit_limit
+def test_a_huge_integer_in_a_sidecar_or_a_manifest_exits_3(tmp_path):
+    sidecar = '{"left": [{"file": "a.mir", "line": %s}], "right": []}' % _HUGE
+    d = _scenario(tmp_path, json.dumps({"id": "s", "sources": ["a.mir"]}).encode(), sidecar.encode())
+    _one_error_line(_analyze(d, "--sidecar", str(d / "map.json")), "sidecar is not valid JSON")
+    (d / "scenario.json").write_text('{"id": "s", "sources": ["a.mir"], "project": %s}' % _HUGE)
+    _one_error_line(_analyze(d), "scenario.json: invalid JSON")
+    result = _cli(["corpus", "--root", str(d), "--out", str(tmp_path / "out"), "--reps", "1", *_BUDGET])
+    _one_error_line(result, "scenario error: scn: ")
+    _one_error_line(result, "scenario.json: invalid JSON")

@@ -3,15 +3,15 @@
 Values are `NamedTuple`s; every other record is a plain class with a
 written-out `__init__`, so importing the package generates no code. These
 tests pin what the records promise: equality per class and by fields,
-mutable records unhashable, frozen records refusing assignment and hashing
-by value, keyword-only statements with fresh default lists, the
-`Name(field=value, ...)` repr, and the sidecar's both-sides check.
+mutable records unhashable, values refusing assignment and hashing by
+value, the call graph refusing assignment, keyword-only statements with
+fresh default lists, the `Name(field=value, ...)` repr, the sidecar's
+both-sides check, and the write events the walk builds from tuples.
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
 import os
 import subprocess
 import sys
@@ -21,8 +21,8 @@ import pytest
 
 from oadetect import engine
 from oadetect.cha import CallGraph
-from oadetect.engine import LV, WriteEvent
-from oadetect.frontend import ProvenanceMap, SidecarError
+from oadetect.engine import AR, IFR, LV, SFR, Hop, WriteEvent
+from oadetect.frontend import ProvenanceMap, SidecarError, parse_source
 from oadetect.mir import (
     Const,
     Diagnostic,
@@ -34,8 +34,9 @@ from oadetect.mir import (
     Program,
     Provenance,
     Return,
+    find_method,
 )
-from oadetect.pointsto import AllocSite
+from oadetect.pointsto import AllocSite, solve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 P = Position("a.mir", 3)
@@ -87,7 +88,12 @@ def test_call_graph_refuses_assignment():
     graph = CallGraph(frozenset({"A.m/0"}), frozenset({"A.m/0"}), {})
     with pytest.raises(AttributeError):
         graph.roots = frozenset()
+    with pytest.raises(AttributeError):
+        del graph.sites
     assert graph == CallGraph(frozenset({"A.m/0"}), frozenset({"A.m/0"}), {})
+    assert graph.edges == frozenset() and "edges" in vars(graph)  # cached on first read
+    with pytest.raises(TypeError):
+        hash(graph)
 
 
 def test_statements_are_keyword_only_with_fresh_defaults():
@@ -112,9 +118,60 @@ def test_provenance_map_rejects_a_line_on_both_sides():
     assert ProvenanceMap().left == set() and ProvenanceMap().left is not ProvenanceMap().left
 
 
-def test_event_templates_name_every_write_event_field():
-    params = list(inspect.signature(WriteEvent).parameters)
-    assert list(engine._EVENT_FIELDS) == params
+EVENTS_SRC = (
+    "class C {\n"
+    "  field f: int;\n"
+    "  field static g: int;\n"
+    "  static method s() {\n"
+    "    C::g = 1;\n"
+    "  }\n"
+    "}\n"
+    "class M {\n"
+    "  public static method main() {\n"
+    "    a = 1 @L;\n"
+    "    o = new C() @R;\n"
+    "    r = C::s() @L;\n"
+    "    o.f = a @R;\n"
+    "    x = op(a);\n"
+    "    x.h = 2 @L;\n"
+    "    arr = newarr int 2;\n"
+    "    arr[0] = r @R;\n"
+    "  }\n"
+    "}\n"
+)
+
+
+def test_each_write_kind_streams_the_event_its_keywords_build():
+    # The walk builds events by concatenating tuples around the fields a
+    # path decides; a field in the wrong slot makes one of these differ.
+    p = parse_source(EVENTS_SRC)
+    pts = solve(p)
+    (path,) = engine.enumerate_write_paths(p, find_method(p, "M.main"), engine.AnalysisBudget(wall_clock=None),
+                                           engine.Mode.PA, pts=pts)
+    L, R, B = Provenance.LEFT, Provenance.RIGHT, Provenance.BASE
+    main = dict(method_id="M.main/0", method_display="M.main()", enclosing_kind="method")
+
+    def at(line):
+        return Position("input.mir", line)
+
+    o_pts, arr_pts = pts.pts[("l", "M.main/0", "o")], pts.pts[("l", "M.main/0", "arr")]
+    assert o_pts and arr_pts
+    assert path == [
+        WriteEvent(kind=LV, pos=at(10), provenance=L, local="a", **main),  # a copy
+        WriteEvent(kind=LV, pos=at(11), provenance=R, local="o", **main),  # an allocation's local
+        WriteEvent(kind=SFR, pos=at(5), provenance=L, method_id="C.s/0", method_display="C.s()",
+                   enclosing_kind="method", call_path=(Hop("M.main/0", "M.main()", at(12), L),),
+                   static_cls="C", field_name="g", static_type="int"),  # a static store
+        WriteEvent(kind=LV, pos=at(12), provenance=L, local="r", **main),  # a call's result
+        WriteEvent(kind=IFR, pos=at(13), provenance=R, base="o", base_type="C", base_pts=o_pts,
+                   field=("C", "f", "int"), field_name="f", **main),  # a resolved field
+        WriteEvent(kind=LV, pos=at(14), provenance=B, local="x", **main),
+        WriteEvent(kind=IFR, pos=at(15), provenance=L, base="x", base_type="int",
+                   field_name="h", **main),  # no class declares `h`, and no points-to set
+        WriteEvent(kind=LV, pos=at(16), provenance=B, local="arr", **main),
+        WriteEvent(kind=AR, pos=at(17), provenance=R, base="arr", base_type="int[]", base_pts=arr_pts,
+                   index=0, **main),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +193,10 @@ def test_no_module_imports_dataclasses():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Nor what only `corpus` uses: the means and CSV tables, and the Wilcoxon test.
     probe = (
         "import sys\n"
-        "names = ('dataclasses', 'inspect')\n"
+        "names = ('dataclasses', 'inspect', 'statistics', 'csv', 'oadetect.stats')\n"
         "before = [n for n in names if n in sys.modules]\n"
         "import oadetect.cli\n"
         "print(before, [n for n in names if n in sys.modules])\n"
