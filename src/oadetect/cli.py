@@ -14,9 +14,11 @@ stream plus the confusion/metrics/transitions/histogram/timing tables. Both
 run `harness.run_scenario` per scenario. Without `--out`, `analyze` prints
 only verdicts and reports, so it asks for verdicts only: a unit whose path
 tree has more paths or visits than the budget allows times out as soon as
-`engine.count_tree` counts past it, without being enumerated. Its output
-and exit code are the same as with `--out`, which, like `corpus`, always
-enumerates. The dump commands read their sources as `analyze` does: a
+`engine.count_tree` counts past it, and one within budget where no left
+write can meet a right write is false, both without being enumerated. Its
+output and exit code are the same as with `--out`, which, like `corpus`,
+always enumerates; with a wall clock, a unit decided false may time out
+there. The dump commands read their sources as `analyze` does: a
 scenario directory through its manifest's sources, sidecar and entry.
 
 `main` builds only the parser of the subcommand it runs, because building
@@ -156,7 +158,8 @@ def cmd_analyze(args) -> int:
     scenario = _analyze_scenario(args.sources, args.sidecar, args.entry)
     outdir = _out_dir(args.out) if args.out else None
     # Without records to write, only the verdicts are printed: a unit whose
-    # path tree exceeds the budget times out as soon as it is counted.
+    # path tree exceeds the budget times out as soon as it is counted, and
+    # one whose sides cannot meet is false unenumerated.
     results = run_scenario(scenario, modes, budget=budget, verdict_only=outdir is None)
     several_entries = len(results) > len(modes)
     outcomes = []

@@ -121,6 +121,16 @@ Otherwise its counts equal the enumerator's `paths` and `visited`.
 `detect(..., verdict_only=True)` counts first and returns TIMEOUT on an
 excess without enumerating; a validated program has no unresolvable static
 call, the one error the enumerator could otherwise raise mid-walk.
+
+A conflict needs a left write and a right write that may touch one element,
+and whether any such pair exists is a flow-insensitive question (Weiser's
+slicing argument, applied to the two sides). Within budget,
+`detect(..., verdict_only=True)` then asks `_sides_meet`: one pass over the
+ops the count lowered, per method and inherited side, that collects each
+side's written elements by keys at least as coarse as the scan's rules. When
+no key is on both sides the verdict is FALSE without enumerating, with the
+count's paths and visits. Most false units are decided so; every true one is
+walked, as are the false units whose sets meet.
 """
 
 from __future__ import annotations
@@ -952,6 +962,52 @@ def count_tree(
     return _count_tree(_make_context(p, entry, mode, budget, cha, pts), entry)
 
 
+def _sides_meet(ctx: DetectionContext, entry: MethodDef) -> bool:
+    """Whether a left write and a right write may touch one element, by a
+    flow-insensitive pass over the ops `_count_tree(ctx, entry)` lowered.
+
+    A worklist of (method id, inherited provenance) states starts at the
+    entry. A write takes its own side or the inherited one, as the walk
+    does, and a call passes the side it runs under to the targets the count
+    resolved, into the bodies the count entered. Each changed write adds a
+    key to its side's set that every match of the scan implies: an LV or
+    SFR write's `element_key()`, (IFR, field name), or (AR,), since any two
+    array writes may meet. The pass stops at the first key on both sides.
+    """
+    keys = {Provenance.LEFT: set(), Provenance.RIGHT: set()}
+    seen = {(entry.id, None)}
+    work = [(ctx.ops(entry), None)]
+    while work:
+        ops, inherited = work.pop()
+        for op in ops:
+            code = op.code
+            if code == _BRANCH:
+                work.extend((block, inherited) for block in op.alts if block is not None)
+                continue
+            if code == _RETURN:
+                continue
+            prov = op.prov or inherited
+            if code == _CALL:
+                for t in op.targets or ():
+                    body = ctx.lowered.get(t.id)
+                    if body is not None and (t.id, prov) not in seen:
+                        seen.add((t.id, prov))
+                        work.append((body, prov))
+                write = op if op.head is not None else op.result  # an allocation's local, a result
+                if write is None:
+                    continue
+                key = write.key
+            elif code == _HEAP:
+                key = (IFR, op.field) if op.field is not None else (AR,)
+            else:
+                key = op.key
+            if prov is not None:
+                if key in keys[Provenance.RIGHT if prov is Provenance.LEFT else Provenance.LEFT]:
+                    return True
+                keys[prov].add(key)
+    return False
+
+
 def _collapses(prev: WriteEvent, ev: WriteEvent) -> bool:
     """Whether `ev` replaces `prev`: back-to-back same-side writes to one local."""
     return (
@@ -1111,16 +1167,24 @@ def detect(
 
     With `verdict_only`, the enumeration tree is counted first. A tree that
     exceeds the budget then times out unenumerated: no conflicts, counters
-    of 0, and only the miss-references of the calls the count resolved.
-    Any other outcome is the one a full run gives.
+    of 0, and only the miss-references of the calls the count resolved. A
+    tree within budget where no left write can meet a right write
+    (`_sides_meet`) is false unenumerated: no conflicts, the count's paths
+    and visits, which are the walk's, and again only the miss-references of
+    the calls the count resolved. So with a wall clock, a unit whose walk
+    would run out of time is false when decided so. Any other outcome is
+    the one a full run gives.
     """
     ctx = _make_context(p, entry, mode, budget, cha, pts)
     scanner = _Scanner(ctx, entry)
     conflicts = scanner.conflicts
     started = time.perf_counter()
     if verdict_only:
-        ctx.stop_reason = _count_tree(ctx, entry).exceeds
-    if not ctx.timed_out:
+        count = _count_tree(ctx, entry)
+        ctx.stop_reason = count.exceeds
+    if verdict_only and not ctx.timed_out and not _sides_meet(ctx, entry):
+        ctx.paths, ctx.visited = count.paths, count.visits
+    elif not ctx.timed_out:
         for _ in scanner.paths():
             pass
 

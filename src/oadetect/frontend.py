@@ -51,6 +51,7 @@ from __future__ import annotations
 import json
 import re
 import string
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -115,6 +116,19 @@ def read_text(path: Path) -> str:
         raise MirError(f"{str(path)!r}: {e}") from None
 
 
+def parse_json(text: str, what: str, error: type[MirError] = MirError):
+    """The value of the JSON document `text`, which error messages call
+    `what`. Text that is not JSON, or nests past Python's stack, raises
+    `error`; so does an integer with more digits than the interpreter
+    converts (`sys.get_int_max_str_digits`), whose message names the limit."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise error(f"{what} is not valid JSON: {e}") from None
+    except ValueError:  # on a string, `loads` raises no other ValueError
+        raise error(f"{what}: integer too long (over {sys.get_int_max_str_digits()} digits)") from None
+
+
 class SourceUnit(Record):
     __slots__ = _fields = ("path", "text")
 
@@ -142,12 +156,7 @@ class ProvenanceMap(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "ProvenanceMap":
-        try:
-            raw = json.loads(text)
-        # A number past the interpreter's digit limit raises a plain ValueError,
-        # and too deep a nesting recurses.
-        except (ValueError, RecursionError) as e:
-            raise SidecarError(f"sidecar is not valid JSON: {e}") from None
+        raw = parse_json(text, "sidecar", SidecarError)
         if not isinstance(raw, dict):
             raise SidecarError("sidecar must be a JSON object with 'left' and 'right' lists")
         return cls(left=_sidecar_lines(raw, "left"), right=_sidecar_lines(raw, "right"))

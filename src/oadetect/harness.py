@@ -26,7 +26,8 @@ from typing import Optional, Union
 
 from .cha import build_cha_graph
 from .engine import AnalysisBudget, AnalysisOutcome, Mode, Verdict, detect
-from .frontend import ProvenanceMap, SourceUnit, apply_sidecar, entry_candidates, parse_program, read_text
+from .frontend import ProvenanceMap, SourceUnit, apply_sidecar, entry_candidates, parse_json, parse_program
+from .frontend import read_text
 from .mir import MethodDef, MirError, Program, Record, find_method
 from .pointsto import solve
 from .reporting import emit_records
@@ -59,12 +60,7 @@ _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 def _read_manifest(path: Path) -> dict:
     """A `scenario.json` checked field by field; bad input raises MirError."""
-    try:
-        manifest = json.loads(read_text(path))
-    # A number past the interpreter's digit limit raises a plain ValueError,
-    # and too deep a nesting recurses.
-    except (ValueError, RecursionError) as e:
-        raise MirError(f"{path}: invalid JSON: {e}") from None
+    manifest = parse_json(read_text(path), str(path))
     if not isinstance(manifest, dict):
         raise MirError(f"{path}: manifest must be a JSON object")
     for key in ("id", "sources"):
@@ -208,7 +204,9 @@ def run_scenario(
     unit and mode over those shared graphs. A repetition's timing is the
     `elapsed_ms` that `detect` measures, 0 without a wall-clock budget.
     `verdict_only` goes to `detect`: a unit whose path tree exceeds the
-    budget then times out without being enumerated.
+    budget then times out, and one within budget where no left write can
+    meet a right write is false, both without being enumerated. Under a
+    wall clock, a unit decided false could have timed out in the walk.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")

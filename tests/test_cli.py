@@ -452,7 +452,7 @@ def test_analyze_manifest_without_sources_exits_3(tmp_path, capsys):
 def test_analyze_manifest_not_json_exits_3(tmp_path, capsys):
     d = _scenario_dir(tmp_path, '{"id": "s", "sources": ["a.mir"]')
     code = main(["analyze", "--mode", "nopa", str(d)])
-    _assert_one_line_usage_error(code, capsys.readouterr(), "invalid JSON")
+    _assert_one_line_usage_error(code, capsys.readouterr(), "scenario.json is not valid JSON")
 
 
 def test_analyze_sidecar_of_wrong_shape_exits_3(tmp_path, capsys):

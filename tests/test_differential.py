@@ -17,6 +17,10 @@ the statements, and gives every path's write events in the walk's order.
 keeps targets per site. `reference_cha_graph` is the original builder: it
 resolves every call anew on every method visit and adds one `CallEdge` per
 target, binding argument types into each.
+
+`detect(verdict_only=True)` decides false, unenumerated, a unit whose left
+and right writes cannot meet (`engine._sides_meet`). The full `detect` is
+its reference: no unit it decides true may be decided so.
 """
 
 from __future__ import annotations
@@ -385,6 +389,46 @@ def test_verdict_only_times_out_on_the_count_alone():
     outcome = detect(p, entry, Mode.NOPA, budget=budget(), verdict_only=True)
     assert outcome.verdict is Verdict.TIMEOUT
     assert (outcome.conflicts, outcome.stats.paths, outcome.stats.visited) == ([], 0, 0)
+
+
+def assert_sides_pass_is_sound(p, entry, mode: Mode, bud, cha, pts) -> Verdict | None:
+    """The sides pass holds on every unit the full run decides true,
+    verdict-only detection gives the full run's verdict, and a unit the pass
+    decides has the full run's paths and visits. Returns the full run's
+    verdict when the pass decides the unit, else None."""
+    full = detect(p, entry, mode, budget=bud, cha=cha, pts=pts)
+    ctx = DetectionContext(p, mode, bud, cha=cha, pts=pts)
+    decided = engine._count_tree(ctx, entry).exceeds is None and not engine._sides_meet(ctx, entry)
+    assert not (decided and full.verdict is Verdict.TRUE)
+    quick = detect(p, entry, mode, budget=bud, cha=cha, pts=pts, verdict_only=True)
+    assert quick.verdict is full.verdict
+    if not decided:
+        return None
+    assert (quick.conflicts, quick.stats.paths, quick.stats.visited) == ([], full.stats.paths, full.stats.visited)
+    return full.verdict
+
+
+def test_sides_pass_is_sound_on_the_seed_range_and_the_bundled_scenarios():
+    cases = []
+    base = default_seed()
+    for seed in range(base + 3000, base + 3101):
+        for mkref in (False, True):
+            gen = generate_program(seed, mkref=mkref, mark_changes=True)
+            if gen.entry is not None:
+                cases.append((gen.program, gen.entry, budget(**PROP_BUDGET)))
+    for name in BUNDLED:
+        program, units = scenario_units(load_bundled(name))
+        cases.extend((program, entry, budget()) for _, entry in units)
+    decided = []
+    for p, entry, bud in cases:
+        cha = build_cha_graph(p, entry)
+        pts = solve(p, pa_entry_points(p))
+        for mode in ALL_MODES:
+            decided.append(assert_sides_pass_is_sound(p, entry, mode, bud, cha, pts))
+    assert len(cases) >= 150
+    # Most false units are decided by the pass alone.
+    assert decided.count(Verdict.FALSE) >= 400
+    assert set(decided) == {Verdict.FALSE, None}
 
 
 # ---------------------------------------------------------------------------

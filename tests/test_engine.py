@@ -945,3 +945,76 @@ def test_choice_points_hold_a_fixed_number_of_values():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 3 * peaks[0]
+
+
+# ---------------------------------------------------------------------------
+# Verdict-only detection decides false without the walk where no left write
+# can meet a right write.
+
+
+def _walked_entries(monkeypatch) -> list:
+    """The entry of each `_Scanner` walk from now on."""
+    from oadetect import engine
+
+    walked: list = []
+    real = engine._Scanner.paths
+
+    def spy(scanner):
+        walked.append(scanner.entry.id)
+        return real(scanner)
+
+    monkeypatch.setattr(engine._Scanner, "paths", spy)
+    return walked
+
+
+_MAIN = "  static method main() {\n    a = new A();\n    call a.m();\n  }\n"
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_a_side_inherited_through_a_call_meets_the_other_sides_field(mode, monkeypatch):
+    # `h` is base code: its write counts for R, whose call runs it. `main`
+    # gives `this` a points-to set, so `pa` resolves the call too.
+    src = (
+        "class A {\n  field f: int;\n" + _MAIN +
+        "  method m() {\n    this.f = 1 @L;\n    call this.h() @R;\n  }\n"
+        "  method h() {\n    this.f = 2;\n  }\n}\n"
+    )
+    p = parse_source(src)
+    entry = find_method(p, "A.m")
+    walked = _walked_entries(monkeypatch)
+    out = detect(p, entry, mode, budget=budget(), verdict_only=True)
+    assert out.verdict is Verdict.TRUE
+    assert [(c.overridden.pos.line, c.overriding.pos.line) for c in out.conflicts] == [(8, 12)]
+    assert walked == ["A.m/0"]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_array_writes_at_different_indexes_meet(mode, monkeypatch):
+    # The scan tells the indexes apart; the pass takes any two array writes
+    # as one element, so the walk decides.
+    src = "class Lib {\n  public method m(arr) {\n    arr[0] = 1 @L;\n    arr[1] = 2 @R;\n  }\n}\n"
+    p = parse_source(src)
+    entry = find_method(p, "Lib.m")
+    walked = _walked_entries(monkeypatch)
+    out = detect(p, entry, mode, budget=budget(), verdict_only=True)
+    assert out.verdict is Verdict.FALSE
+    assert walked == ["Lib.m/1"]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_writes_to_different_fields_are_decided_without_the_walk(mode, monkeypatch):
+    src = (
+        "class A {\n  field f: int;\n  field g: int;\n" + _MAIN +
+        "  method m() {\n    c = 1;\n    if c {\n      this.f = 1 @L;\n    }\n"
+        "    call this.h() @R;\n  }\n"
+        "  method h() {\n    this.g = 2;\n  }\n}\n"
+    )
+    p = parse_source(src)
+    entry = find_method(p, "A.m")
+    full = detect(p, entry, mode, budget=budget())
+    walked = _walked_entries(monkeypatch)
+    out = detect(p, entry, mode, budget=budget(), verdict_only=True)
+    assert walked == []
+    assert (out.verdict, out.conflicts) == (full.verdict, []) == (Verdict.FALSE, [])
+    # The count's paths and visits are the walk's.
+    assert (out.stats.paths, out.stats.visited) == (full.stats.paths, full.stats.visited) == (2, 7)

@@ -170,11 +170,12 @@ def test_corpus_manifest_and_sidecar_exit_code_contract(files):
 # the code that means "conflict found", or in an error of two lines.
 
 
-def _one_error_line(result, fragment: str) -> None:
+def _one_error_line(result, fragment: str) -> str:
     code, _, err = result
     assert code == 3
     assert err.startswith(("error: ", "scenario error: ")) and err.count("\n") == 1
     assert fragment in err
+    return err
 
 
 def test_a_file_name_with_a_nul_byte_exits_3(tmp_path):
@@ -186,7 +187,7 @@ def test_a_file_name_with_a_nul_byte_exits_3(tmp_path):
 def test_json_nested_too_deep_exits_3(tmp_path):
     deep = b"[" * 100_000 + b"]" * 100_000
     d = _scenario(tmp_path, deep, deep)
-    _one_error_line(_analyze(d), "scenario.json: invalid JSON: maximum recursion depth exceeded")
+    _one_error_line(_analyze(d), "scenario.json is not valid JSON: maximum recursion depth exceeded")
     (d / "scenario.json").write_text(json.dumps({"id": "s", "sources": ["a.mir"]}))
     _one_error_line(_analyze(d, "--sidecar", str(d / "map.json")), "sidecar is not valid JSON")
 
@@ -228,9 +229,12 @@ def test_a_huge_integer_in_a_source_exits_3(stmt, tmp_path):
 def test_a_huge_integer_in_a_sidecar_or_a_manifest_exits_3(tmp_path):
     sidecar = '{"left": [{"file": "a.mir", "line": %s}], "right": []}' % _HUGE
     d = _scenario(tmp_path, json.dumps({"id": "s", "sources": ["a.mir"]}).encode(), sidecar.encode())
-    _one_error_line(_analyze(d, "--sidecar", str(d / "map.json")), "sidecar is not valid JSON")
+    # The limit is named in the message; CPython's hint to raise it is not.
+    too_long = f"integer too long (over {_DIGIT_LIMIT} digits)"
+    errors = [_one_error_line(_analyze(d, "--sidecar", str(d / "map.json")), f"sidecar: {too_long}")]
     (d / "scenario.json").write_text('{"id": "s", "sources": ["a.mir"], "project": %s}' % _HUGE)
-    _one_error_line(_analyze(d), "scenario.json: invalid JSON")
+    errors.append(_one_error_line(_analyze(d), f"scenario.json: {too_long}"))
     result = _cli(["corpus", "--root", str(d), "--out", str(tmp_path / "out"), "--reps", "1", *_BUDGET])
     _one_error_line(result, "scenario error: scn: ")
-    _one_error_line(result, "scenario.json: invalid JSON")
+    errors.append(_one_error_line(result, f"scenario.json: {too_long}"))
+    assert not any("set_int_max_str_digits" in err or "JSON" in err for err in errors)
