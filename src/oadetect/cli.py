@@ -17,9 +17,12 @@ tree has more paths or visits than the budget allows times out as soon as
 `engine.count_tree` counts past it, and one within budget where no left
 write can meet a right write is false, both without being enumerated. Its
 output and exit code are the same as with `--out`, which, like `corpus`,
-always enumerates; with a wall clock, a unit decided false may time out
-there. The dump commands read their sources as `analyze` does: a
-scenario directory through its manifest's sources, sidecar and entry.
+records each unit's full enumeration; with a wall clock, a unit decided
+false may time out there. Under `nopa` those runs count a unit whose
+sides cannot meet, or past the budget walk only down to where it runs
+out, with the full enumeration's records. The dump commands read their
+sources as `analyze` does: a scenario directory through its manifest's
+sources, sidecar and entry.
 
 `main` builds only the parser of the subcommand it runs, because building
 all four cost as much as analysing a small scenario.
@@ -159,7 +162,9 @@ def cmd_analyze(args) -> int:
     outdir = _out_dir(args.out) if args.out else None
     # Without records to write, only the verdicts are printed: a unit whose
     # path tree exceeds the budget times out as soon as it is counted, and
-    # one whose sides cannot meet is false unenumerated.
+    # one whose sides cannot meet is false unenumerated. With them, such a
+    # unit is counted under `nopa`, or past the budget walked only down to
+    # where it runs out, so its records keep the full walk's counters.
     results = run_scenario(scenario, modes, budget=budget, verdict_only=outdir is None)
     several_entries = len(results) > len(modes)
     outcomes = []

@@ -90,7 +90,9 @@ Budgets make runs reproducible: a statement-visit fuel and a path cap bound
 the enumeration deterministically, with an optional wall-clock limit on top;
 exhausting any of them yields a TIMEOUT verdict. A budget stop is a value,
 not an exception: the walk sets the context's `stop_reason` to the budget
-that ran out and returns, as the count returns it in `TreeCount.exceeds`.
+that ran out and returns, as the count returns it in `TreeCount.exceeds`,
+and `detect` returns it in `OutcomeStats.stop_reason`, which records leave
+out.
 
 Outcomes are values too. A miss-reference is an immutable (position,
 expression, reason) tuple; the context collects them in a set, and
@@ -131,6 +133,26 @@ side's written elements by keys at least as coarse as the scan's rules. When
 no key is on both sides the verdict is FALSE without enumerating, with the
 count's paths and visits. Most false units are decided so; every true one is
 walked, as are the false units whose sets meet.
+
+A full `detect` under `nopa`, whose call resolution logs no miss-reference,
+runs the pass too, over every method a call reaches: it resolves and lowers
+those calls itself, past the depth limit and the recursion cut, which
+over-approximates what the walk reaches. When the sides cannot meet, no
+path holds a finding. Within budget the unit is then FALSE with the count's
+paths and visits. Past it, the walk skips (`_Enumerator._skip`): at a
+choice point it asks, alternative by alternative, whether the subtree of
+the alternative followed by the rest of the path to the root's end fits the
+fuel and path cap left. One that fits adds its counted leaves and visits
+and is not entered; the first that does not is entered without a choice
+point, since the budget runs out inside it. So the walk stops exactly where
+the full walk stops, with its `paths`, `visited` and `stop_reason`, as Ball
+and Larus's numbering reaches the k-th path of a counted DAG without the
+paths before it. The subtree counts come from `_count`, which counts a
+block suffix at a given call depth and call stack; its memo and frontier
+sums live on the context, so the count and the walk share them. The rest of
+a path composes those counts up the frame chain: falls go to the frame's
+continuation, returns to the end of its method's frame (`_Enumerator._rest`,
+kept per frame and op index).
 """
 
 from __future__ import annotations
@@ -285,12 +307,14 @@ class Conflict(Record):
 
 
 class OutcomeStats(Record):
-    __slots__ = _fields = ("visited", "paths", "elapsed_ms")
+    __slots__ = _fields = ("visited", "paths", "elapsed_ms", "stop_reason")
 
-    def __init__(self, visited: int = 0, paths: int = 0, elapsed_ms: float = 0.0):
+    def __init__(self, visited: int = 0, paths: int = 0, elapsed_ms: float = 0.0,
+                 stop_reason: Optional[str] = None):
         self.visited = visited
         self.paths = paths
         self.elapsed_ms = elapsed_ms  # the path search's wall time; 0 without a wall clock
+        self.stop_reason = stop_reason  # the budget that ran out: "fuel", "path_cap" or "wall_clock"
 
 
 class AnalysisOutcome(Record):
@@ -413,6 +437,10 @@ class DetectionContext:
             time.monotonic() + budget.wall_clock if budget.wall_clock is not None else None
         )
         self.lowered: dict[str, list[_Op]] = {}
+        # The tree count's memo and frontier sums (see `_count`), which every
+        # count of this detection shares.
+        self.memo: dict[tuple, tuple[int, int]] = {}
+        self.frontier: dict[frozenset, tuple[int, int, frozenset]] = {}
 
     @property
     def timed_out(self) -> bool:
@@ -642,6 +670,10 @@ class _Enumerator:
         # Choice points: [frame, i, env, events length, op, alternatives,
         # cursor of the next alternative].
         self.choices: list[list] = []
+        # A skipping walk's (visits, leaves) from each point (frame, op
+        # index) to the root's end, None when past the budget (see `_rest`).
+        self.rests: dict[tuple, Optional[tuple[int, int]]] = {}
+        self.skip = False  # see `paths`
 
     # -- per-path event log; `_Scanner` extends these three
 
@@ -658,10 +690,18 @@ class _Enumerator:
 
     def paths(self) -> Iterator:
         """Yields `_finish_path()` once per completed path; when a budget
-        runs out, sets `ctx.stop_reason` and returns."""
+        runs out, sets `ctx.stop_reason` and returns.
+
+        With `skip` set, for a walk whose paths can hold no finding, a choice
+        point adds up the alternatives whose subtrees fit the budget left
+        and takes the first that does not (`_skip`), keeping no choice
+        point: the budget runs out in that subtree, so the walk never comes
+        back. So it stops where the full walk stops, with its `paths`,
+        `visited` and `stop_reason`.
+        """
         ctx, entry = self.ctx, self.entry
         h, budget, deadline = ctx.hierarchy, ctx.budget, ctx.deadline
-        fuel, path_cap = budget.fuel, budget.path_cap
+        fuel, path_cap, skip = budget.fuel, budget.path_cap, self.skip
         append, write, truncate = self._append, self._write, self._truncate
         choices, events = self.choices, self.events
         new, event = tuple.__new__, WriteEvent  # events are built from tuples (see `_Op`)
@@ -706,9 +746,15 @@ class _Enumerator:
                         if op.head is not None:  # an allocation writes its local first
                             env = write(frame, op, env)
                         alts = ctx.call_alts(op, len(frame.call_path), frame.on_stack) or _NO_BODY
+                    k = 0
                     if len(alts) > 1:
-                        choices.append([frame, i, env, len(events), op, alts, 1])
-                    alt = alts[0]
+                        if skip:
+                            k, visited = self._skip(frame, i, alts, visited)
+                            if k == len(alts) or ctx.timed_out:  # every subtree fit, or the clock ran out
+                                return
+                        else:
+                            choices.append([frame, i, env, len(events), op, alts, 1])
+                    alt = alts[k]
                 elif frame.method is not None:  # a block ends: its bindings flow onward
                     frame, i = frame.caller, frame.resume
                     continue
@@ -763,6 +809,100 @@ class _Enumerator:
                      op.key)
         return env if op.rule is None else apply_rule(op.rule, env, self.ctx.hierarchy)
 
+    # -- skipping subtrees that fit the budget left, by their counts
+
+    def _skip(self, frame: _Frame, i: int, alts: list, visited: int) -> tuple[int, int]:
+        """At a choice point before op `i` of `frame`, adds the visits and
+        leaves of each alternative's subtree (the alternative, then the rest
+        of the walk to the root's end) that fits the fuel and path cap left,
+        in order, `ctx.paths` taking the leaves. Returns the index of the
+        first that does not fit, or `len(alts)`, and `visited` after those
+        added. Sets the stop reason when the wall clock has run out.
+        """
+        ctx = self.ctx
+        budget = ctx.budget
+        depth, on_stack = len(frame.call_path), frame.on_stack
+        k = 0
+        while k < len(alts):
+            fuel, cap = budget.fuel - visited, budget.path_cap - ctx.paths
+            rest = self._rest(frame, i, fuel, cap)
+            alt = alts[k]
+            if alt is None:  # skip a loop, or complete a call without a body
+                count = (0, 1, 0, None)
+            elif type(alt) is list:  # a branch arm
+                count = _count(ctx, alt, 0, depth, on_stack, None, fuel, cap)
+            elif rest is None:  # every way out of a call target's body leads past the budget
+                break
+            else:
+                key = (alt.id, depth + 1, on_stack if depth + 1 < budget.depth_limit else None)
+                count = _count(ctx, ctx.ops(alt), 0, depth + 1, on_stack | {alt.id}, key, fuel, cap)
+            sub = _then(count, rest, self._after(frame), fuel, cap)
+            if sub is None:
+                break
+            visited += sub[0]
+            ctx.paths += sub[1]
+            k += 1
+        # The walk's own clock checks fall on every 512th visit, which a skip jumps past.
+        if ctx.deadline is not None and time.monotonic() > ctx.deadline:
+            ctx.stop_reason = "wall_clock"
+        return k, visited
+
+    def _rest(self, frame: _Frame, i: int, fuel: int, path_cap: int) -> Optional[tuple[int, int]]:
+        """(visits, leaves) of the walk from op `i` of `frame` to the root's
+        end, or None when that exceeds `fuel` visits or `path_cap` leaves.
+
+        The frame's block suffix is counted; its falls continue at the
+        frame's continuation, its returns after its method's frame. Both
+        are points further up the chain of continuations, so the chain is
+        composed from the root's end down. Each point is kept in `rests`:
+        the budget left only shrinks as the walk goes on, so a None stays
+        one.
+        """
+        chain = []
+        while frame is not None:
+            chain.append((frame, i))
+            frame, i = frame.caller, frame.resume
+        rests, rest = self.rests, _ROOT_END
+        for point in reversed(chain):
+            if point not in rests:
+                frame, i = point
+                ret = self._after(frame)
+                if rest is None and ret is None:  # every way out of the suffix leads past the budget
+                    rests[point] = None
+                else:
+                    count = _count(self.ctx, frame.ops, i, len(frame.call_path), frame.on_stack, None, fuel, path_cap)
+                    rests[point] = _then(count, rest, ret, fuel, path_cap)
+            rest = rests[point]
+        return rest
+
+    def _after(self, frame: _Frame) -> Optional[tuple[int, int]]:
+        """The rest of the walk after the end of `frame`'s method frame,
+        where a `return` in `frame` leads, once `_rest` has composed it."""
+        method = frame.method or frame
+        return self.rests[method.caller, method.resume] if method.caller is not None else _ROOT_END
+
+
+# The root's end: no visit, one leaf.
+_ROOT_END = (0, 1)
+
+
+def _then(count: tuple, fall_rest, return_rest, fuel: int, path_cap: int) -> Optional[tuple[int, int]]:
+    """(visits, leaves) of a part `count`ed (visits, falls, returns, exceeds)
+    whose falls continue into the subtree `fall_rest` and its returns into
+    `return_rest`, each (visits, leaves) or None when past the budget; None
+    when the whole exceeds `fuel` visits or `path_cap` leaves."""
+    visits, falls, returns, exceeds = count
+    if exceeds:
+        return None
+    leaves = 0
+    for n, rest in ((falls, fall_rest), (returns, return_rest)):
+        if n:
+            if rest is None:
+                return None
+            visits += n * rest[0]
+            leaves += n * rest[1]
+    return (visits, leaves) if visits <= fuel and leaves <= path_cap else None
+
 
 # ---------------------------------------------------------------------------
 # Counting the enumeration tree (see the module docstring)
@@ -814,26 +954,45 @@ class _Part:
 
 
 def _count_tree(ctx: DetectionContext, entry: MethodDef) -> TreeCount:
-    """Counts the tree `_Enumerator(ctx, entry)` walks, one count per
-    (method id, call depth, ids on the call stack) shared by every visit.
+    """Counts the tree `_Enumerator(ctx, entry)` walks, within the budget."""
+    budget = ctx.budget
+    visits, falls, returns, exceeds = _count(ctx, ctx.ops(entry), 0, 0, frozenset({entry.id}), None,
+                                             budget.fuel, budget.path_cap)
+    return TreeCount(falls + returns, visits, exceeds)
 
-    The walk keeps an explicit stack of parts, as the enumerator links its
-    frames: block nesting times call depth can exceed Python's stack.
+
+def _count(ctx: DetectionContext, ops: list, start: int, depth: int, on_stack: frozenset,
+           key: Optional[tuple], fuel: int, path_cap: int) -> tuple[int, int, int, Optional[str]]:
+    """(visits, falls, returns, exceeds) of the block suffix `ops[start:]`
+    run at call depth `depth` with the ids `on_stack` on the call stack,
+    one count per (method id, call depth, ids on the call stack) shared by
+    every visit. `key` is the memo key of a whole body, whose ways out
+    all complete its call and are counted as falls.
+
+    With more than `fuel` visits or `path_cap` ways out in a counted part,
+    `exceeds` names that budget and the counts are that part's, its ways
+    out as falls. The walk keeps an explicit stack of parts, as the
+    enumerator links its frames: block nesting times call depth can exceed
+    Python's stack.
     """
-    budget, deadline = ctx.budget, ctx.deadline
-    fuel, path_cap, limit = budget.fuel, budget.path_cap, budget.depth_limit
-    memo: dict[tuple, tuple[int, int]] = {}
+    deadline, limit = ctx.deadline, ctx.budget.depth_limit
+    memo = ctx.memo
+    if key in memo:
+        visits, outs = memo[key]
+        return visits, outs, 0, None
     # Per target ids of a call at depth `limit - 1` (calls with equal ones
     # share it): the visits and outs summed over the memo entries those
     # targets had at the limit, and the ids that had none.
-    frontier: dict[frozenset, tuple[int, int, frozenset]] = {}
-    stack = [_Part(ctx.ops(entry), 0, frozenset({entry.id}), None)]
+    frontier = ctx.frontier
+    root = _Part(ops, depth, on_stack, key)
+    root.i = start
+    stack = [root]
     steps = 0
     while True:
         part = stack[-1]
         steps += 1
         if deadline is not None and steps % 512 == 0 and time.monotonic() > deadline:
-            return TreeCount(part.falls + part.returns, part.visits, "wall_clock")
+            return part.visits, part.falls + part.returns, 0, "wall_clock"
         alts = part.alts
         if type(alts) is _Op:
             # A call entering bodies at the depth limit: sum its targets'
@@ -926,21 +1085,22 @@ def _count_tree(ctx: DetectionContext, entry: MethodDef) -> TreeCount:
                 part.alts, part.k = alts, 0
                 part.alt_visits = part.alt_falls = part.alt_returns = 0
         if visits > fuel:
-            return TreeCount(outs, visits, "fuel")
+            return visits, outs, 0, "fuel"
         if outs > path_cap:
-            return TreeCount(outs, visits, "path_cap")
+            return visits, outs, 0, "path_cap"
         if part.alts is None and (part.i == len(part.ops) or not part.falls):
             # The block is done: every way through it fell off or returned.
             stack.pop()
+            if part.key is not None:
+                memo[part.key] = (visits, outs)
             if not stack:
-                return TreeCount(outs, visits)
+                return (visits, outs, 0, None) if part.key is not None else (visits, part.falls, part.returns, None)
             parent = stack[-1]
             parent.alt_visits += visits
             if part.key is None:
                 parent.alt_falls += part.falls
                 parent.alt_returns += part.returns
             else:  # every way out of a body completes the call
-                memo[part.key] = (visits, outs)
                 parent.alt_falls += outs
             parent.k += 1
 
@@ -962,23 +1122,30 @@ def count_tree(
     return _count_tree(_make_context(p, entry, mode, budget, cha, pts), entry)
 
 
-def _sides_meet(ctx: DetectionContext, entry: MethodDef) -> bool:
+def _sides_meet(ctx: DetectionContext, entry: MethodDef, reach_all: bool = False) -> bool:
     """Whether a left write and a right write may touch one element, by a
-    flow-insensitive pass over the ops `_count_tree(ctx, entry)` lowered.
+    flow-insensitive pass over the ops `_count_tree(ctx, entry)` lowered,
+    or with `reach_all` over every method a call reaches.
 
     A worklist of (method id, inherited provenance) states starts at the
     entry. A write takes its own side or the inherited one, as the walk
-    does, and a call passes the side it runs under to the targets the count
-    resolved, into the bodies the count entered. Each changed write adds a
-    key to its side's set that every match of the scan implies: an LV or
-    SFR write's `element_key()`, (IFR, field name), or (AR,), since any two
-    array writes may meet. The pass stops at the first key on both sides.
+    does, and a call passes the side it runs under to its targets: those
+    the count resolved, into the bodies the count entered, or with
+    `reach_all` every target, resolved and lowered here whatever the depth
+    limit and the call stack, which over-approximates what the walk
+    reaches. Each changed write adds a key to its side's set that every
+    match of the scan implies: an LV or SFR write's `element_key()`, (IFR,
+    field name), or (AR,), since any two array writes may meet. The pass
+    stops at the first key on both sides.
     """
     keys = {Provenance.LEFT: set(), Provenance.RIGHT: set()}
-    seen = {(entry.id, None)}
+    # The ids of the methods entered under each inherited provenance.
+    entered = {None: {entry.id}, Provenance.LEFT: set(), Provenance.RIGHT: set()}
     work = [(ctx.ops(entry), None)]
     while work:
         ops, inherited = work.pop()
+        if type(ops) is not list:  # a method `reach_all` lowers when it gets to it
+            ops = ctx.ops(ops)
         for op in ops:
             code = op.code
             if code == _BRANCH:
@@ -988,11 +1155,15 @@ def _sides_meet(ctx: DetectionContext, entry: MethodDef) -> bool:
                 continue
             prov = op.prov or inherited
             if code == _CALL:
-                for t in op.targets or ():
-                    body = ctx.lowered.get(t.id)
-                    if body is not None and (t.id, prov) not in seen:
-                        seen.add((t.id, prov))
-                        work.append((body, prov))
+                if op.targets is None and reach_all:
+                    ctx.resolve_targets(op)
+                done = entered[prov]
+                if op.targets and not op.target_ids <= done:
+                    for t in op.targets:
+                        body = t if reach_all else ctx.lowered.get(t.id)
+                        if body is not None and t.id not in done:
+                            done.add(t.id)
+                            work.append((body, prov))
                 write = op if op.head is not None else op.result  # an allocation's local, a result
                 if write is None:
                     continue
@@ -1174,6 +1345,12 @@ def detect(
     the calls the count resolved. So with a wall clock, a unit whose walk
     would run out of time is false when decided so. Any other outcome is
     the one a full run gives.
+
+    A full run under `nopa` whose sides cannot meet, by the pass over every
+    method a call reaches, is counted instead of walked, or past the budget
+    walked with the skip of the module docstring: its outcome is the full
+    walk's, counters and stop reason included. `stats.stop_reason` names
+    the budget that ran out, the count's under `verdict_only`.
     """
     ctx = _make_context(p, entry, mode, budget, cha, pts)
     scanner = _Scanner(ctx, entry)
@@ -1182,9 +1359,18 @@ def detect(
     if verdict_only:
         count = _count_tree(ctx, entry)
         ctx.stop_reason = count.exceeds
-    if verdict_only and not ctx.timed_out and not _sides_meet(ctx, entry):
+        apart = not ctx.timed_out and not _sides_meet(ctx, entry)
+    else:
+        # `nopa` resolution records no miss-reference, so the pass may
+        # resolve every call; when the sides cannot meet, no path holds a
+        # finding.
+        apart = mode is Mode.NOPA and not _sides_meet(ctx, entry, reach_all=True)
+        if apart:
+            count = _count_tree(ctx, entry)
+    if apart and count.exceeds is None:
         ctx.paths, ctx.visited = count.paths, count.visits
     elif not ctx.timed_out:
+        scanner.skip = apart
         for _ in scanner.paths():
             pass
 
@@ -1206,5 +1392,5 @@ def detect(
     )
     missrefs = sorted(ctx.missrefs)
     elapsed = (time.perf_counter() - started) * 1000.0 if ctx.budget.wall_clock is not None else 0.0
-    stats = OutcomeStats(visited=ctx.visited, paths=ctx.paths, elapsed_ms=elapsed)
+    stats = OutcomeStats(visited=ctx.visited, paths=ctx.paths, elapsed_ms=elapsed, stop_reason=ctx.stop_reason)
     return AnalysisOutcome(verdict=verdict, conflicts=ordered, missrefs=missrefs, stats=stats)

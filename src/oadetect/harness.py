@@ -207,6 +207,9 @@ def run_scenario(
     budget then times out, and one within budget where no left write can
     meet a right write is false, both without being enumerated. Under a
     wall clock, a unit decided false could have timed out in the walk.
+    Without it, each outcome is the full walk's, though under `nopa` a unit
+    whose sides cannot meet is counted, or walked only down to where a
+    budget runs out.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")

@@ -20,7 +20,12 @@ target, binding argument types into each.
 
 `detect(verdict_only=True)` decides false, unenumerated, a unit whose left
 and right writes cannot meet (`engine._sides_meet`). The full `detect` is
-its reference: no unit it decides true may be decided so.
+its reference: no unit it decides true may be decided so. Under `nopa` the
+full `detect` runs the pass over every method a call reaches, and when the
+sides cannot meet it counts the unit or skips, by their counts, the
+subtrees of its walk that fit the budget left. A walk that skips nothing
+is its reference: no such unit commits a conflict there, and the skipping
+`detect` stops where that walk stops.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from oadetect.engine import (
     LV,
     SFR,
     AnalysisBudget,
+    AnalysisOutcome,
     Conflict,
     DetectionContext,
     Mode,
@@ -387,7 +393,7 @@ def test_verdict_only_times_out_on_the_count_alone():
     count = count_tree(p, entry, budget())
     assert count.exceeds == "path_cap" and count.paths > 4096
     outcome = detect(p, entry, Mode.NOPA, budget=budget(), verdict_only=True)
-    assert outcome.verdict is Verdict.TIMEOUT
+    assert (outcome.verdict, outcome.stats.stop_reason) == (Verdict.TIMEOUT, "path_cap")
     assert (outcome.conflicts, outcome.stats.paths, outcome.stats.visited) == ([], 0, 0)
 
 
@@ -408,6 +414,15 @@ def assert_sides_pass_is_sound(p, entry, mode: Mode, bud, cha, pts) -> Verdict |
     return full.verdict
 
 
+def _walk_commits_no_conflict(p, entry, bud, cha) -> bool:
+    """A `nopa` walk that skips nothing, as `detect` ran it before the skip,
+    commits no conflict."""
+    scanner = engine._Scanner(DetectionContext(p, Mode.NOPA, bud, cha=cha), entry)
+    for _ in scanner.paths():
+        pass
+    return not scanner.conflicts
+
+
 def test_sides_pass_is_sound_on_the_seed_range_and_the_bundled_scenarios():
     cases = []
     base = default_seed()
@@ -420,15 +435,108 @@ def test_sides_pass_is_sound_on_the_seed_range_and_the_bundled_scenarios():
         program, units = scenario_units(load_bundled(name))
         cases.extend((program, entry, budget()) for _, entry in units)
     decided = []
+    apart = []  # the full run's verdict on each nopa unit the full-reach pass says cannot meet
     for p, entry, bud in cases:
         cha = build_cha_graph(p, entry)
         pts = solve(p, pa_entry_points(p))
         for mode in ALL_MODES:
             decided.append(assert_sides_pass_is_sound(p, entry, mode, bud, cha, pts))
+        # The full-reach pass holds on timed-out units too.
+        if not engine._sides_meet(DetectionContext(p, Mode.NOPA, bud, cha=cha), entry, reach_all=True):
+            assert _walk_commits_no_conflict(p, entry, bud, cha)
+            apart.append(detect(p, entry, Mode.NOPA, budget=bud, cha=cha).verdict)
     assert len(cases) >= 150
     # Most false units are decided by the pass alone.
     assert decided.count(Verdict.FALSE) >= 400
     assert set(decided) == {Verdict.FALSE, None}
+    # On the seed range: 141 of 173 nopa units within budget and 13 of 22
+    # timeouts; deep_hierarchy is one more timeout.
+    assert (apart.count(Verdict.FALSE), apart.count(Verdict.TIMEOUT), len(apart)) == (141, 14, 155)
+
+
+# ---------------------------------------------------------------------------
+# The skipping walk against a walk that skips nothing
+
+
+def apart_nopa_units():
+    """deep_hierarchy and every `nopa` unit of the seed range whose sides
+    cannot meet, each with its budget and CHA graph."""
+    p, entry = load_scenario_program("deep_hierarchy")
+    units = [(p, entry, budget())]
+    base = default_seed()
+    for seed in range(base + 3000, base + 3101):
+        for mkref in (False, True):
+            gen = generate_program(seed, mkref=mkref, mark_changes=True)
+            if gen.entry is not None:
+                units.append((gen.program, gen.entry, budget(**PROP_BUDGET)))
+    for p, entry, bud in units:
+        cha = build_cha_graph(p, entry)
+        if not engine._sides_meet(DetectionContext(p, Mode.NOPA, bud, cha=cha), entry, reach_all=True):
+            yield p, entry, bud, cha
+
+
+def assert_skip_matches_walk(p, entry, bud, cha, reference: bool = True) -> AnalysisOutcome:
+    """`detect` under `nopa` gives the verdict, conflicts, miss-references,
+    `visited`, `paths` and stop reason of a plain walk, read from its
+    context, and with `reference` those of `reference_detect` too."""
+    got = detect(p, entry, Mode.NOPA, budget=bud, cha=cha)
+    fields = outcome_fields(got)
+    ctx = DetectionContext(p, Mode.NOPA, bud, cha=cha)
+    for _ in enumerate_write_paths(p, entry, ctx=ctx):
+        pass
+    walk = (Verdict.TIMEOUT if ctx.timed_out else Verdict.FALSE, [], sorted(ctx.missrefs), ctx.visited, ctx.paths)
+    assert (fields, got.stats.stop_reason) == (walk, ctx.stop_reason), bud
+    if reference:
+        assert fields == reference_detect(p, entry, Mode.NOPA, bud), bud
+    return got
+
+
+def test_skipping_detect_matches_the_walk_at_every_cut():
+    # `reference_detect` scans every path anew, so it runs at each unit's
+    # own budget and at the cuts of deep_hierarchy. A cut walk completes a
+    # prefix of the paths the walk at the unit's budget completes, so the
+    # reference's scan finds no conflict at a cut either. A path cap past
+    # the paths of a unit within budget runs as that many does.
+    units = timeouts = 0
+    for p, entry, bud, cha in apart_nopa_units():
+        full = assert_skip_matches_walk(p, entry, bud, cha)
+        deep = units == 0
+        v = full.stats.visited
+        for path_cap in range(1, min(64, full.stats.paths) + 1):
+            assert_skip_matches_walk(p, entry, budget(fuel=bud.fuel, path_cap=path_cap), cha, deep)
+        for fuel in sorted({1, 2, 3, v // 3, v // 2, v - 1, v, v + 1} - {0}):
+            assert_skip_matches_walk(p, entry, budget(fuel=fuel, path_cap=bud.path_cap), cha, deep)
+        units += 1
+        timeouts += full.verdict is Verdict.TIMEOUT
+    assert (units, timeouts) == (155, 14)
+
+
+def test_skipping_detect_pins_deep_hierarchy():
+    p, entry = load_scenario_program("deep_hierarchy")
+    cha = build_cha_graph(p, entry)
+    for bud, stats in (
+        (budget(), (8200, 4097, "path_cap")),
+        (budget(fuel=100_000, path_cap=10**9), (100_001, 49_997, "fuel")),
+    ):
+        got = assert_skip_matches_walk(p, entry, bud, cha)
+        assert got.verdict is Verdict.TIMEOUT
+        assert (got.stats.visited, got.stats.paths, got.stats.stop_reason) == stats
+
+
+def test_skipping_detect_commits_almost_no_path(monkeypatch):
+    # The walk that skips nothing commits 4 097 paths of deep_hierarchy.
+    committed = []
+    real = engine._Scanner._finish_path
+
+    def spy(scanner):
+        committed.append(scanner.entry.id)
+        return real(scanner)
+
+    monkeypatch.setattr(engine._Scanner, "_finish_path", spy)
+    p, entry = load_scenario_program("deep_hierarchy")
+    outcome = detect(p, entry, Mode.NOPA, budget=budget())
+    assert (outcome.verdict, outcome.stats.paths) == (Verdict.TIMEOUT, 4097)
+    assert len(committed) < 10
 
 
 # ---------------------------------------------------------------------------

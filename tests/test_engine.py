@@ -533,6 +533,11 @@ def test_stop_reason_names_the_budget_that_ran_out(deep_hierarchy, bud, reason):
     p, entry = deep_hierarchy
     ctx = _drained(p, entry, bud)
     assert (ctx.stop_reason, ctx.timed_out) == (reason, True)
+    # `detect` returns it. deep_hierarchy's sides cannot meet, so under nopa
+    # it skips the subtrees that fit; the skip checks the clock, whose own
+    # checks fall on visits it jumps past.
+    out = detect(p, entry, Mode.NOPA, budget=bud)
+    assert (out.verdict, out.stats.stop_reason) == (Verdict.TIMEOUT, reason)
 
 
 def test_stop_reason_is_none_when_every_path_completes(fig1_advanced):
@@ -541,6 +546,10 @@ def test_stop_reason_is_none_when_every_path_completes(fig1_advanced):
     assert (ctx.stop_reason, ctx.timed_out, ctx.paths) == (None, False, 4)
     with pytest.raises(AttributeError):
         ctx.timed_out = True
+    for mode in ALL_MODES:
+        for verdict_only in (False, True):
+            out = detect(p, entry, mode, budget=budget(), verdict_only=verdict_only)
+            assert out.verdict is not Verdict.TIMEOUT and out.stats.stop_reason is None
 
 
 def test_detect_deterministic_outcomes(fig1_advanced):

@@ -113,6 +113,8 @@ def test_emit_records_false_and_timeout_cases(fig1_advanced, deep_hierarchy):
     assert records[0]["verdict"] == "false" and records[0]["conflicts"] == []
     assert records[1]["verdict"] == "timeout"
     assert records[1]["visited"] > 0
+    # The outcome names the budget that ran out; records leave it out.
+    assert timeout_out.stats.stop_reason == "path_cap" and "stop_reason" not in records[1]
 
 
 def test_records_round_trip(fig1_simple):
