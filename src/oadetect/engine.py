@@ -437,9 +437,10 @@ class DetectionContext:
             time.monotonic() + budget.wall_clock if budget.wall_clock is not None else None
         )
         self.lowered: dict[str, list[_Op]] = {}
-        # The tree count's memo and frontier sums (see `_count`), which every
-        # count of this detection shares.
+        # The tree count's memo, lower bounds and frontier sums (see
+        # `_count`), which every count of this detection shares.
         self.memo: dict[tuple, tuple[int, int]] = {}
+        self.bounds: dict[tuple, tuple[int, int]] = {}
         self.frontier: dict[frozenset, tuple[int, int, frozenset]] = {}
 
     @property
@@ -971,15 +972,21 @@ def _count(ctx: DetectionContext, ops: list, start: int, depth: int, on_stack: f
 
     With more than `fuel` visits or `path_cap` ways out in a counted part,
     `exceeds` names that budget and the counts are that part's, its ways
-    out as falls. The walk keeps an explicit stack of parts, as the
-    enumerator links its frames: block nesting times call depth can exceed
-    Python's stack.
+    out as falls. They bound the counts of each body that holds the part
+    too, and `ctx.bounds` keeps them: a later count that reaches such a
+    body under a budget they exceed stops there. The walk keeps an explicit
+    stack of parts, as the enumerator links its frames: block nesting times
+    call depth can exceed Python's stack.
     """
     deadline, limit = ctx.deadline, ctx.budget.depth_limit
-    memo = ctx.memo
+    memo, bounds = ctx.memo, ctx.bounds
     if key in memo:
         visits, outs = memo[key]
         return visits, outs, 0, None
+    if key in bounds:
+        visits, outs = bounds[key]
+        if visits > fuel or outs > path_cap:
+            return visits, outs, 0, "fuel" if visits > fuel else "path_cap"
     # Per target ids of a call at depth `limit - 1` (calls with equal ones
     # share it): the visits and outs summed over the memo entries those
     # targets had at the limit, and the ids that had none.
@@ -989,7 +996,7 @@ def _count(ctx: DetectionContext, ops: list, start: int, depth: int, on_stack: f
     stack = [root]
     steps = 0
     while True:
-        part = stack[-1]
+        part, child = stack[-1], None
         steps += 1
         if deadline is not None and steps % 512 == 0 and time.monotonic() > deadline:
             return part.visits, part.falls + part.returns, 0, "wall_clock"
@@ -1025,7 +1032,7 @@ def _count(ctx: DetectionContext, ops: list, start: int, depth: int, on_stack: f
                 alts = part.alts = ctx.call_alts(op, part.depth, part.on_stack)
         if alts is not None:
             # Sum the op's alternatives; descend into the first one not counted.
-            k, child = part.k, None
+            k = part.k
             while k < len(alts) and child is None:
                 alt = alts[k]
                 if alt is None:
@@ -1052,10 +1059,12 @@ def _count(ctx: DetectionContext, ops: list, start: int, depth: int, on_stack: f
                 part.falls = falls * part.alt_falls
                 visits, outs = part.visits, part.falls + part.returns
             else:
-                # What the op folds in so far already bounds the part's counts.
+                # What the op folds in so far already bounds the part's
+                # counts, and so do a body's bounds from an earlier count.
                 visits = part.visits + falls * (1 + part.alt_visits)
                 outs = part.returns + falls * (part.alt_falls + part.alt_returns)
-                stack.append(child)
+                if child.key in bounds:
+                    visits, outs = max(visits, bounds[child.key][0]), max(outs, bounds[child.key][1])
         else:
             # Fold ops without alternatives up to the next op with some.
             ops, i, n = part.ops, part.i, len(part.ops)
@@ -1084,11 +1093,18 @@ def _count(ctx: DetectionContext, ops: list, start: int, depth: int, on_stack: f
             if alts is not None:
                 part.alts, part.k = alts, 0
                 part.alt_visits = part.alt_falls = part.alt_returns = 0
-        if visits > fuel:
-            return visits, outs, 0, "fuel"
-        if outs > path_cap:
-            return visits, outs, 0, "path_cap"
-        if part.alts is None and (part.i == len(part.ops) or not part.falls):
+        if visits > fuel or outs > path_cap:
+            # A part exceeds every smaller budget too. Its counts never fall
+            # as it folds on, and each part below it on the stack has at
+            # least them, so each body there keeps them as its bounds.
+            for below in stack:
+                if below.key is not None:
+                    low = bounds.get(below.key, (0, 0))
+                    bounds[below.key] = (max(low[0], visits), max(low[1], outs))
+            return visits, outs, 0, "fuel" if visits > fuel else "path_cap"
+        if child is not None:
+            stack.append(child)
+        elif part.alts is None and (part.i == len(part.ops) or not part.falls):
             # The block is done: every way through it fell off or returned.
             stack.pop()
             if part.key is not None:

@@ -17,16 +17,25 @@ methods, else every public method and constructor, else none, which gives
 the empty result), discovers call edges as receiver sets grow, and links
 parameters and returns along each edge.
 Parameters of methods nobody calls stay empty: external callers are unknown.
+A method's constraints come from one pass over its statements when it
+becomes reachable.
 
 Heap accesses share one rule: a load or store through a base names a field,
 or no field for an array slot, and reaches that cell on each site the base
 points to of the matching kind: a field on object sites, the slot on array
 sites. A virtual call that never dispatched is reported as unresolved.
+
+The worklist propagates differences (Pearce, Kelly and Hankin, SCAM 2003):
+a queued variable carries the sites added since it was last processed, and
+only those flow along its copy edges and into its loads, stores and calls.
+A copy edge or use added later takes the rest of its source's set at once.
+A variable with neither is not queued, as nothing would take its sites.
+The least fixpoint is unique, so the order of work changes no result.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import Mapping, NamedTuple, Optional
 
 from .cha import CallGraph, _add_targets, _sorted_sites
@@ -131,43 +140,62 @@ class _Solver:
         self.by_id = self.h.methods_by_id()
         self.sites_by_pos = alloc_sites(p)
         self.sites = sorted(self.sites_by_pos.values(), key=lambda s: s.id)
-        self.pts: dict[Var, set[int]] = defaultdict(set)
-        self.succ: dict[Var, set[Var]] = defaultdict(set)
-        # base -> {(field name, or None for an array slot; loaded/stored var)}
-        self.loads: dict[Var, set[tuple[Optional[str], Var]]] = defaultdict(set)
-        self.stores: dict[Var, set[tuple[Optional[str], Var]]] = defaultdict(set)
-        self.vcalls: dict[Var, list[tuple[str, VirtualCall]]] = defaultdict(list)
-        self.dispatched: set[tuple[Position, int]] = set()
+        self.arrays = {s.id for s in self.sites if s.kind == "array"}
+        # A variable has an entry in these once it has sites, successors or uses.
+        self.pts: dict[Var, set[int]] = {}
+        # The worklist: var -> the sites added since its constraints last took them.
+        self.delta: dict[Var, set[int]] = {}
+        self.succ: dict[Var, set[Var]] = {}
+        # base -> [("load", field name or None for an array slot, loaded var),
+        #          ("store", field name or None, stored var), ("call", caller id, VirtualCall)]
+        self.uses: dict[Var, list[tuple]] = {}
+        self.vcalls: list[VirtualCall] = []
         # call site -> (caller id, target ids), as `cha.build_cha_graph` keeps it
         self.by_site: dict[Position, tuple[str, set[str]]] = {}
         self.reachable: set[str] = set()
         self.method_queue: deque[str] = deque()
-        self.var_queue: deque[Var] = deque()
-        self.var_queued: set[Var] = set()
 
     # -- constraint plumbing
 
-    def local(self, mid: str, name: str) -> Var:
-        return ("l", mid, name)
-
-    def add_pts(self, var: Var, sids: set[int]) -> None:
-        new = sids - self.pts[var]
-        if new:
-            self.pts[var] |= new
-            if var not in self.var_queued:
-                self.var_queue.append(var)
-                self.var_queued.add(var)
+    def add_pts(self, var: Var, sids) -> None:
+        cur = self.pts.get(var)
+        if cur is None:
+            if not sids:
+                return
+            new = set(sids)
+            self.pts[var] = set(sids)
+        else:
+            new = sids - cur
+            if not new:
+                return
+            cur |= new
+        queued = self.delta.get(var)
+        if queued is not None:
+            queued |= new
+        elif var in self.succ or var in self.uses:
+            self.delta[var] = new
 
     def add_copy(self, src: Var, dst: Var) -> None:
-        if dst not in self.succ[src]:
-            self.succ[src].add(dst)
-            if self.pts[src]:
-                self.add_pts(dst, self.pts[src])
+        out = self.succ.get(src)
+        if out is None:
+            self.succ[src] = {dst}
+        elif dst in out:
+            return
+        else:
+            out.add(dst)
+        sids = self.pts.get(src)
+        if sids:
+            queued = self.delta.get(src)
+            self.add_pts(dst, sids - queued if queued else sids)
 
-    def operand_var(self, mid: str, o) -> Optional[Var]:
-        if isinstance(o, Const):
-            return None
-        return self.local(mid, o)
+    def add_use(self, base: Var, use: tuple) -> None:
+        """Adds a load, store or virtual call through `base`, and applies
+        it to the sites `base` has so far."""
+        self.uses.setdefault(base, []).append(use)
+        sids = self.pts.get(base)
+        if sids:
+            queued = self.delta.get(base)
+            self._apply(sids - queued if queued else tuple(sids), (use,))
 
     # -- method discovery
 
@@ -178,114 +206,95 @@ class _Solver:
         self.method_queue.append(mid)
 
     def process_method(self, mid: str) -> None:
-        method = self.by_id[mid]
-        for st in iter_stmts(method.body):
-            self.add_constraints(mid, st)
+        """Adds the constraints of each statement of method `mid`."""
+        h, site_of = self.h, self.sites_by_pos
+        add_pts, add_copy, add_use = self.add_pts, self.add_copy, self.add_use
+        for st in iter_stmts(self.by_id[mid].body):
+            t = type(st)
+            if t is CopyAssign:
+                if type(st.source) is not Const:
+                    add_copy(("l", mid, st.source), ("l", mid, st.target))
+            elif t is FieldLoad or t is ArrayLoad:
+                add_use(("l", mid, st.base), ("load", st.field if t is FieldLoad else None, ("l", mid, st.target)))
+            elif t is FieldStore or t is ArrayStore:
+                if type(st.source) is not Const:
+                    field = st.field if t is FieldStore else None
+                    add_use(("l", mid, st.base), ("store", field, ("l", mid, st.source)))
+            elif t is VirtualCall:
+                self.vcalls.append(st)
+                add_use(("l", mid, st.receiver), ("call", mid, st))
+            elif t is AllocAssign:
+                sid = site_of[st.pos].id
+                add_pts(("l", mid, st.target), {sid})
+                ctor = h.constructor_of(st.cls, len(st.args))
+                if ctor is not None:
+                    self._bind_call(st.pos, mid, ctor, sid, st.args, None)
+            elif t is StaticCall:
+                target = h.resolve_method(st.cls, st.method, len(st.args), static=True)
+                if target is not None:
+                    self._bind_call(st.pos, mid, target, None, st.args, st.result)
+            elif t is Return:
+                if st.value is not None:
+                    add_copy(("l", mid, st.value), ("r", mid))
+            elif t is ArrayAlloc:
+                add_pts(("l", mid, st.target), {site_of[st.pos].id})
+            elif t is StaticStore:
+                if type(st.source) is not Const:
+                    add_copy(("l", mid, st.source), ("s", h.static_field_of(st.cls, st.field)[0], st.field))
+            elif t is StaticLoad:
+                add_copy(("s", h.static_field_of(st.cls, st.field)[0], st.field), ("l", mid, st.target))
 
-    def add_constraints(self, mid: str, st) -> None:
-        if isinstance(st, AllocAssign):
-            site = self.sites_by_pos[st.pos]
-            self.add_pts(self.local(mid, st.target), {site.id})
-            ctor = self.h.constructor_of(st.cls, len(st.args))
-            if ctor is not None:
-                self._bind_call(st.pos, mid, ctor, this_sites={site.id}, args=st.args, result=None)
-        elif isinstance(st, ArrayAlloc):
-            site = self.sites_by_pos[st.pos]
-            self.add_pts(self.local(mid, st.target), {site.id})
-        elif isinstance(st, CopyAssign):
-            src = self.operand_var(mid, st.source)
-            if src is not None:
-                self.add_copy(src, self.local(mid, st.target))
-        elif isinstance(st, (FieldStore, ArrayStore)):
-            src = self.operand_var(mid, st.source)
-            if src is not None:
-                base = self.local(mid, st.base)
-                self.stores[base].add((getattr(st, "field", None), src))
-                self._apply_heap(base)
-        elif isinstance(st, (FieldLoad, ArrayLoad)):
-            base = self.local(mid, st.base)
-            self.loads[base].add((getattr(st, "field", None), self.local(mid, st.target)))
-            self._apply_heap(base)
-        elif isinstance(st, StaticStore):
-            src = self.operand_var(mid, st.source)
-            if src is not None:
-                self.add_copy(src, self._static_var(st.cls, st.field))
-        elif isinstance(st, StaticLoad):
-            self.add_copy(self._static_var(st.cls, st.field), self.local(mid, st.target))
-        elif isinstance(st, VirtualCall):
-            recv = self.local(mid, st.receiver)
-            self.vcalls[recv].append((mid, st))
-            self._apply_calls(recv)
-        elif isinstance(st, StaticCall):
-            target = self.h.resolve_method(st.cls, st.method, len(st.args), static=True)
-            if target is not None:
-                self._bind_call(st.pos, mid, target, this_sites=None, args=st.args, result=st.result)
-        elif isinstance(st, Return):
-            if st.value is not None:
-                self.add_copy(self.local(mid, st.value), ("r", mid))
-
-    def _static_var(self, cls: str, fname: str) -> Var:
-        return ("s", self.h.static_field_of(cls, fname)[0], fname)
-
-    def _bind_call(self, pos, caller_mid, target: MethodDef, this_sites, args, result) -> None:
-        _add_targets(self.by_site, pos, caller_mid, (target.id,))
-        self.make_reachable(target.id)
-        if this_sites is not None and not target.static:
-            self.add_pts(self.local(target.id, "this"), set(this_sites))
+    def _bind_call(self, pos, caller_mid, target: MethodDef, this_site, args, result) -> None:
+        tid = target.id
+        _add_targets(self.by_site, pos, caller_mid, (tid,))
+        self.make_reachable(tid)
+        if this_site is not None and not target.static:
+            self.add_pts(("l", tid, "this"), {this_site})
         for pname, a in zip(target.params, args):
-            src = self.operand_var(caller_mid, a)
-            if src is not None:
-                self.add_copy(src, self.local(target.id, pname))
+            if type(a) is not Const:
+                self.add_copy(("l", caller_mid, a), ("l", tid, pname))
         if result is not None:
-            self.add_copy(("r", target.id), self.local(caller_mid, result))
+            self.add_copy(("r", tid), ("l", caller_mid, result))
 
     # -- complex-constraint application
 
-    def _object_sites(self, var: Var):
-        return [s for s in self.pts[var] if self.sites[s].kind == "object"]
-
-    def _cells(self, base: Var, fname: Optional[str]) -> list[Var]:
-        """The heap cells an access of `fname` through `base` reaches: field
-        `fname` of each object site, or, for None, the slot of each array site."""
-        if fname is None:
-            return [("a", s) for s in self.pts[base] if self.sites[s].kind == "array"]
-        return [("f", s, fname) for s in self.pts[base] if self.sites[s].kind == "object"]
-
-    def _apply_heap(self, base: Var) -> None:
-        for fname, dst in self.loads[base]:
-            for cell in self._cells(base, fname):
-                self.add_copy(cell, dst)
-        for fname, src in self.stores[base]:
-            for cell in self._cells(base, fname):
-                self.add_copy(src, cell)
-
-    def _apply_calls(self, recv: Var) -> None:
-        for caller_mid, st in self.vcalls[recv]:
-            for sid in self._object_sites(recv):
-                if (st.pos, sid) in self.dispatched:
-                    continue
-                self.dispatched.add((st.pos, sid))
-                cls = self.sites[sid].cls
-                target = self.h.resolve_method(cls, st.method, len(st.args), static=False)
-                if target is None:
-                    continue
-                self._bind_call(st.pos, caller_mid, target, this_sites={sid}, args=st.args, result=st.result)
+    def _apply(self, sids, uses) -> None:
+        """Applies loads, stores and virtual calls through a base to sites
+        `sids` of it: a load or store of a field reaches that field of each
+        object site, one of an array slot the slot of each array site."""
+        arrays, add_copy = self.arrays, self.add_copy
+        for sid in sids:
+            array = sid in arrays
+            for kind, a, b in uses:
+                if kind == "call":
+                    if not array:
+                        target = self.h.resolve_method(self.sites[sid].cls, b.method, len(b.args), static=False)
+                        if target is not None:
+                            self._bind_call(b.pos, a, target, sid, b.args, b.result)
+                elif (a is None) == array:
+                    cell = ("a", sid) if array else ("f", sid, a)
+                    if kind == "load":
+                        add_copy(cell, b)
+                    else:
+                        add_copy(b, cell)
 
     # -- main loop
 
     def run(self) -> None:
         for m in self.entries:
             self.make_reachable(m.id)
-        while self.method_queue or self.var_queue:
-            while self.method_queue:
-                self.process_method(self.method_queue.popleft())
-            while self.var_queue:
-                var = self.var_queue.popleft()
-                self.var_queued.discard(var)
-                for dst in list(self.succ[var]):
-                    self.add_pts(dst, self.pts[var])
-                self._apply_heap(var)
-                self._apply_calls(var)
+        method_queue, delta = self.method_queue, self.delta
+        uses, succ, add_pts = self.uses, self.succ, self.add_pts
+        while method_queue or delta:
+            while method_queue:
+                self.process_method(method_queue.popleft())
+            while delta:
+                var, new = delta.popitem()
+                got = uses.get(var)
+                if got:
+                    self._apply(new, got)
+                for dst in succ.get(var, ()):
+                    add_pts(dst, new)
 
 
 def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResult:
@@ -301,16 +310,10 @@ def solve(p: Program, entries: Optional[list[MethodDef]] = None) -> PointsToResu
 
     # Every virtual call of a reachable method is in `vcalls`; those that
     # never dispatched have no edge.
-    unresolved = sorted(
-        (st.pos, "unresolved-call")
-        for calls in solver.vcalls.values()
-        for _, st in calls
-        if not graph.has_site(st.pos)
-    )
+    unresolved = sorted((st.pos, "unresolved-call") for st in solver.vcalls if not graph.has_site(st.pos))
 
-    pts = {var: frozenset(sids) for var, sids in solver.pts.items() if sids}
     return PointsToResult(
-        pts=pts,
+        pts={var: frozenset(sids) for var, sids in solver.pts.items()},
         sites=tuple(solver.sites),
         callgraph=graph,
         unresolved=tuple(unresolved),

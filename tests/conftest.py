@@ -1,13 +1,34 @@
 from __future__ import annotations
 
 import json
+from collections import defaultdict, deque
+from typing import Optional
 
 import pytest
 
 from oadetect.cha import CallGraph, _add_targets, _sorted_sites
 from oadetect.engine import AnalysisBudget, Mode, Verdict
 from oadetect.harness import load_bundled, scenario_units
-from oadetect.pointsto import _Solver
+from oadetect.mir import (
+    AllocAssign,
+    ArrayAlloc,
+    ArrayLoad,
+    ArrayStore,
+    Const,
+    CopyAssign,
+    FieldLoad,
+    FieldStore,
+    MethodDef,
+    Position,
+    Program,
+    Return,
+    StaticCall,
+    StaticLoad,
+    StaticStore,
+    VirtualCall,
+    iter_stmts,
+)
+from oadetect.pointsto import PointsToResult, Var, alloc_sites, pa_entry_points
 
 
 def budget(**overrides) -> AnalysisBudget:
@@ -31,6 +52,208 @@ def call_graph_from_edges(roots, nodes, edges) -> CallGraph:
     return CallGraph(frozenset(roots), frozenset(nodes), _sorted_sites(by_site))
 
 
+# ---------------------------------------------------------------------------
+# The reference points-to solver
+
+
+class ReferenceSolver:
+    """The worklist solver `pointsto.solve` replaced: a dequeued variable
+    sends its whole set down every copy edge and re-applies all its loads,
+    stores and virtual calls."""
+
+    def __init__(self, p: Program, entries: list[MethodDef]):
+        self.h = p.hierarchy()
+        self.entries = entries
+        self.by_id = self.h.methods_by_id()
+        self.sites_by_pos = alloc_sites(p)
+        self.sites = sorted(self.sites_by_pos.values(), key=lambda s: s.id)
+        self.pts: dict[Var, set[int]] = defaultdict(set)
+        self.succ: dict[Var, set[Var]] = defaultdict(set)
+        # base -> {(field name, or None for an array slot; loaded/stored var)}
+        self.loads: dict[Var, set[tuple[Optional[str], Var]]] = defaultdict(set)
+        self.stores: dict[Var, set[tuple[Optional[str], Var]]] = defaultdict(set)
+        self.vcalls: dict[Var, list[tuple[str, VirtualCall]]] = defaultdict(list)
+        self.dispatched: set[tuple[Position, int]] = set()
+        # call site -> (caller id, target ids), as `cha.build_cha_graph` keeps it
+        self.by_site: dict[Position, tuple[str, set[str]]] = {}
+        self.reachable: set[str] = set()
+        self.method_queue: deque[str] = deque()
+        self.var_queue: deque[Var] = deque()
+        self.var_queued: set[Var] = set()
+
+    # -- constraint plumbing
+
+    def local(self, mid: str, name: str) -> Var:
+        return ("l", mid, name)
+
+    def add_pts(self, var: Var, sids: set[int]) -> None:
+        new = sids - self.pts[var]
+        if new:
+            self.pts[var] |= new
+            if var not in self.var_queued:
+                self.var_queue.append(var)
+                self.var_queued.add(var)
+
+    def add_copy(self, src: Var, dst: Var) -> None:
+        if dst not in self.succ[src]:
+            self.succ[src].add(dst)
+            if self.pts[src]:
+                self.add_pts(dst, self.pts[src])
+
+    def operand_var(self, mid: str, o) -> Optional[Var]:
+        if isinstance(o, Const):
+            return None
+        return self.local(mid, o)
+
+    # -- method discovery
+
+    def make_reachable(self, mid: str) -> None:
+        if mid in self.reachable:
+            return
+        self.reachable.add(mid)
+        self.method_queue.append(mid)
+
+    def process_method(self, mid: str) -> None:
+        method = self.by_id[mid]
+        for st in iter_stmts(method.body):
+            self.add_constraints(mid, st)
+
+    def add_constraints(self, mid: str, st) -> None:
+        if isinstance(st, AllocAssign):
+            site = self.sites_by_pos[st.pos]
+            self.add_pts(self.local(mid, st.target), {site.id})
+            ctor = self.h.constructor_of(st.cls, len(st.args))
+            if ctor is not None:
+                self._bind_call(st.pos, mid, ctor, this_sites={site.id}, args=st.args, result=None)
+        elif isinstance(st, ArrayAlloc):
+            site = self.sites_by_pos[st.pos]
+            self.add_pts(self.local(mid, st.target), {site.id})
+        elif isinstance(st, CopyAssign):
+            src = self.operand_var(mid, st.source)
+            if src is not None:
+                self.add_copy(src, self.local(mid, st.target))
+        elif isinstance(st, (FieldStore, ArrayStore)):
+            src = self.operand_var(mid, st.source)
+            if src is not None:
+                base = self.local(mid, st.base)
+                self.stores[base].add((getattr(st, "field", None), src))
+                self._apply_heap(base)
+        elif isinstance(st, (FieldLoad, ArrayLoad)):
+            base = self.local(mid, st.base)
+            self.loads[base].add((getattr(st, "field", None), self.local(mid, st.target)))
+            self._apply_heap(base)
+        elif isinstance(st, StaticStore):
+            src = self.operand_var(mid, st.source)
+            if src is not None:
+                self.add_copy(src, self._static_var(st.cls, st.field))
+        elif isinstance(st, StaticLoad):
+            self.add_copy(self._static_var(st.cls, st.field), self.local(mid, st.target))
+        elif isinstance(st, VirtualCall):
+            recv = self.local(mid, st.receiver)
+            self.vcalls[recv].append((mid, st))
+            self._apply_calls(recv)
+        elif isinstance(st, StaticCall):
+            target = self.h.resolve_method(st.cls, st.method, len(st.args), static=True)
+            if target is not None:
+                self._bind_call(st.pos, mid, target, this_sites=None, args=st.args, result=st.result)
+        elif isinstance(st, Return):
+            if st.value is not None:
+                self.add_copy(self.local(mid, st.value), ("r", mid))
+
+    def _static_var(self, cls: str, fname: str) -> Var:
+        return ("s", self.h.static_field_of(cls, fname)[0], fname)
+
+    def _bind_call(self, pos, caller_mid, target: MethodDef, this_sites, args, result) -> None:
+        _add_targets(self.by_site, pos, caller_mid, (target.id,))
+        self.make_reachable(target.id)
+        if this_sites is not None and not target.static:
+            self.add_pts(self.local(target.id, "this"), set(this_sites))
+        for pname, a in zip(target.params, args):
+            src = self.operand_var(caller_mid, a)
+            if src is not None:
+                self.add_copy(src, self.local(target.id, pname))
+        if result is not None:
+            self.add_copy(("r", target.id), self.local(caller_mid, result))
+
+    # -- complex-constraint application
+
+    def _object_sites(self, var: Var):
+        return [s for s in self.pts[var] if self.sites[s].kind == "object"]
+
+    def _cells(self, base: Var, fname: Optional[str]) -> list[Var]:
+        """The heap cells an access of `fname` through `base` reaches: field
+        `fname` of each object site, or, for None, the slot of each array site."""
+        if fname is None:
+            return [("a", s) for s in self.pts[base] if self.sites[s].kind == "array"]
+        return [("f", s, fname) for s in self.pts[base] if self.sites[s].kind == "object"]
+
+    def _apply_heap(self, base: Var) -> None:
+        for fname, dst in self.loads[base]:
+            for cell in self._cells(base, fname):
+                self.add_copy(cell, dst)
+        for fname, src in self.stores[base]:
+            for cell in self._cells(base, fname):
+                self.add_copy(src, cell)
+
+    def _apply_calls(self, recv: Var) -> None:
+        for caller_mid, st in self.vcalls[recv]:
+            for sid in self._object_sites(recv):
+                if (st.pos, sid) in self.dispatched:
+                    continue
+                self.dispatched.add((st.pos, sid))
+                cls = self.sites[sid].cls
+                target = self.h.resolve_method(cls, st.method, len(st.args), static=False)
+                if target is None:
+                    continue
+                self._bind_call(st.pos, caller_mid, target, this_sites={sid}, args=st.args, result=st.result)
+
+    # -- main loop
+
+    def run(self) -> None:
+        for m in self.entries:
+            self.make_reachable(m.id)
+        while self.method_queue or self.var_queue:
+            while self.method_queue:
+                self.process_method(self.method_queue.popleft())
+            while self.var_queue:
+                var = self.var_queue.popleft()
+                self.var_queued.discard(var)
+                for dst in list(self.succ[var]):
+                    self.add_pts(dst, self.pts[var])
+                self._apply_heap(var)
+                self._apply_calls(var)
+
+
+def reference_solve(p, entries=None) -> PointsToResult:
+    """`pointsto.solve` by `ReferenceSolver`."""
+    if entries is None:
+        entries = pa_entry_points(p)
+    solver = ReferenceSolver(p, entries)
+    solver.run()
+
+    entry_ids = tuple(m.id for m in entries)
+    graph = CallGraph(frozenset(entry_ids), frozenset(solver.reachable | set(entry_ids)),
+                      _sorted_sites(solver.by_site))
+
+    # Every virtual call of a reachable method is in `vcalls`; those that
+    # never dispatched have no edge.
+    unresolved = sorted(
+        (st.pos, "unresolved-call")
+        for calls in solver.vcalls.values()
+        for _, st in calls
+        if not graph.has_site(st.pos)
+    )
+
+    pts = {var: frozenset(sids) for var, sids in solver.pts.items() if sids}
+    return PointsToResult(
+        pts=pts,
+        sites=tuple(solver.sites),
+        callgraph=graph,
+        unresolved=tuple(unresolved),
+        methods=solver.by_id,
+    )
+
+
 def is_closed(p, r) -> bool:
     """Whether one more application of every points-to constraint adds
     nothing to the solve result `r`.
@@ -39,7 +262,7 @@ def is_closed(p, r) -> bool:
     methods, and the constraints of every reachable method are added once;
     the result is closed when no set, call target or reachable method grows.
     """
-    solver = _Solver(p, [])
+    solver = ReferenceSolver(p, [])
     for var, sids in r.pts.items():
         solver.pts[var] = set(sids)
     solver.by_site = {pos: (caller, set(ids)) for pos, (caller, ids) in r.callgraph.sites.items()}

@@ -34,7 +34,7 @@ from collections import deque
 
 import pytest
 
-from conftest import ALL_MODES, NESTED_CALLS, RETURN_IN_BLOCKS, budget, load_scenario_program
+from conftest import ALL_MODES, NESTED_CALLS, RETURN_IN_BLOCKS, budget, load_scenario_program, reference_solve
 from oadetect import engine
 from oadetect.cha import CallEdge, apply_rule, build_cha_graph, initial_env, operand_type, resolve_static, type_rule
 from oadetect.cha import _scan_sites as scan_sites
@@ -57,7 +57,7 @@ from oadetect.engine import (
     resolve_call,
 )
 from oadetect.frontend import parse_source
-from oadetect.harness import load_bundled, scenario_units
+from oadetect.harness import load_bundled, load_scenario, scenario_program, scenario_units
 from oadetect.mir import (
     AllocAssign,
     ArrayStore,
@@ -75,8 +75,9 @@ from oadetect.mir import (
     find_method,
     iter_stmts,
 )
-from oadetect.pointsto import pa_entry_points, solve
+from oadetect.pointsto import dump_pts, pa_entry_points, solve
 from oadetect.randprog import default_seed, generate_program
+from test_byte_identity import WORKLOAD_DIGESTS, WORKLOAD_SEED, _bench_workloads
 
 PROP_BUDGET = dict(fuel=20_000, path_cap=512)
 BUNDLED = ("fig1_simple", "fig1_advanced", "mkref", "deep_hierarchy")
@@ -539,6 +540,44 @@ def test_skipping_detect_commits_almost_no_path(monkeypatch):
     assert len(committed) < 10
 
 
+def test_skipping_detect_counts_no_body_twice_past_the_budget(monkeypatch):
+    # The whole-tree count of deep_hierarchy stops inside the first `stepA`
+    # body, and the skip's counts of the alternatives at the next levels of
+    # its descent stop inside that body again. Its bounds from the first
+    # count answer them: they created 5 parts at the default budget and 2
+    # at the larger one. The rest of the walk is counted once per point:
+    # most of its parts count `stepB`'s bodies, which no count reached before.
+    parts, callers = [], ["tree"]
+
+    class CountedPart(engine._Part):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            parts.append(callers[-1])
+            super().__init__(*args)
+
+    def counted(name):
+        real = getattr(engine._Enumerator, name)
+
+        def method(*args):
+            callers.append(name)
+            try:
+                return real(*args)
+            finally:
+                callers.pop()
+        return method
+
+    monkeypatch.setattr(engine, "_Part", CountedPart)
+    for name in ("_skip", "_rest"):
+        monkeypatch.setattr(engine._Enumerator, name, counted(name))
+    p, entry = load_scenario_program("deep_hierarchy")
+    cha = build_cha_graph(p, entry)
+    for bud, tree, rest in ((budget(), 184, 189), (budget(fuel=100_000, path_cap=10**9), 1807, 1812)):
+        parts.clear()
+        assert detect(p, entry, Mode.NOPA, budget=bud, cha=cha).verdict is Verdict.TIMEOUT
+        assert (parts.count("tree"), parts.count("_rest"), parts.count("_skip")) == (tree, rest, 0)
+
+
 # ---------------------------------------------------------------------------
 # The walk against a recursive enumerator
 
@@ -930,3 +969,57 @@ def test_constructor_cuts_match_reference(mode):
     assert_walk_matches_recursion(p, entry, mode, budget())
     for bud in (budget(), budget(fuel=20, path_cap=2)):
         assert_matches_reference(p, entry, mode, bud)
+
+
+# ---------------------------------------------------------------------------
+# The points-to solve against the solver it replaced
+
+
+def assert_solve_matches_reference(p) -> None:
+    got, ref = solve(p), reference_solve(p)
+    assert got.pts == ref.pts
+    g, r = got.callgraph, ref.callgraph
+    assert (g.roots, g.nodes, g.sites) == (r.roots, r.nodes, r.sites)
+    assert (got.unresolved, got.sites) == (ref.unresolved, ref.sites)
+    assert dump_pts(got) == dump_pts(ref)
+
+
+def test_solve_matches_reference_on_the_bundled_corpus_and_the_seed_range():
+    programs = [scenario_units(load_bundled(name))[0] for name in BUNDLED]
+    base = default_seed()
+    for seed in range(base + 3000, base + 3101):
+        programs += [generate_program(seed, mkref=mkref).program for mkref in (False, True)]
+    for p in programs:
+        assert_solve_matches_reference(p)
+    assert len(programs) == 206
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
+def test_solve_matches_reference_on_the_bench_workloads(workload, tmp_path, monkeypatch):
+    monkeypatch.delenv("OA_SEED", raising=False)  # as the benchmark builds them
+    wl = _bench_workloads().build_workload(workload, tmp_path / "in", WORKLOAD_SEED)
+    for spec in wl.scenarios:
+        assert_solve_matches_reference(scenario_program(load_scenario(spec.directory)))
+    assert wl.scenarios
+
+
+# 100 allocations, each stored through field `f` of the next, walked by a
+# loop whose local grows one site per round: difference propagation sends
+# each site once down each edge, and `m` loads into its own base and passes
+# its receiver, so a base's set grows while its uses are applied.
+LINKED_LIST = (
+    "class A {\n  field f: A;\n  field g: A;\n"
+    "  method m(o) {\n    this.g = o;\n    x = o.f;\n    x = x.f;\n    call x.m(x);\n  }\n}\n"
+    "class Main {\n  public static method main() {\n    n0 = new A();\n"
+    + "".join(f"    n{i} = new A();\n    n{i}.f = n{i - 1};\n" for i in range(1, 100))
+    + "    p = n99;\n    c = 1;\n    while c {\n      p = p.f;\n      p.g = p;\n      t = p.g;\n"
+    "      call p.m(t);\n    }\n  }\n}\n"
+)
+
+
+def test_solve_matches_reference_on_large_sets():
+    p = parse_source(LINKED_LIST)
+    assert_solve_matches_reference(p)
+    r = solve(p)
+    assert len(r.pts[("l", "Main.main/0", "p")]) == 100
+    assert len(r.pts[("l", "A.m/1", "x")]) == 99  # every node but n99, which no `f` holds
