@@ -18,9 +18,10 @@ tree has more paths or visits than the budget allows times out as soon as
 write can meet a right write is false, both without being enumerated. Its
 output and exit code are the same as with `--out`, which, like `corpus`,
 records each unit's full enumeration; with a wall clock, a unit decided
-false may time out there. Under `nopa` those runs count a unit whose
-sides cannot meet, or past the budget walk only down to where it runs
-out, with the full enumeration's records. The dump commands read their
+false may time out there. Under `nopa` those runs walk a unit whose
+sides cannot meet only down to where a budget runs out, and any other
+unit past the call subtrees that cannot change a finding, counting what
+they skip, with the full enumeration's records. The dump commands read their
 sources as `analyze` does: a scenario directory through its manifest's
 sources, sidecar and entry.
 
@@ -163,8 +164,8 @@ def cmd_analyze(args) -> int:
     # Without records to write, only the verdicts are printed: a unit whose
     # path tree exceeds the budget times out as soon as it is counted, and
     # one whose sides cannot meet is false unenumerated. With them, such a
-    # unit is counted under `nopa`, or past the budget walked only down to
-    # where it runs out, so its records keep the full walk's counters.
+    # unit is walked under `nopa` only down to where a budget runs out,
+    # counting the rest, so its records keep the full walk's counters.
     results = run_scenario(scenario, modes, budget=budget, verdict_only=outdir is None)
     several_entries = len(results) > len(modes)
     outcomes = []

@@ -138,21 +138,40 @@ A full `detect` under `nopa`, whose call resolution logs no miss-reference,
 runs the pass too, over every method a call reaches: it resolves and lowers
 those calls itself, past the depth limit and the recursion cut, which
 over-approximates what the walk reaches. When the sides cannot meet, no
-path holds a finding. Within budget the unit is then FALSE with the count's
-paths and visits. Past it, the walk skips (`_Enumerator._skip`): at a
-choice point it asks, alternative by alternative, whether the subtree of
-the alternative followed by the rest of the path to the root's end fits the
-fuel and path cap left. One that fits adds its counted leaves and visits
-and is not entered; the first that does not is entered without a choice
-point, since the budget runs out inside it. So the walk stops exactly where
-the full walk stops, with its `paths`, `visited` and `stop_reason`, as Ball
-and Larus's numbering reaches the k-th path of a counted DAG without the
-paths before it. The subtree counts come from `_count`, which counts a
-block suffix at a given call depth and call stack; its memo and frontier
-sums live on the context, so the count and the walk share them. The rest of
-a path composes those counts up the frame chain: falls go to the frame's
-continuation, returns to the end of its method's frame (`_Enumerator._rest`,
-kept per frame and op index).
+path holds a finding, and the walk skips from the root
+(`_Enumerator._skip`): at a choice point it asks, alternative by
+alternative, whether the subtree of the alternative followed by the rest of
+the path to the root's end fits the fuel and path cap left. One that fits
+adds its counted leaves and visits and is not entered; the first that does
+not is entered without a choice point, since the budget runs out inside it.
+So the walk stops exactly where the full walk stops, with its `paths`,
+`visited` and `stop_reason`, as Ball and Larus's numbering reaches the k-th
+path of a counted DAG without the paths before it; within budget the first
+choice point adds up the whole tree. The subtree counts come from `_count`,
+which counts a block suffix at a given call depth and call stack; its memo
+and frontier sums live on the context, so the count and the walk share
+them. The rest of a path composes those counts up the frame chain: falls go
+to the frame's continuation, returns to the end of its method's frame
+(`_Enumerator._rest`, kept per frame and op index).
+
+Where the sides meet, a `nopa` walk skips the call subtrees that cannot
+change the scan: a form of relevance pruning that keeps every count. The
+pass returns the keys both sides write, and `_quiet` finds the lowered
+methods whose bodies, with their resolved targets' transitively, write
+none of them, on either side or in base code. A quiet body writes no
+element the scan can report on or that blocks a finding, and every way out
+of it restores its caller's env, so each leaves the scan in one state and
+the rest of the path repeats the findings of the first. A choice point is
+neutral in a quiet body, or at a call whose alternatives are all quiet
+targets or None, provided the body was entered from a quiet frame or from
+a call whose path's last event is not an LV write with a meeting key
+(`_Enumerator._calm`). That condition keeps the collapse rule exact: a way
+out without writes makes the writes before and after the call adjacent,
+and one with writes does not. Backtracking to a neutral choice point
+skips its remaining alternatives as above; when one does not fit, the walk
+enters it and skips from there on. `pa` and `hybrid` walk in full, because
+a count resolves calls, and there resolving a call logs `unresolved-call`
+miss-references that the walk might never reach.
 """
 
 from __future__ import annotations
@@ -643,15 +662,16 @@ _NO_BODY = (None,)
 
 
 class _Frame:
-    __slots__ = ("ops", "call_path", "prov", "on_stack", "caller", "resume", "caller_env",
+    __slots__ = ("ops", "call_path", "prov", "on_stack", "quiet", "caller", "resume", "caller_env",
                  "site", "method")
 
-    def __init__(self, ops, call_path, prov, on_stack, caller=None, resume=0, caller_env=None,
+    def __init__(self, ops, call_path, prov, on_stack, quiet, caller=None, resume=0, caller_env=None,
                  site=None, method=None):
         self.ops = ops
         self.call_path = call_path
         self.prov = prov  # the provenance of the nearest changed call on the call path
         self.on_stack = on_stack
+        self.quiet = quiet  # in a quiet body whose choice points are neutral (see `paths`)
         # The continuation, op `resume` of frame `caller`: a last call's body
         # takes over that of the frame it drops.
         self.caller = caller
@@ -675,6 +695,10 @@ class _Enumerator:
         # index) to the root's end, None when past the budget (see `_rest`).
         self.rests: dict[tuple, Optional[tuple[int, int]]] = {}
         self.skip = False  # see `paths`
+        # The keys both sides write (`_sides_meet`) and the ids of the
+        # methods that write none of them (`_quiet`); see `paths`.
+        self.meets: set = set()
+        self.quiet: frozenset = frozenset()
 
     # -- per-path event log; `_Scanner` extends these three
 
@@ -699,14 +723,22 @@ class _Enumerator:
         point: the budget runs out in that subtree, so the walk never comes
         back. So it stops where the full walk stops, with its `paths`,
         `visited` and `stop_reason`.
+
+        With `quiet` and `meets` set, a choice point is neutral when its
+        frame is quiet, or when it is a call whose targets are all `quiet`
+        and the condition on the path's last event holds (`_calm`); a body
+        of a quiet target is a quiet frame under the same condition.
+        Backtracking to a neutral choice point skips its remaining
+        alternatives, and when one does not fit, the walk takes it with
+        `skip` set from there on (see the module docstring).
         """
         ctx, entry = self.ctx, self.entry
         h, budget, deadline = ctx.hierarchy, ctx.budget, ctx.deadline
-        fuel, path_cap, skip = budget.fuel, budget.path_cap, self.skip
-        append, write, truncate = self._append, self._write, self._truncate
+        fuel, path_cap, skip, quiet = budget.fuel, budget.path_cap, self.skip, self.quiet
+        append, write, truncate, calm = self._append, self._write, self._truncate, self._calm
         choices, events = self.choices, self.events
         new, event = tuple.__new__, WriteEvent  # events are built from tuples (see `_Op`)
-        frame = _Frame(ctx.ops(entry), (), Provenance.BASE, frozenset({entry.id}))
+        frame = _Frame(ctx.ops(entry), (), Provenance.BASE, frozenset({entry.id}), entry.id in quiet)
         i, env = 0, initial_env(entry)
         visited = ctx.visited
         try:
@@ -754,7 +786,8 @@ class _Enumerator:
                             if k == len(alts) or ctx.timed_out:  # every subtree fit, or the clock ran out
                                 return
                         else:
-                            choices.append([frame, i, env, len(events), op, alts, 1])
+                            neutral = frame.quiet or (code == _CALL and op.target_ids <= quiet and calm())
+                            choices.append([frame, i, env, len(events), op, alts, 1, neutral])
                     alt = alts[k]
                 elif frame.method is not None:  # a block ends: its bindings flow onward
                     frame, i = frame.caller, frame.resume
@@ -772,23 +805,36 @@ class _Enumerator:
                         return
                     ctx.visited = visited
                     yield self._finish_path()
-                    if not choices:
-                        return
-                    # Backtrack to the next alternative of the latest choice point.
-                    choice = choices[-1]
-                    frame, i, env, n, op, alts, k = choice
-                    if k + 1 == len(alts):
-                        choices.pop()
-                    else:
-                        choice[6] = k + 1
-                    truncate(n)
+                    # Backtrack to the next alternative of the latest choice
+                    # point, or skip the rest of a neutral one's.
+                    while True:
+                        if not choices:
+                            return
+                        choice = choices[-1]
+                        frame, i, env, n, op, alts, k, neutral = choice
+                        truncate(n)
+                        if neutral:
+                            choices.pop()
+                            k, visited = self._skip(frame, i, alts, visited, k)
+                            if ctx.timed_out:
+                                return
+                            if k == len(alts):  # every subtree fit
+                                continue
+                            # The budget runs out in this subtree: skip from here on.
+                            skip = True
+                            choices.clear()
+                        elif k + 1 == len(alts):
+                            choices.pop()
+                        else:
+                            choice[6] = k + 1
+                        break
                     alt = alts[k]
                 # Take alternative `alt` of `op` in state (frame, i, env).
                 if alt is None:  # skip a loop, or complete a call without a body
                     if op.result is not None:
                         env = write(frame, op.result, env)
                 elif type(alt) is list:  # enter a branch arm or a loop body
-                    frame = _Frame(alt, frame.call_path, frame.prov, frame.on_stack, frame, i,
+                    frame = _Frame(alt, frame.call_path, frame.prov, frame.on_stack, frame.quiet, frame, i,
                                    method=frame.method or frame)
                     i = 0
                 else:  # enter a call target's body
@@ -799,7 +845,8 @@ class _Enumerator:
                     else:
                         caller, resume, caller_env, site = frame, i, env, op
                     frame = _Frame(ctx.ops(alt), frame.call_path + (op.hop,), op.prov or frame.prov,
-                                   frame.on_stack | {alt.id}, caller, resume, caller_env, site)
+                                   frame.on_stack | {alt.id}, alt.id in quiet and (frame.quiet or calm()),
+                                   caller, resume, caller_env, site)
                     i, env = 0, body_env
         finally:
             ctx.visited = visited
@@ -810,20 +857,28 @@ class _Enumerator:
                      op.key)
         return env if op.rule is None else apply_rule(op.rule, env, self.ctx.hierarchy)
 
+    def _calm(self) -> bool:
+        """Whether the path's last event is not an LV write to a key in
+        `meets`: no write after a call can then collapse into a write that
+        the scan may report on, past a way through the call's body that
+        writes nothing."""
+        events = self.events
+        return not events or events[-1].kind != LV or events[-1].element_key() not in self.meets
+
     # -- skipping subtrees that fit the budget left, by their counts
 
-    def _skip(self, frame: _Frame, i: int, alts: list, visited: int) -> tuple[int, int]:
+    def _skip(self, frame: _Frame, i: int, alts: list, visited: int, k: int = 0) -> tuple[int, int]:
         """At a choice point before op `i` of `frame`, adds the visits and
         leaves of each alternative's subtree (the alternative, then the rest
         of the walk to the root's end) that fits the fuel and path cap left,
-        in order, `ctx.paths` taking the leaves. Returns the index of the
-        first that does not fit, or `len(alts)`, and `visited` after those
-        added. Sets the stop reason when the wall clock has run out.
+        in order from `alts[k]`, `ctx.paths` taking the leaves. Returns the
+        index of the first that does not fit, or `len(alts)`, and `visited`
+        after those added. Sets the stop reason when the wall clock has run
+        out.
         """
         ctx = self.ctx
         budget = ctx.budget
         depth, on_stack = len(frame.call_path), frame.on_stack
-        k = 0
         while k < len(alts):
             fuel, cap = budget.fuel - visited, budget.path_cap - ctx.paths
             rest = self._rest(frame, i, fuel, cap)
@@ -1138,10 +1193,11 @@ def count_tree(
     return _count_tree(_make_context(p, entry, mode, budget, cha, pts), entry)
 
 
-def _sides_meet(ctx: DetectionContext, entry: MethodDef, reach_all: bool = False) -> bool:
-    """Whether a left write and a right write may touch one element, by a
-    flow-insensitive pass over the ops `_count_tree(ctx, entry)` lowered,
-    or with `reach_all` over every method a call reaches.
+def _sides_meet(ctx: DetectionContext, entry: MethodDef, reach_all: bool = False) -> set:
+    """The keys of the elements that both a left write and a right write
+    may touch, by a flow-insensitive pass over the ops `_count_tree(ctx,
+    entry)` lowered, or with `reach_all` over every method a call reaches.
+    An empty set means no left write can meet a right write.
 
     A worklist of (method id, inherited provenance) states starts at the
     entry. A write takes its own side or the inherited one, as the walk
@@ -1151,8 +1207,7 @@ def _sides_meet(ctx: DetectionContext, entry: MethodDef, reach_all: bool = False
     limit and the call stack, which over-approximates what the walk
     reaches. Each changed write adds a key to its side's set that every
     match of the scan implies: an LV or SFR write's `element_key()`, (IFR,
-    field name), or (AR,), since any two array writes may meet. The pass
-    stops at the first key on both sides.
+    field name), or (AR,), since any two array writes may meet.
     """
     keys = {Provenance.LEFT: set(), Provenance.RIGHT: set()}
     # The ids of the methods entered under each inherited provenance.
@@ -1189,10 +1244,40 @@ def _sides_meet(ctx: DetectionContext, entry: MethodDef, reach_all: bool = False
             else:
                 key = op.key
             if prov is not None:
-                if key in keys[Provenance.RIGHT if prov is Provenance.LEFT else Provenance.LEFT]:
-                    return True
                 keys[prov].add(key)
-    return False
+    return keys[Provenance.LEFT] & keys[Provenance.RIGHT]
+
+
+def _quiet(ctx: DetectionContext, keys: set) -> frozenset:
+    """The ids of the lowered methods whose bodies write no element keyed
+    in `keys` (by `_sides_meet`'s keys, on either side or in base code),
+    nor do the bodies of their resolved call targets, transitively."""
+    callers: dict[str, list[str]] = {}
+    loud = []
+    for mid, ops in ctx.lowered.items():
+        blocks, writes = [ops], False
+        while blocks and not writes:
+            for op in blocks.pop():
+                code = op.code
+                if code == _BRANCH:
+                    blocks.extend(block for block in op.alts if block is not None)
+                elif code == _HEAP:
+                    writes = ((IFR, op.field) if op.field is not None else (AR,)) in keys
+                elif code != _RETURN:  # a write, or a call with the write of its local or result
+                    writes = op.key in keys or (op.result is not None and op.result.key in keys)
+                    if op.targets:
+                        for tid in op.target_ids:
+                            callers.setdefault(tid, []).append(mid)
+                if writes:
+                    loud.append(mid)
+                    break
+    heard = set(loud)
+    while loud:
+        for mid in callers.get(loud.pop(), ()):
+            if mid not in heard:
+                heard.add(mid)
+                loud.append(mid)
+    return frozenset(ctx.lowered.keys() - heard)
 
 
 def _collapses(prev: WriteEvent, ev: WriteEvent) -> bool:
@@ -1363,30 +1448,32 @@ def detect(
     the one a full run gives.
 
     A full run under `nopa` whose sides cannot meet, by the pass over every
-    method a call reaches, is counted instead of walked, or past the budget
-    walked with the skip of the module docstring: its outcome is the full
-    walk's, counters and stop reason included. `stats.stop_reason` names
+    method a call reaches, is walked with the skip of the module docstring
+    from the root. Any other `nopa` walk skips the neutral choice points of
+    its quiet call subtrees. Either way the outcome is the full walk's,
+    conflicts, counters and stop reason included. `stats.stop_reason` names
     the budget that ran out, the count's under `verdict_only`.
     """
     ctx = _make_context(p, entry, mode, budget, cha, pts)
     scanner = _Scanner(ctx, entry)
     conflicts = scanner.conflicts
     started = time.perf_counter()
+    meets = None
     if verdict_only:
         count = _count_tree(ctx, entry)
         ctx.stop_reason = count.exceeds
-        apart = not ctx.timed_out and not _sides_meet(ctx, entry)
-    else:
+        meets = set() if ctx.timed_out else _sides_meet(ctx, entry)
+        if not (meets or ctx.timed_out):
+            ctx.paths, ctx.visited = count.paths, count.visits
+    elif mode is Mode.NOPA:
         # `nopa` resolution records no miss-reference, so the pass may
         # resolve every call; when the sides cannot meet, no path holds a
-        # finding.
-        apart = mode is Mode.NOPA and not _sides_meet(ctx, entry, reach_all=True)
-        if apart:
-            count = _count_tree(ctx, entry)
-    if apart and count.exceeds is None:
-        ctx.paths, ctx.visited = count.paths, count.visits
-    elif not ctx.timed_out:
-        scanner.skip = apart
+        # finding, and the walk skips from the root.
+        meets = _sides_meet(ctx, entry, reach_all=True)
+        scanner.skip = not meets
+    if meets or not verdict_only:
+        if meets and mode is Mode.NOPA:
+            scanner.meets, scanner.quiet = meets, _quiet(ctx, meets)
         for _ in scanner.paths():
             pass
 

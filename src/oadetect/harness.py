@@ -208,8 +208,9 @@ def run_scenario(
     meet a right write is false, both without being enumerated. Under a
     wall clock, a unit decided false could have timed out in the walk.
     Without it, each outcome is the full walk's, though under `nopa` a unit
-    whose sides cannot meet is counted, or walked only down to where a
-    budget runs out.
+    whose sides cannot meet is walked only down to where a budget runs
+    out, and any other unit skips, by their counts, the call subtrees that
+    cannot change a finding.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")

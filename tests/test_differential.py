@@ -26,6 +26,11 @@ sides cannot meet it counts the unit or skips, by their counts, the
 subtrees of its walk that fit the budget left. A walk that skips nothing
 is its reference: no such unit commits a conflict there, and the skipping
 `detect` stops where that walk stops.
+
+Where the sides meet, a `nopa` walk counts instead of walking the other
+ways through a quiet call subtree once it has walked one. A plain
+`_Scanner` walk, which skips nothing, is its reference: `detect` gives its
+outcome in full, conflicts and stop reason included.
 """
 
 from __future__ import annotations
@@ -541,12 +546,10 @@ def test_skipping_detect_commits_almost_no_path(monkeypatch):
 
 
 def test_skipping_detect_counts_no_body_twice_past_the_budget(monkeypatch):
-    # The whole-tree count of deep_hierarchy stops inside the first `stepA`
-    # body, and the skip's counts of the alternatives at the next levels of
-    # its descent stop inside that body again. Its bounds from the first
-    # count answer them: they created 5 parts at the default budget and 2
-    # at the larger one. The rest of the walk is counted once per point:
-    # most of its parts count `stepB`'s bodies, which no count reached before.
+    # No whole-tree count runs: the skip starts at the root. The rest of
+    # the walk is counted once per point, and those counts' memo and
+    # bounds answer every count of an alternative on the skip's descent,
+    # which creates no part.
     parts, callers = [], ["tree"]
 
     class CountedPart(engine._Part):
@@ -572,10 +575,155 @@ def test_skipping_detect_counts_no_body_twice_past_the_budget(monkeypatch):
         monkeypatch.setattr(engine._Enumerator, name, counted(name))
     p, entry = load_scenario_program("deep_hierarchy")
     cha = build_cha_graph(p, entry)
-    for bud, tree, rest in ((budget(), 184, 189), (budget(fuel=100_000, path_cap=10**9), 1807, 1812)):
+    for bud, tree, rest in ((budget(), 0, 189), (budget(fuel=100_000, path_cap=10**9), 0, 1812)):
         parts.clear()
         assert detect(p, entry, Mode.NOPA, budget=bud, cha=cha).verdict is Verdict.TIMEOUT
         assert (parts.count("tree"), parts.count("_rest"), parts.count("_skip")) == (tree, rest, 0)
+
+
+# ---------------------------------------------------------------------------
+# Neutral choice points against a walk that skips nothing
+
+
+def plain_walk(p, entry, bud, cha) -> tuple:
+    """The outcome fields and stop reason of a `nopa` `_Scanner` walk that
+    skips nothing, drained."""
+    ctx = DetectionContext(p, Mode.NOPA, bud, cha=cha)
+    scanner = engine._Scanner(ctx, entry)
+    for _ in scanner.paths():
+        pass
+    verdict = Verdict.TIMEOUT if ctx.timed_out else Verdict.TRUE if scanner.conflicts else Verdict.FALSE
+    ordered = sorted(
+        scanner.conflicts.values(),
+        key=lambda c: (c.overridden.root_pos, c.overriding.root_pos, c.overridden.pos, c.overriding.pos),
+    )
+    fields = (verdict, [_conflict_fields(c) for c in ordered], sorted(ctx.missrefs), ctx.visited, ctx.paths)
+    return fields, ctx.stop_reason
+
+
+def assert_neutral_skip_matches_walk(p, entry, bud, cha) -> AnalysisOutcome:
+    """`detect` under `nopa`, full and verdict-only, gives the verdict,
+    conflicts, miss-references, `visited`, `paths` and stop reason of a
+    plain walk. A verdict-only run times out unwalked where the walk runs
+    out of budget."""
+    walk = plain_walk(p, entry, bud, cha)
+    full = detect(p, entry, Mode.NOPA, budget=bud, cha=cha)
+    assert (outcome_fields(full), full.stats.stop_reason) == walk, bud
+    quick = detect(p, entry, Mode.NOPA, budget=bud, cha=cha, verdict_only=True)
+    if walk[1] is None:
+        assert (outcome_fields(quick), quick.stats.stop_reason) == walk, bud
+    else:
+        assert quick.verdict is Verdict.TIMEOUT
+    return full
+
+
+def meeting_nopa_units(source: str, tmp_path):
+    """The `nopa` units of `source` whose sides meet, each with its budget,
+    CHA graph and whether a method is quiet: the seed range, or a bench
+    workload at its seed (gate-bundled is the bundled corpus as it ships)."""
+    if source == "seed range":
+        units = [(gen.program, gen.entry, budget(**PROP_BUDGET))
+                 for seed in range(default_seed() + 3000, default_seed() + 3101)
+                 for gen in (generate_program(seed, mkref=mkref, mark_changes=True) for mkref in (False, True))
+                 if gen.entry is not None]
+    else:
+        wl = _bench_workloads().build_workload(source, tmp_path / "in", WORKLOAD_SEED)
+        units = []
+        for spec in wl.scenarios:
+            program, entries = scenario_units(load_scenario(spec.directory))
+            units.extend((program, entry, budget(**wl.budget)) for _, entry in entries)
+    for p, entry, bud in units:
+        cha = build_cha_graph(p, entry)
+        ctx = DetectionContext(p, Mode.NOPA, bud, cha=cha)
+        meets = engine._sides_meet(ctx, entry, reach_all=True)
+        if meets:
+            yield p, entry, bud, cha, bool(engine._quiet(ctx, meets))
+
+
+@pytest.mark.parametrize(("source", "counts"), [
+    ("seed range", (41, 3)),
+    ("gate-bundled", (3, 1)),
+    ("scan-random", (7, 2)),
+    ("wide-hierarchy", (65, 65)),
+])
+def test_neutral_skip_matches_the_walk_at_every_cut(source, counts, tmp_path, monkeypatch):
+    # Every unit runs at its own budget, against the reference too when it
+    # has a quiet method or up to 150 paths (the reference scans each path
+    # anew). A unit with a quiet method runs at path caps and fuels that cut
+    # its walk anywhere, inside the neutral regions it skips among them.
+    monkeypatch.delenv("OA_SEED", raising=False)  # as the benchmark builds its workloads
+    units = with_quiet = 0
+    for p, entry, bud, cha, quiet in meeting_nopa_units(source, tmp_path):
+        full = assert_neutral_skip_matches_walk(p, entry, bud, cha)
+        if quiet or full.stats.paths <= 150:
+            assert outcome_fields(full) == reference_detect(p, entry, Mode.NOPA, bud)
+        units += 1
+        if not quiet:
+            continue
+        with_quiet += 1
+        v = full.stats.visited
+        for path_cap in range(1, min(20, full.stats.paths) + 1):
+            assert_neutral_skip_matches_walk(p, entry, budget(fuel=bud.fuel, path_cap=path_cap), cha)
+        for fuel in sorted({1, v // 5, v // 4, v // 3, v // 2, 2 * v // 3, 3 * v // 4, v - 1, v, v + 1} - {0}):
+            assert_neutral_skip_matches_walk(p, entry, budget(fuel=fuel, path_cap=bud.path_cap), cha)
+    assert (units, with_quiet) == counts
+
+
+def _commits(monkeypatch) -> list:
+    """The entry of each path the `_Scanner` commits from now on."""
+    committed: list = []
+    real = engine._Scanner._finish_path
+
+    def spy(scanner):
+        committed.append(scanner.entry.id)
+        return real(scanner)
+
+    monkeypatch.setattr(engine._Scanner, "_finish_path", spy)
+    return committed
+
+
+@pytest.mark.parametrize(("offset", "stats", "commits"), [
+    # `f0` is the one key both sides write, and every body holding a choice
+    # point reaches a base write of it, which blocks: none is quiet.
+    (3013, (Verdict.TIMEOUT, 513, 8806, 0, "path_cap"), (512, 512)),
+    # Every method holding a choice point writes a local that both sides
+    # write, such as `t13` in `C2.<init>`, which conflicts.
+    (3003, (Verdict.TRUE, 128, 2464, 24, None), (128, 128)),
+    # A quiet body whose choice points are neutral sits on every path.
+    (3021, (Verdict.FALSE, 16, 86, 0, None), (16, 8)),
+])
+def test_neutral_skip_pins_the_paths_it_commits(offset, stats, commits, monkeypatch):
+    # Each unit without reflective allocation, at the property-suite budget.
+    gen = generate_program(default_seed() + offset, mkref=False, mark_changes=True)
+    p, entry = gen.program, gen.entry
+    bud = budget(**PROP_BUDGET)
+    cha = build_cha_graph(p, entry)
+    committed = _commits(monkeypatch)
+    plain_walk(p, entry, bud, cha)
+    walked = len(committed)
+    for verdict_only in (False, True):
+        committed.clear()
+        out = detect(p, entry, Mode.NOPA, budget=bud, cha=cha, verdict_only=verdict_only)
+        if verdict_only and out.stats.stop_reason is not None:
+            continue  # the count times it out unwalked
+        got = (out.verdict, out.stats.paths, out.stats.visited, len(out.conflicts), out.stats.stop_reason)
+        assert (got, (walked, len(committed))) == (stats, commits)
+
+
+def test_neutral_skip_commits_one_path_per_wide_hierarchy_unit(tmp_path, monkeypatch):
+    # Each unit's entry calls through an interface whose 32 implementers
+    # write no key both sides write; the walk commits its first path and
+    # counts the other 15.
+    monkeypatch.delenv("OA_SEED", raising=False)
+    committed = _commits(monkeypatch)
+    verdicts = []
+    for p, entry, bud, cha, _ in meeting_nopa_units("wide-hierarchy", tmp_path):
+        for verdict_only in (False, True):
+            committed.clear()
+            out = detect(p, entry, Mode.NOPA, budget=bud, cha=cha, verdict_only=verdict_only)
+            assert (out.stats.paths, len(committed)) == (16, 1)
+        verdicts.append(out.verdict)
+    assert (verdicts.count(Verdict.TRUE), verdicts.count(Verdict.FALSE)) == (39, 26)
 
 
 # ---------------------------------------------------------------------------

@@ -606,6 +606,50 @@ def test_local_write_collapsed_on_one_path_still_counts_on_the_next():
     assert [(c.overridden.pos.line, c.overriding.pos.line) for c in out.conflicts] == [(4, 5), (4, 7)]
 
 
+QUIET_BETWEEN_COLLAPSING_WRITES = """class H {
+  method q(c) {
+    if c {
+      z = 1;
+    }
+  }
+}
+class Main {
+  method m(h, c) {
+    x = 0 @R;
+    x = 1 @L;
+    call h.q(c);
+    x = 2 @L;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("verdict_only", (False, True))
+def test_a_quiet_body_that_writes_nothing_lets_the_writes_around_it_collapse(verdict_only):
+    # `q` writes no element both sides write, but on the path where it
+    # writes nothing, line 11 collapses into line 13, which then overrides
+    # line 10 itself. So the walk may not skip that way through `q`.
+    p = parse_source(QUIET_BETWEEN_COLLAPSING_WRITES)
+    out = detect(p, find_method(p, "Main.m"), Mode.NOPA, budget=budget(), verdict_only=verdict_only)
+    assert out.verdict is Verdict.TRUE
+    assert [(c.overridden.pos.line, c.overriding.pos.line) for c in out.conflicts] == [(10, 11), (10, 13)]
+
+
+@pytest.mark.parametrize("verdict_only", (False, True))
+def test_a_base_write_in_a_callee_blocks_on_the_paths_that_run_it(verdict_only):
+    # `q` holds no changed write, but its base write to `f` blocks the
+    # conflict on the path that runs it; the other path keeps it.
+    src = (
+        "class H {\n  field f: int;\n  method q(c) {\n    if c {\n      this.f = 1;\n    }\n  }\n}\n"
+        "class Main {\n  method m(h, c) {\n    h.f = 0 @R;\n    call h.q(c);\n    h.f = 2 @L;\n  }\n}\n"
+    )
+    p = parse_source(src)
+    out = detect(p, find_method(p, "Main.m"), Mode.NOPA, budget=budget(), verdict_only=verdict_only)
+    assert out.verdict is Verdict.TRUE
+    assert [(c.overridden.pos.line, c.overriding.pos.line) for c in out.conflicts] == [(11, 13)]
+    assert (out.stats.paths, out.stats.visited) == (2, 6)
+
+
 BUDGET_CUT = (
     "class A {\n  method m() {\n"
     "    c = 1;\n    x = 1 @R;\n"
