@@ -147,12 +147,17 @@ not is entered without a choice point, since the budget runs out inside it.
 So the walk stops exactly where the full walk stops, with its `paths`,
 `visited` and `stop_reason`, as Ball and Larus's numbering reaches the k-th
 path of a counted DAG without the paths before it; within budget the first
-choice point adds up the whole tree. The subtree counts come from `_count`,
-which counts a block suffix at a given call depth and call stack; its memo
-and frontier sums live on the context, so the count and the walk share
-them. The rest of a path composes those counts up the frame chain: falls go
-to the frame's continuation, returns to the end of its method's frame
-(`_Enumerator._rest`, kept per frame and op index).
+choice point adds up the whole tree. One fold counts both: `_count` takes a
+stack of parts, and the skip stacks one per frame with ops left on the
+chain of continuations, the one nearest the root at the bottom (`_chain`).
+Each starts at its frame's op index, whose op the walk has visited, with
+the part above as that op's one alternative in progress, and the
+alternative asked about on the top part. A part's falls go on to the part
+below, and so do its returns, except that a body's part counts its returns
+as falls, which complete its call. The count's memo, bounds and frontier
+sums live on the context, so every count of the walk shares them. Before a
+choice point's first call target, the rest alone is counted once: every
+way out of a body goes on into it, so where it does not fit, no body does.
 
 Where the sides meet, a `nopa` walk skips the call subtrees that cannot
 change the scan: a form of relevance pruning that keeps every count. The
@@ -531,9 +536,10 @@ class DetectionContext:
                 op.result = self._write(_Op(_WRITE, st), m, LV, local=st.result)
         elif isinstance(st, FieldStore):
             op = self._heap(st, m, IFR, field_name=st.field)
-            op.field = st.field
+            op.field, op.key = st.field, (IFR, st.field)
         elif isinstance(st, ArrayStore):
             op = self._heap(st, m, AR, index=st.index)
+            op.key = (AR,)  # any two array writes may meet
         elif isinstance(st, StaticStore):
             decl, ftype = self.hierarchy.static_field_of(st.cls, st.field)
             op = self._write(_Op(_WRITE, st), m, SFR, static_cls=decl, field_name=st.field, static_type=ftype)
@@ -592,8 +598,9 @@ class _Op:
 
     _WRITE   an LV or SFR write: `head` and `tail`, its element `key`, and
              the type `rule` (None for a static store)
-    _HEAP    an IFR or AR write: `head` and `tail`, `base` and, for IFR,
-             `field`
+    _HEAP    an IFR or AR write: `head` and `tail`, `base`, its element
+             `key`, (IFR, field name) or (AR,), as `_sides_meet` keys it,
+             and for IFR `field`
     _CALL    a call or an allocation: `hop`, and `targets` with the
              frozenset of their ids, `target_ids` (both resolved on first
              visit; an allocation's one target is its class's constructor);
@@ -691,9 +698,6 @@ class _Enumerator:
         # Choice points: [frame, i, env, events length, op, alternatives,
         # cursor of the next alternative].
         self.choices: list[list] = []
-        # A skipping walk's (visits, leaves) from each point (frame, op
-        # index) to the root's end, None when past the budget (see `_rest`).
-        self.rests: dict[tuple, Optional[tuple[int, int]]] = {}
         self.skip = False  # see `paths`
         # The keys both sides write (`_sides_meet`) and the ids of the
         # methods that write none of them (`_quiet`); see `paths`.
@@ -878,86 +882,52 @@ class _Enumerator:
         """
         ctx = self.ctx
         budget = ctx.budget
-        depth, on_stack = len(frame.call_path), frame.on_stack
+        rest_fits = False
         while k < len(alts):
             fuel, cap = budget.fuel - visited, budget.path_cap - ctx.paths
-            rest = self._rest(frame, i, fuel, cap)
             alt = alts[k]
-            if alt is None:  # skip a loop, or complete a call without a body
-                count = (0, 1, 0, None)
-            elif type(alt) is list:  # a branch arm
-                count = _count(ctx, alt, 0, depth, on_stack, None, fuel, cap)
-            elif rest is None:  # every way out of a call target's body leads past the budget
+            if not (rest_fits or alt is None or type(alt) is list):
+                # Every way out of a body completes its call, so a body and
+                # the rest fit only where the rest alone does: count it once.
+                if _count(ctx, _chain(frame, i, None), fuel, cap)[2] is not None:
+                    break
+                rest_fits = True
+            visits, leaves, exceeds = _count(ctx, _chain(frame, i, alt), fuel, cap)
+            if exceeds is not None:
                 break
-            else:
-                key = (alt.id, depth + 1, on_stack if depth + 1 < budget.depth_limit else None)
-                count = _count(ctx, ctx.ops(alt), 0, depth + 1, on_stack | {alt.id}, key, fuel, cap)
-            sub = _then(count, rest, self._after(frame), fuel, cap)
-            if sub is None:
-                break
-            visited += sub[0]
-            ctx.paths += sub[1]
+            visited += visits
+            ctx.paths += leaves
+            rest_fits = rest_fits or alt is None
             k += 1
         # The walk's own clock checks fall on every 512th visit, which a skip jumps past.
         if ctx.deadline is not None and time.monotonic() > ctx.deadline:
             ctx.stop_reason = "wall_clock"
         return k, visited
 
-    def _rest(self, frame: _Frame, i: int, fuel: int, path_cap: int) -> Optional[tuple[int, int]]:
-        """(visits, leaves) of the walk from op `i` of `frame` to the root's
-        end, or None when that exceeds `fuel` visits or `path_cap` leaves.
 
-        The frame's block suffix is counted; its falls continue at the
-        frame's continuation, its returns after its method's frame. Both
-        are points further up the chain of continuations, so the chain is
-        composed from the root's end down. Each point is kept in `rests`:
-        the budget left only shrinks as the walk goes on, so a None stays
-        one.
-        """
-        chain = []
-        while frame is not None:
-            chain.append((frame, i))
-            frame, i = frame.caller, frame.resume
-        rests, rest = self.rests, _ROOT_END
-        for point in reversed(chain):
-            if point not in rests:
-                frame, i = point
-                ret = self._after(frame)
-                if rest is None and ret is None:  # every way out of the suffix leads past the budget
-                    rests[point] = None
-                else:
-                    count = _count(self.ctx, frame.ops, i, len(frame.call_path), frame.on_stack, None, fuel, path_cap)
-                    rests[point] = _then(count, rest, ret, fuel, path_cap)
-            rest = rests[point]
-        return rest
-
-    def _after(self, frame: _Frame) -> Optional[tuple[int, int]]:
-        """The rest of the walk after the end of `frame`'s method frame,
-        where a `return` in `frame` leads, once `_rest` has composed it."""
-        method = frame.method or frame
-        return self.rests[method.caller, method.resume] if method.caller is not None else _ROOT_END
-
-
-# The root's end: no visit, one leaf.
-_ROOT_END = (0, 1)
-
-
-def _then(count: tuple, fall_rest, return_rest, fuel: int, path_cap: int) -> Optional[tuple[int, int]]:
-    """(visits, leaves) of a part `count`ed (visits, falls, returns, exceeds)
-    whose falls continue into the subtree `fall_rest` and its returns into
-    `return_rest`, each (visits, leaves) or None when past the budget; None
-    when the whole exceeds `fuel` visits or `path_cap` leaves."""
-    visits, falls, returns, exceeds = count
-    if exceeds:
-        return None
-    leaves = 0
-    for n, rest in ((falls, fall_rest), (returns, return_rest)):
-        if n:
-            if rest is None:
-                return None
-            visits += n * rest[0]
-            leaves += n * rest[1]
-    return (visits, leaves) if visits <= fuel and leaves <= path_cap else None
+def _chain(frame: _Frame, i: int, alt) -> list:
+    """The count's stack for taking alternative `alt` before op `i` of
+    `frame` and walking on to the root's end: one part per frame on the
+    chain of continuations, the root's at the bottom. Each starts at its
+    op index, the op before it already visited, with one alternative in
+    progress: `alt` on the top part, the part above on the others. A frame
+    with no op left would pass the ways out of the part above straight on,
+    so it gets no part; if it is a body, that part counts its returns as
+    falls instead."""
+    stack = []
+    alts = (alt,)
+    while frame is not None:
+        if i < len(frame.ops) or not stack:
+            part = _Part(frame.ops, len(frame.call_path), frame.on_stack, body=frame.method is None)
+            part.i, part.visits = i, -1
+            part.alts, part.k = alts, 0
+            part.alt_visits = part.alt_falls = part.alt_returns = 0
+            stack.append(part)
+        elif frame.method is None:
+            stack[-1].body = True
+        frame, i, alts = frame.caller, frame.resume, _NO_BODY
+    stack.reverse()
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -990,71 +960,63 @@ class TreeCount(NamedTuple):
 
 
 class _Part:
-    """A block being counted, with the alternatives of its op in progress:
-    `alts`, the cursor `k` into them, and their sums so far. A call whose
-    bodies sit at the depth limit holds itself in `alts` until its frontier
-    sum is tried."""
+    """A block being counted from op `i`, with the alternatives of its op in
+    progress: `alts`, the cursor `k` into them, and their sums so far. A
+    call whose bodies sit at the depth limit holds itself in `alts` until
+    its frontier sum is tried. A method body's part (`body`) counts its
+    returns as falls, since each completes the body's call; a body counted
+    whole has its memo `key`, which other parts lack."""
 
-    __slots__ = ("ops", "i", "visits", "falls", "returns", "depth", "on_stack", "key",
+    __slots__ = ("ops", "i", "visits", "falls", "returns", "depth", "on_stack", "key", "body",
                  "alts", "k", "alt_visits", "alt_falls", "alt_returns")
 
-    def __init__(self, ops, depth, on_stack, key):
+    def __init__(self, ops, depth, on_stack, key=None, body=False):
         self.ops = ops
         self.i = 0
         self.visits = self.returns = 0
         self.falls = 1
         self.depth = depth
         self.on_stack = on_stack
-        self.key = key  # the memo key of a callee body; None for the root and arms
+        self.key = key
+        self.body = body
         self.alts = None
 
 
 def _count_tree(ctx: DetectionContext, entry: MethodDef) -> TreeCount:
     """Counts the tree `_Enumerator(ctx, entry)` walks, within the budget."""
     budget = ctx.budget
-    visits, falls, returns, exceeds = _count(ctx, ctx.ops(entry), 0, 0, frozenset({entry.id}), None,
-                                             budget.fuel, budget.path_cap)
-    return TreeCount(falls + returns, visits, exceeds)
+    root = _Part(ctx.ops(entry), 0, frozenset({entry.id}), body=True)
+    visits, leaves, exceeds = _count(ctx, [root], budget.fuel, budget.path_cap)
+    return TreeCount(leaves, visits, exceeds)
 
 
-def _count(ctx: DetectionContext, ops: list, start: int, depth: int, on_stack: frozenset,
-           key: Optional[tuple], fuel: int, path_cap: int) -> tuple[int, int, int, Optional[str]]:
-    """(visits, falls, returns, exceeds) of the block suffix `ops[start:]`
-    run at call depth `depth` with the ids `on_stack` on the call stack,
-    one count per (method id, call depth, ids on the call stack) shared by
-    every visit. `key` is the memo key of a whole body, whose ways out
-    all complete its call and are counted as falls.
+def _count(ctx: DetectionContext, stack: list, fuel: int, path_cap: int) -> tuple[int, int, Optional[str]]:
+    """(visits, leaves, exceeds) of the walk the `_Part`s on `stack` hold,
+    the top's first: each part counts its block from its op `i`, each way
+    out of it continues the op in progress of the part below, and the
+    bottom part's ways out are the leaves. A body is counted once per
+    (method id, call depth, ids on the call stack), in `ctx.memo`, and
+    every visit shares the count.
 
     With more than `fuel` visits or `path_cap` ways out in a counted part,
-    `exceeds` names that budget and the counts are that part's, its ways
-    out as falls. They bound the counts of each body that holds the part
-    too, and `ctx.bounds` keeps them: a later count that reaches such a
-    body under a budget they exceed stops there. The walk keeps an explicit
-    stack of parts, as the enumerator links its frames: block nesting times
-    call depth can exceed Python's stack.
+    `exceeds` names that budget and the counts are that part's. They bound
+    the counts of each part below it, so each body there keeps them in
+    `ctx.bounds`: a later count that reaches such a body under a budget
+    they exceed stops before counting it. The stack is explicit, as the
+    enumerator links its frames: block nesting times call depth can exceed
+    Python's stack.
     """
     deadline, limit = ctx.deadline, ctx.budget.depth_limit
-    memo, bounds = ctx.memo, ctx.bounds
-    if key in memo:
-        visits, outs = memo[key]
-        return visits, outs, 0, None
-    if key in bounds:
-        visits, outs = bounds[key]
-        if visits > fuel or outs > path_cap:
-            return visits, outs, 0, "fuel" if visits > fuel else "path_cap"
     # Per target ids of a call at depth `limit - 1` (calls with equal ones
     # share it): the visits and outs summed over the memo entries those
     # targets had at the limit, and the ids that had none.
-    frontier = ctx.frontier
-    root = _Part(ops, depth, on_stack, key)
-    root.i = start
-    stack = [root]
+    memo, bounds, frontier = ctx.memo, ctx.bounds, ctx.frontier
     steps = 0
     while True:
         part, child = stack[-1], None
         steps += 1
         if deadline is not None and steps % 512 == 0 and time.monotonic() > deadline:
-            return part.visits, part.falls + part.returns, 0, "wall_clock"
+            return part.visits, part.falls + part.returns, "wall_clock"
         alts = part.alts
         if type(alts) is _Op:
             # A call entering bodies at the depth limit: sum its targets'
@@ -1086,20 +1048,21 @@ def _count(ctx: DetectionContext, ops: list, start: int, depth: int, on_stack: f
             else:
                 alts = part.alts = ctx.call_alts(op, part.depth, part.on_stack)
         if alts is not None:
-            # Sum the op's alternatives; descend into the first one not counted.
+            # Sum the op's alternatives; descend into the first one not
+            # counted: a branch arm, or a call target not in the memo.
             k = part.k
             while k < len(alts) and child is None:
                 alt = alts[k]
                 if alt is None:
                     part.alt_falls += 1
-                elif type(alt) is list:  # a branch arm
-                    child = _Part(alt, part.depth, part.on_stack, None)
+                elif type(alt) is list:
+                    child = alt
                 else:  # a call target: its body one level down
                     depth = part.depth + 1
                     key = (alt.id, depth, part.on_stack if depth < limit else None)
                     hit = memo.get(key)
                     if hit is None:
-                        child = _Part(ctx.ops(alt), depth, part.on_stack | {alt.id}, key)
+                        child = alt
                     else:
                         part.alt_visits += hit[0]
                         part.alt_falls += hit[1]
@@ -1118,8 +1081,9 @@ def _count(ctx: DetectionContext, ops: list, start: int, depth: int, on_stack: f
                 # counts, and so do a body's bounds from an earlier count.
                 visits = part.visits + falls * (1 + part.alt_visits)
                 outs = part.returns + falls * (part.alt_falls + part.alt_returns)
-                if child.key in bounds:
-                    visits, outs = max(visits, bounds[child.key][0]), max(outs, bounds[child.key][1])
+                if type(child) is not list and key in bounds:
+                    low = bounds[key]
+                    visits, outs = max(visits, low[0]), max(outs, low[1])
         else:
             # Fold ops without alternatives up to the next op with some.
             ops, i, n = part.ops, part.i, len(part.ops)
@@ -1156,23 +1120,25 @@ def _count(ctx: DetectionContext, ops: list, start: int, depth: int, on_stack: f
                 if below.key is not None:
                     low = bounds.get(below.key, (0, 0))
                     bounds[below.key] = (max(low[0], visits), max(low[1], outs))
-            return visits, outs, 0, "fuel" if visits > fuel else "path_cap"
-        if child is not None:
-            stack.append(child)
+            return visits, outs, "fuel" if visits > fuel else "path_cap"
+        if type(child) is list:
+            stack.append(_Part(child, part.depth, part.on_stack))
+        elif child is not None:  # a body, under the `key` the loop above made
+            stack.append(_Part(ctx.ops(child), part.depth + 1, part.on_stack | {child.id}, key, True))
         elif part.alts is None and (part.i == len(part.ops) or not part.falls):
             # The block is done: every way through it fell off or returned.
             stack.pop()
             if part.key is not None:
                 memo[part.key] = (visits, outs)
             if not stack:
-                return (visits, outs, 0, None) if part.key is not None else (visits, part.falls, part.returns, None)
+                return visits, outs, None
             parent = stack[-1]
             parent.alt_visits += visits
-            if part.key is None:
+            if part.body:  # every way out of a body completes the call
+                parent.alt_falls += outs
+            else:
                 parent.alt_falls += part.falls
                 parent.alt_returns += part.returns
-            else:  # every way out of a body completes the call
-                parent.alt_falls += outs
             parent.k += 1
 
 
@@ -1205,9 +1171,10 @@ def _sides_meet(ctx: DetectionContext, entry: MethodDef, reach_all: bool = False
     the count resolved, into the bodies the count entered, or with
     `reach_all` every target, resolved and lowered here whatever the depth
     limit and the call stack, which over-approximates what the walk
-    reaches. Each changed write adds a key to its side's set that every
-    match of the scan implies: an LV or SFR write's `element_key()`, (IFR,
-    field name), or (AR,), since any two array writes may meet.
+    reaches. Each changed write adds its op's `key` to its side's set, a
+    key that every match of the scan implies: an LV or SFR write's
+    `element_key()`, (IFR, field name), or (AR,), since any two array
+    writes may meet.
     """
     keys = {Provenance.LEFT: set(), Provenance.RIGHT: set()}
     # The ids of the methods entered under each inherited provenance.
@@ -1239,8 +1206,6 @@ def _sides_meet(ctx: DetectionContext, entry: MethodDef, reach_all: bool = False
                 if write is None:
                     continue
                 key = write.key
-            elif code == _HEAP:
-                key = (IFR, op.field) if op.field is not None else (AR,)
             else:
                 key = op.key
             if prov is not None:
@@ -1261,8 +1226,6 @@ def _quiet(ctx: DetectionContext, keys: set) -> frozenset:
                 code = op.code
                 if code == _BRANCH:
                     blocks.extend(block for block in op.alts if block is not None)
-                elif code == _HEAP:
-                    writes = ((IFR, op.field) if op.field is not None else (AR,)) in keys
                 elif code != _RETURN:  # a write, or a call with the write of its local or result
                     writes = op.key in keys or (op.result is not None and op.result.key in keys)
                     if op.targets:

@@ -529,6 +529,48 @@ def test_skipping_detect_pins_deep_hierarchy():
         assert (got.stats.visited, got.stats.paths, got.stats.stop_reason) == stats
 
 
+# An apart unit whose last call `p` -> `q` gives `q`'s body `main`'s
+# continuation. The inner `if`'s arm returns from `q`, whose frame has no op
+# left after the outer `if`, so that frame has no part in the skip's count
+# and the outer arm's part must count the return as a fall into `main`.
+RETURN_IN_A_LAST_CALLEE = (
+    "class Main {\n"
+    "  static method main() {\n"
+    "    x = 1 @L;\n"
+    "    c = 1;\n"
+    "    call Main::p();\n"
+    "    y = 2 @R;\n"
+    "    z = 3;\n"
+    "  }\n"
+    "  static method p() {\n"
+    "    c = 1;\n"
+    "    call Main::q();\n"
+    "  }\n"
+    "  static method q() {\n"
+    "    c = 1;\n"
+    "    if c {\n"
+    "      if c {\n"
+    "        return;\n"
+    "      }\n"
+    "      w = 1;\n"
+    "    }\n"
+    "  }\n"
+    "}\n"
+)
+
+
+def test_skipping_detect_counts_a_return_out_of_a_last_callee():
+    p = parse_source(RETURN_IN_A_LAST_CALLEE)
+    entry = find_method(p, "Main.main")
+    cha = build_cha_graph(p, entry)
+    full = assert_skip_matches_walk(p, entry, budget(), cha)
+    assert (full.verdict, full.stats.paths, full.stats.visited) == (Verdict.FALSE, 3, 16)
+    for path_cap in range(1, 4):
+        assert_skip_matches_walk(p, entry, budget(path_cap=path_cap), cha)
+    for fuel in range(1, 18):
+        assert_skip_matches_walk(p, entry, budget(fuel=fuel), cha)
+
+
 def test_skipping_detect_commits_almost_no_path(monkeypatch):
     # The walk that skips nothing commits 4 097 paths of deep_hierarchy.
     committed = []
@@ -546,21 +588,20 @@ def test_skipping_detect_commits_almost_no_path(monkeypatch):
 
 
 def test_skipping_detect_counts_no_body_twice_past_the_budget(monkeypatch):
-    # No whole-tree count runs: the skip starts at the root. The rest of
-    # the walk is counted once per point, and those counts' memo and
-    # bounds answer every count of an alternative on the skip's descent,
-    # which creates no part.
+    # No whole-tree count runs: the skip starts at the root. Each count
+    # stacks one part per frame on the chain of continuations (`_chain`),
+    # and the memo and bounds let it make each body's part at most once.
     parts, callers = [], ["tree"]
 
     class CountedPart(engine._Part):
         __slots__ = ()
 
-        def __init__(self, *args):
-            parts.append(callers[-1])
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            parts.append((callers[-1], self.key))
 
-    def counted(name):
-        real = getattr(engine._Enumerator, name)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
         def method(*args):
             callers.append(name)
@@ -568,17 +609,19 @@ def test_skipping_detect_counts_no_body_twice_past_the_budget(monkeypatch):
                 return real(*args)
             finally:
                 callers.pop()
-        return method
+        monkeypatch.setattr(owner, name, method)
 
     monkeypatch.setattr(engine, "_Part", CountedPart)
-    for name in ("_skip", "_rest"):
-        monkeypatch.setattr(engine._Enumerator, name, counted(name))
+    counted(engine._Enumerator, "_skip")
+    counted(engine, "_chain")
     p, entry = load_scenario_program("deep_hierarchy")
     cha = build_cha_graph(p, entry)
-    for bud, tree, rest in ((budget(), 0, 189), (budget(fuel=100_000, path_cap=10**9), 0, 1812)):
+    for bud, bodies, frames in ((budget(), 182, 41), (budget(fuel=100_000, path_cap=10**9), 1805, 77)):
         parts.clear()
         assert detect(p, entry, Mode.NOPA, budget=bud, cha=cha).verdict is Verdict.TIMEOUT
-        assert (parts.count("tree"), parts.count("_rest"), parts.count("_skip")) == (tree, rest, 0)
+        keys = [key for _, key in parts if key is not None]
+        assert (sum(caller == "tree" for caller, _ in parts), len(keys), len(set(keys))) == (0, bodies, bodies)
+        assert sum(caller == "_chain" for caller, _ in parts) == frames
 
 
 # ---------------------------------------------------------------------------
