@@ -121,15 +121,20 @@ def _analyze_scenario(sources: list[str], sidecar=None, entry=None) -> Scenario:
     """The scenario a command's `sources` name: one scenario directory or
     loose sources. A `sidecar` file and an `entry` given on the command line
     take precedence over its manifest."""
-    provenance = ProvenanceMap.from_json(read_text(sidecar)) if sidecar else None
+    # An empty value is an error, not the option left out.
+    _require(entry != "", "--entry", "non-empty", '""')
+    _require(sidecar != "", "--sidecar", "non-empty", '""')
+    provenance = ProvenanceMap.from_json(read_text(sidecar)) if sidecar is not None else None
     single = Path(sources[0]) if len(sources) == 1 else None
     if single is not None and (single / "scenario.json").exists():
         scenario = load_scenario(single)
     else:
         label = " ".join(sources)
         scenario = Scenario(id=label, project=label, sources=_load_sources(sources))
-    scenario.sidecar = provenance or scenario.sidecar
-    scenario.entry = entry or scenario.entry
+    if provenance is not None:
+        scenario.sidecar = provenance
+    if entry is not None:
+        scenario.entry = entry
     return scenario
 
 
@@ -142,6 +147,7 @@ def _one_line(message: str) -> str:
 def _out_dir(raw: str) -> Path:
     """The `--out` directory, made before any analysis runs: a bad one then
     costs no run and prints no report."""
+    _require(raw != "", "--out", "non-empty", '""')
     outdir = Path(raw)
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir
@@ -160,7 +166,7 @@ def cmd_analyze(args) -> int:
     modes = _modes("--mode", args.mode or [Mode.NOPA.value])
     budget = _budget(args)
     scenario = _analyze_scenario(args.sources, args.sidecar, args.entry)
-    outdir = _out_dir(args.out) if args.out else None
+    outdir = _out_dir(args.out) if args.out is not None else None
     # Without records to write, only the verdicts are printed: a unit whose
     # path tree exceeds the budget times out as soon as it is counted, and
     # one whose sides cannot meet is false unenumerated. With them, such a

@@ -27,7 +27,8 @@ graphs a mode reads.
 The enumerator steps over a lowered form, not over statements. Each
 `MethodDef` it enters is lowered once per `detect` or `enumerate_write_paths`
 call, on first entry, into a list of ops that the call's `DetectionContext`
-keeps by its id (nested `if`/`while` blocks with it); its frame's env is
+keeps by its id (nested `if`/`while` blocks with it), beside the method's
+effects (below); its frame's env is
 `cha.initial_env` of the argument types. There are five ops: a local or
 static write, a heap write, a call, a branch (`if` or `while`) and a return.
 An allocation `x = new C(args)` is a call whose one target is `C`'s
@@ -50,12 +51,7 @@ branches, loops and calls with several targets are choice points that save
 those three references, the event count, the op, its alternatives and a
 cursor into them: a fixed number of values however deep the path nests,
 restored on backtrack as a Prolog machine restores its continuation and
-environment pointers (Warren's abstract machine). A last call, the last op
-of a method's frame that writes no result local, keeps no frame: a body it
-enters resumes that frame's continuation, so a path ending in a chain of
-last calls unwinds one frame, not one per call (Warren's last-call
-optimisation). Its call path, call-stack ids and depth still count the
-method whose frame it dropped, so the cuts are the same. A call
+environment pointers (Warren's abstract machine). A call
 is cut for all its targets at the depth limit, which a visit checks once,
 and then completes without a choice point. Below the limit, one
 `isdisjoint` test of the call's target ids (a frozenset its op holds)
@@ -126,44 +122,54 @@ call, the one error the enumerator could otherwise raise mid-walk.
 
 A conflict needs a left write and a right write that may touch one element,
 and whether any such pair exists is a flow-insensitive question (Weiser's
-slicing argument, applied to the two sides). Within budget,
-`detect(..., verdict_only=True)` then asks `_sides_meet`: one pass over the
-ops the count lowered, per method and inherited side, that collects each
-side's written elements by keys at least as coarse as the scan's rules. When
-no key is on both sides the verdict is FALSE without enumerating, with the
-count's paths and visits. Most false units are decided so; every true one is
-walked, as are the false units whose sets meet.
+slicing argument, applied to the two sides): it needs no path order, call
+depth or call stack, so one summary per method answers it, as a path
+expression answers many analyses (Tarjan). Lowering a method records that
+summary, its effects: the keys of its writes, grouped by each write's own
+side (base code as a side of its own), and its call ops, nested blocks'
+included. A key is one that every match of the scan implies: an LV or SFR
+write's `element_key()`, (IFR, field name), or (AR,), since any two array
+writes may meet. Within budget, `detect(..., verdict_only=True)` then asks
+`_sides_meet`, a worklist over (method, inherited side) that reads the
+effects of the methods the count lowered and collects each side's keys.
+When no key is on both sides the verdict is FALSE without enumerating, with
+the count's paths and visits. Most false units are decided so; every true
+one is walked, as are the false units whose sets meet. The count is keyed
+by call depth and call stack and stops at the budget, so it keeps its own
+fold over the ops.
 
 A full `detect` under `nopa`, whose call resolution logs no miss-reference,
-runs the pass too, over every method a call reaches: it resolves and lowers
-those calls itself, past the depth limit and the recursion cut, which
-over-approximates what the walk reaches. When the sides cannot meet, no
-path holds a finding, and the walk skips from the root
-(`_Enumerator._skip`): at a choice point it asks, alternative by
-alternative, whether the subtree of the alternative followed by the rest of
-the path to the root's end fits the fuel and path cap left. One that fits
-adds its counted leaves and visits and is not entered; the first that does
-not is entered without a choice point, since the budget runs out inside it.
-So the walk stops exactly where the full walk stops, with its `paths`,
-`visited` and `stop_reason`, as Ball and Larus's numbering reaches the k-th
-path of a counted DAG without the paths before it; within budget the first
-choice point adds up the whole tree. One fold counts both: `_count` takes a
-stack of parts, and the skip stacks one per frame with ops left on the
-chain of continuations, the one nearest the root at the bottom (`_chain`).
-Each starts at its frame's op index, whose op the walk has visited, with
-the part above as that op's one alternative in progress, and the
-alternative asked about on the top part. A part's falls go on to the part
-below, and so do its returns, except that a body's part counts its returns
-as falls, which complete its call. The count's memo, bounds and frontier
-sums live on the context, so every count of the walk shares them. Before a
-choice point's first call target, the rest alone is counted once: every
-way out of a body goes on into it, so where it does not fit, no body does.
+runs the pass too, over every method a call reaches: it resolves those
+calls and lowers their targets itself, recording their effects, past the
+depth limit and the recursion cut, which over-approximates what the walk
+reaches. When the sides cannot meet, no path holds a finding, and the walk
+skips from the root (`_Enumerator._skip`): at a choice point it asks,
+alternative by alternative, whether the subtree of the alternative followed
+by the rest of the path to the root's end fits the fuel and path cap left.
+One that fits adds its counted leaves and visits and is not entered; the
+first that does not is entered without a choice point, since the budget
+runs out inside it. So the walk stops exactly where the full walk stops,
+with its `paths`, `visited` and `stop_reason`, as Ball and Larus's
+numbering reaches the k-th path of a counted DAG without the paths before
+it; within budget the first choice point adds up the whole tree. One fold
+counts both: `_count` takes a stack of parts, and the skip stacks one per
+frame with ops left on the chain of continuations, the one nearest the root
+at the bottom (`_chain`). Each starts at its frame's op index, whose op the
+walk has visited, with the part above as that op's one alternative in
+progress, and the alternative asked about on the top part. A part's falls
+go on to the part below, and so do its returns, except that a body's part
+counts its returns as falls, which complete its call. The count's memo,
+bounds and frontier sums live on the context, so every count of the walk
+shares them. Before a choice point's first call target, the rest alone is
+counted once: every way out of a body goes on into it, so where it does not
+fit, no body does.
 
 Where the sides meet, a `nopa` walk skips the call subtrees that cannot
 change the scan: a form of relevance pruning that keeps every count. The
 pass returns the keys both sides write, and `_quiet` finds the lowered
 methods whose bodies, with their resolved targets' transitively, write
-none of them, on either side or in base code. A quiet body writes no
+none of them, on either side or in base code, by a reverse reachability
+over the effects from the methods that write one. A quiet body writes no
 element the scan can report on or that blocks a finding, and every way out
 of it restores its caller's env, so each leaves the scan in one state and
 the rest of the path repeats the findings of the first. A choice point is
@@ -435,8 +441,8 @@ def _written(ev: WriteEvent) -> str:
 
 
 class DetectionContext:
-    """One detection's inputs, its counters and findings, and the ops of the
-    methods it enters, each lowered on first entry."""
+    """One detection's inputs, its counters and findings, and the ops and
+    effects of the methods it enters, each lowered on first entry."""
 
     def __init__(
         self,
@@ -461,6 +467,9 @@ class DetectionContext:
             time.monotonic() + budget.wall_clock if budget.wall_clock is not None else None
         )
         self.lowered: dict[str, list[_Op]] = {}
+        # Per lowered method id, its effects: the keys it writes, by the
+        # writes' own side, and its call ops with their own sides (`_SIDE`).
+        self.effects: dict[str, tuple[list[set], list[tuple[int, _Op]]]] = {}
         # The tree count's memo, lower bounds and frontier sums (see
         # `_count`), which every count of this detection shares.
         self.memo: dict[tuple, tuple[int, int]] = {}
@@ -474,6 +483,7 @@ class DetectionContext:
     def ops(self, m: MethodDef) -> list[_Op]:
         ops = self.lowered.get(m.id)
         if ops is None:
+            self.effects[m.id] = ([set(), set(), set()], [])
             ops = self.lowered[m.id] = self.block(m.body, m)
         return ops
 
@@ -519,6 +529,7 @@ class DetectionContext:
         return [self.stmt(st, m) for st in stmts]
 
     def stmt(self, st, m: MethodDef) -> _Op:
+        """Lowers `st`, adding its write's key and its call op to `m`'s effects."""
         if isinstance(st, If):
             op = _Op(_BRANCH, st)
             op.alts = [self.block(st.then_body, m), self.block(st.else_body, m)]
@@ -530,16 +541,16 @@ class DetectionContext:
         elif isinstance(st, (VirtualCall, StaticCall, AllocAssign)):
             op = _Op(_CALL, st)
             op.hop = Hop(m.id, m.display, st.pos, st.provenance)
+            self.effects[m.id][1].append((_SIDE[op.prov], op))
             if isinstance(st, AllocAssign):
                 self._write(op, m, LV, local=st.target)
             elif st.result is not None:
                 op.result = self._write(_Op(_WRITE, st), m, LV, local=st.result)
         elif isinstance(st, FieldStore):
-            op = self._heap(st, m, IFR, field_name=st.field)
-            op.field, op.key = st.field, (IFR, st.field)
+            op = self._heap(st, m, (IFR, st.field), field_name=st.field)
+            op.field = st.field
         elif isinstance(st, ArrayStore):
-            op = self._heap(st, m, AR, index=st.index)
-            op.key = (AR,)  # any two array writes may meet
+            op = self._heap(st, m, (AR,), index=st.index)  # any two array writes may meet
         elif isinstance(st, StaticStore):
             decl, ftype = self.hierarchy.static_field_of(st.cls, st.field)
             op = self._write(_Op(_WRITE, st), m, SFR, static_cls=decl, field_name=st.field, static_type=ftype)
@@ -551,15 +562,17 @@ class DetectionContext:
         ev = WriteEvent(kind, op.st.pos, m.id, m.display, m.kind, Provenance.BASE, **payload)
         op.head, op.tail, op.key = ev[:5], ev[7:], ev.element_key()
         op.rule = type_rule(op.st, self.hierarchy)
+        self.effects[m.id][0][_SIDE[op.prov]].add(op.key)
         return op
 
-    def _heap(self, st, m: MethodDef, kind: str, **payload) -> _Op:
+    def _heap(self, st, m: MethodDef, key: tuple, **payload) -> _Op:
         op = _Op(_HEAP, st)
         op.base = st.base
         pts = self.pts.pts.get(("l", m.id, st.base)) if self.mode.uses_pts and self.pts is not None else None
-        ev = WriteEvent(kind, st.pos, m.id, m.display, m.kind, Provenance.BASE, base=st.base,
+        ev = WriteEvent(key[0], st.pos, m.id, m.display, m.kind, Provenance.BASE, base=st.base,
                         base_pts=pts or None, **payload)
         op.head, op.tail = ev[:5], ev[9:]
+        self.effects[m.id][0][_SIDE[op.prov]].add(key)
         return op
 
 
@@ -592,15 +605,18 @@ def resolve_call(st: VirtualCall, ctx: DetectionContext):
 
 _WRITE, _HEAP, _CALL, _BRANCH, _RETURN = range(5)
 
+# An op's own side as the effects table indexes it, base code 0: a list
+# index, which costs no call where an enum's hash does.
+_SIDE = {None: 0, Provenance.LEFT: 1, Provenance.RIGHT: 2}
+
 
 class _Op:
     """One lowered statement: an opcode and its static payload.
 
     _WRITE   an LV or SFR write: `head` and `tail`, its element `key`, and
              the type `rule` (None for a static store)
-    _HEAP    an IFR or AR write: `head` and `tail`, `base`, its element
-             `key`, (IFR, field name) or (AR,), as `_sides_meet` keys it,
-             and for IFR `field`
+    _HEAP    an IFR or AR write: `head` and `tail`, `base`, and for IFR
+             `field`
     _CALL    a call or an allocation: `hop`, and `targets` with the
              frozenset of their ids, `target_ids` (both resolved on first
              visit; an allocation's one target is its class's constructor);
@@ -644,10 +660,7 @@ class _Op:
 # onward, and `method` links it to the method frame that a `return` in it
 # ends. A method frame (a callee body, or the root, which has no caller)
 # ends with `caller_env`, the env at its call, and its `site` call writes
-# its result local; the root's end is the path's. A call that is the last op
-# of a method frame and writes no result local would end that frame as soon
-# as its body ended, so the body takes the frame's continuation instead:
-# its `caller`, `resume`, `caller_env` and `site`. Frame ends are not visits.
+# its result local; the root's end is the path's. Frame ends are not visits.
 #
 # A choice point keeps the state, the event count, the op, its alternatives
 # and a cursor into them. Backtracking restores the three values and
@@ -679,9 +692,7 @@ class _Frame:
         self.prov = prov  # the provenance of the nearest changed call on the call path
         self.on_stack = on_stack
         self.quiet = quiet  # in a quiet body whose choice points are neutral (see `paths`)
-        # The continuation, op `resume` of frame `caller`: a last call's body
-        # takes over that of the frame it drops.
-        self.caller = caller
+        self.caller = caller  # the continuation: op `resume` of frame `caller`
         self.resume = resume
         self.caller_env = caller_env  # a body's
         self.site = site  # a body's call op
@@ -842,16 +853,10 @@ class _Enumerator:
                                    method=frame.method or frame)
                     i = 0
                 else:  # enter a call target's body
-                    body_env = initial_env(alt, [operand_type(a, env) for a in op.st.args])
-                    if i == len(frame.ops) and frame.method is None and op.result is None:
-                        # A last call: the body resumes what its method's frame would.
-                        caller, resume, caller_env, site = frame.caller, frame.resume, frame.caller_env, frame.site
-                    else:
-                        caller, resume, caller_env, site = frame, i, env, op
                     frame = _Frame(ctx.ops(alt), frame.call_path + (op.hop,), op.prov or frame.prov,
                                    frame.on_stack | {alt.id}, alt.id in quiet and (frame.quiet or calm()),
-                                   caller, resume, caller_env, site)
-                    i, env = 0, body_env
+                                   frame, i, env, op)
+                    i, env = 0, initial_env(alt, [operand_type(a, env) for a in op.st.args])
         finally:
             ctx.visited = visited
 
@@ -1161,86 +1166,67 @@ def count_tree(
 
 def _sides_meet(ctx: DetectionContext, entry: MethodDef, reach_all: bool = False) -> set:
     """The keys of the elements that both a left write and a right write
-    may touch, by a flow-insensitive pass over the ops `_count_tree(ctx,
-    entry)` lowered, or with `reach_all` over every method a call reaches.
+    may touch, read from the effects of the methods `_count_tree(ctx,
+    entry)` lowered, or with `reach_all` of every method a call reaches.
     An empty set means no left write can meet a right write.
 
-    A worklist of (method id, inherited provenance) states starts at the
-    entry. A write takes its own side or the inherited one, as the walk
-    does, and a call passes the side it runs under to its targets: those
-    the count resolved, into the bodies the count entered, or with
-    `reach_all` every target, resolved and lowered here whatever the depth
-    limit and the call stack, which over-approximates what the walk
-    reaches. Each changed write adds its op's `key` to its side's set, a
-    key that every match of the scan implies: an LV or SFR write's
-    `element_key()`, (IFR, field name), or (AR,), since any two array
-    writes may meet.
+    A worklist of (method, inherited side) states starts at the entry. A
+    method's base writes take the side it inherits and its changed writes
+    their own, as the walk's do, and each call passes the side it runs
+    under to its targets: those the count resolved, into the bodies the
+    count lowered, or with `reach_all` every target, resolved and lowered
+    here whatever the depth limit and the call stack, which
+    over-approximates what the walk reaches. Every match of the scan
+    implies a shared key (see the module docstring).
     """
-    keys = {Provenance.LEFT: set(), Provenance.RIGHT: set()}
-    # The ids of the methods entered under each inherited provenance.
-    entered = {None: {entry.id}, Provenance.LEFT: set(), Provenance.RIGHT: set()}
-    work = [(ctx.ops(entry), None)]
+    # By side, as `_SIDE` numbers them: each side's keys, and the ids of the
+    # methods entered under each inherited side.
+    keys = [None, set(), set()]
+    entered = [{entry.id}, set(), set()]
+    work = [(entry, 0)]
     while work:
-        ops, inherited = work.pop()
-        if type(ops) is not list:  # a method `reach_all` lowers when it gets to it
-            ops = ctx.ops(ops)
-        for op in ops:
-            code = op.code
-            if code == _BRANCH:
-                work.extend((block, inherited) for block in op.alts if block is not None)
-                continue
-            if code == _RETURN:
-                continue
-            prov = op.prov or inherited
-            if code == _CALL:
-                if op.targets is None and reach_all:
-                    ctx.resolve_targets(op)
-                done = entered[prov]
-                if op.targets and not op.target_ids <= done:
-                    for t in op.targets:
-                        body = t if reach_all else ctx.lowered.get(t.id)
-                        if body is not None and t.id not in done:
-                            done.add(t.id)
-                            work.append((body, prov))
-                write = op if op.head is not None else op.result  # an allocation's local, a result
-                if write is None:
-                    continue
-                key = write.key
-            else:
-                key = op.key
-            if prov is not None:
-                keys[prov].add(key)
-    return keys[Provenance.LEFT] & keys[Provenance.RIGHT]
+        m, inherited = work.pop()
+        ctx.ops(m)  # without `reach_all`, every method here is lowered already
+        writes, calls = ctx.effects[m.id]
+        keys[1] |= writes[1]
+        keys[2] |= writes[2]
+        if inherited:
+            keys[inherited] |= writes[0]
+        for side, op in calls:
+            if op.targets is None and reach_all:
+                ctx.resolve_targets(op)
+            side = side or inherited
+            done = entered[side]
+            if op.targets and not op.target_ids <= done:
+                for t in op.targets:
+                    if t.id not in done and (reach_all or t.id in ctx.effects):
+                        done.add(t.id)
+                        work.append((t, side))
+    return keys[1] & keys[2]
 
 
 def _quiet(ctx: DetectionContext, keys: set) -> frozenset:
-    """The ids of the lowered methods whose bodies write no element keyed
-    in `keys` (by `_sides_meet`'s keys, on either side or in base code),
-    nor do the bodies of their resolved call targets, transitively."""
+    """The ids of the lowered methods that write no element keyed in `keys`,
+    on either side or in base code, nor do their resolved call targets,
+    transitively. A method whose effects write a keyed element is loud, and
+    so is each caller of a loud method, back along the calls of the effects;
+    the rest are quiet."""
     callers: dict[str, list[str]] = {}
     loud = []
-    for mid, ops in ctx.lowered.items():
-        blocks, writes = [ops], False
-        while blocks and not writes:
-            for op in blocks.pop():
-                code = op.code
-                if code == _BRANCH:
-                    blocks.extend(block for block in op.alts if block is not None)
-                elif code != _RETURN:  # a write, or a call with the write of its local or result
-                    writes = op.key in keys or (op.result is not None and op.result.key in keys)
-                    if op.targets:
-                        for tid in op.target_ids:
-                            callers.setdefault(tid, []).append(mid)
-                if writes:
-                    loud.append(mid)
-                    break
+    for mid, (writes, calls) in ctx.effects.items():
+        if not all(map(keys.isdisjoint, writes)):
+            loud.append(mid)
+        for _, op in calls:
+            if op.targets:
+                for tid in op.target_ids:
+                    callers.setdefault(tid, []).append(mid)
     heard = set(loud)
     while loud:
         for mid in callers.get(loud.pop(), ()):
             if mid not in heard:
                 heard.add(mid)
                 loud.append(mid)
-    return frozenset(ctx.lowered.keys() - heard)
+    return frozenset(ctx.effects.keys() - heard)
 
 
 def _collapses(prev: WriteEvent, ev: WriteEvent) -> bool:

@@ -74,6 +74,9 @@ def _read_manifest(path: Path) -> dict:
     for key in ("project", "sidecar", "entry"):
         if not isinstance(manifest.get(key), (str, type(None))):
             raise MirError(f"{path}: '{key}' must be a string or null")
+    for key in ("sidecar", "entry"):
+        if manifest.get(key) == "":
+            raise MirError(f"{path}: '{key}' must not be empty")
     if manifest.get("ground_truth") not in ("true", "false", None):
         raise MirError(f"{path}: 'ground_truth' must be \"true\", \"false\" or null")
     for key in ("id", "project"):
@@ -93,7 +96,7 @@ def load_scenario(directory: Path) -> Scenario:
         for name in manifest["sources"]
     ]
     sidecar = None
-    if manifest.get("sidecar"):
+    if manifest.get("sidecar") is not None:
         sidecar = ProvenanceMap.from_json(read_text(directory / manifest["sidecar"]))
     truth = manifest.get("ground_truth")
     project = manifest.get("project")  # absent or null: the scenario is its own project
@@ -175,7 +178,7 @@ def scenario_program(s: Scenario) -> Program:
 
 def scenario_entries(s: Scenario, program: Program) -> list[MethodDef]:
     """The scenario's entry override, else its dually modified declarations."""
-    return [find_method(program, s.entry)] if s.entry else entry_candidates(program)
+    return [find_method(program, s.entry)] if s.entry is not None else entry_candidates(program)
 
 
 def scenario_units(s: Scenario) -> tuple[Program, list[tuple[str, MethodDef]]]:

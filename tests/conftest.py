@@ -7,7 +7,7 @@ from typing import Optional
 import pytest
 
 from oadetect.cha import CallGraph, _add_targets, _sorted_sites
-from oadetect.engine import AnalysisBudget, Mode, Verdict
+from oadetect.engine import _BRANCH, _CALL, _HEAP, _RETURN, AR, IFR, AnalysisBudget, Mode, Verdict
 from oadetect.harness import load_bundled, scenario_units
 from oadetect.mir import (
     AllocAssign,
@@ -25,6 +25,7 @@ from oadetect.mir import (
     StaticCall,
     StaticLoad,
     StaticStore,
+    Provenance,
     VirtualCall,
     iter_stmts,
 )
@@ -420,3 +421,86 @@ RETURN_IN_BLOCKS = (
     "  }\n"
     "}\n"
 )
+
+
+# ---------------------------------------------------------------------------
+# The op-walking sides and quiet passes
+
+
+def _op_key(op) -> tuple:
+    """The key `engine._sides_meet` gives a write op: (IFR, field name) or
+    (AR,) for a heap write, else its `element_key()`."""
+    if op.code == _HEAP:
+        return (IFR, op.field) if op.field is not None else (AR,)
+    return op.key
+
+
+def reference_sides_meet(ctx, entry, reach_all: bool = False) -> set:
+    """`engine._sides_meet` as one pass over the lowered ops per (method,
+    inherited side) state, nested blocks included, before the lowering kept
+    each method's effects."""
+    keys = {Provenance.LEFT: set(), Provenance.RIGHT: set()}
+    entered = {None: {entry.id}, Provenance.LEFT: set(), Provenance.RIGHT: set()}
+    work = [(ctx.ops(entry), None)]
+    while work:
+        ops, inherited = work.pop()
+        if type(ops) is not list:  # a method `reach_all` lowers when it gets to it
+            ops = ctx.ops(ops)
+        for op in ops:
+            code = op.code
+            if code == _BRANCH:
+                work.extend((block, inherited) for block in op.alts if block is not None)
+                continue
+            if code == _RETURN:
+                continue
+            prov = op.prov or inherited
+            if code == _CALL:
+                if op.targets is None and reach_all:
+                    ctx.resolve_targets(op)
+                done = entered[prov]
+                if op.targets and not op.target_ids <= done:
+                    for t in op.targets:
+                        body = t if reach_all else ctx.lowered.get(t.id)
+                        if body is not None and t.id not in done:
+                            done.add(t.id)
+                            work.append((body, prov))
+                write = op if op.head is not None else op.result  # an allocation's local, a result
+                if write is None:
+                    continue
+                key = write.key
+            else:
+                key = _op_key(op)
+            if prov is not None:
+                keys[prov].add(key)
+    return keys[Provenance.LEFT] & keys[Provenance.RIGHT]
+
+
+def reference_quiet(ctx, keys: set) -> frozenset:
+    """`engine._quiet` by walking each lowered method's ops for a write
+    keyed in `keys`, then marking the callers of every such method."""
+    callers: dict[str, list[str]] = {}
+    loud = []
+    for mid, ops in ctx.lowered.items():
+        blocks, writes = [ops], False
+        while blocks and not writes:
+            for op in blocks.pop():
+                code = op.code
+                if code == _BRANCH:
+                    blocks.extend(block for block in op.alts if block is not None)
+                elif code == _CALL:  # the write of an allocation's local or a call's result
+                    writes = op.key in keys or (op.result is not None and op.result.key in keys)
+                    if op.targets:
+                        for tid in op.target_ids:
+                            callers.setdefault(tid, []).append(mid)
+                elif code != _RETURN:
+                    writes = _op_key(op) in keys
+                if writes:
+                    loud.append(mid)
+                    break
+    heard = set(loud)
+    while loud:
+        for mid in callers.get(loud.pop(), ()):
+            if mid not in heard:
+                heard.add(mid)
+                loud.append(mid)
+    return frozenset(ctx.lowered.keys() - heard)

@@ -552,6 +552,39 @@ def test_analyze_manifest_entry_with_bad_arity_exits_3(tmp_path, capsys):
     _assert_one_line_usage_error(code, capsys.readouterr(), "bad arity in method reference 'A.m/one'")
 
 
+# An empty path or entry used to be taken as the option left out: `--entry
+# ""` analysed every candidate, `--sidecar ""` and a manifest's empty
+# `sidecar` or `entry` were ignored, `analyze --out ""` wrote no records and
+# `corpus --out ""` wrote its tables into the working directory.
+
+
+@pytest.mark.parametrize("flags, manifest, message", [
+    (["--entry", ""], None, '--entry must be non-empty, got ""'),
+    (["--sidecar", ""], None, '--sidecar must be non-empty, got ""'),
+    (["--out", ""], None, '--out must be non-empty, got ""'),
+    ([], '{"id": "s", "sources": ["a.mir"], "entry": ""}', "'entry' must not be empty"),
+    ([], '{"id": "s", "sources": ["a.mir"], "sidecar": ""}', "'sidecar' must not be empty"),
+], ids=["entry", "sidecar", "out", "manifest-entry", "manifest-sidecar"])
+def test_analyze_empty_path_or_entry_exits_3_before_any_analysis(flags, manifest, message, tmp_path, capsys,
+                                                                 monkeypatch):
+    d = _scenario_dir(tmp_path, manifest or '{"id": "s", "sources": ["a.mir"]}')
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr("oadetect.cli.run_scenario", _refuse_analysis)
+    code = main(["analyze", "--deterministic", *flags, str(d)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), message)
+    assert list(work.iterdir()) == []
+
+
+def test_corpus_empty_out_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("oadetect.cli.run_corpus", _refuse_analysis)
+    code = main(["corpus", "--root", str(bundled_corpus_dir()), "--reps", "1", "--deterministic", "--out", ""])
+    _assert_one_line_usage_error(code, capsys.readouterr(), '--out must be non-empty, got ""')
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_corpus_with_a_failing_scenario_exits_3_and_writes_tables(tmp_path, capsys):
     # A scenario that fails to parse used to leave the corpus exit code at 0.
     import shutil

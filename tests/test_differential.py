@@ -31,6 +31,11 @@ Where the sides meet, a `nopa` walk counts instead of walking the other
 ways through a quiet call subtree once it has walked one. A plain
 `_Scanner` walk, which skips nothing, is its reference: `detect` gives its
 outcome in full, conflicts and stop reason included.
+
+The sides pass and the quiet pass read the effects table the lowering
+fills, one entry per method. `reference_sides_meet` and `reference_quiet`
+in conftest are the passes it replaced, which walk the lowered ops, nested
+blocks included: both must give the same sets on every unit.
 """
 
 from __future__ import annotations
@@ -39,7 +44,16 @@ from collections import deque
 
 import pytest
 
-from conftest import ALL_MODES, NESTED_CALLS, RETURN_IN_BLOCKS, budget, load_scenario_program, reference_solve
+from conftest import (
+    ALL_MODES,
+    NESTED_CALLS,
+    RETURN_IN_BLOCKS,
+    budget,
+    load_scenario_program,
+    reference_quiet,
+    reference_sides_meet,
+    reference_solve,
+)
 from oadetect import engine
 from oadetect.cha import CallEdge, apply_rule, build_cha_graph, initial_env, operand_type, resolve_static, type_rule
 from oadetect.cha import _scan_sites as scan_sites
@@ -429,6 +443,7 @@ def _walk_commits_no_conflict(p, entry, bud, cha) -> bool:
     return not scanner.conflicts
 
 
+@pytest.mark.hashseed
 def test_sides_pass_is_sound_on_the_seed_range_and_the_bundled_scenarios():
     cases = []
     base = default_seed()
@@ -458,6 +473,54 @@ def test_sides_pass_is_sound_on_the_seed_range_and_the_bundled_scenarios():
     # On the seed range: 141 of 173 nopa units within budget and 13 of 22
     # timeouts; deep_hierarchy is one more timeout.
     assert (apart.count(Verdict.FALSE), apart.count(Verdict.TIMEOUT), len(apart)) == (141, 14, 155)
+
+
+def table_units(tmp_path):
+    """Every unit of the seed range (`mkref` off and on), the bundled corpus
+    and the bench workloads at their seed, each with its budget."""
+    base = default_seed()
+    for seed in range(base + 3000, base + 3101):
+        for mkref in (False, True):
+            gen = generate_program(seed, mkref=mkref, mark_changes=True)
+            if gen.entry is not None:
+                yield gen.program, gen.entry, budget(**PROP_BUDGET)
+    scenarios = [(load_bundled(name), budget()) for name in BUNDLED]
+    for workload in sorted(WORKLOAD_DIGESTS):
+        wl = _bench_workloads().build_workload(workload, tmp_path / workload, WORKLOAD_SEED)
+        scenarios.extend((load_scenario(spec.directory), budget(**wl.budget)) for spec in wl.scenarios)
+    for scenario, bud in scenarios:
+        program, units = scenario_units(scenario)
+        for _, entry in units:
+            yield program, entry, bud
+
+
+@pytest.mark.hashseed
+def test_effects_table_answers_as_the_op_walking_passes(tmp_path, monkeypatch):
+    # The lowered-only pass runs after a count within budget, as
+    # verdict-only detection runs it, in every mode; the full-reach pass
+    # runs under `nopa`, as a full detection runs it. Each pass gets a
+    # fresh context, so each lowers and resolves for itself.
+    monkeypatch.delenv("OA_SEED", raising=False)  # as the benchmark builds its workloads
+    runs = met = quiet = 0
+    for p, entry, bud in table_units(tmp_path):
+        cha = build_cha_graph(p, entry)
+        pts = solve(p)
+        for mode in ALL_MODES:
+            for reach_all in (False, True) if mode is Mode.NOPA else (False,):
+                table, walker = (DetectionContext(p, mode, bud, cha=cha, pts=pts) for _ in range(2))
+                if not reach_all:
+                    if engine._count_tree(table, entry).exceeds is not None:
+                        continue
+                    engine._count_tree(walker, entry)
+                meets = engine._sides_meet(table, entry, reach_all)
+                assert meets == reference_sides_meet(walker, entry, reach_all), (entry.id, mode, reach_all)
+                runs += 1
+                if meets:
+                    quiet_ids = engine._quiet(table, meets)
+                    assert quiet_ids == reference_quiet(walker, meets), (entry.id, mode, reach_all)
+                    met += 1
+                    quiet += bool(quiet_ids)
+    assert (runs, met, quiet) == (1146, 426, 280)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +580,7 @@ def test_skipping_detect_matches_the_walk_at_every_cut():
     assert (units, timeouts) == (155, 14)
 
 
+@pytest.mark.hashseed
 def test_skipping_detect_pins_deep_hierarchy():
     p, entry = load_scenario_program("deep_hierarchy")
     cha = build_cha_graph(p, entry)
@@ -529,10 +593,10 @@ def test_skipping_detect_pins_deep_hierarchy():
         assert (got.stats.visited, got.stats.paths, got.stats.stop_reason) == stats
 
 
-# An apart unit whose last call `p` -> `q` gives `q`'s body `main`'s
-# continuation. The inner `if`'s arm returns from `q`, whose frame has no op
-# left after the outer `if`, so that frame has no part in the skip's count
-# and the outer arm's part must count the return as a fall into `main`.
+# An apart unit whose call `p` -> `q` ends `p`'s body. The inner `if`'s arm
+# returns from `q`, whose frame has no op left after the outer `if`, nor has
+# `p`'s, so neither frame has a part in the skip's count and the outer arm's
+# part must count the return as a fall into `main`.
 RETURN_IN_A_LAST_CALLEE = (
     "class Main {\n"
     "  static method main() {\n"
@@ -559,6 +623,7 @@ RETURN_IN_A_LAST_CALLEE = (
 )
 
 
+@pytest.mark.hashseed
 def test_skipping_detect_counts_a_return_out_of_a_last_callee():
     p = parse_source(RETURN_IN_A_LAST_CALLEE)
     entry = find_method(p, "Main.main")
@@ -571,6 +636,7 @@ def test_skipping_detect_counts_a_return_out_of_a_last_callee():
         assert_skip_matches_walk(p, entry, budget(fuel=fuel), cha)
 
 
+@pytest.mark.hashseed
 def test_skipping_detect_commits_almost_no_path(monkeypatch):
     # The walk that skips nothing commits 4 097 paths of deep_hierarchy.
     committed = []
@@ -587,6 +653,7 @@ def test_skipping_detect_commits_almost_no_path(monkeypatch):
     assert len(committed) < 10
 
 
+@pytest.mark.hashseed
 def test_skipping_detect_counts_no_body_twice_past_the_budget(monkeypatch):
     # No whole-tree count runs: the skip starts at the root. Each count
     # stacks one part per frame on the chain of continuations (`_chain`),
@@ -683,6 +750,7 @@ def meeting_nopa_units(source: str, tmp_path):
             yield p, entry, bud, cha, bool(engine._quiet(ctx, meets))
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize(("source", "counts"), [
     ("seed range", (41, 3)),
     ("gate-bundled", (3, 1)),
@@ -725,6 +793,7 @@ def _commits(monkeypatch) -> list:
     return committed
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize(("offset", "stats", "commits"), [
     # `f0` is the one key both sides write, and every body holding a choice
     # point reaches a base write of it, which blocks: none is quiet.
@@ -753,6 +822,7 @@ def test_neutral_skip_pins_the_paths_it_commits(offset, stats, commits, monkeypa
         assert (got, (walked, len(committed))) == (stats, commits)
 
 
+@pytest.mark.hashseed
 def test_neutral_skip_commits_one_path_per_wide_hierarchy_unit(tmp_path, monkeypatch):
     # Each unit's entry calls through an interface whose 32 implementers
     # write no key both sides write; the walk commits its first path and

@@ -624,6 +624,7 @@ class Main {
 """
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("verdict_only", (False, True))
 def test_a_quiet_body_that_writes_nothing_lets_the_writes_around_it_collapse(verdict_only):
     # `q` writes no element both sides write, but on the path where it
@@ -635,6 +636,7 @@ def test_a_quiet_body_that_writes_nothing_lets_the_writes_around_it_collapse(ver
     assert [(c.overridden.pos.line, c.overriding.pos.line) for c in out.conflicts] == [(10, 11), (10, 13)]
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("verdict_only", (False, True))
 def test_a_base_write_in_a_callee_blocks_on_the_paths_that_run_it(verdict_only):
     # `q` holds no changed write, but its base write to `f` blocks the
@@ -1023,6 +1025,7 @@ def _walked_entries(monkeypatch) -> list:
 _MAIN = "  static method main() {\n    a = new A();\n    call a.m();\n  }\n"
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_a_side_inherited_through_a_call_meets_the_other_sides_field(mode, monkeypatch):
     # `h` is base code: its write counts for R, whose call runs it. `main`
