@@ -132,9 +132,9 @@ def _analyze_scenario(sources: list[str], sidecar=None, entry=None) -> Scenario:
         label = " ".join(sources)
         scenario = Scenario(id=label, project=label, sources=_load_sources(sources))
     if provenance is not None:
-        scenario.sidecar = provenance
+        scenario = scenario._replace(sidecar=provenance)
     if entry is not None:
-        scenario.entry = entry
+        scenario = scenario._replace(entry=entry)
     return scenario
 
 

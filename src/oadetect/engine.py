@@ -211,7 +211,6 @@ from .mir import (
     Position,
     Program,
     Provenance,
-    Record,
     Return,
     StaticCall,
     StaticStore,
@@ -246,15 +245,11 @@ class Verdict(Enum):
 LV, IFR, AR, SFR = "LV", "IFR", "AR", "SFR"
 
 
-class AnalysisBudget(Record):
-    __slots__ = _fields = ("depth_limit", "fuel", "wall_clock", "path_cap")
-
-    def __init__(self, depth_limit: int = 5, fuel: int = 500_000,
-                 wall_clock: Optional[float] = 300.0, path_cap: int = 4096):
-        self.depth_limit = depth_limit
-        self.fuel = fuel
-        self.wall_clock = wall_clock
-        self.path_cap = path_cap
+class AnalysisBudget(NamedTuple):
+    depth_limit: int = 5
+    fuel: int = 500_000
+    wall_clock: Optional[float] = 300.0
+    path_cap: int = 4096
 
 
 class Hop(NamedTuple):
@@ -317,13 +312,10 @@ class MissRef(NamedTuple):
     reason: str  # "empty-pts" | "unresolved-call"
 
 
-class Conflict(Record):
-    __slots__ = _fields = ("element", "overridden", "overriding")
-
-    def __init__(self, element: str, overridden: WriteEvent, overriding: WriteEvent):
-        self.element = element
-        self.overridden = overridden
-        self.overriding = overriding
+class Conflict(NamedTuple):
+    element: str
+    overridden: WriteEvent
+    overriding: WriteEvent
 
     @property
     def key(self) -> tuple:
@@ -336,31 +328,18 @@ class Conflict(Record):
         )
 
 
-class OutcomeStats(Record):
-    __slots__ = _fields = ("visited", "paths", "elapsed_ms", "stop_reason")
-
-    def __init__(self, visited: int = 0, paths: int = 0, elapsed_ms: float = 0.0,
-                 stop_reason: Optional[str] = None):
-        self.visited = visited
-        self.paths = paths
-        self.elapsed_ms = elapsed_ms  # the path search's wall time; 0 without a wall clock
-        self.stop_reason = stop_reason  # the budget that ran out: "fuel", "path_cap" or "wall_clock"
+class OutcomeStats(NamedTuple):
+    visited: int
+    paths: int
+    elapsed_ms: float  # the path search's wall time; 0 without a wall clock
+    stop_reason: Optional[str]  # the budget that ran out: "fuel", "path_cap" or "wall_clock"
 
 
-class AnalysisOutcome(Record):
-    __slots__ = _fields = ("verdict", "conflicts", "missrefs", "stats")
-
-    def __init__(
-        self,
-        verdict: Verdict,
-        conflicts: Optional[list[Conflict]] = None,
-        missrefs: Optional[list[MissRef]] = None,
-        stats: Optional[OutcomeStats] = None,
-    ):
-        self.verdict = verdict
-        self.conflicts = [] if conflicts is None else conflicts
-        self.missrefs = [] if missrefs is None else missrefs
-        self.stats = OutcomeStats() if stats is None else stats
+class AnalysisOutcome(NamedTuple):
+    verdict: Verdict
+    conflicts: list[Conflict]
+    missrefs: list[MissRef]
+    stats: OutcomeStats
 
 
 class ComparisonResult(NamedTuple):
@@ -894,14 +873,14 @@ class _Enumerator:
             if not (rest_fits or alt is None or type(alt) is list):
                 # Every way out of a body completes its call, so a body and
                 # the rest fit only where the rest alone does: count it once.
-                if _count(ctx, _chain(frame, i, None), fuel, cap)[2] is not None:
+                if _count(ctx, _chain(frame, i, None), fuel, cap).exceeds is not None:
                     break
                 rest_fits = True
-            visits, leaves, exceeds = _count(ctx, _chain(frame, i, alt), fuel, cap)
-            if exceeds is not None:
+            count = _count(ctx, _chain(frame, i, alt), fuel, cap)
+            if count.exceeds is not None:
                 break
-            visited += visits
-            ctx.paths += leaves
+            visited += count.visits
+            ctx.paths += count.paths
             rest_fits = rest_fits or alt is None
             k += 1
         # The walk's own clock checks fall on every 512th visit, which a skip jumps past.
@@ -991,12 +970,11 @@ def _count_tree(ctx: DetectionContext, entry: MethodDef) -> TreeCount:
     """Counts the tree `_Enumerator(ctx, entry)` walks, within the budget."""
     budget = ctx.budget
     root = _Part(ctx.ops(entry), 0, frozenset({entry.id}), body=True)
-    visits, leaves, exceeds = _count(ctx, [root], budget.fuel, budget.path_cap)
-    return TreeCount(leaves, visits, exceeds)
+    return _count(ctx, [root], budget.fuel, budget.path_cap)
 
 
-def _count(ctx: DetectionContext, stack: list, fuel: int, path_cap: int) -> tuple[int, int, Optional[str]]:
-    """(visits, leaves, exceeds) of the walk the `_Part`s on `stack` hold,
+def _count(ctx: DetectionContext, stack: list, fuel: int, path_cap: int) -> TreeCount:
+    """The `TreeCount` of the walk the `_Part`s on `stack` hold,
     the top's first: each part counts its block from its op `i`, each way
     out of it continues the op in progress of the part below, and the
     bottom part's ways out are the leaves. A body is counted once per
@@ -1021,7 +999,7 @@ def _count(ctx: DetectionContext, stack: list, fuel: int, path_cap: int) -> tupl
         part, child = stack[-1], None
         steps += 1
         if deadline is not None and steps % 512 == 0 and time.monotonic() > deadline:
-            return part.visits, part.falls + part.returns, "wall_clock"
+            return TreeCount(part.falls + part.returns, part.visits, "wall_clock")
         alts = part.alts
         if type(alts) is _Op:
             # A call entering bodies at the depth limit: sum its targets'
@@ -1125,7 +1103,7 @@ def _count(ctx: DetectionContext, stack: list, fuel: int, path_cap: int) -> tupl
                 if below.key is not None:
                     low = bounds.get(below.key, (0, 0))
                     bounds[below.key] = (max(low[0], visits), max(low[1], outs))
-            return visits, outs, "fuel" if visits > fuel else "path_cap"
+            return TreeCount(outs, visits, "fuel" if visits > fuel else "path_cap")
         if type(child) is list:
             stack.append(_Part(child, part.depth, part.on_stack))
         elif child is not None:  # a body, under the `key` the loop above made
@@ -1136,7 +1114,7 @@ def _count(ctx: DetectionContext, stack: list, fuel: int, path_cap: int) -> tupl
             if part.key is not None:
                 memo[part.key] = (visits, outs)
             if not stack:
-                return visits, outs, None
+                return TreeCount(outs, visits)
             parent = stack[-1]
             parent.alt_visits += visits
             if part.body:  # every way out of a body completes the call
@@ -1433,15 +1411,7 @@ def detect(
     else:
         verdict = Verdict.FALSE
 
-    ordered = sorted(
-        conflicts.values(),
-        key=lambda c: (
-            c.overridden.root_pos,
-            c.overriding.root_pos,
-            c.overridden.pos,
-            c.overriding.pos,
-        ),
-    )
+    ordered = sorted(conflicts.values(), key=lambda c: c.key[1:])
     missrefs = sorted(ctx.missrefs)
     elapsed = (time.perf_counter() - started) * 1000.0 if ctx.budget.wall_clock is not None else 0.0
     stats = OutcomeStats(visited=ctx.visited, paths=ctx.paths, elapsed_ms=elapsed, stop_reason=ctx.stop_reason)

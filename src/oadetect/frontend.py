@@ -53,7 +53,7 @@ import re
 import string
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .mir import (
     AllocAssign,
@@ -129,12 +129,9 @@ def parse_json(text: str, what: str, error: type[MirError] = MirError):
         raise error(f"{what}: integer too long (over {sys.get_int_max_str_digits()} digits)") from None
 
 
-class SourceUnit(Record):
-    __slots__ = _fields = ("path", "text")
-
-    def __init__(self, path: str, text: str):
-        self.path = path
-        self.text = text
+class SourceUnit(NamedTuple):
+    path: str
+    text: str
 
     @property
     def line_count(self) -> int:
@@ -587,11 +584,16 @@ def apply_sidecar(p: Program, m: ProvenanceMap) -> Program:
 
 def entry_candidates(p: Program) -> list[MethodDef]:
     """Declarations whose own bodies carry changes from both sides."""
+    left, right = Provenance.LEFT, Provenance.RIGHT
     out: list[MethodDef] = []
     for m in all_methods(p):
-        provs = {st.provenance for st in iter_stmts(m.body)}
-        if Provenance.LEFT in provs and Provenance.RIGHT in provs:
-            out.append(m)
+        seen_left = seen_right = False
+        for st in iter_stmts(m.body):
+            seen_left = seen_left or st.provenance is left
+            seen_right = seen_right or st.provenance is right
+            if seen_left and seen_right:
+                out.append(m)
+                break
     return out
 
 

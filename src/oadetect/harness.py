@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .cha import build_cha_graph
 from .engine import AnalysisBudget, AnalysisOutcome, Mode, Verdict, detect
@@ -33,24 +33,13 @@ from .pointsto import solve
 from .reporting import emit_records
 
 
-class Scenario(Record):
-    __slots__ = _fields = ("id", "project", "sources", "sidecar", "entry", "ground_truth")
-
-    def __init__(
-        self,
-        id: str,
-        project: str,
-        sources: list[SourceUnit],
-        sidecar: Optional[ProvenanceMap] = None,
-        entry: Optional[str] = None,
-        ground_truth: Optional[bool] = None,
-    ):
-        self.id = id
-        self.project = project
-        self.sources = sources
-        self.sidecar = sidecar
-        self.entry = entry
-        self.ground_truth = ground_truth
+class Scenario(NamedTuple):
+    id: str
+    project: str
+    sources: list[SourceUnit]
+    sidecar: Optional[ProvenanceMap] = None
+    entry: Optional[str] = None
+    ground_truth: Optional[bool] = None
 
 
 # Line breaks, tabs and other control characters. A unit name holding one
@@ -127,29 +116,15 @@ def scenario_dirs(root: Path) -> list[Path]:
 # Running
 
 
-class UnitResult(Record):
-    __slots__ = _fields = ("unit", "project", "mode", "verdict", "outcome", "timings_ms",
-                           "ground_truth", "entry")
-
-    def __init__(
-        self,
-        unit: str,
-        project: str,
-        mode: Mode,
-        verdict: Verdict,
-        outcome: AnalysisOutcome,
-        timings_ms: list[float],
-        ground_truth: Optional[bool],
-        entry: MethodDef,
-    ):
-        self.unit = unit
-        self.project = project
-        self.mode = mode
-        self.verdict = verdict
-        self.outcome = outcome
-        self.timings_ms = timings_ms
-        self.ground_truth = ground_truth
-        self.entry = entry
+class UnitResult(NamedTuple):
+    unit: str
+    project: str
+    mode: Mode
+    verdict: Verdict
+    outcome: AnalysisOutcome
+    timings_ms: list[float]
+    ground_truth: Optional[bool]
+    entry: MethodDef
 
 
 class CorpusRun(Record):
@@ -307,15 +282,11 @@ class ConfusionMatrix(Record):
         return self.tp + self.fp + self.tn + self.fn
 
 
-class MetricsSummary(Record):
-    __slots__ = _fields = ("precision", "recall", "accuracy", "f1")
-
-    def __init__(self, precision: Optional[float], recall: Optional[float],
-                 accuracy: Optional[float], f1: Optional[float]):
-        self.precision = precision
-        self.recall = recall
-        self.accuracy = accuracy
-        self.f1 = f1
+class MetricsSummary(NamedTuple):
+    precision: Optional[float]
+    recall: Optional[float]
+    accuracy: Optional[float]
+    f1: Optional[float]
 
 
 def confusion(outcomes: dict[str, Verdict], truths: dict[str, bool]) -> ConfusionMatrix:
@@ -395,15 +366,12 @@ def divergence_histogram(units: list[tuple[str, Verdict, Verdict]]) -> dict[int,
     return dict(sorted(hist.items()))
 
 
-class TimingRow(Record):
-    __slots__ = _fields = ("unit", "mode", "mean_ms", "stddev_ms", "flagged")
-
-    def __init__(self, unit: str, mode: Mode, mean_ms: float, stddev_ms: float, flagged: bool):
-        self.unit = unit
-        self.mode = mode
-        self.mean_ms = mean_ms
-        self.stddev_ms = stddev_ms
-        self.flagged = flagged  # standard deviation above 10% of the mean
+class TimingRow(NamedTuple):
+    unit: str
+    mode: Mode
+    mean_ms: float
+    stddev_ms: float
+    flagged: bool  # standard deviation above 10% of the mean
 
 
 def timing_summary(samples: dict[str, dict[Mode, list[float]]]) -> list[TimingRow]:

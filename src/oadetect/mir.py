@@ -58,16 +58,19 @@ IndexOperand = Union[int, str]
 # ---------------------------------------------------------------------------
 # Records
 #
-# Values are NamedTuples (here `Position`, `Const` and `Diagnostic`; the
-# engine's `WriteEvent` and `MissRef` too). Every other record is a plain
-# class that writes out its `__init__` and names its fields, in order, in
-# `_fields`; `Record` gives it equality and a repr over them. Of those,
-# only `cha.CallGraph` refuses assignment. Nothing is generated when a
-# module is imported.
+# A record is a NamedTuple (here `Position`, `Const`, `Diagnostic`,
+# `FieldDef` and `MethodSig`) unless code reassigns or builds up one of its
+# fields, validates in its constructor, or caches a derived field. Such a
+# record is a plain `Record` class that writes out its `__init__` and names
+# its fields, in order, in `_fields`. Of those, only `cha.CallGraph`
+# refuses assignment. At import, a NamedTuple compiles only its one-line
+# `__new__`, and a `Record` class nothing.
 
 
 class Record:
-    """Equality and repr over the fields named in `_fields`.
+    """Equality and repr over the fields named in `_fields`, for a record
+    that cannot be a NamedTuple: code reassigns or builds up a field, the
+    constructor validates, or a derived field is cached.
 
     Records are equal only when they are of one class and their fields are
     equal, so a `FieldStore` never equals a `FieldLoad`. A record is
@@ -323,14 +326,11 @@ class OpaqueOp(Stmt):
 CTOR_NAME = "<init>"
 
 
-class FieldDef(Record):
-    __slots__ = _fields = ("name", "type", "static", "pos")
-
-    def __init__(self, name: str, type: str, static: bool = False, pos: Position = UNKNOWN_POS):
-        self.name = name
-        self.type = type
-        self.static = static
-        self.pos = pos
+class FieldDef(NamedTuple):
+    name: str
+    type: str
+    static: bool = False
+    pos: Position = UNKNOWN_POS
 
 
 class MethodDef(Record):
@@ -373,13 +373,10 @@ class MethodDef(Record):
         return self.kind == "constructor"
 
 
-class MethodSig(Record):
-    __slots__ = _fields = ("name", "params", "pos")
-
-    def __init__(self, name: str, params: tuple[str, ...], pos: Position = UNKNOWN_POS):
-        self.name = name
-        self.params = params
-        self.pos = pos
+class MethodSig(NamedTuple):
+    name: str
+    params: tuple[str, ...]
+    pos: Position = UNKNOWN_POS
 
 
 class ClassDef(Record):

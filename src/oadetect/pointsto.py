@@ -52,7 +52,6 @@ from .mir import (
     MirError,
     Position,
     Program,
-    Record,
     Return,
     StaticCall,
     StaticLoad,
@@ -83,16 +82,12 @@ class AllocSite(NamedTuple):
     kind: str  # "object" | "array"
 
 
-class PointsToResult(Record):
-    __slots__ = _fields = ("pts", "sites", "callgraph", "unresolved", "methods")
-
-    def __init__(self, pts: dict, sites: tuple, callgraph: CallGraph, unresolved: tuple,
-                 methods: Mapping[str, MethodDef]):
-        self.pts = pts
-        self.sites = sites
-        self.callgraph = callgraph
-        self.unresolved = unresolved  # (Position, reason) pairs
-        self.methods = methods  # the program's methods by id
+class PointsToResult(NamedTuple):
+    pts: dict
+    sites: tuple
+    callgraph: CallGraph
+    unresolved: tuple  # (Position, reason) pairs
+    methods: Mapping[str, MethodDef]  # the program's methods by id
 
 
 def pa_entry_points(p: Program) -> list[MethodDef]:

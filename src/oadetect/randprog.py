@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .mir import (
     AllocAssign,
@@ -36,7 +36,6 @@ from .mir import (
     Position,
     Program,
     Provenance,
-    Record,
     ReflectiveAssign,
     Return,
     StaticLoad,
@@ -57,13 +56,10 @@ def default_seed() -> int:
     return int(raw) if raw else DEFAULT_SEED
 
 
-class GeneratedProgram(Record):
-    __slots__ = _fields = ("program", "main", "entry")
-
-    def __init__(self, program: Program, main: MethodDef, entry: Optional[MethodDef] = None):
-        self.program = program
-        self.main = main
-        self.entry = entry  # dually modified method, when marked
+class GeneratedProgram(NamedTuple):
+    program: Program
+    main: MethodDef
+    entry: Optional[MethodDef] = None  # dually modified method, when marked
 
 
 class _Gen:

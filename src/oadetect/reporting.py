@@ -3,21 +3,18 @@
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from .engine import AnalysisOutcome, Conflict, Mode, WriteEvent
-from .mir import MethodDef, Record
+from .mir import MethodDef
 
 
-class ConflictReport(Record):
-    __slots__ = _fields = ("entry_class", "entry_method", "element", "overriding", "overridden")
-
-    def __init__(self, entry_class: str, entry_method: str, element: str,
-                 overriding: WriteEvent, overridden: WriteEvent):
-        self.entry_class = entry_class
-        self.entry_method = entry_method
-        self.element = element
-        self.overriding = overriding
-        self.overridden = overridden
+class ConflictReport(NamedTuple):
+    entry_class: str
+    entry_method: str
+    element: str
+    overriding: WriteEvent
+    overridden: WriteEvent
 
     @property
     def overridden_flow(self) -> list[str]:

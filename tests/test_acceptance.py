@@ -207,9 +207,9 @@ def test_criterion_8_metamorphic_suite():
             ("mkref", "TextR.mir"),
         ):
             s = load_bundled(name)
-            for unit in s.sources:
+            for i, unit in enumerate(s.sources):
                 if unit.path == path:
-                    unit.text = unit.text.replace("x = op();", "r.fixes = 0;")
+                    s.sources[i] = unit._replace(text=unit.text.replace("x = op();", "r.fixes = 0;"))
             program, units = scenario_units(s)
             for mode in ALL_MODES:
                 assert detect(program, units[0][1], mode, budget=budget(**PROP_BUDGET)).verdict is F

@@ -686,8 +686,8 @@ def test_corpus_prints_the_wilcoxon_result_line(tmp_path, capsys, monkeypatch):
 
     def timed_run(*args, **kwargs):
         run = run_corpus(*args, **kwargs)
-        for r in run.results:
-            r.timings_ms = [timings[r.mode.value][int(r.unit[1:])]] * 2
+        run.results[:] = [r._replace(timings_ms=[timings[r.mode.value][int(r.unit[1:])]] * 2)
+                          for r in run.results]
         return run
 
     monkeypatch.setattr(cli, "run_corpus", timed_run)

@@ -40,6 +40,7 @@ blocks included: both must give the same sets on every unit.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 import pytest
@@ -183,6 +184,24 @@ def assert_matches_reference(p, entry, mode: Mode, bud) -> None:
     assert got == reference_detect(p, entry, mode, bud)
 
 
+@functools.cache
+def _seed_range(base: int) -> tuple:
+    return tuple(
+        (seed - base, mkref, gen.program, gen.entry)
+        for seed in range(base + 3000, base + 3101)
+        for mkref in (False, True)
+        for gen in (generate_program(seed, mkref=mkref, mark_changes=True),)
+    )
+
+
+def seed_range() -> tuple:
+    """The seed range: (offset from OA_SEED, mkref, program, entry) of the
+    marked program of each seed from OA_SEED+3000 to +3100, `mkref` off then
+    on; `entry` is None where no method was marked. Generated once per
+    OA_SEED and shared, as no analysis changes a program."""
+    return _seed_range(default_seed())
+
+
 def seed_cases(offset: int, count: int):
     """Marked random programs of the property suite from OA_SEED+offset."""
     base = default_seed() + offset
@@ -249,21 +268,18 @@ def test_every_suite_program_runs_in_every_mode():
     # The sample above takes one mkref setting per seed; OA_SEED+3023 and
     # +3083 with mkref call a method no class provides, which made the CHA
     # graph raise and nopa and hybrid exit 3.
-    base = default_seed()
     ran, failed = 0, []
-    for seed in range(base + 3000, base + 3101):
-        for mkref in (False, True):
-            gen = generate_program(seed, mkref=mkref, mark_changes=True)
-            if gen.entry is None:
-                continue
-            try:
-                solve(gen.program, pa_entry_points(gen.program))
-                build_cha_graph(gen.program, gen.entry)
-                for mode in ALL_MODES:
-                    detect(gen.program, gen.entry, mode, budget=budget(fuel=500, path_cap=8))
-            except MirError as e:
-                failed.append(f"OA_SEED+{seed - base} mkref={mkref}: {e}")
-            ran += 1
+    for offset, mkref, p, entry in seed_range():
+        if entry is None:
+            continue
+        try:
+            solve(p, pa_entry_points(p))
+            build_cha_graph(p, entry)
+            for mode in ALL_MODES:
+                detect(p, entry, mode, budget=budget(fuel=500, path_cap=8))
+        except MirError as e:
+            failed.append(f"OA_SEED+{offset} mkref={mkref}: {e}")
+        ran += 1
     assert failed == []
     assert ran >= 150
 
@@ -284,20 +300,16 @@ def assert_count_matches(p, entry, mode: Mode, bud, cha=None, pts=None) -> Verdi
 
 
 def test_count_matches_enumeration_on_the_seed_range():
-    base = default_seed()
     ran, verdicts = 0, set()
-    for seed in range(base + 3000, base + 3101):
-        for mkref in (False, True):
-            gen = generate_program(seed, mkref=mkref, mark_changes=True)
-            if gen.entry is None:
-                continue
-            p, entry = gen.program, gen.entry
-            cha = build_cha_graph(p, entry)
-            pts = solve(p, pa_entry_points(p))
-            for mode in ALL_MODES:
-                for bud in (budget(**PROP_BUDGET), budget(fuel=400, path_cap=16)):
-                    verdicts.add(assert_count_matches(p, entry, mode, bud, cha, pts))
-            ran += 1
+    for _, _, p, entry in seed_range():
+        if entry is None:
+            continue
+        cha = build_cha_graph(p, entry)
+        pts = solve(p, pa_entry_points(p))
+        for mode in ALL_MODES:
+            for bud in (budget(**PROP_BUDGET), budget(fuel=400, path_cap=16)):
+                verdicts.add(assert_count_matches(p, entry, mode, bud, cha, pts))
+        ran += 1
     assert ran >= 150
     assert verdicts == set(Verdict)  # the range both finishes and times out
 
@@ -445,13 +457,7 @@ def _walk_commits_no_conflict(p, entry, bud, cha) -> bool:
 
 @pytest.mark.hashseed
 def test_sides_pass_is_sound_on_the_seed_range_and_the_bundled_scenarios():
-    cases = []
-    base = default_seed()
-    for seed in range(base + 3000, base + 3101):
-        for mkref in (False, True):
-            gen = generate_program(seed, mkref=mkref, mark_changes=True)
-            if gen.entry is not None:
-                cases.append((gen.program, gen.entry, budget(**PROP_BUDGET)))
+    cases = [(p, entry, budget(**PROP_BUDGET)) for _, _, p, entry in seed_range() if entry is not None]
     for name in BUNDLED:
         program, units = scenario_units(load_bundled(name))
         cases.extend((program, entry, budget()) for _, entry in units)
@@ -478,12 +484,9 @@ def test_sides_pass_is_sound_on_the_seed_range_and_the_bundled_scenarios():
 def table_units(tmp_path):
     """Every unit of the seed range (`mkref` off and on), the bundled corpus
     and the bench workloads at their seed, each with its budget."""
-    base = default_seed()
-    for seed in range(base + 3000, base + 3101):
-        for mkref in (False, True):
-            gen = generate_program(seed, mkref=mkref, mark_changes=True)
-            if gen.entry is not None:
-                yield gen.program, gen.entry, budget(**PROP_BUDGET)
+    for _, _, p, entry in seed_range():
+        if entry is not None:
+            yield p, entry, budget(**PROP_BUDGET)
     scenarios = [(load_bundled(name), budget()) for name in BUNDLED]
     for workload in sorted(WORKLOAD_DIGESTS):
         wl = _bench_workloads().build_workload(workload, tmp_path / workload, WORKLOAD_SEED)
@@ -532,12 +535,7 @@ def apart_nopa_units():
     cannot meet, each with its budget and CHA graph."""
     p, entry = load_scenario_program("deep_hierarchy")
     units = [(p, entry, budget())]
-    base = default_seed()
-    for seed in range(base + 3000, base + 3101):
-        for mkref in (False, True):
-            gen = generate_program(seed, mkref=mkref, mark_changes=True)
-            if gen.entry is not None:
-                units.append((gen.program, gen.entry, budget(**PROP_BUDGET)))
+    units += [(p, entry, budget(**PROP_BUDGET)) for _, _, p, entry in seed_range() if entry is not None]
     for p, entry, bud in units:
         cha = build_cha_graph(p, entry)
         if not engine._sides_meet(DetectionContext(p, Mode.NOPA, bud, cha=cha), entry, reach_all=True):
@@ -732,10 +730,7 @@ def meeting_nopa_units(source: str, tmp_path):
     CHA graph and whether a method is quiet: the seed range, or a bench
     workload at its seed (gate-bundled is the bundled corpus as it ships)."""
     if source == "seed range":
-        units = [(gen.program, gen.entry, budget(**PROP_BUDGET))
-                 for seed in range(default_seed() + 3000, default_seed() + 3101)
-                 for gen in (generate_program(seed, mkref=mkref, mark_changes=True) for mkref in (False, True))
-                 if gen.entry is not None]
+        units = [(p, entry, budget(**PROP_BUDGET)) for _, _, p, entry in seed_range() if entry is not None]
     else:
         wl = _bench_workloads().build_workload(source, tmp_path / "in", WORKLOAD_SEED)
         units = []
@@ -1008,19 +1003,15 @@ def test_last_calls_match_the_recursive_enumerator(mode):
 
 
 def test_walk_matches_the_recursive_enumerator_on_the_seed_range():
-    base = default_seed()
+    bud = budget(**PROP_BUDGET)
     ran = 0
-    for seed in range(base + 3000, base + 3101):
-        for mkref in (False, True):
-            gen = generate_program(seed, mkref=mkref, mark_changes=True)
-            if gen.entry is None:
-                continue
-            p, entry = gen.program, gen.entry
-            bud = budget(**PROP_BUDGET)
-            for mode in ALL_MODES:
-                if count_tree(p, entry, bud, mode).exceeds is None:
-                    assert_walk_matches_recursion(p, entry, mode, bud)
-                    ran += 1
+    for _, _, p, entry in seed_range():
+        if entry is None:
+            continue
+        for mode in ALL_MODES:
+            if count_tree(p, entry, bud, mode).exceeds is None:
+                assert_walk_matches_recursion(p, entry, mode, bud)
+                ran += 1
     assert ran >= 400
 
 
@@ -1109,16 +1100,13 @@ def assert_graph_matches_reference(p, root) -> None:
 
 
 def test_cha_graph_matches_reference_on_the_seed_range():
-    base = default_seed()
     ran = 0
-    for seed in range(base + 3000, base + 3101):
-        for mkref in (False, True):
-            gen = generate_program(seed, mkref=mkref, mark_changes=True)
-            if gen.entry is None:
-                continue
-            assert_graph_matches_reference(gen.program, gen.entry)
-            assert_graph_matches_reference(gen.program, gen.main)
-            ran += 1
+    for _, _, p, entry in seed_range():
+        if entry is None:
+            continue
+        assert_graph_matches_reference(p, entry)
+        assert_graph_matches_reference(p, find_method(p, "Main.main"))
+        ran += 1
     assert ran == 195
 
 
@@ -1246,10 +1234,9 @@ def assert_solve_matches_reference(p) -> None:
 
 
 def test_solve_matches_reference_on_the_bundled_corpus_and_the_seed_range():
+    # The marks set only provenance, which the solve does not read.
     programs = [scenario_units(load_bundled(name))[0] for name in BUNDLED]
-    base = default_seed()
-    for seed in range(base + 3000, base + 3101):
-        programs += [generate_program(seed, mkref=mkref).program for mkref in (False, True)]
+    programs += [p for _, _, p, _ in seed_range()]
     for p in programs:
         assert_solve_matches_reference(p)
     assert len(programs) == 206

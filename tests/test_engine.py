@@ -29,6 +29,7 @@ from oadetect.mir import (
     iter_stmts,
 )
 from oadetect.pointsto import pa_entry_points, pts_of, solve
+from oadetect.randprog import DEFAULT_SEED, generate_program
 from oadetect.reporting import outcome_record
 
 HIERARCHY = """
@@ -453,6 +454,82 @@ def test_detect_opposite_sides_conflict_without_base():
     assert (c.overridden.pos.line, c.overriding.pos.line) == (4, 5)
 
 
+# Known misses, pinned on the verdict their fix must give: each marker is
+# strict, so the change that fixes a miss must drop its marker.
+
+TWO_INTERFACES = (
+    "interface I1 {\n}\n"
+    "interface I2 {\n}\n"
+    "class C implements I1, I2 {\n  field f: int;\n}\n"
+    "class D {\n"
+    "  field a: I1;\n"
+    "  field b: I2;\n"
+    "  ctor(a, b) {\n    this.a = a;\n    this.b = b;\n  }\n"
+    "  method m() {\n"
+    "    x = this.a;\n"
+    "    y = this.b;\n"
+    "    x.f = 1 @L;\n"
+    "    y.f = 2 @R;\n"
+    "  }\n"
+    "}\n"
+    "class Main {\n"
+    "  public static method main() {\n"
+    "    c = new C();\n"
+    "    d = new D(c, c);\n"
+    "    call d.m();\n"
+    "  }\n"
+    "}\n"
+)
+TWO_INDEX_LOCALS = (
+    "class A {\n"
+    "  field a: int[];\n"
+    "  method m(i) {\n"
+    "    arr = this.a;\n"
+    "    j = i;\n"
+    "    arr[i] = 1 @L;\n"
+    "    arr[j] = 2 @R;\n"
+    "  }\n"
+    "}\n"
+)
+OVERRIDE_ACROSS_ITERATIONS = (
+    "class A {\n"
+    "  field f: int;\n"
+    "  method m(c) {\n"
+    "    while c {\n"
+    "      if c {\n        this.f = 1 @L;\n      } else {\n        this.f = 2 @R;\n      }\n"
+    "    }\n"
+    "  }\n"
+    "}\n"
+)
+
+
+def _verdict(src: str, entry: str, mode: Mode) -> Verdict:
+    p = parse_source(src)
+    return detect(p, find_method(p, entry), mode, budget=budget()).verdict
+
+
+@pytest.mark.parametrize("mode", [Mode.PA, Mode.HYBRID])
+def test_points_to_sees_one_object_through_two_interfaces(mode):
+    assert _verdict(TWO_INTERFACES, "D.m", mode) is Verdict.TRUE
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: nopa relates two declared types only by subtyping")
+def test_nopa_relates_two_interfaces_a_class_implements():
+    assert _verdict(TWO_INTERFACES, "D.m", Mode.NOPA) is Verdict.TRUE
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: two index locals count as two slots")
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_two_index_locals_may_hold_one_value(mode):
+    assert _verdict(TWO_INDEX_LOCALS, "A.m", mode) is Verdict.TRUE
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the path model runs a loop body at most once")
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_a_write_overrides_one_from_an_earlier_loop_iteration(mode):
+    assert _verdict(OVERRIDE_ACROSS_ITERATIONS, "A.m", mode) is Verdict.TRUE
+
+
 def _chain_source(depth: int) -> str:
     # Entry calls a static chain m1 -> ... -> m{depth}; the deepest writes g.
     parts = ["class A {", "  field static g: int;", "  method entry() {",
@@ -550,6 +627,38 @@ def test_stop_reason_is_none_when_every_path_completes(fig1_advanced):
         for verdict_only in (False, True):
             out = detect(p, entry, mode, budget=budget(), verdict_only=verdict_only)
             assert out.verdict is not Verdict.TIMEOUT and out.stats.stop_reason is None
+
+
+# The seed-range units, at fuel 20 000 and path cap 512, whose count runs
+# out of fuel first where the walk reaches the path cap first: (offset from
+# `randprog.DEFAULT_SEED`, mkref) and the modes where the two differ. ROADMAP
+# item 6 decides which stop reason such a timeout carries.
+STOP_REASON_SPLIT = {
+    (3019, False): {Mode.NOPA, Mode.HYBRID},
+    (3030, False): set(ALL_MODES),
+    (3049, False): {Mode.NOPA},
+    (3065, False): {Mode.NOPA},
+    (3068, True): {Mode.HYBRID},
+    (3073, True): {Mode.NOPA},
+    (3074, False): set(ALL_MODES),
+    (3085, True): {Mode.NOPA, Mode.HYBRID},
+}
+
+
+def test_count_and_walk_name_different_budgets_on_fourteen_timeouts():
+    bud = budget(fuel=20_000, path_cap=512)
+    split = {}
+    for (offset, mkref), modes in STOP_REASON_SPLIT.items():
+        gen = generate_program(DEFAULT_SEED + offset, mkref=mkref, mark_changes=True)
+        for mode in ALL_MODES:
+            count = detect(gen.program, gen.entry, mode, budget=bud, verdict_only=True)
+            walk = detect(gen.program, gen.entry, mode, budget=bud)
+            if count.stats.stop_reason != walk.stats.stop_reason:
+                assert count.verdict is walk.verdict is Verdict.TIMEOUT
+                split[(offset, mkref, mode)] = (count.stats.stop_reason, walk.stats.stop_reason)
+    assert split == {(offset, mkref, mode): ("fuel", "path_cap")
+                     for (offset, mkref), modes in STOP_REASON_SPLIT.items() for mode in modes}
+    assert len(split) == 14
 
 
 def test_detect_deterministic_outcomes(fig1_advanced):

@@ -229,8 +229,7 @@ def test_by_unit_maps_each_unit_to_its_result_per_mode_in_run_order():
 
 
 def test_run_corpus_rejects_a_repeated_unit_id():
-    twin = load_bundled("fig1_advanced")
-    twin.id = "fig1_simple"
+    twin = load_bundled("fig1_advanced")._replace(id="fig1_simple")
     run = run_corpus([load_bundled("fig1_simple"), twin], [Mode.NOPA], budget=budget())
     assert run.errors == [("fig1_simple", "unit id 'fig1_simple' is already taken by an earlier scenario")]
     (result,) = run.results

@@ -196,10 +196,10 @@ BLOCKABLE = {
 @pytest.mark.parametrize("name", sorted(BLOCKABLE))
 def test_intervening_base_write_removes_conflicts(name):
     s = load_bundled(name)
-    for unit in s.sources:
+    for i, unit in enumerate(s.sources):
         if unit.path == BLOCKABLE[name]:
             assert "x = op();" in unit.text
-            unit.text = unit.text.replace("x = op();", "r.fixes = 0;")
+            s.sources[i] = unit._replace(text=unit.text.replace("x = op();", "r.fixes = 0;"))
     program, units = scenario_units(s)
     entry = units[0][1]
     for mode in ALL_MODES:

@@ -1,11 +1,14 @@
 """Record classes: the semantics their callers rely on, and start-up cost.
 
-Values are `NamedTuple`s; every other record is a plain class with a
-written-out `__init__`, so importing the package generates no code. These
-tests pin what the records promise: equality per class and by fields,
-mutable records unhashable, values refusing assignment and hashing by
-value, the call graph refusing assignment, keyword-only statements with
-fresh default lists, the `Name(field=value, ...)` repr, the sidecar's
+A record is a `NamedTuple` unless code reassigns or builds up one of its
+fields, validates in its constructor, or caches a derived field; such a
+record is a `mir.Record` class with a written-out `__init__`, so importing
+the package compiles no record method but a `NamedTuple`'s `__new__`.
+These tests pin what the records promise: which classes stay `Record`s,
+equality per class and by fields, mutable records unhashable,
+`NamedTuple`s refusing assignment and hashing by value where their fields
+do, the call graph refusing assignment, keyword-only statements with fresh
+default lists, the `Name(field=value, ...)` repr, the sidecar's
 both-sides check, and the write events the walk builds from tuples.
 """
 
@@ -19,24 +22,54 @@ from pathlib import Path
 
 import pytest
 
-from oadetect import engine
+from oadetect import engine, interp
 from oadetect.cha import CallGraph
-from oadetect.engine import AR, IFR, LV, SFR, Hop, WriteEvent
-from oadetect.frontend import ProvenanceMap, SidecarError, parse_source
+from oadetect.engine import (
+    AR,
+    IFR,
+    LV,
+    SFR,
+    AnalysisBudget,
+    AnalysisOutcome,
+    Conflict,
+    Hop,
+    Mode,
+    OutcomeStats,
+    Verdict,
+    WriteEvent,
+)
+from oadetect.frontend import ProvenanceMap, SidecarError, SourceUnit, parse_source
+from oadetect.harness import (
+    ConfusionMatrix,
+    CorpusRun,
+    MetricsSummary,
+    Scenario,
+    TimingRow,
+    TransitionTable,
+    UnitResult,
+)
 from oadetect.mir import (
+    ClassDef,
     Const,
     Diagnostic,
+    FieldDef,
     FieldLoad,
     FieldStore,
     If,
+    InterfaceDef,
     MethodDef,
+    MethodSig,
     Position,
     Program,
     Provenance,
+    Record,
     Return,
+    Stmt,
     find_method,
 )
-from oadetect.pointsto import AllocSite, solve
+from oadetect.pointsto import AllocSite, PointsToResult, solve
+from oadetect.randprog import GeneratedProgram
+from oadetect.reporting import ConflictReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 P = Position("a.mir", 3)
@@ -82,6 +115,64 @@ def test_frozen_records_refuse_assignment_and_hash_by_value(make, attr):
     with pytest.raises(AttributeError):
         setattr(record, attr, "other")
     assert record == make() and hash(record) == hash(make())
+
+
+def _stats() -> OutcomeStats:
+    return OutcomeStats(visited=3, paths=1, elapsed_ms=0.0, stop_reason=None)
+
+
+def _outcome() -> AnalysisOutcome:
+    return AnalysisOutcome(Verdict.FALSE, conflicts=[], missrefs=[], stats=_stats())
+
+
+# The records no code changes after construction: those whose fields are
+# all hashable, then those holding a list, a dict or a `Record`.
+HASHABLE = [
+    pytest.param(lambda: AnalysisBudget(fuel=20_000), "fuel", id="AnalysisBudget"),
+    pytest.param(lambda: Conflict("x in A.m()", _event(), _event(provenance=Provenance.RIGHT)), "element",
+                 id="Conflict"),
+    pytest.param(_stats, "paths", id="OutcomeStats"),
+    pytest.param(lambda: MetricsSummary(1.0, 0.5, None, None), "recall", id="MetricsSummary"),
+    pytest.param(lambda: TimingRow("u", Mode.PA, 2.0, 0.1, False), "mean_ms", id="TimingRow"),
+    pytest.param(lambda: SourceUnit("a.mir", "class A {\n}\n"), "text", id="SourceUnit"),
+    pytest.param(lambda: FieldDef("f", "int", pos=P), "type", id="FieldDef"),
+    pytest.param(lambda: MethodSig("m", ("a",), P), "params", id="MethodSig"),
+    pytest.param(lambda: ConflictReport("A", "m", "x in A.m()", _event(), _event()), "entry_method",
+                 id="ConflictReport"),
+]
+UNHASHABLE = [
+    pytest.param(_outcome, "verdict", id="AnalysisOutcome"),
+    pytest.param(lambda: Scenario("s", "p", [SourceUnit("a.mir", "")]), "project", id="Scenario"),
+    pytest.param(lambda: UnitResult("s", "p", Mode.NOPA, Verdict.FALSE, _outcome(), [1.0], None,
+                                    MethodDef("m", (), [], "A")), "timings_ms", id="UnitResult"),
+    pytest.param(lambda: PointsToResult({}, (), CallGraph(frozenset(), frozenset(), {}), (), {}), "pts",
+                 id="PointsToResult"),
+    pytest.param(lambda: GeneratedProgram(Program(), MethodDef("main", (), [], "M")), "main",
+                 id="GeneratedProgram"),
+]
+
+
+@pytest.mark.parametrize("make,attr", HASHABLE + UNHASHABLE)
+def test_unchanged_records_refuse_assignment(make, attr):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, attr, None)
+    assert record == make() and record._replace(**{attr: None}) != record
+
+
+@pytest.mark.parametrize("make,attr", HASHABLE)
+def test_unchanged_records_hash_by_value(make, attr):
+    assert hash(make()) == hash(make())
+    assert len({make(), make(), make()._replace(**{attr: None})}) == 2
+
+
+def test_records_that_code_changes_are_the_record_classes():
+    # Reassigned or built-up fields, a validating constructor or a cached
+    # derived field keep these off `NamedTuple`; statements share `Stmt`.
+    assert set(Record.__subclasses__()) == {
+        Stmt, MethodDef, ClassDef, InterfaceDef, Program, CallGraph, ProvenanceMap,
+        CorpusRun, ConfusionMatrix, TransitionTable, interp.Obj, interp.Arr, interp.Trace,
+    }
 
 
 def test_call_graph_refuses_assignment():
