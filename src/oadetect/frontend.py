@@ -35,10 +35,16 @@ is a ParseError too, so the recursive parser and the recursive walkers
 downstream stay within Python's stack. So is an INT with more digits than
 the interpreter converts (`sys.get_int_max_str_digits`).
 
-The lexer reads each source in one regular-expression pass that yields two
-flat lists, the token spellings and the line of each; a string literal keeps
-its quotes, so no literal is spelled like a keyword. The parser reads those
-two lists.
+A source is read a line at a time: each line must match, whole, one of a
+few patterns for a statement, a header or a closing brace (`} else {` on
+one line), and builds its part of the program directly, positions
+included. A source with a line outside that layout, or with an error, goes
+whole to the token parser, so every ParseError carries the token parser's
+message and line. Its lexer reads the source in one regular-expression pass
+that yields two flat lists, the token spellings and the line of each; a
+string literal keeps its quotes, so no literal is spelled like a keyword.
+The recursive-descent parser reads those two lists. Both readers build the
+same program from any source the line reader reads.
 
 Assignments are three-address: a store to a field/array/static target takes
 a local or literal source, and call/new/op results land in a plain local.
@@ -52,6 +58,7 @@ import json
 import re
 import string
 import sys
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -246,7 +253,9 @@ MAX_NESTING = 300  # if/while blocks inside one method body
 
 class _Parser:
     """Recursive descent over the spellings `vals` and their `lines`; `i`
-    indexes the next token."""
+    indexes the next token. `parse_program` calls it for a source that the
+    line reader cannot read: one outside the line layout or one with an
+    error, whose ParseError it reports."""
 
     def __init__(self, unit: SourceUnit):
         self.path = unit.path
@@ -530,11 +539,254 @@ class _Parser:
         return index
 
 
+# ---------------------------------------------------------------------------
+# Line reader
+#
+# Sources mostly keep the line layout: one statement, header or closing
+# brace per line, and `} else {` on one line. `_read_lines` reads such a
+# source a line at a time, matching each line whole against the patterns
+# below, most common first; a source with any other line, an error included,
+# goes whole to `_Parser`. The patterns keep the lexer's token classes: names
+# and integers are ASCII, two words stand apart, and a `//` inside a string
+# literal starts no comment. A match with a keyword where a name belongs
+# sends the source to `_Parser` too.
+
+
+def _line_pattern(form: str) -> re.Pattern:
+    """A whole-line pattern from `form`, in which a space stands for optional
+    blanks, `~` for at least one blank and each `<...>` for a token class.
+    Any line may end in a `//` comment."""
+    for token, regex in (
+        ("<args>", r"(\( (?:<opnd>(?: , <opnd>)*)? \))"),
+        ("<params>", r"(\( (?:<id>(?: , <id>)*)? \))"),
+        ("<opnd>", r'(?:-?[0-9]+|"[^"]*"|<id>)'),
+        ("<index>", r"(-?[0-9]+|<id>)"),
+        ("<mark>", r"(@[LR])?"),
+        ("<name>", r"(<id>)"),
+        ("<id>", "[A-Za-z_][A-Za-z0-9_]*"),
+    ):
+        form = form.replace(token, regex)
+    return re.compile((form + " (?://.*)?").replace(" ", r"[\t\r\x20]*").replace("~", r"[\t\r\x20]+"))
+
+
+_OPERAND = re.compile(r'-?[0-9]+|"[^"]*"|[A-Za-z_][A-Za-z0-9_]*')
+# `Position(path, line)` runs the NamedTuple's `__new__` in Python; this
+# builds the same tuple in C, once for each line read.
+_position = partial(tuple.__new__, Position)
+_PROVENANCE = {None: Provenance.BASE, "@L": Provenance.LEFT, "@R": Provenance.RIGHT}
+
+
+# A literal or an argument list is built once and shared: its parts never
+# change.
+@lru_cache(maxsize=4096)
+def _operand(token: str) -> "str | Const":
+    if token[0] == '"':
+        return Const(token[1:-1])
+    return Const(int(token)) if token[0] in _INT_START else token
+
+
+@lru_cache(maxsize=4096)
+def _operands(group: str) -> tuple:
+    """The operands in an `<args>` group."""
+    return tuple(map(_operand, _tokens(group)))
+
+
+def _tokens(group: str) -> tuple[str, ...]:
+    """The tokens in an `<args>` or `<params>` group or an `implements`
+    list; a keyword among them raises ValueError."""
+    tokens = _OPERAND.findall(group)
+    if not _KEYWORDS.isdisjoint(tokens):
+        raise ValueError("a keyword where a name belongs")
+    return tuple(tokens)
+
+
+def _index(token: str) -> "int | str":
+    return int(token) if token[0] in _INT_START else token
+
+
+def _invoke(pos, mark, name, sep, method, args, result) -> Stmt:
+    if sep == ".":
+        return VirtualCall(pos=pos, provenance=_PROVENANCE[mark], receiver=name, method=method,
+                           args=_operands(args), result=result)
+    return StaticCall(pos=pos, provenance=_PROVENANCE[mark], cls=name, method=method,
+                      args=_operands(args), result=result)
+
+
+def _store(pos, base, sep, field, source, mark) -> Stmt:
+    if sep == ".":
+        return FieldStore(pos=pos, provenance=_PROVENANCE[mark], base=base, field=field, source=_operand(source))
+    return StaticStore(pos=pos, provenance=_PROVENANCE[mark], cls=base, field=field, source=_operand(source))
+
+
+def _access(pos, target, name, sep, member, args, index, mark) -> Stmt:
+    if index is not None:
+        return ArrayLoad(pos=pos, provenance=_PROVENANCE[mark], target=target, base=name, index=_index(index))
+    if sep is None:
+        return CopyAssign(pos=pos, provenance=_PROVENANCE[mark], target=target, source=name)
+    if args is not None:
+        return _invoke(pos, mark, name, sep, member, args, target)
+    if sep == ".":
+        return FieldLoad(pos=pos, provenance=_PROVENANCE[mark], target=target, base=name, field=member)
+    return StaticLoad(pos=pos, provenance=_PROVENANCE[mark], target=target, cls=name, field=member)
+
+
+def _new_array(pos, target, elem, brackets, size, mark) -> Stmt:
+    return ArrayAlloc(pos=pos, provenance=_PROVENANCE[mark], target=target,
+                      elem_type=elem + "[]" if brackets else elem, size=int(size))
+
+
+# Simple statements, most common first: (pattern, builder of its groups).
+_STATEMENTS = (
+    (_line_pattern(r"<name> (\.|::) <name> = (<opnd>) <mark> ;"), _store),
+    (_line_pattern(r"<name> = <name> (?:(\.|::) <name> <args>?|\[ <index> \])? <mark> ;"), _access),
+    (_line_pattern(r"call~<name> (\.|::) <name> <args> <mark> ;"),
+     lambda pos, name, sep, method, args, mark: _invoke(pos, mark, name, sep, method, args, None)),
+    (_line_pattern(r"<name> = new~<name> <args> <mark> ;"),
+     lambda pos, target, cls, args, mark: AllocAssign(
+         pos=pos, provenance=_PROVENANCE[mark], target=target, cls=cls, args=_operands(args))),
+    (_line_pattern(r'<name> = (-?[0-9]+|"[^"]*") <mark> ;'),
+     lambda pos, target, source, mark: CopyAssign(
+         pos=pos, provenance=_PROVENANCE[mark], target=target, source=_operand(source))),
+    (_line_pattern(r"return(?:~<name>)? <mark> ;"),
+     lambda pos, value, mark: Return(pos=pos, provenance=_PROVENANCE[mark], value=value)),
+    (_line_pattern(r"<name> = op <args> <mark> ;"),
+     lambda pos, target, args, mark: OpaqueOp(
+         pos=pos, provenance=_PROVENANCE[mark], target=target, operands=_operands(args))),
+    (_line_pattern(r"<name> \[ <index> \] = (<opnd>) <mark> ;"),
+     lambda pos, base, index, source, mark: ArrayStore(
+         pos=pos, provenance=_PROVENANCE[mark], base=base, index=_index(index), source=_operand(source))),
+    (_line_pattern(r"<name> = mkref~<name> <mark> ;"),
+     lambda pos, target, type_, mark: ReflectiveAssign(
+         pos=pos, provenance=_PROVENANCE[mark], target=target, type=type_)),
+    (_line_pattern(r"<name> = newarr~<name>(?: (\[) \] |~)(-?[0-9]+) <mark> ;"), _new_array),
+)
+_CONTROL = _line_pattern(r"(?:if~<name> \{|while~<name> \{|\}( else \{)?)")
+_CLASS = _line_pattern(r"class~<name>(?:~extends~<name>)?(?:~implements~(<id>(?: , <id>)*))? \{")
+_INTERFACE = _line_pattern(r"interface~<name>(?:~extends~<name>)? \{")
+_CLOSE = _line_pattern(r"\}")
+_SIGNATURE = _line_pattern(r"method~<name> <params> ;")
+_FIELD = _line_pattern(r"field~(static~)?<name> : <name>( \[ \])? ;")
+_METHOD = _line_pattern(r"((?:public~|private~)?(?:static~)?)method~<name> <params> \{")
+_CTOR = _line_pattern(r"ctor <params> \{")
+
+
+def _groups(pattern: re.Pattern, s: str) -> Optional[tuple]:
+    """The groups of `pattern` matched whole on `s`, or None. A keyword in
+    a group, where a name belongs, raises ValueError."""
+    m = pattern.fullmatch(s)
+    if m is None:
+        return None
+    groups = m.groups()
+    if not _KEYWORDS.isdisjoint(groups):
+        raise ValueError("a keyword where a name belongs")
+    return groups
+
+
+def _read_lines(unit: SourceUnit) -> Optional[tuple[list[ClassDef], list[InterfaceDef]]]:
+    """The declarations of `unit`, read a line at a time; None where a line
+    is outside the line layout or the unit does not parse, or where a literal
+    is past the digit limit or blocks nest past MAX_NESTING."""
+    path = unit.path
+    classes: list[ClassDef] = []
+    interfaces: list[InterfaceDef] = []
+    decl = None  # the class or interface being read
+    body: Optional[list[Stmt]] = None  # the statement list being filled
+    blocks: list[list[Stmt]] = []  # the statement lists around `body`, innermost last
+    try:
+        for n, line in enumerate(unit.text.split("\n"), 1):
+            s = line.strip(" \t\r")
+            if not s or s.startswith("//"):
+                continue
+            if body is not None:
+                if s == "}":
+                    body = blocks.pop() if blocks else None
+                    continue
+                pos = _position((path, n))
+                for pattern, build in _STATEMENTS:
+                    m = pattern.fullmatch(s)
+                    if m:
+                        g = m.groups()
+                        if not _KEYWORDS.isdisjoint(g):
+                            return None
+                        body.append(build(pos, *g))
+                        break
+                else:
+                    g = _groups(_CONTROL, s)
+                    if g is None:
+                        return None
+                    if_cond, while_cond, else_ = g
+                    if if_cond or while_cond:
+                        if len(blocks) >= MAX_NESTING:
+                            return None
+                        st = If(pos=pos, cond=if_cond) if if_cond else While(pos=pos, cond=while_cond)
+                        body.append(st)
+                        blocks.append(body)
+                        body = st.then_body if if_cond else st.body
+                    elif else_:
+                        owner = blocks[-1][-1] if blocks else None
+                        if not (isinstance(owner, If) and owner.then_body is body):
+                            return None
+                        body = owner.else_body
+                    else:
+                        body = blocks.pop() if blocks else None
+            elif decl is None:
+                if g := _groups(_CLASS, s):
+                    name, superclass, ifaces = g
+                    decl = ClassDef(name=name, superclass=superclass, interfaces=_tokens(ifaces or ""),
+                                    pos=_position((path, n)))
+                    classes.append(decl)
+                elif g := _groups(_INTERFACE, s):
+                    name, extends = g
+                    decl = InterfaceDef(name=name, extends=extends, pos=_position((path, n)))
+                    interfaces.append(decl)
+                else:
+                    return None
+            elif s[0] == "}":
+                if s != "}" and not _CLOSE.fullmatch(s):
+                    return None
+                decl = None
+            elif isinstance(decl, InterfaceDef):
+                g = _groups(_SIGNATURE, s)
+                if g is None:
+                    return None
+                name, params = g
+                decl.signatures.append(MethodSig(name, _tokens(params), _position((path, n))))
+            elif g := _groups(_METHOD, s):
+                modifiers, name, params = g
+                body = []
+                decl.methods.append(MethodDef(
+                    name=name, params=_tokens(params), body=body, declaring_class=decl.name,
+                    static="static" in modifiers, public=not modifiers.startswith("private"),
+                    pos=_position((path, n)),
+                ))
+            elif g := _groups(_FIELD, s):
+                static, name, ftype, brackets = g
+                decl.fields.append(FieldDef(name, ftype + "[]" if brackets else ftype, static=static is not None,
+                                            pos=_position((path, n))))
+            elif g := _groups(_CTOR, s):
+                body = []
+                decl.constructors.append(MethodDef(
+                    name=CTOR_NAME, params=_tokens(g[0]), body=body, declaring_class=decl.name,
+                    kind="constructor", pos=_position((path, n)),
+                ))
+            else:
+                return None
+    except ValueError:  # a keyword where a name belongs, or an integer past the digit limit
+        return None
+    return None if decl is not None else (classes, interfaces)
+
+
 def parse_program(units: list[SourceUnit], validate: bool = True) -> Program:
-    """Parse a program from one or more source units; validates by default."""
+    """Parse a program from one or more source units; validates by default.
+    Two units with one name raise MirError, as positions could not tell
+    their statements apart."""
     program = Program()
+    names: set[str] = set()
     for unit in units:
-        classes, interfaces = _Parser(unit).parse_unit()
+        if unit.path in names:
+            raise MirError(f"two sources named '{unit.path}': give each source file a distinct name")
+        names.add(unit.path)
+        classes, interfaces = _read_lines(unit) or _Parser(unit).parse_unit()
         program.classes.extend(classes)
         program.interfaces.extend(interfaces)
     if validate:

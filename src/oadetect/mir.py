@@ -482,6 +482,7 @@ def _declared_methods(classes: list[ClassDef]) -> Iterator[MethodDef]:
 def find_method(p: Program, ref: str) -> MethodDef:
     """Look up a method by 'Class.name' or 'Class.name/arity'."""
     arity = None
+    given = ref
     if "/" in ref:
         ref, _, a = ref.partition("/")
         try:
@@ -489,6 +490,8 @@ def find_method(p: Program, ref: str) -> MethodDef:
         except ValueError:
             raise MirError(f"bad arity in method reference '{ref}/{a}', expected Class.method/N") from None
     cls_name, _, name = ref.partition(".")
+    if not (cls_name and name):
+        raise MirError(f"bad method reference '{given}', expected Class.method or Class.method/N")
     cls = p.hierarchy().classes.get(cls_name)
     if cls is None:
         raise MirError(f"unknown class '{cls_name}'")

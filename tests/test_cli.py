@@ -546,6 +546,53 @@ def test_analyze_entry_that_names_no_single_method_exits_3(entry, message, tmp_p
     _assert_one_line_usage_error(code, capsys.readouterr(), f"error: {message}\n")
 
 
+# An entry without a class or a method name used to be looked up with an
+# empty name: "no method '' in class 'A'" or "unknown class ''".
+
+
+@pytest.mark.parametrize("entry", ["A", "A.", ".m", ".m/1", "A./0"])
+def test_analyze_entry_without_class_and_method_exits_3(entry, tmp_path, capsys):
+    src = tmp_path / "a.mir"
+    src.write_text("class A {\n  method m() {\n    x = 1 @L;\n    x = 2 @R;\n  }\n}\n")
+    code = main(["analyze", "--deterministic", "--entry", entry, str(src)])
+    message = f"error: bad method reference '{entry}', expected Class.method or Class.method/N\n"
+    _assert_one_line_usage_error(code, capsys.readouterr(), message)
+
+
+def test_analyze_manifest_entry_without_a_method_exits_3(tmp_path, capsys):
+    d = _scenario_dir(tmp_path, '{"id": "s", "sources": ["a.mir"], "entry": "A"}')
+    code = main(["analyze", "--deterministic", "--mode", "nopa", str(d)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), "bad method reference 'A', expected Class.method")
+
+
+# Two sources with one file name used to share positions: statements on one
+# line were "2 statements share position a.mir:4", and otherwise a report or
+# a sidecar line named either file.
+
+_TWO_SOURCES = (
+    "class A {\n  method m() {\n    x = 1 @L;\n    x = 2 @R;\n  }\n}\n",
+    "class B {\n  field f: int;\n}\n",
+)
+_SAME_NAME = "error: two sources named 'a.mir': give each source file a distinct name\n"
+
+
+@pytest.mark.parametrize("as_dirs", [False, True], ids=["files", "directories"])
+def test_analyze_two_sources_with_one_name_exit_3(as_dirs, tmp_path, capsys):
+    paths = []
+    for sub, text in zip("xy", _TWO_SOURCES):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "a.mir").write_text(text)
+        paths.append(str(tmp_path / sub if as_dirs else tmp_path / sub / "a.mir"))
+    code = main(["analyze", "--deterministic", *paths])
+    _assert_one_line_usage_error(code, capsys.readouterr(), _SAME_NAME)
+
+
+def test_analyze_manifest_listing_a_source_twice_exits_3(tmp_path, capsys):
+    d = _scenario_dir(tmp_path, '{"id": "s", "sources": ["a.mir", "a.mir"]}')
+    code = main(["analyze", "--deterministic", str(d)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), _SAME_NAME)
+
+
 def test_analyze_manifest_entry_with_bad_arity_exits_3(tmp_path, capsys):
     d = _scenario_dir(tmp_path, '{"id": "s", "sources": ["a.mir"], "entry": "A.m/one"}')
     code = main(["analyze", "--deterministic", "--mode", "nopa", str(d)])

@@ -11,6 +11,8 @@ from oadetect.frontend import (
     ProvenanceMap,
     SidecarError,
     SourceUnit,
+    _Parser,
+    _read_lines,
     apply_sidecar,
     entry_candidates,
     parse_program,
@@ -25,9 +27,12 @@ from oadetect.mir import (
     StaticCall,
     ValidationError,
     VirtualCall,
+    all_methods,
     find_method,
     iter_stmts,
 )
+from test_byte_identity import WORKLOAD_DIGESTS, WORKLOAD_SEED, _bench_workloads
+from test_differential import seed_range
 from test_fuzz_frontend import lexed, reference_lexed
 
 
@@ -369,3 +374,51 @@ def test_nesting_beyond_the_limit_exits_3(depth, head, tmp_path, capsys):
     assert (code, captured.out) == (3, "")
     line = 3 + MAX_NESTING + 1  # the opening brace of the first block too deep
     assert captured.err == f"error: deep.mir:{line}: if/while blocks nested deeper than {MAX_NESTING}\n"
+
+
+# ---------------------------------------------------------------------------
+# The line reader's reach. A source it cannot read still parses, through the
+# token parser, so a printer or generator change that moved sources off the
+# line layout would show only as a lost speed-up; these tests pin the reach.
+
+
+def _unread(named_texts) -> list[str]:
+    """The names of the sources the line reader hands to the token parser,
+    or reads to a program other than the token parser's."""
+    unread = []
+    for name, text in named_texts:
+        unit = SourceUnit(name, text)
+        got = _read_lines(unit)
+        if got is None or got != _Parser(unit).parse_unit():
+            unread.append(name)
+    return unread
+
+
+def test_line_reader_reads_the_bundled_corpus():
+    sources = sorted(bundled_corpus_dir().glob("*/*.mir"))
+    assert _unread((f"{p.parent.name}/{p.name}", p.read_text()) for p in sources) == []
+
+
+def _seed_range_prints():
+    """Each seed-range program printed with its markers and without them."""
+    for offset, mkref, program, _ in seed_range():
+        marked = pretty_print(program)
+        stripped = parse_source(marked, validate=False)
+        for m in all_methods(stripped):
+            for st in iter_stmts(m.body):
+                st.provenance = Provenance.BASE
+        yield f"{offset}/{mkref}/marked", marked
+        yield f"{offset}/{mkref}/stripped", pretty_print(stripped)
+
+
+def test_line_reader_reads_the_seed_range_prints():
+    assert _unread(_seed_range_prints()) == []
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
+def test_line_reader_reads_the_bench_workloads(workload, tmp_path, monkeypatch):
+    monkeypatch.delenv("OA_SEED", raising=False)  # as the byte-identity gate builds them
+    wl = _bench_workloads().build_workload(workload, tmp_path / "in", WORKLOAD_SEED)
+    sources = sorted(wl.root.rglob("*.mir"))
+    assert sources
+    assert _unread((str(p.relative_to(wl.root)), p.read_text()) for p in sources) == []

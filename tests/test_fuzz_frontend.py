@@ -1,8 +1,12 @@
 """Fuzzing the frontend and the exit-code contract behind it.
 
 The one-pass lexer is checked against a character loop kept here as the
-reference. Mutated bundled sources must fail, if at all, with a
-`MirError`, and `analyze` over them must exit with a contract code.
+reference. `parse_program`, which reads a source line by line and hands a
+source outside the line layout to the token parser, must build the token
+parser's program or raise its error, on fuzzed text, on mutated bundled
+sources and on bundled sources with blanks, comments and line breaks moved
+about. Mutated sources must fail, if at all, with a `MirError`, and
+`analyze` over them must exit with a contract code.
 """
 
 from __future__ import annotations
@@ -15,13 +19,24 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oadetect.cli import main
-from oadetect.frontend import ParseError, _lex, parse_source
+from oadetect.frontend import (
+    MAX_NESTING,
+    ParseError,
+    SourceUnit,
+    _lex,
+    _Parser,
+    _read_lines,
+    parse_program,
+    parse_source,
+    pretty_print,
+)
 from oadetect.harness import bundled_corpus_dir
-from oadetect.mir import MirError
+from oadetect.mir import MirError, Program, all_methods, iter_stmts
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=400)
 
@@ -174,6 +189,49 @@ def reference_lexed(text: str):
     return "tokens", [(f'"{t.value}"' if t.kind == "STRING" else t.value, t.line) for t in toks]
 
 
+_SOURCES = sorted(bundled_corpus_dir().glob("*/*.mir"))
+# Pieces a line edit inserts: blanks, comments and line breaks.
+_LAYOUT = st.sampled_from(["\n", " ", "\t", "\r", "\r\n", "\n\n", "// c", " // x;", "\n// }\n"])
+
+
+@st.composite
+def _line_edits(draw):
+    """A bundled source with one to three layout edits. Most insert a piece
+    of `_LAYOUT` at a line's start or end; the others insert one inside a
+    line (a line break there splits a statement over two lines) or join a
+    line to the next."""
+    text = draw(st.sampled_from(_SOURCES)).read_text()
+    for _ in range(draw(st.integers(1, 3))):
+        breaks = [i for i, ch in enumerate(text) if ch == "\n"]
+        edit = draw(st.sampled_from(["start", "end", "end", "inside", "join"]))
+        if edit == "join":
+            at = draw(st.sampled_from(breaks))
+            text = text[:at] + draw(st.sampled_from(["", " ", "\t"])) + text[at + 1 :]
+            continue
+        if edit == "inside":
+            at = draw(st.integers(0, len(text)))
+        else:
+            at = draw(st.sampled_from(breaks)) + (edit == "start")
+        text = text[:at] + draw(_LAYOUT) + text[at:]
+    return text
+
+
+def parsed(text: str):
+    """`parse_program`'s unvalidated program for `text`, or its error."""
+    try:
+        return parse_program([SourceUnit("fuzz.mir", text)], validate=False)
+    except MirError as e:
+        return type(e).__name__, str(e)
+
+
+def token_parsed(text: str):
+    """`parsed` by the token parser alone."""
+    try:
+        return Program(*_Parser(SourceUnit("fuzz.mir", text)).parse_unit())
+    except MirError as e:
+        return type(e).__name__, str(e)
+
+
 def _analyze(path: Path):
     out, err = io.StringIO(), io.StringIO()
     argv = [
@@ -208,6 +266,94 @@ def test_parse_source_raises_only_mir_errors(text):
         parse_source(text, path="fuzz.mir")
     except MirError:
         pass
+
+
+@FUZZ
+@given(st.one_of(_TEXT, _programs(), _mutants().map(lambda m: m[2]), _line_edits()))
+def test_parse_program_agrees_with_the_token_parser(text):
+    assert parsed(text) == token_parsed(text)
+
+
+def _method(*lines: str) -> str:
+    return "class A {\n  method m(c) {\n" + "".join(f"    {line}\n" for line in lines) + "  }\n}\n"
+
+
+# Sources the line reader reads itself: comments, carriage returns, tabs,
+# strings that hold `//`, `;` or `@L`, an empty file and a file without a
+# trailing newline.
+_READ_BY_LINES = {
+    "empty": "",
+    "no-final-newline": "class A {\n}",
+    "crlf-tabs-comments": "// head\r\nclass A { // c\r\n\tfield f: int;\t\r\n}\r\n",
+    "strings": _method('x = "a // b;" @L; // c', 'y = "@L";', "call c.m(\"//\", 1) @R;", "// x = 1;", "\t"),
+    "blocks": _method("if c {", "  x = 1;", "} else {", '  y = "}";', "}", "while c {", "}"),
+    "modifiers": "class A {\n  private\tstatic\tmethod m() {\n  }\n  public static method n(a,b) {\n  }\n"
+                 "  static method o() {\n  }\n  field\tstatic g: A [ ];\n  ctor ( ) {\n  }\n}\n",
+}
+
+
+@pytest.mark.parametrize("text", _READ_BY_LINES.values(), ids=_READ_BY_LINES.keys())
+def test_line_reader_reads_comments_blanks_and_strings(text):
+    assert _read_lines(SourceUnit("fuzz.mir", text)) is not None
+    assert parsed(text) == token_parsed(text)
+
+
+def _nested_ifs(depth: int) -> str:
+    return _method(*["if c {"] * depth, *["}"] * depth)
+
+
+# Sources the token parser reads or rejects: non-ASCII letters and digits,
+# keywords spelled as names, an integer past the digit limit, blocks nested
+# past MAX_NESTING and an `else` off its closing brace's line.
+_TRAPS = {
+    "superscript-digit": _method("x = 1²;"),
+    "latin-letter": _method("xé = 1;"),
+    "arabic-digit": _method("x = ٣;"),
+    "digit-index": _method("x[٣] = 1;"),
+    "digit-load-index": _method("x = c[²];"),
+    "digit-size": _method("x = newarr int ٣;"),
+    "letter-class": "class Aé {\n}\n",
+    "keyword-target": _method("new = 1;"),
+    "keyword-field": _method("x = y.new;"),
+    "keyword-receiver": _method("call op.m();"),
+    "keyword-return": _method("return while;"),
+    "keyword-source": _method("x = op;"),
+    "keyword-argument": _method("call c.m(1, new);"),
+    "keyword-method": "class A {\n  method if() {\n  }\n}\n",
+    "keyword-field-name": "class A {\n  field static: int;\n}\n",
+    "keyword-superclass": "class A extends class {\n}\n",
+    "keyword-param": "class A {\n  method m(x, new) {\n  }\n}\n",
+    "long-literal": _method(f"x = {'9' * 5000};"),
+    "long-index": _method(f"x[{'9' * 5000}] = 1;"),
+    "too-deep": _nested_ifs(MAX_NESTING + 1),
+    "else-own-line": _method("if c {", "}", "else {", "}"),
+    "else-twice": _method("if c {", "} else {", "} else {", "}"),
+    "while-else": _method("while c {", "} else {", "}"),
+    "else-after-close": _method("if c {", "}", "} else {", "}"),
+    "two-statements": _method("x = 1; y = 2;"),
+    "split-statement": _method("x =", "1;"),
+    "one-line-class": "class A { }\n",
+}
+
+
+@pytest.mark.parametrize("text", _TRAPS.values(), ids=_TRAPS.keys())
+def test_line_reader_hands_traps_to_the_token_parser(text):
+    assert _read_lines(SourceUnit("fuzz.mir", text)) is None
+    assert parsed(text) == token_parsed(text)
+
+
+def test_deepest_nesting_is_read_by_lines():
+    # Programs this deep compare past Python's stack, so compare their prints
+    # and the positions of their statements.
+    text = _nested_ifs(MAX_NESTING)
+    assert _read_lines(SourceUnit("fuzz.mir", text)) is not None
+    got, want = parsed(text), token_parsed(text)
+    assert pretty_print(got) == pretty_print(want)
+    assert _positions(got) == _positions(want)
+
+
+def _positions(p: Program) -> list:
+    return [(m.pos, [st.pos for st in iter_stmts(m.body)]) for m in all_methods(p)]
 
 
 @settings(FUZZ, max_examples=100)
