@@ -83,16 +83,63 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
 
+    # `==` and `repr` walk nested records and lists with a stack of their
+    # own: recursing, each nesting level of `if` blocks would take several
+    # Python frames, and blocks nest up to the frontend's MAX_NESTING deep.
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if _opens(a) and b.__class__ is a.__class__:
+                if a.__class__ is list:
+                    if len(a) != len(b):
+                        return False
+                    pairs.extend(zip(reversed(a), reversed(b)))
+                else:
+                    pairs.extend(zip(reversed(a._values()), reversed(b._values())))
+            elif not a == b:
+                return False
+        return True
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        parts: list[str] = []
+        todo: list = [self]  # values to show, and text to copy as `_Text`
+        while todo:
+            item = todo.pop()
+            if item.__class__ is _Text:
+                parts.append(item)
+            elif not _opens(item):
+                parts.append(repr(item))
+            elif item.__class__ is list:
+                todo.append(_Text("]"))
+                for i in range(len(item) - 1, -1, -1):
+                    todo.append(item[i])
+                    if i:
+                        todo.append(_Text(", "))
+                todo.append(_Text("["))
+            else:
+                todo.append(_Text(")"))
+                for i in range(len(item._fields) - 1, -1, -1):
+                    todo.append(getattr(item, item._fields[i]))
+                    todo.append(_Text(f"{', ' if i else ''}{item._fields[i]}="))
+                todo.append(_Text(f"{type(item).__qualname__}("))
+        return "".join(parts)
+
+
+class _Text(str):
+    """Text that `Record.__repr__` copies as it is."""
+
+
+def _opens(value) -> bool:
+    """Whether `Record.__eq__` and `__repr__` walk into `value`."""
+    return value.__class__ is list or isinstance(value, Record)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import argparse
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from oadetect import cli
 from oadetect.cli import main
 from oadetect.frontend import pretty_print
 from oadetect.harness import bundled_corpus_dir
+from oadetect.mir import MirError
 from oadetect.randprog import DEFAULT_SEED, generate_program
 
 
@@ -120,8 +124,28 @@ def test_top_level_help_is_a_short_description(capsys):
     assert "builds only the parser" not in out
 
 
-# `main` builds the parser of the subcommand its first word names; on each
-# of these it must act as the parser of all four subcommands does.
+def _full_parser_main(argv) -> int:
+    """What `main` did with `argv` when it parsed every call with the
+    parser of all four subcommands, built with argparse's own help
+    formatter: the reference that `main` must act as."""
+    parser = cli._Parser(prog="oadetect", description=cli.DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli.COMMANDS.items():
+        command.add_arguments(sub.add_parser(name, help=command.help))
+    try:
+        args = parser.parse_args(argv)
+        return cli.COMMANDS[args.command].run(args)
+    except SystemExit:
+        return cli.EXIT_FALSE
+    except (MirError, OSError) as e:
+        print(cli._one_line(f"error: {e}"), file=sys.stderr)
+        return cli.EXIT_ERROR
+
+
+FIG1_SIMPLE = corpus_path("fig1_simple")
+
+# `main` parses a named subcommand's arguments with that subcommand's parser
+# alone; on each of these it must act as the parser of all four does.
 FULL_PARSER_PROBES = [
     [],
     ["-h"],
@@ -132,15 +156,53 @@ FULL_PARSER_PROBES = [
     ["analyze", "--fuel", "x", "a.mir"],
     ["corpus", "--root", "a", "--modes", "nopa,zz"],
     ["dump-graph", "--mode", "hybrid", "a.mir"],
+    ["analyze", "--det", FIG1_SIMPLE],  # an abbreviation
+    ["analyze", "--mode=pa", FIG1_SIMPLE],
+    ["analyze", FIG1_SIMPLE, "--fuel"],  # a missing value
+    ["--", "analyze", "--deterministic", FIG1_SIMPLE],
 ]
 
 
-@pytest.mark.parametrize("argv", FULL_PARSER_PROBES, ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_main_acts_as_the_full_parser(argv, capsys, monkeypatch):
+def _probe_id(argv) -> str:
+    return " ".join(argv).replace(FIG1_SIMPLE, "fig1_simple") or "no-arguments"
+
+
+@pytest.mark.parametrize("argv", FULL_PARSER_PROBES, ids=_probe_id)
+def test_main_acts_as_the_full_parser(argv, capsys):
     got = main(argv), capsys.readouterr()
-    build_all = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda names: build_all())
-    assert (main(argv), capsys.readouterr()) == got
+    assert (_full_parser_main(argv), capsys.readouterr()) == got
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", [["-h"], ["analyze", "-h"]], ids=" ".join)
+def test_help_is_the_full_parsers_at_any_width(argv, columns, capsys, monkeypatch):
+    # Every parser reads the width once; argparse's formatter reads it per use.
+    monkeypatch.setenv("COLUMNS", columns)
+    got = main(argv), capsys.readouterr()
+    assert (_full_parser_main(argv), capsys.readouterr()) == got
+    assert got[0] == 0 and got[1].out.startswith("usage: oadetect")
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_subcommand_builds_one_parser_and_reads_the_terminal_once(name, monkeypatch):
+    counts = {"parsers": 0, "sizes": 0}
+    make_parser, terminal_size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
+
+    def counted_parser(self, *args, **kwargs):
+        counts["parsers"] += 1
+        make_parser(self, *args, **kwargs)
+
+    def counted_size(*args, **kwargs):
+        counts["sizes"] += 1
+        return terminal_size(*args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_parser)
+    monkeypatch.setattr(shutil, "get_terminal_size", counted_size)
+    monkeypatch.setitem(cli.COMMANDS, name, cli.COMMANDS[name]._replace(run=lambda args: 0))
+    argv = {"corpus": ["--root", "a"]}.get(name, ["a.mir"])
+    assert main([name, *argv]) == 0
+    assert counts["parsers"] == 1
+    assert counts["sizes"] <= 1
 
 
 def test_analyze_builds_no_other_subcommand(monkeypatch, capsys):

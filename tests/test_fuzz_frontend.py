@@ -343,11 +343,10 @@ def test_line_reader_hands_traps_to_the_token_parser(text):
 
 
 def test_deepest_nesting_is_read_by_lines():
-    # Programs this deep compare past Python's stack, so compare their prints
-    # and the positions of their statements.
     text = _nested_ifs(MAX_NESTING)
     assert _read_lines(SourceUnit("fuzz.mir", text)) is not None
     got, want = parsed(text), token_parsed(text)
+    assert got == want
     assert pretty_print(got) == pretty_print(want)
     assert _positions(got) == _positions(want)
 

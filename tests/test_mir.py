@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from oadetect.frontend import parse_source
+from oadetect.frontend import MAX_NESTING, parse_source
 from oadetect.mir import (
     MirError,
     find_method,
@@ -173,3 +173,31 @@ def test_subtype_transitive():
     assert subtype_of("B", "A", p)
     assert subtype_of("B", "I", p)
     assert not subtype_of("I", "B", p)
+
+
+def _nested_to_the_limit(innermost: str) -> str:
+    opens = ["    if c {"] * MAX_NESTING
+    closes = ["    }"] * MAX_NESTING
+    return "\n".join(["class A {", "  method m(c) {", *opens, f"    {innermost}", *closes, "  }", "}"]) + "\n"
+
+
+def test_programs_nested_to_the_limit_compare_without_overflow():
+    # `==` used to recurse a few frames per block and overflowed from about
+    # 250 blocks deep, short of what the frontend accepts.
+    p, q = (parse_source(_nested_to_the_limit("x = 2 @R;")) for _ in range(2))
+    assert p == q and not p != q
+    other = parse_source(_nested_to_the_limit("x = 3 @R;"))
+    assert p != other and other != p
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(p)
+
+
+def test_repr_of_a_program_nested_to_the_limit_names_the_innermost_statement():
+    text = repr(parse_source(_nested_to_the_limit("x = 2 @R;")))
+    assert text.startswith("Program(classes=[ClassDef(name='A'")
+    assert text.count("If(") == MAX_NESTING
+    innermost = (
+        "CopyAssign(pos=Position(file='input.mir', line=303), provenance=<Provenance.RIGHT: 'right'>, "
+        "target='x', source=Const(value=2))], else_body=[])"
+    )
+    assert innermost in text
