@@ -11,7 +11,10 @@ only). It exits 0 when every requested mode is conflict-free, 1 when any
 mode reports a conflict, 2 when any mode times out (and none conflicts), 3
 on usage, input or parse errors. `corpus` evaluates scenario directories and writes the records
 stream plus the confusion/metrics/transitions/histogram/timing tables. Both
-run `harness.run_scenario` per scenario. Without `--out`, `analyze` prints
+run `harness.run_scenario` per scenario. Asked for both `pa` and `hybrid`,
+it runs `pa` first and, without a wall clock, gives `hybrid` that outcome
+on a unit where `pa` logs no `unresolved-call` miss-reference: the two
+modes differ only at a call `pa` cannot resolve. Without `--out`, `analyze` prints
 only verdicts and reports, so it asks for verdicts only: a unit whose path
 tree has more paths or visits than the budget allows times out as soon as
 `engine.count_tree` counts past it, and one within budget where no left
@@ -97,11 +100,16 @@ def _add_budget_flags(sub) -> None:
 
 
 def _load_sources(paths: list[str]) -> list[SourceUnit]:
+    """Loose source files, and the `.mir` files of directories without a
+    manifest; a directory with none is an input error."""
     units: list[SourceUnit] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            for f in sorted(path.glob("*.mir")):
+            files = sorted(path.glob("*.mir"))
+            if not files:
+                raise MirError(f"no .mir sources in {path}")
+            for f in files:
                 units.append(SourceUnit(f.name, read_text(f)))
         else:
             units.append(SourceUnit(path.name, read_text(path)))

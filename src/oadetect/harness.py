@@ -20,6 +20,7 @@ per-unit timing means.
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
@@ -77,16 +78,39 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
+def _inside(directory: Path, key: str, name: str) -> Path:
+    """`directory / name`, the file a manifest's `key` entry names, which
+    must lie inside the scenario directory: an absolute path, a `..` escape
+    or a symlink that resolves outside it is a manifest error."""
+    path = directory / name
+    # A bare file name that is no symlink stays inside; only another name
+    # pays for resolving, tens of microseconds a file.
+    if os.path.basename(name) == name and name != ".." and not os.path.islink(path):
+        return path
+    try:
+        # Not strict, and not `Path.resolve`, which raises RuntimeError on a
+        # symlink loop: a loop resolves to a name here, and reading it then
+        # raises the OSError that a loop raises anywhere.
+        real = os.path.realpath(path)
+    except ValueError:  # a NUL byte: no file has that name, and `read_text` says so
+        return path
+    if not Path(real).is_relative_to(os.path.realpath(directory)):
+        raise MirError(
+            f"{directory / 'scenario.json'}: '{key}' entry {json.dumps(name)} is outside the scenario directory"
+        )
+    return path
+
+
 def load_scenario(directory: Path) -> Scenario:
     directory = Path(directory)
     manifest = _read_manifest(directory / "scenario.json")
-    sources = [
-        SourceUnit(name, read_text(directory / name))
-        for name in manifest["sources"]
-    ]
-    sidecar = None
-    if manifest.get("sidecar") is not None:
-        sidecar = ProvenanceMap.from_json(read_text(directory / manifest["sidecar"]))
+    # Every name is checked before any file is read.
+    names = manifest["sources"]
+    paths = [_inside(directory, "sources", name) for name in names]
+    sidecar_name = manifest.get("sidecar")
+    sidecar_path = None if sidecar_name is None else _inside(directory, "sidecar", sidecar_name)
+    sources = [SourceUnit(name, read_text(path)) for name, path in zip(names, paths)]
+    sidecar = None if sidecar_path is None else ProvenanceMap.from_json(read_text(sidecar_path))
     truth = manifest.get("ground_truth")
     project = manifest.get("project")  # absent or null: the scenario is its own project
     return Scenario(
@@ -178,7 +202,7 @@ def run_scenario(
 
     The one pipeline behind `analyze` and `corpus`: parse and expand the
     scenario, solve points-to once per program if a mode uses it, build
-    the CHA graph once per entry if a mode uses it, and run `detect` per
+    the CHA graph once per entry if a run reads it, and run `detect` per
     unit and mode over those shared graphs. A repetition's timing is the
     `elapsed_ms` that `detect` measures, 0 without a wall-clock budget.
     `verdict_only` goes to `detect`: a unit whose path tree exceeds the
@@ -189,6 +213,16 @@ def run_scenario(
     whose sides cannot meet is walked only down to where a budget runs
     out, and any other unit skips, by their counts, the call subtrees that
     cannot change a finding.
+
+    With both `pa` and `hybrid` asked for, `pa` runs first, and a unit
+    whose `pa` outcome holds no `unresolved-call` miss-reference gives
+    `hybrid` that outcome and timing list without a second `detect`. The
+    two modes differ only at a virtual site with no points-to targets,
+    which `hybrid` widens to its CHA targets and where both log that miss
+    on first resolving it; so where `pa` reached none, `hybrid` makes the
+    same choice at every step. Only without a wall clock, where nothing
+    is timed: under one, `hybrid` always runs, so its timings and any
+    clock timeout are its own. Results keep the order of `modes`.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -196,15 +230,19 @@ def run_scenario(
     program, units = scenario_units(s)
 
     needs_pts = any(m.uses_pts for m in modes)
-    needs_cha = any(m.uses_cha for m in modes)
     pts = solve(program) if needs_pts else None
+    # Untimed only: a timed `hybrid` keeps its own clock and timings.
+    share_pa = Mode.PA in modes and Mode.HYBRID in modes and budget.wall_clock is None
 
     out: list[UnitResult] = []
     for unit_id, entry in units:
-        cha = build_cha_graph(program, entry) if needs_cha else None
-        for mode in modes:
-            verdict = None
-            outcome = None
+        cha = None  # built when a run first reads it; a shared `hybrid` does not
+
+        def run(mode: Mode) -> tuple[AnalysisOutcome, list[float]]:
+            nonlocal cha
+            if mode.uses_cha and cha is None:
+                cha = build_cha_graph(program, entry)
+            verdict = outcome = None
             timings: list[float] = []
             for _ in range(reps):
                 outcome = detect(program, entry, mode, budget=budget, cha=cha, pts=pts,
@@ -216,12 +254,21 @@ def run_scenario(
                     raise MirError(
                         f"nondeterministic verdict for {unit_id} under {mode.value}"
                     )
+            return outcome, timings
+
+        done: dict[Mode, tuple[AnalysisOutcome, list[float]]] = {}
+        if share_pa:
+            done[Mode.PA] = run(Mode.PA)
+            if not any(m.reason == "unresolved-call" for m in done[Mode.PA][0].missrefs):
+                done[Mode.HYBRID] = done[Mode.PA]
+        for mode in modes:
+            outcome, timings = done[mode] if mode in done else run(mode)
             out.append(
                 UnitResult(
                     unit=unit_id,
                     project=s.project,
                     mode=mode,
-                    verdict=verdict,
+                    verdict=outcome.verdict,
                     outcome=outcome,
                     timings_ms=timings,
                     ground_truth=s.ground_truth,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CONFLICT_THEN_FORKS, NESTED_CALLS, parse_records
-from oadetect import cli
+from oadetect import cli, harness
 from oadetect.cli import main
 from oadetect.frontend import pretty_print
 from oadetect.harness import bundled_corpus_dir
@@ -584,6 +585,84 @@ def test_analyze_rejects_malformed_manifest(manifest, fragment, tmp_path, capsys
     d = _scenario_dir(tmp_path, manifest)
     code = main(["analyze", "--mode", "nopa", str(d)])
     _assert_one_line_usage_error(code, capsys.readouterr(), fragment)
+
+
+# A manifest used to read any file it named: `"sources": ["/etc/hostname"]`
+# printed that file's first word in a parse error.
+
+
+@pytest.mark.parametrize("key", ["sources", "sidecar"])
+@pytest.mark.parametrize("how", ["absolute", "dotdot", "symlink"])
+def test_analyze_rejects_a_manifest_path_outside_the_scenario(key, how, tmp_path, capsys, monkeypatch):
+    outside = tmp_path / "outside.txt"
+    outside.write_text("{}")
+    d = _scenario_dir(tmp_path, "{}")
+    name = {"absolute": str(outside), "dotdot": "../outside.txt", "symlink": "link.txt"}[how]
+    if how == "symlink":
+        (d / name).symlink_to(outside)
+    manifest = {"id": "s", "sources": ["a.mir"]}
+    manifest[key] = [name] if key == "sources" else name
+    (d / "scenario.json").write_text(json.dumps(manifest))
+    read = []
+    monkeypatch.setattr(harness, "read_text", lambda path: read.append(path) or Path(path).read_text())
+    code = main(["analyze", "--mode", "nopa", str(d)])
+    message = f"{d / 'scenario.json'}: '{key}' entry {json.dumps(name)} is outside the scenario directory"
+    _assert_one_line_usage_error(code, capsys.readouterr(), message)
+    assert read == [d / "scenario.json"]  # no file the manifest names is read
+
+
+@pytest.mark.parametrize("name", ["link.mir", "sub/../sub/link.mir"])
+def test_analyze_accepts_a_manifest_path_that_stays_inside(name, tmp_path, capsys):
+    d = _scenario_dir(tmp_path, "{}")
+    (d / "sub").mkdir()
+    for link in ("link.mir", "sub/link.mir"):
+        (d / link).symlink_to(d / "a.mir")
+    (d / "scenario.json").write_text(json.dumps({"id": "s", "sources": [name]}))
+    assert main(["analyze", "--deterministic", "--mode", "nopa", str(d)]) == 1
+    assert "verdict: true" in capsys.readouterr().out
+
+
+# Checking a name that is not bare used to resolve it with `Path.resolve`,
+# which raised RuntimeError on a symlink loop and ValueError on a NUL byte
+# past the first component: a traceback and exit 1.
+
+
+@pytest.mark.parametrize("key", ["sources", "sidecar"])
+@pytest.mark.parametrize("name", ["loop.mir", "sub/loop.mir", "sub/a\x00", "/a\x00"])
+def test_analyze_rejects_a_manifest_path_that_cannot_be_read(key, name, tmp_path, capsys):
+    d = _scenario_dir(tmp_path, "{}")
+    (d / "sub").mkdir()
+    for loop in ("loop.mir", "sub/loop.mir"):
+        (d / loop).symlink_to(d / loop)
+    manifest = {"id": "s", "sources": ["a.mir"]}
+    manifest[key] = [name] if key == "sources" else name
+    (d / "scenario.json").write_text(json.dumps(manifest))
+    code = main(["analyze", "--mode", "nopa", str(d)])
+    fragment = "Too many levels of symbolic links" if "loop" in name else "embedded null byte"
+    _assert_one_line_usage_error(code, capsys.readouterr(), fragment)
+
+
+@pytest.mark.parametrize("name", ["sub/loop.mir", "sub/a\x00"])
+def test_corpus_with_a_manifest_path_that_cannot_be_read_exits_3(name, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    d = _corpus_with_bad_scenario(root, json.dumps({"id": "s", "sources": [name]}))
+    (d / "sub").mkdir()
+    (d / "sub/loop.mir").symlink_to(d / "sub/loop.mir")
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--reps", "1", "--root", str(root), "--out", str(out)])
+    fragment = "Too many levels of symbolic links" if "loop" in name else "embedded null byte"
+    _assert_scenario_error_beside_fig1_simple(code, capsys.readouterr(), out, fragment)
+
+
+# A directory with no source and no manifest used to reach each command as
+# an empty program: `analyze` found no dually modified declaration,
+# `dump-graph` asked for an entry and `dump-pts` printed nothing, exit 0.
+
+
+@pytest.mark.parametrize("command", ["analyze", "dump-graph", "dump-pts"])
+def test_a_directory_with_no_sources_exits_3(command, tmp_path, capsys):
+    code = main([command, str(tmp_path)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), f"error: no .mir sources in {tmp_path}\n")
 
 
 # A non-numeric arity used to raise ValueError from int() in find_method,

@@ -36,6 +36,11 @@ The sides pass and the quiet pass read the effects table the lowering
 fills, one entry per method. `reference_sides_meet` and `reference_quiet`
 in conftest are the passes it replaced, which walk the lowered ops, nested
 blocks included: both must give the same sets on every unit.
+
+`harness.run_scenario` gives `hybrid` the outcome of `pa` on a unit where
+`pa` logs no unresolved-call miss-reference. A `hybrid` run of its own is
+the reference there: verdict, conflicts, miss-references, counters and
+stop reason must all be equal.
 """
 
 from __future__ import annotations
@@ -524,6 +529,62 @@ def test_effects_table_answers_as_the_op_walking_passes(tmp_path, monkeypatch):
                     met += 1
                     quiet += bool(quiet_ids)
     assert (runs, met, quiet) == (1146, 426, 280)
+
+
+# ---------------------------------------------------------------------------
+# `hybrid` against `pa` where `pa` resolves every call it reaches
+
+# The seed range's budgets here: the property suite's, less fuel, and a
+# smaller path cap, so that count and walk stop at other places too.
+HYBRID_BUDGETS = (PROP_BUDGET, dict(fuel=3_000, path_cap=512), dict(fuel=20_000, path_cap=40))
+
+
+def hybrid_groups(tmp_path):
+    """(group, [(program, entry, budgets)]): the seed range at each of
+    `HYBRID_BUDGETS`, the bundled corpus, and each bench workload at its
+    seed."""
+    budgets = [budget(**b) for b in HYBRID_BUDGETS]
+    yield "seed range", [(p, entry, budgets) for _, _, p, entry in seed_range() if entry is not None]
+    groups = {"bundled": [(load_bundled(name), budget()) for name in BUNDLED]}
+    for workload in sorted(WORKLOAD_DIGESTS):
+        wl = _bench_workloads().build_workload(workload, tmp_path / workload, WORKLOAD_SEED)
+        groups[workload] = [(load_scenario(spec.directory), budget(**wl.budget)) for spec in wl.scenarios]
+    for group, scenarios in groups.items():
+        units = []
+        for scenario, bud in scenarios:
+            program, entries = scenario_units(scenario)
+            units.extend((program, entry, [bud]) for _, entry in entries)
+        yield group, units
+
+
+def test_hybrid_equals_pa_where_pa_resolves_every_call(tmp_path, monkeypatch):
+    # `harness.run_scenario` gives `hybrid` the outcome of `pa` on such a
+    # unit without running it; here both run, verdict-only and full.
+    monkeypatch.delenv("OA_SEED", raising=False)  # as the benchmark builds its workloads
+    shares = {}
+    for group, units in hybrid_groups(tmp_path):
+        qualifying = runs = 0
+        for p, entry, budgets in units:
+            cha, pts = build_cha_graph(p, entry), solve(p)
+            for bud in budgets:
+                for verdict_only in (True, False):
+                    pa = detect(p, entry, Mode.PA, budget=bud, cha=cha, pts=pts, verdict_only=verdict_only)
+                    runs += 1
+                    if any(m.reason == "unresolved-call" for m in pa.missrefs):
+                        continue
+                    qualifying += 1
+                    hybrid = detect(p, entry, Mode.HYBRID, budget=bud, cha=cha, pts=pts, verdict_only=verdict_only)
+                    assert (outcome_fields(hybrid), hybrid.stats.stop_reason) == (
+                        outcome_fields(pa), pa.stats.stop_reason), (group, entry.id, bud, verdict_only)
+        shares[group] = (qualifying, runs)
+    assert all(q > 0 for q, _ in shares.values())
+    # (qualifying runs, runs), two runs per unit and budget: the bundled
+    # corpus and gate-bundled lose mkref, and every wide-hierarchy unit
+    # qualifies.
+    assert shares == {
+        "seed range": (762, 1170), "bundled": (6, 8),
+        "gate-bundled": (6, 8), "scan-random": (36, 66), "wide-hierarchy": (130, 130),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from statistics import mean
 
 import pytest
 
-from conftest import annotate_missref_paths, budget
+from conftest import ALL_MODES, annotate_missref_paths, budget
+from oadetect import harness
 from oadetect.engine import AnalysisBudget, Mode, Verdict
 from oadetect.frontend import SourceUnit
 from oadetect.harness import (
@@ -242,6 +243,72 @@ def test_run_scenario_timings_are_detects_elapsed_times():
     assert len(result.timings_ms) == 3 and result.timings_ms[-1] == result.outcome.stats.elapsed_ms
     (untimed,) = run_scenario(load_bundled("fig1_simple"), [Mode.PA], budget=budget(), reps=2)
     assert untimed.timings_ms == [0.0, 0.0]
+
+
+# `hybrid` differs from `pa` only at a virtual site with no points-to
+# targets, where both log an unresolved-call miss; a unit whose `pa` outcome
+# holds none gives `hybrid` that outcome without a second `detect`.
+
+
+@pytest.fixture
+def detect_calls(monkeypatch):
+    """The mode of each `detect` call `run_scenario` makes, in call order."""
+    calls = []
+    real = harness.detect
+
+    def counted(program, entry, mode, **kwargs):
+        calls.append(mode)
+        return real(program, entry, mode, **kwargs)
+
+    monkeypatch.setattr(harness, "detect", counted)
+    return calls
+
+
+def test_hybrid_takes_pas_outcome_where_pa_resolves_every_call(detect_calls):
+    nopa, pa, hybrid = run_scenario(load_bundled("fig1_simple"), list(ALL_MODES), budget=budget())
+    assert detect_calls == [Mode.PA, Mode.NOPA]  # pa runs first, and hybrid not at all
+    assert (nopa.mode, pa.mode, hybrid.mode) == ALL_MODES
+    assert hybrid.outcome is pa.outcome and hybrid.verdict is pa.verdict is T
+
+
+def test_hybrid_runs_its_own_detect_where_pa_leaves_a_call_unresolved(detect_calls):
+    nopa, pa, hybrid = run_scenario(load_bundled("mkref"), list(ALL_MODES), budget=budget())
+    assert len(detect_calls) == 3
+    assert "unresolved-call" in {m.reason for m in pa.outcome.missrefs}
+    assert (pa.verdict, hybrid.verdict) == (F, T)
+
+
+def test_a_shared_outcome_keeps_the_requested_mode_order(detect_calls):
+    hybrid, pa = run_scenario(load_bundled("fig1_simple"), [Mode.HYBRID, Mode.PA], budget=budget())
+    assert (hybrid.mode, pa.mode) == (Mode.HYBRID, Mode.PA)
+    assert detect_calls == [Mode.PA] and hybrid.outcome is pa.outcome
+
+
+def test_a_shared_outcome_carries_pas_timings(detect_calls):
+    pa, hybrid = run_scenario(load_bundled("fig1_simple"), [Mode.PA, Mode.HYBRID], budget=budget(), reps=3)
+    assert detect_calls == [Mode.PA] * 3
+    assert hybrid.timings_ms is pa.timings_ms == [0.0, 0.0, 0.0]
+
+
+def test_a_timed_hybrid_runs_its_own_detect(detect_calls):
+    # Under a wall clock `hybrid`'s timings and clock timeout are its own.
+    timed = AnalysisBudget(wall_clock=30.0)
+    pa, hybrid = run_scenario(load_bundled("fig1_simple"), [Mode.PA, Mode.HYBRID], budget=timed, reps=3)
+    assert detect_calls == [Mode.PA] * 3 + [Mode.HYBRID] * 3
+    assert hybrid.outcome is not pa.outcome and hybrid.timings_ms is not pa.timings_ms
+    assert hybrid.outcome.stats.elapsed_ms == hybrid.timings_ms[-1] > 0.0
+    assert hybrid.verdict is pa.verdict is T
+
+
+def test_a_shared_outcome_builds_no_cha_graph(monkeypatch):
+    built = []
+    real = harness.build_cha_graph
+    monkeypatch.setattr(harness, "build_cha_graph", lambda p, entry: built.append(entry.id) or real(p, entry))
+    run_scenario(load_bundled("fig1_simple"), [Mode.PA, Mode.HYBRID], budget=budget())
+    assert built == []
+    run_scenario(load_bundled("mkref"), [Mode.PA, Mode.HYBRID], budget=budget())
+    run_scenario(load_bundled("fig1_simple"), list(ALL_MODES), budget=budget())
+    assert len(built) == 2  # one per entry whose runs read it
 
 
 def test_run_corpus_report_advanced_verdicts():
