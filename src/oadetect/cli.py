@@ -135,14 +135,17 @@ def _modes(flag: str, names: list[str]) -> list[Mode]:
 def _analyze_scenario(sources: list[str], sidecar=None, entry=None) -> Scenario:
     """The scenario a command's `sources` name: one scenario directory or
     loose sources. A `sidecar` file and an `entry` given on the command line
-    take precedence over its manifest."""
+    take precedence over its manifest. A scenario directory given beside
+    other sources is an input error: its manifest would go unread."""
     # An empty value is an error, not the option left out.
     _require(entry != "", "--entry", "non-empty", '""')
     _require(sidecar != "", "--sidecar", "non-empty", '""')
     provenance = ProvenanceMap.from_json(read_text(sidecar)) if sidecar is not None else None
-    single = Path(sources[0]) if len(sources) == 1 else None
-    if single is not None and (single / "scenario.json").exists():
-        scenario = load_scenario(single)
+    scenarios = [Path(s) for s in sources if (Path(s) / "scenario.json").exists()]
+    if scenarios and len(sources) > 1:
+        raise MirError(f"{scenarios[0]} is a scenario directory: give it alone, without other sources")
+    if scenarios:
+        scenario = load_scenario(scenarios[0])
     else:
         label = " ".join(sources)
         scenario = Scenario(id=label, project=label, sources=_load_sources(sources))

@@ -61,6 +61,8 @@ def _read_manifest(path: Path) -> dict:
     sources = manifest["sources"]
     if not isinstance(sources, list) or not all(isinstance(n, str) for n in sources):
         raise MirError(f"{path}: 'sources' must be a list of file names")
+    if not sources:
+        raise MirError(f"{path}: 'sources' must name at least one file")
     for key in ("project", "sidecar", "entry"):
         if not isinstance(manifest.get(key), (str, type(None))):
             raise MirError(f"{path}: '{key}' must be a string or null")

@@ -10,7 +10,6 @@ Once validated, a Program is treated as immutable by all analyses.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -381,11 +380,12 @@ class FieldDef(NamedTuple):
 
 
 class MethodDef(Record):
-    """`id` and `display` are formatted once, on first read: `name`,
-    `params` and `declaring_class` must not change after construction."""
+    """`id` ('Class.name/arity') and `display` ('Class.name()') are
+    formatted in the constructor: `name`, `params` and `declaring_class`
+    must not change after construction."""
 
-    # No __slots__: `cached_property` keeps its values in the instance dict.
     _fields = ("name", "params", "body", "declaring_class", "kind", "static", "public", "pos")
+    __slots__ = _fields + ("id", "display")
 
     def __init__(
         self,
@@ -406,14 +406,8 @@ class MethodDef(Record):
         self.static = static
         self.public = public
         self.pos = pos
-
-    @cached_property
-    def id(self) -> str:
-        return f"{self.declaring_class}.{self.name}/{len(self.params)}"
-
-    @cached_property
-    def display(self) -> str:
-        return f"{self.declaring_class}.{self.name}()"
+        self.id = f"{declaring_class}.{name}/{len(params)}"
+        self.display = f"{declaring_class}.{name}()"
 
     @property
     def is_constructor(self) -> bool:
@@ -506,24 +500,29 @@ class Diagnostic(NamedTuple):
 
 
 def iter_stmts(body: list[Stmt]) -> Iterator[Stmt]:
-    """All statements in a body, descending into structured blocks."""
-    for st in body:
-        yield st
-        if isinstance(st, If):
-            yield from iter_stmts(st.then_body)
-            yield from iter_stmts(st.else_body)
-        elif isinstance(st, While):
-            yield from iter_stmts(st.body)
+    """All statements in a body in pre-order, descending into structured
+    blocks, a then-arm before its else-arm. The body is flattened into one
+    list with an explicit stack before the first statement is returned, so
+    deep nesting costs no Python frames and a change to the body during
+    the walk is not seen."""
+    out: list[Stmt] = []
+    todo = body[::-1]
+    while todo:
+        st = todo.pop()
+        out.append(st)
+        t = type(st)
+        if t is If:
+            todo += st.else_body[::-1]
+            todo += st.then_body[::-1]
+        elif t is While:
+            todo += st.body[::-1]
+    return iter(out)
 
 
 def all_methods(p: Program) -> Iterator[MethodDef]:
-    """Methods and constructors in declaration order."""
-    return _declared_methods(p.classes)
-
-
-def _declared_methods(classes: list[ClassDef]) -> Iterator[MethodDef]:
-    for c in classes:
-        yield from sorted(c.constructors + c.methods, key=lambda m: (m.pos.line, m.name))
+    """Methods and constructors in declaration order: class by class, each
+    class's members by line, then name."""
+    return iter(p.hierarchy().methods())
 
 
 def find_method(p: Program, ref: str) -> MethodDef:
@@ -568,11 +567,14 @@ class Hierarchy:
     interface lists are unchanged in identity and length. The first
     declaration of a name wins, as a linear scan would find it. Supertype
     closures, implementer sets and least common supertypes are computed
-    once per type (or pair) and shared as frozensets; unknown types raise
-    `MirError` every time and are never cached. Member lookups (fields,
-    inherited methods, virtual dispatch targets, `methods_by_id`) are
-    memoised too, so a class's members must be complete before its Program
-    is first queried.
+    once per type (or pair) and shared as frozensets; a type's closure
+    reuses the memoised closures of the supertypes its search reaches, and
+    the search is a loop, so a deep chain needs no deep Python stack.
+    Unknown types raise `MirError` every time and are never cached. Member
+    lookups (fields, inherited methods, virtual dispatch targets) and the
+    declaration-ordered method tuple behind `all_methods` and
+    `methods_by_id` are memoised too, so a class's members must be complete
+    before its Program is first queried.
     """
 
     def __init__(self, p: Program):
@@ -590,6 +592,7 @@ class Hierarchy:
         self._supers: dict[str, frozenset[str]] = {}
         self._implementers: Optional[dict[str, frozenset[str]]] = None
         self._lca: dict[tuple[str, str], Optional[str]] = {}
+        self._order: Optional[tuple[MethodDef, ...]] = None
         self._methods: Optional[Mapping[str, MethodDef]] = None
         self._lookups: dict[tuple, object] = {}
         self._only_fields: Optional[dict[str, tuple[str, FieldDef]]] = None
@@ -611,17 +614,27 @@ class Hierarchy:
         raise MirError(f"unknown type '{name}'")
 
     def supertypes(self, name: str) -> frozenset[str]:
+        """`name` and every declared type it transitively extends or
+        implements; supertypes no declaration names are left out. The
+        search takes a memoised closure whole instead of walking past it,
+        which is exact on cycles too, as every memoised closure is
+        complete."""
         got = self._supers.get(name)
         if got is None:
+            supers = self._supers
             seen: set[str] = set()
             work = [name]
             while work:
                 t = work.pop()
                 if t in seen:
                     continue
+                done = supers.get(t)
+                if done is not None:
+                    seen |= done
+                    continue
                 seen.add(t)
                 work.extend(s for s in self.declared_supers(t) if self.declares(s))
-            got = self._supers[name] = frozenset(seen)
+            got = supers[name] = frozenset(seen)
         return got
 
     def implementers(self, t: str) -> frozenset[str]:
@@ -768,10 +781,21 @@ class Hierarchy:
                 return ctor
         return None
 
+    def methods(self) -> tuple[MethodDef, ...]:
+        """Methods and constructors in declaration order: class by class,
+        each class's members by line, then name."""
+        if self._order is None:
+            self._order = tuple(
+                m
+                for c in self.class_list
+                for m in sorted(c.constructors + c.methods, key=lambda m: (m.pos.line, m.name))
+            )
+        return self._order
+
     def methods_by_id(self) -> Mapping[str, MethodDef]:
         """Methods and constructors by `MethodDef.id`, as a read-only view."""
         if self._methods is None:
-            self._methods = MappingProxyType({m.id: m for m in _declared_methods(self.class_list)})
+            self._methods = MappingProxyType({m.id: m for m in self.methods()})
         return self._methods
 
 
@@ -889,7 +913,7 @@ def validate_program(p: Program) -> list[Diagnostic]:
         for st in iter_stmts(m.body):
             positions[st.pos] = positions.get(st.pos, 0) + 1
             # Method lookup walks the superclass chain, which a cycle never ends.
-            if acyclic and isinstance(st, StaticCall) and h.resolve_method(st.cls, st.method, len(st.args), static=True) is None:
+            if acyclic and type(st) is StaticCall and h.resolve_method(st.cls, st.method, len(st.args), static=True) is None:
                 diags.append(Diagnostic(st.pos, f"static call '{st.cls}::{st.method}/{len(st.args)}' names no method"))
     for pos, n in positions.items():
         if n > 1:

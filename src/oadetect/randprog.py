@@ -118,6 +118,9 @@ class _Gen:
                 cls.fields.append(FieldDef("g", "int", static=True, pos=self.pos()))
 
         # Interface signatures must be implemented by every implementer.
+        # This index answers supertype queries only: it memoises members
+        # (method order included) on first use, and adding `Main` below
+        # gives the program a new one that sees the methods added here.
         h = p.hierarchy()
         for cls in self.classes:
             needed: dict[tuple[str, int], tuple] = {}

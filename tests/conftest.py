@@ -19,6 +19,7 @@ from oadetect.mir import (
     FieldLoad,
     FieldStore,
     MethodDef,
+    MirError,
     Position,
     Program,
     Return,
@@ -51,6 +52,30 @@ def call_graph_from_edges(roots, nodes, edges) -> CallGraph:
     for e in edges:
         _add_targets(by_site, e.site, e.caller, (e.target,))
     return CallGraph(frozenset(roots), frozenset(nodes), _sorted_sites(by_site))
+
+
+def reference_supertypes(name: str, p: Program) -> frozenset[str]:
+    """The per-type search `Hierarchy.supertypes` replaced: every declared
+    type reachable from `name` over declared supertypes, searched afresh for
+    each type, with each type's supertypes read from a scan of `p`'s
+    declarations (a class before an interface, the first declaration of a
+    name winning), not from the index; an unknown `name` raises MirError."""
+    declared: dict[str, list[str]] = {}
+    for i in reversed(p.interfaces):
+        declared[i.name] = [i.extends] if i.extends else []
+    for c in reversed(p.classes):
+        declared[c.name] = ([c.superclass] if c.superclass else []) + list(c.interfaces)
+    if name not in declared:
+        raise MirError(f"unknown type '{name}'")
+    seen: set[str] = set()
+    work = [name]
+    while work:
+        t = work.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        work.extend(s for s in declared[t] if s in declared)
+    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------

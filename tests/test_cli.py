@@ -665,6 +665,49 @@ def test_a_directory_with_no_sources_exits_3(command, tmp_path, capsys):
     _assert_one_line_usage_error(code, capsys.readouterr(), f"error: no .mir sources in {tmp_path}\n")
 
 
+# A manifest with an empty `sources` list used to be read as an empty
+# program, with the same three misreports.
+
+
+@pytest.mark.parametrize("command", ["analyze", "dump-graph", "dump-pts"])
+def test_a_manifest_with_no_sources_exits_3(command, tmp_path, capsys):
+    d = _scenario_dir(tmp_path, '{"id": "t", "sources": []}')
+    code = main([command, str(d)])
+    message = f"error: {d / 'scenario.json'}: 'sources' must name at least one file\n"
+    _assert_one_line_usage_error(code, capsys.readouterr(), message)
+
+
+def test_corpus_with_a_manifest_with_no_sources_exits_3(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    _corpus_with_bad_scenario(root, '{"id": "t", "sources": []}')
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--reps", "1", "--root", str(root), "--out", str(out)])
+    _assert_scenario_error_beside_fig1_simple(code, capsys.readouterr(), out, "'sources' must name at least one file")
+
+
+# A scenario directory given beside other sources used to be read as loose
+# sources, its manifest (source list, sidecar, entry) ignored without a word.
+
+
+@pytest.mark.parametrize("command", ["analyze", "dump-graph", "dump-pts"])
+@pytest.mark.parametrize("first", [True, False])
+def test_a_scenario_directory_beside_other_sources_exits_3(command, first, capsys):
+    scenario, loose = corpus_path("deep_hierarchy"), str(Path(corpus_path("fig1_simple")) / "Text.mir")
+    sources = [scenario, loose] if first else [loose, scenario]
+    code = main([command, *sources])
+    message = f"error: {scenario} is a scenario directory: give it alone, without other sources\n"
+    _assert_one_line_usage_error(code, capsys.readouterr(), message)
+
+
+def test_a_plain_directory_beside_a_file_is_still_read(tmp_path, capsys):
+    d = tmp_path / "plain"
+    d.mkdir()
+    (d / "a.mir").write_text("class A {\n  method m() {\n    x = 1 @L;\n    x = 2 @R;\n  }\n}\n")
+    (tmp_path / "b.mir").write_text("class B {\n}\n")
+    assert main(["analyze", "--deterministic", "--mode", "nopa", str(d), str(tmp_path / "b.mir")]) == 1
+    assert "verdict: true" in capsys.readouterr().out
+
+
 # A non-numeric arity used to raise ValueError from int() in find_method,
 # a traceback with exit 1.
 

@@ -2,7 +2,8 @@
 
 `Program.hierarchy()` answers name, supertype, implementer, member and
 constructor queries from maps built once per program. The functions below
-are the original linear-scan versions, kept only here as the oracle: every
+are the original linear-scan versions, kept only here as the oracle (the
+supertype search is `conftest.reference_supertypes`): every
 query is asked of both, for every type and every pair of types, through
 the `Hierarchy` methods and the package's `subtype_of`, `implementers_of`
 and `supertypes_of`.
@@ -12,21 +13,30 @@ from __future__ import annotations
 
 import pytest
 
-from oadetect.frontend import parse_source
-from oadetect.harness import load_bundled, scenario_units
+from conftest import reference_supertypes
+from oadetect.frontend import MAX_NESTING, parse_source
+from oadetect.harness import load_bundled, load_scenario, scenario_units
 from oadetect.mir import (
     ClassDef,
     FieldDef,
+    Hierarchy,
+    If,
     InterfaceDef,
     MethodDef,
     MirError,
+    OpaqueOp,
+    Position,
     Program,
+    While,
     all_methods,
     implementers_of,
+    iter_stmts,
     subtype_of,
     supertypes_of,
 )
 from oadetect.randprog import default_seed, generate_program
+from test_byte_identity import WORKLOAD_DIGESTS, WORKLOAD_SEED, _bench_workloads
+from test_differential import seed_range
 
 BUNDLED = ("fig1_simple", "fig1_advanced", "mkref", "deep_hierarchy")
 UNKNOWN = "NoSuchType"
@@ -64,24 +74,12 @@ def ref_declared_supers(p, name):
     raise MirError(f"unknown type '{name}'")
 
 
-def ref_supertypes(name, p):
-    seen = set()
-    work = [name]
-    while work:
-        t = work.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        work.extend(s for s in ref_declared_supers(p, t) if ref_declares(p, s))
-    return seen
-
-
 def ref_subtype(sub, sup, p):
-    return sup in ref_supertypes(sub, p)
+    return sup in reference_supertypes(sub, p)
 
 
 def ref_implementers(t, p):
-    return {c.name for c in p.classes if t in ref_supertypes(c.name, p)}
+    return {c.name for c in p.classes if t in reference_supertypes(c.name, p)}
 
 
 def ref_lca(a, b, p):
@@ -89,13 +87,17 @@ def ref_lca(a, b, p):
         return a
     if not ref_declares(p, a) or not ref_declares(p, b):
         return None
-    common = ref_supertypes(a, p) & ref_supertypes(b, p)
-    minimal = [t for t in common if not any(s != t and t in ref_supertypes(s, p) for s in common)]
+    common = reference_supertypes(a, p) & reference_supertypes(b, p)
+    minimal = [t for t in common if not any(s != t and t in reference_supertypes(s, p) for s in common)]
     return minimal[0] if len(minimal) == 1 else None
 
 
+def ref_sorted_members(c):
+    return sorted(c.constructors + c.methods, key=lambda m: (m.pos.line, m.name))
+
+
 def ref_methods_by_id(p):
-    return {m.id: m for m in all_methods(p)}
+    return {m.id: m for c in p.classes for m in ref_sorted_members(c)}
 
 
 def ref_constructor(p, cls_name, arity):
@@ -177,8 +179,11 @@ def assert_index_matches(p: Program) -> int:
         assert h.interfaces.get(n) is ref_interface_named(p, n)
         assert h.declares(n) == ref_declares(p, n)
         asked += 3
+        if n != UNKNOWN:
+            assert h.declared_supers(n) == ref_declared_supers(p, n)
+            asked += 1
     for a in names:
-        assert supertypes_of(a, p) == ref_supertypes(a, p)
+        assert supertypes_of(a, p) == reference_supertypes(a, p)
         assert implementers_of(a, p) == ref_implementers(a, p)
         asked += 2
         for b in probes:
@@ -197,7 +202,7 @@ def assert_index_matches(p: Program) -> int:
     assert all(got[k] is want[k] for k in want)
     asked += 1
 
-    method_names = sorted({m.name for m in all_methods(p)})
+    method_names = sorted({m.name for c in p.classes for m in c.constructors + c.methods})
     field_names = sorted({f.name for c in p.classes for f in c.fields})
     for cls in probes:
         assert list(h.chain(cls)) == list(ref_chain(p, cls))
@@ -218,7 +223,7 @@ def assert_index_matches(p: Program) -> int:
     for fname in field_names + ["noSuchField"]:
         assert h.field_of(None, fname) == ref_field_of(p, None, fname)
         asked += 1
-    signatures = sorted({(m.name, len(m.params)) for m in all_methods(p)}) + [("noSuchMethod", 0)]
+    signatures = sorted({(m.name, len(m.params)) for m in ref_methods_by_id(p).values()}) + [("noSuchMethod", 0)]
     for recv in probes + [None, "int", "String", f"{probes[0]}[]"]:
         for mname, arity in signatures:
             got = h.dispatch_targets(recv, mname, arity)
@@ -368,3 +373,171 @@ def test_dispatch_targets_see_a_class_added_after_a_query():
     assert _ids(p.hierarchy().dispatch_targets("I", "m", 0)) == ["A.m/0", "D.m/0"]
     assert _ids(p.hierarchy().dispatch_targets(None, "m", 0)) == ["A.m/0", "C.m/0", "D.m/0"]
     assert_index_matches(p)
+
+
+# ---------------------------------------------------------------------------
+# Closures built from closures, the method order, statement walks and ids
+
+
+def assert_closures_match(p: Program) -> int:
+    """Each type's closure and implementer set against the per-type
+    search, from fresh indexes queried in three orders: types in
+    declaration order, in reverse, and implementer sets first. Returns the
+    number of types."""
+    names = [d.name for d in p.classes + p.interfaces]
+    want = {t: reference_supertypes(t, p) for t in names}
+    implementers = {t: {c.name for c in p.classes if t in want[c.name]} for t in names}
+    for order in (names, names[::-1]):
+        h = Hierarchy(p)
+        for t in order:
+            assert h.supertypes(t) == want[t], t
+    h = Hierarchy(p)
+    for t in names:
+        assert h.implementers(t) == implementers[t], t
+    for t in names:
+        assert h.supertypes(t) == want[t], t
+    return len(names)
+
+
+@pytest.fixture(scope="module")
+def programs(tmp_path_factory) -> list[Program]:
+    """The seed range (`mkref` off and on), the bundled corpus and the
+    bench workloads at their seed, built once for this module."""
+    found = [p for _, _, p, _ in seed_range()]
+    found += [scenario_units(load_bundled(name))[0] for name in BUNDLED]
+    root = tmp_path_factory.mktemp("workloads")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("OA_SEED", raising=False)  # as the benchmark builds its workloads
+        for workload in sorted(WORKLOAD_DIGESTS):
+            wl = _bench_workloads().build_workload(workload, root / workload, WORKLOAD_SEED)
+            found += [scenario_units(load_scenario(spec.directory))[0] for spec in wl.scenarios]
+    return found
+
+
+def test_closures_match_the_per_type_search(programs):
+    assert sum(assert_closures_match(p) for p in programs) > 1000
+    for p in programs:
+        assert_unknown_type_errors(p)
+
+
+@pytest.mark.parametrize("source, closures", [
+    # A cycle, and a class and an interface outside it that reach it.
+    (
+        "class A extends B {\n}\nclass B extends A implements I {\n}\nclass C extends A {\n}\n"
+        "interface I extends J {\n}\ninterface J extends I {\n}\n",
+        {"A": "ABIJ", "B": "ABIJ", "C": "ABCIJ", "I": "IJ", "J": "IJ"},
+    ),
+    # A self-cycle, and a class below it.
+    ("class A extends A {\n}\nclass B extends A {\n}\n", {"A": "A", "B": "AB"}),
+    # Supertypes no declaration names are left out.
+    (
+        "class A extends Gone implements I, Lost {\n}\ninterface I extends Missing {\n}\n",
+        {"A": "AI", "I": "I"},
+    ),
+])
+def test_closures_of_cycles_and_undeclared_supertypes(source, closures):
+    p = parse_source(source, validate=False)
+    assert assert_closures_match(p) == len(closures)
+    h = p.hierarchy()
+    assert {t: "".join(sorted(h.supertypes(t))) for t in closures} == closures
+    assert_unknown_type_errors(p)
+
+
+def _chain(n: int, cycle: bool = False) -> Program:
+    """Classes C0 .. C(n-1), each extending the one before; C0 extends the
+    last when `cycle` is set."""
+    return Program([
+        ClassDef(name=f"C{i}", superclass=f"C{i - 1}" if i else (f"C{n - 1}" if cycle else None))
+        for i in range(n)
+    ])
+
+
+def test_closures_of_a_chain_and_a_cycle_in_every_query_order():
+    for cycle in (False, True):
+        assert assert_closures_match(_chain(300, cycle)) == 300
+
+
+def test_a_5000_class_chain_closes_without_recursing():
+    n = 5000
+    p = _chain(n)
+    h = p.hierarchy()
+    for t in (f"C{n - 1}", "C0", "C1", f"C{n // 2}"):
+        assert h.supertypes(t) == reference_supertypes(t, p)
+    assert len(h.supertypes(f"C{n - 1}")) == n
+
+
+def test_a_5000_class_cycle_closes_without_recursing():
+    p = _chain(5000, cycle=True)
+    h = p.hierarchy()
+    everything = reference_supertypes("C4999", p)
+    assert len(everything) == 5000
+    assert h.supertypes("C4999") == everything
+    assert h.supertypes("C0") == everything  # taken whole from C4999's closure
+    assert_unknown_type_errors(p)
+
+
+def test_all_methods_is_each_class_sorted_by_line_then_name(programs):
+    # Members on one line (here none has a position) go by name.
+    unplaced = [MethodDef(name=n, params=(), body=[], declaring_class="A") for n in ("b", "a")]
+    programs = programs + [Program([ClassDef(name="A", methods=unplaced)])]
+    assert [m.name for m in all_methods(programs[-1])] == ["a", "b"]
+    for p in programs:
+        want = [m for c in p.classes for m in ref_sorted_members(c)]
+        got = list(all_methods(p))
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+        assert list(all_methods(p)) == got  # a fresh iterator each call
+        assert list(p.hierarchy().methods_by_id().values()) == got
+
+
+def _recursive_stmts(body) -> list:
+    out = []
+    for st in body:
+        out.append(st)
+        if isinstance(st, If):
+            out += _recursive_stmts(st.then_body)
+            out += _recursive_stmts(st.else_body)
+        elif isinstance(st, While):
+            out += _recursive_stmts(st.body)
+    return out
+
+
+def _nested_body(depth: int) -> list:
+    """Statements before, between and after blocks, `if`/`else` and
+    `while` alternating, nested `depth` deep."""
+    line = iter(range(1, 10 * depth + 10))
+
+    def op() -> OpaqueOp:
+        return OpaqueOp(pos=Position("n.mir", next(line)), target="x")
+
+    inner: list = [op()]
+    for level in range(depth):
+        if level % 2:
+            block = While(pos=Position("n.mir", next(line)), cond="c", body=[op(), *inner, op()])
+        else:
+            block = If(pos=Position("n.mir", next(line)), cond="c",
+                       then_body=[op(), *inner], else_body=[op(), While(pos=Position("n.mir", next(line)), cond="c")])
+        inner = [op(), block, op()]
+    return inner
+
+
+def test_iter_stmts_walks_in_pre_order_at_the_nesting_limit():
+    body = _nested_body(MAX_NESTING)
+    want = _recursive_stmts(body)
+    got = list(iter_stmts(body))
+    assert len(got) == len(want) > 3 * MAX_NESTING and all(a is b for a, b in zip(got, want))
+    assert list(iter_stmts([])) == []
+    flat = [OpaqueOp(pos=Position("n.mir", i), target="x") for i in range(3)]
+    assert list(iter_stmts(flat)) == flat
+
+
+def test_method_ids_and_display_names_are_unchanged():
+    ctor = MethodDef(name="<init>", params=("a", "b"), body=[], declaring_class="A", kind="constructor")
+    assert (ctor.id, ctor.display) == ("A.<init>/2", "A.<init>()")
+    m = MethodDef(name="run", params=(), body=[], declaring_class="Main", static=True)
+    assert (m.id, m.display) == ("Main.run/0", "Main.run()")
+    # Neither is a field: records compare and print as before.
+    assert "id" not in MethodDef._fields and "display" not in repr(m)
+    for name in BUNDLED:
+        for m in all_methods(scenario_units(load_bundled(name))[0]):
+            assert m.id == f"{m.declaring_class}.{m.name}/{len(m.params)}"
+            assert m.display == f"{m.declaring_class}.{m.name}()"
