@@ -208,6 +208,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    """Run every scenario under `--root`, write the tables and print one
+    line per unit and mode. With `--deterministic`, where nothing is timed,
+    `run_corpus` spreads the scenarios over one process per CPU the process
+    may use (`taskset` limits them) and at most one per
+    `SCENARIOS_PER_PROCESS` scenarios, with output identical to one
+    process's. A timed run stays in one process, so that its timings and
+    the Wilcoxon comparison of them do not measure contention for the CPUs.
+    """
     from .stats import InsufficientPairsError, wilcoxon_signed_rank  # kept off `analyze`'s imports
 
     modes = _modes("--modes", args.modes.split(","))

@@ -280,6 +280,171 @@ def run_scenario(
     return out
 
 
+# A forked helper costs more than a small corpus gains: a fork, exit and wait
+# took 1.4 ms, and the parent's own work ran 46% slower while a child was
+# alive (copy-on-write faults; deep_hierarchy's `run_scenario` 6.5 -> 9.5 ms),
+# so forking for the four bundled scenarios cut their units/s by 42-54%. A
+# run takes one process per this many scenarios, up to one per CPU.
+SCENARIOS_PER_PROCESS = 4
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return 1
+
+
+def _processes(n: int, budget: Optional[AnalysisBudget]) -> int:
+    """How many processes, the caller's included, run `n` scenarios: one
+    unless the run is untimed, the process can fork and has one thread, and
+    it may use more than one CPU."""
+    if (budget or AnalysisBudget()).wall_clock is not None or not hasattr(os, "fork"):
+        return 1
+    import threading  # a fork copies one thread; another's locks stay held
+
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(_available_cpus(), n // SCENARIOS_PER_PROCESS))
+
+
+def _attempt(item: Union[Scenario, Path], modes, budget, reps) -> tuple[str, Union[list[UnitResult], str]]:
+    """A scenario's id and its results, or the message of the `MirError` or
+    `OSError` it raised; the id is the directory's name if the manifest
+    cannot give one."""
+    sid = item.id if isinstance(item, Scenario) else Path(item).name
+    try:
+        s = item if isinstance(item, Scenario) else load_scenario(item)
+        sid = s.id
+        return sid, run_scenario(s, modes, budget, reps)
+    except (MirError, OSError) as e:
+        return sid, str(e)
+
+
+# The work queue holds each scenario's index as a 4-byte record. Records are
+# written in pieces of at most POSIX's least PIPE_BUF, which a pipe takes
+# whole or not at all, so a read of 4 bytes always takes one record.
+_RECORD = 4
+_PIECE = 512
+
+
+def _feed(fd: int, records: memoryview) -> memoryview:
+    """Write to the queue what fits without blocking; returns the rest."""
+    try:
+        while records:
+            records = records[os.write(fd, records[:_PIECE]):]
+    except BlockingIOError:
+        pass
+    return records
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _helper(corpus, modes, budget, reps, cpu: int, queue: int, out: int, inherited: list[int]):
+    """A forked helper's whole life: run on `cpu` alone, close the parent's
+    descriptors it inherited, attempt each scenario it takes from the
+    queue, then pickle the (index, id, results or error) of each to `out`.
+    A scenario that raises anything else sends nothing, so the parent runs
+    it again and the error surfaces there. Leaves only through `os._exit`,
+    so that nothing of the parent's (buffers, `atexit`, a test runner) runs
+    twice."""
+    code = 1
+    try:
+        import pickle
+
+        os.sched_setaffinity(0, {cpu})
+        for fd in inherited:
+            os.close(fd)
+        done = []
+        while record := os.read(queue, _RECORD):
+            i = int.from_bytes(record, "little")
+            try:
+                done.append((i, *_attempt(corpus[i], modes, budget, reps)))
+            except Exception:
+                continue
+        data = memoryview(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(out, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _attempt_in_processes(corpus, modes, budget, reps, processes: int) -> dict[int, tuple]:
+    """Attempt the scenarios in this process and `processes - 1` forked
+    helpers, each taking the next index from one shared queue. Returns the
+    (id, results or error) of every scenario whose attempt came back; one
+    that raised here, or whose helper died, is missing. Every helper is
+    reaped before this returns or raises."""
+    import pickle
+
+    cpus = sorted(os.sched_getaffinity(0))
+    queue, feed = os.pipe()
+    helpers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    done: dict[int, tuple] = {}
+    try:
+        # Each process runs on a CPU of its own. A forked child starts on its
+        # parent's CPU, and on a 2-CPU Linux host the scheduler left both
+        # there for most of a corpus run: unpinned, or with only the helper
+        # pinned, a helper made scan-random and wide-hierarchy 5-13% slower;
+        # with both pinned, 40-70% faster.
+        os.sched_setaffinity(0, {cpus[0]})
+        for k in range(1, processes):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: run with those there are
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:  # more processes than CPUs only where a test asks for them
+                cpu = cpus[k % len(cpus)]
+                _helper(corpus, modes, budget, reps, cpu, queue, w, [feed, r, *(fd for _, fd in helpers)])
+            os.close(w)
+            helpers.append((pid, r))
+        os.set_blocking(feed, False)
+        left = memoryview(b"".join(i.to_bytes(_RECORD, "little") for i in range(len(corpus))))
+        while True:
+            left = _feed(feed, left)
+            if left:  # the queue is full: take a record it does not hold, never wait on it
+                record, left = left[-_RECORD:], left[:-_RECORD]
+            else:
+                if feed >= 0:
+                    os.close(feed)
+                    feed = -1
+                record = os.read(queue, _RECORD)
+                if not record:
+                    break
+            i = int.from_bytes(record, "little")
+            try:
+                done[i] = _attempt(corpus[i], modes, budget, reps)
+            except Exception:  # run again in the merge, where it raises in corpus order
+                continue
+        for _, r in helpers:
+            try:
+                for i, sid, got in pickle.loads(_read_all(r)):
+                    done[i] = sid, got
+            except (EOFError, pickle.UnpicklingError):  # it died before its pickle was whole
+                pass
+    finally:
+        os.sched_setaffinity(0, cpus)
+        if feed >= 0:
+            os.close(feed)
+        while os.read(queue, 1 << 16):  # what is left, so that a helper takes nothing more
+            pass
+        os.close(queue)
+        for pid, r in helpers:
+            os.close(r)  # a helper still writing gets EPIPE and leaves
+            os.waitpid(pid, 0)
+    return done
+
+
 def run_corpus(
     corpus: list[Union[Scenario, Path]],
     modes: list[Mode],
@@ -292,23 +457,35 @@ def run_corpus(
     id (its directory's name if the manifest cannot give one), and costs
     only its own units. So does one with a unit id an earlier scenario
     already gave: the tables hold one row per unit.
+
+    An untimed run (a budget without a wall clock) in a single-threaded
+    process that can fork runs in `min(CPUs it may use, len(corpus) //
+    SCENARIOS_PER_PROCESS)` processes, each on a CPU of its own: this one
+    and forked helpers, each taking the next scenario from one queue
+    (`taskset` limits the CPUs). Nothing an untimed scenario gives depends
+    on where it ran, and the results are merged in corpus order before the
+    rules above apply, so the run equals the one-process run; a scenario
+    whose result did not come back runs here again, so an unexpected
+    exception propagates as it would. A timed run (`budget` None is the
+    default, timed budget) stays in this process, so that its timings, and
+    the paired comparison of them, do not measure contention for the CPUs.
     """
+    processes = _processes(len(corpus), budget)
+    done = _attempt_in_processes(corpus, modes, budget, reps, processes) if processes > 1 else {}
     run = CorpusRun()
     seen: set[str] = set()
-    for item in corpus:
-        sid = item.id if isinstance(item, Scenario) else Path(item).name
-        try:
-            s = item if isinstance(item, Scenario) else load_scenario(item)
-            sid = s.id
-            results = run_scenario(s, modes, budget, reps)
-            units = {r.unit for r in results}
-            if units & seen:
-                where = "" if isinstance(item, Scenario) else f"{item}: "
-                raise MirError(f"{where}unit id '{min(units & seen)}' is already taken by an earlier scenario")
-            seen |= units
-            run.results.extend(results)
-        except (MirError, OSError) as e:
-            run.errors.append((sid, str(e)))
+    for i, item in enumerate(corpus):
+        sid, got = done[i] if i in done else _attempt(item, modes, budget, reps)
+        if isinstance(got, str):
+            run.errors.append((sid, got))
+            continue
+        units = {r.unit for r in got}
+        if units & seen:
+            where = "" if isinstance(item, Scenario) else f"{item}: "
+            run.errors.append((sid, f"{where}unit id '{min(units & seen)}' is already taken by an earlier scenario"))
+            continue
+        seen |= units
+        run.results.extend(got)
     return run
 
 

@@ -54,6 +54,7 @@ from conftest import (
     ALL_MODES,
     NESTED_CALLS,
     RETURN_IN_BLOCKS,
+    _nested_calls,
     budget,
     load_scenario_program,
     reference_quiet,
@@ -748,6 +749,50 @@ def test_skipping_detect_counts_no_body_twice_past_the_budget(monkeypatch):
         keys = [key for _, key in parts if key is not None]
         assert (sum(caller == "tree" for caller, _ in parts), len(keys), len(set(keys))) == (0, bodies, bodies)
         assert sum(caller == "_chain" for caller, _ in parts) == frames
+
+
+@pytest.mark.hashseed
+def test_nested_calls_skip_parts_are_pinned(monkeypatch):
+    # Each skip rebuilds (`_chain`) and refolds (`_count`) a part for every
+    # frame with ops left on the chain of continuations, so its cost grows
+    # with the nesting: this full `nopa` detect made 28 300 parts at nesting
+    # 40 and 175 750 at 100, and at 200 it takes over a second. The counts
+    # are pinned so that the cost cannot grow unseen; a mend lowers them.
+    made = {"_chain": 0, "_count": 0}
+    callers = ["detect"]
+
+    class CountedPart(engine._Part):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made[callers[-1]] += 1
+
+    def counted(name):
+        real = getattr(engine, name)
+
+        def function(*args):
+            callers.append(name)
+            try:
+                return real(*args)
+            finally:
+                callers.pop()
+        monkeypatch.setattr(engine, name, function)
+
+    lines = []
+    for line in _nested_calls(6, 60).splitlines():
+        lines.append(line)
+        if line.strip() == "}" and line.startswith("    "):  # an `if` closes: write after it
+            lines.append(line.replace("}", "w = 1;"))
+    p = parse_source("\n".join(lines) + "\n")
+    entry = find_method(p, "Main.m0")
+    cha = build_cha_graph(p, entry)
+    monkeypatch.setattr(engine, "_Part", CountedPart)
+    counted("_chain")
+    counted("_count")
+    outcome = detect(p, entry, Mode.NOPA, budget=budget(), cha=cha)
+    assert (outcome.verdict, outcome.stats.visited, outcome.stats.paths) == (Verdict.TRUE, 65_714, 361)
+    assert made == {"_chain": 63_150, "_count": 300}
 
 
 # ---------------------------------------------------------------------------

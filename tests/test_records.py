@@ -284,10 +284,11 @@ def test_no_module_imports_dataclasses():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Nor what only `corpus` uses: the means and CSV tables, and the Wilcoxon test.
+    # Nor what only `corpus` uses: the means and CSV tables, the Wilcoxon
+    # test, and the pickles its helper processes send back.
     probe = (
         "import sys\n"
-        "names = ('dataclasses', 'inspect', 'statistics', 'csv', 'oadetect.stats')\n"
+        "names = ('dataclasses', 'inspect', 'statistics', 'csv', 'oadetect.stats', 'pickle')\n"
         "before = [n for n in names if n in sys.modules]\n"
         "import oadetect.cli\n"
         "print(before, [n for n in names if n in sys.modules])\n"
