@@ -66,7 +66,7 @@ def _read_manifest(path: Path) -> dict:
     for key in ("project", "sidecar", "entry"):
         if not isinstance(manifest.get(key), (str, type(None))):
             raise MirError(f"{path}: '{key}' must be a string or null")
-    for key in ("sidecar", "entry"):
+    for key in ("id", "sidecar", "entry"):
         if manifest.get(key) == "":
             raise MirError(f"{path}: '{key}' must not be empty")
     if manifest.get("ground_truth") not in ("true", "false", None):
@@ -322,21 +322,15 @@ def _attempt(item: Union[Scenario, Path], modes, budget, reps) -> tuple[str, Uni
         return sid, str(e)
 
 
-# The work queue holds each scenario's index as a 4-byte record. Records are
-# written in pieces of at most POSIX's least PIPE_BUF, which a pipe takes
-# whole or not at all, so a read of 4 bytes always takes one record.
+# The work queue holds 4-byte records, each the index of the first of a run of
+# `step` scenarios, with `step` chosen so that at most `_QUEUED` records are
+# queued. A Linux pipe always holds at least one 4 096-byte page, so the whole
+# queue fits in one write, which never waits for a reader and, being no larger
+# than PIPE_BUF, lands whole; its write end is closed before the first fork,
+# and a read of 4 bytes takes one record. A corpus of up to 1 024 scenarios
+# gets `step` 1, a record a scenario.
 _RECORD = 4
-_PIECE = 512
-
-
-def _feed(fd: int, records: memoryview) -> memoryview:
-    """Write to the queue what fits without blocking; returns the rest."""
-    try:
-        while records:
-            records = records[os.write(fd, records[:_PIECE]):]
-    except BlockingIOError:
-        pass
-    return records
+_QUEUED = 4096 // _RECORD
 
 
 def _read_all(fd: int) -> bytes:
@@ -346,14 +340,28 @@ def _read_all(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-def _helper(corpus, modes, budget, reps, cpu: int, queue: int, out: int, inherited: list[int]):
+def _drain(queue: int, step: int, corpus, modes, budget, reps) -> list[tuple]:
+    """Attempt each run of `step` scenarios whose first index this process
+    takes from the queue, until the queue is empty; returns the (index, id,
+    results or error) of each attempt. A scenario that raises anything else
+    is left out, so the merge runs it again and the error surfaces there, in
+    corpus order."""
+    done = []
+    while record := os.read(queue, _RECORD):
+        first = int.from_bytes(record, "little")
+        for i in range(first, min(first + step, len(corpus))):
+            try:
+                done.append((i, *_attempt(corpus[i], modes, budget, reps)))
+            except Exception:
+                continue
+    return done
+
+
+def _helper(corpus, modes, budget, reps, step: int, cpu: int, queue: int, out: int, inherited: list[int]):
     """A forked helper's whole life: run on `cpu` alone, close the parent's
-    descriptors it inherited, attempt each scenario it takes from the
-    queue, then pickle the (index, id, results or error) of each to `out`.
-    A scenario that raises anything else sends nothing, so the parent runs
-    it again and the error surfaces there. Leaves only through `os._exit`,
-    so that nothing of the parent's (buffers, `atexit`, a test runner) runs
-    twice."""
+    descriptors it inherited, drain the queue, then pickle what it attempted
+    to `out`. Leaves only through `os._exit`, so that nothing of the
+    parent's (buffers, `atexit`, a test runner) runs twice."""
     code = 1
     try:
         import pickle
@@ -361,14 +369,7 @@ def _helper(corpus, modes, budget, reps, cpu: int, queue: int, out: int, inherit
         os.sched_setaffinity(0, {cpu})
         for fd in inherited:
             os.close(fd)
-        done = []
-        while record := os.read(queue, _RECORD):
-            i = int.from_bytes(record, "little")
-            try:
-                done.append((i, *_attempt(corpus[i], modes, budget, reps)))
-            except Exception:
-                continue
-        data = memoryview(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
+        data = memoryview(pickle.dumps(_drain(queue, step, corpus, modes, budget, reps), pickle.HIGHEST_PROTOCOL))
         while data:
             data = data[os.write(out, data):]
         code = 0
@@ -378,17 +379,21 @@ def _helper(corpus, modes, budget, reps, cpu: int, queue: int, out: int, inherit
 
 def _attempt_in_processes(corpus, modes, budget, reps, processes: int) -> dict[int, tuple]:
     """Attempt the scenarios in this process and `processes - 1` forked
-    helpers, each taking the next index from one shared queue. Returns the
-    (id, results or error) of every scenario whose attempt came back; one
-    that raised here, or whose helper died, is missing. Every helper is
-    reaped before this returns or raises."""
+    helpers, all draining one queue, which is written whole, and its write
+    end closed, before the first fork. A corpus of more than `_QUEUED`
+    scenarios queues runs of `ceil(len(corpus) / _QUEUED)` scenarios, one
+    record a run. Returns the (id, results or error) of every scenario whose
+    attempt came back; one that raised, or whose helper died, is missing.
+    Every helper is reaped before this returns or raises."""
     import pickle
 
     cpus = sorted(os.sched_getaffinity(0))
+    step = -(-len(corpus) // _QUEUED)
     queue, feed = os.pipe()
     helpers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    done: dict[int, tuple] = {}
     try:
+        with open(feed, "wb", buffering=0) as f:  # one write, closed before the first fork
+            f.write(b"".join(i.to_bytes(_RECORD, "little") for i in range(0, len(corpus), step)))
         # Each process runs on a CPU of its own. A forked child starts on its
         # parent's CPU, and on a 2-CPU Linux host the scheduler left both
         # there for most of a corpus run: unpinned, or with only the helper
@@ -405,27 +410,10 @@ def _attempt_in_processes(corpus, modes, budget, reps, processes: int) -> dict[i
                 break
             if pid == 0:  # more processes than CPUs only where a test asks for them
                 cpu = cpus[k % len(cpus)]
-                _helper(corpus, modes, budget, reps, cpu, queue, w, [feed, r, *(fd for _, fd in helpers)])
+                _helper(corpus, modes, budget, reps, step, cpu, queue, w, [r, *(fd for _, fd in helpers)])
             os.close(w)
             helpers.append((pid, r))
-        os.set_blocking(feed, False)
-        left = memoryview(b"".join(i.to_bytes(_RECORD, "little") for i in range(len(corpus))))
-        while True:
-            left = _feed(feed, left)
-            if left:  # the queue is full: take a record it does not hold, never wait on it
-                record, left = left[-_RECORD:], left[:-_RECORD]
-            else:
-                if feed >= 0:
-                    os.close(feed)
-                    feed = -1
-                record = os.read(queue, _RECORD)
-                if not record:
-                    break
-            i = int.from_bytes(record, "little")
-            try:
-                done[i] = _attempt(corpus[i], modes, budget, reps)
-            except Exception:  # run again in the merge, where it raises in corpus order
-                continue
+        done = {i: (sid, got) for i, sid, got in _drain(queue, step, corpus, modes, budget, reps)}
         for _, r in helpers:
             try:
                 for i, sid, got in pickle.loads(_read_all(r)):
@@ -434,8 +422,6 @@ def _attempt_in_processes(corpus, modes, budget, reps, processes: int) -> dict[i
                 pass
     finally:
         os.sched_setaffinity(0, cpus)
-        if feed >= 0:
-            os.close(feed)
         while os.read(queue, 1 << 16):  # what is left, so that a helper takes nothing more
             pass
         os.close(queue)
@@ -462,9 +448,11 @@ def run_corpus(
     process that can fork runs in `min(CPUs it may use, len(corpus) //
     SCENARIOS_PER_PROCESS)` processes, each on a CPU of its own: this one
     and forked helpers, each taking the next scenario from one queue
-    (`taskset` limits the CPUs). Nothing an untimed scenario gives depends
-    on where it ran, and the results are merged in corpus order before the
-    rules above apply, so the run equals the one-process run; a scenario
+    (`taskset` limits the CPUs). The queue is written whole before the first
+    fork; past 1 024 scenarios, each entry is a run of scenarios (see
+    `_QUEUED`). Nothing an untimed scenario gives depends on where it ran,
+    and the results are merged in corpus order before the rules above
+    apply, so the run equals the one-process run; a scenario
     whose result did not come back runs here again, so an unexpected
     exception propagates as it would. A timed run (`budget` None is the
     default, timed budget) stays in this process, so that its timings, and

@@ -685,6 +685,27 @@ def test_corpus_with_a_manifest_with_no_sources_exits_3(tmp_path, capsys):
     _assert_scenario_error_beside_fig1_simple(code, capsys.readouterr(), out, "'sources' must name at least one file")
 
 
+# An empty id used to name a unit "", whose `corpus` lines began with a tab.
+
+
+@pytest.mark.parametrize("command", ["dump-graph", "dump-pts"])
+def test_a_manifest_with_an_empty_id_exits_3(command, tmp_path, capsys):
+    d = _scenario_dir(tmp_path, '{"id": "", "sources": ["a.mir"]}')
+    code = main([command, str(d)])
+    message = f"error: {d / 'scenario.json'}: 'id' must not be empty\n"
+    _assert_one_line_usage_error(code, capsys.readouterr(), message)
+
+
+def test_corpus_with_a_manifest_with_an_empty_id_exits_3(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    _corpus_with_bad_scenario(root, '{"id": "", "sources": ["a.mir"]}')
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--reps", "1", "--root", str(root), "--out", str(out)])
+    captured = capsys.readouterr()
+    _assert_scenario_error_beside_fig1_simple(code, captured, out, "'id' must not be empty")
+    assert not any(line.startswith("\t") for line in captured.out.splitlines())
+
+
 # A scenario directory given beside other sources used to be read as loose
 # sources, its manifest (source list, sidecar, entry) ignored without a word.
 
@@ -795,7 +816,8 @@ def test_analyze_manifest_entry_with_bad_arity_exits_3(tmp_path, capsys):
     (["--out", ""], None, '--out must be non-empty, got ""'),
     ([], '{"id": "s", "sources": ["a.mir"], "entry": ""}', "'entry' must not be empty"),
     ([], '{"id": "s", "sources": ["a.mir"], "sidecar": ""}', "'sidecar' must not be empty"),
-], ids=["entry", "sidecar", "out", "manifest-entry", "manifest-sidecar"])
+    ([], '{"id": "", "sources": ["a.mir"]}', "'id' must not be empty"),
+], ids=["entry", "sidecar", "out", "manifest-entry", "manifest-sidecar", "manifest-id"])
 def test_analyze_empty_path_or_entry_exits_3_before_any_analysis(flags, manifest, message, tmp_path, capsys,
                                                                  monkeypatch):
     d = _scenario_dir(tmp_path, manifest or '{"id": "s", "sources": ["a.mir"]}')

@@ -8,6 +8,7 @@ reaped, and that the runs which must stay sequential never fork.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -126,41 +127,63 @@ def test_helpers_give_the_sequential_run_on_each_workload(workload, workloads, f
         assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
 
-def test_the_queue_takes_what_fits_and_keeps_the_rest():
-    # A corpus whose records outgrow the pipe must not block the process
-    # that feeds the queue, as it takes scenarios from it too.
-    records = b"".join(i.to_bytes(harness._RECORD, "little") for i in range(100_000))
-    r, w = os.pipe()
-    try:
-        os.set_blocking(w, False)
-        left = harness._feed(w, memoryview(records))
-        fed = len(records) - len(left)
-        assert 0 < fed < len(records) and fed % harness._RECORD == 0
-        os.set_blocking(r, False)
-        got = b""
-        while len(got) < fed:
-            got += os.read(r, fed - len(got))
-        assert got == records[:fed]
-        assert len(harness._feed(w, left)) < len(left)  # room again: the rest goes on
-    finally:
-        os.close(r)
-        os.close(w)
+def _wait_for(path: Path) -> None:
+    """Until a helper has written `path`; the test fails after 30 s."""
+    deadline = time.monotonic() + 30
+    while not path.exists():
+        assert time.monotonic() < deadline, f"no helper wrote {path.name}"
+        time.sleep(0.005)
 
 
-def test_a_full_queue_leaves_this_process_the_records_it_does_not_hold(forks, came_back, monkeypatch):
-    # As if the pipe held two records: this process takes the others itself.
-    real = harness._feed
+def test_a_long_corpus_queues_runs_of_scenarios(tmp_path, forks, came_back, monkeypatch):
+    # As if the queue held 3 records: 12 scenarios go out in runs of 4, and
+    # each process runs whole runs, every scenario once. This process holds
+    # its first scenario until a helper has run one: were each scenario a
+    # record of its own, a helper would take s1 and start no run.
+    parent, helped, log = os.getpid(), tmp_path / "helped", tmp_path / "ran"
+    real = harness.run_scenario
 
-    def small_pipe(fd, records):
-        piece = 2 * harness._RECORD
-        return memoryview(bytes(real(fd, records[:piece])) + bytes(records[piece:]))
+    def run_scenario(s, *args):
+        if os.getpid() != parent:
+            helped.touch()
+        elif not helped.exists():
+            _wait_for(helped)
+        with open(log, "a") as f:  # one short append a line, whole from any process
+            f.write(f"{os.getpid()} {s.id}\n")
+        return real(s, *args)
 
     corpus = copies(12)
     want = sequential(corpus)
-    monkeypatch.setattr(harness, "_feed", small_pipe)
+    monkeypatch.setattr(harness, "_QUEUED", 3)
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
     monkeypatch.setattr(harness, "_available_cpus", lambda: 3)
     assert run_corpus(corpus, MODES, budget=budget()) == want
     assert len(forks) == 2 and came_back == [list(range(len(corpus)))]
+    ran: dict[str, list[int]] = {}
+    for line in log.read_text().splitlines():
+        pid, sid = line.split()
+        ran.setdefault(pid, []).append(int(sid[1:]))
+    assert sorted(i for got in ran.values() for i in got) == list(range(12))
+    assert len(ran) >= 2
+    for got in ran.values():
+        firsts = got[::4]
+        assert all(first % 4 == 0 for first in firsts) and got == [i for f in firsts for i in range(f, f + 4)]
+
+
+def test_a_failed_fork_runs_with_the_processes_there_are(forks, monkeypatch):
+    real = os.fork
+
+    def fork():
+        if forks:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    corpus = copies(12)
+    want = sequential(corpus)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(harness, "_available_cpus", lambda: 3)
+    assert run_corpus(corpus, MODES, budget=budget()) == want
+    assert len(forks) == 1
 
 
 def test_errors_come_out_in_corpus_order(tmp_path, forks, monkeypatch):
@@ -191,14 +214,6 @@ def test_errors_come_out_in_corpus_order(tmp_path, forks, monkeypatch):
     assert list(got.by_unit()) == ["fig1_simple", "mkref", "fig1_advanced", "deep-hierarchy"]
 
 
-def _wait_for(path: Path) -> None:
-    """Until a helper has written `path`; the test fails after 30 s."""
-    deadline = time.monotonic() + 30
-    while not path.exists():
-        assert time.monotonic() < deadline, f"no helper wrote {path.name}"
-        time.sleep(0.005)
-
-
 def test_an_unexpected_error_in_a_helper_propagates(tmp_path, forks, monkeypatch):
     # Every scenario raises. The parent holds its first until a helper has
     # raised on one of the others; the error that propagates is the first
@@ -219,18 +234,36 @@ def test_an_unexpected_error_in_a_helper_propagates(tmp_path, forks, monkeypatch
     assert len(forks) == 1 and raised.exists()
 
 
-def test_the_first_unexpected_error_in_corpus_order_propagates(forks, monkeypatch):
-    # A queue that takes no record leaves every one to this process, which
-    # takes them from the end: it meets s7's error first, and s0's is raised.
+def test_the_first_unexpected_error_in_corpus_order_propagates(tmp_path, forks, monkeypatch):
+    # Every scenario raises. This process waits in `os.fork` until the helper
+    # has taken s0, and the helper holds s0 until this process has raised on
+    # s1: s1's error comes first, and s0's is raised.
+    parent, took, met = os.getpid(), tmp_path / "took", tmp_path / "met"
+    here = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            _wait_for(took)
+        return pid
+
     def run_scenario(s, *args):
+        if os.getpid() == parent:
+            here.append(s.id)
+            met.touch()
+        elif not took.exists():
+            took.write_text(s.id)
+            _wait_for(met)
         raise RuntimeError(f"bug in {s.id}")
 
-    monkeypatch.setattr(harness, "_feed", lambda fd, records: records)
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(harness, "run_scenario", run_scenario)
     monkeypatch.setattr(harness, "_available_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match=r"^bug in s0$"):
         run_corpus(copies(8), MODES, budget=budget())
-    assert len(forks) == 1
+    assert len(forks) == 1 and took.read_text() == "s0"
+    assert here[0] == "s1" and here[-1] == "s0"
 
 
 def test_a_killed_helpers_scenarios_run_again_here(tmp_path, forks, monkeypatch):

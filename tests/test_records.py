@@ -297,3 +297,12 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[] []\n")
+
+
+def test_importing_the_package_loads_no_submodule():
+    # Callers import the submodule they use; the package itself forwards nothing.
+    probe = "import sys, oadetect\nprint(sorted(n for n in sys.modules if n.startswith('oadetect.')))\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
