@@ -11,10 +11,12 @@ only). It exits 0 when every requested mode is conflict-free, 1 when any
 mode reports a conflict, 2 when any mode times out (and none conflicts), 3
 on usage, input or parse errors. `corpus` evaluates scenario directories and writes the records
 stream plus the confusion/metrics/transitions/histogram/timing tables. Both
-run `harness.run_scenario` per scenario. Asked for both `pa` and `hybrid`,
-it runs `pa` first and, without a wall clock, gives `hybrid` that outcome
-on a unit where `pa` logs no `unresolved-call` miss-reference: the two
-modes differ only at a call `pa` cannot resolve. Without `--out`, `analyze` prints
+run `harness.run_scenario` per scenario. Without a wall clock it runs the
+points-to modes first, `pa` before `hybrid`: `hybrid` takes `pa`'s outcome
+on a unit where `pa` logs no `unresolved-call` miss-reference, since the
+two modes differ only at a call `pa` cannot resolve, and `nopa` takes the
+outcome of a points-to run that made only `nopa`'s choices, less its
+points-to sets and miss-references. Without `--out`, `analyze` prints
 only verdicts and reports, so it asks for verdicts only: a unit whose path
 tree has more paths or visits than the budget allows times out as soon as
 `engine.count_tree` counts past it, and one within budget where no left

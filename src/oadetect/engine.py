@@ -88,7 +88,10 @@ exhausting any of them yields a TIMEOUT verdict. A budget stop is a value,
 not an exception: the walk sets the context's `stop_reason` to the budget
 that ran out and returns, as the count returns it in `TreeCount.exceeds`,
 and `detect` returns it in `OutcomeStats.stop_reason`, which records leave
-out.
+out. They leave out `OutcomeStats.nopa_choices` too: whether a points-to
+run resolved every call, and answered every heap comparison of two
+non-empty points-to sets, as `nopa` does, so that its outcome is `nopa`'s
+(see `detect`).
 
 Outcomes are values too. A miss-reference is an immutable (position,
 expression, reason) tuple; the context collects them in a set, and
@@ -333,6 +336,8 @@ class OutcomeStats(NamedTuple):
     paths: int
     elapsed_ms: float  # the path search's wall time; 0 without a wall clock
     stop_reason: Optional[str]  # the budget that ran out: "fuel", "path_cap" or "wall_clock"
+    # Whether the run made only the choices `nopa` makes (see `detect`).
+    nopa_choices: bool = True
 
 
 class AnalysisOutcome(NamedTuple):
@@ -439,6 +444,11 @@ class DetectionContext:
         self.by_id = self.hierarchy.methods_by_id()
         self.visited = 0
         self.paths = 0
+        # Whether every call target list and heap comparison so far is the
+        # one `nopa` gets (see `detect`). Under `pa` it can only tell when
+        # given the CHA graph `nopa` resolves calls by; under `nopa` it
+        # stays true, unchecked.
+        self.nopa_choices = cha is not None
         # The budget that ran out: "fuel", "path_cap" or "wall_clock".
         self.stop_reason: Optional[str] = None
         self.missrefs: set[MissRef] = set()
@@ -478,6 +488,8 @@ class DetectionContext:
             defs, miss = resolve_call(st, self)
             if miss is not None:
                 self.missrefs.add(miss)
+            if self.nopa_choices and self.mode.uses_pts:
+                self.nopa_choices = [t.id for t in defs] == [t.id for t in _cha_targets(st, self)]
         elif isinstance(st, AllocAssign):
             ctor = self.hierarchy.constructor_of(st.cls, len(st.args))
             defs = [] if ctor is None else [ctor]
@@ -562,13 +574,8 @@ def resolve_call(st: VirtualCall, ctx: DetectionContext):
     contributes no targets; hybrid widens it to the hierarchy-based targets.
     """
 
-    def cha_targets() -> list[MethodDef]:
-        if ctx.cha is not None and ctx.cha.has_site(st.pos):
-            return [ctx.by_id[i] for i in ctx.cha.targets_at(st.pos)]
-        return list(ctx.hierarchy.dispatch_targets(None, st.method, len(st.args)))
-
     if not ctx.mode.uses_pts:
-        return cha_targets(), None
+        return _cha_targets(st, ctx), None
 
     pa_ids = ctx.pts.callgraph.targets_at(st.pos) if ctx.pts is not None else []
     if pa_ids:
@@ -576,7 +583,16 @@ def resolve_call(st: VirtualCall, ctx: DetectionContext):
     miss = MissRef(st.pos, f"{st.receiver}.{st.method}()", "unresolved-call")
     if not ctx.mode.uses_cha:
         return [], miss
-    return cha_targets(), miss
+    return _cha_targets(st, ctx), miss
+
+
+def _cha_targets(st: VirtualCall, ctx: DetectionContext) -> list[MethodDef]:
+    """The targets `nopa` resolves a virtual site to: the context's CHA
+    graph's, or the hierarchy's for every receiver type at a site the graph
+    does not hold."""
+    if ctx.cha is not None and ctx.cha.has_site(st.pos):
+        return [ctx.by_id[i] for i in ctx.cha.targets_at(st.pos)]
+    return list(ctx.hierarchy.dispatch_targets(None, st.method, len(st.args)))
 
 
 # ---------------------------------------------------------------------------
@@ -1298,10 +1314,15 @@ class _Scanner(_Enumerator):
     def _walk_back(self, same: list[WriteEvent], w: WriteEvent):
         if w.provenance is Provenance.BASE:
             return None, _NO_MISS
-        mode, h = self.ctx.mode, self.ctx.hierarchy
+        ctx = self.ctx
+        mode, h = ctx.mode, ctx.hierarchy
+        check = ctx.nopa_choices and mode.uses_pts and w.base_pts
         misses: list[MissRef] = []
         for prior in reversed(same):
             res = compare_heap(prior, w, mode, h)
+            # With a set empty, `pa` falls back to `nopa`'s answer.
+            if check and prior.base_pts and res.match != compare_heap(prior, w, Mode.NOPA, h).match:
+                check = ctx.nopa_choices = False
             misses.extend(res.missrefs)
             if res.match:
                 return _overridden(prior, w), misses
@@ -1380,6 +1401,16 @@ def detect(
     its quiet call subtrees. Either way the outcome is the full walk's,
     conflicts, counters and stop reason included. `stats.stop_reason` names
     the budget that ran out, the count's under `verdict_only`.
+
+    `stats.nopa_choices`, which records leave out too, says whether a `pa`
+    or `hybrid` run made only the choices a `nopa` run makes: every call it
+    resolved got the target list `nopa` gets from the CHA graph `cha` (an
+    unresolved `pa` call with CHA targets differs), and every heap
+    comparison of two non-empty points-to sets gave `nopa`'s base-type
+    answer. Once one differs, neither check runs again. Where it holds,
+    the `nopa` run's outcome is this one with its conflicts' points-to sets
+    and its miss-references dropped (`as_nopa`). It is false for a `pa`
+    run given no `cha`, which cannot tell, and true for every `nopa` run.
     """
     ctx = _make_context(p, entry, mode, budget, cha, pts)
     scanner = _Scanner(ctx, entry)
@@ -1414,5 +1445,17 @@ def detect(
     ordered = sorted(conflicts.values(), key=lambda c: c.key[1:])
     missrefs = sorted(ctx.missrefs)
     elapsed = (time.perf_counter() - started) * 1000.0 if ctx.budget.wall_clock is not None else 0.0
-    stats = OutcomeStats(visited=ctx.visited, paths=ctx.paths, elapsed_ms=elapsed, stop_reason=ctx.stop_reason)
+    stats = OutcomeStats(visited=ctx.visited, paths=ctx.paths, elapsed_ms=elapsed, stop_reason=ctx.stop_reason,
+                         nopa_choices=ctx.nopa_choices)
     return AnalysisOutcome(verdict=verdict, conflicts=ordered, missrefs=missrefs, stats=stats)
+
+
+def as_nopa(outcome: AnalysisOutcome) -> AnalysisOutcome:
+    """The outcome `nopa` gives where a points-to run's `stats.nopa_choices`
+    holds: its conflicts, their events without points-to sets, no
+    miss-reference, and its stats."""
+    conflicts = [
+        c._replace(overridden=c.overridden._replace(base_pts=None), overriding=c.overriding._replace(base_pts=None))
+        for c in outcome.conflicts
+    ]
+    return outcome._replace(conflicts=conflicts, missrefs=[])

@@ -706,6 +706,34 @@ def test_corpus_with_a_manifest_with_an_empty_id_exits_3(tmp_path, capsys):
     assert not any(line.startswith("\t") for line in captured.out.splitlines())
 
 
+# An id of only whitespace used to give `corpus` lines that began with it,
+# and an empty project put every scenario with one in a single project "",
+# where an absent or null project makes the scenario its own.
+BLANK_ID_OR_PROJECT = pytest.mark.parametrize("manifest, message", [
+    ('{"id": " ", "sources": ["a.mir"]}', "'id' must not be only whitespace"),
+    ('{"id": "s", "project": "", "sources": ["a.mir"]}', "'project' must not be empty"),
+], ids=["blank-id", "empty-project"])
+
+
+@pytest.mark.parametrize("command", ["dump-graph", "dump-pts"])
+@BLANK_ID_OR_PROJECT
+def test_a_manifest_with_a_blank_id_or_an_empty_project_exits_3(command, manifest, message, tmp_path, capsys):
+    d = _scenario_dir(tmp_path, manifest)
+    code = main([command, str(d)])
+    _assert_one_line_usage_error(code, capsys.readouterr(), f"error: {d / 'scenario.json'}: {message}\n")
+
+
+@BLANK_ID_OR_PROJECT
+def test_corpus_with_a_manifest_with_a_blank_id_or_an_empty_project_exits_3(manifest, message, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    _corpus_with_bad_scenario(root, manifest)
+    out = tmp_path / "out"
+    code = main(["corpus", "--deterministic", "--reps", "1", "--root", str(root), "--out", str(out)])
+    captured = capsys.readouterr()
+    _assert_scenario_error_beside_fig1_simple(code, captured, out, message)
+    assert not any(line.startswith(" ") for line in captured.out.splitlines())
+
+
 # A scenario directory given beside other sources used to be read as loose
 # sources, its manifest (source list, sidecar, entry) ignored without a word.
 
@@ -817,7 +845,10 @@ def test_analyze_manifest_entry_with_bad_arity_exits_3(tmp_path, capsys):
     ([], '{"id": "s", "sources": ["a.mir"], "entry": ""}', "'entry' must not be empty"),
     ([], '{"id": "s", "sources": ["a.mir"], "sidecar": ""}', "'sidecar' must not be empty"),
     ([], '{"id": "", "sources": ["a.mir"]}', "'id' must not be empty"),
-], ids=["entry", "sidecar", "out", "manifest-entry", "manifest-sidecar", "manifest-id"])
+    ([], '{"id": " \\t", "sources": ["a.mir"]}', "'id' must not be only whitespace"),
+    ([], '{"id": "s", "project": "", "sources": ["a.mir"]}', "'project' must not be empty"),
+], ids=["entry", "sidecar", "out", "manifest-entry", "manifest-sidecar", "manifest-id", "manifest-blank-id",
+        "manifest-project"])
 def test_analyze_empty_path_or_entry_exits_3_before_any_analysis(flags, manifest, message, tmp_path, capsys,
                                                                  monkeypatch):
     d = _scenario_dir(tmp_path, manifest or '{"id": "s", "sources": ["a.mir"]}')

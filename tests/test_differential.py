@@ -40,7 +40,10 @@ blocks included: both must give the same sets on every unit.
 `harness.run_scenario` gives `hybrid` the outcome of `pa` on a unit where
 `pa` logs no unresolved-call miss-reference. A `hybrid` run of its own is
 the reference there: verdict, conflicts, miss-references, counters and
-stop reason must all be equal.
+stop reason must all be equal. It gives `nopa` the outcome of a `pa` or
+`hybrid` run whose `stats.nopa_choices` holds, less points-to sets and
+miss-references (`engine.as_nopa`); a `nopa` run of its own is the
+reference there, its whole `AnalysisOutcome`.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from oadetect.engine import (
     Mode,
     Verdict,
     WriteEvent,
+    as_nopa,
     compare_heap,
     count_tree,
     detect,
@@ -585,6 +589,42 @@ def test_hybrid_equals_pa_where_pa_resolves_every_call(tmp_path, monkeypatch):
     assert shares == {
         "seed range": (762, 1170), "bundled": (6, 8),
         "gate-bundled": (6, 8), "scan-random": (36, 66), "wide-hierarchy": (130, 130),
+    }
+
+
+# ---------------------------------------------------------------------------
+# `nopa` against a points-to run that made every choice `nopa` makes
+
+
+@pytest.mark.hashseed
+def test_nopa_equals_a_points_to_run_that_made_nopas_choices(tmp_path, monkeypatch):
+    # `harness.run_scenario` gives `nopa` the outcome of such a `pa` or
+    # `hybrid` run, less points-to sets and miss-references, without running
+    # it; here all three run, verdict-only and full, over one CHA graph.
+    monkeypatch.delenv("OA_SEED", raising=False)  # as the benchmark builds its workloads
+    shares = {}
+    for group, units in hybrid_groups(tmp_path):
+        qualifying = runs = 0
+        for p, entry, budgets in units:
+            cha, pts = build_cha_graph(p, entry), solve(p)
+            for bud in budgets:
+                for verdict_only in (True, False):
+                    runs += 1
+                    nopa = None
+                    for mode in (Mode.PA, Mode.HYBRID):
+                        got = detect(p, entry, mode, budget=bud, cha=cha, pts=pts, verdict_only=verdict_only)
+                        if got.stats.nopa_choices:
+                            nopa = nopa or detect(p, entry, Mode.NOPA, budget=bud, cha=cha, pts=pts,
+                                                  verdict_only=verdict_only)
+                            assert as_nopa(got) == nopa, (group, entry.id, mode, bud, verdict_only)
+                    qualifying += nopa is not None
+        shares[group] = (qualifying, runs)
+    # (qualifying runs, runs), two runs per unit and budget: the bundled
+    # corpus and gate-bundled lose fig1_advanced and deep_hierarchy, and in
+    # every wide-hierarchy unit `pa` resolves a call to fewer targets than CHA.
+    assert shares == {
+        "seed range": (972, 1170), "bundled": (4, 8),
+        "gate-bundled": (4, 8), "scan-random": (60, 66), "wide-hierarchy": (0, 130),
     }
 
 

@@ -513,6 +513,23 @@ def test_points_to_sees_one_object_through_two_interfaces(mode):
     assert _verdict(TWO_INTERFACES, "D.m", mode) is Verdict.TRUE
 
 
+@pytest.mark.parametrize("mode", [Mode.PA, Mode.HYBRID])
+def test_a_heap_comparison_unlike_nopas_clears_nopa_choices(mode):
+    p = parse_source(TWO_INTERFACES)
+    entry = find_method(p, "D.m")
+    cha = build_cha_graph(p, entry)
+    assert not detect(p, entry, mode, budget=budget(), cha=cha).stats.nopa_choices
+    assert detect(p, entry, Mode.NOPA, budget=budget(), cha=cha).stats.nopa_choices
+
+
+def test_nopa_choices_needs_the_cha_graph_under_pa(fig1_simple):
+    p, entry = fig1_simple
+    cha = build_cha_graph(p, entry)
+    assert detect(p, entry, Mode.PA, budget=budget(), cha=cha).stats.nopa_choices
+    assert not detect(p, entry, Mode.PA, budget=budget()).stats.nopa_choices  # cannot tell
+    assert detect(p, entry, Mode.HYBRID, budget=budget()).stats.nopa_choices
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: nopa relates two declared types only by subtyping")
 def test_nopa_relates_two_interfaces_a_class_implements():
     assert _verdict(TWO_INTERFACES, "D.m", Mode.NOPA) is Verdict.TRUE

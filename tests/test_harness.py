@@ -6,8 +6,9 @@ from statistics import mean
 import pytest
 
 from conftest import ALL_MODES, annotate_missref_paths, budget
+from test_engine import TWO_INTERFACES
 from oadetect import harness
-from oadetect.engine import AnalysisBudget, Mode, Verdict
+from oadetect.engine import AnalysisBudget, Mode, Verdict, as_nopa
 from oadetect.frontend import SourceUnit
 from oadetect.harness import (
     ConfusionMatrix,
@@ -266,16 +267,63 @@ def detect_calls(monkeypatch):
 
 def test_hybrid_takes_pas_outcome_where_pa_resolves_every_call(detect_calls):
     nopa, pa, hybrid = run_scenario(load_bundled("fig1_simple"), list(ALL_MODES), budget=budget())
-    assert detect_calls == [Mode.PA, Mode.NOPA]  # pa runs first, and hybrid not at all
+    assert detect_calls == [Mode.PA]  # pa runs first; hybrid and nopa take its outcome
     assert (nopa.mode, pa.mode, hybrid.mode) == ALL_MODES
     assert hybrid.outcome is pa.outcome and hybrid.verdict is pa.verdict is T
 
 
 def test_hybrid_runs_its_own_detect_where_pa_leaves_a_call_unresolved(detect_calls):
     nopa, pa, hybrid = run_scenario(load_bundled("mkref"), list(ALL_MODES), budget=budget())
-    assert len(detect_calls) == 3
+    assert detect_calls == [Mode.PA, Mode.HYBRID]
     assert "unresolved-call" in {m.reason for m in pa.outcome.missrefs}
     assert (pa.verdict, hybrid.verdict) == (F, T)
+
+
+# A points-to run whose every call target list and heap comparison is the
+# one `nopa` makes gives `nopa` its outcome, less points-to sets and
+# miss-references.
+
+
+def test_nopa_takes_pas_outcome_where_pa_makes_nopas_choices(detect_calls):
+    nopa, pa = run_scenario(load_bundled("fig1_simple"), [Mode.NOPA, Mode.PA], budget=budget())
+    assert detect_calls == [Mode.PA] and (nopa.mode, pa.mode) == (Mode.NOPA, Mode.PA)
+    assert pa.outcome.stats.nopa_choices and nopa.outcome == as_nopa(pa.outcome)
+    assert nopa.timings_ms is pa.timings_ms and nopa.verdict is pa.verdict is T
+
+
+def test_nopa_takes_hybrids_outcome_where_only_hybrid_makes_nopas_choices(detect_calls):
+    nopa, pa, hybrid = run_scenario(load_bundled("mkref"), list(ALL_MODES), budget=budget())
+    assert detect_calls == [Mode.PA, Mode.HYBRID]
+    assert not pa.outcome.stats.nopa_choices and hybrid.outcome.stats.nopa_choices
+    assert nopa.outcome == as_nopa(hybrid.outcome) and nopa.verdict is T
+    assert hybrid.outcome.missrefs and nopa.outcome.missrefs == []
+    assert all(c.overriding.base_pts is None is c.overridden.base_pts for c in nopa.outcome.conflicts)
+
+
+def test_nopa_runs_its_own_detect_where_a_call_resolves_otherwise(detect_calls):
+    # `pa` resolves each of fig1_advanced's two calls to one of CHA's two targets.
+    nopa, pa, hybrid = run_scenario(load_bundled("fig1_advanced"), list(ALL_MODES), budget=budget())
+    assert detect_calls == [Mode.PA, Mode.NOPA]
+    assert not pa.outcome.stats.nopa_choices and hybrid.outcome is pa.outcome
+    assert (nopa.verdict, pa.verdict) == (T, F) and nopa.outcome.stats.nopa_choices
+
+
+def test_nopa_runs_its_own_detect_where_a_heap_comparison_differs(detect_calls):
+    # One object through two unrelated interfaces: the points-to sets
+    # overlap where the base types are unrelated, and no call is virtual.
+    s = Scenario("two", "two", [SourceUnit("t.mir", TWO_INTERFACES)], entry="D.m")
+    nopa, pa, hybrid = run_scenario(s, list(ALL_MODES), budget=budget())
+    assert detect_calls == [Mode.PA, Mode.NOPA]
+    assert not pa.outcome.stats.nopa_choices and pa.outcome.missrefs == []
+    assert (nopa.verdict, pa.verdict, hybrid.verdict) == (F, T, T)
+
+
+def test_a_timed_nopa_runs_its_own_detect(detect_calls):
+    timed = AnalysisBudget(wall_clock=30.0)
+    nopa, pa = run_scenario(load_bundled("fig1_simple"), [Mode.NOPA, Mode.PA], budget=timed)
+    assert detect_calls == [Mode.NOPA, Mode.PA]  # in the requested order
+    assert nopa.outcome.stats.elapsed_ms == nopa.timings_ms[-1] > 0.0
+    assert nopa.timings_ms is not pa.timings_ms and nopa.verdict is pa.verdict is T
 
 
 def test_a_shared_outcome_keeps_the_requested_mode_order(detect_calls):
@@ -326,6 +374,14 @@ def test_run_corpus_deep_hierarchy_timeout_direction():
     nopa_result = next(r for r in run.results if r.mode is Mode.NOPA)
     pa_result = next(r for r in run.results if r.mode is Mode.PA)
     assert nopa_result.outcome.stats.visited >= pa_result.outcome.stats.visited
+
+
+def test_run_corpus_results_carry_no_entry():
+    # No `corpus` output reads it, and a forked helper would pickle its body.
+    run = run_corpus([load_bundled("fig1_simple")], [Mode.NOPA, Mode.PA], budget=budget())
+    assert [r.entry for r in run.results] == [None, None]
+    (result,) = run_scenario(load_bundled("fig1_simple"), [Mode.NOPA], budget=budget())
+    assert result.entry.id == "Text.generateReport/0"  # `analyze` prints it
 
 
 def test_run_corpus_records_parse_errors():
