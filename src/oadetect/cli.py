@@ -9,8 +9,12 @@
 verdict is true (a timeout's partial conflicts go to the `--out` records
 only). It exits 0 when every requested mode is conflict-free, 1 when any
 mode reports a conflict, 2 when any mode times out (and none conflicts), 3
-on usage, input or parse errors. `corpus` evaluates scenario directories and writes the records
-stream plus the confusion/metrics/transitions/histogram/timing tables. Both
+on usage, input or parse errors. A run that runs out of memory or stack
+depth exits 2 too, with one `error:` line naming the resource and no
+verdict; any other unexpected exception exits 4 with one `error: internal
+error:` line and its traceback, never 1. `corpus` evaluates scenario
+directories and writes the records stream plus the
+confusion/metrics/transitions/histogram/timing tables. Both
 run `harness.run_scenario` per scenario. Without a wall clock it runs the
 points-to modes first, `pa` before `hybrid`: `hybrid` takes `pa`'s outcome
 on a unit where `pa` logs no `unresolved-call` miss-reference, since the
@@ -61,11 +65,12 @@ EXIT_FALSE = 0
 EXIT_TRUE = 1
 EXIT_TIMEOUT = 2
 EXIT_ERROR = 3
+EXIT_INTERNAL = 4
 
 DESCRIPTION = (
     "Detect override-assignment conflicts in merged programs, with and without "
-    "pointer analysis. Exit codes: 0 no conflict, 1 a conflict, 2 a timeout, "
-    "3 a usage, input or parse error."
+    "pointer analysis. Exit codes: 0 no conflict, 1 a conflict, 2 a timeout or "
+    "out of memory or stack, 3 a usage, input or parse error, 4 an internal error."
 )
 
 
@@ -370,6 +375,19 @@ def main(argv=None) -> int:
     except (MirError, OSError) as e:
         print(_one_line(f"error: {e}"), file=sys.stderr)
         return EXIT_ERROR
+    except (MemoryError, RecursionError) as e:
+        # Like a timeout, no verdict. Drop the unwound frames, and with them
+        # what used the resource up, before the message allocates.
+        resource = "memory" if isinstance(e, MemoryError) else "stack depth"
+        e.__traceback__ = None
+        print(f"error: out of {resource}: no verdict", file=sys.stderr)
+        return EXIT_TIMEOUT
+    except Exception as e:  # a bug: never exit 1, which tells CI "conflict"
+        import traceback
+
+        print(_one_line(f"error: internal error: {type(e).__name__}: {e}"), file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

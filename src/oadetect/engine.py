@@ -64,21 +64,29 @@ choice point nor a backtrack copies anything.
 The scan runs as the enumerator appends each write event, so every write is
 scanned once however many paths share it. The LV/SFR rule is an equality,
 so a last-writer dict keyed by `element_key()` gives a write's most recent
-earlier writer. The IFR/AR rule is pairwise and not transitive, so those
-writes walk back over the earlier writes of their own kind only, comparing
-each pair and logging its miss-references. Every event leaves a record on
-a trail beside the event list; backtracking to a choice point replays the
-trail backwards (undoing dict entries and kind-list appends), as a Prolog
-machine's trail does.
+earlier writer, which alone tells whether the write overrides it and
+whether it collapses the write before it (back-to-back same-side writes to
+one local keep only the last, `_collapse_redundant_locals`). The IFR/AR
+rule is pairwise and not transitive, so a changed heap write walks back
+over the earlier writes of its own kind, latest first, to the first that
+may write its element: one `compare_heap` per pair, which also gives
+`nopa`'s answer while a points-to run checks `nopa_choices` and names the
+writes with an empty set, which log a miss-reference. Every event leaves a
+record on a trail beside the event list, what undoes it and whether it
+collapses its predecessor; backtracking to a choice point replays the
+trail backwards, as a Prolog machine's trail does.
 
-Findings, both conflicts and comparison miss-references, stay on the trail
-until the path completes, so a path cut by fuel or the path cap contributes
-none. Back-to-back same-side writes to one local collapse into the last
-(`_collapse_redundant_locals`): a collapsed write is skipped when its path
-commits, and the write that replaces it inherits the overridden writer it
-looked up, which is the writer before the collapsed one. Because a write's
-successor changes on backtrack, the write just before the cut is committed
-again on the next path.
+An event that overrides the other side's write, or that compared
+empty-set writes not logged yet, is a finding, listed by index beside the
+trail and cut back with it. A completed path commits only the findings
+listed since the last commit, in index order, so each conflict is the
+first found for its key and a path cut by fuel or the path cap
+contributes none. A finding whose event its successor collapses is
+skipped, the successor having taken its overridden writer; when a
+backtrack removes that successor, the finding is committed on the next
+path. A commit builds each `empty-pts` miss-reference once per `detect`,
+on its write's first commit; logged misses are never undone, so later
+walk-backs leave that write out.
 
 Writes reached through a changed call site inherit that side's provenance,
 so a base-code write counts for the developer whose added call executes it.
@@ -347,11 +355,6 @@ class AnalysisOutcome(NamedTuple):
     stats: OutcomeStats
 
 
-class ComparisonResult(NamedTuple):
-    match: bool
-    missrefs: tuple
-
-
 _NO_MISS: tuple = ()
 
 
@@ -396,28 +399,38 @@ def _same_slot(a: WriteEvent, b: WriteEvent) -> bool:
     return True  # constant vs local: unknown, stays match-eligible
 
 
-def compare_heap(a: WriteEvent, b: WriteEvent, mode: Mode, h: Hierarchy) -> ComparisonResult:
-    """Whether two IFR writes, or two AR writes, may write one heap element.
+def compare_heap(a: WriteEvent, b: WriteEvent, mode: Mode, h: Hierarchy, nopa: bool = False) -> tuple:
+    """Whether two IFR writes, or two AR writes, may write one heap element:
+    `(match, nopa_match, empty)`.
 
     Their slots must match and they must not sit in one constructor. `nopa`
     then asks the hierarchy `h` for related base types. `pa` and `hybrid`
-    ask for overlapping points-to sets; when either set is empty they log an
-    `empty-pts` miss-reference for each such write, whatever the slots, and
-    fall back to the base-type rule.
+    ask for overlapping points-to sets; when either set is empty they fall
+    back to the base-type rule, and `empty` holds the writes of the two
+    (in order) whose set is empty, each of which logs its `empty-pts`
+    miss-reference (`empty_pts_miss`), whatever the slots. `match` is the
+    answer under `mode`. With `nopa` set, `nopa_match` is the answer under
+    `nopa`, which costs a base-type test of its own only where both sets
+    are non-empty; else it is None.
     """
     eligible = _same_slot(a, b) and not _same_constructor(a, b)
-    misses = _NO_MISS
     if mode.uses_pts:
-        empty = [ev for ev in (a, b) if not ev.base_pts]
-        if not empty:
-            return ComparisonResult(eligible and bool(a.base_pts & b.base_pts), _NO_MISS)
-        misses = tuple(MissRef(ev.pos, _written(ev), "empty-pts") for ev in empty)
-    return ComparisonResult(eligible and _base_types_related(a, b, h), misses)
+        pa, pb = a.base_pts, b.base_pts
+        if pa and pb:
+            base = (eligible and _base_types_related(a, b, h)) if nopa else None
+            return eligible and not pa.isdisjoint(pb), base, _NO_MISS
+        empty = (b,) if pa else (a,) if pb else (a, b)
+    else:
+        empty = _NO_MISS
+    match = eligible and _base_types_related(a, b, h)
+    return match, match if nopa else None, empty
 
 
-def _written(ev: WriteEvent) -> str:
-    """A heap write's target as the source spells it: `base.field` or `base[index]`."""
-    return f"{ev.base}.{ev.field_name}" if ev.kind == IFR else f"{ev.base}[{ev.index}]"
+def empty_pts_miss(ev: WriteEvent) -> MissRef:
+    """The `empty-pts` miss-reference of heap write `ev`, its target spelled
+    as the source spells it: `base.field` or `base[index]`."""
+    written = f"{ev.base}.{ev.field_name}" if ev.kind == IFR else f"{ev.base}[{ev.index}]"
+    return MissRef(ev.pos, written, "empty-pts")
 
 
 # ---------------------------------------------------------------------------
@@ -1223,22 +1236,12 @@ def _quiet(ctx: DetectionContext, keys: set) -> frozenset:
     return frozenset(ctx.effects.keys() - heard)
 
 
-def _collapses(prev: WriteEvent, ev: WriteEvent) -> bool:
-    """Whether `ev` replaces `prev`: back-to-back same-side writes to one local."""
-    return (
-        ev.kind == LV
-        and prev.kind == LV
-        and prev.method_id == ev.method_id
-        and prev.local == ev.local
-        and prev.provenance is ev.provenance
-    )
-
-
 def _collapse_redundant_locals(events: list[WriteEvent]) -> list[WriteEvent]:
     """Consecutive same-side writes to one local keep only the last."""
     out: list[WriteEvent] = []
     for ev in events:
-        if out and _collapses(out[-1], ev):
+        if (out and ev.kind == LV and out[-1].element_key() == ev.element_key()
+                and out[-1].provenance is ev.provenance):
             out[-1] = ev
         else:
             out.append(ev)
@@ -1281,7 +1284,7 @@ class _Scanner(_Enumerator):
     """The enumerator with the conflict scan run as each write is appended.
 
     See the module docstring for the last-writer dict, the same-kind
-    walk-back, the trail, and commit on path completion.
+    walk-back, the trail, the findings and their commit on path completion.
     """
 
     def __init__(self, ctx: DetectionContext, entry: MethodDef):
@@ -1289,89 +1292,106 @@ class _Scanner(_Enumerator):
         self.conflicts: dict = {}
         self.last_writer: dict[tuple, Optional[WriteEvent]] = {}
         self.same_kind: dict[str, list[WriteEvent]] = {IFR: [], AR: []}
-        # Per event: (key or None, writer the key held before, overridden
-        # write or None, miss-references).
+        # Per event, what undoes it and whether it collapses the event before
+        # it: (key, the writer the key held before, collapses) for an LV or
+        # SFR write, (None, its kind's list, False) for a heap write.
         self.trail: list[tuple] = []
-        self.committed = 0  # events before this index are settled on the current path
+        # Per event with a finding, in index order: (event index, the write
+        # it overrides or None, (miss key, write) for each heap write with an
+        # empty points-to set that it compared and whose miss-reference is
+        # not logged yet). A miss key is what names the miss-reference:
+        # (pos, kind, base, field_name, index).
+        self.findings: list[tuple] = []
+        self.committed = 0  # findings before this index are settled on the current path
+        self.logged: set[tuple] = set()  # the miss keys whose empty-pts miss-reference is logged
 
     def _append(self, ev: WriteEvent, key: Optional[tuple]) -> None:
         events = self.events
         if key is None:
             same = self.same_kind[ev.kind]
-            overridden, misses = self._walk_back(same, ev)
+            if same and ev.provenance is not Provenance.BASE:
+                self._walk_back(same, ev)
             same.append(ev)
-            self.trail.append((None, None, overridden, misses))
+            self.trail.append((None, same, False))
         else:
             held = self.last_writer.get(key)
-            if events and _collapses(events[-1], ev):
-                overridden = self.trail[-1][2]
-            else:
-                overridden = _overridden(held, ev)
             self.last_writer[key] = ev
-            self.trail.append((key, held, overridden, _NO_MISS))
+            collapses = False
+            if held is not None:
+                prov, held_prov = ev.provenance, held.provenance
+                if held_prov is prov and key[0] == LV and held is events[-1]:
+                    # Back-to-back same-side writes to one local: `ev` replaces
+                    # the write before it, and takes its finding.
+                    collapses = True
+                    findings = self.findings
+                    if findings and findings[-1][0] == len(events) - 1:
+                        findings.append((len(events), findings[-1][1], _NO_MISS))
+                elif prov is not Provenance.BASE and held_prov is not Provenance.BASE and held_prov is not prov:
+                    # The other side's write is overridden; a base write
+                    # blocks, and a same-side write is benign.
+                    self.findings.append((len(events), held, _NO_MISS))
+            self.trail.append((key, held, collapses))
         events.append(ev)
 
-    def _walk_back(self, same: list[WriteEvent], w: WriteEvent):
-        if w.provenance is Provenance.BASE:
-            return None, _NO_MISS
-        ctx = self.ctx
+    def _walk_back(self, same: list[WriteEvent], w: WriteEvent) -> None:
+        """Compares changed heap write `w` with the earlier writes of its kind,
+        latest first, up to the first that may write its element, and lists
+        its finding: that write if the other side's, and the writes with an
+        empty points-to set compared whose miss-reference is not logged."""
+        ctx, logged = self.ctx, self.logged
         mode, h = ctx.mode, ctx.hierarchy
-        check = ctx.nopa_choices and mode.uses_pts and w.base_pts
-        misses: list[MissRef] = []
+        check = ctx.nopa_choices and mode.uses_pts
+        overridden, misses = None, {}
         for prior in reversed(same):
-            res = compare_heap(prior, w, mode, h)
-            # With a set empty, `pa` falls back to `nopa`'s answer.
-            if check and prior.base_pts and res.match != compare_heap(prior, w, Mode.NOPA, h).match:
+            match, nopa_match, empty = compare_heap(prior, w, mode, h, check)
+            if check and nopa_match != match:
                 check = ctx.nopa_choices = False
-            misses.extend(res.missrefs)
-            if res.match:
-                return _overridden(prior, w), misses
-        return None, misses
+            for ev in empty:
+                k = ev.pos, ev.kind, ev.base, ev.field_name, ev.index
+                if k not in logged and k not in misses:
+                    misses[k] = ev
+            if match:
+                if prior.provenance is not Provenance.BASE and prior.provenance is not w.provenance:
+                    overridden = prior
+                break
+        if overridden is not None or misses:
+            self.findings.append((len(self.events), overridden, tuple(misses.items())))
 
     def _truncate(self, n: int) -> None:
-        events, trail = self.events, self.trail
-        for i in range(len(events) - 1, n - 1, -1):
-            key, held = trail[i][0], trail[i][1]
+        events, trail, findings = self.events, self.trail, self.findings
+        last_writer = self.last_writer
+        # The event before the cut loses its successor. If that one collapsed
+        # it, its finding is settled again on the next path.
+        settled = n < len(trail) and trail[n][2]
+        for key, held, _ in reversed(trail[n:]):
             if key is None:
-                self.same_kind[events[i].kind].pop()
+                held.pop()
             else:
-                self.last_writer[key] = held
+                last_writer[key] = held
         del events[n:]
         del trail[n:]
-        # The event before the cut gets a new successor, which may change
-        # whether it is collapsed, so it is settled again.
-        self.committed = min(self.committed, max(n - 1, 0))
+        while findings and findings[-1][0] >= n:
+            findings.pop()
+        k = len(findings)
+        if settled and k and findings[-1][0] == n - 1:
+            k -= 1
+        self.committed = min(self.committed, k)
 
     def _finish_path(self) -> None:
-        events, trail, ctx = self.events, self.trail, self.ctx
-        last = len(events) - 1
-        for i in range(self.committed, last + 1):
-            w = events[i]
-            if i < last and _collapses(w, events[i + 1]):
+        trail, ctx, logged, conflicts = self.trail, self.ctx, self.logged, self.conflicts
+        n = len(trail)
+        for i, overridden, misses in self.findings[self.committed:]:
+            if i + 1 < n and trail[i + 1][2]:  # collapsed: the next event took its finding
                 continue
-            _, _, overridden, misses = trail[i]
-            for miss in misses:
-                ctx.missrefs.add(miss)
+            for k, ev in misses:
+                if k not in logged:
+                    logged.add(k)
+                    ctx.missrefs.add(empty_pts_miss(ev))
             if overridden is not None:
+                w = self.events[i]
                 c = Conflict(w.element_text(), overridden=overridden, overriding=w)
-                self.conflicts.setdefault(c.key, c)
-        self.committed = len(events)
-
-
-def _overridden(prior: Optional[WriteEvent], w: WriteEvent) -> Optional[WriteEvent]:
-    """`prior` when it is the other side's write that changed write `w` overrides.
-
-    A base write between two changed writes blocks, and a same-side write
-    is benign.
-    """
-    if (
-        prior is None
-        or w.provenance is Provenance.BASE
-        or prior.provenance is Provenance.BASE
-        or prior.provenance is w.provenance
-    ):
-        return None
-    return prior
+                conflicts.setdefault(c.key, c)
+        self.committed = len(self.findings)
 
 
 def detect(

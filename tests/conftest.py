@@ -391,6 +391,24 @@ def _nested_calls(methods: int = 6, nesting: int = 200) -> str:
 NESTED_CALLS = _nested_calls()
 
 
+def extends_chain(classes: int) -> str:
+    """`C0` with a field `f` and a method `m` writing it, and `C1`..`C(n-1)`
+    each extending the one before and overriding `m`; `T.run` calls `m` on
+    a `C0` field (left) and then writes its `f` (right), a conflict through
+    every override. `Main.main` hands `T` a `C(n-1)`. The hierarchy index
+    is quadratic in the chain's depth: 2 000 classes need about 319 MB."""
+    lines = ["class C0 {", "  field f: int;", "  method m() {", "    this.f = 0;", "  }", "}"]
+    for i in range(1, classes):
+        lines += [f"class C{i} extends C{i - 1} {{", "  method m() {", f"    this.f = {i};", "  }", "}"]
+    lines += [
+        "class T {", "  field r: C0;", "  ctor(r) {", "    this.r = r;", "  }",
+        "  method run() {", "    r = this.r;", "    call r.m() @L;", "    r.f = 7 @R;", "  }", "}",
+        "class Main {", "  public static method main() {", f"    c = new C{classes - 1}();",
+        "    t = new T(c);", "    call t.run();", "  }", "}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 # `return` inside nested blocks of callees, which neither `randprog` (it
 # emits `return` only as a method's last statement) nor the bundled corpus
 # has: the constructor returns from inside an `if` (line 11), the virtual

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import CONFLICT_THEN_FORKS, NESTED_CALLS, parse_records
+from conftest import CONFLICT_THEN_FORKS, NESTED_CALLS, extends_chain, parse_records
 from oadetect import cli, harness
 from oadetect.cli import main
 from oadetect.frontend import pretty_print
@@ -1141,3 +1143,70 @@ def test_corpus_reports_a_static_call_that_names_no_method(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == "scenario error: bad: invalid program: a.mir:7: static call 'Nope::gone/0' names no method\n"
+
+
+# ---------------------------------------------------------------------------
+# A run that stops without a verdict never exits 1, the code of a conflict.
+# A layer that runs out of memory or stack exits 2, as a timeout does; any
+# other unexpected exception is a bug and exits 4 with its traceback.
+
+
+def _raising(error):
+    def layer(*args, **kwargs):
+        raise error
+
+    return layer
+
+
+def _run_fig1_simple(command: str, tmp_path) -> int:
+    if command == "analyze":
+        return main(["analyze", "--deterministic", "--mode", "nopa", corpus_path("fig1_simple")])
+    return main(["corpus", "--deterministic", "--reps", "1", "--modes", "nopa",
+                 "--root", corpus_path("fig1_simple"), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command", ["analyze", "corpus"])
+@pytest.mark.parametrize("error, resource", [(MemoryError, "memory"), (RecursionError, "stack depth")])
+def test_running_out_of_a_resource_exits_2_with_one_line(command, error, resource, tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(harness, "build_cha_graph", _raising(error))
+    assert _run_fig1_simple(command, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of {resource}: no verdict\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "corpus"])
+def test_an_internal_error_exits_4_with_one_line_and_the_traceback(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "build_cha_graph", _raising(ZeroDivisionError("a bug\nin a layer")))
+    assert _run_fig1_simple(command, tmp_path) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == "error: internal error: ZeroDivisionError: a bug\\nin a layer"
+    assert lines[1] == "Traceback (most recent call last):"
+    assert lines[-2:] == ["ZeroDivisionError: a bug", "in a layer"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "corpus"])
+def test_an_interrupt_propagates(command, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "build_cha_graph", _raising(KeyboardInterrupt))
+    with pytest.raises(KeyboardInterrupt):
+        _run_fig1_simple(command, tmp_path)
+
+
+def test_analyze_out_of_memory_in_a_child_process_exits_2(tmp_path):
+    # A 2 000-class chain needs about 319 MB; the child may map 160 MB, set
+    # on it alone before it runs.
+    resource = pytest.importorskip("resource")
+    src = tmp_path / "chain.mir"
+    src.write_text(extends_chain(2000))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (160 << 20, 160 << 20))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "oadetect.cli", "analyze", "--deterministic", str(src)],
+                          env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: out of memory: no verdict\n"

@@ -82,6 +82,7 @@ from oadetect.engine import (
     as_nopa,
     compare_heap,
     count_tree,
+    empty_pts_miss,
     detect,
     enumerate_write_paths,
     resolve_call,
@@ -117,15 +118,16 @@ def same_element(a: WriteEvent, b: WriteEvent, mode: Mode, ctx: DetectionContext
     """Whether two writes touch the same element; records miss-references into ctx.
 
     LV and SFR writes do exactly when their `element_key()`s are equal; IFR
-    and AR writes are compared by `compare_heap`.
+    and AR writes are compared by `compare_heap`, which names the writes
+    whose miss-references the comparison logs.
     """
     if a.kind != b.kind:
         return False
     if a.kind == LV or a.kind == SFR:
         return a.element_key() == b.element_key()
-    res = compare_heap(a, b, mode, ctx.hierarchy)
-    ctx.missrefs.update(res.missrefs)
-    return res.match
+    match, _, empty = compare_heap(a, b, mode, ctx.hierarchy)
+    ctx.missrefs.update(empty_pts_miss(ev) for ev in empty)
+    return match
 
 
 def reference_scan(events, ctx: DetectionContext, conflicts: dict) -> None:
@@ -189,9 +191,10 @@ def outcome_fields(outcome):
     )
 
 
-def assert_matches_reference(p, entry, mode: Mode, bud) -> None:
-    got = outcome_fields(detect(p, entry, mode, budget=bud))
-    assert got == reference_detect(p, entry, mode, bud)
+def assert_matches_reference(p, entry, mode: Mode, bud) -> AnalysisOutcome:
+    outcome = detect(p, entry, mode, budget=bud)
+    assert outcome_fields(outcome) == reference_detect(p, entry, mode, bud)
+    return outcome
 
 
 @functools.cache
@@ -272,6 +275,63 @@ def test_random_programs_match_reference():
         assert_matches_reference(p, entry, Mode.PA, budget(fuel=400, path_cap=3))
         checked += 1
     assert checked >= 10
+
+
+def scan_random_units(tmp_path):
+    """(unit id, program, entry) of every unit of scan-random at its seed."""
+    wl = _bench_workloads().build_workload("scan-random", tmp_path / "in", WORKLOAD_SEED)
+    assert wl.budget == PROP_BUDGET
+    for spec in wl.scenarios:
+        program, units = scenario_units(load_scenario(spec.directory))
+        for _, entry in units:
+            yield spec.unit_id, program, entry
+
+
+def test_scan_random_units_match_reference(tmp_path, monkeypatch):
+    # Its 513-path timeouts and its many empty-pts miss-references run the
+    # scan's commit and undo longest. The cut is half the fuel and paths the
+    # full run used, so every unit stops part-way.
+    monkeypatch.delenv("OA_SEED", raising=False)  # as the benchmark builds its workloads
+    runs = cut_short = 0
+    for _, program, entry in scan_random_units(tmp_path):
+        for mode in ALL_MODES:
+            full = assert_matches_reference(program, entry, mode, budget(**PROP_BUDGET)).stats
+            bud = budget(fuel=max(1, full.visited // 2), path_cap=max(1, full.paths // 2))
+            cut_short += assert_matches_reference(program, entry, mode, bud).verdict is Verdict.TIMEOUT
+            runs += 1
+    assert (runs, cut_short) == (99, 99)
+
+
+@pytest.mark.hashseed
+def test_scan_compares_each_pair_once_and_builds_each_miss_once(tmp_path, monkeypatch):
+    # scan-random's 07_p4784: a full `hybrid` walk of 36 paths compares 577
+    # pairs of heap writes, 555 of them with a points-to set empty and 22
+    # with both sets non-empty while `nopa_choices` holds, which need
+    # `nopa`'s answer too. Each pair is compared once, for both answers, and
+    # each empty-pts miss-reference is built once, however many comparisons
+    # log it.
+    monkeypatch.delenv("OA_SEED", raising=False)
+    program, entry = next((p, e) for unit, p, e in scan_random_units(tmp_path) if unit == "07_p4784")
+    pairs, built = [], []
+    compare, miss = engine.compare_heap, engine.MissRef
+
+    def counted_compare(a, b, mode, h, nopa=False):
+        pairs.append((a, b, nopa))  # holds the events, so their ids stay unique
+        return compare(a, b, mode, h, nopa)
+
+    def counted_miss(*fields):
+        built.append(fields)
+        return miss(*fields)
+
+    monkeypatch.setattr(engine, "compare_heap", counted_compare)
+    monkeypatch.setattr(engine, "MissRef", counted_miss)
+    out = detect(program, entry, Mode.HYBRID, budget=budget(**PROP_BUDGET))
+    assert (out.verdict, out.stats.paths, out.stats.nopa_choices) == (Verdict.FALSE, 36, True)
+    assert len({(id(a), id(b)) for a, b, _ in pairs}) == len(pairs) == 577
+    assert sum(1 for a, b, _ in pairs if not (a.base_pts and b.base_pts)) == 555
+    assert sum(1 for a, b, nopa in pairs if nopa and a.base_pts and b.base_pts) == 22
+    reported = [m for m in out.missrefs if m.reason == "empty-pts"]
+    assert len([f for f in built if f[2] == "empty-pts"]) == len(reported) == 5
 
 
 def test_every_suite_program_runs_in_every_mode():
@@ -364,6 +424,37 @@ def test_return_from_nested_blocks_in_callees_matches_reference(mode):
     # A fuel and path cap that cut the walk inside the callees too.
     for bud in (budget(), budget(fuel=40, path_cap=5)):
         assert_matches_reference(p, entry, mode, bud)
+
+
+# Two changed heap writes on one line, each through a base whose points-to
+# set is empty: a statement's position is only its file and line, and an
+# unvalidated program may hold several statements on one line. Each write
+# logs its own `empty-pts` miss-reference.
+SHARED_LINE_MISSES = (
+    "class D {\n"
+    "  field f: int;\n"
+    "  field g: int;\n"
+    "  field d: D;\n"
+    "}\n"
+    "class Main {\n"
+    "  public static method main() {\n"
+    "    m = new D();\n"
+    "    a = m.d; b = m.d;\n"
+    "    a.f = 1 @L; b.g = 2 @R; a.f = 3 @R;\n"
+    "  }\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_empty_pts_writes_on_one_line_each_log_a_miss(mode):
+    p = parse_source(SHARED_LINE_MISSES, validate=False)
+    entry = find_method(p, "Main.main")
+    out = assert_matches_reference(p, entry, mode, budget())
+    assert out.verdict is Verdict.TRUE
+    want = [] if mode is Mode.NOPA else ["a.f", "b.g"]
+    assert [m.expression for m in out.missrefs] == want
+    assert {m.pos.line for m in out.missrefs} <= {10}
 
 
 # `deep_hierarchy` under `nopa` exceeds every budget but the shallowest

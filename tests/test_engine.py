@@ -15,6 +15,7 @@ from oadetect.engine import (
     compare_heap,
     count_tree,
     detect,
+    empty_pts_miss,
     enumerate_write_paths,
     resolve_call,
 )
@@ -108,39 +109,39 @@ def _ifr(line, base, base_type, field=("D", "f", "int"), pts=None, prov=Provenan
 def test_ifr_pa_overlapping_points_to(ctx):
     a = _ifr(1, "this", "D", pts=frozenset({0}))
     b = _ifr(2, "this", "D", pts=frozenset({0, 1}))
-    res = compare_heap(a, b, Mode.PA, ctx.hierarchy)
-    assert res.match and not res.missrefs
+    match, _, empty = compare_heap(a, b, Mode.PA, ctx.hierarchy)
+    assert match and not empty
 
 
 def test_ifr_nopa_same_class_different_constructors(ctx):
     # Two constructors of one class: the same-constructor exclusion is off.
     a = _ifr(1, "a", "D", method="D.<init>/1", enclosing="constructor")
     b = _ifr(2, "b", "D", method="D.<init>/2", enclosing="constructor")
-    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy)[0]
 
 
 def test_ifr_nopa_subtype_bases_are_related(ctx):
     a = _ifr(1, "a", "A")
     b = _ifr(2, "b", "D")
-    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy)[0]
 
 
 def test_ifr_same_constructor_excluded(ctx):
     a = _ifr(1, "this", "D", method="D.<init>/1", enclosing="constructor")
     b = _ifr(2, "this", "D", method="D.<init>/1", enclosing="constructor")
-    assert not compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
+    assert not compare_heap(a, b, Mode.NOPA, ctx.hierarchy)[0]
     assert not compare_heap(
         _ifr(1, "this", "D", pts=frozenset({0}), method="D.<init>/1", enclosing="constructor"),
         _ifr(2, "this", "D", pts=frozenset({0}), method="D.<init>/1", enclosing="constructor"),
         Mode.PA,
         ctx.hierarchy,
-    ).match
+    )[0]
 
 
 def test_ifr_pa_disjoint_points_to(ctx):
     a = _ifr(1, "a", "D", pts=frozenset({0}))
     b = _ifr(2, "b", "D", pts=frozenset({1}))
-    assert not compare_heap(a, b, Mode.PA, ctx.hierarchy).match
+    assert not compare_heap(a, b, Mode.PA, ctx.hierarchy)[0]
 
 
 def test_hybrid_compares_heap_writes_by_points_to(ctx):
@@ -148,39 +149,57 @@ def test_hybrid_compares_heap_writes_by_points_to(ctx):
     for make in (lambda line, pts: _ifr(line, "a", "D", pts=pts),
                  lambda line, pts: _ar(line, "arr", "D[]", 0, pts=pts)):
         a, b = make(1, frozenset({0})), make(2, frozenset({1}))
-        assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
+        assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy)[0]
         for mode in (Mode.PA, Mode.HYBRID):
-            assert compare_heap(a, b, mode, ctx.hierarchy) == (False, ())
+            assert compare_heap(a, b, mode, ctx.hierarchy) == (False, None, ())
             # An empty set logs its write and falls back to the base types.
-            res = compare_heap(a, make(2, None), mode, ctx.hierarchy)
-            assert res.match and [m.pos.line for m in res.missrefs] == [2]
+            match, _, empty = compare_heap(a, make(2, None), mode, ctx.hierarchy)
+            assert match and [empty_pts_miss(ev).pos.line for ev in empty] == [2]
+
+
+def test_compare_heap_gives_nopas_answer_from_the_same_test(ctx):
+    # Overlapping sets on unrelated base types: `pa` matches and `nopa` does
+    # not; disjoint sets on related ones: the other way round.
+    h = ctx.hierarchy
+    a = _ifr(1, "a", "U", field=("U", "f", "int"), pts=frozenset({0}))
+    b = _ifr(2, "b", "D", field=("U", "f", "int"), pts=frozenset({0, 1}))
+    assert compare_heap(a, b, Mode.PA, h, nopa=True) == (True, False, ())
+    assert compare_heap(a, b, Mode.PA, h) == (True, None, ())
+    c, d = _ifr(1, "c", "A", pts=frozenset({0})), _ifr(2, "d", "D", pts=frozenset({1}))
+    assert compare_heap(c, d, Mode.HYBRID, h, nopa=True) == (False, True, ())
+    assert compare_heap(c, d, Mode.NOPA, h, nopa=True) == (True, True, ())
+    # With a set empty, the mode answers as `nopa` does.
+    e = _ifr(2, "d", "D")
+    assert compare_heap(c, e, Mode.PA, h, nopa=True) == (True, True, (e,))
+    assert compare_heap(e, e, Mode.PA, h) == (True, None, (e, e))
 
 
 def test_ifr_pa_miss_falls_back_to_name_rule(ctx):
     # Unrelated base types: the fallback refuses the match but logs the miss.
     a = _ifr(1, "a", "U", field=("U", "f", "int"))
     b = _ifr(2, "b", "D", field=("U", "f", "int"))
-    res = compare_heap(a, b, Mode.PA, ctx.hierarchy)
-    assert res.missrefs and not res.match
-    assert len(res.missrefs) == 2
-    assert all(m.reason == "empty-pts" for m in res.missrefs)
+    match, _, empty = compare_heap(a, b, Mode.PA, ctx.hierarchy)
+    assert empty and not match
+    assert len(empty) == 2
+    assert all(empty_pts_miss(ev).reason == "empty-pts" for ev in empty)
+    assert [empty_pts_miss(ev)[:2] for ev in empty] == [(a.pos, "a.f"), (b.pos, "b.f")]
     # Related base types: the fallback accepts.
     c = _ifr(1, "a", "A")
     d = _ifr(2, "b", "D")
-    res2 = compare_heap(c, d, Mode.PA, ctx.hierarchy)
-    assert res2.missrefs and res2.match
+    match2, _, empty2 = compare_heap(c, d, Mode.PA, ctx.hierarchy)
+    assert empty2 and match2
 
 
 def test_ifr_nopa_unrelated_bases(ctx):
     a = _ifr(1, "a", "U", field=("U", "f", "int"))
     b = _ifr(2, "b", "D", field=("U", "f", "int"))
-    assert not compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
+    assert not compare_heap(a, b, Mode.NOPA, ctx.hierarchy)[0]
 
 
 def test_ifr_different_fields_never_match(ctx):
     a = _ifr(1, "this", "D", field=("D", "f", "int"), pts=frozenset({0}))
     b = _ifr(2, "this", "D", field=("D", "g", "int"), pts=frozenset({0}))
-    assert not compare_heap(a, b, Mode.PA, ctx.hierarchy).match
+    assert not compare_heap(a, b, Mode.PA, ctx.hierarchy)[0]
 
 
 def _ar(line, base, base_type, index, pts=None, method="C.m/0", enclosing="method"):
@@ -199,36 +218,36 @@ def _ar(line, base, base_type, index, pts=None, method="C.m/0", enclosing="metho
 def test_ar_nopa_same_class_same_index_local(ctx):
     a = _ar(1, "arr1", "D[]", "i")
     b = _ar(2, "arr2", "D[]", "i")
-    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy)[0]
 
 
 def test_ar_distinct_constant_indexes(ctx):
-    assert not compare_heap(_ar(1, "arr", "D[]", 0), _ar(2, "arr", "D[]", 1), Mode.NOPA, ctx.hierarchy).match
+    assert not compare_heap(_ar(1, "arr", "D[]", 0), _ar(2, "arr", "D[]", 1), Mode.NOPA, ctx.hierarchy)[0]
 
 
 def test_ar_pa_disjoint_sites(ctx):
     a = _ar(1, "arr1", "D[]", "i", pts=frozenset({0}))
     b = _ar(2, "arr2", "D[]", "i", pts=frozenset({1}))
-    assert not compare_heap(a, b, Mode.PA, ctx.hierarchy).match
+    assert not compare_heap(a, b, Mode.PA, ctx.hierarchy)[0]
 
 
 def test_nopa_bases_of_array_or_undeclared_types(ctx):
     # A base of type `T[][]` holds arrays, which no class type relates to;
     # an undeclared type relates only to itself.
     h = ctx.hierarchy
-    assert compare_heap(_ar(1, "a", "D[]", 0), _ar(2, "b", "A[]", 0), Mode.NOPA, h).match
-    assert not compare_heap(_ar(1, "a", "D[][]", 0), _ar(2, "b", "D[]", 0), Mode.NOPA, h).match
-    assert not compare_heap(_ar(1, "a", "D[]", 0), _ar(2, "b", "D[][]", 0), Mode.NOPA, h).match
-    assert compare_heap(_ar(1, "a", "D[][]", 0), _ar(2, "b", "D[][]", 0), Mode.NOPA, h).match
-    assert not compare_heap(_ifr(1, "a", "Nope"), _ifr(2, "b", "D"), Mode.NOPA, h).match
-    assert not compare_heap(_ifr(1, "a", "D"), _ifr(2, "b", "Nope"), Mode.NOPA, h).match
-    assert compare_heap(_ifr(1, "a", "Nope"), _ifr(2, "b", "Nope"), Mode.NOPA, h).match
+    assert compare_heap(_ar(1, "a", "D[]", 0), _ar(2, "b", "A[]", 0), Mode.NOPA, h)[0]
+    assert not compare_heap(_ar(1, "a", "D[][]", 0), _ar(2, "b", "D[]", 0), Mode.NOPA, h)[0]
+    assert not compare_heap(_ar(1, "a", "D[]", 0), _ar(2, "b", "D[][]", 0), Mode.NOPA, h)[0]
+    assert compare_heap(_ar(1, "a", "D[][]", 0), _ar(2, "b", "D[][]", 0), Mode.NOPA, h)[0]
+    assert not compare_heap(_ifr(1, "a", "Nope"), _ifr(2, "b", "D"), Mode.NOPA, h)[0]
+    assert not compare_heap(_ifr(1, "a", "D"), _ifr(2, "b", "Nope"), Mode.NOPA, h)[0]
+    assert compare_heap(_ifr(1, "a", "Nope"), _ifr(2, "b", "Nope"), Mode.NOPA, h)[0]
 
 
 def test_ar_constant_vs_local_index_is_eligible(ctx):
     a = _ar(1, "arr1", "D[]", 0)
     b = _ar(2, "arr2", "D[]", "i")
-    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy).match
+    assert compare_heap(a, b, Mode.NOPA, ctx.hierarchy)[0]
 
 
 def test_sfr_matches_on_class_name_type():
