@@ -16,12 +16,17 @@ body in a single walk from its parameter types (a `while` body is walked to
 its fixpoint), and a method is queued again only when the argument types
 reaching it widen. A virtual call's targets come from
 `Hierarchy.dispatch_targets`, which resolves each (receiver type, name,
-arity) once per program; a visit unions them into the call site's entry
-once, and joins argument types only into targets that take parameters.
+arity) once per program into one memoised tuple. A site keeps that tuple
+whole, and becomes a union of ids only when a revisit brings another
+answer. A visit joins argument types only into targets that take
+parameters, and skips whole a tuple whose targets are all nodes without
+parameters, since it has nothing left to add.
 
 `CallGraph` is kept per site: each call site's caller and sorted target ids,
-which `targets_at` and `has_site` read. Its `edges`, one `CallEdge` per site
-and target, are derived on first read; the analyses never read them.
+which `targets_at` and `has_site` read. Equal target id tuples are one
+object, so every site with one dispatch answer shares it, and the engine
+resolves each distinct tuple once. Its `edges`, one `CallEdge` per site and
+target, are derived on first read; the analyses never read them.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ class CallGraph(Record):
 
     `sites` maps each call or allocation site that reaches a method to its
     caller and its target ids, sorted; a site without targets is absent.
+    `build_cha_graph` makes equal id tuples one object.
     `targets_at` and `has_site` read it directly. A site has one caller,
     since `validate_program` rejects statements that share a position.
     `edges`, one `CallEdge` per site and target, is derived on first read.
@@ -290,14 +296,25 @@ def _widen(param_types: dict, mid: str, arg_types, h: Hierarchy) -> bool:
 
 
 def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
-    """Closure of class-hierarchy resolution over calls reachable from root."""
+    """Closure of class-hierarchy resolution over calls reachable from root.
+
+    A site keeps the target tuple it first got, which for a virtual call is
+    the hierarchy's memoised `dispatch_targets` answer, and becomes a union
+    of ids only when a revisit brings another. A tuple whose targets are
+    all nodes without parameters has nothing left to do, so a visit skips
+    it whole. Only unioned sites are sorted; the others take their tuple's
+    ids, and equal id tuples are one object in `CallGraph.sites`.
+    """
     h = p.hierarchy()
     by_id = h.methods_by_id()
     nodes = {root.id}
     # A method without parameters types alike on every visit, so it is
     # queued only when first reached and keeps no entry here.
     param_types: dict[str, list] = {root.id: [None] * len(root.params)}
-    by_site: dict[Position, tuple[str, set[str]]] = {}
+    # Per site: [caller, its target tuple, or the set of ids once unioned].
+    by_site: dict[Position, list] = {}
+    # The target tuples skipped whole, by id (holding each keeps its id unique).
+    settled: dict[int, tuple] = {}
     queue = deque([root.id])
     queued = {root.id}
 
@@ -318,16 +335,46 @@ def build_cha_graph(p: Program, root: MethodDef) -> CallGraph:
                 targets = (ctor,) if ctor is not None else ()
             if not targets:
                 continue
-            _add_targets(by_site, pos, mid, [t.id for t in targets])
+            hit = by_site.get(pos)
+            if hit is None:
+                by_site[pos] = [mid, targets]
+            elif hit[0] != mid:
+                raise MirError(f"statements share position {pos}")
+            elif hit[1] is not targets:
+                held = hit[1]
+                if type(held) is not set:
+                    held = hit[1] = {t.id for t in held}
+                held.update(t.id for t in targets)
+            if id(targets) in settled:
+                continue
+            takes = False  # whether a target takes parameters
             for tgt in targets:
                 tid = tgt.id
-                if tid not in nodes:
-                    nodes.add(tid)
-                    if tgt.params:
+                if tgt.params:
+                    takes = True
+                    if tid not in nodes:
+                        nodes.add(tid)
                         param_types[tid] = list(arg_types)
-                elif not tgt.params or not _widen(param_types, tid, arg_types, h):
+                    elif not _widen(param_types, tid, arg_types, h):
+                        continue
+                elif tid in nodes:
                     continue
+                else:
+                    nodes.add(tid)
                 if tid not in queued:
                     queue.append(tid)
                     queued.add(tid)
-    return CallGraph(frozenset({root.id}), frozenset(nodes), _sorted_sites(by_site))
+            if not takes:
+                settled[id(targets)] = targets
+    ids_of: dict[int, tuple[str, ...]] = {}
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    out = {}
+    for pos, (caller, held) in by_site.items():
+        if type(held) is set:
+            ids = tuple(sorted(held))
+        else:
+            ids = ids_of.get(id(held))
+            if ids is None:
+                ids = ids_of[id(held)] = tuple(t.id for t in held)
+        out[pos] = (caller, shared.setdefault(ids, ids))
+    return CallGraph(frozenset({root.id}), frozenset(nodes), out)

@@ -42,7 +42,13 @@ tuples. A visit concatenates them around what depends on the path: the
 provenance inherited from it (kept on the frame), the call path, and for
 heap writes the base type and the field triple on it. Every field, method,
 constructor and subtype answer comes from the program's `Hierarchy`, which
-the detection context takes once, as CHA and the points-to solver do.
+the detection context takes once, as CHA and the points-to solver do. A
+virtual call's targets arrive as the id tuple a CHA or points-to graph
+site holds, and the context maps each distinct tuple to one target list
+and one id frozenset (`DetectionContext.shared_targets`): every call op
+with those targets holds them, the `nopa_choices` check compares them by
+identity, the tree count keys its frontier sums by the frozenset, and the
+sides pass reads both.
 
 The machine's state is three values: a frame, the index of its next op, and
 the env. Frames are immutable, each linked to the continuation it resumes
@@ -86,7 +92,9 @@ skipped, the successor having taken its overridden writer; when a
 backtrack removes that successor, the finding is committed on the next
 path. A commit builds each `empty-pts` miss-reference once per `detect`,
 on its write's first commit; logged misses are never undone, so later
-walk-backs leave that write out.
+walk-backs leave that write out. It builds a `Conflict` only for a key
+not found yet, so an override that each path appends anew is built
+once.
 
 Writes reached through a changed call site inherit that side's provenance,
 so a base-code write counts for the developer whose added call executes it.
@@ -374,9 +382,7 @@ def _types_related(a: Optional[str], b: Optional[str], h: Hierarchy) -> bool:
         return True
     if a.endswith("[]") or b.endswith("[]"):
         return False
-    if not h.declares(a) or not h.declares(b):
-        return False
-    return b in h.supertypes(a) or a in h.supertypes(b)
+    return h.related(a, b)
 
 
 def _base_types_related(a: WriteEvent, b: WriteEvent, h: Hierarchy) -> bool:
@@ -469,6 +475,9 @@ class DetectionContext:
             time.monotonic() + budget.wall_clock if budget.wall_clock is not None else None
         )
         self.lowered: dict[str, list[_Op]] = {}
+        # Per distinct target id tuple of a virtual call, its one target list
+        # and id frozenset, which every call op with those targets shares.
+        self.target_sets: dict[tuple[str, ...], tuple[list[MethodDef], frozenset]] = {}
         # Per lowered method id, its effects: the keys it writes, by the
         # writes' own side, and its call ops with their own sides (`_SIDE`).
         self.effects: dict[str, tuple[list[set], list[tuple[int, _Op]]]] = {}
@@ -498,12 +507,14 @@ class DetectionContext:
         """
         st = op.st
         if isinstance(st, VirtualCall):
-            defs, miss = resolve_call(st, self)
+            resolved, miss = _resolve_call(st, self)
             if miss is not None:
                 self.missrefs.add(miss)
             if self.nopa_choices and self.mode.uses_pts:
-                self.nopa_choices = [t.id for t in defs] == [t.id for t in _cha_targets(st, self)]
-        elif isinstance(st, AllocAssign):
+                self.nopa_choices = resolved is _cha_targets(st, self)
+            op.targets, op.target_ids = resolved
+            return op.targets
+        if isinstance(st, AllocAssign):
             ctor = self.hierarchy.constructor_of(st.cls, len(st.args))
             defs = [] if ctor is None else [ctor]
         else:
@@ -511,6 +522,15 @@ class DetectionContext:
         op.targets = defs
         op.target_ids = frozenset(t.id for t in defs)
         return defs
+
+    def shared_targets(self, ids: tuple[str, ...]) -> tuple[list[MethodDef], frozenset]:
+        """The one target list and id frozenset of the virtual calls whose
+        targets are `ids`, as a CHA or points-to graph site holds them."""
+        got = self.target_sets.get(ids)
+        if got is None:
+            by_id = self.by_id
+            got = self.target_sets[ids] = ([by_id[i] for i in ids], frozenset(ids))
+        return got
 
     def call_alts(self, op: _Op, depth: int, on_stack: frozenset) -> Optional[list]:
         """The alternatives of a call op visited at call depth `depth` with
@@ -585,27 +605,35 @@ def resolve_call(st: VirtualCall, ctx: DetectionContext):
 
     Returns (methods, missref-or-None). In pa mode an unresolvable site
     contributes no targets; hybrid widens it to the hierarchy-based targets.
+    The method list is shared with every site of those targets: never
+    change it.
     """
+    (defs, _), miss = _resolve_call(st, ctx)
+    return defs, miss
 
+
+def _resolve_call(st: VirtualCall, ctx: DetectionContext):
+    """`resolve_call` with the targets' shared (list, id frozenset) pair."""
     if not ctx.mode.uses_pts:
         return _cha_targets(st, ctx), None
 
-    pa_ids = ctx.pts.callgraph.targets_at(st.pos) if ctx.pts is not None else []
-    if pa_ids:
-        return [ctx.by_id[i] for i in pa_ids], None
+    hit = ctx.pts.callgraph.sites.get(st.pos) if ctx.pts is not None else None
+    if hit is not None:
+        return ctx.shared_targets(hit[1]), None
     miss = MissRef(st.pos, f"{st.receiver}.{st.method}()", "unresolved-call")
     if not ctx.mode.uses_cha:
-        return [], miss
+        return ctx.shared_targets(()), miss
     return _cha_targets(st, ctx), miss
 
 
-def _cha_targets(st: VirtualCall, ctx: DetectionContext) -> list[MethodDef]:
-    """The targets `nopa` resolves a virtual site to: the context's CHA
-    graph's, or the hierarchy's for every receiver type at a site the graph
-    does not hold."""
-    if ctx.cha is not None and ctx.cha.has_site(st.pos):
-        return [ctx.by_id[i] for i in ctx.cha.targets_at(st.pos)]
-    return list(ctx.hierarchy.dispatch_targets(None, st.method, len(st.args)))
+def _cha_targets(st: VirtualCall, ctx: DetectionContext) -> tuple[list[MethodDef], frozenset]:
+    """The targets `nopa` resolves a virtual site to, as their shared (list,
+    id frozenset) pair: the context's CHA graph's, or the hierarchy's for
+    every receiver type at a site the graph does not hold."""
+    hit = ctx.cha.sites.get(st.pos) if ctx.cha is not None else None
+    if hit is not None:
+        return ctx.shared_targets(hit[1])
+    return ctx.shared_targets(tuple(t.id for t in ctx.hierarchy.dispatch_targets(None, st.method, len(st.args))))
 
 
 # ---------------------------------------------------------------------------
@@ -1389,8 +1417,9 @@ class _Scanner(_Enumerator):
                     ctx.missrefs.add(empty_pts_miss(ev))
             if overridden is not None:
                 w = self.events[i]
-                c = Conflict(w.element_text(), overridden=overridden, overriding=w)
-                conflicts.setdefault(c.key, c)
+                key = (w.element_key(), overridden.root_pos, w.root_pos, overridden.pos, w.pos)  # `Conflict.key`
+                if key not in conflicts:
+                    conflicts[key] = Conflict(w.element_text(), overridden=overridden, overriding=w)
         self.committed = len(self.findings)
 
 

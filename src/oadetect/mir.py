@@ -565,15 +565,29 @@ class Hierarchy:
     constructor a class declares or inherits; every analysis asks it
     directly. `Program.hierarchy()` builds it and keeps it while the class and
     interface lists are unchanged in identity and length. The first
-    declaration of a name wins, as a linear scan would find it. Supertype
-    closures, implementer sets and least common supertypes are computed
-    once per type (or pair) and shared as frozensets; a type's closure
-    reuses the memoised closures of the supertypes its search reaches, and
-    the search is a loop, so a deep chain needs no deep Python stack.
-    Unknown types raise `MirError` every time and are never cached. Member
-    lookups (fields, inherited methods, virtual dispatch targets) and the
-    declaration-ordered method tuple behind `all_methods` and
-    `methods_by_id` are memoised too, so a class's members must be complete
+    declaration of a name wins, as a linear scan would find it.
+
+    Type questions are answered from a bit-vector encoding of the hierarchy
+    (Ait-Kaci, Boyer, Lincoln and Nasr, TOPLAS 1989; Vitek, Horspool and
+    Krall, OOPSLA 1997). The first such question numbers the declared types
+    once, classes then interfaces, and gives each two Python-int bitmasks:
+    its reflexive supertype closure and its reflexive descendants. One
+    linear pass builds both. Tarjan's strongly connected components, found
+    with an explicit stack so that a deep chain needs no deep Python stack,
+    come out supertypes first, so a component's closure is its members'
+    bits and the closures of the supertypes they name, exact on cycles
+    too; descendants then flow down in the reverse order. The masks take
+    n^2/8 bytes at most. A subtype test is one bit test, an implementer set
+    one AND of a descendant mask with the class bits, and a least common
+    supertype the one minimal type in the AND of two closures; `supertypes`
+    and `implementers` decode a mask into a frozenset of names on each
+    call. Unknown types raise `MirError` every time and are never cached.
+
+    Least common supertypes, member lookups (fields, inherited methods,
+    virtual dispatch targets) and the declaration-ordered method tuple
+    behind `all_methods` and `methods_by_id` are memoised. An inherited
+    field or method is the superclass's memoised answer, so a chain's
+    lookups cost one step per class. A class's members must be complete
     before its Program is first queried.
     """
 
@@ -589,8 +603,12 @@ class Hierarchy:
         self.interfaces: dict[str, InterfaceDef] = {}
         for i in p.interfaces:
             self.interfaces.setdefault(i.name, i)
-        self._supers: dict[str, frozenset[str]] = {}
-        self._implementers: Optional[dict[str, frozenset[str]]] = None
+        # The type numbers and masks (see `_index`).
+        self._numbers: Optional[dict[str, int]] = None
+        self._names: list[str] = []
+        self._supers: list[int] = []
+        self._descendants: list[int] = []
+        self._class_bits = 0
         self._lca: dict[tuple[str, str], Optional[str]] = {}
         self._order: Optional[tuple[MethodDef, ...]] = None
         self._methods: Optional[Mapping[str, MethodDef]] = None
@@ -613,40 +631,77 @@ class Hierarchy:
             return [i.extends] if i.extends else []
         raise MirError(f"unknown type '{name}'")
 
+    def _index(self) -> dict[str, int]:
+        """The number of each declared type, after building the masks on
+        first use (see the class docstring)."""
+        if self._numbers is not None:
+            return self._numbers
+        names = list(self.classes) + [n for n in self.interfaces if n not in self.classes]
+        index = {name: i for i, name in enumerate(names)}
+        # The declared supertypes of each type; undeclared ones are left out.
+        edges = [[index[s] for s in self.declared_supers(name) if s in index] for name in names]
+        n = len(names)
+        supers = [0] * n
+        components = _components(edges)  # supertypes first
+        for members in components:
+            mask = 0
+            for w in members:
+                mask |= 1 << w
+            # Every supertype outside the component is closed already; the
+            # members' own entries are still 0.
+            for w in members:
+                for s in edges[w]:
+                    mask |= supers[s]
+            for w in members:
+                supers[w] = mask
+        descendants = [0] * n
+        for members in reversed(components):
+            mask = 0
+            for w in members:
+                mask |= descendants[w] | 1 << w
+            for w in members:
+                descendants[w] = mask
+                for s in edges[w]:
+                    descendants[s] |= mask
+        self._names, self._supers, self._descendants = names, supers, descendants
+        self._class_bits = (1 << len(self.classes)) - 1  # classes are numbered first
+        self._numbers = index
+        return index
+
+    def _number(self, name: str) -> int:
+        i = self._index().get(name)
+        if i is None:
+            raise MirError(f"unknown type '{name}'")
+        return i
+
     def supertypes(self, name: str) -> frozenset[str]:
         """`name` and every declared type it transitively extends or
-        implements; supertypes no declaration names are left out. The
-        search takes a memoised closure whole instead of walking past it,
-        which is exact on cycles too, as every memoised closure is
-        complete."""
-        got = self._supers.get(name)
-        if got is None:
-            supers = self._supers
-            seen: set[str] = set()
-            work = [name]
-            while work:
-                t = work.pop()
-                if t in seen:
-                    continue
-                done = supers.get(t)
-                if done is not None:
-                    seen |= done
-                    continue
-                seen.add(t)
-                work.extend(s for s in self.declared_supers(t) if self.declares(s))
-            got = supers[name] = frozenset(seen)
-        return got
+        implements; supertypes no declaration names are left out."""
+        i = self._number(name)
+        names = self._names
+        return frozenset(names[k] for k in _ones(self._supers[i]))
+
+    def is_subtype(self, sub: str, sup: str) -> bool:
+        """Whether `sub` is `sup` or transitively extends or implements it."""
+        i, j = self._number(sub), self._number(sup)
+        return bool(self._supers[i] >> j & 1)
+
+    def related(self, a: str, b: str) -> bool:
+        """Whether one of two types is a subtype of the other; False when
+        either is undeclared."""
+        index = self._index()
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            return False
+        return bool(self._supers[i] >> j & 1 or self._supers[j] >> i & 1)
 
     def implementers(self, t: str) -> frozenset[str]:
-        if not self.declares(t):
-            raise MirError(f"unknown type '{t}'")
-        if self._implementers is None:
-            found: dict[str, set[str]] = {}
-            for c in self.class_list:
-                for s in self.supertypes(c.name):
-                    found.setdefault(s, set()).add(c.name)
-            self._implementers = {s: frozenset(names) for s, names in found.items()}
-        return self._implementers.get(t, frozenset())
+        """The classes (interfaces excluded) that are subtypes of `t`."""
+        return frozenset(self._implementers(self._number(t)))
+
+    def _implementers(self, i: int) -> list[str]:
+        names = self._names
+        return [names[k] for k in _ones(self._descendants[i] & self._class_bits)]
 
     def lca(self, a: Optional[str], b: Optional[str]) -> Optional[str]:
         """Most specific common supertype of two types, if unique: the type
@@ -659,15 +714,15 @@ class Hierarchy:
         if key in self._lca:
             return self._lca[key]
         got = None
-        if self.declares(a) and self.declares(b):
-            common = self.supertypes(a) & self.supertypes(b)
-            minimal = [
-                t
-                for t in common
-                if not any(s != t and t in self.supertypes(s) for s in common)
-            ]
+        index = self._index()
+        i, j = index.get(a), index.get(b)
+        if i is not None and j is not None:
+            common = self._supers[i] & self._supers[j]
+            descendants = self._descendants
+            # Minimal: no other common supertype is a descendant.
+            minimal = [t for t in _ones(common) if (descendants[t] & common) == 1 << t]
             if len(minimal) == 1:
-                got = minimal[0]
+                got = self._names[minimal[0]]
         self._lca[key] = got
         return got
 
@@ -682,17 +737,49 @@ class Hierarchy:
         """The first field `fname` of that staticness on the class chain of
         `cls_name`, as (declaring class, def); None when none declares it."""
         key = ("field", cls_name, fname, static)
-        if key not in self._lookups:
-            self._lookups[key] = next(
-                (
-                    (c.name, f)
-                    for c in self.chain(cls_name)
-                    for f in c.fields
-                    if f.name == fname and f.static == static
-                ),
-                None,
-            )
-        return self._lookups[key]
+        got = self._lookups.get(key, _UNSET)
+        return self._inherited(key) if got is _UNSET else got
+
+    def _inherited(self, key: tuple):
+        """The answer to field or method lookup `key` (see `resolve_field`
+        and `resolve_method`), memoised: that of the first class on the
+        chain of class `key[1]` that declares the member. Each class passed
+        keeps the answer under its own key, and a class whose answer is
+        memoised answers for the rest of the chain, so a chain costs one
+        step per class however many of its classes ask. A superclass cycle
+        (only an unvalidated program has one) that declares none answers
+        None."""
+        lookups = self._lookups
+        kind, name, rest = key[0], key[2], key[2:]
+        passed: list[tuple] = []
+        got = None
+        c = self.classes.get(key[1])
+        while c is not None and len(passed) <= len(self.classes):
+            at = (kind, c.name) + rest
+            got = lookups.get(at, _UNSET)
+            if got is not _UNSET:
+                break
+            passed.append(at)
+            got = None
+            if kind == "field":
+                static = key[3]
+                for f in c.fields:
+                    if f.name == name and f.static == static:
+                        got = (c.name, f)
+                        break
+            else:
+                arity, static = key[3], key[4]
+                for m in c.methods:
+                    if m.name == name and len(m.params) == arity and m.static == static:
+                        got = m
+                        break
+            if got is not None:
+                break
+            c = self.classes.get(c.superclass)
+        for at in passed:
+            lookups[at] = got
+        lookups[key] = got
+        return got
 
     def field_of(self, cls_name: Optional[str], fname: str) -> Optional[tuple[str, str]]:
         """(declaring class, type) of instance field `fname` through a base
@@ -731,17 +818,8 @@ class Hierarchy:
         inherits: dynamic dispatch for instance methods, and the static
         method a `Class::name` call reaches for static ones."""
         key = ("method", cls_name, mname, arity, static)
-        if key not in self._lookups:
-            self._lookups[key] = next(
-                (
-                    m
-                    for c in self.chain(cls_name)
-                    for m in c.methods
-                    if m.name == mname and len(m.params) == arity and m.static == static
-                ),
-                None,
-            )
-        return self._lookups[key]
+        got = self._lookups.get(key, _UNSET)
+        return self._inherited(key) if got is _UNSET else got
 
     def dispatch_targets(self, receiver_type: Optional[str], mname: str, arity: int) -> tuple[MethodDef, ...]:
         """The instance methods a virtual call `mname/arity` on a receiver of
@@ -749,13 +827,15 @@ class Hierarchy:
         an implementer of that type declares or inherits (class hierarchy
         analysis). An unknown, undeclared, array or primitive receiver type,
         or one whose implementers provide no such method, falls back to every
-        class that provides it; () when no class does."""
+        class that provides it; () when no class does. The tuple is memoised,
+        and CHA and the engine pass it on whole as a call's targets."""
         key = ("dispatch", receiver_type, mname, arity)
         got = self._lookups.get(key)
         if got is None:
             got = ()
-            if receiver_type is not None and self.declares(receiver_type):
-                got = self._provided(self.implementers(receiver_type), mname, arity)
+            i = self._index().get(receiver_type) if receiver_type is not None else None
+            if i is not None:
+                got = self._provided(self._implementers(i), mname, arity)
             if not got:
                 got = self._provided((c.name for c in self.class_list), mname, arity)
             self._lookups[key] = got
@@ -799,6 +879,68 @@ class Hierarchy:
         return self._methods
 
 
+def _components(edges: list[list[int]]) -> list[list[int]]:
+    """Tarjan's strongly connected components of the graph whose node `v`
+    has the successors `edges[v]`, each after every component it reaches.
+    The search keeps its path on an explicit stack, so a long chain needs
+    no deep Python stack."""
+    n = len(edges)
+    num = [0] * n  # preorder numbers, from 1; 0 is unvisited
+    low = [0] * n
+    open_ = [False] * n  # on the component stack
+    stack: list[int] = []
+    components: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if num[root]:
+            continue
+        count += 1
+        num[root] = low[root] = count
+        stack.append(root)
+        open_[root] = True
+        path = [(root, iter(edges[root]))]  # the search path, each node with its edges left
+        while path:
+            v, left = path[-1]
+            for w in left:
+                if not num[w]:
+                    count += 1
+                    num[w] = low[w] = count
+                    stack.append(w)
+                    open_[w] = True
+                    path.append((w, iter(edges[w])))
+                    break
+                if open_[w] and num[w] < low[v]:
+                    low[v] = num[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == num[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        open_[w] = False
+                        members.append(w)
+                        if w == v:
+                            break
+                    components.append(members)
+    return components
+
+
+_UNSET = object()  # a lookup not memoised yet
+
+
+def _ones(mask: int) -> list[int]:
+    """The numbers of the bits set in `mask`, lowest first."""
+    bits = format(mask, "b")[::-1]
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
 def supertypes_of(name: str, p: Program) -> frozenset[str]:
     """Reflexive transitive supertypes (classes and interfaces)."""
     return p.hierarchy().supertypes(name)
@@ -806,12 +948,7 @@ def supertypes_of(name: str, p: Program) -> frozenset[str]:
 
 def subtype_of(sub: str, sup: str, p: Program) -> bool:
     """True iff sub == sup or sub transitively extends/implements sup."""
-    h = p.hierarchy()
-    if not h.declares(sub):
-        raise MirError(f"unknown type '{sub}'")
-    if not h.declares(sup):
-        raise MirError(f"unknown type '{sup}'")
-    return sup in h.supertypes(sub)
+    return p.hierarchy().is_subtype(sub, sup)
 
 
 def implementers_of(t: str, p: Program) -> frozenset[str]:

@@ -504,3 +504,39 @@ def test_call_graph_from_edges_keeps_one_caller_per_site():
     assert call_graph_from_edges((), (), []).edges == frozenset()
     with pytest.raises(MirError, match="share position"):
         call_graph_from_edges((), (), [CallEdge(pos, "A.r/0", "B.m/0"), CallEdge(pos, "D.s/0", "B.m/0")])
+
+
+# ---------------------------------------------------------------------------
+# Target tuples shared from the hierarchy through the graph
+
+
+def test_sites_with_one_dispatch_answer_share_one_id_tuple(deep_hierarchy):
+    # deep_hierarchy's 66 sites each reach one of two 32-way dispatch
+    # answers, `stepA` or `stepB` over every implementer. A site keeps the
+    # hierarchy's tuple, so the graph holds two id tuples, not 66.
+    p, entry = deep_hierarchy
+    g = build_cha_graph(p, entry)
+    held = [ids for _, ids in g.sites.values()]
+    assert (len(held), sum(map(len, held))) == (66, 2112)
+    assert len(set(held)) == len({id(ids) for ids in held}) == 2
+
+
+WIDENED_RECEIVER = (
+    "class A {\n  method m() {\n  }\n}\n"
+    "class B extends A {\n  method m() {\n  }\n}\n"
+    "class C extends A {\n  method m() {\n  }\n}\n"
+    "class D {\n  method run(x) {\n    call x.m();\n  }\n}\n"
+    "class E {\n  method go(d, c) {\n    call d.run(c);\n  }\n}\n"
+    "class Main {\n  public static method main() {\n    d = new D();\n    b = new B();\n"
+    "    call d.run(b);\n    c = new C();\n    e = new E();\n    call e.go(d, c);\n  }\n}\n"
+)
+
+
+def test_a_site_revisited_with_another_answer_holds_their_union():
+    # `D.run` is scanned with `x: B` first, giving `x.m()` B's answer;
+    # `E.go` then widens `x` to `A`, and the revisit brings A's answer.
+    p = parse_source(WIDENED_RECEIVER)
+    g = build_cha_graph(p, find_method(p, "Main.main"))
+    site = _site(p, "D.run")
+    assert g.sites[site.pos] == ("D.run/1", ("A.m/0", "B.m/0", "C.m/0"))
+    assert g.targets_at(_site(p, "E.go").pos) == ["D.run/1"]

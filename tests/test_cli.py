@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CONFLICT_THEN_FORKS, NESTED_CALLS, extends_chain, parse_records
+from conftest import CONFLICT_THEN_FORKS, NESTED_CALLS, copy_chain, extends_chain, parse_records
 from oadetect import cli, harness
 from oadetect.cli import main
 from oadetect.frontend import pretty_print
@@ -1195,18 +1195,33 @@ def test_an_interrupt_propagates(command, tmp_path, monkeypatch):
         _run_fig1_simple(command, tmp_path)
 
 
-def test_analyze_out_of_memory_in_a_child_process_exits_2(tmp_path):
-    # A 2 000-class chain needs about 319 MB; the child may map 160 MB, set
-    # on it alone before it runs.
+def _analyze_in_160_mb(tmp_path, source: str, *flags: str) -> subprocess.CompletedProcess:
+    """`analyze --deterministic` of `source` in a child process that may map
+    160 MB, a limit set on it alone before it runs."""
     resource = pytest.importorskip("resource")
-    src = tmp_path / "chain.mir"
-    src.write_text(extends_chain(2000))
+    src = tmp_path / "input.mir"
+    src.write_text(source)
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (160 << 20, 160 << 20))
 
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-m", "oadetect.cli", "analyze", "--deterministic", str(src)],
+    return subprocess.run([sys.executable, "-m", "oadetect.cli", "analyze", "--deterministic", *flags, str(src)],
                           env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
+
+
+def test_analyze_out_of_memory_in_a_child_process_exits_2(tmp_path):
+    # The points-to solve of a 2 000-long copy chain holds 4 million sites,
+    # about 270 MB; no budget bounds the solve.
+    done = _analyze_in_160_mb(tmp_path, copy_chain(2000), "--mode", "pa")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: out of memory: no verdict\n"
+
+
+def test_analyze_of_a_5000_class_chain_fits_in_160_mb(tmp_path):
+    # The hierarchy's bitmask closures take n^2/8 bytes, and the run peaks
+    # at about 45 MB. Its 5 000 paths need a path cap above the default 4 096.
+    done = _analyze_in_160_mb(tmp_path, extends_chain(5000), "--path-cap", "8192")
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.startswith("== T.run() [nopa] verdict: true\n")
+    assert done.stdout.count("Interference in class T, method run()") == 5000

@@ -334,6 +334,27 @@ def test_scan_compares_each_pair_once_and_builds_each_miss_once(tmp_path, monkey
     assert len([f for f in built if f[2] == "empty-pts"]) == len(reported) == 5
 
 
+def test_scan_builds_each_conflict_once(tmp_path, monkeypatch):
+    # scan-random's 13_p4769 keeps 24 conflicts under `nopa` and `hybrid`.
+    # Each path that appends an overriding write anew finds its override
+    # again (464 times in all under each mode), and a commit builds the
+    # `Conflict` only for a key not found yet.
+    monkeypatch.delenv("OA_SEED", raising=False)
+    program, entry = next((p, e) for unit, p, e in scan_random_units(tmp_path) if unit == "13_p4769")
+    built = []
+    conflict = engine.Conflict
+
+    def counted_conflict(*fields, **named):
+        built.append(fields)
+        return conflict(*fields, **named)
+
+    monkeypatch.setattr(engine, "Conflict", counted_conflict)
+    for mode in (Mode.NOPA, Mode.HYBRID):
+        built.clear()
+        out = detect(program, entry, mode, budget=budget(**PROP_BUDGET))
+        assert (out.verdict, len(out.conflicts), len(built)) == (Verdict.TRUE, 24, 24)
+
+
 def test_every_suite_program_runs_in_every_mode():
     # The sample above takes one mkref setting per seed; OA_SEED+3023 and
     # +3083 with mkref call a method no class provides, which made the CHA

@@ -7,6 +7,8 @@ import pytest
 from conftest import ALL_MODES, CONFLICT_THEN_FORKS, NESTED_CALLS, RETURN_IN_BLOCKS, _nested_calls, budget
 from oadetect.cha import build_cha_graph, resolve_static
 from oadetect.engine import (
+    _BRANCH,
+    _CALL,
     AnalysisBudget,
     DetectionContext,
     Mode,
@@ -1045,6 +1047,28 @@ def test_deep_hierarchy_nopa_reaches_the_path_cap(deep_hierarchy):
     out = detect(p, entry, Mode.NOPA, budget=budget())
     assert out.verdict is Verdict.TIMEOUT
     assert (out.stats.visited, out.stats.paths) == (8200, 4097)
+
+
+def test_call_ops_share_one_target_list_and_id_set_per_tuple(deep_hierarchy):
+    # The walk resolves 35 virtual call ops to one of two 32-way target id
+    # tuples. Each tuple has one target list and one id frozenset, which
+    # every op with those targets holds.
+    p, entry = deep_hierarchy
+    ctx = DetectionContext(p, Mode.NOPA, budget(), cha=build_cha_graph(p, entry))
+    for _ in enumerate_write_paths(p, entry, ctx=ctx):
+        pass
+    todo = [op for ops in ctx.lowered.values() for op in ops]
+    calls = []
+    while todo:
+        op = todo.pop()
+        if op.code == _BRANCH:
+            todo += [o for arm in op.alts if arm for o in arm]
+        elif op.code == _CALL and isinstance(op.st, VirtualCall) and op.targets is not None:
+            calls.append(op)
+    assert len(calls) == 35
+    assert len({tuple(t.id for t in op.targets) for op in calls}) == 2
+    assert len({id(op.targets) for op in calls}) == len({id(op.target_ids) for op in calls}) == 2
+    assert all(op.target_ids == {t.id for t in op.targets} for op in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,7 @@ def test_closures_match_the_per_type_search(programs):
 def test_closures_of_cycles_and_undeclared_supertypes(source, closures):
     p = parse_source(source, validate=False)
     assert assert_closures_match(p) == len(closures)
+    assert assert_masks_match(p) == len(closures) ** 2
     h = p.hierarchy()
     assert {t: "".join(sorted(h.supertypes(t))) for t in closures} == closures
     assert_unknown_type_errors(p)
@@ -474,6 +475,77 @@ def test_a_5000_class_cycle_closes_without_recursing():
     assert h.supertypes("C4999") == everything
     assert h.supertypes("C0") == everything  # taken whole from C4999's closure
     assert_unknown_type_errors(p)
+
+
+# ---------------------------------------------------------------------------
+# The bitmask index against the oracles
+
+
+def ref_implementers_by_search(t: str, p: Program) -> set[str]:
+    """The classes at or below `t`, by a search over the declared
+    supertypes reversed."""
+    below: dict[str, list[str]] = {}
+    first: set[str] = set()  # the first declaration of a name wins
+    for d in p.classes + p.interfaces:
+        if d.name not in first:
+            first.add(d.name)
+            supers = [d.superclass, *d.interfaces] if isinstance(d, ClassDef) else [d.extends]
+            for s in supers:
+                if s:
+                    below.setdefault(s, []).append(d.name)
+    seen, work = {t}, [t]
+    while work:
+        for sub in below.get(work.pop(), ()):
+            if sub not in seen:
+                seen.add(sub)
+                work.append(sub)
+    return seen & {c.name for c in p.classes}
+
+
+def assert_masks_match(p: Program) -> int:
+    """Each type's closure and implementer set, and the subtype test and
+    least common supertype of each pair of types, from a fresh index against
+    the oracles: the per-type search, the reversed search, and `ref_lca`'s
+    definition over the searched closures. Returns the pairs asked."""
+    h = Hierarchy(p)
+    names = list(dict.fromkeys(d.name for d in p.classes + p.interfaces))
+    closure = {t: reference_supertypes(t, p) for t in names}
+    for t in names:
+        assert h.supertypes(t) == closure[t], t
+        assert h.implementers(t) == ref_implementers_by_search(t, p), t
+    for a in names:
+        for b in names:
+            assert h.is_subtype(a, b) == subtype_of(a, b, p) == (b in closure[a]), (a, b)
+            common = closure[a] & closure[b]
+            minimal = [t for t in common if not any(s != t and t in closure[s] for s in common)]
+            want = a if a == b else minimal[0] if len(minimal) == 1 else None
+            assert h.lca(a, b) == want, (a, b)
+    return len(names) ** 2
+
+
+def test_masks_match_the_oracles(programs):
+    assert sum(assert_masks_match(p) for p in programs) > 50_000
+
+
+@pytest.mark.parametrize("n, step", [(300, 7), (5000, 997)])
+@pytest.mark.parametrize("reverse", [False, True], ids=["declared", "reversed"])
+def test_masks_of_a_chain_match_the_oracles(n, step, reverse):
+    # Declared in reverse, the first type numbered is the deepest, so the
+    # component search runs the whole chain on its stack before it closes
+    # one. Ci's closure is C0..Ci, so the least common supertype of Ci and
+    # Cj is C(min(i, j)).
+    p = _chain(n)
+    if reverse:
+        p.classes.reverse()
+    h = p.hierarchy()
+    probes = sorted({*range(0, n, step), 1, n - 2, n - 1})
+    closure = {i: reference_supertypes(f"C{i}", p) for i in probes}
+    for i in probes:
+        assert h.supertypes(f"C{i}") == closure[i] == {f"C{k}" for k in range(i + 1)}
+        assert h.implementers(f"C{i}") == ref_implementers_by_search(f"C{i}", p)
+        for j in probes:
+            assert h.is_subtype(f"C{i}", f"C{j}") == (f"C{j}" in closure[i])
+            assert h.lca(f"C{i}", f"C{j}") == f"C{min(i, j)}"
 
 
 def test_all_methods_is_each_class_sorted_by_line_then_name(programs):
