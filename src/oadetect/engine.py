@@ -199,15 +199,22 @@ a call whose path's last event is not an LV write with a meeting key
 out without writes makes the writes before and after the call adjacent,
 and one with writes does not. Backtracking to a neutral choice point
 skips its remaining alternatives as above; when one does not fit, the walk
-enters it and skips from there on. `pa` and `hybrid` walk in full, because
-a count resolves calls, and there resolving a call logs `unresolved-call`
-miss-references that the walk might never reach.
+enters it and skips from there on. Under `verdict_only` the count has
+already found the whole tree within budget, so every alternative fits:
+backtracking drops a neutral choice point without counting its subtrees
+again, and `detect` takes `paths` and `visited` from the count. A wall
+clock that runs out mid-walk has the dropped choice points counted then,
+so the counters are those of a walk that counts each one as it drops it.
+`pa` and `hybrid` walk in full, because a count resolves calls, and there
+resolving a call logs `unresolved-call` miss-references that the walk
+might never reach.
 """
 
 from __future__ import annotations
 
 import time
 from enum import Enum
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .cha import (
@@ -567,35 +574,41 @@ class DetectionContext:
             op.hop = Hop(m.id, m.display, st.pos, st.provenance)
             self.effects[m.id][1].append((_SIDE[op.prov], op))
             if isinstance(st, AllocAssign):
-                self._write(op, m, LV, local=st.target)
+                self._local(op, m, st.target)
             elif st.result is not None:
-                op.result = self._write(_Op(_WRITE, st), m, LV, local=st.result)
+                op.result = self._local(_Op(_WRITE, st), m, st.result)
         elif isinstance(st, FieldStore):
-            op = self._heap(st, m, (IFR, st.field), field_name=st.field)
+            op = self._heap(st, m, (IFR, st.field), _IFR_TAIL, st.field)
             op.field = st.field
         elif isinstance(st, ArrayStore):
-            op = self._heap(st, m, (AR,), index=st.index)  # any two array writes may meet
+            op = self._heap(st, m, (AR,), _AR_TAIL, st.index)  # any two array writes may meet
         elif isinstance(st, StaticStore):
             decl, ftype = self.hierarchy.static_field_of(st.cls, st.field)
-            op = self._write(_Op(_WRITE, st), m, SFR, static_cls=decl, field_name=st.field, static_type=ftype)
+            op = self._write(_Op(_WRITE, st), m, SFR, _SFR_TAIL((decl, st.field, ftype, None)),
+                             (SFR, decl, st.field, ftype))
         else:  # a copy, mkref, op, newarr or load: a local write
-            op = self._write(_Op(_WRITE, st), m, LV, local=st.target)
+            op = self._local(_Op(_WRITE, st), m, st.target)
         return op
 
-    def _write(self, op: _Op, m: MethodDef, kind: str, **payload) -> _Op:
-        ev = WriteEvent(kind, op.st.pos, m.id, m.display, m.kind, Provenance.BASE, **payload)
-        op.head, op.tail, op.key = ev[:5], ev[7:], ev.element_key()
+    def _local(self, op: _Op, m: MethodDef, local: str) -> _Op:
+        return self._write(op, m, LV, _LV_TAIL((local, None)), (LV, m.id, local))
+
+    def _write(self, op: _Op, m: MethodDef, kind: str, tail: tuple, key: tuple) -> _Op:
+        """Makes `op` an LV or SFR write, whose event's fields from
+        `base_type` on are `tail` and whose `element_key()` is `key`."""
+        op.head, op.tail, op.key = (kind, op.st.pos, m.id, m.display, m.kind), tail, key
         op.rule = type_rule(op.st, self.hierarchy)
-        self.effects[m.id][0][_SIDE[op.prov]].add(op.key)
+        self.effects[m.id][0][_SIDE[op.prov]].add(key)
         return op
 
-    def _heap(self, st, m: MethodDef, key: tuple, **payload) -> _Op:
+    def _heap(self, st, m: MethodDef, key: tuple, tail, slot) -> _Op:
+        """An IFR or AR write op, `tail` laying out its base, points-to set
+        and `slot` (field name or index) as its event's fields from `local`
+        on; `key` is what the effects keep of it."""
         op = _Op(_HEAP, st)
         op.base = st.base
         pts = self.pts.pts.get(("l", m.id, st.base)) if self.mode.uses_pts and self.pts is not None else None
-        ev = WriteEvent(key[0], st.pos, m.id, m.display, m.kind, Provenance.BASE, base=st.base,
-                        base_pts=pts or None, **payload)
-        op.head, op.tail = ev[:5], ev[9:]
+        op.head, op.tail = (key[0], st.pos, m.id, m.display, m.kind), tail((st.base, pts or None, slot, None))
         self.effects[m.id][0][_SIDE[op.prov]].add(key)
         return op
 
@@ -644,6 +657,22 @@ _WRITE, _HEAP, _CALL, _BRANCH, _RETURN = range(5)
 # An op's own side as the effects table indexes it, base code 0: a list
 # index, which costs no call where an enum's hash does.
 _SIDE = {None: 0, Provenance.LEFT: 1, Provenance.RIGHT: 2}
+
+
+def _fields_of(first: str, *names: str) -> itemgetter:
+    """A function that lays out the values of `names`, in a tuple followed
+    by None, as the fields of a `WriteEvent` from `first` on: each value in
+    its field and None in the others. So a lowered write's `tail` follows
+    `WriteEvent._fields` at the cost of one C call."""
+    fields = WriteEvent._fields[WriteEvent._fields.index(first):]
+    return itemgetter(*(names.index(f) if f in names else len(names) for f in fields))
+
+
+# The `tail` of each kind of lowered write (see `_Op`).
+_LV_TAIL = _fields_of("base_type", "local")
+_SFR_TAIL = _fields_of("base_type", "static_cls", "field_name", "static_type")
+_IFR_TAIL = _fields_of("local", "base", "base_pts", "field_name")
+_AR_TAIL = _fields_of("local", "base", "base_pts", "index")
 
 
 class _Op:
@@ -746,6 +775,10 @@ class _Enumerator:
         # cursor of the next alternative].
         self.choices: list[list] = []
         self.skip = False  # see `paths`
+        # The tree is counted and fits the budget: neutral choice points are
+        # dropped uncounted, each kept in `dropped` (see `paths`).
+        self.fits = False
+        self.dropped: list[tuple] = []
         # The keys both sides write (`_sides_meet`) and the ids of the
         # methods that write none of them (`_quiet`); see `paths`.
         self.meets: set = set()
@@ -782,10 +815,15 @@ class _Enumerator:
         Backtracking to a neutral choice point skips its remaining
         alternatives, and when one does not fit, the walk takes it with
         `skip` set from there on (see the module docstring).
+
+        With `fits` set as well, for a tree counted within budget, every
+        such subtree fits: backtracking drops a neutral choice point
+        uncounted, kept in `dropped` as (frame, i, alternatives, cursor),
+        and `ctx.paths` and `ctx.visited` count only what the walk entered.
         """
         ctx, entry = self.ctx, self.entry
         h, budget, deadline = ctx.hierarchy, ctx.budget, ctx.deadline
-        fuel, path_cap, skip, quiet = budget.fuel, budget.path_cap, self.skip, self.quiet
+        fuel, path_cap, skip, quiet, fits = budget.fuel, budget.path_cap, self.skip, self.quiet, self.fits
         append, write, truncate, calm = self._append, self._write, self._truncate, self._calm
         choices, events = self.choices, self.events
         new, event = tuple.__new__, WriteEvent  # events are built from tuples (see `_Op`)
@@ -866,6 +904,12 @@ class _Enumerator:
                         truncate(n)
                         if neutral:
                             choices.pop()
+                            if fits:
+                                self.dropped.append((frame, i, alts, k))
+                                if deadline is not None and time.monotonic() > deadline:
+                                    ctx.stop_reason = "wall_clock"
+                                    return
+                                continue
                             k, visited = self._skip(frame, i, alts, visited, k)
                             if ctx.timed_out:
                                 return
@@ -1447,9 +1491,13 @@ def detect(
     A full run under `nopa` whose sides cannot meet, by the pass over every
     method a call reaches, is walked with the skip of the module docstring
     from the root. Any other `nopa` walk skips the neutral choice points of
-    its quiet call subtrees. Either way the outcome is the full walk's,
-    conflicts, counters and stop reason included. `stats.stop_reason` names
-    the budget that ran out, the count's under `verdict_only`.
+    its quiet call subtrees: a full run counts each one's subtrees as it
+    skips it, and a verdict-only run, whose tree the count found within
+    budget, drops it uncounted and takes `paths` and `visited` from the
+    count. Either way the outcome is the full walk's, conflicts, counters
+    and stop reason included. `stats.stop_reason` names the budget that ran
+    out, the count's under `verdict_only` unless the wall clock runs out
+    mid-walk.
 
     `stats.nopa_choices`, which records leave out too, says whether a `pa`
     or `hybrid` run made only the choices a `nopa` run makes: every call it
@@ -1481,8 +1529,16 @@ def detect(
     if meets or not verdict_only:
         if meets and mode is Mode.NOPA:
             scanner.meets, scanner.quiet = meets, _quiet(ctx, meets)
+            scanner.fits = verdict_only  # the count found the tree within budget
         for _ in scanner.paths():
             pass
+        if scanner.fits:
+            if not ctx.timed_out:
+                ctx.paths, ctx.visited = count.paths, count.visits
+            else:  # the wall clock ran out mid-walk: count what was dropped, to the end
+                ctx.deadline = None
+                for frame, i, alts, k in scanner.dropped:
+                    _, ctx.visited = scanner._skip(frame, i, alts, ctx.visited, k)
 
     if ctx.timed_out:
         verdict = Verdict.TIMEOUT

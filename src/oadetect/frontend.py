@@ -552,21 +552,33 @@ class _Parser:
 # sends the source to `_Parser` too.
 
 
+# Python 3.11 reads `*+` and `++` as possessive; 3.10 rejects them, and its
+# plain quantifiers match the same lines (see `_line_pattern`), only slower.
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
+
+
 def _line_pattern(form: str) -> re.Pattern:
     """A whole-line pattern from `form`, in which a space stands for optional
     blanks, `~` for at least one blank and each `<...>` for a token class.
-    Any line may end in a `//` comment."""
+    Any line may end in a `//` comment.
+
+    Blanks, names and integers are matched possessively where Python can
+    (`_POSSESSIVE`): what follows each never starts with a character of its
+    class, so giving one back never finds another match, and a line that
+    does not match fails without trying every shorter run."""
     for token, regex in (
         ("<args>", r"(\( (?:<opnd>(?: , <opnd>)*)? \))"),
         ("<params>", r"(\( (?:<id>(?: , <id>)*)? \))"),
-        ("<opnd>", r'(?:-?[0-9]+|"[^"]*"|<id>)'),
-        ("<index>", r"(-?[0-9]+|<id>)"),
+        ("<opnd>", r'(?:<int>|"[^"]*"|<id>)'),
+        ("<index>", r"(<int>|<id>)"),
         ("<mark>", r"(@[LR])?"),
         ("<name>", r"(<id>)"),
-        ("<id>", "[A-Za-z_][A-Za-z0-9_]*"),
+        ("<id>", "[A-Za-z_][A-Za-z0-9_]*" + _POSSESSIVE),
+        ("<int>", "-?[0-9]+" + _POSSESSIVE),
     ):
         form = form.replace(token, regex)
-    return re.compile((form + " (?://.*)?").replace(" ", r"[\t\r\x20]*").replace("~", r"[\t\r\x20]+"))
+    blanks, some = r"[\t\r\x20]*" + _POSSESSIVE, r"[\t\r\x20]+" + _POSSESSIVE
+    return re.compile((form + " (?://.*)?").replace(" ", blanks).replace("~", some))
 
 
 _OPERAND = re.compile(r'-?[0-9]+|"[^"]*"|[A-Za-z_][A-Za-z0-9_]*')
@@ -644,7 +656,7 @@ _STATEMENTS = (
     (_line_pattern(r"<name> = new~<name> <args> <mark> ;"),
      lambda pos, target, cls, args, mark: AllocAssign(
          pos=pos, provenance=_PROVENANCE[mark], target=target, cls=cls, args=_operands(args))),
-    (_line_pattern(r'<name> = (-?[0-9]+|"[^"]*") <mark> ;'),
+    (_line_pattern(r'<name> = (<int>|"[^"]*") <mark> ;'),
      lambda pos, target, source, mark: CopyAssign(
          pos=pos, provenance=_PROVENANCE[mark], target=target, source=_operand(source))),
     (_line_pattern(r"return(?:~<name>)? <mark> ;"),
@@ -658,7 +670,7 @@ _STATEMENTS = (
     (_line_pattern(r"<name> = mkref~<name> <mark> ;"),
      lambda pos, target, type_, mark: ReflectiveAssign(
          pos=pos, provenance=_PROVENANCE[mark], target=target, type=type_)),
-    (_line_pattern(r"<name> = newarr~<name>(?: (\[) \] |~)(-?[0-9]+) <mark> ;"), _new_array),
+    (_line_pattern(r"<name> = newarr~<name>(?: (\[) \] |~)(<int>) <mark> ;"), _new_array),
 )
 _CONTROL = _line_pattern(r"(?:if~<name> \{|while~<name> \{|\}( else \{)?)")
 _CLASS = _line_pattern(r"class~<name>(?:~extends~<name>)?(?:~implements~(<id>(?: , <id>)*))? \{")

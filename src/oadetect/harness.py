@@ -388,16 +388,15 @@ def _drain(queue: int, step: int, corpus, modes, budget, reps) -> list[tuple]:
     return done
 
 
-def _helper(corpus, modes, budget, reps, step: int, cpu: int, queue: int, out: int, inherited: list[int]):
-    """A forked helper's whole life: run on `cpu` alone, close the parent's
-    descriptors it inherited, drain the queue, then pickle what it attempted
-    to `out`. Leaves only through `os._exit`, so that nothing of the
-    parent's (buffers, `atexit`, a test runner) runs twice."""
+def _helper(corpus, modes, budget, reps, step: int, queue: int, out: int, inherited: list[int]):
+    """A forked helper's whole life: close the parent's descriptors it
+    inherited, drain the queue, then pickle what it attempted to `out`.
+    Leaves only through `os._exit`, so that nothing of the parent's
+    (buffers, `atexit`, a test runner) runs twice."""
     code = 1
     try:
         import pickle
 
-        os.sched_setaffinity(0, {cpu})
         for fd in inherited:
             os.close(fd)
         data = memoryview(pickle.dumps(_drain(queue, step, corpus, modes, budget, reps), pickle.HIGHEST_PROTOCOL))
@@ -429,7 +428,9 @@ def _attempt_in_processes(corpus, modes, budget, reps, processes: int) -> dict[i
         # parent's CPU, and on a 2-CPU Linux host the scheduler left both
         # there for most of a corpus run: unpinned, or with only the helper
         # pinned, a helper made scan-random and wide-hierarchy 5-13% slower;
-        # with both pinned, 40-70% faster.
+        # with both pinned, 40-70% faster. The parent pins each helper as
+        # soon as it is forked: a helper that pinned itself first waited
+        # 1.1-4.4 ms for the parent's CPU to run at all.
         os.sched_setaffinity(0, {cpus[0]})
         for k in range(1, processes):
             r, w = os.pipe()
@@ -439,11 +440,11 @@ def _attempt_in_processes(corpus, modes, budget, reps, processes: int) -> dict[i
                 os.close(r)
                 os.close(w)
                 break
-            if pid == 0:  # more processes than CPUs only where a test asks for them
-                cpu = cpus[k % len(cpus)]
-                _helper(corpus, modes, budget, reps, step, cpu, queue, w, [r, *(fd for _, fd in helpers)])
+            if pid == 0:
+                _helper(corpus, modes, budget, reps, step, queue, w, [r, *(fd for _, fd in helpers)])
             os.close(w)
             helpers.append((pid, r))
+            os.sched_setaffinity(pid, {cpus[k % len(cpus)]})  # more processes than CPUs only where a test asks
         done = {i: (sid, got) for i, sid, got in _drain(queue, step, corpus, modes, budget, reps)}
         for _, r in helpers:
             try:
@@ -620,7 +621,10 @@ class TimingRow(NamedTuple):
 
 
 def timing_summary(samples: dict[str, dict[Mode, list[float]]]) -> list[TimingRow]:
-    """Per-unit, per-mode means and standard deviations, units in order."""
+    """Per-unit, per-mode means and standard deviations, units in order.
+    Samples that are all 0.0, those of an untimed run, give a row of zeros
+    without the exact arithmetic of `statistics`, which costs about 1.3 ms
+    over a wide-hierarchy `corpus` call."""
     from statistics import mean, stdev  # only `corpus` needs it; `analyze` skips the import
 
     reps = {len(s) for per_mode in samples.values() for s in per_mode.values()}
@@ -629,6 +633,9 @@ def timing_summary(samples: dict[str, dict[Mode, list[float]]]) -> list[TimingRo
     rows: list[TimingRow] = []
     for unit in samples:
         for mode, values in samples[unit].items():
+            if values and not any(values):
+                rows.append(TimingRow(unit, mode, 0.0, 0.0, False))
+                continue
             m = mean(values)
             sd = stdev(values) if len(values) > 1 else 0.0
             flagged = m > 0 and sd / m > 0.10

@@ -7,7 +7,7 @@ from typing import Optional
 import pytest
 
 from oadetect.cha import CallGraph, _add_targets, _sorted_sites
-from oadetect.engine import _BRANCH, _CALL, _HEAP, _RETURN, AR, IFR, AnalysisBudget, Mode, Verdict
+from oadetect.engine import _BRANCH, _CALL, _HEAP, _RETURN, AR, IFR, LV, SFR, AnalysisBudget, Mode, Verdict, WriteEvent
 from oadetect.harness import load_bundled, scenario_units
 from oadetect.mir import (
     AllocAssign,
@@ -477,6 +477,34 @@ RETURN_IN_BLOCKS = (
     "  }\n"
     "}\n"
 )
+
+
+# ---------------------------------------------------------------------------
+# Lowered writes
+
+
+def reference_write_slices(ctx, st, m: MethodDef) -> tuple:
+    """The `head`, `tail` and `key` of the write op that `ctx` lowers from
+    statement `st` in method `m` (the result local's, for a call), as slices
+    of a keyword-built `WriteEvent`, as lowering once took them: the fields
+    before `provenance`, those from `base_type` on, and `element_key()`; for
+    a heap write, the fields from `local` on and a key of None."""
+    def event(kind, **payload) -> WriteEvent:
+        return WriteEvent(kind, st.pos, m.id, m.display, m.kind, Provenance.BASE, **payload)
+
+    if isinstance(st, (FieldStore, ArrayStore)):
+        pts = ctx.pts.pts.get(("l", m.id, st.base)) if ctx.mode.uses_pts and ctx.pts is not None else None
+        if isinstance(st, FieldStore):
+            ev = event(IFR, base=st.base, base_pts=pts or None, field_name=st.field)
+        else:
+            ev = event(AR, base=st.base, base_pts=pts or None, index=st.index)
+        return ev[:5], ev[9:], None
+    if isinstance(st, StaticStore):
+        decl, ftype = ctx.hierarchy.static_field_of(st.cls, st.field)
+        ev = event(SFR, static_cls=decl, field_name=st.field, static_type=ftype)
+    else:
+        ev = event(LV, local=st.result if isinstance(st, (VirtualCall, StaticCall)) else st.target)
+    return ev[:5], ev[7:], ev.element_key()
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ reference there, its whole `AnalysisOutcome`.
 from __future__ import annotations
 
 import functools
+import time
+import types
 from collections import deque
 
 import pytest
@@ -63,6 +65,7 @@ from conftest import (
     reference_quiet,
     reference_sides_meet,
     reference_solve,
+    reference_write_slices,
 )
 from oadetect import engine
 from oadetect.cha import CallEdge, apply_rule, build_cha_graph, initial_env, operand_type, resolve_static, type_rule
@@ -1090,6 +1093,96 @@ def test_neutral_skip_commits_one_path_per_wide_hierarchy_unit(tmp_path, monkeyp
             assert (out.stats.paths, len(committed)) == (16, 1)
         verdicts.append(out.verdict)
     assert (verdicts.count(Verdict.TRUE), verdicts.count(Verdict.FALSE)) == (39, 26)
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize(("source", "counts"), [
+    ("seed range", (32, 2)),
+    ("gate-bundled", (3, 0)),
+    ("scan-random", (5, 1)),
+    ("wide-hierarchy", (65, 65)),
+])
+def test_verdict_only_walk_drops_neutral_choice_points_uncounted(source, counts, tmp_path, monkeypatch):
+    # Where the count finds the tree within budget and the sides meet, the
+    # walk drops each neutral choice point without counting its subtrees
+    # again (`_skip`) and takes `paths` and `visited` from the count; the
+    # full detect counts them as it goes. `counts` are the units walked and
+    # those among them that commit fewer paths than they count.
+    monkeypatch.delenv("OA_SEED", raising=False)
+    skips = []
+    real = engine._Enumerator._skip
+
+    def spy(scanner, *args):
+        skips.append(args)
+        return real(scanner, *args)
+
+    monkeypatch.setattr(engine._Enumerator, "_skip", spy)
+    committed = _commits(monkeypatch)
+    walked = dropped = 0
+    for p, entry, bud, cha, _ in meeting_nopa_units(source, tmp_path):
+        full = detect(p, entry, Mode.NOPA, budget=bud, cha=cha)
+        skips.clear()
+        committed.clear()
+        quick = detect(p, entry, Mode.NOPA, budget=bud, cha=cha, verdict_only=True)
+        if quick.stats.stop_reason is not None or not committed:
+            continue  # timed out or decided false on the count alone, unwalked
+        assert (skips, outcome_fields(quick), quick.stats.stop_reason) == ([], outcome_fields(full), None)
+        walked += 1
+        dropped += len(committed) < quick.stats.paths
+    assert (walked, dropped) == counts
+
+
+@pytest.mark.hashseed
+def test_verdict_only_walk_out_of_time_counts_what_it_dropped(tmp_path, monkeypatch):
+    # A wall clock that runs out once a path is committed stops each walk
+    # at its next neutral choice point, at a time the count and the
+    # sides pass took none of. The outcome keeps the counters of a walk
+    # that counts each neutral choice point as it drops it.
+    monkeypatch.delenv("OA_SEED", raising=False)
+    committed = _commits(monkeypatch)
+    monkeypatch.setattr(engine, "time", types.SimpleNamespace(
+        perf_counter=time.perf_counter, monotonic=lambda: 1e9 if committed else 0.0))
+    units = [(p, entry, cha) for p, entry, _, cha, _ in meeting_nopa_units("wide-hierarchy", tmp_path)]
+
+    def run() -> list:
+        got = []
+        for p, entry, cha in units:
+            committed.clear()
+            out = detect(p, entry, Mode.NOPA, budget=budget(wall_clock=60.0), cha=cha, verdict_only=True)
+            got.append((out.verdict, out.stats.visited, out.stats.paths, out.stats.stop_reason, len(committed)))
+        return got
+
+    dropping = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Enumerator, "fits", property(lambda scanner: False, lambda scanner, value: None),
+                   raising=False)
+        assert dropping == run()
+    assert {(verdict, stop, walked) for verdict, _, _, stop, walked in dropping} == {
+        (Verdict.TIMEOUT, "wall_clock", 1)}
+    assert min(paths for _, _, paths, _, _ in dropping) > 1
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_lowered_writes_hold_the_slices_of_a_keyword_built_event(mode):
+    programs = [(p, entry) for _, _, p, entry in seed_range() if entry is not None]
+    programs += [load_scenario_program(name) for name in BUNDLED]
+    writes = 0
+    for p, entry in programs:
+        ctx = engine._make_context(p, entry, mode, budget(**PROP_BUDGET), None, None)
+        blocks = [(ctx.ops(m), m) for m in p.hierarchy().methods_by_id().values()]
+        while blocks:
+            ops, m = blocks.pop()
+            for op in ops:
+                if op.code == engine._BRANCH:
+                    blocks.extend((block, m) for block in op.alts if block is not None)
+                elif op.code != engine._RETURN:
+                    # A call carries an allocation's local write, or its
+                    # result local's write op.
+                    for w in (op, op.result) if op.code == engine._CALL else (op,):
+                        if w is not None and w.head is not None:
+                            assert (w.head, w.tail, w.key) == reference_write_slices(ctx, op.st, m), op.st
+                            writes += 1
+    assert writes == 7540
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from oadetect.frontend import SourceUnit
 from oadetect.harness import (
     ConfusionMatrix,
     Scenario,
+    TimingRow,
     confusion,
     divergence_histogram,
     load_bundled,
@@ -196,6 +197,33 @@ def test_timing_stddev_flag():
     assert row.flagged
     steady = timing_summary({"u": {Mode.NOPA: [10.0, 10.0, 10.0]}})
     assert not steady[0].flagged
+
+
+def test_timing_rows_of_untimed_samples_are_zeros_and_timed_rows_keep_their_statistics(monkeypatch):
+    import statistics
+
+    samples = {
+        "u1": {Mode.NOPA: [0.0, 0.0, 0.0], Mode.PA: [1.25, 1.5, 4.0]},
+        "u2": {Mode.NOPA: [2.0, 2.0, 2.125], Mode.PA: [0.0, 0.0, 0.0]},
+    }
+    want = []
+    for unit, per_mode in samples.items():
+        for mode, values in per_mode.items():
+            m, sd = statistics.mean(values), statistics.stdev(values)
+            want.append(TimingRow(unit, mode, m, sd, m > 0 and sd / m > 0.10))
+    asked = []
+
+    def spy(real):
+        def function(values):
+            asked.append(list(values))
+            return real(values)
+        return function
+
+    monkeypatch.setattr(statistics, "mean", spy(statistics.mean))
+    monkeypatch.setattr(statistics, "stdev", spy(statistics.stdev))
+    rows = timing_summary(samples)
+    assert rows == want and [type(x) for r in rows for x in (r.mean_ms, r.stddev_ms)] == [float] * 8
+    assert asked == [[1.25, 1.5, 4.0]] * 2 + [[2.0, 2.0, 2.125]] * 2  # no statistics for the zeros
 
 
 def test_timing_unequal_reps_rejected():
