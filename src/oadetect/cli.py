@@ -34,13 +34,20 @@ they skip, with the full enumeration's records. The dump commands read their
 sources as `analyze` does: a scenario directory through its manifest's
 sources, sidecar and entry.
 
-When the first word names a subcommand, that subcommand's parser alone
-parses the rest, built as a top-level parser with the prog, usage, help and
-messages the four-command parser gives it; the four-command parser handles
-any other arguments. Every parser reads the terminal width once, where
-argparse's own help formatter reads it once per option added. Two parsers
-and 13 terminal-size reads per call were about a third of an in-process
-`analyze` of a small scenario.
+Each subcommand declares its options once, and its parser is built from
+that declaration. When the first word names a subcommand, `_read_args`
+reads the rest off the declaration without building any parser: exact long
+options, each with a value its type and choices take unless it is a switch,
+around one run of positionals, giving argparse's Namespace. It defers on
+anything else, which that subcommand's parser alone then parses, built as a
+top-level parser with the prog, usage, help and messages the four-command
+parser gives it: help, every usage error, and each token argparse could
+read another way (`-h`, an abbreviation, `--opt=value`, `--`, `-`, a value
+that starts with `-`). The four-command parser handles any other
+arguments. Every parser reads the terminal width once, where argparse's own
+help formatter reads it once per option added. Building and running a
+parser cost about 0.25 ms of a 1 ms in-process `analyze` of a small
+scenario; reading the gate's command line costs about 0.01 ms.
 """
 
 from __future__ import annotations
@@ -90,19 +97,6 @@ def _budget(args) -> AnalysisBudget:
         fuel=args.fuel,
         wall_clock=None if getattr(args, "deterministic", False) else args.timeout,
         path_cap=args.path_cap,
-    )
-
-
-def _add_budget_flags(sub) -> None:
-    default = AnalysisBudget()
-    sub.add_argument("--depth", type=int, default=default.depth_limit, help="call inlining depth limit")
-    sub.add_argument("--fuel", type=int, default=default.fuel, help="statement-visit budget")
-    sub.add_argument("--timeout", type=float, default=default.wall_clock, help="wall-clock limit in seconds")
-    sub.add_argument("--path-cap", type=int, default=default.path_cap, help="maximum enumerated paths")
-    sub.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="disable the wall clock and zero elapsed times for byte-stable output",
     )
 
 
@@ -294,50 +288,66 @@ def _formatter_class():
     return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
 
-def _analyze_args(sub) -> None:
-    sub.add_argument("sources", nargs="+", help="source files or scenario directories")
-    sub.add_argument(
-        "--mode", action="append", default=[], help="nopa, pa or hybrid (default nopa); repeatable"
-    )
-    sub.add_argument("--entry", help="entry as Class.method (default: dually modified methods)")
-    sub.add_argument("--sidecar", help="provenance line-map JSON file")
-    sub.add_argument("--out", help="directory for machine records")
-    _add_budget_flags(sub)
+# Each subcommand's arguments, declared once: a long option's flag, or the
+# positional's name, and the keywords `add_argument` takes for it. Its
+# parser is built from this and `_read_args` reads argv against it.
+_DEFAULT_BUDGET = AnalysisBudget()
+_BUDGET_OPTIONS = (
+    ("--depth", dict(type=int, default=_DEFAULT_BUDGET.depth_limit, help="call inlining depth limit")),
+    ("--fuel", dict(type=int, default=_DEFAULT_BUDGET.fuel, help="statement-visit budget")),
+    ("--timeout", dict(type=float, default=_DEFAULT_BUDGET.wall_clock, help="wall-clock limit in seconds")),
+    ("--path-cap", dict(type=int, default=_DEFAULT_BUDGET.path_cap, help="maximum enumerated paths")),
+    ("--deterministic", dict(
+        action="store_true",
+        default=False,
+        help="disable the wall clock and zero elapsed times for byte-stable output",
+    )),
+)
+_ANALYZE_OPTIONS = (
+    ("sources", dict(nargs="+", help="source files or scenario directories")),
+    ("--mode", dict(action="append", default=[], help="nopa, pa or hybrid (default nopa); repeatable")),
+    ("--entry", dict(help="entry as Class.method (default: dually modified methods)")),
+    ("--sidecar", dict(help="provenance line-map JSON file")),
+    ("--out", dict(help="directory for machine records")),
+    *_BUDGET_OPTIONS,
+)
+_CORPUS_OPTIONS = (
+    ("--root", dict(required=True, help="directory of scenario directories")),
+    ("--modes", dict(default="nopa,pa", help="comma-separated mode list")),
+    ("--reps", dict(type=int, default=10, help="timing repetitions per unit")),
+    ("--out", dict(default="oa-results", help="output directory for tables")),
+    *_BUDGET_OPTIONS,
+)
+_DUMP_GRAPH_OPTIONS = (
+    ("sources", dict(nargs="+")),
+    ("--mode", dict(choices=["nopa", "pa"], default="nopa")),
+    ("--entry", dict()),
+    ("--sidecar", dict()),
+)
+_DUMP_PTS_OPTIONS = (("sources", dict(nargs="+")),)
 
-
-def _corpus_args(sub) -> None:
-    sub.add_argument("--root", required=True, help="directory of scenario directories")
-    sub.add_argument("--modes", default="nopa,pa", help="comma-separated mode list")
-    sub.add_argument("--reps", type=int, default=10, help="timing repetitions per unit")
-    sub.add_argument("--out", default="oa-results", help="output directory for tables")
-    _add_budget_flags(sub)
-
-
-def _dump_graph_args(sub) -> None:
-    sub.add_argument("sources", nargs="+")
-    sub.add_argument("--mode", choices=["nopa", "pa"], default="nopa")
-    sub.add_argument("--entry")
-    sub.add_argument("--sidecar")
-
-
-def _dump_pts_args(sub) -> None:
-    sub.add_argument("sources", nargs="+")
+Options = tuple[tuple[str, dict], ...]
 
 
 class Command(NamedTuple):
-    """One subcommand: its help line, its argument builder and its handler."""
+    """One subcommand: its help line, its arguments and its handler."""
 
     help: str
-    add_arguments: Callable[[argparse.ArgumentParser], None]
+    options: Options
     run: Callable[[argparse.Namespace], int]
 
 
 COMMANDS = {
-    "analyze": Command("analyze sources for override-assignment conflicts", _analyze_args, cmd_analyze),
-    "corpus": Command("evaluate a corpus of scenario directories", _corpus_args, cmd_corpus),
-    "dump-graph": Command("print the call graph, one edge per line", _dump_graph_args, cmd_dump_graph),
-    "dump-pts": Command("print points-to sets and miss sites", _dump_pts_args, cmd_dump_pts),
+    "analyze": Command("analyze sources for override-assignment conflicts", _ANALYZE_OPTIONS, cmd_analyze),
+    "corpus": Command("evaluate a corpus of scenario directories", _CORPUS_OPTIONS, cmd_corpus),
+    "dump-graph": Command("print the call graph, one edge per line", _DUMP_GRAPH_OPTIONS, cmd_dump_graph),
+    "dump-pts": Command("print points-to sets and miss sites", _DUMP_PTS_OPTIONS, cmd_dump_pts),
 }
+
+
+def _add_arguments(parser: argparse.ArgumentParser, options: Options) -> None:
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="oadetect", description=DESCRIPTION, formatter_class=formatter_class)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        command.add_arguments(sub.add_parser(name, help=command.help, formatter_class=formatter_class))
+        _add_arguments(sub.add_parser(name, help=command.help, formatter_class=formatter_class), command.options)
     return parser
 
 
@@ -354,18 +364,70 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of subcommand `name` alone: the one `build_parser` adds
     for it, made a top-level parser."""
     parser = _Parser(prog=f"oadetect {name}", formatter_class=_formatter_class())
-    COMMANDS[name].add_arguments(parser)
+    _add_arguments(parser, COMMANDS[name].options)
     return parser
+
+
+def _read_args(name: str, argv: list[str]) -> argparse.Namespace | None:
+    """What `_command_parser(name)` makes of `argv`, read off the
+    subcommand's declaration without building a parser: exact long options,
+    each with its value unless it is a switch, around one run of
+    positionals. None, for that parser to parse `argv`, wherever argparse
+    would print help or a usage error or could read a token another way: a
+    token that starts with `-` and is not a declared flag (`-h`, an
+    abbreviation, `--opt=value`, `--`, `-`, a negative number), an option
+    with no value after it or a value starting with `-`, a value its type or
+    choices reject, a second run of positionals, or a missing positional or
+    required option."""
+    declared = {flag: (flag.lstrip("-").replace("-", "_"), keywords) for flag, keywords in COMMANDS[name].options}
+    values = {dest: keywords.get("default") for dest, keywords in declared.values()}
+    positional = next((dest for flag, (dest, _) in declared.items() if not flag.startswith("-")), None)
+    tokens, given, sources, run_ended = iter(argv), set(), [], False
+    for token in tokens:
+        if not token.startswith("-"):
+            if positional is None or run_ended:
+                return None
+            sources.append(token)
+            continue
+        if token not in declared:
+            return None
+        run_ended = bool(sources)
+        given.add(token)
+        dest, keywords = declared[token]
+        action = keywords.get("action")
+        if action == "store_true":
+            values[dest] = True
+            continue
+        raw = next(tokens, None)
+        if raw is None or raw.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(raw)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = [*values[dest], value] if action == "append" else value
+    if positional is not None:
+        if not sources:
+            return None
+        values[positional] = sources
+    if any(keywords.get("required") and flag not in given for flag, (_, keywords) in declared.items()):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         # The top level takes no option but -h and no positional but the
-        # subcommand, so a first word that names one is the subcommand and
-        # its parser alone parses the rest.
+        # subcommand, so a first word that names one is the subcommand, and
+        # the rest is read off its declaration or, failing that, parsed by
+        # its parser alone.
         if argv and argv[0] in COMMANDS:
-            name, args = argv[0], _command_parser(argv[0]).parse_args(argv[1:])
+            name, args = argv[0], _read_args(argv[0], argv[1:])
+            if args is None:
+                args = _command_parser(name).parse_args(argv[1:])
         else:
             args = build_parser().parse_args(argv)
             name = args.command

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFLICT_THEN_FORKS, NESTED_CALLS, copy_chain, extends_chain, parse_records
 from oadetect import cli, harness
@@ -134,7 +136,7 @@ def _full_parser_main(argv) -> int:
     parser = cli._Parser(prog="oadetect", description=cli.DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in cli.COMMANDS.items():
-        command.add_arguments(sub.add_parser(name, help=command.help))
+        cli._add_arguments(sub.add_parser(name, help=command.help), command.options)
     try:
         args = parser.parse_args(argv)
         return cli.COMMANDS[args.command].run(args)
@@ -147,9 +149,23 @@ def _full_parser_main(argv) -> int:
 
 FIG1_SIMPLE = corpus_path("fig1_simple")
 
-# `main` parses a named subcommand's arguments with that subcommand's parser
-# alone; on each of these it must act as the parser of all four does.
-FULL_PARSER_PROBES = [
+# Argv that `_read_args` reads without a parser: the bench's and CI's shapes
+# and more. `main` must act on them as the parser of all four does.
+READ_PROBES = [
+    ["analyze", "--deterministic", "--mode", "nopa", "--mode", "pa", "--mode", "hybrid", FIG1_SIMPLE],
+    ["analyze", FIG1_SIMPLE, "--mode", "pa", "--deterministic", "--mode", "pa"],  # options after the sources
+    ["analyze", "--depth", "0", "--fuel", "20000", "--timeout", "2.5", "--path-cap", "512", "--deterministic",
+     "--entry", "Text.generateReport", FIG1_SIMPLE],
+    ["analyze", "--fuel", "5", "--fuel", "200", "--mode", "pa", FIG1_SIMPLE],  # the last value wins
+    ["corpus", "--deterministic", "--reps", "1", "--modes", "nopa,pa,hybrid", "--fuel", "20000", "--path-cap",
+     "512", "--depth", "3", "--timeout", "9", "--root", "no-such-dir", "--out", "no-such-out"],
+    ["dump-graph", "--mode", "pa", "--entry", "Text.generateReport", FIG1_SIMPLE],
+    ["dump-graph", "--mode", "nopa", FIG1_SIMPLE],
+    ["dump-pts", FIG1_SIMPLE],
+]
+
+# Argv on which `_read_args` defers to argparse.
+DEFERRED_PROBES = [
     [],
     ["-h"],
     *([name, "-h"] for name in cli.COMMANDS),
@@ -163,7 +179,14 @@ FULL_PARSER_PROBES = [
     ["analyze", "--mode=pa", FIG1_SIMPLE],
     ["analyze", FIG1_SIMPLE, "--fuel"],  # a missing value
     ["--", "analyze", "--deterministic", FIG1_SIMPLE],
+    ["analyze", "--fuel", "-5", FIG1_SIMPLE],  # a negative value argparse reads
+    ["analyze", FIG1_SIMPLE, "--deterministic", FIG1_SIMPLE],  # a second run of sources
+    ["analyze", "-"],
+    ["analyze", "--entry", "--deterministic", FIG1_SIMPLE],
+    ["analyze", "--deterministic", "--", FIG1_SIMPLE],
 ]
+
+FULL_PARSER_PROBES = READ_PROBES + DEFERRED_PROBES
 
 
 def _probe_id(argv) -> str:
@@ -186,8 +209,9 @@ def test_help_is_the_full_parsers_at_any_width(argv, columns, capsys, monkeypatc
     assert got[0] == 0 and got[1].out.startswith("usage: oadetect")
 
 
-@pytest.mark.parametrize("name", list(cli.COMMANDS))
-def test_a_subcommand_builds_one_parser_and_reads_the_terminal_once(name, monkeypatch):
+def _count_parsers_and_terminal_reads(monkeypatch, run=lambda args: 0):
+    """Counts of `ArgumentParser`s made and terminal-size reads, which go up
+    as `main` runs, every subcommand's handler replaced by `run`."""
     counts = {"parsers": 0, "sizes": 0}
     make_parser, terminal_size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
 
@@ -201,22 +225,167 @@ def test_a_subcommand_builds_one_parser_and_reads_the_terminal_once(name, monkey
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_parser)
     monkeypatch.setattr(shutil, "get_terminal_size", counted_size)
-    monkeypatch.setitem(cli.COMMANDS, name, cli.COMMANDS[name]._replace(run=lambda args: 0))
+    for name, command in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, name, command._replace(run=run))
+    return counts
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_read_subcommand_builds_no_parser_and_reads_no_terminal(name, monkeypatch):
+    counts = _count_parsers_and_terminal_reads(monkeypatch)
     argv = {"corpus": ["--root", "a"]}.get(name, ["a.mir"])
+    assert main([name, *argv]) == 0
+    assert counts == {"parsers": 0, "sizes": 0}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_subcommand_builds_one_parser_and_reads_the_terminal_once(name, monkeypatch):
+    counts = _count_parsers_and_terminal_reads(monkeypatch)
+    argv = {"corpus": ["--root=a"]}.get(name, ["--", "a.mir"])
     assert main([name, *argv]) == 0
     assert counts["parsers"] == 1
     assert counts["sizes"] <= 1
 
 
 def test_analyze_builds_no_other_subcommand(monkeypatch, capsys):
-    def refuse(sub):
-        raise AssertionError("built the parser of a subcommand main does not run")
+    add_arguments = cli._add_arguments
 
-    for name, command in list(cli.COMMANDS.items()):
-        if name != "analyze":
-            monkeypatch.setitem(cli.COMMANDS, name, command._replace(add_arguments=refuse))
-    assert main(["analyze", "--mode", "nopa", corpus_path("fig1_simple")]) == 1
-    assert "verdict: true" in capsys.readouterr().out
+    def only_analyze(parser, options):
+        if options is not cli.COMMANDS["analyze"].options:
+            raise AssertionError("built the parser of a subcommand main does not run")
+        add_arguments(parser, options)
+
+    monkeypatch.setattr(cli, "_add_arguments", only_analyze)
+    for mode in (["--mode", "nopa"], ["--mode=nopa"]):  # read, and parsed by argparse
+        assert main(["analyze", *mode, corpus_path("fig1_simple")]) == 1
+        assert "verdict: true" in capsys.readouterr().out
+
+
+# The reader is held to argparse on argv drawn from every subcommand's
+# flags, valid, invalid and negative values, values starting with `-`,
+# empty strings, the forms only argparse reads, and one or two runs of
+# positionals.
+_FLAGS = sorted({flag for command in cli.COMMANDS.values() for flag, _ in command.options if flag.startswith("-")})
+_VALUES = ["nopa", "pa", "hybrid", "nopa,pa", "0", "5", "20000", " 7", "1_000", "2.5", "1e3", "nan", "x", "",
+           "-5", "-2.5", "-x", "A.m", "a.mir"]
+_ODD = ["-h", "--help", "--det", "--mo", "--mode=pa", "--fuel=3", "--root=a", "--", "-", "-5", ""]
+_SOURCES = ["a.mir", "b.mir", "dir", ""]
+_PIECES = st.one_of(
+    st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)).map(list),
+    st.sampled_from(_FLAGS + _ODD).map(lambda token: [token]),
+    st.lists(st.sampled_from(_SOURCES), min_size=1, max_size=3),
+)
+_READER_FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+
+
+def _fields(namespace):
+    """A Namespace's attributes with their values' reprs, in which `nan`
+    equals itself and 5 differs from 5.0."""
+    return {name: repr(value) for name, value in vars(namespace).items()}
+
+
+@_READER_FUZZ
+@given(st.sampled_from(list(cli.COMMANDS)), st.lists(_PIECES, max_size=7))
+def test_the_reader_reads_argv_as_argparse_does(name, pieces):
+    argv = [token for piece in pieces for token in piece]
+    read = cli._read_args(name, argv)
+    if read is not None:
+        assert _fields(read) == _fields(cli._command_parser(name).parse_args(argv))
+
+
+def _flag_and_value(flag, keywords):
+    """A declared flag, with a value its type and choices take unless it is
+    a switch."""
+    if keywords.get("action") == "store_true":
+        return st.just([flag])
+    if "choices" in keywords:
+        values = st.sampled_from(keywords["choices"])
+    elif keywords.get("type") is int:
+        values = st.integers(0, 10**6).map(str)
+    elif keywords.get("type") is float:
+        values = st.floats(0.001, 1e6).map(repr)
+    else:
+        values = st.sampled_from(_SOURCES)
+    return values.map(lambda value: [flag, value])
+
+
+def _well_formed(name):
+    """Argv made of subcommand `name`'s declared flags and values around one
+    run of positionals, its required options first."""
+    options = cli.COMMANDS[name].options
+    flags = [_flag_and_value(flag, keywords) for flag, keywords in options if flag.startswith("-")]
+    some_flags = st.lists(st.one_of(flags), max_size=5).map(lambda pieces: [t for p in pieces for t in p])
+    if not flags:
+        some_flags = st.just([])
+    required = [token for flag, keywords in options if keywords.get("required") for token in (flag, "a")]
+    run = st.just([])
+    if any(not flag.startswith("-") for flag, _ in options):
+        run = st.lists(st.sampled_from(_SOURCES), min_size=1, max_size=3)
+    return st.tuples(some_flags, run, some_flags).map(lambda parts: required + parts[0] + parts[1] + parts[2])
+
+
+@settings(_READER_FUZZ, max_examples=150)
+@given(st.sampled_from(list(cli.COMMANDS)).flatmap(lambda name: st.tuples(st.just(name), _well_formed(name))))
+def test_the_reader_takes_every_well_formed_argv(case):
+    name, argv = case
+    read = cli._read_args(name, argv)
+    assert read is not None
+    assert _fields(read) == _fields(cli._command_parser(name).parse_args(argv))
+
+
+def _ci_command_lines(corpus):
+    """The analyses and dumps that `.github/workflows/tests.yml` runs, in
+    the shapes `main` must read without a parser and those it must leave
+    to argparse."""
+    read = [
+        *(["analyze", "--deterministic", "--mode", "nopa", "--mode", "pa", "--mode", "hybrid", f"{corpus}/{name}"]
+          for name in ("fig1_simple", "fig1_advanced", "mkref", "deep_hierarchy")),
+        *(["analyze", "--deterministic", "--mode", "nopa", f"{corpus}/{name}"]
+          for name in ("fig1_simple", "fig1_advanced", "mkref", "deep_hierarchy")),
+        ["dump-pts", f"{corpus}/mkref"],
+        ["dump-graph", "--mode", "nopa", f"{corpus}/fig1_simple"],
+        ["dump-graph", "--mode", "pa", f"{corpus}/fig1_simple"],
+        ["analyze", "--deterministic", "empty"],
+        ["analyze", "--deterministic", "--mode", "pa", "copies.mir"],
+        ["analyze", "--deterministic", "--path-cap", "8192", "chain.mir"],
+        ["corpus", "--deterministic", "--reps", "1", "--modes", "nopa,pa,hybrid", "--fuel", "20000",
+         "--path-cap", "512", "--root", "in", "--out", "one"],
+    ]
+    deferred = [
+        ["-h"],
+        ["analyze", "-h"],
+        ["analyze", "--fuel", "x", f"{corpus}/fig1_simple"],
+        *(["analyze", "--deterministic", "--mode=nopa", "--mode=pa", "--mode=hybrid", f"{corpus}/{name}"]
+          for name in ("fig1_simple", "fig1_advanced", "mkref", "deep_hierarchy")),
+    ]
+    return read, deferred
+
+
+def test_the_gate_command_lines_are_read_without_a_parser(tmp_path, monkeypatch, capsys):
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import run as bench_run
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    read, deferred = _ci_command_lines("src/oadetect/corpus")
+    for name in bench_run.WORKLOADS:
+        wl = workloads.build_workload(name, tmp_path / name, 101)
+        read += [bench_run.analyze_argv(wl, spec) for spec in wl.scenarios]
+        read.append(bench_run.corpus_argv(wl, tmp_path / "out"))
+    expected = [_fields(cli._command_parser(argv[0]).parse_args(argv[1:])) for argv in read]
+    got = []
+    counts = _count_parsers_and_terminal_reads(monkeypatch, run=lambda args: got.append(_fields(args)) or 0)
+    for argv in read:
+        assert main(argv) == 0, argv
+    assert counts == {"parsers": 0, "sizes": 0}
+    assert got == expected
+    for argv in deferred:
+        counts["parsers"] = 0
+        main(argv)
+        assert counts["parsers"] >= 1, argv
+    capsys.readouterr()
 
 
 # A virtual call whose method no class provides used to make the CHA graph
